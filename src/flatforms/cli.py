@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .flatsys import (
-    CoefficientSystem,
     Infeasible,
     MissingFaceData,
     cw_boundary,
@@ -36,6 +35,7 @@ from .flatsys import (
     igusa_export,
     validate_system,
 )
+from .forms import ExtensionInfeasible, IncompatibleBoundaryData
 from .instances import (
     generate,
     instance_from_json,
@@ -53,7 +53,6 @@ from .mixed import (
     validate_fiber_model,
 )
 from .morse import check_partial_order, check_refinement, validate_leaf_system
-from .simplicial import build_complex, dim
 from .smoothing import (
     PartitionOfUnity,
     assemble_I,
@@ -145,14 +144,14 @@ def save_instance(path, S, L, A, extra: dict | None = None):
     Path(path).write_text(json.dumps(data, indent=1) + "\n")
 
 
-def _skeleton(A: CoefficientSystem, k: int) -> CoefficientSystem:
-    """The system restricted to the k-skeleton of its base."""
-    cells = [s for s in A.S if dim(s) <= k]
-    out = CoefficientSystem(build_complex(cells), A.L)
-    for s in cells:
-        if A.has(s):
-            out.set(s, {r: dict(row) for r, row in A.coeffs[s].items()})
-    return out
+# a build that cannot finish is a failed check, reported with its cause
+BUILD_ERRORS = (ExtensionInfeasible, IncompatibleBoundaryData, NotNilpotent)
+
+
+def _build_failure(ex: Exception, checks: dict, t0: float):
+    checks["build"] = str(ex)
+    return {"checks": checks,
+            "timings": {"total": time.perf_counter() - t0}}, [str(ex)]
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +224,8 @@ def cmd_build_aprime(args):
     try:
         data = build_mixed_connection(inst.A, max_degree=args.max_degree,
                                       strict=False)
-    except NotNilpotent as ex:
-        return {"checks": {"build": str(ex)}}, [str(ex)]
+    except BUILD_ERRORS as ex:
+        return _build_failure(ex, {}, t0)
     checks = {"simplices": len(data.report)}
     for entry in data.report:
         for kind in ("compat", "structure", "coherence"):
@@ -249,13 +248,13 @@ def cmd_build_iprime(args):
     fmp = validate_fiber_model(inst.A, inst.FM)
     if fmp:
         return {"checks": {"fiber_model": fmp}}, fmp
-    data = build_mixed_connection(inst.A, max_degree=args.max_degree,
-                                  strict=False)
     try:
+        data = build_mixed_connection(inst.A, max_degree=args.max_degree,
+                                      strict=False)
         cm = build_Iprime(data, inst.FM, max_degree=args.max_degree,
                           strict=False)
-    except (NotNilpotent, ChainIdentityViolation) as ex:
-        return {"checks": {"build": str(ex)}}, [str(ex)]
+    except BUILD_ERRORS + (ChainIdentityViolation,) as ex:
+        return _build_failure(ex, {}, t0)
     checks = {"simplices": len(cm.report)}
     for entry in cm.report:
         for kind in ("structure", "coherence"):
@@ -278,9 +277,6 @@ def cmd_smooth(args):
     checks = {}
     t0 = time.perf_counter()
     A = inst.A
-    if A.S.dim > 2:
-        A = _skeleton(A, 2)
-        checks["skeleton"] = 2
     P = inst.P
     checks["partition"] = "from file" if P is not None else "default"
     if P is None:
@@ -288,14 +284,19 @@ def cmd_smooth(args):
     pp = validate_partition(P)
     checks["partition_valid"] = "ok" if not pp else pp
     certs += pp
-    data = build_mixed_connection(A, strict=False)
+    try:
+        data = build_mixed_connection(A, strict=False)
+        cm = (build_Iprime(data, inst.FM, strict=False)
+              if inst.FM is not None else None)
+    except BUILD_ERRORS as ex:
+        report, cert = _build_failure(ex, checks, t0)
+        return report, certs + cert
     G = pullback_global(data, P)
     rep = verify_global(G)
     for kind in ("flat", "c0", "first_order"):
         checks[kind] = "ok" if not rep[kind] else rep[kind]
         certs += rep[kind]
-    if inst.FM is not None:
-        cm = build_Iprime(data, inst.FM, strict=False)
+    if cm is not None:
         assemble_I(G, cm)
         chain = verify_chain(G)
         checks["chain"] = "ok" if not chain else chain

@@ -15,17 +15,26 @@ picture of the same data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
-from .linalg import Q, qx, solve_sparse, rref
-from .morse import GradedModule, LeafSystem, allowed_blocks, prec
+from .linalg import (
+    Q,
+    mat_inverse,
+    mat_mul,
+    nullspace,
+    qx,
+    rank,
+    rref,
+    solve_dense,
+    solve_sparse,
+)
+from .morse import GradedModule, LeafSystem, allowed_blocks
 from .simplicial import (
-    EMPTY,
     BaseComplex,
     Simplex,
-    all_faces,
     boundary_chain,
     dim,
     face,
@@ -124,10 +133,6 @@ def smat_mul(a: SMat, b: SMat) -> SMat:
 
 def smat_is_zero(a: SMat) -> bool:
     return all(not row for row in a.values())
-
-
-def smat_eq(a: SMat, b: SMat) -> bool:
-    return smat_is_zero(smat_sub(a, b))
 
 
 def smat_identity(keys) -> SMat:
@@ -405,8 +410,7 @@ def _graded_betti(gens, matrix, degrees) -> dict[int, int]:
         # rank of the degree-d piece of the boundary
         r = 0
         if rows and tgt:
-            from .linalg import rank as _rank
-            r = _rank(rows)
+            r = rank(rows)
         ranks[d] = r
     for d in sorted(by_deg):
         n = len(by_deg[d])
@@ -530,7 +534,6 @@ def igusa_export(A: CoefficientSystem, sigma: Simplex) -> IgusaSystem:
     n = dim(sigma)
     e: dict[tuple, SMat] = {}
     for size in range(1, n + 2):
-        from itertools import combinations
         for tup in combinations(range(n + 1), size):
             k = size - 1
             f = face(sigma, tup)
@@ -549,7 +552,6 @@ def igusa_check(ig: IgusaSystem) -> list[tuple]:
     """
     n = dim(ig.sigma)
     bad = []
-    from itertools import combinations
     for size in range(1, n + 2):
         for tup in combinations(range(n + 1), size):
             k = size - 1
@@ -604,7 +606,6 @@ def _homology_of_matrix(M: GradedModule, d: SMat) -> FiberHomology:
     for r, c, val in smat_entries(d):
         dense[pos[r]][pos[c]] = val
     # cycles: right kernel
-    from .linalg import nullspace
     cycles = nullspace(dense, n)
     # boundaries: independent columns of d
     R, pivots = rref(dense)
@@ -637,8 +638,7 @@ def _in_span(span_vectors, z) -> bool:
         return all(c == 0 for c in z)
     cols = [list(v) for v in span_vectors]
     mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(z))]
-    from .linalg import solve_dense
-    return solve_dense(mat, list(z)) is not None
+    return solve_dense(mat, [list(z)])[0] is not None
 
 
 def induced_on_homology(A: CoefficientSystem, T: SMat,
@@ -651,12 +651,13 @@ def induced_on_homology(A: CoefficientSystem, T: SMat,
     # leading block of x
     basis_cols = [list(r) for r in tgt.reps] + [list(b) for b in tgt.boundary_basis]
     mat = [[basis_cols[j][i] for j in range(len(basis_cols))] for i in range(n)]
-    from .linalg import solve_dense
+    images = []
     for z in src.reps:
         tz = [Q(0)] * n
         for r, c, v in smat_entries(T):
             tz[pos[r]] += v * z[pos[c]]
-        x = solve_dense(mat, tz)
+        images.append(tz)
+    for x in solve_dense(mat, images):
         if x is None:
             raise ChainMapViolation("image of a cycle is not a cycle mod boundaries")
         cols.append(x[: len(tgt.reps)])
@@ -683,7 +684,6 @@ def holonomy_on_homology(A: CoefficientSystem, triangle: Simplex):
     M12 = induced_on_homology(A, T12, H2, H1)
     M01 = induced_on_homology(A, T01, H1, H0)
     M02 = induced_on_homology(A, T02, H2, H0)
-    from .linalg import mat_inverse, mat_mul
     return mat_mul(mat_inverse(M02), mat_mul(M01, M12))
 
 

@@ -15,7 +15,7 @@ contraction operator of the Poincaré lemma) are exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .linalg import Q, qx, solve_sparse
 
@@ -182,6 +182,13 @@ class PolyForm:
         res = PolyForm(self.k)
         res.terms = out
         return res
+
+    def power(self, m: int) -> "PolyForm":
+        """The m-fold wedge of ``self`` with itself (one for m = 0)."""
+        p = PolyForm.one(self.k)
+        for _ in range(m):
+            p = p.wedge(self)
+        return p
 
     def d(self) -> "PolyForm":
         out: dict[Key, Fraction] = {}
@@ -539,25 +546,15 @@ class RatioForm:
         self.den = den
         self.e = e
 
-    @classmethod
-    def from_poly(cls, p: PolyForm, den: PolyForm) -> "RatioForm":
-        return cls(p, den, 0)
-
     def _check(self, other: "RatioForm"):
         if self.den != other.den:
             raise ValueError("denominators differ")
 
-    def _den_pow(self, m: int) -> PolyForm:
-        p = PolyForm.one(self.den.k)
-        for _ in range(m):
-            p = p.wedge(self.den)
-        return p
-
     def __add__(self, other: "RatioForm") -> "RatioForm":
         self._check(other)
         e = max(self.e, other.e)
-        a = self.num.wedge(self._den_pow(e - self.e))
-        b = other.num.wedge(other._den_pow(e - other.e))
+        a = self.num.wedge(self.den.power(e - self.e))
+        b = other.num.wedge(other.den.power(e - other.e))
         return RatioForm(a + b, self.den, e)
 
     def __neg__(self) -> "RatioForm":
@@ -585,17 +582,19 @@ class RatioForm:
         if not isinstance(other, RatioForm):
             return NotImplemented
         self._check(other)
-        a = self.num.wedge(self._den_pow(other.e))
-        b = other.num.wedge(other._den_pow(self.e))
+        a = self.num.wedge(self.den.power(other.e))
+        b = other.num.wedge(other.den.power(self.e))
         return a == b
 
     def restrict(self, positions: Sequence[int], den_restricted: PolyForm) -> "RatioForm":
         """Restrict to a face; caller supplies the restricted denominator.
 
         The denominators used in this package restrict to each other
-        across faces, which the caller is expected to have arranged.
+        across faces, which the caller is expected to have arranged;
+        ``ValueError`` otherwise.
         """
-        assert self.den.restrict(positions) == den_restricted
+        if self.den.restrict(positions) != den_restricted:
+            raise ValueError("denominator does not restrict as claimed")
         return RatioForm(self.num.restrict(positions), den_restricted, self.e)
 
     def __repr__(self):

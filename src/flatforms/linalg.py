@@ -46,18 +46,6 @@ def eye(n: int) -> Matrix:
     return m
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c: Fraction, a: Matrix) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if not a or not b:
         return []
@@ -77,10 +65,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_is_zero(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     return a == b
 
@@ -89,11 +73,18 @@ def mat_copy(a: Matrix) -> Matrix:
     return [list(row) for row in a]
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column list)."""
+def rref(a: Matrix, pivot_cols: Optional[int] = None
+         ) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (R, pivot column list).
+
+    With ``pivot_cols`` set, pivots are taken among the first
+    ``pivot_cols`` columns only; the rest are carried along.
+    """
     m = mat_copy(a)
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
+    if pivot_cols is not None:
+        ncols = min(ncols, pivot_cols)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -144,19 +135,29 @@ def nullspace(a: Matrix, ncols: Optional[int] = None) -> list[Vector]:
     return basis
 
 
-def solve_dense(a: Matrix, b: Vector) -> Optional[Vector]:
-    """One solution of ``a x = b`` with free variables zeroed, or None."""
+def solve_dense(a: Matrix, rhs: Sequence[Vector]) -> list[Optional[Vector]]:
+    """One solution of ``a x = b`` with free variables zeroed, or None,
+    for each right-hand side b in ``rhs``.
+
+    ``a`` is eliminated once for all of them.  Pivots are taken among
+    the columns of ``a`` only, so each solution is the one a solve of
+    that right-hand side alone would give.
+    """
     if not a:
-        return []
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    r, pivots = rref(aug)
+        return [[] for _ in rhs]
     ncols = len(a[0])
-    if ncols in pivots:  # pivot in the augmented column: inconsistent
-        return None
-    x = [Q(0)] * ncols
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = r[row_idx][ncols]
-    return x
+    aug = [list(row) + [b[i] for b in rhs] for i, row in enumerate(a)]
+    r, pivots = rref(aug, pivot_cols=ncols)
+    out: list[Optional[Vector]] = []
+    for j in range(ncols, ncols + len(rhs)):
+        if any(row[j] != 0 for row in r[len(pivots):]):
+            out.append(None)  # a zero row of a with nonzero right side
+            continue
+        x = [Q(0)] * ncols
+        for row_idx, pc in enumerate(pivots):
+            x[pc] = r[row_idx][j]
+        out.append(x)
+    return out
 
 
 def mat_inverse(a: Matrix) -> Matrix:

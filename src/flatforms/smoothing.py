@@ -33,7 +33,6 @@ from .mixed import (
     FiberModel,
     FormMatrix,
     MixedConnectionData,
-    _ind_map,
 )
 from .simplicial import EMPTY, BaseComplex, Simplex, dim, face_positions, facet
 
@@ -231,18 +230,12 @@ class RatioMatrix:
         self.den = den
         self.e = e
 
-    def _den_pow(self, m: int) -> PolyForm:
-        p = PolyForm.one(self.den.k)
-        for _ in range(m):
-            p = p.wedge(self.den)
-        return p
-
     def promoted(self, e: int) -> FormMatrix:
         if e < self.e:
             raise ValueError("cannot lower the exponent")
         if e == self.e:
             return self.num
-        return _wedge_left(self._den_pow(e - self.e), self.num)
+        return _wedge_left(self.den.power(e - self.e), self.num)
 
     def add(self, other: "RatioMatrix") -> "RatioMatrix":
         if self.den != other.den:
@@ -306,11 +299,7 @@ def _pullback_with_images(fm: FormMatrix, target_k: int,
     top = max(exps_out.values(), default=0)
     result = FormMatrix(target_k, fm.row_deg, fm.col_deg)
     for r, c, p in out.entries():
-        gap = top - exps_out[(r, c)]
-        w = PolyForm.one(target_k)
-        for _ in range(gap):
-            w = w.wedge(den)
-        result.set_entry(r, c, w.wedge(p))
+        result.set_entry(r, c, den.power(top - exps_out[(r, c)]).wedge(p))
     return RatioMatrix(result, den, top)
 
 
@@ -412,19 +401,17 @@ def verify_global(G: GlobalSuperconnection) -> dict:
 
 def assemble_I(G: GlobalSuperconnection, cm: ChainMapData
                ) -> GlobalSuperconnection:
-    """I_glob over sigma: the face coordinates of I'(sigma, empty),
-    pulled back and recombined against the fiber comparisons."""
+    """I_glob over sigma: the value of I'(sigma, empty) pulled back along
+    the partition self-map.
+
+    Pullback is a ring map applied entry by entry and the fiber
+    comparisons are constant, so this equals pulling back the face
+    coordinates of the value and recombining them against the
+    comparisons.
+    """
     G.FM = cm.FM
-    M = cm.A.M
     for sigma in G.A.S:
-        l = dim(sigma)
-        total = RatioMatrix(FormMatrix(l, _ind_map(M), cm.FM.omega_degree),
-                            G.P.den[sigma], 0)
-        for s2, b in sorted(cm.coords(sigma, EMPTY).items()):
-            pb = pullback_matrix(b, G.P, sigma)
-            total = total.add(pb.mul_const_right(
-                cm.FM.imap(s2), new_col_deg=cm.FM.omega_degree))
-        G.iglob[sigma] = total
+        G.iglob[sigma] = pullback_matrix(cm.value(sigma, EMPTY), G.P, sigma)
     return G
 
 

@@ -174,3 +174,12 @@ def test_fiber_model_json_round_trip():
     assert FM2.D == FM.D
     assert FM2.I == FM.I
     assert FM2.eta == FM.eta
+
+
+def test_build_failure_is_a_certificate_not_a_traceback(capsys):
+    # a degree-0 ansatz cannot extend the seed-7 data
+    code, rep = run(capsys, "build-aprime", "--seed", "7", "--max-degree", "0")
+    assert code == 1
+    assert rep["status"] == "fail"
+    assert rep["certificates"] == [rep["checks"]["build"]]
+    assert "no degree <= 0 extension" in rep["checks"]["build"]

@@ -247,6 +247,14 @@ def test_ratio_form_arithmetic():
     assert (s - a) == b
 
 
+def test_ratio_form_restrict_rejects_mismatched_denominator():
+    den = PolyForm.one(2) + PolyForm.coordinate(2, 1)
+    f = RatioForm(PolyForm.coordinate(2, 2), den, 1)
+    assert f.restrict((0, 1), PolyForm.one(1) + PolyForm.coordinate(1, 1)).e == 1
+    with pytest.raises(ValueError):
+        f.restrict((0, 1), PolyForm.one(1))
+
+
 def test_ratio_form_d_matches_quotient_rule():
     k = 2
     den = den_for(k)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatforms.flatsys import CoefficientSystem, smat_mul, smat_sub, smat_is_zero
+from flatforms.flatsys import CoefficientSystem
 from flatforms.forms import ExtensionInfeasible, PolyForm
 from flatforms.instances import designed_instance, generate, make_fiber_model
 from flatforms.mixed import (
@@ -16,15 +16,14 @@ from flatforms.mixed import (
     MixedConnectionData,
     NotNilpotent,
     a_doubleprime,
-    bdict_values,
     build_Iprime,
     build_mixed_connection,
+    check_bcoord_structure,
     check_chain_identity,
     check_compat,
     check_face_coherence,
     check_structure,
     gauge_empty,
-    i_d_rewrite,
     locality_check,
     neumann_inverse,
     solve_face_coords,
@@ -255,24 +254,6 @@ def test_validate_fiber_model_rejects_broken_comparison():
     assert any("comparison" in p for p in probs)
 
 
-def test_i_d_rewrite_matches_matrix_product():
-    inst = generate(4, max_dim=2, need_triangle=True, enrich=False)
-    FM = make_fiber_model(inst)
-    assert not validate_fiber_model(inst.A, FM)
-    for sigma in inst.A.S:
-        lhs = smat_mul(FM.imap(sigma), FM.D)
-        rhs = {}
-        for coef, left, f in i_d_rewrite(inst.A, FM, sigma):
-            term = FM.imap(f)
-            if left is not None:
-                term = smat_mul(left, term)
-            rhs = {r: dict(row) for r, row in rhs.items()}
-            for r, row in term.items():
-                for c, v in row.items():
-                    rhs.setdefault(r, {})[c] = rhs.get(r, {}).get(c, Q(0)) + coef * v
-        assert smat_is_zero(smat_sub(lhs, rhs)), sigma
-
-
 def test_chain_map_sweep_dim2():
     for seed in range(8):
         inst = generate(seed, max_dim=2, enrich=False)
@@ -308,7 +289,11 @@ def test_solve_face_coords_roundtrip():
     tri = [s for s in inst.A.S if dim(s) == 2][0]
     val = cm.value(tri, EMPTY)
     bd = solve_face_coords(inst.A, FM, tri, EMPTY, val)
-    assert bdict_values(bd, FM, inst.A.M, dim(tri)).eq(val)
+    total = FormMatrix(dim(tri), val.row_deg, FM.omega_degree)
+    for s2, fm in bd.items():
+        total = total.add(fm.mul_const_right(FM.imap(s2),
+                                             new_col_deg=FM.omega_degree))
+    assert total.eq(val)
 
 
 def test_solve_face_coords_infeasible_value():
@@ -322,17 +307,29 @@ def test_solve_face_coords_infeasible_value():
         solve_face_coords(A, FM, (0, 1), EMPTY, bad)
 
 
+def test_missing_face_decomposition_is_a_structure_problem():
+    A = worked_edge()
+    FM = worked_edge_fiber()
+    deg = {b: A.M.degree(b) for b in A.M.basis}
+    bad = FormMatrix(1, deg, FM.omega_degree)
+    bad.set_entry(("p", 0), "z", PolyForm.one(1))
+    cm = ChainMapData(A=A, FM=FM)
+    cm.values[((0, 1), EMPTY)] = bad
+    assert check_bcoord_structure(cm, (0, 1), EMPTY) == [
+        "I'((0, 1),()): no triangular face decomposition"]
+    assert cm.coords((0, 1), EMPTY) is None
+
+
 def test_locality_flags_injected_mass():
     A = worked_edge()
     FM = worked_edge_fiber()
     data = build_mixed_connection(A, strict=True)
     cm = build_Iprime(data, FM, strict=True)
-    deg = {b: A.M.degree(b) for b in A.M.basis}
-    rogue = FormMatrix(1, deg, deg)
-    rogue.set_entry(("q", 0), ("q", 0), PolyForm.one(1))
-    cm.b[((0, 1), (0,))][(1,)] = rogue
+    # the q row reaching z: z sits at the height of q, so it is tagged
+    val = cm.value((0, 1), (0,))
+    val.set_entry(("q", 0), "z", val.entry(("q", 0), "z") + PolyForm.one(1))
     probs = locality_check(data, cm)
-    assert any("('q'" in p or "\"q\"" in p or "q" in p for p in probs)
+    assert probs == ["I'((0, 1),(0,)) rows of q hit tagged element z"]
 
 
 def test_locality_requires_tags():

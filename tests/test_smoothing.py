@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from flatforms.flatsys import CoefficientSystem
 from flatforms.forms import PolyForm
-from flatforms.instances import generate, make_fiber_model
+from flatforms.instances import designed_instance, generate, make_fiber_model
 from flatforms.mixed import (
     FiberModel,
     FormMatrix,
@@ -229,6 +229,17 @@ def test_generated_chain_assembly(seed):
     data = build_mixed_connection(inst.A)
     cm = build_Iprime(data, FM)
     G = pullback_global(data, partition_default(inst.A.S))
+    assemble_I(G, cm)
+    assert verify_chain(G) == []
+
+
+def test_full_pipeline_on_tetrahedron():
+    inst = designed_instance(0, [(0, 1, 2, 3)])
+    data = build_mixed_connection(inst.A, strict=False)
+    cm = build_Iprime(data, make_fiber_model(inst), strict=False)
+    G = pullback_global(data, partition_default(inst.A.S))
+    rep = verify_global(G)
+    assert rep == {"flat": [], "c0": [], "first_order": []}
     assemble_I(G, cm)
     assert verify_chain(G) == []
 
