@@ -44,12 +44,12 @@ from .instances import (
 )
 from .linalg import eye, mat_eq, qx
 from .mixed import (
-    ChainIdentityViolation,
     FiberModel,
     NotNilpotent,
     build_Iprime,
     build_mixed_connection,
     locality_check,
+    report_certificates,
     validate_fiber_model,
 )
 from .morse import check_partial_order, check_refinement, validate_leaf_system
@@ -216,24 +216,17 @@ def cmd_extend(args):
 
 def cmd_build_aprime(args):
     inst = load_instance(args)
-    certs = []
     t0 = time.perf_counter()
     sysp = validate_system(inst.A)
     if sysp:
         return {"checks": {"system": sysp}}, sysp
     try:
-        data = build_mixed_connection(inst.A, max_degree=args.max_degree,
-                                      strict=False)
+        data = build_mixed_connection(inst.A, max_degree=args.max_degree)
     except BUILD_ERRORS as ex:
         return _build_failure(ex, {}, t0)
-    checks = {"simplices": len(data.report)}
-    for entry in data.report:
-        for kind in ("compat", "structure", "coherence"):
-            for msg in entry[kind]:
-                certs.append(f"{_skey(entry['sigma'])}: {msg}")
-        if entry["flat"] is False:
-            certs.append(f"{_skey(entry['sigma'])}: connection is not flat")
-    checks["problems"] = certs if certs else "none"
+    certs = report_certificates(data.report)
+    checks = {"simplices": len(data.report),
+              "problems": certs if certs else "none"}
     return {"checks": checks,
             "timings": {"total": time.perf_counter() - t0}}, certs
 
@@ -243,25 +236,17 @@ def cmd_build_iprime(args):
     if inst.FM is None:
         raise ParseError("no fiber model: add one to the instance file "
                          "or use --seed")
-    certs = []
     t0 = time.perf_counter()
     fmp = validate_fiber_model(inst.A, inst.FM)
     if fmp:
         return {"checks": {"fiber_model": fmp}}, fmp
     try:
-        data = build_mixed_connection(inst.A, max_degree=args.max_degree,
-                                      strict=False)
-        cm = build_Iprime(data, inst.FM, max_degree=args.max_degree,
-                          strict=False)
-    except BUILD_ERRORS + (ChainIdentityViolation,) as ex:
+        data = build_mixed_connection(inst.A, max_degree=args.max_degree)
+        cm = build_Iprime(data, inst.FM, max_degree=args.max_degree)
+    except BUILD_ERRORS as ex:
         return _build_failure(ex, {}, t0)
+    certs = report_certificates(cm.report)
     checks = {"simplices": len(cm.report)}
-    for entry in cm.report:
-        for kind in ("structure", "coherence"):
-            for msg in entry[kind]:
-                certs.append(f"{_skey(entry['sigma'])}: {msg}")
-        if entry["chain"] is False:
-            certs.append(f"{_skey(entry['sigma'])}: chain identity fails")
     if inst.FM.eta is not None:
         loc = locality_check(data, cm)
         checks["locality"] = "ok" if not loc else loc
@@ -284,10 +269,15 @@ def cmd_smooth(args):
     pp = validate_partition(P)
     checks["partition_valid"] = "ok" if not pp else pp
     certs += pp
+    if inst.FM is not None:
+        fmp = validate_fiber_model(A, inst.FM)
+        if fmp:
+            checks["fiber_model"] = fmp
+            return {"checks": checks,
+                    "timings": {"total": time.perf_counter() - t0}}, certs + fmp
     try:
-        data = build_mixed_connection(A, strict=False)
-        cm = (build_Iprime(data, inst.FM, strict=False)
-              if inst.FM is not None else None)
+        data = build_mixed_connection(A)
+        cm = build_Iprime(data, inst.FM) if inst.FM is not None else None
     except BUILD_ERRORS as ex:
         report, cert = _build_failure(ex, checks, t0)
         return report, certs + cert

@@ -449,28 +449,23 @@ def extend_system(A: CoefficientSystem, to_dim: Optional[int] = None
     return out
 
 
-def _solve_one(A: CoefficientSystem, sigma: Simplex):
+def flatness_equation(A: CoefficientSystem, sigma: Simplex):
+    """The part of the flatness equation of ``sigma`` linear in a(sigma).
+
+    Returns the unknowns, one per entry of the allowed blocks of
+    a(sigma), and the rows of (-1)^k a(sigma_0) X + X a(sigma_k) as
+    {(r, c): {unknown index: coefficient}}, one per matrix position the
+    product can reach.
+    """
     k = dim(sigma)
-    K = smat_zero()
-    for sgn, f in boundary_chain(sigma):
-        K = smat_add(K, smat_scale(sgn, A.a(f)))
-    for j in range(1, k):
-        left = A.a(sigma[: j + 1])
-        right = A.a(sigma[j:])
-        K = smat_add(K, smat_scale(_sign(k * (j - 1)), smat_mul(left, right)))
     a0 = A.a(sigma[:1])
     ak = A.a(sigma[-1:])
     s0 = _sign(k)
-
-    blocks = allowed_blocks(A.L, sigma, 1 - k)
     unknowns: list[tuple] = []
-    for al, be in blocks:
+    for al, be in allowed_blocks(A.L, sigma, 1 - k):
         for i in range(A.M.rank[al]):
             for j in range(A.M.rank[be]):
                 unknowns.append(((al, i), (be, j)))
-    upos = {u: t for t, u in enumerate(unknowns)}
-
-    # rows of the equation indexed by matrix positions (r, c)
     rows: dict[tuple, dict[int, Fraction]] = {}
 
     def add(rc, uidx, v):
@@ -483,8 +478,7 @@ def _solve_one(A: CoefficientSystem, sigma: Simplex):
         else:
             row[uidx] = w
 
-    for (p, q) in unknowns:
-        uidx = upos[(p, q)]
+    for uidx, (p, q) in enumerate(unknowns):
         # s0 * a0 X: entry (r, q) gains s0*a0[r, p]
         for r, row in a0.items():
             v = row.get(p)
@@ -493,6 +487,19 @@ def _solve_one(A: CoefficientSystem, sigma: Simplex):
         # X ak: entry (p, c) gains ak[q, c]
         for c, v in ak.get(q, {}).items():
             add((p, c), uidx, v)
+    return unknowns, rows
+
+
+def _solve_one(A: CoefficientSystem, sigma: Simplex):
+    k = dim(sigma)
+    K = smat_zero()
+    for sgn, f in boundary_chain(sigma):
+        K = smat_add(K, smat_scale(sgn, A.a(f)))
+    for j in range(1, k):
+        left = A.a(sigma[: j + 1])
+        right = A.a(sigma[j:])
+        K = smat_add(K, smat_scale(_sign(k * (j - 1)), smat_mul(left, right)))
+    unknowns, rows = flatness_equation(A, sigma)
     for r, c, v in smat_entries(K):
         rows.setdefault((r, c), {})
 

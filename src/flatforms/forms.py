@@ -15,6 +15,7 @@ contraction operator of the Poincaré lemma) are exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .linalg import Q, qx, solve_sparse
@@ -406,7 +407,6 @@ def _monomials_upto(k: int, deg: int):
 
 
 def _dx_tuples(k: int, r: int):
-    from itertools import combinations
     return list(combinations(range(1, k + 1), r))
 
 

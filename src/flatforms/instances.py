@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .flatsys import (
@@ -25,16 +24,16 @@ from .flatsys import (
     Infeasible,
     SMat,
     extend_system,
+    flatness_equation,
     smat_add,
-    smat_entries,
     smat_identity,
     smat_is_zero,
     smat_mul,
-    smat_scale,
     smat_set,
     smat_sub,
 )
-from .linalg import Q
+from .linalg import Q, nullspace
+from .mixed import FiberModel, FormMatrix, neumann_inverse
 from .morse import GradedModule, LeafSystem, allowed_blocks
 from .simplicial import BaseComplex, Simplex, build_complex
 
@@ -112,20 +111,14 @@ def _random_leaves(rng: random.Random, max_leaves: int, max_rank: int,
     return LeafSystem(leaves, heights, 1), levels
 
 
-def unipotent_inverse(U: SMat, basis) -> SMat:
-    """Inverse of id + N with N nilpotent, by the finite geometric series."""
-    ident = smat_identity(basis)
-    N = smat_sub(U, ident)
-    out = ident
-    power = ident
-    sign = -1
-    while True:
-        power = smat_mul(power, N)
-        if smat_is_zero(power):
-            break
-        out = smat_add(out, smat_scale(sign, power))
-        sign = -sign
-    return out
+def _gauge_inverse(M: GradedModule, U: SMat) -> SMat:
+    """Inverse of a unipotent gauge id + N, by the bounded geometric
+    series on a 0-chart (N^n = 0 for the n generators of ``M``)."""
+    deg = {b: M.degree(b) for b in M.basis}
+    n = FormMatrix.from_const(0, smat_sub(U, smat_identity(M.basis)), deg, deg)
+    inv = neumann_inverse(n, M.basis, max_len=M.n)
+    return {r: {c: p.value_at(()) for c, p in row.items()}
+            for r, row in inv.rows.items()}
 
 
 def _design_system(rng: random.Random, S: BaseComplex, L: LeafSystem,
@@ -168,7 +161,7 @@ def _design_system(rng: random.Random, S: BaseComplex, L: LeafSystem,
         U[v[0]] = m
 
     A = CoefficientSystem(S, L)
-    inv = {v: unipotent_inverse(U[v], M.basis) for v in U}
+    inv = {v: _gauge_inverse(M, U[v]) for v in U}
     for v in S.vertices():
         A.set(v, smat_mul(inv[v[0]], smat_mul(D0, U[v[0]])))
     for e in S.of_dim(1):
@@ -183,33 +176,11 @@ def _design_system(rng: random.Random, S: BaseComplex, L: LeafSystem,
 def _kernel_perturbation(rng: random.Random, A: CoefficientSystem,
                          edge: Simplex) -> SMat | None:
     """A random element of the homogeneous edge equation's kernel."""
-    from .linalg import nullspace
-    a0 = A.a(edge[:1])
-    a1 = A.a(edge[1:])
-    blocks = allowed_blocks(A.L, edge, 0)
-    unknowns = []
-    for al, be in blocks:
-        for i in range(A.M.rank[al]):
-            for j in range(A.M.rank[be]):
-                unknowns.append(((al, i), (be, j)))
+    unknowns, rows = flatness_equation(A, edge)
     if not unknowns:
         return None
-    upos = {u: t for t, u in enumerate(unknowns)}
-    rows: dict[tuple, dict[int, Fraction]] = {}
-    for (p, q) in unknowns:
-        uidx = upos[(p, q)]
-        for r, row in a0.items():
-            v = row.get(p)
-            if v:
-                rows.setdefault((r, q), {})[uidx] = \
-                    rows.get((r, q), {}).get(uidx, Q(0)) - v
-        for c, v in a1.get(q, {}).items():
-            row = rows.setdefault((p, c), {})
-            row[uidx] = row.get(uidx, Q(0)) + v
-    keys = sorted(rows, key=repr)
-    dense = []
-    for rc in keys:
-        dense.append([rows[rc].get(t, Q(0)) for t in range(len(unknowns))])
+    dense = [[rows[rc].get(t, Q(0)) for t in range(len(unknowns))]
+             for rc in sorted(rows, key=repr)]
     basis = nullspace(dense, len(unknowns)) if dense else \
         [[Q(1) if i == j else Q(0) for i in range(len(unknowns))]
          for j in range(len(unknowns))]
@@ -313,8 +284,6 @@ def make_fiber_model(inst: Instance):
     Only valid for instances whose coefficients are the pure gauge data;
     an enriched instance no longer matches its recorded gauges.
     """
-    from .mixed import FiberModel
-
     if inst.enriched:
         raise ValueError(
             "instance was enriched away from its gauge; no model available")
@@ -327,7 +296,7 @@ def make_fiber_model(inst: Instance):
          for r, row in inst.D0.items()}
     I = {}
     for v in inst.A.S.vertices():
-        inv = unipotent_inverse(inst.U[v[0]], M.basis)
+        inv = _gauge_inverse(M, inst.U[v[0]])
         I[v] = {r: {rename[c]: val for c, val in row.items()}
                 for r, row in inv.items()}
     eta = {}

@@ -10,7 +10,6 @@ to vertex evaluations.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 from .linalg import Q, qx
 from .simplicial import BaseComplex, Simplex, all_faces
@@ -171,24 +170,19 @@ def height_operator(L: LeafSystem, M: GradedModule, vertex: int) -> list[list[Fr
     return out
 
 
-def allowed_blocks(L: LeafSystem, sigma: Simplex, end_degree: int,
-                   strict: bool = True) -> list[tuple[str, str]]:
+def allowed_blocks(L: LeafSystem, sigma: Simplex, end_degree: int
+                   ) -> list[tuple[str, str]]:
     """Leaf block pairs (alpha, beta) a degree-``end_degree`` operator may occupy.
 
     A block is allowed when the leaf indices satisfy
     ind(alpha) = ind(beta) + end_degree and beta precedes alpha over
-    ``sigma``.  With ``strict=False`` the diagonal (alpha == alpha,
-    end_degree 0) is allowed as well.
+    ``sigma``; the diagonal never is.
     """
     out = []
     for alpha in L.leaves:
         for beta in L.leaves:
             if L.index[alpha] != L.index[beta] + end_degree:
                 continue
-            if alpha == beta:
-                if not strict and end_degree == 0:
-                    out.append((alpha, beta))
-                continue
-            if prec(L, beta, alpha, sigma):
+            if alpha != beta and prec(L, beta, alpha, sigma):
                 out.append((alpha, beta))
     return out

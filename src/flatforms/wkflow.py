@@ -13,13 +13,12 @@ integration is used only to simulate trajectories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .linalg import Q, qx
+from .linalg import Q
 
 
 class NoConvergence(Exception):
@@ -89,9 +88,10 @@ def classify_limits(x, tol=0) -> tuple[int, int]:
 def vertex_linearization(k: int, m: int):
     """Linearization of the field at vertex m in the reduced chart.
 
-    Eliminating x_m leaves chart coordinates (x_i)_{i != m}; the
-    Jacobian at the vertex is diagonal with entry sign(i - m), computed
-    here exactly.
+    Eliminating x_m leaves chart coordinates (x_i)_{i != m}.  Since
+    xdot_i = x_i * (sum_{t<i} x_t - sum_{t>i} x_t) and x_i vanishes at
+    the vertex, d(xdot_i)/dx_j there is zero for j != i and the bracket,
+    sign(i - m), for j == i: the Jacobian is that diagonal, exactly.
 
     Returns
     -------
@@ -103,29 +103,11 @@ def vertex_linearization(k: int, m: int):
         raise ValueError(f"vertex {m} out of range 0..{k}")
     others = [i for i in range(k + 1) if i != m]
     jac = [[0] * k for _ in range(k)]
-    # differentiate the reduced field exactly at the origin of the chart
     for a, i in enumerate(others):
-        for b, j in enumerate(others):
-            jac[a][b] = _reduced_partial(k, m, i, j)
+        jac[a][a] = 1 if i > m else -1
     n_stable = sum(1 for a in range(k) if jac[a][a] < 0)
     n_unstable = sum(1 for a in range(k) if jac[a][a] > 0)
     return jac, n_stable, n_unstable
-
-
-def _reduced_partial(k: int, m: int, i: int, j: int) -> int:
-    """d(xdot_i)/dx_j at vertex m, in the chart eliminating x_m (exact)."""
-    h = Q(1, 10 ** 6)  # differentiate a quadratic exactly: second differences vanish
-    base = [Q(0)] * (k + 1)
-    base[m] = Q(1)
-
-    def field_i(chart_val):
-        x = list(base)
-        x[j] = chart_val
-        x[m] = 1 - sum(x[t] for t in range(k + 1) if t != m)
-        return wk_eval(k, x)[i]
-
-    # quadratic field: central difference is exact
-    return int((field_i(h) - field_i(-h)) / (2 * h))
 
 
 def face_restriction_check(k: int, positions) -> bool:
@@ -161,7 +143,6 @@ class Trajectory:
     k: int
     times: np.ndarray
     points: np.ndarray  # shape (len(times), k+1)
-    converged: bool
     limit: tuple | None = None
     backward: bool = False
 
@@ -200,8 +181,8 @@ def flow(k: int, start, backward: bool = False, t_max: float = 200.0,
             f"speed still {np.linalg.norm(rhs(0.0, pts[-1])):.3e} at t={t_max}")
     final = np.clip(pts[-1], 0.0, None)
     final = final / final.sum()
-    return Trajectory(k=k, times=sol.t, points=pts, converged=True,
-                      limit=tuple(final), backward=backward)
+    return Trajectory(k=k, times=sol.t, points=pts, limit=tuple(final),
+                      backward=backward)
 
 
 def nearest_vertex(point, tol=1e-6):

@@ -1,9 +1,10 @@
 import json
+import random
 
 import pytest
 
 from flatforms.cli import main
-from flatforms.instances import instance_to_json
+from flatforms.instances import corrupt_random_entry, generate, instance_to_json
 from flatforms.mixed import FiberModel
 from flatforms.smoothing import partition_linear
 
@@ -142,6 +143,17 @@ def test_smooth_default_partition(capsys, tmp_path):
     assert rep["checks"]["chain"] == "ok"
 
 
+def test_smooth_validates_the_fiber_model_first(capsys, tmp_path):
+    path = edge_file(tmp_path)
+    data = json.loads(path.read_text())
+    data["fiber_model"]["I"]["1"]["r:0"]["u"] = "2"
+    path.write_text(json.dumps(data))
+    code, rep = run(capsys, "smooth", "--instance", str(path))
+    assert code == 1
+    assert "comparison relation fails over (1,)" in rep["certificates"]
+    assert rep["checks"]["fiber_model"] == rep["certificates"]
+
+
 def test_smooth_reports_linear_partition_failure(capsys, tmp_path):
     path = edge_file(tmp_path, partition=partition_linear)
     code, rep = run(capsys, "smooth", "--instance", str(path))
@@ -183,3 +195,15 @@ def test_build_failure_is_a_certificate_not_a_traceback(capsys):
     assert rep["status"] == "fail"
     assert rep["certificates"] == [rep["checks"]["build"]]
     assert "no degree <= 0 extension" in rep["checks"]["build"]
+
+
+def test_corrupted_build_names_the_simplex(capsys, tmp_path):
+    inst = generate(3, max_dim=2, need_triangle=True)
+    bad, _desc = corrupt_random_entry(random.Random(3), inst.A)
+    data = instance_to_json(inst.S, inst.L, bad)
+    data["version"] = 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, rep = run(capsys, "build-aprime", "--instance", str(path))
+    assert code == 1
+    assert any("(0, 2, 3)" in c for c in rep["certificates"])

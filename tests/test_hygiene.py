@@ -1,0 +1,53 @@
+"""Source rules that no linter enforces here: every module-level import
+is used, imports sit at module level, and checks raise exceptions
+instead of using ``assert`` (which ``python -O`` strips)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "flatforms"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _bound_names(node):
+    for alias in node.names:
+        yield alias.asname or alias.name.split(".")[0]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_are_used(path):
+    tree = _tree(path)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for name in _bound_names(node):
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items()
+                    if name not in used)
+    assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_module_level(path):
+    tree = _tree(path)
+    top = {id(node) for node in tree.body}
+    nested = sorted(node.lineno for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and id(node) not in top)
+    assert nested == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    lines = sorted(node.lineno for node in ast.walk(_tree(path))
+                   if isinstance(node, ast.Assert))
+    assert lines == []

@@ -6,26 +6,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatforms.flatsys import CoefficientSystem
-from flatforms.forms import ExtensionInfeasible, PolyForm
-from flatforms.instances import designed_instance, generate, make_fiber_model
+from flatforms.forms import (
+    ExtensionInfeasible,
+    IncompatibleBoundaryData,
+    PolyForm,
+)
+from flatforms.instances import (
+    corrupt_random_entry,
+    designed_instance,
+    generate,
+    make_fiber_model,
+)
 from flatforms.mixed import (
-    ChainIdentityViolation,
     ChainMapData,
     FiberModel,
     FormMatrix,
-    MixedConnectionData,
     NotNilpotent,
-    a_doubleprime,
     build_Iprime,
     build_mixed_connection,
     check_bcoord_structure,
     check_chain_identity,
-    check_compat,
-    check_face_coherence,
-    check_structure,
-    gauge_empty,
+    check_value_coherence,
     locality_check,
     neumann_inverse,
+    report_certificates,
     solve_face_coords,
     validate_fiber_model,
     verify_flat,
@@ -152,7 +156,8 @@ def test_neumann_rejects_non_nilpotent():
 
 def test_worked_edge_closed_form():
     A = worked_edge()
-    data = build_mixed_connection(A, strict=True)
+    data = build_mixed_connection(A)
+    assert report_certificates(data.report) == []
     ap = data.get((0, 1), EMPTY)
     x = PolyForm.coordinate(1, 1)
     assert (ap.entry(("q", 0), ("r", 0)) - PolyForm.one(1)).is_zero()
@@ -164,14 +169,16 @@ def test_worked_edge_closed_form():
 
 def test_vanishing_on_own_face():
     A = worked_edge()
-    data = build_mixed_connection(A, strict=True)
+    data = build_mixed_connection(A)
+    assert report_certificates(data.report) == []
     for sigma in A.S:
         assert data.get(sigma, sigma).is_zero()
 
 
 def test_vertex_empty_face_is_constant():
     A = worked_edge()
-    data = build_mixed_connection(A, strict=True)
+    data = build_mixed_connection(A)
+    assert report_certificates(data.report) == []
     got = data.get((0,), EMPTY)
     want = FormMatrix.from_const(0, A.a((0,)), {b: A.M.degree(b) for b in A.M.basis},
                                  {b: A.M.degree(b) for b in A.M.basis})
@@ -181,37 +188,49 @@ def test_vertex_empty_face_is_constant():
 def test_connection_detects_corrupted_input():
     A = worked_edge()
     A.set((0, 1), {("r", 0): {("p", 0): Q(1)}, ("q", 0): {("p", 0): Q(5)}})
-    data = build_mixed_connection(A, strict=False)
-    bad = [e for e in data.report
-           if e["compat"] or e["structure"] or not e["flat"]]
+    data = build_mixed_connection(A)
+    bad = [e for e in data.report if e["structure"] or not e["flat"]]
     assert bad
+    assert report_certificates(data.report)
 
 
-def test_build_strict_raises_on_corruption():
+def test_build_reports_corrupted_vertex():
     A = worked_edge()
     A.coeffs[(0,)][("q", 0)][("r", 0)] = Q(2)
-    with pytest.raises(AssertionError):
-        build_mixed_connection(A, strict=True)
+    data = build_mixed_connection(A)
+    assert report_certificates(data.report) == [
+        "0,1: a'((0, 1),()) does not restrict to a'((1,),())"]
+
+
+def test_recursion_clash_names_simplex_segment_facet_and_entry():
+    inst = generate(3, max_dim=2, need_triangle=True)
+    bad, _desc = corrupt_random_entry(random.Random(3), inst.A)
+    with pytest.raises(IncompatibleBoundaryData) as ei:
+        build_mixed_connection(bad)
+    assert str(ei.value) == (
+        "(0, 2, 3), segment (0,): the recursion value clashes with "
+        "the data on (0, 3) at entry ('e', 0)<-('d', 0)")
 
 
 def test_generated_instances_connection_sweep():
     for seed in range(8):
         inst = generate(seed, max_dim=2)
-        data = build_mixed_connection(inst.A, strict=True)
-        for e in data.report:
-            assert e["flat"] and not e["compat"]
+        data = build_mixed_connection(inst.A)
+        assert report_certificates(data.report) == []
 
 
 def test_connection_on_tetrahedron():
     inst = designed_instance(2, [(0, 1, 2, 3)])
-    data = build_mixed_connection(inst.A, strict=True)
+    data = build_mixed_connection(inst.A)
+    assert report_certificates(data.report) == []
     assert verify_flat(data, (0, 1, 2, 3))
-    assert not check_face_coherence(data, (0, 1, 2, 3), EMPTY)
+    assert not check_value_coherence(data.aprime, "a'", (0, 1, 2, 3), EMPTY)
 
 
 def test_total_degree_bookkeeping():
     inst = generate(1, max_dim=2, need_triangle=True)
-    data = build_mixed_connection(inst.A, strict=True)
+    data = build_mixed_connection(inst.A)
+    assert report_certificates(data.report) == []
     M = inst.A.M
     for (sigma, sigma_p), fm in data.aprime.items():
         kk = len(sigma_p)
@@ -227,8 +246,9 @@ def test_worked_edge_chain_map():
     A = worked_edge()
     FM = worked_edge_fiber()
     assert not validate_fiber_model(A, FM)
-    data = build_mixed_connection(A, strict=True)
-    cm = build_Iprime(data, FM, strict=True)
+    data = build_mixed_connection(A)
+    cm = build_Iprime(data, FM)
+    assert report_certificates(data.report + cm.report) == []
     val = cm.value((0, 1), EMPTY)
     x = PolyForm.coordinate(1, 1)
     assert (val.entry(("p", 0), "u") - PolyForm.one(1)).is_zero()
@@ -257,17 +277,19 @@ def test_validate_fiber_model_rejects_broken_comparison():
 def test_chain_map_sweep_dim2():
     for seed in range(8):
         inst = generate(seed, max_dim=2, enrich=False)
-        data = build_mixed_connection(inst.A, strict=True)
+        data = build_mixed_connection(inst.A)
         FM = make_fiber_model(inst)
-        cm = build_Iprime(data, FM, strict=True)
+        cm = build_Iprime(data, FM)
+        assert report_certificates(data.report + cm.report) == []
         assert locality_check(data, cm) == []
 
 
 def test_chain_map_on_tetrahedron():
     inst = designed_instance(0, [(0, 1, 2, 3)])
-    data = build_mixed_connection(inst.A, strict=True)
+    data = build_mixed_connection(inst.A)
     FM = make_fiber_model(inst)
-    cm = build_Iprime(data, FM, strict=True)
+    cm = build_Iprime(data, FM)
+    assert report_certificates(data.report + cm.report) == []
     assert check_chain_identity(data, cm, (0, 1, 2, 3))
     assert locality_check(data, cm) == []
 
@@ -278,14 +300,16 @@ def test_enriched_instance_has_no_canned_model():
     with pytest.raises(ValueError):
         make_fiber_model(inst)
     # the connection side does not care where the system came from
-    build_mixed_connection(inst.A, strict=True)
+    data = build_mixed_connection(inst.A)
+    assert report_certificates(data.report) == []
 
 
 def test_solve_face_coords_roundtrip():
     inst = generate(2, max_dim=2, need_triangle=True, enrich=False)
-    data = build_mixed_connection(inst.A, strict=True)
+    data = build_mixed_connection(inst.A)
     FM = make_fiber_model(inst)
-    cm = build_Iprime(data, FM, strict=True)
+    cm = build_Iprime(data, FM)
+    assert report_certificates(data.report + cm.report) == []
     tri = [s for s in inst.A.S if dim(s) == 2][0]
     val = cm.value(tri, EMPTY)
     bd = solve_face_coords(inst.A, FM, tri, EMPTY, val)
@@ -323,8 +347,9 @@ def test_missing_face_decomposition_is_a_structure_problem():
 def test_locality_flags_injected_mass():
     A = worked_edge()
     FM = worked_edge_fiber()
-    data = build_mixed_connection(A, strict=True)
-    cm = build_Iprime(data, FM, strict=True)
+    data = build_mixed_connection(A)
+    cm = build_Iprime(data, FM)
+    assert report_certificates(data.report + cm.report) == []
     # the q row reaching z: z sits at the height of q, so it is tagged
     val = cm.value((0, 1), (0,))
     val.set_entry(("q", 0), "z", val.entry(("q", 0), "z") + PolyForm.one(1))
@@ -336,7 +361,8 @@ def test_locality_requires_tags():
     A = worked_edge()
     FM = worked_edge_fiber()
     FM.eta = None
-    data = build_mixed_connection(A, strict=True)
-    cm = build_Iprime(data, FM, strict=True)
+    data = build_mixed_connection(A)
+    cm = build_Iprime(data, FM)
+    assert report_certificates(data.report + cm.report) == []
     with pytest.raises(ValueError):
         locality_check(data, cm)

@@ -13,6 +13,7 @@ from flatforms.mixed import (
     FormMatrix,
     build_Iprime,
     build_mixed_connection,
+    report_certificates,
 )
 from flatforms.morse import LeafSystem
 from flatforms.simplicial import build_complex
@@ -31,6 +32,21 @@ from flatforms.smoothing import (
     verify_chain,
     verify_global,
 )
+
+
+
+def connection(A):
+    """The a' build, with every check of its report passing."""
+    data = build_mixed_connection(A)
+    assert report_certificates(data.report) == []
+    return data
+
+
+def chain_maps(data, FM):
+    """The I' build, with every check of its report passing."""
+    cm = build_Iprime(data, FM)
+    assert report_certificates(cm.report) == []
+    return cm
 
 
 def edge_system():
@@ -161,7 +177,7 @@ def test_ratio_promoted_cannot_lower():
 
 def test_pullback_of_constants_is_constant():
     A = edge_system()
-    data = build_mixed_connection(A)
+    data = connection(A)
     P = partition_default(A.S)
     g = pullback_matrix(data.get((0,), ()), P, (0,))
     assert g.e == 0
@@ -173,7 +189,7 @@ def test_pullback_of_constants_is_constant():
 
 def test_worked_edge_global_checks():
     A = edge_system()
-    data = build_mixed_connection(A)
+    data = connection(A)
     G = pullback_global(data, partition_default(A.S))
     rep = verify_global(G)
     assert rep == {"flat": [], "c0": [], "first_order": []}
@@ -184,7 +200,7 @@ def test_worked_edge_linear_fails_first_order_only():
     edge form; at either endpoint it is not what the vertex data
     predicts, and the report says so."""
     A = edge_system()
-    data = build_mixed_connection(A)
+    data = connection(A)
     G = pullback_global(data, partition_linear(A.S))
     rep = verify_global(G)
     assert rep["flat"] == []
@@ -196,7 +212,7 @@ def test_worked_edge_linear_fails_first_order_only():
 @pytest.mark.parametrize("seed", [3, 5, 8])
 def test_generated_surfaces_default_clean(seed):
     inst = generate(seed, max_dim=2, enrich=False)
-    data = build_mixed_connection(inst.A)
+    data = connection(inst.A)
     G = pullback_global(data, partition_default(inst.A.S))
     rep = verify_global(G)
     assert rep == {"flat": [], "c0": [], "first_order": []}
@@ -204,7 +220,7 @@ def test_generated_surfaces_default_clean(seed):
 
 def test_generated_surface_linear_detected():
     inst = generate(5, max_dim=2, enrich=False)
-    data = build_mixed_connection(inst.A)
+    data = connection(inst.A)
     rep = verify_global(pullback_global(data, partition_linear(inst.A.S)))
     assert rep["flat"] == [] and rep["c0"] == []
     assert len(rep["first_order"]) > 0
@@ -215,8 +231,8 @@ def test_generated_surface_linear_detected():
 
 def test_worked_edge_chain_assembly():
     A = edge_system()
-    data = build_mixed_connection(A)
-    cm = build_Iprime(data, edge_fiber())
+    data = connection(A)
+    cm = chain_maps(data, edge_fiber())
     G = pullback_global(data, partition_default(A.S))
     assemble_I(G, cm)
     assert verify_chain(G) == []
@@ -226,8 +242,8 @@ def test_worked_edge_chain_assembly():
 def test_generated_chain_assembly(seed):
     inst = generate(seed, max_dim=2, enrich=False)
     FM = make_fiber_model(inst)
-    data = build_mixed_connection(inst.A)
-    cm = build_Iprime(data, FM)
+    data = connection(inst.A)
+    cm = chain_maps(data, FM)
     G = pullback_global(data, partition_default(inst.A.S))
     assemble_I(G, cm)
     assert verify_chain(G) == []
@@ -235,8 +251,8 @@ def test_generated_chain_assembly(seed):
 
 def test_full_pipeline_on_tetrahedron():
     inst = designed_instance(0, [(0, 1, 2, 3)])
-    data = build_mixed_connection(inst.A, strict=False)
-    cm = build_Iprime(data, make_fiber_model(inst), strict=False)
+    data = connection(inst.A)
+    cm = chain_maps(data, make_fiber_model(inst))
     G = pullback_global(data, partition_default(inst.A.S))
     rep = verify_global(G)
     assert rep == {"flat": [], "c0": [], "first_order": []}
@@ -246,7 +262,7 @@ def test_full_pipeline_on_tetrahedron():
 
 def test_chain_requires_assembly():
     A = edge_system()
-    data = build_mixed_connection(A)
+    data = connection(A)
     G = pullback_global(data, partition_default(A.S))
     with pytest.raises(ValueError):
         verify_chain(G)
