@@ -64,7 +64,7 @@ from .smoothing import (
     verify_chain,
     verify_global,
 )
-from .wkflow import NoConvergence, classify_limits, flow, height, nearest_vertex
+from .wkflow import classify_limits, flow_batch, nearest_vertex
 
 FILE_VERSION = 1
 
@@ -349,52 +349,16 @@ def cmd_flow(args):
     k = args.k
     if k < 1:
         raise ParseError("--k must be at least 1")
-    certs = []
+    if args.sweep is not None and args.sweep < 0:
+        raise ParseError("--sweep must be at least 0")
+    if args.sweep is not None and args.start is not None:
+        raise ParseError("give --start or --sweep, not both")
     t0 = time.perf_counter()
-
-    def run_one(start, keep_path: bool):
-        out = {"start": [str(c) for c in start],
-               "backward": args.backward}
-        x0 = [float(c) for c in start]
-        back, fwd = classify_limits(x0, tol=1e-12)
-        expected = back if args.backward else fwd
-        out["expected_vertex"] = expected
-        try:
-            traj = flow(k, x0, backward=args.backward)
-        except NoConvergence as ex:
-            certs.append(f"start {out['start']}: {ex}")
-            out["converged"] = False
-            return out
-        out["converged"] = True
-        out["limit"] = [float(c) for c in traj.limit]
-        m = nearest_vertex(traj.limit, tol=1e-6)
-        out["limit_vertex"] = m
-        if m != expected:
-            certs.append(
-                f"start {out['start']}: limit vertex {m}, expected {expected}")
-        hs = [height(k, p) for p in traj.points]
-        drift = 1e-9
-        if args.backward:
-            mono = all(b <= a + drift for a, b in zip(hs, hs[1:]))
-        else:
-            mono = all(b >= a - drift for a, b in zip(hs, hs[1:]))
-        out["height_monotone"] = bool(mono)
-        if not mono:
-            certs.append(f"start {out['start']}: height not monotone")
-        if keep_path:
-            out["times"] = [float(t) for t in traj.times]
-            out["points"] = [[float(c) for c in p] for p in traj.points]
-        return out
-
-    checks = {}
     if args.sweep:
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-        runs = []
-        for _ in range(args.sweep):
-            start = rng.dirichlet(np.ones(k + 1))
-            runs.append(run_one([Fraction(c).limit_denominator(10**9)
-                                 for c in start], keep_path=False))
-        checks["runs"] = runs
+        starts = [[Fraction(c).limit_denominator(10**9)
+                   for c in rng.dirichlet(np.ones(k + 1))]
+                  for _ in range(args.sweep)]
     else:
         if not args.start:
             raise ParseError("flow needs --start or --sweep")
@@ -403,7 +367,37 @@ def cmd_flow(args):
             raise ParseError(f"--start needs {k + 1} coordinates for k={k}")
         if sum(start) != 1 or any(c < 0 for c in start):
             raise ParseError("--start is not a barycentric point")
-        checks["trajectory"] = run_one(start, keep_path=True)
+        starts = [start]
+    x0 = [[float(c) for c in start] for start in starts]
+    batch = flow_batch(k, x0, backward=args.backward)
+    certs = []
+    runs = []
+    for i, start in enumerate(starts):
+        out = {"start": [str(c) for c in start], "backward": args.backward}
+        back, fwd = classify_limits(x0[i], tol=1e-12)
+        expected = back if args.backward else fwd
+        out["expected_vertex"] = expected
+        out["converged"] = bool(batch.converged[i])
+        runs.append(out)
+        if not out["converged"]:
+            certs.append(f"start {out['start']}: {batch.unsettled(i)}")
+            continue
+        out["limit"] = [float(c) for c in batch.limits[i]]
+        m = nearest_vertex(batch.limits[i], tol=1e-6)
+        out["limit_vertex"] = m
+        if m != expected:
+            certs.append(
+                f"start {out['start']}: limit vertex {m}, expected {expected}")
+        out["height_monotone"] = bool(batch.monotone[i])
+        if not out["height_monotone"]:
+            certs.append(f"start {out['start']}: height not monotone")
+    if args.sweep:
+        checks = {"runs": runs}
+    else:
+        times, points = batch.path(0)
+        runs[0]["times"] = [float(t) for t in times]
+        runs[0]["points"] = [[float(c) for c in p] for p in points]
+        checks = {"trajectory": runs[0]}
     return {"checks": checks,
             "timings": {"total": time.perf_counter() - t0}}, certs
 
@@ -462,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", metavar="C0,C1,...",
                    help="barycentric start point, rational entries")
     p.add_argument("--backward", action="store_true")
-    p.add_argument("--sweep", type=int, metavar="N", default=0,
+    p.add_argument("--sweep", type=int, metavar="N",
                    help="run N random starts instead of --start")
     p.add_argument("--seed", type=int, metavar="N",
                    help="RNG seed for --sweep")

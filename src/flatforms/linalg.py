@@ -27,7 +27,10 @@ def qx(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 

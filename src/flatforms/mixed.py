@@ -28,6 +28,7 @@ in the constant seed of the recursion (a or I), its right factor
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -510,37 +511,51 @@ class FiberModel:
         return self.I.get(tuple(sigma), {})
 
     def to_json(self) -> dict:
+        key = _omega_key
         out = {
             "omega": [[e, self.omega_degree[e]] for e in self.omega_basis],
-            "D": {r: {c: str(v) for c, v in sorted(row.items())}
+            "D": {key(r): {key(c): str(v) for c, v in sorted(row.items())}
                   for r, row in sorted(self.D.items())},
             "I": {",".join(map(str, s)): {
-                    f"{al}:{i}": {e: str(v) for e, v in sorted(row.items())}
+                    f"{al}:{i}": {key(e): str(v) for e, v in sorted(row.items())}
                     for (al, i), row in sorted(m.items())}
                   for s, m in sorted(self.I.items())},
         }
         if self.eta is not None:
-            out["eta"] = {e: str(v) for e, v in sorted(self.eta.items())}
+            out["eta"] = {key(e): str(v) for e, v in sorted(self.eta.items())}
         return out
 
     @classmethod
     def from_json(cls, data: dict) -> "FiberModel":
+        omega = [(tuple(e) if isinstance(e, list) else e, int(d))
+                 for e, d in data["omega"]]
+        by_key = {_omega_key(e): e for e, _ in omega}
+
+        def name(k):
+            return by_key.get(k, k)
+
         I = {}
         for skey, m in data["I"].items():
             sigma = tuple(int(t) for t in skey.split(",")) if skey else EMPTY
             I[sigma] = {}
             for rkey, row in m.items():
                 al, i = rkey.rsplit(":", 1)
-                I[sigma][(al, int(i))] = {e: qx(v) for e, v in row.items()}
+                I[sigma][(al, int(i))] = {name(e): qx(v) for e, v in row.items()}
         return cls(
-            omega_basis=[e for e, _ in data["omega"]],
-            omega_degree={e: int(d) for e, d in data["omega"]},
-            D={r: {c: qx(v) for c, v in row.items()}
+            omega_basis=[e for e, _ in omega],
+            omega_degree=dict(omega),
+            D={name(r): {name(c): qx(v) for c, v in row.items()}
                for r, row in data["D"].items()},
             I=I,
-            eta=({e: qx(v) for e, v in data["eta"].items()}
+            eta=({name(e): qx(v) for e, v in data["eta"].items()}
                  if "eta" in data else None),
         )
+
+
+def _omega_key(e) -> str:
+    """JSON object key of an omega name: a string stays as it is, a tuple
+    (the generated ``('w', leaf, i)``) becomes its JSON list."""
+    return e if isinstance(e, str) else json.dumps(list(e))
 
 
 def validate_fiber_model(A: CoefficientSystem, FM: FiberModel) -> list[str]:

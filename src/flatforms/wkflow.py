@@ -4,11 +4,24 @@ The k-simplex carries the quadratic vector field
 
     W(x)_m = x_m * (sum_{i<m} x_i - sum_{i>m} x_i)
 
-in barycentric coordinates.  Every face is invariant, the vertices are
-the equilibria, and the weighted height h(x) = sum_m m * x_m strictly
-increases along nonconstant trajectories.  The closed-form limit data
-(smallest / largest index carrying mass) is exact; numerical
-integration is used only to simulate trajectories.
+in barycentric coordinates.  It is the replicator equation for the
+antisymmetric payoff A[m][i] = sign(m - i) (Hofbauer & Sigmund,
+*Evolutionary Games and Population Dynamics*, 1998), so x^T A x = 0 and
+the mass sum_m x_m is conserved.  Every face is invariant, the vertices
+are the equilibria, and the weighted height h(x) = sum_m m * x_m
+strictly increases along nonconstant trajectories.  The closed-form
+limit data (smallest / largest index carrying mass) is exact, and so is
+``wk_eval`` on Fractions; numerical integration is used only to
+simulate trajectories.
+
+Trajectories are simulated by one integrator, ``flow_batch``: the
+Dormand-Prince RK45 pair (Hairer, Norsett & Wanner, *Solving Ordinary
+Differential Equations I*, II.4-5) in numpy, advancing a whole batch of
+starts per loop iteration.  Every row keeps its own step size, RMS error
+norm and accept/reject decision, with rtol = 1e-9, atol = 1e-12 and
+steps of at most 1.0.  A row stops when its speed |W(x)| falls through
+1e-10 (the crossing is located on that step's dense output) or at
+t = 200.  ``flow`` is the one-row wrapper.
 """
 
 from __future__ import annotations
@@ -16,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .linalg import Q
 
@@ -52,6 +64,18 @@ def wk_eval(k: int, x):
         out.append(x[m] * (prefix - suffix))
         prefix = prefix + x[m]
     return tuple(out)
+
+
+def wk_field(x: np.ndarray) -> np.ndarray:
+    """The field at every row of an (n, k+1) float array.
+
+    Same operations in the same order as ``wk_eval``, so each row equals
+    ``wk_eval`` on it.
+    """
+    cs = np.cumsum(x, axis=1)
+    prefix = np.concatenate([np.zeros_like(x[:, :1]), cs[:, :-1]], axis=1)
+    suffix = cs[:, -1:] - prefix - x
+    return x * (prefix - suffix)
 
 
 def lyapunov_rate(k: int, x):
@@ -138,6 +162,258 @@ def face_restriction_check(k: int, positions) -> bool:
     return True
 
 
+# ---------------------------------------------------------------------------
+# batched Dormand-Prince RK45
+# ---------------------------------------------------------------------------
+
+# Dormand-Prince 5(4) tableau, error weights and the dense-output matrix
+# for the optimal c_6 (Hairer, Norsett & Wanner, Solving ODEs I, II.4-5
+# and Table 5.2; Shampine, "Some practical Runge-Kutta formulas", Math.
+# Comp. 46, 1986).  The field is autonomous, so the nodes c_i are unused.
+_A = (
+    (),
+    (1/5,),
+    (3/40, 9/40),
+    (44/45, -56/15, 32/9),
+    (19372/6561, -25360/2187, 64448/6561, -212/729),
+    (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656),
+)
+_B = (35/384, 0, 500/1113, 125/192, -2187/6784, 11/84)
+_E = (-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40)
+_P = (
+    (1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432),
+    (0, 0, 0, 0),
+    (0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799),
+    (0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072),
+    (0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875/199316789632),
+    (0, -282668133/205662961, 2019193451/616988883,
+     -1453857185/822651844),
+    (0, 40617522/29380423, -110615467/29380423, 69997945/29380423),
+)
+_P_COLS = tuple(zip(*_P))
+
+# step-size control: error estimator order 4, so errors scale as h**5
+MAX_STEP = 1.0
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+ERROR_EXPONENT = -1 / 5
+# heights may dip by this much between recorded points and still count
+# as monotone
+HEIGHT_DRIFT = 1e-9
+# bisection halvings that locate the settling event to one ulp of the step
+EVENT_BISECTIONS = 53
+
+
+def _combine(K, weights):
+    """sum_s weights[s] * K[s], in stage order, skipping zero weights."""
+    out = None
+    for stage, w in zip(K, weights):
+        if w:
+            out = stage * w if out is None else out + stage * w
+    return out
+
+
+def _norm(v):
+    return np.sqrt((v * v).sum(axis=1))
+
+
+def _rms(v):
+    return _norm(v) / v.shape[1] ** 0.5
+
+
+def _initial_step(fun, y0, f0, t_max, rtol, atol):
+    """First step of every row, by the rule of Hairer, Norsett & Wanner
+    II.4 as scipy's RK45 applies it."""
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, t_max)
+    f1 = fun(y0 + h0[:, None] * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    with np.errstate(divide="ignore"):
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                      np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.maximum(d1, d2)) ** (1 / 5))
+    return np.minimum(np.minimum(100 * h0, h1), min(t_max, MAX_STEP))
+
+
+@dataclass
+class FlowBatch:
+    """Outcome of ``flow_batch``, one entry per start row.
+
+    ``points`` lists every recorded point, tagged by its row in
+    ``point_rows`` and its time in ``point_times``: each start, every
+    accepted step, and the event point in place of the step that crossed
+    the speed floor.  ``path`` picks out one row in time order.
+    """
+
+    t_max: float
+    limits: np.ndarray  # (n, k+1): final points, clipped and renormalised
+    speeds: np.ndarray  # (n,): |W| at the final point
+    converged: np.ndarray  # (n,) bool: settled below the speed floor
+    monotone: np.ndarray  # (n,) bool: height monotone along the path
+    point_rows: np.ndarray
+    point_times: np.ndarray
+    points: np.ndarray
+
+    def path(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        sel = self.point_rows == i
+        return self.point_times[sel], self.points[sel]
+
+    def unsettled(self, i: int) -> str:
+        """Why row ``i`` did not converge."""
+        return f"speed still {self.speeds[i]:.3e} at t={self.t_max}"
+
+
+def flow_batch(k: int, starts, backward: bool = False, t_max: float = 200.0,
+               speed_floor: float = 1e-10, rtol: float = 1e-9,
+               atol: float = 1e-12) -> FlowBatch:
+    """Integrate the flow from every row of ``starts`` at once.
+
+    Each row runs until its speed falls through ``speed_floor`` or until
+    ``t_max``, with its own step size and error control; a row whose step
+    shrinks below ten ulps of its time stops where it is.  A row has
+    converged if its speed crossed the floor or ends at or below it.
+    ``backward=True`` integrates the time-reversed field.
+    """
+    y = np.array(starts, dtype=float)
+    if y.ndim != 2 or y.shape[1] != k + 1:
+        raise ValueError(f"expected rows of {k + 1} coordinates")
+    # comparisons with NaN are false, so NaN coordinates fail too
+    if not (np.all(y >= -1e-12)
+            and np.all(np.abs(y.sum(axis=1) - 1.0) <= 1e-9)):
+        raise ValueError("start is not a barycentric point")
+    sign = -1.0 if backward else 1.0
+
+    def fun(x):
+        return sign * wk_field(x)
+
+    def monotone(before, after):
+        if backward:
+            return after <= before + HEIGHT_DRIFT
+        return after >= before - HEIGHT_DRIFT
+
+    n = len(y)
+    final = y.copy()
+    mono_out = np.ones(n, dtype=bool)
+    fired_out = np.zeros(n, dtype=bool)
+    recorded = [(np.arange(n), np.zeros(n), y)]
+    events = []  # rows, t_old, step, y_old, height, monotone, stages K
+
+    # per-row state of the rows still running
+    rows = np.arange(n)
+    t = np.zeros(n)
+    f = fun(y)
+    h_abs = _initial_step(fun, y, f, t_max, rtol, atol)
+    g = _norm(f) - speed_floor
+    hgt = height(k, y.T)
+    mono = np.ones(n, dtype=bool)
+    retry = np.zeros(n, dtype=bool)  # the row's last attempt was rejected
+
+    while rows.size:
+        min_step = 10 * (np.nextafter(t, np.inf) - t)
+        h_abs = np.where(retry, h_abs, np.clip(h_abs, min_step, MAX_STEP))
+        # a rejected step that shrank below min_step ends the row unstepped
+        stuck = h_abs < min_step
+        t_new = np.minimum(t + h_abs, t_max)
+        h = t_new - t
+        hc = h[:, None]
+        K = [f]
+        for a in _A[1:]:
+            K.append(fun(y + _combine(K, a) * hc))
+        y_new = y + hc * _combine(K, _B)
+        f_new = fun(y_new)
+        K.append(f_new)
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        err = _rms(_combine(K, _E) * hc / scale)
+
+        accept = (err < 1) & ~stuck
+        with np.errstate(divide="ignore"):
+            factor = SAFETY * err ** ERROR_EXPONENT
+        factor = np.where(accept, np.minimum(MAX_FACTOR, factor),
+                          np.maximum(MIN_FACTOR, factor))
+        factor = np.where(accept & retry, np.minimum(1.0, factor), factor)
+        h_abs = h * factor
+        retry = ~accept
+
+        g_new = _norm(f_new) - speed_floor
+        fired = accept & (g >= 0) & (g_new <= 0)
+        stepped = accept & ~fired
+        hgt_new = height(k, y_new.T)
+        mono = np.where(stepped, mono & monotone(hgt, hgt_new), mono)
+        if fired.any():
+            events.append([rows[fired], t[fired], h[fired], y[fired],
+                           hgt[fired], mono[fired]] + [s[fired] for s in K])
+        recorded.append((rows[stepped], t_new[stepped], y_new[stepped]))
+
+        acc = accept[:, None]
+        t = np.where(accept, t_new, t)
+        y = np.where(acc, y_new, y)
+        f = np.where(acc, f_new, f)
+        g = np.where(accept, g_new, g)
+        hgt = np.where(stepped, hgt_new, hgt)
+
+        done = stuck | (stepped & (t_new >= t_max))
+        final[rows[done]] = y[done]
+        mono_out[rows[done]] = mono[done]
+        keep = ~(fired | done)
+        if not keep.all():
+            rows, t, y, f, h_abs, g, hgt, mono, retry = (
+                a[keep] for a in (rows, t, y, f, h_abs, g, hgt, mono, retry))
+
+    if events:
+        ev_rows, t_old, step, y_old, h_prev, ev_mono, *K = (
+            np.concatenate(parts) for parts in zip(*events))
+        Qc = [_combine(K, col) for col in _P_COLS]
+        y_ev, x = _locate_events(y_old, step, Qc, speed_floor)
+        final[ev_rows] = y_ev
+        fired_out[ev_rows] = True
+        mono_out[ev_rows] = ev_mono & monotone(h_prev, height(k, y_ev.T))
+        recorded.append((ev_rows, t_old + x * step, y_ev))
+
+    speeds = _norm(wk_field(final))
+    limits = np.clip(final, 0.0, None)
+    limits = limits / limits.sum(axis=1, keepdims=True)
+    point_rows, point_times, points = (np.concatenate(parts)
+                                       for parts in zip(*recorded))
+    return FlowBatch(t_max=t_max, limits=limits, speeds=speeds,
+                     converged=fired_out | (speeds <= speed_floor),
+                     monotone=mono_out, point_rows=point_rows,
+                     point_times=point_times, points=points)
+
+
+def _dense(y_old, step, Qc, x):
+    """Each step's dense output at fraction ``x`` of it."""
+    p = x[:, None]
+    power = p
+    acc = Qc[0] * power
+    for column in Qc[1:]:
+        power = power * p
+        acc = acc + column * power
+    return step[:, None] * acc + y_old
+
+
+def _locate_events(y_old, step, Qc, speed_floor):
+    """Where on each step's dense output the speed falls through the floor.
+
+    The speed is above the floor at the step's start and at or below it
+    at its end; bisection keeps that bracket and returns its right end,
+    as (point, fraction of the step).
+    """
+    lo = np.zeros(len(step))
+    hi = np.ones(len(step))
+    for _ in range(EVENT_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        above = _norm(wk_field(_dense(y_old, step, Qc, mid))) - speed_floor > 0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return _dense(y_old, step, Qc, hi), hi
+
+
 @dataclass
 class Trajectory:
     k: int
@@ -152,37 +428,18 @@ def flow(k: int, start, backward: bool = False, t_max: float = 200.0,
          ) -> Trajectory:
     """Integrate the flow from ``start`` until the speed drops below floor.
 
-    Raises ``NoConvergence`` when the trajectory has not settled by
-    ``t_max``.  ``backward=True`` integrates the time-reversed field.
+    The one-row case of ``flow_batch``.  Raises ``NoConvergence`` when
+    the trajectory has not settled by ``t_max``.  ``backward=True``
+    integrates the time-reversed field.
     """
-    x0 = np.asarray([float(c) for c in start], dtype=float)
-    if len(x0) != k + 1:
-        raise ValueError(f"expected {k + 1} coordinates")
-    if np.any(x0 < -1e-12) or abs(x0.sum() - 1.0) > 1e-9:
-        raise ValueError("start is not a barycentric point")
-    sign = -1.0 if backward else 1.0
-
-    def rhs(_t, x):
-        return sign * np.asarray(wk_eval(k, x), dtype=float)
-
-    def settled(_t, x):
-        return float(np.linalg.norm(np.asarray(wk_eval(k, x), dtype=float))) - speed_floor
-
-    settled.terminal = True
-    settled.direction = -1
-
-    sol = solve_ivp(rhs, (0.0, t_max), x0, method="RK45",
-                    events=settled, rtol=rtol, atol=atol, max_step=1.0)
-    pts = sol.y.T
-    converged = bool(sol.t_events[0].size) or \
-        float(np.linalg.norm(rhs(0.0, pts[-1]))) <= speed_floor
-    if not converged:
-        raise NoConvergence(
-            f"speed still {np.linalg.norm(rhs(0.0, pts[-1])):.3e} at t={t_max}")
-    final = np.clip(pts[-1], 0.0, None)
-    final = final / final.sum()
-    return Trajectory(k=k, times=sol.t, points=pts, limit=tuple(final),
-                      backward=backward)
+    batch = flow_batch(k, [[float(c) for c in start]], backward=backward,
+                       t_max=t_max, speed_floor=speed_floor, rtol=rtol,
+                       atol=atol)
+    if not batch.converged[0]:
+        raise NoConvergence(batch.unsettled(0))
+    times, points = batch.path(0)
+    return Trajectory(k=k, times=times, points=points,
+                      limit=tuple(batch.limits[0]), backward=backward)
 
 
 def nearest_vertex(point, tol=1e-6):

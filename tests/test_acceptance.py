@@ -47,8 +47,7 @@ from flatforms.smoothing import (
 )
 from flatforms.wkflow import (
     classify_limits,
-    flow,
-    height,
+    flow_batch,
     nearest_vertex,
     vertex_linearization,
 )
@@ -131,24 +130,27 @@ def test_criterion_3_simplex_flow_dynamics():
             if (ns[m], nu[m]) != (m, k - m):
                 problems.append(
                     f"k={k}, vertex {m}: {ns[m]} stable / {nu[m]} unstable")
+        starts = []
         for _ in range(100):
             size = int(rng.integers(2, k + 2))
             supp = np.sort(rng.choice(k + 1, size=size, replace=False))
             x0 = np.zeros(k + 1)
             x0[supp] = rng.dirichlet(np.ones(size))
-            back, fwd = classify_limits(x0, tol=1e-12)
-            for backward, expect in ((False, fwd), (True, back)):
-                traj = flow(k, x0, backward=backward)
+            starts.append(x0)
+        for backward in (False, True):
+            way = "backward" if backward else "forward"
+            batch = flow_batch(k, starts, backward=backward)
+            for i, x0 in enumerate(starts):
                 runs += 1
-                if nearest_vertex(traj.limit, tol=1e-6) != expect:
-                    problems.append(
-                        f"k={k} start {x0}: wrong {'backward' if backward else 'forward'} limit")
+                back, fwd = classify_limits(x0, tol=1e-12)
+                expect = back if backward else fwd
+                if not batch.converged[i]:
+                    problems.append(f"k={k} start {x0}: {way} flow did not settle")
                     continue
-                hs = [height(k, p) for p in traj.points]
-                pairs = zip(hs, hs[1:])
-                ok = (all(b <= a + 1e-9 for a, b in pairs) if backward
-                      else all(b >= a - 1e-9 for a, b in pairs))
-                if not ok:
+                if nearest_vertex(batch.limits[i], tol=1e-6) != expect:
+                    problems.append(f"k={k} start {x0}: wrong {way} limit")
+                    continue
+                if not batch.monotone[i]:
                     problems.append(f"k={k} start {x0}: height not monotone")
     elapsed = time.perf_counter() - t0
     if elapsed >= 30:

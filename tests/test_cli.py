@@ -3,8 +3,13 @@ import random
 
 import pytest
 
-from flatforms.cli import main
-from flatforms.instances import corrupt_random_entry, generate, instance_to_json
+from flatforms.cli import main, save_instance
+from flatforms.instances import (
+    corrupt_random_entry,
+    generate,
+    instance_to_json,
+    make_fiber_model,
+)
 from flatforms.mixed import FiberModel
 from flatforms.smoothing import partition_linear
 
@@ -70,6 +75,32 @@ def test_flow_sweep_is_deterministic(capsys):
     assert code == 0
     assert rep1["checks"] == rep2["checks"]
     assert all(r["limit_vertex"] == 3 for r in rep1["checks"]["runs"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("--k", "2", "--start", "1/0,0,1"),
+    ("--k", "2", "--sweep", "-1"),
+    ("--k", "2", "--start", "1/3,1/3,1/3", "--sweep", "3"),
+    ("--k", "2", "--start", "1/3,1/3,1/3", "--sweep", "0"),
+], ids=["zero-denominator", "negative-sweep", "start-and-sweep",
+        "start-and-empty-sweep"])
+def test_flow_input_errors(capsys, argv):
+    assert main(["flow", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error")
+
+
+def test_zero_denominator_in_instance_is_input_error(capsys, tmp_path):
+    bad = json.loads(json.dumps(EDGE2))
+    bad["epsilon"] = "1/0"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["validate", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error")
+    assert "zero denominator" in captured.err
 
 
 def test_validate_two_leaf_edge(capsys, tmp_path):
@@ -186,6 +217,26 @@ def test_fiber_model_json_round_trip():
     assert FM2.D == FM.D
     assert FM2.I == FM.I
     assert FM2.eta == FM.eta
+
+
+def test_generated_fiber_model_file_matches_seed(capsys, tmp_path):
+    # generated fiber models name omega elements by tuples; written out
+    # and read back they must give the build report of --seed
+    path = tmp_path / "inst.json"
+    for seed in range(40):
+        inst = generate(seed)
+        if inst.enriched:
+            continue
+        FM = make_fiber_model(inst)
+        save_instance(path, inst.S, inst.L, inst.A,
+                      {"fiber_model": FM.to_json()})
+        reports = []
+        for source in (("--instance", str(path)), ("--seed", str(seed))):
+            code, rep = run(capsys, "build-iprime", *source)
+            assert code == 0, (seed, rep["certificates"])
+            del rep["timings"]
+            reports.append(rep)
+        assert reports[0] == reports[1], seed
 
 
 def test_build_failure_is_a_certificate_not_a_traceback(capsys):

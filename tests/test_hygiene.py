@@ -1,8 +1,12 @@
 """Source rules that no linter enforces here: every module-level import
-is used, imports sit at module level, and checks raise exceptions
-instead of using ``assert`` (which ``python -O`` strips)."""
+is used, imports sit at module level, checks raise exceptions instead of
+using ``assert`` (which ``python -O`` strips), and importing the command
+line does not load scipy, which is not a dependency."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +55,14 @@ def test_no_assert_statements(path):
     lines = sorted(node.lineno for node in ast.walk(_tree(path))
                    if isinstance(node, ast.Assert))
     assert lines == []
+
+
+def test_cli_import_does_not_load_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import flatforms.cli, sys; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -8,11 +8,13 @@ from flatforms.wkflow import (
     classify_limits,
     face_restriction_check,
     flow,
+    flow_batch,
     height,
     lyapunov_rate,
     nearest_vertex,
     vertex_linearization,
     wk_eval,
+    wk_field,
 )
 
 
@@ -38,6 +40,93 @@ def test_mass_is_conserved():
     for k in range(1, 5):
         x = rng.dirichlet(np.ones(k + 1))
         assert abs(sum(wk_eval(k, list(x)))) < 1e-14
+
+
+def random_point(rng, k):
+    """A random exact barycentric point with some zero coordinates."""
+    raw = [Q(int(a), int(b)) for a, b in zip(rng.integers(0, 9, size=k + 1),
+                                              rng.integers(1, 30, size=k + 1))]
+    s = sum(raw)
+    if s == 0:
+        return [Q(1)] + [Q(0)] * k
+    return [c / s for c in raw]
+
+
+def sign(n):
+    return (n > 0) - (n < 0)
+
+
+def test_wk_eval_is_the_replicator_field_exactly():
+    # W_k(x)_m = x_m (Ax)_m for the antisymmetric payoff A[m][i] = sign(m - i)
+    rng = np.random.default_rng(5)
+    for k in range(1, 6):
+        for _ in range(20):
+            x = random_point(rng, k)
+            v = wk_eval(k, x)
+            for m in range(k + 1):
+                assert v[m] == x[m] * sum(sign(m - i) * x[i] for i in range(k + 1))
+
+
+def test_replicator_payoff_vanishes_exactly():
+    # sum_m W_k(x)_m = x^T A x = 0 because A is antisymmetric
+    rng = np.random.default_rng(6)
+    for k in range(1, 6):
+        for _ in range(20):
+            assert sum(wk_eval(k, random_point(rng, k))) == 0
+
+
+def test_batch_field_equals_wk_eval_on_dyadic_points():
+    # dyadic coordinates make every product and sum exact in binary64,
+    # so the float field must equal the exact one
+    rng = np.random.default_rng(7)
+    for k in range(1, 6):
+        ints = rng.integers(0, 64, size=(30, k + 1))
+        x = ints / 64.0
+        got = wk_field(x)
+        for row, want_row in zip(got, ints):
+            want = wk_eval(k, [Q(int(a), 64) for a in want_row])
+            assert [Q(float(c)) for c in row] == list(want)
+
+
+def test_batch_row_equals_one_row_flow():
+    rng = np.random.default_rng(8)
+    for k in (1, 3, 4):
+        starts = rng.dirichlet(np.ones(k + 1), size=25)
+        starts[3] = 0.0
+        starts[3, k // 2] = 1.0  # a vertex: settles at t_max by its speed
+        for backward in (False, True):
+            batch = flow_batch(k, starts, backward=backward)
+            assert batch.converged.all() and batch.monotone.all()
+            for i in (0, 3, 24):
+                one = flow(k, starts[i], backward=backward)
+                assert np.abs(batch.limits[i] - one.limit).max() <= 1e-12
+                times, points = batch.path(i)
+                assert len(times) == len(one.times)
+                assert np.abs(points - one.points).max() <= 1e-12
+
+
+def test_edge_flow_follows_the_logistic_curve():
+    # on the edge x_1' = x_1 (1 - x_1), so x_1(t) = 1 / (1 + e^-t x_0 / x_1)
+    starts = np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])
+    for backward in (False, True):
+        batch = flow_batch(1, starts, backward=backward)
+        direction = -1 if backward else 1
+        for i, (x0, x1) in enumerate(starts):
+            times, points = batch.path(i)
+            exact = 1 / (1 + x0 / x1 * np.exp(-direction * times))
+            assert np.abs(points[:, 1] - exact).max() <= 1e-9
+            # the run ends where the speed |W| = sqrt(2) x_0 x_1 meets 1e-10
+            end = points[-1]
+            assert abs(2 ** 0.5 * end[0] * end[1] - 1e-10) <= 1e-16
+
+
+def test_flow_batch_rejects_malformed_starts():
+    with pytest.raises(ValueError):
+        flow_batch(2, [[0.5, 0.5]])
+    with pytest.raises(ValueError):
+        flow_batch(2, [[0.5, 0.5, 0.5]])
+    with pytest.raises(ValueError):
+        flow_batch(2, [[0.5, 0.5, 0.0], [float("nan"), 0.5, 0.5]])
 
 
 def test_lyapunov_rate_values():
@@ -121,6 +210,14 @@ def test_flow_height_monotone():
 def test_flow_no_convergence():
     with pytest.raises(NoConvergence):
         flow(2, (0.2, 0.5, 0.3), t_max=1e-3)
+
+
+def test_batch_rows_settle_independently():
+    # cut short, the interior row is still moving and the vertex is not
+    batch = flow_batch(2, [(0.2, 0.5, 0.3), (0.0, 1.0, 0.0)], t_max=1e-3)
+    assert batch.converged.tolist() == [False, True]
+    assert batch.unsettled(0).startswith("speed still ")
+    assert batch.unsettled(0).endswith(" at t=0.001")
 
 
 def test_flow_from_vertex_is_trivial():
