@@ -24,13 +24,15 @@ from pathlib import Path
 import numpy as np
 
 from .flatsys import (
+    ChainMapViolation,
     Infeasible,
     MissingFaceData,
+    NotADifferential,
     cw_boundary,
     cw_homology,
     extend_system,
     fiber_homology,
-    holonomy_on_homology,
+    holonomy_is_identity,
     igusa_check,
     igusa_export,
     validate_system,
@@ -42,7 +44,7 @@ from .instances import (
     instance_to_json,
     make_fiber_model,
 )
-from .linalg import eye, mat_eq, qx
+from .linalg import qx
 from .mixed import (
     FiberModel,
     NotNilpotent,
@@ -56,7 +58,6 @@ from .morse import check_partial_order, check_refinement, validate_leaf_system
 from .smoothing import (
     PartitionOfUnity,
     assemble_I,
-    omega_betti,
     partition_default,
     pullback_global,
     quasi_iso_ranks,
@@ -316,11 +317,14 @@ def cmd_holonomy(args):
     t0 = time.perf_counter()
     tris = {}
     for tri in inst.A.S.of_dim(2):
-        hol = holonomy_on_homology(inst.A, tri)
-        ok = mat_eq(hol, eye(len(hol)))
-        tris[_skey(tri)] = bool(ok)
-        if not ok:
-            certs.append(f"holonomy around {_skey(tri)} is not the identity")
+        try:
+            ok = holonomy_is_identity(inst.A, tri)
+            if not ok:
+                certs.append(f"holonomy around {_skey(tri)} is not the identity")
+        except ChainMapViolation as ex:
+            ok = False
+            certs.append(str(ex))
+        tris[_skey(tri)] = ok
     return {"checks": {"triangles": tris if tris else "none"},
             "timings": {"total": time.perf_counter() - t0}}, certs
 
@@ -330,15 +334,19 @@ def cmd_homology(args):
     certs = []
     t0 = time.perf_counter()
     bdry = cw_boundary(inst.A)
-    checks = {"cw_betti": cw_homology(inst.A),
-              "generators": len(bdry.generators)}
+    try:
+        checks = {"cw_betti": cw_homology(inst.A),
+                  "generators": len(bdry.generators)}
+    except NotADifferential as ex:
+        return {"checks": {"cw_betti": str(ex)},
+                "timings": {"total": time.perf_counter() - t0}}, [str(ex)]
     fibers = {}
     for v in inst.A.S.vertices():
         fibers[_skey(v)] = fiber_homology(inst.A, v).betti
     checks["fiber_betti"] = fibers
     if inst.FM is not None:
         rep = quasi_iso_ranks(inst.A, inst.FM)
-        checks["omega_betti"] = omega_betti(inst.FM)
+        checks["omega_betti"] = rep["omega"]
         checks["quasi_iso"] = "ok" if not rep["problems"] else rep["problems"]
         certs += rep["problems"]
     return {"checks": checks,

@@ -16,20 +16,26 @@ picture of the same data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
 from .linalg import (
     Q,
-    mat_inverse,
-    mat_mul,
-    nullspace,
+    SMat,
+    kernel,
+    pivot_columns,
     qx,
     rank,
-    rref,
-    solve_dense,
-    solve_sparse,
+    smat_add,
+    smat_entries,
+    smat_identity,
+    smat_is_zero,
+    smat_mul,
+    smat_scale,
+    smat_set,
+    smat_sub,
+    smat_transpose,
+    solve,
 )
 from .morse import GradedModule, LeafSystem, allowed_blocks
 from .simplicial import (
@@ -57,92 +63,6 @@ class ChainMapViolation(Exception):
 
 class NotADifferential(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# sparse rational matrices: nested dicts {row: {col: value}}
-# ---------------------------------------------------------------------------
-
-SMat = dict
-
-
-def smat_zero() -> SMat:
-    return {}
-
-
-def smat_set(m: SMat, r, c, v):
-    v = qx(v)
-    if v == 0:
-        row = m.get(r)
-        if row:
-            row.pop(c, None)
-            if not row:
-                m.pop(r, None)
-        return
-    m.setdefault(r, {})[c] = v
-
-
-def smat_get(m: SMat, r, c) -> Fraction:
-    return m.get(r, {}).get(c, Q(0))
-
-
-def smat_add(a: SMat, b: SMat) -> SMat:
-    out = {r: dict(row) for r, row in a.items()}
-    for r, row in b.items():
-        orow = out.setdefault(r, {})
-        for c, v in row.items():
-            w = orow.get(c, Q(0)) + v
-            if w == 0:
-                orow.pop(c, None)
-            else:
-                orow[c] = w
-        if not orow:
-            out.pop(r, None)
-    return out
-
-
-def smat_scale(c, a: SMat) -> SMat:
-    c = qx(c)
-    if c == 0:
-        return {}
-    return {r: {cc: c * v for cc, v in row.items()} for r, row in a.items()}
-
-
-def smat_sub(a: SMat, b: SMat) -> SMat:
-    return smat_add(a, smat_scale(-1, b))
-
-
-def smat_mul(a: SMat, b: SMat) -> SMat:
-    out: SMat = {}
-    for r, arow in a.items():
-        acc: dict = {}
-        for t, v in arow.items():
-            brow = b.get(t)
-            if not brow:
-                continue
-            for c, w in brow.items():
-                s = acc.get(c, Q(0)) + v * w
-                if s == 0:
-                    acc.pop(c, None)
-                else:
-                    acc[c] = s
-        if acc:
-            out[r] = acc
-    return out
-
-
-def smat_is_zero(a: SMat) -> bool:
-    return all(not row for row in a.values())
-
-
-def smat_identity(keys) -> SMat:
-    return {k: {k: Q(1)} for k in keys}
-
-
-def smat_entries(a: SMat):
-    for r, row in a.items():
-        for c, v in row.items():
-            yield r, c, v
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +153,7 @@ def flatness_residual(A: CoefficientSystem, sigma: Simplex) -> SMat:
     """
     sigma = A.S.require(sigma)
     k = dim(sigma)
-    total = smat_zero()
+    total = {}
     if k >= 1:
         for sgn, f in boundary_chain(sigma):
             total = smat_add(total, smat_scale(sgn, A.a(f)))
@@ -311,26 +231,11 @@ class CWBoundary:
     def apply(self, gen) -> dict:
         return dict(self.matrix.get(gen, {}))
 
-    def square(self) -> dict:
-        out: dict = {}
-        for g, row in self.matrix.items():
-            acc: dict = {}
-            for h, v in row.items():
-                for t, w in self.matrix.get(h, {}).items():
-                    s = acc.get(t, Q(0)) + v * w
-                    if s == 0:
-                        acc.pop(t, None)
-                    else:
-                        acc[t] = s
-            if acc:
-                out[g] = acc
-        return out
-
     def is_differential(self) -> bool:
-        return not self.square()
+        return not smat_mul(self.matrix, self.matrix)
 
     def require_differential(self):
-        sq = self.square()
+        sq = smat_mul(self.matrix, self.matrix)
         if sq:
             g = next(iter(sq))
             raise NotADifferential(
@@ -390,32 +295,29 @@ def cw_homology(A: CoefficientSystem) -> dict[int, int]:
     """Betti numbers of the cellular complex, graded by generator degree."""
     bd = cw_boundary(A)
     bd.require_differential()
-    return _graded_betti(bd.generators, bd.matrix, bd.degrees)
+    return {q: b for q, b in graded_betti(bd.matrix, bd.degrees).items() if b}
 
 
-def _graded_betti(gens, matrix, degrees) -> dict[int, int]:
+def graded_betti(d: SMat, degree: dict) -> dict[int, int]:
+    """Betti numbers of a graded complex, for every degree present.
+
+    ``degree`` maps each basis key, in basis order, to its degree.  The
+    entries (r, c) of ``d`` with degree[r] = degree[c] + 1 make up the
+    complex, so ``d`` may be a differential raising the degree (acting
+    on columns) or a boundary lowering it (acting on rows): the rank of
+    each block is the same either way.
+    """
     by_deg: dict[int, list] = {}
-    for g in gens:
-        by_deg.setdefault(degrees[g], []).append(g)
-    betti: dict[int, int] = {}
-    ranks: dict[int, int] = {}
-    for d in sorted(by_deg):
-        src = by_deg[d]
-        tgt = by_deg.get(d - 1, [])
-        tpos = {g: i for i, g in enumerate(tgt)}
-        rows = []
-        for g in src:
-            col = matrix.get(g, {})
-            rows.append([col.get(t, Q(0)) for t in tgt])
-        # rank of the degree-d piece of the boundary
-        r = 0
-        if rows and tgt:
-            r = rank(rows)
-        ranks[d] = r
-    for d in sorted(by_deg):
-        n = len(by_deg[d])
-        betti[d] = n - ranks.get(d, 0) - ranks.get(d + 1, 0)
-    return {d: b for d, b in betti.items() if b}
+    for g, q in degree.items():
+        by_deg.setdefault(q, []).append(g)
+    blocks: dict[int, SMat] = {}
+    for r, c, v in smat_entries(d):
+        q = degree.get(c)
+        if q is not None and degree.get(r) == q + 1:
+            blocks.setdefault(q, {}).setdefault(r, {})[c] = v
+    ranks = {q: rank(m, by_deg[q]) for q, m in blocks.items()}
+    return {q: len(gens) - ranks.get(q, 0) - ranks.get(q - 1, 0)
+            for q, gens in sorted(by_deg.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +354,10 @@ def extend_system(A: CoefficientSystem, to_dim: Optional[int] = None
 def flatness_equation(A: CoefficientSystem, sigma: Simplex):
     """The part of the flatness equation of ``sigma`` linear in a(sigma).
 
-    Returns the unknowns, one per entry of the allowed blocks of
-    a(sigma), and the rows of (-1)^k a(sigma_0) X + X a(sigma_k) as
-    {(r, c): {unknown index: coefficient}}, one per matrix position the
-    product can reach.
+    Returns the unknowns, one (row, column) entry per position in the
+    allowed blocks of a(sigma), and the matrix of
+    (-1)^k a(sigma_0) X + X a(sigma_k) as {(r, c): {unknown: coefficient}},
+    one row per matrix position the product can reach.
     """
     k = dim(sigma)
     a0 = A.a(sigma[:1])
@@ -466,55 +368,46 @@ def flatness_equation(A: CoefficientSystem, sigma: Simplex):
         for i in range(A.M.rank[al]):
             for j in range(A.M.rank[be]):
                 unknowns.append(((al, i), (be, j)))
-    rows: dict[tuple, dict[int, Fraction]] = {}
+    rows: SMat = {}
 
-    def add(rc, uidx, v):
+    def add(rc, u, v):
         if v == 0:
             return
         row = rows.setdefault(rc, {})
-        w = row.get(uidx, Q(0)) + v
+        w = row.get(u, Q(0)) + v
         if w == 0:
-            row.pop(uidx, None)
+            row.pop(u, None)
         else:
-            row[uidx] = w
+            row[u] = w
 
-    for uidx, (p, q) in enumerate(unknowns):
+    for u in unknowns:
+        p, q = u
         # s0 * a0 X: entry (r, q) gains s0*a0[r, p]
         for r, row in a0.items():
             v = row.get(p)
             if v:
-                add((r, q), uidx, s0 * v)
+                add((r, q), u, s0 * v)
         # X ak: entry (p, c) gains ak[q, c]
         for c, v in ak.get(q, {}).items():
-            add((p, c), uidx, v)
+            add((p, c), u, v)
     return unknowns, rows
 
 
 def _solve_one(A: CoefficientSystem, sigma: Simplex):
-    k = dim(sigma)
-    K = smat_zero()
-    for sgn, f in boundary_chain(sigma):
-        K = smat_add(K, smat_scale(sgn, A.a(f)))
-    for j in range(1, k):
-        left = A.a(sigma[: j + 1])
-        right = A.a(sigma[j:])
-        K = smat_add(K, smat_scale(_sign(k * (j - 1)), smat_mul(left, right)))
+    # with a(sigma) zero the residual is the part of the flatness
+    # equation that does not involve a(sigma)
+    A.set(sigma, {})
+    K = flatness_residual(A, sigma)
     unknowns, rows = flatness_equation(A, sigma)
-    for r, c, v in smat_entries(K):
-        rows.setdefault((r, c), {})
-
-    row_keys = sorted(rows, key=repr)
-    sys_rows = [rows[rc] for rc in row_keys]
-    sys_rhs = [-smat_get(K, *rc) for rc in row_keys]
-    sol, cert = solve_sparse(sys_rows, sys_rhs, len(unknowns))
-    if sol is None:
+    rhs = {(r, c): -v for r, c, v in smat_entries(K)}
+    [(x, cert)] = solve(rows, unknowns, [rhs])
+    if x is None:
         raise Infeasible(
             f"no flat completion over the allowed blocks of {sigma}",
             certificate={"sigma": sigma, "reduced_row": repr(cert)})
-    X = smat_zero()
-    for t, u in enumerate(unknowns):
-        if sol[t] != 0:
-            smat_set(X, u[0], u[1], sol[t])
+    X = {}
+    for (r, c), v in x.items():
+        smat_set(X, r, c, v)
     A.set(sigma, X)
 
 
@@ -562,7 +455,7 @@ def igusa_check(ig: IgusaSystem) -> list[tuple]:
     for size in range(1, n + 2):
         for tup in combinations(range(n + 1), size):
             k = size - 1
-            total = smat_zero()
+            total = {}
             for j in range(k + 1):
                 left = ig.e[tup[: j + 1]]
                 right = ig.e[tup[j:]]
@@ -590,108 +483,97 @@ def edge_transport(A: CoefficientSystem, edge: Simplex) -> SMat:
 
 @dataclass
 class FiberHomology:
-    basis: list            # module basis, fixing the column order
-    reps: list             # cycle representatives (dense columns)
+    reps: list             # cycle representatives, one SVec per class
     rep_degrees: list
     betti: dict
     boundary_basis: list   # independent columns of the differential
 
 
 def fiber_homology(A: CoefficientSystem, vertex: Simplex) -> FiberHomology:
-    """Graded homology of the fiber complex (V, a(v)), exact over Q."""
+    """Graded homology of the fiber complex (V, a(v)), exact over Q.
+
+    The representatives are the kernel basis vectors that are not in
+    the span of the boundaries and the earlier kernel vectors: the
+    pivot columns of [boundaries | cycles].
+    """
     v = A.S.require(vertex)
     if dim(v) != 0:
         raise ValueError(f"{v} is not a vertex")
-    return _homology_of_matrix(A.M, A.a(v))
-
-
-def _homology_of_matrix(M: GradedModule, d: SMat) -> FiberHomology:
-    n = M.n
-    basis = M.basis
-    pos = M.position
-    dense = [[Q(0)] * n for _ in range(n)]
-    for r, c, val in smat_entries(d):
-        dense[pos[r]][pos[c]] = val
-    # cycles: right kernel
-    cycles = nullspace(dense, n)
-    # boundaries: independent columns of d
-    R, pivots = rref(dense)
-    bcols = [[dense[r][c] for r in range(n)] for c in pivots]
-    # quotient: extend the boundary basis by cycle vectors, greedily
-    reps = []
-    span = [list(b) for b in bcols]
-    for z in cycles:
-        if _in_span(span, z):
-            continue
-        span.append(list(z))
-        reps.append(z)
+    M = A.M
+    d = A.a(v)
+    cycles = kernel(d, M.basis)
+    columns = smat_transpose(d)
+    bcols = [columns[c] for c in pivot_columns(d, M.basis)]
+    span = {("b", j): b for j, b in enumerate(bcols)}
+    span.update({("z", i): z for i, z in enumerate(cycles)})
+    reps = [cycles[i] for tag, i in pivot_columns(smat_transpose(span), list(span))
+            if tag == "z"]
     rep_degrees = [_vector_degree(M, z) for z in reps]
     betti: dict[int, int] = {}
     for g in rep_degrees:
         betti[g] = betti.get(g, 0) + 1
-    return FiberHomology(basis=basis, reps=reps, rep_degrees=rep_degrees,
-                         betti=betti, boundary_basis=bcols)
+    return FiberHomology(reps=reps, rep_degrees=rep_degrees, betti=betti,
+                         boundary_basis=bcols)
 
 
 def _vector_degree(M: GradedModule, z) -> int:
-    degs = {M.degree(M.basis[i]) for i, c in enumerate(z) if c != 0}
+    degs = {M.degree(b) for b in z}
     if len(degs) != 1:
         raise ValueError("representative mixes degrees")
     return degs.pop()
 
 
-def _in_span(span_vectors, z) -> bool:
-    if not span_vectors:
-        return all(c == 0 for c in z)
-    cols = [list(v) for v in span_vectors]
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(z))]
-    return solve_dense(mat, [list(z)])[0] is not None
-
-
-def induced_on_homology(A: CoefficientSystem, T: SMat,
-                        src: FiberHomology, tgt: FiberHomology):
-    """Matrix of the map induced by the chain map ``T`` on homology."""
-    pos = A.M.position
-    n = A.M.n
-    cols = []
-    # solve [tgt reps | tgt boundaries] x = T z; homology coords are the
-    # leading block of x
-    basis_cols = [list(r) for r in tgt.reps] + [list(b) for b in tgt.boundary_basis]
-    mat = [[basis_cols[j][i] for j in range(len(basis_cols))] for i in range(n)]
-    images = []
-    for z in src.reps:
-        tz = [Q(0)] * n
-        for r, c, v in smat_entries(T):
-            tz[pos[r]] += v * z[pos[c]]
-        images.append(tz)
-    for x in solve_dense(mat, images):
+def induced_on_homology(T: SMat, src: FiberHomology,
+                        tgt: FiberHomology) -> SMat:
+    """Matrix of the map induced by the chain map ``T`` on homology,
+    keyed by representative index (rows in ``tgt``, columns in ``src``).
+    """
+    # solve [tgt reps | tgt boundaries] x = T z; homology coordinates
+    # are the reps part of x
+    span = {("z", i): z for i, z in enumerate(tgt.reps)}
+    span.update({("b", j): b for j, b in enumerate(tgt.boundary_basis)})
+    # row j of images is T applied to the j-th source representative
+    images = smat_transpose(smat_mul(T, smat_transpose(dict(enumerate(src.reps)))))
+    solutions = solve(smat_transpose(span), list(span),
+                      [images.get(j, {}) for j in range(len(src.reps))])
+    out: SMat = {}
+    for j, (x, _cert) in enumerate(solutions):
         if x is None:
             raise ChainMapViolation("image of a cycle is not a cycle mod boundaries")
-        cols.append(x[: len(tgt.reps)])
-    # column-major to matrix
-    return [[cols[j][i] for j in range(len(cols))] for i in range(len(tgt.reps))]
+        for (tag, i), v in x.items():
+            if tag == "z":
+                out.setdefault(i, {})[j] = v
+    return out
 
 
-def holonomy_on_homology(A: CoefficientSystem, triangle: Simplex):
-    """Composite of the three induced edge transports around a triangle.
+def holonomy_is_identity(A: CoefficientSystem, triangle: Simplex) -> bool:
+    """Whether the composite of the three induced edge transports around
+    a triangle is the identity on the homology of its last fiber.
 
-    Computed on the homology of the fiber over the last vertex; for a
-    flat system this is the identity matrix.
+    With the transport along the long edge an isomorphism on homology,
+    the holonomy M02^-1 M01 M12 is the identity exactly when
+    M01 M12 = M02.  A flat system passes.  Raises ``ChainMapViolation``
+    naming the triangle and edge when a transport does not induce a map
+    on homology, or the long edge's map is not invertible.
     """
     tri = A.S.require(triangle)
     if dim(tri) != 2:
         raise ValueError(f"{tri} is not a triangle")
     v0, v1, v2 = tri
-    H0 = fiber_homology(A, (v0,))
-    H1 = fiber_homology(A, (v1,))
-    H2 = fiber_homology(A, (v2,))
-    T01 = edge_transport(A, (v0, v1))
-    T12 = edge_transport(A, (v1, v2))
-    T02 = edge_transport(A, (v0, v2))
-    M12 = induced_on_homology(A, T12, H2, H1)
-    M01 = induced_on_homology(A, T01, H1, H0)
-    M02 = induced_on_homology(A, T02, H2, H0)
-    return mat_mul(mat_inverse(M02), mat_mul(M01, M12))
+    H = {v: fiber_homology(A, (v,)) for v in tri}
+    M = {}
+    for e in ((v1, v2), (v0, v1), (v0, v2)):
+        try:
+            M[e] = induced_on_homology(edge_transport(A, e), H[e[1]], H[e[0]])
+        except ChainMapViolation as ex:
+            raise ChainMapViolation(
+                f"holonomy around {tri}: transport along {e}: {ex}") from None
+    n = len(H[v2].reps)
+    if len(H[v0].reps) != n or rank(M[v0, v2], range(n)) != n:
+        raise ChainMapViolation(
+            f"holonomy around {tri}: transport along {(v0, v2)} is not "
+            f"invertible on homology")
+    return smat_mul(M[v0, v1], M[v1, v2]) == M[v0, v2]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .linalg import Q, qx, solve_sparse
+from .linalg import Q, qx, solve
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -456,24 +456,18 @@ def _extend_homogeneous(k: int, data: Sequence[PolyForm], r: int,
         for mono in _monomials_upto(k, deg):
             for dd in dxs:
                 cols.append((mono, dd))
-        rows: dict[tuple, dict[int, Fraction]] = {}
+        rows: dict[tuple, dict[Key, Fraction]] = {}
         rhs: dict[tuple, Fraction] = {}
         for j in range(k + 1):
-            for ci, key in enumerate(cols):
+            for key in cols:
                 restricted = _restricted_basis_form(k, j, key)
                 for tkey, c in restricted.terms.items():
-                    rows.setdefault((j, tkey), {})[ci] = c
+                    rows.setdefault((j, tkey), {})[key] = c
             for tkey, c in data[j].terms.items():
-                rk = (j, tkey)
-                rhs[rk] = c
-                rows.setdefault(rk, {})
-        row_keys = sorted(rows.keys())
-        sys_rows = [rows[rk] for rk in row_keys]
-        sys_rhs = [rhs.get(rk, Q(0)) for rk in row_keys]
-        sol, _cert = solve_sparse(sys_rows, sys_rhs, len(cols))
-        if sol is not None:
-            out = PolyForm(k, {key: sol[i] for i, key in enumerate(cols)})
-            return out
+                rhs[(j, tkey)] = c
+        [(x, _cert)] = solve(rows, cols, [rhs])
+        if x is not None:
+            return PolyForm(k, x)
         deg += 1
     raise ExtensionInfeasible(
         f"no degree <= {ceiling} extension for form degree {r} on the {k}-simplex")

@@ -22,17 +22,19 @@ from itertools import combinations
 from .flatsys import (
     CoefficientSystem,
     Infeasible,
-    SMat,
     extend_system,
     flatness_equation,
+)
+from .linalg import (
+    Q,
+    SMat,
+    kernel,
     smat_add,
     smat_identity,
-    smat_is_zero,
     smat_mul,
     smat_set,
     smat_sub,
 )
-from .linalg import Q, nullspace
 from .mixed import FiberModel, FormMatrix, neumann_inverse
 from .morse import GradedModule, LeafSystem, allowed_blocks
 from .simplicial import BaseComplex, Simplex, build_complex
@@ -177,25 +179,17 @@ def _kernel_perturbation(rng: random.Random, A: CoefficientSystem,
                          edge: Simplex) -> SMat | None:
     """A random element of the homogeneous edge equation's kernel."""
     unknowns, rows = flatness_equation(A, edge)
-    if not unknowns:
-        return None
-    dense = [[rows[rc].get(t, Q(0)) for t in range(len(unknowns))]
-             for rc in sorted(rows, key=repr)]
-    basis = nullspace(dense, len(unknowns)) if dense else \
-        [[Q(1) if i == j else Q(0) for i in range(len(unknowns))]
-         for j in range(len(unknowns))]
-    if not basis:
-        return None
-    combo = [Q(0)] * len(unknowns)
-    for vec in basis:
+    combo: dict = {}
+    for vec in kernel(rows, unknowns):
         c = rng.choice([0, 0, 1, -1])
         if c:
-            combo = [a + c * b for a, b in zip(combo, vec)]
+            for u, v in vec.items():
+                combo[u] = combo.get(u, 0) + c * v
     Z: SMat = {}
-    for t, u in enumerate(unknowns):
-        if combo[t] != 0:
-            smat_set(Z, u[0], u[1], combo[t])
-    return Z if not smat_is_zero(Z) else None
+    for u in unknowns:
+        if combo.get(u):
+            smat_set(Z, u[0], u[1], combo[u])
+    return Z or None
 
 
 def generate(seed: int, max_dim: int = 3, max_simplices: int = 20,

@@ -1,11 +1,19 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one matrix shape.
 
-Everything in this package that has to be *exactly* zero runs through
-the routines here: plain dense matrices are lists of lists of
-``fractions.Fraction``, large sparse systems are lists of ``{col: value}``
-rows.  Elimination is deterministic (columns left to right, first usable
-pivot row) so repeated runs of a solver on the same input produce the
-same output, including the choice of which free variables get zeroed.
+A matrix is an ``SMat``: nested dicts ``{row_key: {col_key: Fraction}}``
+with zeros left out, so two matrices are equal exactly when their dicts
+are.  Keys are whatever names the caller's basis uses (module basis
+elements, cellular generators, unknowns); a vector is an ``SVec``
+``{key: Fraction}``, again without zeros.  Matrices act on column
+vectors.
+
+Rank, pivot columns, kernels and solves all run one Gaussian
+elimination.  The caller fixes the column order; pivots are taken
+column by column in that order, and free variables are set to zero.
+The reduced row echelon form of a matrix is unique once its column
+order is fixed (Hoffman & Kunze, *Linear Algebra*, §1.4), so none of
+these results depends on the order of the rows or on which row serves
+as a pivot.
 """
 
 from __future__ import annotations
@@ -15,9 +23,8 @@ from typing import Optional, Sequence
 
 Q = Fraction
 
-Vector = list[Fraction]
-Matrix = list[list[Fraction]]
-SparseRow = dict[int, Fraction]
+SMat = dict
+SVec = dict
 
 
 def qx(value) -> Fraction:
@@ -35,222 +42,190 @@ def qx(value) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# dense matrices
+# keyed sparse matrices
 # ---------------------------------------------------------------------------
 
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[Q(0)] * ncols for _ in range(nrows)]
+def smat_set(m: SMat, r, c, v):
+    v = qx(v)
+    if v == 0:
+        row = m.get(r)
+        if row:
+            row.pop(c, None)
+            if not row:
+                m.pop(r, None)
+        return
+    m.setdefault(r, {})[c] = v
 
 
-def eye(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Q(1)
-    return m
+def smat_add(a: SMat, b: SMat) -> SMat:
+    out = {r: dict(row) for r, row in a.items()}
+    for r, row in b.items():
+        orow = out.setdefault(r, {})
+        for c, v in row.items():
+            w = orow.get(c, Q(0)) + v
+            if w == 0:
+                orow.pop(c, None)
+            else:
+                orow[c] = w
+        if not orow:
+            out.pop(r, None)
+    return out
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
-    for i in range(n):
-        row = a[i]
-        acc = out[i]
-        for t in range(k):
-            c = row[t]
-            if c == 0:
+def smat_scale(c, a: SMat) -> SMat:
+    c = qx(c)
+    if c == 0:
+        return {}
+    return {r: {cc: c * v for cc, v in row.items()} for r, row in a.items()}
+
+
+def smat_sub(a: SMat, b: SMat) -> SMat:
+    return smat_add(a, smat_scale(-1, b))
+
+
+def smat_mul(a: SMat, b: SMat) -> SMat:
+    out: SMat = {}
+    for r, arow in a.items():
+        acc: dict = {}
+        for t, v in arow.items():
+            brow = b.get(t)
+            if not brow:
                 continue
-            brow = b[t]
-            for j in range(m):
-                if brow[j] != 0:
-                    acc[j] += c * brow[j]
+            for c, w in brow.items():
+                s = acc.get(c, Q(0)) + v * w
+                if s == 0:
+                    acc.pop(c, None)
+                else:
+                    acc[c] = s
+        if acc:
+            out[r] = acc
     return out
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
-
-
-def mat_copy(a: Matrix) -> Matrix:
-    return [list(row) for row in a]
-
-
-def rref(a: Matrix, pivot_cols: Optional[int] = None
-         ) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column list).
-
-    With ``pivot_cols`` set, pivots are taken among the first
-    ``pivot_cols`` columns only; the rest are carried along.
-    """
-    m = mat_copy(a)
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    if pivot_cols is not None:
-        ncols = min(ncols, pivot_cols)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Q(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def rank(a: Matrix) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
-
-
-def nullspace(a: Matrix, ncols: Optional[int] = None) -> list[Vector]:
-    """Basis of the right kernel of ``a`` (columns = unknowns)."""
-    if ncols is None:
-        ncols = len(a[0]) if a else 0
-    if not a:
-        return [[Q(1) if i == j else Q(0) for i in range(ncols)] for j in range(ncols)]
-    r, pivots = rref(a)
-    pivot_set = set(pivots)
-    basis: list[Vector] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Q(0)] * ncols
-        v[free] = Q(1)
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -r[row_idx][free]
-        basis.append(v)
-    return basis
-
-
-def solve_dense(a: Matrix, rhs: Sequence[Vector]) -> list[Optional[Vector]]:
-    """One solution of ``a x = b`` with free variables zeroed, or None,
-    for each right-hand side b in ``rhs``.
-
-    ``a`` is eliminated once for all of them.  Pivots are taken among
-    the columns of ``a`` only, so each solution is the one a solve of
-    that right-hand side alone would give.
-    """
-    if not a:
-        return [[] for _ in rhs]
-    ncols = len(a[0])
-    aug = [list(row) + [b[i] for b in rhs] for i, row in enumerate(a)]
-    r, pivots = rref(aug, pivot_cols=ncols)
-    out: list[Optional[Vector]] = []
-    for j in range(ncols, ncols + len(rhs)):
-        if any(row[j] != 0 for row in r[len(pivots):]):
-            out.append(None)  # a zero row of a with nonzero right side
-            continue
-        x = [Q(0)] * ncols
-        for row_idx, pc in enumerate(pivots):
-            x[pc] = r[row_idx][j]
-        out.append(x)
+def smat_transpose(a: SMat) -> SMat:
+    """Rows become columns; a dict of vectors becomes the matrix with
+    those vectors as its columns."""
+    out: SMat = {}
+    for r, row in a.items():
+        for c, v in row.items():
+            out.setdefault(c, {})[r] = v
     return out
 
 
-def mat_inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    aug = [list(row) + list(idrow) for row, idrow in zip(a, eye(n))]
-    r, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is not invertible")
-    return [row[n:] for row in r]
+def smat_is_zero(a: SMat) -> bool:
+    return all(not row for row in a.values())
+
+
+def smat_identity(keys) -> SMat:
+    return {k: {k: Q(1)} for k in keys}
+
+
+def smat_entries(a: SMat):
+    for r, row in a.items():
+        for c, v in row.items():
+            yield r, c, v
 
 
 # ---------------------------------------------------------------------------
-# sparse systems
+# the elimination
 # ---------------------------------------------------------------------------
 
-def solve_sparse(rows: list[SparseRow], rhs: Vector, ncols: int
-                 ) -> tuple[Optional[Vector], Optional[tuple[SparseRow, Fraction]]]:
-    """Solve a sparse linear system exactly.
+def _eliminate(a: SMat, cols: Sequence, rhs: Sequence[SVec] = ()):
+    """Gauss-Jordan elimination of ``[a | rhs]``, pivoting on ``cols`` only.
 
-    ``rows[i]`` maps column index -> coefficient and the system is
-    ``sum_j rows[i][j] * x_j = rhs[i]``.  Elimination order is fixed:
-    columns ascending, first remaining row with a nonzero coefficient.
-    Free variables are set to zero, so the result is deterministic.
-
-    Returns ``(solution, None)`` on success.  On an inconsistent system
-    returns ``(None, certificate)`` where the certificate is a reduced
-    row ``(coeffs, rhs)`` with all coefficients zero and rhs nonzero,
-    expressed over the original unknowns.
+    Columns are numbered by their place in ``cols``; right-hand side j
+    is column ``len(cols) + j``.  Each column in turn takes the first
+    remaining row with a nonzero entry there as its pivot row, scales it
+    to 1 and clears the column from every other row.  Returns the pivot
+    rows ``[(column, row)]`` in column order, which are the reduced row
+    echelon form, and the rows left over, which have entries in
+    right-hand side columns only.
     """
-    work = [(dict(r), rhs[i]) for i, r in enumerate(rows)]
-    # eliminated columns in order, each with its normalized pivot row
-    pivot_rows: list[tuple[int, SparseRow, Fraction]] = []
-    remaining = list(range(len(work)))
-
+    n = len(cols)
+    index = {c: i for i, c in enumerate(cols)}
+    work = {r: {index[c]: v for c, v in row.items() if v}
+            for r, row in a.items()}
+    for j, b in enumerate(rhs):
+        for r, v in b.items():
+            if v:
+                work.setdefault(r, {})[n + j] = v
+    rows = list(work.values())
     occupied: dict[int, list[int]] = {}
-    for idx in remaining:
-        for c in work[idx][0]:
-            occupied.setdefault(c, []).append(idx)
+    for i, row in enumerate(rows):
+        for c in row:
+            if c < n:
+                occupied.setdefault(c, []).append(i)
 
-    eliminated: set[int] = set()
+    pivots: list[tuple[int, dict]] = []
+    used: set[int] = set()
     for col in sorted(occupied):
-        pivot_idx = None
-        for idx in occupied[col]:
-            if idx in eliminated:
-                continue
-            row, _ = work[idx]
-            if row.get(col, Q(0)) != 0:
-                pivot_idx = idx
-                break
-        if pivot_idx is None:
+        p = next((i for i in occupied[col]
+                  if i not in used and col in rows[i]), None)
+        if p is None:
             continue
-        prow, prhs = work[pivot_idx]
-        inv = Q(1) / prow[col]
-        prow = {c: v * inv for c, v in prow.items() if v != 0}
-        prhs = prhs * inv
-        work[pivot_idx] = (prow, prhs)
-        eliminated.add(pivot_idx)
-        pivot_rows.append((col, prow, prhs))
-        for idx in list(occupied.get(col, ())):
-            if idx == pivot_idx or idx in eliminated:
-                continue
-            row, rv = work[idx]
-            f = row.get(col)
+        used.add(p)
+        inv = 1 / rows[p][col]
+        prow = rows[p] = {c: v * inv for c, v in rows[p].items()}
+        pivots.append((col, prow))
+        for i in occupied[col]:
+            row = rows[i]
+            f = row.get(col) if i != p else None
             if not f:
                 continue
             for c, v in prow.items():
-                nv = row.get(c, Q(0)) - f * v
-                if nv == 0:
-                    row.pop(c, None)
+                w = row.get(c, 0) - f * v
+                if w:
+                    if c not in row and c < n:
+                        occupied[c].append(i)
+                    row[c] = w
                 else:
-                    if c not in row:
-                        occupied.setdefault(c, []).append(idx)
-                    row[c] = nv
-            work[idx] = (row, rv - f * prhs)
+                    row.pop(c, None)
+    return pivots, [row for i, row in enumerate(rows) if i not in used]
 
-    for idx in range(len(work)):
-        if idx in eliminated:
-            continue
-        row, rv = work[idx]
-        row = {c: v for c, v in row.items() if v != 0}
-        if not row and rv != 0:
-            return None, (row, rv)
 
-    x = [Q(0)] * ncols
-    # back substitution: pivot rows were fully reduced against each other
-    # only lazily, so substitute in reverse elimination order.
-    for col, prow, prhs in reversed(pivot_rows):
-        acc = prhs
-        for c, v in prow.items():
-            if c != col:
-                acc -= v * x[c]
-        x[col] = acc
-    return x, None
+def rank(a: SMat, cols: Sequence) -> int:
+    return len(_eliminate(a, cols)[0])
+
+
+def pivot_columns(a: SMat, cols: Sequence) -> list:
+    """The columns of ``a`` not in the span of the columns before them."""
+    return [cols[c] for c, _ in _eliminate(a, cols)[0]]
+
+
+def kernel(a: SMat, cols: Sequence) -> list[SVec]:
+    """Basis of the right kernel of ``a``: one vector per free column,
+    in column order, with 1 there and 0 at the other free columns."""
+    pivots, _ = _eliminate(a, cols)
+    pivot_set = {col for col, _ in pivots}
+    basis = {f: {cols[f]: Q(1)} for f in range(len(cols)) if f not in pivot_set}
+    for col, row in pivots:
+        for f, w in row.items():
+            if f != col:
+                basis[f][cols[col]] = -w
+    return list(basis.values())
+
+
+def solve(a: SMat, cols: Sequence, rhs: Sequence[SVec]
+          ) -> list[tuple[Optional[SVec], Optional[tuple[SVec, Fraction]]]]:
+    """Solve ``a x = b`` for each right-hand side b, eliminating once.
+
+    Each b is a vector over the row keys.  A consistent b gives
+    ``(x, None)``, x the solution with every free variable zero, keyed
+    by column in column order.  An inconsistent b gives
+    ``(None, (coeffs, c))``: a reduced row reading ``0 = c`` with
+    ``coeffs`` empty and ``c`` nonzero.
+    """
+    n = len(cols)
+    pivots, rest = _eliminate(a, cols, rhs)
+    witness: dict[int, Fraction] = {}
+    for row in rest:
+        for j, v in row.items():
+            witness.setdefault(j, v)
+    out = []
+    for j in range(n, n + len(rhs)):
+        if j in witness:
+            out.append((None, ({}, witness[j])))
+        else:
+            out.append(({cols[col]: row[j] for col, row in pivots if j in row},
+                        None))
+    return out

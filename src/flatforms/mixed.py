@@ -32,24 +32,25 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .flatsys import (
-    CoefficientSystem,
-    SMat,
-    _sign,
-    smat_add,
-    smat_entries,
-    smat_is_zero,
-    smat_mul,
-    smat_scale,
-    smat_sub,
-)
+from .flatsys import CoefficientSystem, _sign
 from .forms import (
     ExtensionInfeasible,
     IncompatibleBoundaryData,
     PolyForm,
     extend_from_boundary,
 )
-from .linalg import Q, qx, solve_dense
+from .linalg import (
+    SMat,
+    qx,
+    smat_add,
+    smat_entries,
+    smat_is_zero,
+    smat_mul,
+    smat_scale,
+    smat_sub,
+    smat_transpose,
+    solve,
+)
 from .morse import GradedModule, prec
 from .simplicial import (
     EMPTY,
@@ -198,9 +199,6 @@ class FormMatrix:
             degs |= p.form_degrees()
         return degs
 
-    def max_poly_degree(self) -> int:
-        return max((p.poly_degree() for *_rc, p in self.entries()), default=0)
-
 
 def _koszul_wedge(p: PolyForm, q: PolyForm, e: int) -> PolyForm:
     if e % 2 == 0:
@@ -240,9 +238,6 @@ class MixedConnectionData:
 
     def get(self, sigma: Simplex, sigma_p: Simplex) -> FormMatrix:
         return self.aprime[(tuple(sigma), tuple(sigma_p))]
-
-    def domain(self, sigma: Simplex, sigma_p: Simplex) -> Simplex:
-        return relative_simplex(sigma, sigma_p)
 
 
 def _ind_map(M: GradedModule) -> dict:
@@ -655,7 +650,6 @@ def solve_face_coords(A: CoefficientSystem, FM: FiberModel, sigma: Simplex,
     faces = [s2 for s2 in all_faces(sigma)
              if not smat_is_zero(FM.imap(s2))]
     omega = list(FM.omega_basis)
-    epos = {e: i for i, e in enumerate(omega)}
     deg = _ind_map(M)
 
     def columns(al: str, r: int) -> list[tuple[Simplex, tuple]]:
@@ -681,8 +675,7 @@ def solve_face_coords(A: CoefficientSystem, FM: FiberModel, sigma: Simplex,
         rhs_by_mono: dict = {}
         for e in omega:
             for key, coef in value.entry(row, e).terms.items():
-                vec = rhs_by_mono.setdefault(key, [Q(0)] * len(omega))
-                vec[epos[e]] = coef
+                rhs_by_mono.setdefault(key, {})[e] = coef
         for key in sorted(rhs_by_mono, key=repr):
             order.append((row, key))
             blocks.setdefault((row[0], len(key[1])), []).append(
@@ -691,25 +684,20 @@ def solve_face_coords(A: CoefficientSystem, FM: FiberModel, sigma: Simplex,
     solutions = {}
     for (al, r), items in blocks.items():
         cols = columns(al, r)
-        mat = [[Q(0)] * len(cols) for _ in omega]
-        for ci, (s2, be_m) in enumerate(cols):
-            for e, coef in FM.imap(s2).get(be_m, {}).items():
-                mat[epos[e]][ci] = coef
-        xs = solve_dense(mat, [vec for _row, _key, vec in items])
-        for (row, key, _vec), x in zip(items, xs):
-            solutions[(row, key)] = (cols, x)
+        mat = smat_transpose({(s2, be_m): FM.imap(s2).get(be_m, {})
+                              for s2, be_m in cols})
+        xs = solve(mat, cols, [vec for _row, _key, vec in items])
+        for (row, key, _vec), (x, _cert) in zip(items, xs):
+            solutions[(row, key)] = x
 
     out: dict = {}
     for row, key in order:
-        cols, x = solutions[(row, key)]
+        x = solutions[(row, key)]
         if x is None:
             raise ExtensionInfeasible(
                 f"no face decomposition over {sigma} (face {sigma_p}): "
                 f"row {row}, monomial {key}")
-        for ci, coef in enumerate(x):
-            if coef == 0:
-                continue
-            s2, be_m = cols[ci]
+        for (s2, be_m), coef in x.items():
             fm = out.setdefault(s2, FormMatrix(mm, deg, deg))
             fm.set_entry(row, be_m, fm.entry(row, be_m)
                          + PolyForm(mm, {key: coef}))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Q, qx
+from .linalg import SMat, qx, smat_set
 from .simplicial import BaseComplex, Simplex, all_faces
 
 
@@ -152,21 +152,19 @@ class GradedModule:
         return self.index[basis_elt[0]]
 
 
-def number_operator(M: GradedModule) -> list[list[Fraction]]:
+def number_operator(M: GradedModule) -> SMat:
     """Diagonal matrix multiplying each generator by its degree."""
-    n = M.n
-    out = [[Q(0)] * n for _ in range(n)]
-    for p, b in enumerate(M.basis):
-        out[p][p] = Q(M.degree(b))
+    out: SMat = {}
+    for b in M.basis:
+        smat_set(out, b, b, M.degree(b))
     return out
 
 
-def height_operator(L: LeafSystem, M: GradedModule, vertex: int) -> list[list[Fraction]]:
+def height_operator(L: LeafSystem, M: GradedModule, vertex: int) -> SMat:
     """Diagonal matrix multiplying each generator by its leaf height at ``vertex``."""
-    n = M.n
-    out = [[Q(0)] * n for _ in range(n)]
-    for p, (leaf, _i) in enumerate(M.basis):
-        out[p][p] = L.height(leaf, vertex)
+    out: SMat = {}
+    for b in M.basis:
+        smat_set(out, b, b, L.height(b[0], vertex))
     return out
 
 

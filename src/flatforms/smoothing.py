@@ -22,12 +22,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .flatsys import (
+    ChainMapViolation,
     CoefficientSystem,
     fiber_homology,
-    holonomy_on_homology,
+    graded_betti,
+    holonomy_is_identity,
 )
 from .forms import PolyForm, RatioForm
-from .linalg import Q, eye, mat_eq, qx, rank
+from .linalg import Q, qx
 from .mixed import (
     ChainMapData,
     FiberModel,
@@ -445,28 +447,7 @@ def verify_chain(G: GlobalSuperconnection) -> list[str]:
 
 def omega_betti(FM: FiberModel) -> dict[int, int]:
     """Betti numbers of (Omega, D), exact over Q."""
-    degrees = sorted({FM.omega_degree[e] for e in FM.omega_basis})
-    by_deg = {q: [e for e in FM.omega_basis if FM.omega_degree[e] == q]
-              for q in degrees}
-    pos = {e: i for i, e in enumerate(FM.omega_basis)}
-
-    def block_rank(q: int) -> int:
-        cols = by_deg.get(q, [])
-        rows = by_deg.get(q + 1, [])
-        if not cols or not rows:
-            return 0
-        dense = [[Q(0)] * len(cols) for _ in rows]
-        for i, r in enumerate(rows):
-            row = FM.D.get(r, {})
-            for jj, c in enumerate(cols):
-                if c in row:
-                    dense[i][jj] = row[c]
-        return rank(dense)
-
-    out = {}
-    for q in degrees:
-        out[q] = len(by_deg[q]) - block_rank(q) - block_rank(q - 1)
-    return out
+    return graded_betti(FM.D, {e: FM.omega_degree[e] for e in FM.omega_basis})
 
 
 def quasi_iso_ranks(A: CoefficientSystem, FM: FiberModel) -> dict:
@@ -485,9 +466,12 @@ def quasi_iso_ranks(A: CoefficientSystem, FM: FiberModel) -> dict:
                 f"Betti numbers over {v} differ from the fiber complex: "
                 f"{betti_v} vs {betti_o}")
     for tri in A.S.of_dim(2):
-        hol = holonomy_on_homology(A, tri)
-        ok = mat_eq(hol, eye(len(hol)))
+        try:
+            ok = holonomy_is_identity(A, tri)
+            if not ok:
+                report["problems"].append(f"holonomy around {tri} is not trivial")
+        except ChainMapViolation as ex:
+            ok = False
+            report["problems"].append(str(ex))
         report["triangles"][tri] = ok
-        if not ok:
-            report["problems"].append(f"holonomy around {tri} is not trivial")
     return report

@@ -10,6 +10,7 @@ from flatforms.instances import (
     instance_to_json,
     make_fiber_model,
 )
+from flatforms.linalg import smat_set
 from flatforms.mixed import FiberModel
 from flatforms.smoothing import partition_linear
 
@@ -258,3 +259,34 @@ def test_corrupted_build_names_the_simplex(capsys, tmp_path):
     code, rep = run(capsys, "build-aprime", "--instance", str(path))
     assert code == 1
     assert any("(0, 2, 3)" in c for c in rep["certificates"])
+
+
+@pytest.mark.parametrize("seed, simplex, row, col, value, command, witness", [
+    # the cellular boundary no longer squares to zero
+    (1, (0,), ("b", 0), ("a", 0), 2, "homology",
+     "boundary does not square to zero, e.g. on generator ((0, 1), ('b', 0))"),
+    # an edge transport is no longer a chain map
+    (3, (1,), ("b", 2), ("e", 1), 1, "holonomy",
+     "holonomy around (0, 1, 2): transport along (1, 2): "
+     "image of a cycle is not a cycle mod boundaries"),
+    # the fibers' homology ranks differ
+    (5, (3,), ("b", 0), ("a", 0), -1, "holonomy",
+     "holonomy around (0, 2, 3): transport along (0, 3) is not invertible "
+     "on homology"),
+    # a transport is not invertible on homology
+    (11, (0,), ("c", 0), ("b", 0), 2, "holonomy",
+     "holonomy around (0, 1, 2): transport along (0, 2) is not invertible "
+     "on homology"),
+], ids=["homology-1", "holonomy-3", "holonomy-5", "holonomy-11"])
+def test_non_flat_file_gives_a_certificate(capsys, tmp_path, seed, simplex,
+                                           row, col, value, command, witness):
+    inst = generate(seed)
+    smat_set(inst.A.coeffs[simplex], row, col, value)
+    data = instance_to_json(inst.S, inst.L, inst.A)
+    data["version"] = 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, rep = run(capsys, command, "--instance", str(path))
+    assert code == 1
+    assert rep["status"] == "fail"
+    assert rep["certificates"][0] == witness

@@ -1,7 +1,8 @@
 """Source rules that no linter enforces here: every module-level import
 is used, imports sit at module level, checks raise exceptions instead of
-using ``assert`` (which ``python -O`` strips), and importing the command
-line does not load scipy, which is not a dependency."""
+using ``assert`` (which ``python -O`` strips), importing the command
+line does not load scipy, which is not a dependency, and every public
+function and method is used somewhere."""
 
 import ast
 import os
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "flatforms"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "flatforms"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -66,3 +68,33 @@ def test_cli_import_does_not_load_scipy():
          "import flatforms.cli, sys; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _public_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.lineno
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item.lineno
+
+
+def test_public_functions_are_referenced():
+    """Every public function and method is named somewhere in src or
+    tests, so unused helpers do not linger."""
+    names = set()
+    for path in MODULES + sorted(TESTS.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    unused = sorted(f"{path.name}: {name} (line {line})"
+                    for path in MODULES
+                    for name, line in _public_definitions(_tree(path))
+                    if name.split(".")[-1] not in names)
+    assert unused == []

@@ -1,38 +1,110 @@
 from fractions import Fraction as Q
 
-from flatforms.linalg import rref, solve_dense
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flatforms.linalg import (
+    kernel,
+    pivot_columns,
+    rank,
+    smat_mul,
+    smat_set,
+    smat_transpose,
+    solve,
+)
+
+COLS = ["x", "y", "z"]
 
 
-def augmented_solve(a, b):
-    """Reference: eliminate [a | b] and read off the solution."""
-    n = len(a[0])
-    r, pivots = rref([row + [v] for row, v in zip(a, b)])
-    if n in pivots:
-        return None
-    x = [Q(0)] * n
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i][n]
-    return x
+def keyed(rows, cols):
+    """Dense rows to a matrix keyed by row number and column name."""
+    m = {}
+    for i, row in enumerate(rows):
+        for c, v in zip(cols, row):
+            smat_set(m, i, c, v)
+    return m
 
 
-def test_solve_dense_batch_matches_single_solves():
+def augmented_solve(a, cols, b):
+    """Reference: the kernel of [a | -b] through its free column b."""
+    aug = {r: dict(row) for r, row in a.items()}
+    for r, v in b.items():
+        smat_set(aug, r, "b", -v)
+    for vec in kernel(aug, list(cols) + ["b"]):
+        if vec.get("b") == 1:
+            return {c: v for c, v in vec.items() if c != "b"}
+    return None  # b is a pivot column: a zero row of a with b nonzero
+
+
+def test_solve_batch_matches_single_solves():
     # rank 2, so right-hand sides outside the column span are inconsistent
-    a = [[Q(1), Q(2), Q(0)],
-         [Q(0), Q(0), Q(1)],
-         [Q(2), Q(4), Q(1)]]
-    rhs = [[Q(1), Q(2), Q(4)],     # consistent
-           [Q(1), Q(0), Q(0)],     # inconsistent
-           [Q(0), Q(3), Q(3)],     # consistent
-           [Q(0), Q(0), Q(1)]]     # inconsistent
-    batch = solve_dense(a, rhs)
-    assert batch == [solve_dense(a, [b])[0] for b in rhs]
-    assert batch == [augmented_solve(a, b) for b in rhs]
+    a = keyed([[1, 2, 0],
+               [0, 0, 1],
+               [2, 4, 1]], COLS)
+    rhs = [{0: Q(1), 1: Q(2), 2: Q(4)},     # consistent
+           {0: Q(1)},                       # inconsistent
+           {1: Q(3), 2: Q(3)},              # consistent
+           {2: Q(1)}]                       # inconsistent
+    batch = [x for x, _cert in solve(a, COLS, rhs)]
+    assert batch == [solve(a, COLS, [b])[0][0] for b in rhs]
+    assert batch == [augmented_solve(a, COLS, b) for b in rhs]
     assert batch[1] is None and batch[3] is None
     for b, x in zip(rhs, batch):
         if x is not None:
-            assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
-    assert batch[0] == [Q(1), Q(0), Q(2)]  # free variable zeroed
+            assert smat_mul(a, {c: {0: v} for c, v in x.items()}) == \
+                {r: {0: v} for r, v in b.items()}
+    assert batch[0] == {"x": Q(1), "z": Q(2)}  # free variable y zeroed
 
 
-def test_solve_dense_without_rows():
-    assert solve_dense([], [[], []]) == [[], []]
+def test_solve_without_rows():
+    assert solve({}, [], [{}, {}]) == [({}, None), ({}, None)]
+    # with no rows every column is free, so the solution is zero
+    assert solve({}, COLS, [{}]) == [({}, None)]
+    assert kernel({}, COLS) == [{"x": 1}, {"y": 1}, {"z": 1}]
+
+
+entries = st.sampled_from([Q(0)] * 4 + [Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 4)])
+
+
+@st.composite
+def systems(draw):
+    nrows = draw(st.integers(0, 4))
+    ncols = draw(st.integers(1, 4))
+    cols = [f"c{j}" for j in range(ncols)]
+    a = keyed([[draw(entries) for _ in cols] for _ in range(nrows)], cols)
+    rhs = [{r: v for r in range(nrows) if (v := draw(entries))}
+           for _ in range(draw(st.integers(1, 3)))]
+    order = draw(st.permutations(list(a)))
+    return a, cols, rhs, {r: a[r] for r in order}
+
+
+def _column(x):
+    return {c: {0: v} for c, v in x.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_elimination_is_invariant_and_exact(system):
+    a, cols, rhs, permuted = system
+    assert rank(permuted, cols) == rank(a, cols)
+    assert pivot_columns(permuted, cols) == pivot_columns(a, cols)
+    basis = kernel(a, cols)
+    assert kernel(permuted, cols) == basis
+    assert len(basis) == len(cols) - rank(a, cols)
+    for vec in basis:
+        assert smat_mul(a, _column(vec)) == {}
+    results = solve(a, cols, rhs)
+    assert [x for x, _ in solve(permuted, cols, rhs)] == [x for x, _ in results]
+    for b, (x, cert) in zip(rhs, results):
+        with_b = {r: dict(row) for r, row in a.items()}
+        for r, v in b.items():
+            smat_set(with_b, r, "b", v)
+        consistent = rank(with_b, cols + ["b"]) == rank(a, cols)
+        if x is not None:
+            assert consistent and cert is None
+            assert smat_mul(a, _column(x)) == smat_transpose({0: b})
+            assert set(x) <= set(pivot_columns(a, cols))  # free variables zero
+        else:
+            coeffs, c = cert
+            assert not consistent
+            assert coeffs == {} and c != 0

@@ -92,10 +92,9 @@ def test_graded_module_layout():
     assert M.basis == [("a", 0), ("a", 1), ("b", 0)]
     assert M.n == 3
     assert M.degree(("b", 0)) == 1
-    N = number_operator(M)
-    assert N[0][0] == 0 and N[2][2] == 1
-    H = height_operator(L, M, 0)
-    assert H[0][0] == 0 and H[2][2] == 3
+    # diagonal; leaf a has degree 0 and height 0, so its entries are left out
+    assert number_operator(M) == {("b", 0): {("b", 0): 1}}
+    assert height_operator(L, M, 0) == {("b", 0): {("b", 0): 3}}
 
 
 def test_allowed_blocks_by_end_degree():
