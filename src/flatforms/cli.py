@@ -100,11 +100,12 @@ def _plain(x):
 
 
 class Loaded:
-    def __init__(self, raw, S, L, A, FM, P, has_coeffs):
+    def __init__(self, raw, S, L, A, FM, P, has_coeffs, no_model):
         self.raw = raw
         self.S, self.L, self.A = S, L, A
         self.FM, self.P = FM, P
         self.has_coeffs = has_coeffs
+        self.no_model = no_model   # why FM is None, when it is
 
 
 def load_instance(args) -> Loaded:
@@ -125,14 +126,15 @@ def load_instance(args) -> Loaded:
                  if "partition" in raw else None)
         except (KeyError, TypeError, ValueError) as ex:
             raise ParseError(f"malformed instance file: {ex!r}")
-        return Loaded(raw, S, L, A, FM, P, "coefficients" in raw)
+        return Loaded(raw, S, L, A, FM, P, "coefficients" in raw,
+                      "add one to the instance file or use --seed")
     if getattr(args, "seed", None) is not None:
         inst = generate(args.seed)
         try:
-            FM = make_fiber_model(inst)
-        except ValueError:
-            FM = None
-        return Loaded(None, inst.S, inst.L, inst.A, FM, None, True)
+            FM, no_model = make_fiber_model(inst), ""
+        except ValueError as ex:
+            FM, no_model = None, str(ex)
+        return Loaded(None, inst.S, inst.L, inst.A, FM, None, True, no_model)
     raise ParseError("provide --instance FILE or --seed N")
 
 
@@ -235,8 +237,7 @@ def cmd_build_aprime(args):
 def cmd_build_iprime(args):
     inst = load_instance(args)
     if inst.FM is None:
-        raise ParseError("no fiber model: add one to the instance file "
-                         "or use --seed")
+        raise ParseError(f"no fiber model: {inst.no_model}")
     t0 = time.perf_counter()
     fmp = validate_fiber_model(inst.A, inst.FM)
     if fmp:
@@ -316,9 +317,11 @@ def cmd_holonomy(args):
     certs = []
     t0 = time.perf_counter()
     tris = {}
+    corners = dict.fromkeys((v,) for tri in inst.A.S.of_dim(2) for v in tri)
+    H = {v: fiber_homology(inst.A, v) for v in corners}
     for tri in inst.A.S.of_dim(2):
         try:
-            ok = holonomy_is_identity(inst.A, tri)
+            ok = holonomy_is_identity(inst.A, tri, H)
             if not ok:
                 certs.append(f"holonomy around {_skey(tri)} is not the identity")
         except ChainMapViolation as ex:
@@ -335,17 +338,15 @@ def cmd_homology(args):
     t0 = time.perf_counter()
     bdry = cw_boundary(inst.A)
     try:
-        checks = {"cw_betti": cw_homology(inst.A),
+        checks = {"cw_betti": cw_homology(bdry),
                   "generators": len(bdry.generators)}
     except NotADifferential as ex:
         return {"checks": {"cw_betti": str(ex)},
                 "timings": {"total": time.perf_counter() - t0}}, [str(ex)]
-    fibers = {}
-    for v in inst.A.S.vertices():
-        fibers[_skey(v)] = fiber_homology(inst.A, v).betti
-    checks["fiber_betti"] = fibers
+    H = {v: fiber_homology(inst.A, v) for v in inst.A.S.vertices()}
+    checks["fiber_betti"] = {_skey(v): h.betti for v, h in H.items()}
     if inst.FM is not None:
-        rep = quasi_iso_ranks(inst.A, inst.FM)
+        rep = quasi_iso_ranks(inst.A, inst.FM, H)
         checks["omega_betti"] = rep["omega"]
         checks["quasi_iso"] = "ok" if not rep["problems"] else rep["problems"]
         certs += rep["problems"]

@@ -291,9 +291,9 @@ def cw_boundary(A: CoefficientSystem) -> CWBoundary:
     return CWBoundary(generators=gens, matrix=matrix, degrees=degrees)
 
 
-def cw_homology(A: CoefficientSystem) -> dict[int, int]:
-    """Betti numbers of the cellular complex, graded by generator degree."""
-    bd = cw_boundary(A)
+def cw_homology(bd: CWBoundary) -> dict[int, int]:
+    """Betti numbers of the cellular complex with boundary ``bd``
+    (see ``cw_boundary``), graded by generator degree."""
     bd.require_differential()
     return {q: b for q, b in graded_betti(bd.matrix, bd.degrees).items() if b}
 
@@ -546,9 +546,13 @@ def induced_on_homology(T: SMat, src: FiberHomology,
     return out
 
 
-def holonomy_is_identity(A: CoefficientSystem, triangle: Simplex) -> bool:
+def holonomy_is_identity(A: CoefficientSystem, triangle: Simplex,
+                         H: dict) -> bool:
     """Whether the composite of the three induced edge transports around
     a triangle is the identity on the homology of its last fiber.
+
+    ``H`` maps each vertex simplex (v,) of the triangle to its
+    ``fiber_homology``.
 
     With the transport along the long edge an isomorphism on homology,
     the holonomy M02^-1 M01 M12 is the identity exactly when
@@ -560,16 +564,16 @@ def holonomy_is_identity(A: CoefficientSystem, triangle: Simplex) -> bool:
     if dim(tri) != 2:
         raise ValueError(f"{tri} is not a triangle")
     v0, v1, v2 = tri
-    H = {v: fiber_homology(A, (v,)) for v in tri}
     M = {}
     for e in ((v1, v2), (v0, v1), (v0, v2)):
         try:
-            M[e] = induced_on_homology(edge_transport(A, e), H[e[1]], H[e[0]])
+            M[e] = induced_on_homology(edge_transport(A, e),
+                                       H[(e[1],)], H[(e[0],)])
         except ChainMapViolation as ex:
             raise ChainMapViolation(
                 f"holonomy around {tri}: transport along {e}: {ex}") from None
-    n = len(H[v2].reps)
-    if len(H[v0].reps) != n or rank(M[v0, v2], range(n)) != n:
+    n = len(H[(v2,)].reps)
+    if len(H[(v0,)].reps) != n or rank(M[v0, v2], range(n)) != n:
         raise ChainMapViolation(
             f"holonomy around {tri}: transport along {(v0, v2)} is not "
             f"invertible on homology")

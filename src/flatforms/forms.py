@@ -10,11 +10,17 @@ with exponent tuples of length k and strictly increasing dx index
 tuples drawn from {1, ..., k}.  All operations (wedge, exterior
 derivative, restriction to faces, extension from boundary data, the
 contraction operator of the Poincaré lemma) are exact.
+
+Face restrictions and chart changes are affine maps that send each
+chart variable to a barycentric coordinate of the target or to zero;
+``PolyForm.affine_pullback`` performs all of them from a per-map table.
+``PolyForm.pullback`` substitutes arbitrary polynomial images.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -56,6 +62,27 @@ def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
             if a > b:
                 inv += 1
     return (-1) ** inv, tuple(merged)
+
+
+@cache
+def _bary_power(k: int, e: int) -> tuple:
+    """y_0**e = (1 - y_1 - ... - y_k)**e as (exponents, int) pairs."""
+    if e == 0:
+        return (((0,) * k, 1),)
+    return tuple((exps, int(c)) for (exps, _d), c
+                 in PolyForm.coordinate(k, 0).power(e).terms.items())
+
+
+@cache
+def _dx_image(targets: tuple, k: int) -> tuple:
+    """dy_j wedged over j in ``targets``, in order, on the k-chart, as
+    (dx tuple, int) pairs; a None target makes it zero."""
+    if None in targets:
+        return ()
+    f = PolyForm.one(k)
+    for j in targets:
+        f = f.wedge(PolyForm.dx(k, j))
+    return tuple((dxs, int(c)) for (_e, dxs), c in f.terms.items())
 
 
 class PolyForm:
@@ -304,15 +331,44 @@ class PolyForm:
             raise ValueError("positions must be strictly increasing")
         if positions and not (0 <= positions[0] and positions[-1] <= self.k):
             raise ValueError("positions out of range")
-        images: dict[int, PolyForm] = {}
         pos_of = {p: j for j, p in enumerate(positions)}
-        for i in range(1, self.k + 1):
-            j = pos_of.get(i)
-            if j is None:
-                images[i] = PolyForm.zero(lk)
-            else:
-                images[i] = PolyForm.coordinate(lk, j)
-        return self.pullback(lk, images)
+        return self.affine_pullback(
+            lk, [pos_of.get(i) for i in range(1, self.k + 1)])
+
+    def affine_pullback(self, target_k: int,
+                        table: Sequence[Optional[int]]) -> "PolyForm":
+        """Pull back along an affine map sending each chart variable to a
+        barycentric coordinate of the target chart or to zero.
+
+        ``table[i - 1]`` is j in 0..target_k when x_i pulls back to the
+        target coordinate y_j, with y_0 = 1 - y_1 - ... - y_target_k, and
+        None when x_i pulls back to zero; dx_i maps the matching way.
+        The result equals ``pullback`` with those coordinate images.
+        """
+        out: dict[Key, Fraction] = {}
+        for (exps, dxs), c in self.terms.items():
+            dx_image = _dx_image(tuple(table[i - 1] for i in dxs), target_k)
+            if not dx_image or any(e and j is None for e, j in zip(exps, table)):
+                continue
+            mono = [0] * target_k
+            e0 = 0
+            for e, j in zip(exps, table):
+                if j:
+                    mono[j - 1] += e
+                elif j == 0:
+                    e0 += e
+            for shift, pc in _bary_power(target_k, e0):
+                ee = tuple(a + b for a, b in zip(mono, shift))
+                for dd, s in dx_image:
+                    key = (ee, dd)
+                    v = out.get(key, 0) + c * (pc * s)
+                    if v == 0:
+                        out.pop(key, None)
+                    else:
+                        out[key] = v
+        res = PolyForm(target_k)
+        res.terms = out
+        return res
 
     # -- serialization ---------------------------------------------------
 
@@ -516,80 +572,3 @@ def poincare_contract(omega: PolyForm, apex: Optional[Sequence] = None) -> PolyF
         key = (exps[:k], rest)
         out = out + PolyForm(k, {key: coeff})
     return out
-
-
-# ---------------------------------------------------------------------------
-# localized forms: P / den^e with a fixed polynomial denominator
-# ---------------------------------------------------------------------------
-
-class RatioForm:
-    """A differential form P / den**e with polynomial numerator.
-
-    ``den`` is a fixed 0-form (the same object for all operands of a
-    binary operation), positive on the open simplex in the intended
-    use.  Equality is decided by cross-multiplication, so no
-    normalization is ever needed.
-    """
-
-    __slots__ = ("num", "den", "e")
-
-    def __init__(self, num: PolyForm, den: PolyForm, e: int = 0):
-        if e < 0:
-            raise ValueError("exponent must be >= 0")
-        self.num = num
-        self.den = den
-        self.e = e
-
-    def _check(self, other: "RatioForm"):
-        if self.den != other.den:
-            raise ValueError("denominators differ")
-
-    def __add__(self, other: "RatioForm") -> "RatioForm":
-        self._check(other)
-        e = max(self.e, other.e)
-        a = self.num.wedge(self.den.power(e - self.e))
-        b = other.num.wedge(other.den.power(e - other.e))
-        return RatioForm(a + b, self.den, e)
-
-    def __neg__(self) -> "RatioForm":
-        return RatioForm(-self.num, self.den, self.e)
-
-    def __sub__(self, other: "RatioForm") -> "RatioForm":
-        return self + (-other)
-
-    def scale(self, c) -> "RatioForm":
-        return RatioForm(self.num.scale(c), self.den, self.e)
-
-    def wedge(self, other: "RatioForm") -> "RatioForm":
-        self._check(other)
-        return RatioForm(self.num.wedge(other.num), self.den, self.e + other.e)
-
-    def d(self) -> "RatioForm":
-        # d(P/Q^e) = (Q dP - e dQ ∧ P) / Q^(e+1)
-        num = self.den.wedge(self.num.d()) - self.den.d().wedge(self.num).scale(self.e)
-        return RatioForm(num, self.den, self.e + 1)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatioForm):
-            return NotImplemented
-        self._check(other)
-        a = self.num.wedge(self.den.power(other.e))
-        b = other.num.wedge(other.den.power(self.e))
-        return a == b
-
-    def restrict(self, positions: Sequence[int], den_restricted: PolyForm) -> "RatioForm":
-        """Restrict to a face; caller supplies the restricted denominator.
-
-        The denominators used in this package restrict to each other
-        across faces, which the caller is expected to have arranged;
-        ``ValueError`` otherwise.
-        """
-        if self.den.restrict(positions) != den_restricted:
-            raise ValueError("denominator does not restrict as claimed")
-        return RatioForm(self.num.restrict(positions), den_restricted, self.e)
-
-    def __repr__(self):
-        return f"RatioForm(({self.num!r}) / den^{self.e})"

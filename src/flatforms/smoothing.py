@@ -10,10 +10,11 @@ pulling back kills every non-tangential contribution there.
 
 Everything stays rational.  The default bump B(t) = t^2(3-2t) gives
 component images B(x_v)/Q with the simplex-wide normalizer
-Q = sum_v B(x_v), so pullbacks are matrices of polynomial forms divided
-by a power of Q.  All checks cross-multiply instead of dividing, making
-them exact; Q restricts to the corresponding normalizer of every face
-because B(0) = 0.
+Q = sum_v B(x_v), so pullbacks are ``RatioMatrix`` values: matrices of
+polynomial forms over one power of Q, the package's one localized
+P/Q^e type, built by a single homogenised substitution.  All checks
+cross-multiply instead of dividing, making them exact; Q restricts to
+the corresponding normalizer of every face because B(0) = 0.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from typing import Optional
 from .flatsys import (
     ChainMapViolation,
     CoefficientSystem,
-    fiber_homology,
     graded_betti,
     holonomy_is_identity,
 )
-from .forms import PolyForm, RatioForm
+from .forms import PolyForm
 from .linalg import Q, qx
 from .mixed import (
     ChainMapData,
@@ -117,13 +117,7 @@ def _flip_last(p: PolyForm) -> PolyForm:
     vertices 0..l-1, so the face {x_0 = 0} becomes the coordinate
     hyperplane of the first variable.
     """
-    l = p.k
-    images = {}
-    for i in range(1, l):
-        images[i] = PolyForm(l, {(tuple(1 if t == i else 0 for t in range(l)),
-                                  ()): Q(1)})
-    images[l] = PolyForm.coordinate(l, 0)
-    return p.pullback(l, images)
+    return p.affine_pullback(p.k, tuple(range(2, p.k + 1)) + (0,))
 
 
 def _subst_zero(p: PolyForm, var: int) -> PolyForm:
@@ -279,30 +273,48 @@ class RatioMatrix:
         return self.promoted(e).eq(other.promoted(e))
 
 
-def _pullback_with_images(fm: FormMatrix, target_k: int,
-                          images: dict, den: PolyForm) -> RatioMatrix:
-    """Entrywise substitution of rational 0-forms for the chart
-    variables of ``fm``; ``images[i]`` is a RatioForm over ``den``."""
-    dimg = {i: f.d() for i, f in images.items()}
+def _pullback_with_images(fm: FormMatrix, target_k: int, nums: dict,
+                          den: PolyForm) -> RatioMatrix:
+    """Entrywise pullback of ``fm`` along x_i -> nums[i] / den.
+
+    A term c x^e dx^D pulls back to
+
+        c N^e ∧_{i in D} (den dN_i - N_i dden) / den^(|e| + 2|D|),
+
+    so over den^top, with top the largest |e| + 2|D| in the matrix, its
+    numerator carries the remaining power of den.  The image of each
+    basis term and every power of a numerator or of den is built once.
+    """
+    top = max((sum(e) + 2 * len(dxs) for _r, _c, p in fm.entries()
+               for e, dxs in p.terms), default=0)
+    dden = den.d()
+    dimg = {i: den.wedge(n.d()) - n.wedge(dden) for i, n in nums.items()}
+    powers: dict = {}
+
+    def power(i: int, e: int) -> PolyForm:
+        """nums[i]**e, with i = 0 standing for den."""
+        if (i, e) not in powers:
+            powers[i, e] = (PolyForm.one(target_k) if e == 0 else
+                            power(i, e - 1).wedge(nums[i] if i else den))
+        return powers[i, e]
+
+    images: dict = {}
     out = FormMatrix(target_k, fm.row_deg, fm.col_deg)
-    exps_out = {}
     for r, c, p in fm.entries():
-        acc_total = RatioForm(PolyForm.zero(target_k), den, 0)
-        for (exps, dxs), coef in p.terms.items():
-            acc = RatioForm(PolyForm.const(target_k, coef), den, 0)
-            for i, e in enumerate(exps, start=1):
-                for _ in range(e):
-                    acc = acc.wedge(images[i])
-            for i in dxs:
-                acc = acc.wedge(dimg[i])
-            acc_total = acc_total + acc
-        out.set_entry(r, c, acc_total.num)
-        exps_out[(r, c)] = acc_total.e
-    top = max(exps_out.values(), default=0)
-    result = FormMatrix(target_k, fm.row_deg, fm.col_deg)
-    for r, c, p in out.entries():
-        result.set_entry(r, c, den.power(top - exps_out[(r, c)]).wedge(p))
-    return RatioMatrix(result, den, top)
+        acc = PolyForm.zero(target_k)
+        for key, coef in p.terms.items():
+            if key not in images:
+                exps, dxs = key
+                f = power(0, top - sum(exps) - 2 * len(dxs))
+                for i, e in enumerate(exps, start=1):
+                    if e:
+                        f = f.wedge(power(i, e))
+                for i in dxs:
+                    f = f.wedge(dimg[i])
+                images[key] = f
+            acc = acc + images[key].scale(coef)
+        out.set_entry(r, c, acc)
+    return RatioMatrix(out, den, top)
 
 
 def pullback_matrix(fm: FormMatrix, P: PartitionOfUnity, sigma: Simplex
@@ -310,10 +322,8 @@ def pullback_matrix(fm: FormMatrix, P: PartitionOfUnity, sigma: Simplex
     """Pull a matrix of forms on |sigma| back along the partition
     self-map, entry by entry."""
     l = dim(sigma)
-    den = P.den[sigma]
-    img = {i + 1: RatioForm(P.num[(sigma, v)], den, 1)
-           for i, v in enumerate(sigma[1:])}
-    return _pullback_with_images(fm, l, img, den)
+    nums = {i: P.num[(sigma, v)] for i, v in enumerate(sigma[1:], start=1)}
+    return _pullback_with_images(fm, l, nums, P.den[sigma])
 
 
 def face_collapse_pullback(P: PartitionOfUnity, sigma: Simplex, tau: Simplex,
@@ -326,10 +336,8 @@ def face_collapse_pullback(P: PartitionOfUnity, sigma: Simplex, tau: Simplex,
     self-map; off the face it is the first-order model the smoothing is
     compared against.
     """
-    den = P.den[sigma]
-    img = {t: RatioForm(P.num[(sigma, v)], den, 1)
-           for t, v in enumerate(tau[1:], start=1)}
-    return _pullback_with_images(fm_tau, dim(sigma), img, den)
+    nums = {t: P.num[(sigma, v)] for t, v in enumerate(tau[1:], start=1)}
+    return _pullback_with_images(fm_tau, dim(sigma), nums, P.den[sigma])
 
 
 # ---------------------------------------------------------------------------
@@ -450,16 +458,16 @@ def omega_betti(FM: FiberModel) -> dict[int, int]:
     return graded_betti(FM.D, {e: FM.omega_degree[e] for e in FM.omega_basis})
 
 
-def quasi_iso_ranks(A: CoefficientSystem, FM: FiberModel) -> dict:
+def quasi_iso_ranks(A: CoefficientSystem, FM: FiberModel, H: dict) -> dict:
     """Per vertex: Betti numbers of the fiber complex against those of
     (Omega, D).  Per triangle: holonomy on homology is the identity.
+    ``H`` maps every vertex simplex to its ``fiber_homology``.
     """
     betti_o = omega_betti(FM)
     report = {"omega": betti_o, "vertices": {}, "triangles": {},
               "problems": []}
     for v in A.S.vertices():
-        H = fiber_homology(A, v)
-        betti_v = {q: r for q, r in H.betti.items() if r}
+        betti_v = {q: r for q, r in H[v].betti.items() if r}
         report["vertices"][v] = betti_v
         if betti_v != {q: r for q, r in betti_o.items() if r}:
             report["problems"].append(
@@ -467,7 +475,7 @@ def quasi_iso_ranks(A: CoefficientSystem, FM: FiberModel) -> dict:
                 f"{betti_v} vs {betti_o}")
     for tri in A.S.of_dim(2):
         try:
-            ok = holonomy_is_identity(A, tri)
+            ok = holonomy_is_identity(A, tri, H)
             if not ok:
                 report["problems"].append(f"holonomy around {tri} is not trivial")
         except ChainMapViolation as ex:

@@ -17,6 +17,7 @@ from flatforms.flatsys import (
     all_residuals,
     cw_boundary,
     extend_system,
+    fiber_homology,
     igusa_check,
     igusa_export,
 )
@@ -303,7 +304,8 @@ def test_criterion_7_quasi_isomorphism():
     batteries.append(("edge", worked_edge(), worked_edge_fiber()))
     for name, A, FM in batteries:
         t0 = time.perf_counter()
-        rep = quasi_iso_ranks(A, FM)
+        H = {v: fiber_homology(A, v) for v in A.S.vertices()}
+        rep = quasi_iso_ranks(A, FM, H)
         problems += [f"{name}: {p}" for p in rep["problems"]]
         count_tri += len(rep["triangles"])
         worst = max(worst, time.perf_counter() - t0)

@@ -240,6 +240,16 @@ def test_generated_fiber_model_file_matches_seed(capsys, tmp_path):
         assert reports[0] == reports[1], seed
 
 
+@pytest.mark.parametrize("seed", [26, 32])
+def test_enriched_seed_says_why_it_has_no_fiber_model(capsys, seed):
+    assert main(["build-iprime", "--seed", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == (
+        "input error: no fiber model: instance was enriched away from its "
+        "gauge; no model available")
+
+
 def test_build_failure_is_a_certificate_not_a_traceback(capsys):
     # a degree-0 ansatz cannot extend the seed-7 data
     code, rep = run(capsys, "build-aprime", "--seed", "7", "--max-degree", "0")

@@ -188,7 +188,7 @@ def test_cw_homology_gauge_invariant():
         for s in inst.S.of_dim(k):
             flat0.set(s, {})
     assert is_flat(flat0)
-    assert cw_homology(inst.A) == cw_homology(flat0)
+    assert cw_homology(cw_boundary(inst.A)) == cw_homology(cw_boundary(flat0))
 
 
 def test_igusa_export_passes_on_flat_and_detects_corruption():
@@ -233,14 +233,14 @@ def test_edge_transport_and_holonomy_identity():
         if not tris:
             continue
         for tri in tris[:2]:
-            assert holonomy_is_identity(inst.A, tri)
+            H = {(v,): fiber_homology(inst.A, (v,)) for v in tri}
+            assert holonomy_is_identity(inst.A, tri, H)
             # the holonomy X = M02^-1 M01 M12, solved from M02 X = M01 M12
             v0, v1, v2 = tri
-            H = {v: fiber_homology(inst.A, (v,)) for v in tri}
             M = {e: induced_on_homology(edge_transport(inst.A, e),
-                                        H[e[1]], H[e[0]])
+                                        H[(e[1],)], H[(e[0],)])
                  for e in ((v0, v1), (v1, v2), (v0, v2))}
-            n = len(H[v2].reps)
+            n = len(H[(v2,)].reps)
             rhs = smat_transpose(smat_mul(M[v0, v1], M[v1, v2]))
             sols = solve(M[v0, v2], range(n), [rhs.get(j, {}) for j in range(n)])
             hol = smat_transpose({j: x for j, (x, _cert) in enumerate(sols)})

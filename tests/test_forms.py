@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,14 +10,12 @@ from flatforms.forms import (
     ExtensionInfeasible,
     IncompatibleBoundaryData,
     PolyForm,
-    RatioForm,
     extend_from_boundary,
     poincare_contract,
 )
 
 
 def random_form(rng, k, max_poly_deg=3, degrees=None):
-    from itertools import combinations
     f = PolyForm.zero(k)
     terms = {}
     dx_choices = []
@@ -123,6 +122,37 @@ def test_restrict_is_algebra_map(seed, k):
         f.restrict(positions).wedge(g.restrict(positions))
 
 
+def coordinate_images(k, positions):
+    """The coordinate images of the face inclusion through ``positions``."""
+    lk = len(positions) - 1
+    return {i: (PolyForm.coordinate(lk, positions.index(i)) if i in positions
+                else PolyForm.zero(lk)) for i in range(1, k + 1)}
+
+
+def faces(k):
+    return [pos for r in range(1, k + 2) for pos in combinations(range(k + 1), r)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4))
+def test_restrict_equals_pullback_on_every_face(seed, k):
+    f = random_form(random.Random(seed), k)
+    for pos in faces(k):
+        r = f.restrict(pos)
+        assert r == f.pullback(len(pos) - 1, coordinate_images(k, pos))
+        assert all(type(c) is Q for c in r.terms.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4))
+def test_restrict_twice_is_restrict_along_composite(seed, k):
+    f = random_form(random.Random(seed), k)
+    for outer in faces(k):
+        for inner in faces(len(outer) - 1):
+            composite = tuple(outer[j] for j in inner)
+            assert f.restrict(outer).restrict(inner) == f.restrict(composite)
+
+
 # --- pinned restriction values -----------------------------------------
 
 
@@ -221,54 +251,3 @@ def test_json_roundtrip():
         k = rng.randrange(0, 4)
         f = random_form(rng, k) if k else PolyForm.const(0, Q(3, 7))
         assert PolyForm.from_json(f.to_json()) == f
-
-
-# --- localized forms -------------------------------------------------------
-
-
-def den_for(k):
-    # a positive denominator: 1 + x_1 + 2 x_2 + ...
-    d = PolyForm.one(k)
-    for i in range(1, k + 1):
-        d = d + PolyForm.coordinate(k, i).scale(i)
-    return d
-
-
-def test_ratio_form_arithmetic():
-    k = 2
-    den = den_for(k)
-    a = RatioForm(PolyForm.coordinate(k, 1), den, 1)
-    b = RatioForm(PolyForm.coordinate(k, 2), den, 2)
-    s = a + b
-    assert s.e == 2
-    # (x1*den + x2) / den^2
-    expected = PolyForm.coordinate(k, 1).wedge(den) + PolyForm.coordinate(k, 2)
-    assert s.num == expected
-    assert (s - a) == b
-
-
-def test_ratio_form_restrict_rejects_mismatched_denominator():
-    den = PolyForm.one(2) + PolyForm.coordinate(2, 1)
-    f = RatioForm(PolyForm.coordinate(2, 2), den, 1)
-    assert f.restrict((0, 1), PolyForm.one(1) + PolyForm.coordinate(1, 1)).e == 1
-    with pytest.raises(ValueError):
-        f.restrict((0, 1), PolyForm.one(1))
-
-
-def test_ratio_form_d_matches_quotient_rule():
-    k = 2
-    den = den_for(k)
-    # quotient rule by hand: d(x1/den) = (den*dx1 - x1*dden)/den^2
-    a = RatioForm(PolyForm.coordinate(k, 1), den, 1)
-    da = a.d()
-    expected_num = den.wedge(PolyForm.dx(k, 1)) - den.d().wedge(PolyForm.coordinate(k, 1))
-    assert da == RatioForm(expected_num, den, 2)
-
-
-def test_ratio_form_d_squared_zero():
-    rng = random.Random(9)
-    k = 2
-    den = den_for(k)
-    for _ in range(10):
-        f = RatioForm(random_form(rng, k), den, rng.randrange(0, 3))
-        assert f.d().d().is_zero() or f.d().d() == RatioForm(PolyForm.zero(k), den, 0)

@@ -1,8 +1,9 @@
 """Source rules that no linter enforces here: every module-level import
 is used, imports sit at module level, checks raise exceptions instead of
 using ``assert`` (which ``python -O`` strips), importing the command
-line does not load scipy, which is not a dependency, and every public
-function and method is used somewhere."""
+line does not load scipy, which is not a dependency, every public
+function and method is used somewhere, and every public class is used
+in the package itself."""
 
 import ast
 import os
@@ -81,20 +82,43 @@ def _public_definitions(tree):
                     yield f"{node.name}.{item.name}", item.lineno
 
 
+def _names(tree, skip=None):
+    """Every identifier named in ``tree``, outside the subtree ``skip``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        stack.extend(ast.iter_child_nodes(node))
+
+
 def test_public_functions_are_referenced():
     """Every public function and method is named somewhere in src or
     tests, so unused helpers do not linger."""
     names = set()
     for path in MODULES + sorted(TESTS.glob("*.py")):
-        for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
+        names.update(_names(_tree(path)))
     unused = sorted(f"{path.name}: {name} (line {line})"
                     for path in MODULES
                     for name, line in _public_definitions(_tree(path))
                     if name.split(".")[-1] not in names)
+    assert unused == []
+
+
+def test_public_classes_are_used_in_src():
+    """Every public class is named somewhere in src outside its own
+    body, so a type that only its tests use does not linger."""
+    trees = [_tree(path) for path in MODULES]
+    unused = sorted(
+        f"{path.name}: {node.name} (line {node.lineno})"
+        for path, tree in zip(MODULES, trees)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        and not any(node.name in _names(t, skip=node) for t in trees))
     assert unused == []

@@ -1,11 +1,12 @@
 import json
+import random
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatforms.flatsys import CoefficientSystem
+from flatforms.flatsys import CoefficientSystem, fiber_homology
 from flatforms.forms import PolyForm
 from flatforms.instances import designed_instance, generate, make_fiber_model
 from flatforms.mixed import (
@@ -20,6 +21,7 @@ from flatforms.simplicial import build_complex
 from flatforms.smoothing import (
     PartitionOfUnity,
     RatioMatrix,
+    _flip_last,
     assemble_I,
     omega_betti,
     partition_default,
@@ -33,6 +35,7 @@ from flatforms.smoothing import (
     verify_global,
 )
 
+from test_forms import random_form
 
 
 def connection(A):
@@ -175,6 +178,71 @@ def test_ratio_promoted_cannot_lower():
         R.promoted(0)
 
 
+def den_for(k):
+    # a positive denominator: 1 + x_1 + 2 x_2 + ...
+    d = PolyForm.one(k)
+    for i in range(1, k + 1):
+        d = d + PolyForm.coordinate(k, i).scale(i)
+    return d
+
+
+def ratio_1x1(p, den, e):
+    deg = {"x": 0}
+    num = FormMatrix(p.k, deg, deg)
+    num.set_entry("x", "x", p)
+    return RatioMatrix(num, den, e)
+
+
+def test_ratio_matrix_arithmetic():
+    k = 2
+    den = den_for(k)
+    a = ratio_1x1(PolyForm.coordinate(k, 1), den, 1)
+    b = ratio_1x1(PolyForm.coordinate(k, 2), den, 2)
+    s = a.add(b)
+    assert s.e == 2
+    # (x1*den + x2) / den^2
+    expected = PolyForm.coordinate(k, 1).wedge(den) + PolyForm.coordinate(k, 2)
+    assert s.num.entry("x", "x") == expected
+    assert s.add(RatioMatrix(a.num.scale(-1), den, a.e)).eq(b)
+
+
+def test_ratio_matrix_restrict_rejects_mismatched_denominator():
+    den = PolyForm.one(2) + PolyForm.coordinate(2, 1)
+    f = ratio_1x1(PolyForm.coordinate(2, 2), den, 1)
+    assert f.restrict((0, 1), PolyForm.one(1) + PolyForm.coordinate(1, 1)).e == 1
+    with pytest.raises(ValueError):
+        f.restrict((0, 1), PolyForm.one(1))
+
+
+def test_ratio_matrix_d_matches_quotient_rule():
+    k = 2
+    den = den_for(k)
+    # quotient rule by hand: d(x1/den) = (den*dx1 - x1*dden)/den^2
+    a = ratio_1x1(PolyForm.coordinate(k, 1), den, 1)
+    expected_num = den.wedge(PolyForm.dx(k, 1)) - den.d().wedge(PolyForm.coordinate(k, 1))
+    assert a.d().eq(ratio_1x1(expected_num, den, 2))
+
+
+def test_ratio_matrix_d_squared_zero():
+    rng = random.Random(9)
+    k = 2
+    den = den_for(k)
+    for _ in range(10):
+        f = ratio_1x1(random_form(rng, k), den, rng.randrange(0, 3))
+        dd = f.d().d()
+        assert dd.is_zero() or dd.eq(ratio_1x1(PolyForm.zero(k), den, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4))
+def test_chart_flip_equals_its_pullback(seed, k):
+    f = random_form(random.Random(seed), k)
+    # x_i -> y_(i+1) for i < k, and x_k -> y_0 = 1 - y_1 - ... - y_k
+    images = {i: PolyForm.coordinate(k, i + 1) for i in range(1, k)}
+    images[k] = PolyForm.coordinate(k, 0)
+    assert _flip_last(f) == f.pullback(k, images)
+
+
 def test_pullback_of_constants_is_constant():
     A = edge_system()
     data = connection(A)
@@ -271,12 +339,17 @@ def test_chain_requires_assembly():
 # --- homology comparison ------------------------------------------------
 
 
+def fibers(A):
+    return {v: fiber_homology(A, v) for v in A.S.vertices()}
+
+
 def test_omega_betti_worked_edge():
     assert omega_betti(edge_fiber()) == {0: 1, 1: 0}
 
 
 def test_quasi_iso_worked_edge():
-    rep = quasi_iso_ranks(edge_system(), edge_fiber())
+    A = edge_system()
+    rep = quasi_iso_ranks(A, edge_fiber(), fibers(A))
     assert rep["problems"] == []
     assert rep["triangles"] == {}
 
@@ -284,7 +357,8 @@ def test_quasi_iso_worked_edge():
 def test_quasi_iso_detects_rank_mismatch():
     FM = edge_fiber()
     FM.D = {}  # now Omega has two classes in degree 0 and one in degree 1
-    rep = quasi_iso_ranks(edge_system(), FM)
+    A = edge_system()
+    rep = quasi_iso_ranks(A, FM, fibers(A))
     assert rep["problems"]
     assert any("Betti" in m for m in rep["problems"])
 
@@ -292,6 +366,6 @@ def test_quasi_iso_detects_rank_mismatch():
 def test_quasi_iso_generated_with_triangles():
     inst = generate(8, max_dim=2, enrich=False)
     FM = make_fiber_model(inst)
-    rep = quasi_iso_ranks(inst.A, FM)
+    rep = quasi_iso_ranks(inst.A, FM, fibers(inst.A))
     assert rep["problems"] == []
     assert rep["triangles"] and all(rep["triangles"].values())
