@@ -84,7 +84,7 @@ def _skey(s) -> str:
 
 
 def _plain(x):
-    """Rationals to strings, tuples to lists, numpy scalars to floats."""
+    """Rationals to strings, tuples to lists."""
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, dict):
@@ -92,69 +92,80 @@ def _plain(x):
                 for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_plain(v) for v in x]
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.integer):
-        return int(x)
     return x
 
 
 class Loaded:
-    def __init__(self, raw, S, L, A, FM, P, has_coeffs, no_model):
-        self.raw = raw
-        self.S, self.L, self.A = S, L, A
-        self.FM, self.P = FM, P
-        self.has_coeffs = has_coeffs
+    def __init__(self, raw, A, FM, P, no_model=""):
+        self.raw = raw             # the file's JSON; None for --seed
+        self.A, self.FM, self.P = A, FM, P
         self.no_model = no_model   # why FM is None, when it is
 
 
 def load_instance(args) -> Loaded:
-    if getattr(args, "instance", None):
-        try:
-            raw = json.loads(Path(args.instance).read_text())
-        except FileNotFoundError:
-            raise ParseError(f"no such file: {args.instance}")
-        except json.JSONDecodeError as ex:
-            raise ParseError(f"{args.instance} is not valid JSON: {ex}")
-        if "version" not in raw:
-            raise ParseError("instance file has no version field")
-        try:
-            S, L, A = instance_from_json(raw)
-            FM = (FiberModel.from_json(raw["fiber_model"])
-                  if "fiber_model" in raw else None)
-            P = (PartitionOfUnity.from_json(S, raw["partition"])
-                 if "partition" in raw else None)
-        except (KeyError, TypeError, ValueError) as ex:
-            raise ParseError(f"malformed instance file: {ex!r}")
-        return Loaded(raw, S, L, A, FM, P, "coefficients" in raw,
-                      "add one to the instance file or use --seed")
-    if getattr(args, "seed", None) is not None:
+    """The instance of ``--instance FILE`` or ``--seed N``.  The one place
+    where a file the parsers reject (they check keys, simplices, leaves
+    and shapes, and run no algebra) becomes a ``ParseError``."""
+    if args.instance and args.seed is not None:
+        raise ParseError("give --instance or --seed, not both")
+    if args.seed is not None:
         inst = generate(args.seed)
         try:
-            FM, no_model = make_fiber_model(inst), ""
+            return Loaded(None, inst.A, make_fiber_model(inst), None)
         except ValueError as ex:
-            FM, no_model = None, str(ex)
-        return Loaded(None, inst.S, inst.L, inst.A, FM, None, True, no_model)
-    raise ParseError("provide --instance FILE or --seed N")
+            return Loaded(None, inst.A, None, None, str(ex))
+    if not args.instance:
+        raise ParseError("provide --instance FILE or --seed N")
+    try:
+        raw = json.loads(Path(args.instance).read_text())
+    except FileNotFoundError:
+        raise ParseError(f"no such file: {args.instance}")
+    except ValueError as ex:               # not JSON, or not text at all
+        raise ParseError(f"{args.instance} is not valid JSON: {ex}")
+    if not isinstance(raw, dict) or "version" not in raw:
+        raise ParseError("instance file has no version field")
+    try:
+        S, _L, A = instance_from_json(raw)
+        FM = (FiberModel.from_json(raw["fiber_model"], A)
+              if "fiber_model" in raw else None)
+        P = (PartitionOfUnity.from_json(S, raw["partition"])
+             if "partition" in raw else None)
+    # what a parser raises on a file it rejects: a key, type or value fault
+    except (AttributeError, LookupError, TypeError, ValueError) as ex:
+        raise ParseError(f"malformed instance file: {ex!r}")
+    return Loaded(raw, A, FM, P, "add one to the instance file or use --seed")
 
 
 def save_instance(path, S, L, A, extra: dict | None = None):
     data = instance_to_json(S, L, A)
     data["version"] = FILE_VERSION
-    for key in ("fiber_model", "partition"):
-        if extra and key in extra:
-            data[key] = extra[key]
+    data.update(extra or {})
     Path(path).write_text(json.dumps(data, indent=1) + "\n")
 
 
-# a build that cannot finish is a failed check, reported with its cause
-BUILD_ERRORS = (ExtensionInfeasible, IncompatibleBoundaryData, NotNilpotent)
+class Checks(dict):
+    """One command's checks in report order, with the certificates of
+    the failed ones: ``record`` files a check as ``ok`` or its problem
+    list, ``stop`` one that an exception ended as its message."""
+
+    def __init__(self):
+        super().__init__()
+        self.certificates: list[str] = []
+
+    def record(self, name: str, problems: list[str], ok="ok") -> "Checks":
+        self[name] = problems if problems else ok
+        self.certificates += problems
+        return self
+
+    def stop(self, name: str, ex: Exception) -> "Checks":
+        self[name] = str(ex)
+        self.certificates.append(str(ex))
+        return self
 
 
-def _build_failure(ex: Exception, checks: dict, t0: float):
-    checks["build"] = str(ex)
-    return {"checks": checks,
-            "timings": {"total": time.perf_counter() - t0}}, [str(ex)]
+# a build that cannot finish, or lacks a coefficient, fails with its cause
+BUILD_ERRORS = (ExtensionInfeasible, IncompatibleBoundaryData, NotNilpotent,
+                MissingFaceData)
 
 
 # ---------------------------------------------------------------------------
@@ -164,194 +175,155 @@ def _build_failure(ex: Exception, checks: dict, t0: float):
 
 def cmd_validate(args):
     inst = load_instance(args)
-    certs = []
-    checks = {}
-    t0 = time.perf_counter()
-    leaf = (validate_leaf_system(inst.L, inst.S)
-            + check_partial_order(inst.L, inst.S)
-            + check_refinement(inst.L, inst.S))
-    checks["leaves"] = "ok" if not leaf else leaf
-    certs += leaf
-    if inst.has_coeffs:
-        sysp = validate_system(inst.A)
-        checks["system"] = "ok" if not sysp else sysp
-        certs += sysp
+    checks = Checks()
+    S, L = inst.A.S, inst.A.L
+    checks.record("leaves", validate_leaf_system(L, S)
+                  + check_partial_order(L, S) + check_refinement(L, S))
+    if inst.raw is None or "coefficients" in inst.raw:
+        checks.record("system", validate_system(inst.A))
     else:
         checks["system"] = "skipped (no coefficients)"
     if inst.FM is not None:
-        if inst.has_coeffs and checks["system"] == "ok":
-            fmp = validate_fiber_model(inst.A, inst.FM)
-            checks["fiber_model"] = "ok" if not fmp else fmp
-            certs += fmp
+        if checks["system"] == "ok":
+            checks.record("fiber_model", validate_fiber_model(inst.A, inst.FM))
         else:
             checks["fiber_model"] = "skipped (needs a valid system)"
     if inst.P is not None:
-        pp = validate_partition(inst.P)
-        checks["partition"] = "ok" if not pp else pp
-        certs += pp
-    return {"checks": checks,
-            "timings": {"total": time.perf_counter() - t0}}, certs
+        checks.record("partition", validate_partition(inst.P))
+    return checks
 
 
 def cmd_extend(args):
     if not args.instance:
         raise ParseError("extend needs --instance FILE to write back to")
     inst = load_instance(args)
-    certs = []
-    t0 = time.perf_counter()
+    checks = Checks()
     try:
         full = extend_system(inst.A, to_dim=args.to_dim)
     except (Infeasible, MissingFaceData) as ex:
-        return {"checks": {"extend": str(ex)},
-                "timings": {"total": time.perf_counter() - t0}}, [str(ex)]
-    problems = validate_system(full)
-    certs += problems
-    filled = sorted(set(full.coeffs) - set(inst.A.coeffs))
-    if not certs:
+        return checks.stop("extend", ex)
+    checks["filled"] = [_skey(s) for s in sorted(set(full.coeffs)
+                                                 - set(inst.A.coeffs))]
+    checks.record("system", validate_system(full))
+    checks["written"] = not checks.certificates
+    if checks["written"]:
         extra = {k: inst.raw[k] for k in ("fiber_model", "partition")
-                 if inst.raw and k in inst.raw}
-        save_instance(args.instance, inst.S, inst.L, full, extra)
-    return {"checks": {"filled": [_skey(s) for s in filled],
-                       "system": "ok" if not problems else problems,
-                       "written": not certs},
-            "timings": {"total": time.perf_counter() - t0}}, certs
+                 if k in inst.raw}
+        save_instance(args.instance, full.S, full.L, full, extra)
+    return checks
 
 
 def cmd_build_aprime(args):
     inst = load_instance(args)
-    t0 = time.perf_counter()
-    sysp = validate_system(inst.A)
-    if sysp:
-        return {"checks": {"system": sysp}}, sysp
+    checks = Checks()
+    if sysp := validate_system(inst.A):
+        return checks.record("system", sysp)
     try:
         data = build_mixed_connection(inst.A, max_degree=args.max_degree)
     except BUILD_ERRORS as ex:
-        return _build_failure(ex, {}, t0)
-    certs = report_certificates(data.report)
-    checks = {"simplices": len(data.report),
-              "problems": certs if certs else "none"}
-    return {"checks": checks,
-            "timings": {"total": time.perf_counter() - t0}}, certs
+        return checks.stop("build", ex)
+    checks["simplices"] = len(data.report)
+    return checks.record("problems", report_certificates(data.report),
+                         ok="none")
 
 
 def cmd_build_iprime(args):
     inst = load_instance(args)
     if inst.FM is None:
         raise ParseError(f"no fiber model: {inst.no_model}")
-    t0 = time.perf_counter()
-    fmp = validate_fiber_model(inst.A, inst.FM)
-    if fmp:
-        return {"checks": {"fiber_model": fmp}}, fmp
+    checks = Checks()
     try:
+        if fmp := validate_fiber_model(inst.A, inst.FM):
+            return checks.record("fiber_model", fmp)
         data = build_mixed_connection(inst.A, max_degree=args.max_degree)
         cm = build_Iprime(data, inst.FM, max_degree=args.max_degree)
     except BUILD_ERRORS as ex:
-        return _build_failure(ex, {}, t0)
-    certs = report_certificates(cm.report)
-    checks = {"simplices": len(cm.report)}
+        return checks.stop("build", ex)
+    checks["simplices"] = len(cm.report)
+    problems = report_certificates(cm.report)
     if inst.FM.eta is not None:
+        # shown on its own, certified once among the problems
         loc = locality_check(data, cm)
-        checks["locality"] = "ok" if not loc else loc
-        certs += loc
-    checks["problems"] = certs if certs else "none"
-    return {"checks": checks,
-            "timings": {"total": time.perf_counter() - t0}}, certs
+        checks["locality"] = loc if loc else "ok"
+        problems += loc
+    return checks.record("problems", problems, ok="none")
 
 
 def cmd_smooth(args):
     inst = load_instance(args)
-    certs = []
-    checks = {}
-    t0 = time.perf_counter()
-    A = inst.A
-    P = inst.P
-    checks["partition"] = "from file" if P is not None else "default"
-    if P is None:
-        P = partition_default(A.S)
-    pp = validate_partition(P)
-    checks["partition_valid"] = "ok" if not pp else pp
-    certs += pp
-    if inst.FM is not None:
-        fmp = validate_fiber_model(A, inst.FM)
-        if fmp:
-            checks["fiber_model"] = fmp
-            return {"checks": checks,
-                    "timings": {"total": time.perf_counter() - t0}}, certs + fmp
+    checks = Checks()
+    A, FM = inst.A, inst.FM
+    checks["partition"] = "from file" if inst.P is not None else "default"
+    P = inst.P if inst.P is not None else partition_default(A.S)
+    checks.record("partition_valid", validate_partition(P))
     try:
+        if FM is not None and (fmp := validate_fiber_model(A, FM)):
+            return checks.record("fiber_model", fmp)
         data = build_mixed_connection(A)
-        cm = build_Iprime(data, inst.FM) if inst.FM is not None else None
+        cm = build_Iprime(data, FM) if FM is not None else None
     except BUILD_ERRORS as ex:
-        report, cert = _build_failure(ex, checks, t0)
-        return report, certs + cert
+        return checks.stop("build", ex)
     G = pullback_global(data, P)
     rep = verify_global(G)
     for kind in ("flat", "c0", "first_order"):
-        checks[kind] = "ok" if not rep[kind] else rep[kind]
-        certs += rep[kind]
+        checks.record(kind, rep[kind])
     if cm is not None:
         assemble_I(G, cm)
-        chain = verify_chain(G)
-        checks["chain"] = "ok" if not chain else chain
-        certs += chain
-    return {"checks": checks,
-            "timings": {"total": time.perf_counter() - t0}}, certs
+        checks.record("chain", verify_chain(G))
+    return checks
 
 
 def cmd_igusa(args):
-    inst = load_instance(args)
-    certs = []
-    t0 = time.perf_counter()
-    count = 0
-    for sigma in inst.A.S:
-        bad = igusa_check(igusa_export(inst.A, sigma))
-        count += 1
-        for tup in bad:
-            certs.append(f"{_skey(sigma)}: relation fails at tuple {tup}")
-    return {"checks": {"simplices": count,
-                       "problems": certs if certs else "none"},
-            "timings": {"total": time.perf_counter() - t0}}, certs
+    A = load_instance(args).A
+    checks = Checks()
+    try:
+        problems = [f"{_skey(sigma)}: relation fails at tuple {tup}"
+                    for sigma in A.S
+                    for tup in igusa_check(igusa_export(A, sigma))]
+    except MissingFaceData as ex:
+        return checks.stop("system", ex)
+    checks["simplices"] = len(A.S)
+    return checks.record("problems", problems, ok="none")
 
 
 def cmd_holonomy(args):
-    inst = load_instance(args)
-    certs = []
-    t0 = time.perf_counter()
-    tris = {}
-    corners = dict.fromkeys((v,) for tri in inst.A.S.of_dim(2) for v in tri)
-    H = {v: fiber_homology(inst.A, v) for v in corners}
-    for tri in inst.A.S.of_dim(2):
-        try:
-            ok = holonomy_is_identity(inst.A, tri, H)
-            if not ok:
-                certs.append(f"holonomy around {_skey(tri)} is not the identity")
-        except ChainMapViolation as ex:
-            ok = False
-            certs.append(str(ex))
-        tris[_skey(tri)] = ok
-    return {"checks": {"triangles": tris if tris else "none"},
-            "timings": {"total": time.perf_counter() - t0}}, certs
+    A = load_instance(args).A
+    checks, tris = Checks(), {}
+    try:
+        corners = dict.fromkeys((v,) for tri in A.S.of_dim(2) for v in tri)
+        H = {v: fiber_homology(A, v) for v in corners}
+        for tri in A.S.of_dim(2):
+            try:
+                ok = holonomy_is_identity(A, tri, H)
+                if not ok:
+                    checks.certificates.append(
+                        f"holonomy around {_skey(tri)} is not the identity")
+            except ChainMapViolation as ex:
+                ok = False
+                checks.certificates.append(str(ex))
+            tris[_skey(tri)] = ok
+    except MissingFaceData as ex:
+        return checks.stop("system", ex)
+    checks["triangles"] = tris if tris else "none"
+    return checks
 
 
 def cmd_homology(args):
     inst = load_instance(args)
-    certs = []
-    t0 = time.perf_counter()
-    bdry = cw_boundary(inst.A)
+    checks = Checks()
     try:
-        checks = {"cw_betti": cw_homology(bdry),
-                  "generators": len(bdry.generators)}
-    except NotADifferential as ex:
-        return {"checks": {"cw_betti": str(ex)},
-                "timings": {"total": time.perf_counter() - t0}}, [str(ex)]
+        bdry = cw_boundary(inst.A)
+        checks["cw_betti"] = cw_homology(bdry)
+    except (NotADifferential, MissingFaceData) as ex:
+        return checks.stop("cw_betti", ex)
+    checks["generators"] = len(bdry.generators)
     H = {v: fiber_homology(inst.A, v) for v in inst.A.S.vertices()}
     checks["fiber_betti"] = {_skey(v): h.betti for v, h in H.items()}
     if inst.FM is not None:
         rep = quasi_iso_ranks(inst.A, inst.FM, H)
         checks["omega_betti"] = rep["omega"]
-        checks["quasi_iso"] = "ok" if not rep["problems"] else rep["problems"]
-        certs += rep["problems"]
-    return {"checks": checks,
-            "timings": {"total": time.perf_counter() - t0}}, certs
+        checks.record("quasi_iso", rep["problems"])
+    return checks
 
 
 def cmd_flow(args):
@@ -362,7 +334,6 @@ def cmd_flow(args):
         raise ParseError("--sweep must be at least 0")
     if args.sweep is not None and args.start is not None:
         raise ParseError("give --start or --sweep, not both")
-    t0 = time.perf_counter()
     if args.sweep:
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
         starts = [[Fraction(c).limit_denominator(10**9)
@@ -371,7 +342,10 @@ def cmd_flow(args):
     else:
         if not args.start:
             raise ParseError("flow needs --start or --sweep")
-        start = [qx(c) for c in args.start.split(",")]
+        try:
+            start = [qx(c) for c in args.start.split(",")]
+        except ValueError as ex:
+            raise ParseError(f"--start: {ex}")
         if len(start) != k + 1:
             raise ParseError(f"--start needs {k + 1} coordinates for k={k}")
         if sum(start) != 1 or any(c < 0 for c in start):
@@ -379,36 +353,35 @@ def cmd_flow(args):
         starts = [start]
     x0 = [[float(c) for c in start] for start in starts]
     batch = flow_batch(k, x0, backward=args.backward)
-    certs = []
+    checks = Checks()
+    certs = checks.certificates
     runs = []
     for i, start in enumerate(starts):
-        out = {"start": [str(c) for c in start], "backward": args.backward}
         back, fwd = classify_limits(x0[i], tol=1e-12)
         expected = back if args.backward else fwd
-        out["expected_vertex"] = expected
-        out["converged"] = bool(batch.converged[i])
+        out = {"start": [str(c) for c in start], "backward": args.backward,
+               "expected_vertex": expected,
+               "converged": bool(batch.converged[i])}
         runs.append(out)
+        why = f"start {out['start']}: "
         if not out["converged"]:
-            certs.append(f"start {out['start']}: {batch.unsettled(i)}")
+            certs.append(why + batch.unsettled(i))
             continue
         out["limit"] = [float(c) for c in batch.limits[i]]
-        m = nearest_vertex(batch.limits[i], tol=1e-6)
-        out["limit_vertex"] = m
+        out["limit_vertex"] = m = nearest_vertex(batch.limits[i], tol=1e-6)
         if m != expected:
-            certs.append(
-                f"start {out['start']}: limit vertex {m}, expected {expected}")
+            certs.append(f"{why}limit vertex {m}, expected {expected}")
         out["height_monotone"] = bool(batch.monotone[i])
         if not out["height_monotone"]:
-            certs.append(f"start {out['start']}: height not monotone")
+            certs.append(why + "height not monotone")
     if args.sweep:
-        checks = {"runs": runs}
+        checks["runs"] = runs
     else:
         times, points = batch.path(0)
         runs[0]["times"] = [float(t) for t in times]
         runs[0]["points"] = [[float(c) for c in p] for p in points]
-        checks = {"trajectory": runs[0]}
-    return {"checks": checks,
-            "timings": {"total": time.perf_counter() - t0}}, certs
+        checks["trajectory"] = runs[0]
+    return checks
 
 
 COMMANDS = {
@@ -430,35 +403,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact checks for flat form data over a simplicial base")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--instance", metavar="FILE",
-                       help="JSON instance file")
+    def instance_command(name, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--instance", metavar="FILE", help="JSON instance file")
         p.add_argument("--seed", type=int, metavar="N",
                        help="generate a deterministic instance instead")
         p.add_argument("--report", metavar="FILE",
                        help="also write the report here")
+        return p
 
-    p = sub.add_parser("validate", help="structural and flatness checks")
-    common(p)
-    p = sub.add_parser("extend", help="fill in missing coefficients and "
-                                      "write the completed file back")
-    common(p)
-    p.add_argument("--to-dim", type=int, metavar="K", default=None)
-    p = sub.add_parser("build-aprime", help="build the per-simplex form data")
-    common(p)
-    p.add_argument("--max-degree", type=int, metavar="D", default=None)
-    p = sub.add_parser("build-iprime", help="build the per-simplex chain maps")
-    common(p)
-    p.add_argument("--max-degree", type=int, metavar="D", default=None)
-    p = sub.add_parser("smooth", help="pull everything back along the "
-                                      "partition of unity and recheck")
-    common(p)
-    p = sub.add_parser("igusa", help="reindexed relation check")
-    common(p)
-    p = sub.add_parser("holonomy", help="homology holonomy around triangles")
-    common(p)
-    p = sub.add_parser("homology", help="Betti numbers of base and fibers")
-    common(p)
+    instance_command("validate", "structural and flatness checks")
+    instance_command(
+        "extend", "fill in missing coefficients and write the completed "
+                  "file back").add_argument("--to-dim", type=int, metavar="K")
+    for name, what in (("build-aprime", "per-simplex form data"),
+                       ("build-iprime", "per-simplex chain maps")):
+        instance_command(name, f"build the {what}").add_argument(
+            "--max-degree", type=int, metavar="D")
+    instance_command("smooth", "pull everything back along the partition "
+                               "of unity and recheck")
+    instance_command("igusa", "reindexed relation check")
+    instance_command("holonomy", "homology holonomy around triangles")
+    instance_command("homology", "Betti numbers of base and fibers")
 
     p = sub.add_parser("flow", help="integrate the canonical simplex field")
     p.add_argument("--k", type=int, required=True, help="simplex dimension")
@@ -475,22 +441,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        body, certs = COMMANDS[args.command](args)
+        checks = COMMANDS[args.command](args)
+        certs = checks.certificates
+        report = {"command": args.command,
+                  "status": "pass" if not certs else "fail",
+                  "certificates": certs,
+                  "checks": checks,
+                  "timings": {"total": time.perf_counter() - t0}}
+        text = json.dumps(_plain(report), indent=2)
+        if args.report:
+            Path(args.report).write_text(text + "\n")
     except ParseError as ex:
         print(f"input error: {ex}", file=sys.stderr)
         return 2
-    except (OSError, KeyError, TypeError, ValueError) as ex:
+    except OSError as ex:
         print(f"input error: {ex!r}", file=sys.stderr)
         return 2
-    report = {"command": args.command,
-              "status": "pass" if not certs else "fail",
-              "certificates": certs}
-    report.update(body)
-    text = json.dumps(_plain(report), indent=2)
     print(text)
-    if getattr(args, "report", None):
-        Path(args.report).write_text(text + "\n")
     return 0 if not certs else 1
 
 

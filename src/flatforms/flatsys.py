@@ -37,7 +37,7 @@ from .linalg import (
     smat_transpose,
     solve,
 )
-from .morse import GradedModule, LeafSystem, allowed_blocks
+from .morse import GradedModule, LeafSystem, UnknownLeaf, allowed_blocks
 from .simplicial import (
     BaseComplex,
     Simplex,
@@ -124,6 +124,7 @@ class CoefficientSystem:
     @classmethod
     def from_json(cls, S: BaseComplex, L: LeafSystem, data: dict
                   ) -> "CoefficientSystem":
+        """The system in ``data``; foreign simplices, leaves or shapes raise."""
         A = cls(S, L)
         for skey, blocks in data.items():
             sigma = tuple(int(t) for t in skey.split(","))
@@ -131,6 +132,13 @@ class CoefficientSystem:
             for bkey, mat in blocks.items():
                 arrow = "<-" if "<-" in bkey else "←"
                 al, be = bkey.split(arrow)
+                if al not in L.rank or be not in L.rank:
+                    raise UnknownLeaf(f"block {bkey} on {sigma} names an "
+                                      f"undeclared leaf")
+                if (len(mat) != L.rank[al]
+                        or any(len(row) != L.rank[be] for row in mat)):
+                    raise ValueError(f"block {bkey} on {sigma} is not "
+                                     f"{L.rank[al]}x{L.rank[be]}")
                 for i, row in enumerate(mat):
                     for j, v in enumerate(row):
                         v = qx(v)

@@ -382,13 +382,16 @@ class PolyForm:
     @classmethod
     def from_json(cls, data: dict) -> "PolyForm":
         k = int(data["k"])
+        chart = range(1, k + 1)
         terms = {}
         for t in data.get("terms", []):
-            exps = [0] * k
-            for var, e in t.get("mono", {}).items():
-                exps[int(var) - 1] = int(e)
-            key = (tuple(exps), tuple(int(i) for i in t.get("dx", [])))
-            terms[key] = qx(t["coeff"])
+            mono = {int(var): int(e) for var, e in t.get("mono", {}).items()}
+            dxs = tuple(int(i) for i in t.get("dx", []))
+            if not (all(v in chart and e >= 0 for v, e in mono.items())
+                    and all(i in chart for i in dxs)
+                    and list(dxs) == sorted(set(dxs))):
+                raise ValueError(f"term {t} is not a form on a {k}-chart")
+            terms[(tuple(mono.get(i, 0) for i in chart), dxs)] = qx(t["coeff"])
         return cls(k, terms)
 
     def __repr__(self):

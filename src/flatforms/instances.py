@@ -36,7 +36,7 @@ from .linalg import (
     smat_sub,
 )
 from .mixed import FiberModel, FormMatrix, neumann_inverse
-from .morse import GradedModule, LeafSystem, allowed_blocks
+from .morse import GradedModule, LeafSystem, UnknownLeaf, allowed_blocks
 from .simplicial import BaseComplex, Simplex, build_complex
 
 LEAF_NAMES = ["a", "b", "c", "d", "e", "f"]
@@ -323,15 +323,13 @@ def instance_to_json(S: BaseComplex, L: LeafSystem, A: CoefficientSystem | None
 
 def instance_from_json(data: dict):
     S = build_complex([tuple(s) for s in data["complex"]])
-    heights = {}
-    for name, hv in data["heights"].items():
-        for v, h in hv.items():
-            heights[(name, int(v))] = h
+    heights = {(name, int(v)): h for name, hv in data["heights"].items()
+               for v, h in hv.items()}
     L = LeafSystem([(n, int(i), int(r)) for n, i, r in data["leaves"]],
                    heights, data.get("epsilon", "1"))
-    A = None
-    if "coefficients" in data:
-        A = CoefficientSystem.from_json(S, L, data["coefficients"])
-    else:
-        A = CoefficientSystem(S, L)
-    return S, L, A
+    for leaf in L.leaves:
+        for (v,) in S.vertices():
+            if (leaf, v) not in L.heights:
+                raise UnknownLeaf(f"no height for leaf {leaf!r} at vertex {v}")
+    coeffs = data.get("coefficients", {})
+    return S, L, CoefficientSystem.from_json(S, L, coeffs)

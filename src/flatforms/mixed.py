@@ -521,20 +521,29 @@ class FiberModel:
         return out
 
     @classmethod
-    def from_json(cls, data: dict) -> "FiberModel":
+    def from_json(cls, data: dict, A: CoefficientSystem) -> "FiberModel":
+        """The model in ``data`` over the system ``A``: every simplex,
+        module element and omega element it names must exist."""
         omega = [(tuple(e) if isinstance(e, list) else e, int(d))
                  for e, d in data["omega"]]
         by_key = {_omega_key(e): e for e, _ in omega}
 
         def name(k):
-            return by_key.get(k, k)
+            if k not in by_key:
+                raise ValueError(f"fiber model names {k}, not in omega")
+            return by_key[k]
 
+        if "eta" in data and set(data["eta"]) != set(by_key):
+            raise ValueError("fiber model eta does not tag omega exactly")
         I = {}
         for skey, m in data["I"].items():
-            sigma = tuple(int(t) for t in skey.split(",")) if skey else EMPTY
+            sigma = A.S.require(int(t) for t in skey.split(","))
             I[sigma] = {}
             for rkey, row in m.items():
                 al, i = rkey.rsplit(":", 1)
+                if (al, int(i)) not in A.M.position:
+                    raise ValueError(
+                        f"fiber model names {rkey}, not a module element")
                 I[sigma][(al, int(i))] = {name(e): qx(v) for e, v in row.items()}
         return cls(
             omega_basis=[e for e, _ in omega],

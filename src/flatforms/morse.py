@@ -15,7 +15,7 @@ from .linalg import SMat, qx, smat_set
 from .simplicial import BaseComplex, Simplex, all_faces
 
 
-class UnknownLeaf(Exception):
+class UnknownLeaf(ValueError):
     pass
 
 

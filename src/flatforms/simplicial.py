@@ -15,7 +15,7 @@ Simplex = tuple[int, ...]
 EMPTY: Simplex = ()
 
 
-class SimplexError(Exception):
+class SimplexError(ValueError):
     pass
 
 

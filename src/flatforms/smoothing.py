@@ -74,12 +74,24 @@ class PartitionOfUnity:
 
     @classmethod
     def from_json(cls, S: BaseComplex, data: dict) -> "PartitionOfUnity":
+        """The partition in ``data``: every simplex of ``S`` needs its
+        denominator and a numerator per vertex, each on its own chart."""
         P = cls(S)
+
+        def form(item):
+            sigma = S.require(item["sigma"])
+            p = PolyForm.from_json(item["form"])
+            if p.k != dim(sigma):
+                raise ValueError(f"form on {sigma} is on a {p.k}-chart")
+            return sigma, p
+
         for item in data["num"]:
-            P.num[(tuple(item["sigma"]), int(item["v"]))] = \
-                PolyForm.from_json(item["form"])
-        for item in data["den"]:
-            P.den[tuple(item["sigma"])] = PolyForm.from_json(item["form"])
+            sigma, p = form(item)
+            P.num[(sigma, int(item["v"]))] = p
+        P.den.update(form(item) for item in data["den"])
+        for s in S:
+            if s not in P.den or any((s, v) not in P.num for v in s):
+                raise ValueError(f"partition does not cover {s}")
         return P
 
 
@@ -108,6 +120,13 @@ def partition_linear(S: BaseComplex) -> PartitionOfUnity:
             P.num[(sigma, v)] = PolyForm.coordinate(l, j)
         P.den[sigma] = PolyForm.one(l)
     return P
+
+
+def _facets(sigma: Simplex) -> list:
+    """(j, the facet omitting vertex j, its vertex positions in sigma) for
+    every facet of sigma that is itself a simplex."""
+    return [(j, facet(sigma, j), face_positions(facet(sigma, j), sigma))
+            for j in range(len(sigma)) if len(sigma) > 1]
 
 
 def _flip_last(p: PolyForm) -> PolyForm:
@@ -157,11 +176,7 @@ def validate_partition(P: PartitionOfUnity) -> list[str]:
             if den.value_at(pt) <= 0:
                 problems.append(f"denominator not positive on {sigma} at {pt}")
                 break
-        for jj in range(l + 1):
-            tau = facet(sigma, jj)
-            if dim(tau) < 0:
-                continue
-            pos = face_positions(tau, sigma)
+        for _j, tau, pos in _facets(sigma):
             if P.den[sigma].restrict(pos) != P.den[tau]:
                 problems.append(
                     f"denominator on {sigma} does not restrict to {tau}")
@@ -382,12 +397,7 @@ def verify_global(G: GlobalSuperconnection) -> dict:
         g = G.aglob[sigma]
         if not g.d().add(g.compose(g)).is_zero():
             report["flat"].append(f"pullback over {sigma} is not flat")
-        l = dim(sigma)
-        for j in range(l + 1):
-            tau = facet(sigma, j)
-            if dim(tau) < 0:
-                continue
-            pos = face_positions(tau, sigma)
+        for j, tau, pos in _facets(sigma):
             try:
                 restr = g.restrict(pos, G.P.den[tau])
             except ValueError:
@@ -437,12 +447,14 @@ def verify_chain(G: GlobalSuperconnection) -> list[str]:
         rhs = ig.d().add(G.aglob[sigma].compose(ig))
         if not lhs.eq(rhs):
             problems.append(f"global chain identity fails over {sigma}")
-        for j in range(dim(sigma) + 1):
-            tau = facet(sigma, j)
-            if dim(tau) < 0:
+        for _j, tau, pos in _facets(sigma):
+            try:
+                restr = ig.restrict(pos, G.P.den[tau])
+            except ValueError:
+                problems.append(
+                    f"denominator of {sigma} does not restrict to {tau}")
                 continue
-            pos = face_positions(tau, sigma)
-            if not ig.restrict(pos, G.P.den[tau]).eq(G.iglob[tau]):
+            if not restr.eq(G.iglob[tau]):
                 problems.append(
                     f"global chain map on {sigma} does not restrict to {tau}")
     return problems

@@ -6,13 +6,15 @@ import pytest
 from flatforms.cli import main, save_instance
 from flatforms.instances import (
     corrupt_random_entry,
+    designed_instance,
     generate,
     instance_to_json,
     make_fiber_model,
+    strip_to_dim,
 )
 from flatforms.linalg import smat_set
 from flatforms.mixed import FiberModel
-from flatforms.smoothing import partition_linear
+from flatforms.smoothing import partition_default, partition_linear
 
 from test_mixed import worked_edge, worked_edge_fiber
 
@@ -28,6 +30,28 @@ EDGE2 = {
                      "1": {"q<-p": [["1"]]},
                      "0,1": {}},
 }
+
+
+# a designed triangle with every optional section, on which each
+# subcommand takes well under 0.1 s
+_TRI = designed_instance(0, [(0, 1, 2)])
+TRIANGLE = instance_to_json(_TRI.S, _TRI.L, _TRI.A)
+TRIANGLE["version"] = 1
+TRIANGLE["fiber_model"] = make_fiber_model(_TRI).to_json()
+TRIANGLE["partition"] = partition_default(_TRI.S).to_json()
+TRIANGLE_1SKELETON = instance_to_json(_TRI.S, _TRI.L,
+                                      strip_to_dim(_TRI.A, 1))["coefficients"]
+INSTANCE_COMMANDS = ("validate", "build-aprime", "build-iprime", "smooth",
+                     "igusa", "holonomy", "homology", "extend")
+
+
+def triangle_file(tmp_path, change=None):
+    data = json.loads(json.dumps(TRIANGLE))
+    if change is not None:
+        change(data)
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(data))
+    return path
 
 
 def run(capsys, *argv):
@@ -212,7 +236,7 @@ def test_report_file_matches_stdout(capsys, tmp_path):
 
 def test_fiber_model_json_round_trip():
     FM = worked_edge_fiber()
-    FM2 = FiberModel.from_json(FM.to_json())
+    FM2 = FiberModel.from_json(FM.to_json(), worked_edge())
     assert FM2.omega_basis == FM.omega_basis
     assert FM2.omega_degree == FM.omega_degree
     assert FM2.D == FM.D
@@ -300,3 +324,135 @@ def test_non_flat_file_gives_a_certificate(capsys, tmp_path, seed, simplex,
     assert code == 1
     assert rep["status"] == "fail"
     assert rep["certificates"][0] == witness
+
+
+def test_triangle_passes_every_subcommand(capsys, tmp_path):
+    for cmd in INSTANCE_COMMANDS:
+        code, rep = run(capsys, cmd, "--instance", str(triangle_file(tmp_path)))
+        assert code == 0, (cmd, rep["certificates"])
+
+
+W_A0 = '["w", "a", 0]'
+
+
+@pytest.mark.parametrize("change, witness", [
+    (lambda d: d["complex"].append([2, 1]), "NonIncreasingVertices"),
+    (lambda d: d["complex"].append([0, 1]), "DuplicateSimplex"),
+    (lambda d: d["complex"].append(["0", 1]), "NonIncreasingVertices"),
+    (lambda d: d["heights"].update(zz={"0": "0"}), "UnknownLeaf('zz')"),
+    (lambda d: d["heights"]["a"].pop("1"),
+     "no height for leaf 'a' at vertex 1"),
+    (lambda d: d["coefficients"].update({"0,3": {}}),
+     "(0, 3) is not in the complex"),
+    (lambda d: d["coefficients"]["0,1,2"].update({"zz<-a": [["1", "0", "0"]]}),
+     "block zz<-a on (0, 1, 2) names an undeclared leaf"),
+    (lambda d: d["coefficients"]["0"].update({"b<-a": [["-1", "0"]]}),
+     "block b<-a on (0,) is not 1x3"),
+    (lambda d: d["partition"]["den"].pop(0), "partition does not cover (0,)"),
+    (lambda d: d["partition"]["num"].pop(1),
+     "partition does not cover (0, 1)"),
+    (lambda d: d["partition"]["num"][0]["form"].update(k=1),
+     "form on (0,) is on a 1-chart"),
+    (lambda d: d["partition"]["den"][0].update(sigma=[0, 3]),
+     "(0, 3) is not in the complex"),
+    (lambda d: d["partition"]["den"][2]["form"]["terms"][1]["mono"].update(
+        {"3": 1}), "is not a form on a 2-chart"),
+    (lambda d: d["fiber_model"]["D"].update({'"zz"': {W_A0: "1"}}),
+     'fiber model names "zz", not in omega'),
+    (lambda d: d["fiber_model"]["I"].update({"0,3": {}}),
+     "(0, 3) is not in the complex"),
+    (lambda d: d["fiber_model"]["I"]["0"].update({"zz:0": {W_A0: "1"}}),
+     "fiber model names zz:0, not a module element"),
+    (lambda d: d["fiber_model"]["I"]["0"]["a:0"].update({'"zz"': "1"}),
+     'fiber model names "zz", not in omega'),
+    (lambda d: d["fiber_model"]["eta"].update({'"zz"': "1"}),
+     "fiber model eta does not tag omega exactly"),
+    (lambda d: d["fiber_model"]["eta"].pop(W_A0),
+     "fiber model eta does not tag omega exactly"),
+], ids=["non-increasing-simplex", "duplicate-simplex", "non-int-simplex",
+        "heights-of-undeclared-leaf", "missing-height",
+        "coefficient-outside-complex", "block-of-undeclared-leaf",
+        "block-shape", "partition-omits-simplex", "partition-omits-vertex",
+        "partition-wrong-chart", "partition-outside-complex",
+        "partition-term-off-chart", "model-D-key", "model-I-simplex",
+        "model-I-row",
+        "model-I-column", "model-eta-key", "model-eta-omits-key"])
+def test_structural_fault_is_input_error_everywhere(capsys, tmp_path, change,
+                                                    witness):
+    path = triangle_file(tmp_path, change)
+    for cmd in INSTANCE_COMMANDS:
+        assert main([cmd, "--instance", str(path)]) == 2, cmd
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: malformed instance file")
+        assert witness in captured.err
+
+
+@pytest.mark.parametrize("cmd, check, coefficients, missing", [
+    ("build-iprime", "build", TRIANGLE_1SKELETON, "(0, 1, 2)"),
+    ("smooth", "build", TRIANGLE_1SKELETON, "(0, 1, 2)"),
+    ("igusa", "system", TRIANGLE_1SKELETON, "(0, 1, 2)"),
+    ("homology", "cw_betti", TRIANGLE_1SKELETON, "(0, 1, 2)"),
+    ("holonomy", "system", {}, "(0,)"),
+])
+def test_missing_coefficient_is_a_failed_check(capsys, tmp_path, cmd, check,
+                                               coefficients, missing):
+    path = triangle_file(tmp_path,
+                         lambda d: d.update(coefficients=coefficients))
+    code, rep = run(capsys, cmd, "--instance", str(path))
+    assert code == 1
+    assert rep["certificates"] == [f"no coefficient stored for {missing}"]
+    assert rep["checks"][check] == rep["certificates"][0]
+
+
+def test_holonomy_needs_only_vertex_and_edge_data(capsys, tmp_path):
+    path = triangle_file(
+        tmp_path, lambda d: d.update(coefficients=TRIANGLE_1SKELETON))
+    code, rep = run(capsys, "holonomy", "--instance", str(path))
+    assert code == 0
+    assert rep["checks"]["triangles"] == {"0,1,2": True}
+
+
+@pytest.mark.parametrize("cmd, check, change", [
+    ("build-aprime", "system",
+     lambda d: d.update(coefficients=TRIANGLE_1SKELETON)),
+    ("build-iprime", "fiber_model",
+     lambda d: d["fiber_model"]["I"]["1"]["a:0"].update({W_A0: "2"})),
+], ids=["system-failure", "fiber-model-failure"])
+def test_early_failures_carry_timings(capsys, tmp_path, cmd, check, change):
+    code, rep = run(capsys, cmd, "--instance",
+                    str(triangle_file(tmp_path, change)))
+    assert code == 1
+    assert rep["checks"] == {check: rep["certificates"]}
+    assert list(rep) == ["command", "status", "certificates", "checks",
+                         "timings"]
+    assert rep["timings"]["total"] > 0
+
+
+def test_report_into_missing_directory_is_input_error(capsys, tmp_path):
+    out = tmp_path / "no-such-dir" / "report.json"
+    assert main(["igusa", "--seed", "2", "--report", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error")
+    assert not out.exists()
+
+
+def test_instance_and_seed_together_are_rejected(capsys, tmp_path):
+    path = triangle_file(tmp_path)
+    assert main(["homology", "--instance", str(path), "--seed", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: give --instance or --seed, not both\n"
+
+
+def test_smooth_reports_a_denominator_that_does_not_restrict(capsys, tmp_path):
+    # the chain check reports it as the C0 check does, instead of raising
+    def change(d):
+        assert d["partition"]["den"][2]["sigma"] == [0, 1, 2]
+        d["partition"]["den"][2]["form"]["terms"][2]["coeff"] = "0"
+    code, rep = run(capsys, "smooth", "--instance",
+                    str(triangle_file(tmp_path, change)))
+    assert code == 1
+    witness = ["denominator of (0, 1, 2) does not restrict to (1, 2)"]
+    assert rep["checks"]["c0"] == rep["checks"]["chain"] == witness

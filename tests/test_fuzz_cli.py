@@ -1,5 +1,6 @@
 """Fuzz the command-line contract: whatever the input, ``main`` exits with
-0, 1 or 2, prints a JSON report on 0 and 1, and never a traceback.
+0, 1 or 2, prints a JSON report on 0 and 1 and nothing on 2, and never a
+traceback.
 
 Argument errors end in argparse's ``SystemExit(2)`` with a usage line;
 any other exception escaping ``main`` fails the test.
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 
 from flatforms.cli import main
 from flatforms.instances import generate, instance_to_json
+
+from test_cli import INSTANCE_COMMANDS, TRIANGLE
 
 FUZZ = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -49,6 +52,8 @@ def check_contract(argv):
     if code in (0, 1):
         report = json.loads(out)
         assert report["status"] == ("pass" if code == 0 else "fail")
+    else:
+        assert out == "", (argv, out)
 
 
 @FUZZ
@@ -105,3 +110,55 @@ def test_malformed_rationals_in_instance_files(field, index, value):
         path = Path(tmp) / "inst.json"
         path.write_text(json.dumps(data))
         check_contract(["validate", "--instance", str(path)])
+
+
+# values of the wrong type or range, and keys naming no simplex, leaf,
+# block, module element or omega element of the triangle
+ODD_VALUES = [None, True, 0, -1, 7, 2.5, "", "x", "1/0", [], [[0, 1]], {},
+              {"x": []}]
+ODD_KEYS = ["", "zz", "0", "9", "1,0", "0,3", "0,0", "zz<-a", "a<-zz", "a<-b",
+            "a<-b<-c", "zz:0", "a:9", '"zz"', '["w", "zz", 0]']
+
+
+def paths(x, prefix):
+    """``prefix`` and the path to every value below ``x``."""
+    yield prefix
+    items = (x.items() if isinstance(x, dict)
+             else enumerate(x) if isinstance(x, list) else ())
+    for k, v in items:
+        yield from paths(v, prefix + (k,))
+
+
+def mutate(data, path, kind, value, key):
+    """Apply one structural change at ``path``: ``drop`` deletes the
+    value, ``retype`` replaces it with ``value``, and ``rekey`` moves it
+    under ``key`` in a dict, or repeats it in a list."""
+    *head, last = path
+    parent = data
+    for k in head:
+        parent = parent[k]
+    if kind == "drop":
+        del parent[last]
+    elif kind == "retype":
+        parent[last] = value
+    elif isinstance(parent, dict):
+        parent[key] = parent.pop(last)
+    else:
+        parent.insert(last, json.loads(json.dumps(parent[last])))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(section=st.sampled_from(sorted(TRIANGLE)), where=st.integers(0, 10**6),
+       kind=st.sampled_from(["drop", "retype", "rekey"]),
+       value=st.sampled_from(ODD_VALUES), key=st.sampled_from(ODD_KEYS))
+def test_structural_faults_on_every_subcommand(section, where, kind, value,
+                                               key):
+    data = json.loads(json.dumps(TRIANGLE))
+    found = list(paths(data[section], (section,)))
+    mutate(data, found[where % len(found)], kind, value, key)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        path.write_text(json.dumps(data))
+        for cmd in INSTANCE_COMMANDS:     # extend last: it writes back
+            check_contract([cmd, "--instance", str(path)])

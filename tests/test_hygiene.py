@@ -3,7 +3,8 @@ is used, imports sit at module level, checks raise exceptions instead of
 using ``assert`` (which ``python -O`` strips), importing the command
 line does not load scipy, which is not a dependency, every public
 function and method is used somewhere, and every public class is used
-in the package itself."""
+in the package itself.  The command line maps only input faults to
+exit 2."""
 
 import ast
 import os
@@ -122,3 +123,21 @@ def test_public_classes_are_used_in_src():
         if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
         and not any(node.name in _names(t, skip=node) for t in trees))
     assert unused == []
+
+
+def test_cli_main_maps_only_input_faults_to_exit_2():
+    """``cli.main`` turns ``ParseError`` and ``OSError`` into exit 2 and
+    nothing broader: a file the parsers reject is a ``ParseError`` by
+    the time it leaves ``load_instance``, and a KeyError, TypeError or
+    ValueError raised inside an algorithm is a bug to surface, not
+    malformed input."""
+    tree = _tree(SRC / "cli.py")
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handlers = [node for node in ast.walk(main)
+                if isinstance(node, ast.ExceptHandler)]
+    named = {n.id for h in handlers if h.type is not None
+             for n in ast.walk(h.type) if isinstance(n, ast.Name)}
+    assert all(h.type is not None for h in handlers)
+    assert named & {"KeyError", "TypeError", "ValueError", "LookupError",
+                    "Exception", "BaseException"} == set()
