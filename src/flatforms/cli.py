@@ -51,19 +51,16 @@ from .mixed import (
     build_Iprime,
     build_mixed_connection,
     locality_check,
-    report_certificates,
     validate_fiber_model,
 )
 from .morse import check_partial_order, check_refinement, validate_leaf_system
+from .simplicial import skey
 from .smoothing import (
     PartitionOfUnity,
-    assemble_I,
     partition_default,
-    pullback_global,
     quasi_iso_ranks,
     validate_partition,
-    verify_chain,
-    verify_global,
+    verify_smoothing,
 )
 from .wkflow import classify_limits, flow_batch, nearest_vertex
 
@@ -79,16 +76,12 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _skey(s) -> str:
-    return ",".join(map(str, s))
-
-
 def _plain(x):
     """Rationals to strings, tuples to lists."""
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, dict):
-        return {(_skey(k) if isinstance(k, tuple) else k): _plain(v)
+        return {(skey(k) if isinstance(k, tuple) else k): _plain(v)
                 for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_plain(v) for v in x]
@@ -179,10 +172,7 @@ def cmd_validate(args):
     S, L = inst.A.S, inst.A.L
     checks.record("leaves", validate_leaf_system(L, S)
                   + check_partial_order(L, S) + check_refinement(L, S))
-    if inst.raw is None or "coefficients" in inst.raw:
-        checks.record("system", validate_system(inst.A))
-    else:
-        checks["system"] = "skipped (no coefficients)"
+    checks.record("system", validate_system(inst.A))
     if inst.FM is not None:
         if checks["system"] == "ok":
             checks.record("fiber_model", validate_fiber_model(inst.A, inst.FM))
@@ -202,7 +192,7 @@ def cmd_extend(args):
         full = extend_system(inst.A, to_dim=args.to_dim)
     except (Infeasible, MissingFaceData) as ex:
         return checks.stop("extend", ex)
-    checks["filled"] = [_skey(s) for s in sorted(set(full.coeffs)
+    checks["filled"] = [skey(s) for s in sorted(set(full.coeffs)
                                                  - set(inst.A.coeffs))]
     checks.record("system", validate_system(full))
     checks["written"] = not checks.certificates
@@ -222,9 +212,8 @@ def cmd_build_aprime(args):
         data = build_mixed_connection(inst.A, max_degree=args.max_degree)
     except BUILD_ERRORS as ex:
         return checks.stop("build", ex)
-    checks["simplices"] = len(data.report)
-    return checks.record("problems", report_certificates(data.report),
-                         ok="none")
+    checks["simplices"] = len(inst.A.S)
+    return checks.record("problems", data.problems, ok="none")
 
 
 def cmd_build_iprime(args):
@@ -239,13 +228,13 @@ def cmd_build_iprime(args):
         cm = build_Iprime(data, inst.FM, max_degree=args.max_degree)
     except BUILD_ERRORS as ex:
         return checks.stop("build", ex)
-    checks["simplices"] = len(cm.report)
-    problems = report_certificates(cm.report)
+    checks["simplices"] = len(inst.A.S)
+    problems = cm.problems
     if inst.FM.eta is not None:
         # shown on its own, certified once among the problems
         loc = locality_check(data, cm)
         checks["locality"] = loc if loc else "ok"
-        problems += loc
+        problems = problems + loc
     return checks.record("problems", problems, ok="none")
 
 
@@ -263,13 +252,8 @@ def cmd_smooth(args):
         cm = build_Iprime(data, FM) if FM is not None else None
     except BUILD_ERRORS as ex:
         return checks.stop("build", ex)
-    G = pullback_global(data, P)
-    rep = verify_global(G)
-    for kind in ("flat", "c0", "first_order"):
-        checks.record(kind, rep[kind])
-    if cm is not None:
-        assemble_I(G, cm)
-        checks.record("chain", verify_chain(G))
+    for kind, problems in verify_smoothing(data, P, cm).items():
+        checks.record(kind, problems)
     return checks
 
 
@@ -277,7 +261,7 @@ def cmd_igusa(args):
     A = load_instance(args).A
     checks = Checks()
     try:
-        problems = [f"{_skey(sigma)}: relation fails at tuple {tup}"
+        problems = [f"{skey(sigma)}: relation fails at tuple {tup}"
                     for sigma in A.S
                     for tup in igusa_check(igusa_export(A, sigma))]
     except MissingFaceData as ex:
@@ -297,11 +281,11 @@ def cmd_holonomy(args):
                 ok = holonomy_is_identity(A, tri, H)
                 if not ok:
                     checks.certificates.append(
-                        f"holonomy around {_skey(tri)} is not the identity")
+                        f"holonomy around {skey(tri)} is not the identity")
             except ChainMapViolation as ex:
                 ok = False
                 checks.certificates.append(str(ex))
-            tris[_skey(tri)] = ok
+            tris[skey(tri)] = ok
     except MissingFaceData as ex:
         return checks.stop("system", ex)
     checks["triangles"] = tris if tris else "none"
@@ -318,7 +302,7 @@ def cmd_homology(args):
         return checks.stop("cw_betti", ex)
     checks["generators"] = len(bdry.generators)
     H = {v: fiber_homology(inst.A, v) for v in inst.A.S.vertices()}
-    checks["fiber_betti"] = {_skey(v): h.betti for v, h in H.items()}
+    checks["fiber_betti"] = {skey(v): h.betti for v, h in H.items()}
     if inst.FM is not None:
         rep = quasi_iso_ranks(inst.A, inst.FM, H)
         checks["omega_betti"] = rep["omega"]

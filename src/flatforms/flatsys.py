@@ -44,6 +44,7 @@ from .simplicial import (
     boundary_chain,
     dim,
     face,
+    skey,
 )
 
 
@@ -118,7 +119,7 @@ class CoefficientSystem:
                 mat = [[str(entries.get((i, j), Q(0))) for j in range(rb)]
                        for i in range(ra)]
                 blocks[f"{al}<-{be}"] = mat
-            coeffs[",".join(map(str, sigma))] = blocks
+            coeffs[skey(sigma)] = blocks
         return coeffs
 
     @classmethod

@@ -24,7 +24,7 @@ from functools import cache
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .linalg import Q, qx, solve
+from .linalg import Q, qint, qx, solve
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -140,9 +140,6 @@ class PolyForm:
 
     # -- ring / module structure --------------------------------------
 
-    def copy(self) -> "PolyForm":
-        return PolyForm(self.k, dict(self.terms))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -181,14 +178,6 @@ class PolyForm:
         if c != 0:
             res.terms = {key: c * v for key, v in self.terms.items()}
         return res
-
-    def __mul__(self, other):
-        if isinstance(other, PolyForm):
-            return self.wedge(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def wedge(self, other: "PolyForm") -> "PolyForm":
         if self.k != other.k:
@@ -381,12 +370,12 @@ class PolyForm:
 
     @classmethod
     def from_json(cls, data: dict) -> "PolyForm":
-        k = int(data["k"])
+        k = qint(data["k"])
         chart = range(1, k + 1)
         terms = {}
         for t in data.get("terms", []):
-            mono = {int(var): int(e) for var, e in t.get("mono", {}).items()}
-            dxs = tuple(int(i) for i in t.get("dx", []))
+            mono = {int(var): qint(e) for var, e in t.get("mono", {}).items()}
+            dxs = tuple(qint(i) for i in t.get("dx", []))
             if not (all(v in chart and e >= 0 for v, e in mono.items())
                     and all(i in chart for i in dxs)
                     and list(dxs) == sorted(set(dxs))):

@@ -29,6 +29,7 @@ from .linalg import (
     Q,
     SMat,
     kernel,
+    qint,
     smat_add,
     smat_identity,
     smat_mul,
@@ -116,9 +117,8 @@ def _random_leaves(rng: random.Random, max_leaves: int, max_rank: int,
 def _gauge_inverse(M: GradedModule, U: SMat) -> SMat:
     """Inverse of a unipotent gauge id + N, by the bounded geometric
     series on a 0-chart (N^n = 0 for the n generators of ``M``)."""
-    deg = {b: M.degree(b) for b in M.basis}
-    n = FormMatrix.from_const(0, smat_sub(U, smat_identity(M.basis)), deg, deg)
-    inv = neumann_inverse(n, M.basis, max_len=M.n)
+    n = FormMatrix.from_const(0, smat_sub(U, smat_identity(M.basis)), M.deg)
+    inv = neumann_inverse(n, max_len=M.n)
     return {r: {c: p.value_at(()) for c, p in row.items()}
             for r, row in inv.rows.items()}
 
@@ -325,7 +325,7 @@ def instance_from_json(data: dict):
     S = build_complex([tuple(s) for s in data["complex"]])
     heights = {(name, int(v)): h for name, hv in data["heights"].items()
                for v, h in hv.items()}
-    L = LeafSystem([(n, int(i), int(r)) for n, i, r in data["leaves"]],
+    L = LeafSystem([(n, qint(i), qint(r)) for n, i, r in data["leaves"]],
                    heights, data.get("epsilon", "1"))
     for leaf in L.leaves:
         for (v,) in S.vertices():

@@ -41,6 +41,14 @@ def qx(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def qint(value) -> int:
+    """An integer field of an instance file: an int, never a bool or a
+    float, which ``int()`` would read as 1 or truncate."""
+    if type(value) is not int:
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # keyed sparse matrices
 # ---------------------------------------------------------------------------

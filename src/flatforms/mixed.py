@@ -23,13 +23,16 @@ built on the facets of sigma, and a clash raises
 entry.  The empty face is reached last by a gauge step whose unipotent
 is invertible by a finite geometric series.  The two builds differ only
 in the constant seed of the recursion (a or I), its right factor
-(a'(sigma[k:], empty) or D), and the checks run afterwards.
+(a'(sigma[k:], empty) or D), and the identity checked afterwards,
+``is_flat_connection`` or ``intertwines``; smoothing checks the same two
+on the partition pullbacks.  Failed checks land in ``problems``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from .flatsys import CoefficientSystem, _sign
@@ -41,6 +44,7 @@ from .forms import (
 )
 from .linalg import (
     SMat,
+    qint,
     qx,
     smat_add,
     smat_entries,
@@ -51,7 +55,7 @@ from .linalg import (
     smat_transpose,
     solve,
 )
-from .morse import GradedModule, prec
+from .morse import prec
 from .simplicial import (
     EMPTY,
     Simplex,
@@ -61,6 +65,7 @@ from .simplicial import (
     face_positions,
     facet,
     relative_simplex,
+    skey,
 )
 
 
@@ -75,33 +80,34 @@ class NotNilpotent(Exception):
 class FormMatrix:
     """Sparse matrix of PolyForms on the chart of a fixed simplex.
 
-    ``row_deg``/``col_deg`` give the grading degree of each row/column
-    key; composition applies the sign rule described in the module
-    docstring using the left factor's block degree and the right
-    factor's per-term form degree.
+    ``deg`` gives the grading degree of each module basis element.  Rows
+    are module elements; columns are module elements too, except for
+    chain-map values, whose columns are omega elements.  The left factor
+    of a composition is a module endomorphism, and composition applies
+    the sign rule of the module docstring with its block degree and the
+    right factor's per-term form degree.
     """
 
-    __slots__ = ("k", "rows", "row_deg", "col_deg")
+    __slots__ = ("k", "rows", "deg")
 
-    def __init__(self, k: int, row_deg=None, col_deg=None):
+    def __init__(self, k: int, deg: dict):
         self.k = k
         self.rows: dict = {}
-        self.row_deg = row_deg
-        self.col_deg = col_deg
+        self.deg = deg
 
     # -- building ------------------------------------------------------
 
     @classmethod
-    def from_const(cls, k: int, m: SMat, row_deg, col_deg) -> "FormMatrix":
-        out = cls(k, row_deg, col_deg)
+    def from_const(cls, k: int, m: SMat, deg: dict) -> "FormMatrix":
+        out = cls(k, deg)
         for r, c, v in smat_entries(m):
             out.rows.setdefault(r, {})[c] = PolyForm.const(k, v)
         return out
 
     @classmethod
-    def identity(cls, k: int, keys, deg) -> "FormMatrix":
-        out = cls(k, deg, deg)
-        for key in keys:
+    def identity(cls, k: int, deg: dict) -> "FormMatrix":
+        out = cls(k, deg)
+        for key in deg:
             out.rows[key] = {key: PolyForm.one(k)}
         return out
 
@@ -125,7 +131,7 @@ class FormMatrix:
                 yield r, c, p
 
     def copy(self) -> "FormMatrix":
-        out = FormMatrix(self.k, self.row_deg, self.col_deg)
+        out = FormMatrix(self.k, self.deg)
         out.rows = {r: dict(row) for r, row in self.rows.items()}
         return out
 
@@ -141,7 +147,7 @@ class FormMatrix:
         return self.add(other.scale(-1))
 
     def scale(self, c) -> "FormMatrix":
-        out = FormMatrix(self.k, self.row_deg, self.col_deg)
+        out = FormMatrix(self.k, self.deg)
         for r, cc, p in self.entries():
             out.set_entry(r, cc, p.scale(c))
         return out
@@ -155,29 +161,29 @@ class FormMatrix:
     # -- differential and composition -------------------------------------
 
     def d(self) -> "FormMatrix":
-        out = FormMatrix(self.k, self.row_deg, self.col_deg)
+        out = FormMatrix(self.k, self.deg)
         for r, c, p in self.entries():
             out.set_entry(r, c, p.d())
         return out
 
     def compose(self, other: "FormMatrix") -> "FormMatrix":
-        """Koszul composition; the left factor must carry degree maps."""
-        out = FormMatrix(self.k, self.row_deg, other.col_deg)
+        """Koszul composition with a module endomorphism on the left."""
+        out = FormMatrix(self.k, self.deg)
         for r, row in self.rows.items():
             for t, p in row.items():
                 orow = other.rows.get(t)
                 if not orow:
                     continue
-                e = self.row_deg[r] - self.col_deg[t]
+                e = self.deg[r] - self.deg[t]
                 for c, q in orow.items():
                     prod = _koszul_wedge(p, q, e)
                     if not prod.is_zero():
                         out.set_entry(r, c, out.entry(r, c) + prod)
         return out
 
-    def mul_const_right(self, m: SMat, new_col_deg=None) -> "FormMatrix":
+    def mul_const_right(self, m: SMat) -> "FormMatrix":
         """Compose with a constant matrix on the right (no signs arise)."""
-        out = FormMatrix(self.k, self.row_deg, new_col_deg or self.col_deg)
+        out = FormMatrix(self.k, self.deg)
         for r, row in self.rows.items():
             for t, p in row.items():
                 mrow = m.get(t)
@@ -188,7 +194,7 @@ class FormMatrix:
         return out
 
     def restrict(self, positions) -> "FormMatrix":
-        out = FormMatrix(len(positions) - 1, self.row_deg, self.col_deg)
+        out = FormMatrix(len(positions) - 1, self.deg)
         for r, c, p in self.entries():
             out.set_entry(r, c, p.restrict(positions))
         return out
@@ -209,10 +215,9 @@ def _koszul_wedge(p: PolyForm, q: PolyForm, e: int) -> PolyForm:
     return p.wedge(signed)
 
 
-def neumann_inverse(g_minus_id: FormMatrix, keys, max_len: int) -> FormMatrix:
+def neumann_inverse(g_minus_id: FormMatrix, max_len: int) -> FormMatrix:
     """Inverse of id + n for nilpotent n, as a finite alternating series."""
-    k = g_minus_id.k
-    ident = FormMatrix.identity(k, keys, g_minus_id.row_deg)
+    ident = FormMatrix.identity(g_minus_id.k, g_minus_id.deg)
     out = ident
     power = ident
     sign = -1
@@ -234,19 +239,14 @@ def neumann_inverse(g_minus_id: FormMatrix, keys, max_len: int) -> FormMatrix:
 class MixedConnectionData:
     A: CoefficientSystem
     aprime: dict = field(default_factory=dict)   # (sigma, sigma') -> FormMatrix
-    report: list = field(default_factory=list)
+    problems: list = field(default_factory=list)  # "sigma: message"
 
     def get(self, sigma: Simplex, sigma_p: Simplex) -> FormMatrix:
         return self.aprime[(tuple(sigma), tuple(sigma_p))]
 
 
-def _ind_map(M: GradedModule) -> dict:
-    return {b: M.degree(b) for b in M.basis}
-
-
 def _const_endo(A: CoefficientSystem, sigma_face: Simplex, k: int) -> FormMatrix:
-    deg = _ind_map(A.M)
-    return FormMatrix.from_const(k, A.a(sigma_face), deg, deg)
+    return FormMatrix.from_const(k, A.a(sigma_face), A.M.deg)
 
 
 def _donor(sigma: Simplex, sigma_p: Simplex) -> Simplex:
@@ -263,15 +263,15 @@ def _donor(sigma: Simplex, sigma_p: Simplex) -> Simplex:
 
 
 def _leading(A: CoefficientSystem, sigma: Simplex, m: int, seed: SMat,
-             col_deg: dict, b: FormMatrix) -> FormMatrix:
+             b: FormMatrix) -> FormMatrix:
     """seed + d(b) + a(sigma_0) o b on the m-chart: the terms the
     recursion and the gauge have in common."""
-    total = FormMatrix.from_const(m, seed, _ind_map(A.M), col_deg).add(b.d())
+    total = FormMatrix.from_const(m, seed, A.M.deg).add(b.d())
     return total.add(_const_endo(A, sigma[:1], m).compose(b))
 
 
 def recursion_value(A: CoefficientSystem, store: dict, sigma: Simplex,
-                    k: int, seed: SMat, col_deg: dict, right) -> FormMatrix:
+                    k: int, seed: SMat, right) -> FormMatrix:
     """Recursion value for the initial segment sigma[:k], on the span of
     sigma[k:]: the candidate restriction of store[(sigma, sigma[:k])] to
     that span.
@@ -284,7 +284,7 @@ def recursion_value(A: CoefficientSystem, store: dict, sigma: Simplex,
     m = dim(sigma) - k
     s = _sign(k + 1)
     b = store[(sigma, sigma[: k + 1])]
-    total = _leading(A, sigma, m, seed, col_deg, b)
+    total = _leading(A, sigma, m, seed, b)
     # alternating sum over the k-vertex faces of sigma[:k+1] omitting an
     # inner vertex (all non-initial, hence already present)
     for j in range(k):
@@ -317,7 +317,7 @@ def extend_span(store: dict, sigma: Simplex, k: int, candidate: FormMatrix,
     facets_data = [candidate] + [store[(tau, sigma_p)] for tau in taus]
     names = ["the recursion value"] + [f"the data on {tau}" for tau in taus]
     keys = {(r, c) for fm in facets_data for r, c, _p in fm.entries()}
-    out = FormMatrix(mm, candidate.row_deg, candidate.col_deg)
+    out = FormMatrix(mm, candidate.deg)
     for (r, c) in sorted(keys, key=repr):
         bdata = [fm.entry(r, c) for fm in facets_data]
         if all(p.is_zero() for p in bdata):
@@ -338,12 +338,12 @@ def gauge_empty(A: CoefficientSystem, sigma: Simplex, n: FormMatrix,
     """Empty-face value (id + n)^-1 o inner for n = a'(sigma, sigma_0)."""
     l = dim(sigma)
     heights = {A.L.height(leaf, v) for leaf in A.L.leaves for v in sigma}
-    ginv = neumann_inverse(n, A.M.basis, max_len=len(heights) + l + 2)
+    ginv = neumann_inverse(n, max_len=len(heights) + l + 2)
     return ginv.compose(inner)
 
 
 def _walk(A: CoefficientSystem, aprime: dict, store: dict, sigma: Simplex,
-          seed, col_deg: dict, right, gauge_right: bool,
+          seed, right, gauge_right: bool,
           max_degree: Optional[int]):
     """Fill ``store`` over ``sigma``: the one construction behind a' and I'.
 
@@ -357,28 +357,38 @@ def _walk(A: CoefficientSystem, aprime: dict, store: dict, sigma: Simplex,
     b o a'(sigma, empty) is the unknown that the gauge solves for.
     """
     l = dim(sigma)
-    store[(sigma, sigma)] = FormMatrix(0, _ind_map(A.M), col_deg)
+    store[(sigma, sigma)] = FormMatrix(0, A.M.deg)
     for sigma_p in all_faces(sigma):
         if sigma_p != sigma and face_positions(sigma_p, sigma)[-1] >= len(sigma_p):
             store[(sigma, sigma_p)] = store[(_donor(sigma, sigma_p), sigma_p)].copy()
     for k in range(l, 0, -1):
         candidate = recursion_value(A, store, sigma, k, seed(sigma[: k + 1]),
-                                    col_deg, right)
+                                    right)
         store[(sigma, sigma[:k])] = extend_span(store, sigma, k, candidate,
                                                 max_degree)
     b = store[(sigma, sigma[:1])]
-    inner = _leading(A, sigma, l, seed(sigma[:1]), col_deg, b)
+    inner = _leading(A, sigma, l, seed(sigma[:1]), b)
     if gauge_right:
         inner = inner.add(right(b, sigma))
     store[(sigma, EMPTY)] = gauge_empty(A, sigma, aprime[(sigma, sigma[:1])],
                                         inner)
 
 
-def verify_flat(data: MixedConnectionData, sigma: Simplex) -> bool:
-    """d(a') + a' o a' = 0 for the empty-face data over ``sigma``."""
-    ap = data.get(sigma, EMPTY)
-    curv = ap.d().add(ap.compose(ap))
-    return curv.is_zero()
+def is_flat_connection(a) -> bool:
+    """d a + a o a = 0.
+
+    ``a`` is a FormMatrix (a'(sigma, empty)) or its partition pullback,
+    a RatioMatrix; both carry ``d``, ``add``, ``compose`` and
+    ``is_zero``.
+    """
+    return a.d().add(a.compose(a)).is_zero()
+
+
+def intertwines(i, a, D: SMat) -> bool:
+    """i . D = d i + a o i: the chain map ``i`` carries the fiber
+    differential ``D`` to the connection ``a``.  Both are FormMatrix
+    values over a simplex or both their RatioMatrix pullbacks."""
+    return i.mul_const_right(D).eq(i.d().add(a.compose(i)))
 
 
 def _rel_positions(sigma: Simplex, sigma_p: Simplex, tau: Simplex):
@@ -437,19 +447,15 @@ def check_value_coherence(store: dict, label: str, sigma: Simplex,
     return problems
 
 
-def report_certificates(report: list) -> list[str]:
-    """Every failed check of an a' or I' build report, prefixed by its
-    simplex."""
-    certs = []
-    for entry in report:
-        key = ",".join(map(str, entry["sigma"]))
-        certs += [f"{key}: {msg}"
-                  for msg in entry["structure"] + entry["coherence"]]
-        if entry.get("flat") is False:
-            certs.append(f"{key}: connection is not flat")
-        if entry.get("chain") is False:
-            certs.append(f"{key}: chain identity fails")
-    return certs
+def _face_checks(sigma: Simplex, structure, store: dict, label: str
+                 ) -> list[str]:
+    """``structure(sigma, sigma_p)`` over the empty face and every proper
+    face of ``sigma``, then the coherence of ``store`` over the same
+    faces."""
+    faces = [EMPTY] + [f for f in all_faces(sigma) if f != sigma]
+    found = [m for f in faces for m in structure(sigma, f)]
+    return found + [m for f in faces
+                    for m in check_value_coherence(store, label, sigma, f)]
 
 
 def build_mixed_connection(A: CoefficientSystem,
@@ -457,10 +463,10 @@ def build_mixed_connection(A: CoefficientSystem,
                            ) -> MixedConnectionData:
     """Run the construction over every simplex of the base.
 
-    Records one report entry per simplex with the outcomes of the
-    structure, coherence and flatness checks; ``report_certificates``
-    lists the failures.  A recursion value that clashes with data
-    already built raises ``IncompatibleBoundaryData``.
+    Every failed structure, coherence or flatness check lands in
+    ``problems`` as "sigma: message", simplex by simplex.  A recursion
+    value that clashes with data already built raises
+    ``IncompatibleBoundaryData``.
     """
     data = MixedConnectionData(A=A)
     store = data.aprime
@@ -469,15 +475,12 @@ def build_mixed_connection(A: CoefficientSystem,
         return b.compose(store[(tail, EMPTY)])
 
     for sigma in A.S:
-        _walk(A, store, store, sigma, A.a, _ind_map(A.M), right, False,
-              max_degree)
-        entry = {"sigma": sigma, "structure": [], "coherence": []}
-        for sigma_p in [EMPTY] + [f for f in all_faces(sigma) if f != sigma]:
-            entry["structure"] += check_structure(data, sigma, sigma_p)
-            entry["coherence"] += check_value_coherence(store, "a'", sigma,
-                                                        sigma_p)
-        entry["flat"] = verify_flat(data, sigma)
-        data.report.append(entry)
+        _walk(A, store, store, sigma, A.a, right, False, max_degree)
+        found = _face_checks(sigma, partial(check_structure, data), store,
+                             "a'")
+        if not is_flat_connection(store[(sigma, EMPTY)]):
+            found.append("connection is not flat")
+        data.problems += [f"{skey(sigma)}: {m}" for m in found]
     return data
 
 
@@ -511,7 +514,7 @@ class FiberModel:
             "omega": [[e, self.omega_degree[e]] for e in self.omega_basis],
             "D": {key(r): {key(c): str(v) for c, v in sorted(row.items())}
                   for r, row in sorted(self.D.items())},
-            "I": {",".join(map(str, s)): {
+            "I": {skey(s): {
                     f"{al}:{i}": {key(e): str(v) for e, v in sorted(row.items())}
                     for (al, i), row in sorted(m.items())}
                   for s, m in sorted(self.I.items())},
@@ -524,7 +527,7 @@ class FiberModel:
     def from_json(cls, data: dict, A: CoefficientSystem) -> "FiberModel":
         """The model in ``data`` over the system ``A``: every simplex,
         module element and omega element it names must exist."""
-        omega = [(tuple(e) if isinstance(e, list) else e, int(d))
+        omega = [(tuple(e) if isinstance(e, list) else e, qint(d))
                  for e, d in data["omega"]]
         by_key = {_omega_key(e): e for e, _ in omega}
 
@@ -536,8 +539,8 @@ class FiberModel:
         if "eta" in data and set(data["eta"]) != set(by_key):
             raise ValueError("fiber model eta does not tag omega exactly")
         I = {}
-        for skey, m in data["I"].items():
-            sigma = A.S.require(int(t) for t in skey.split(","))
+        for key, m in data["I"].items():
+            sigma = A.S.require(int(t) for t in key.split(","))
             I[sigma] = {}
             for rkey, row in m.items():
                 al, i = rkey.rsplit(":", 1)
@@ -618,7 +621,7 @@ class ChainMapData:
     A: CoefficientSystem
     FM: FiberModel
     values: dict = field(default_factory=dict)   # (sigma, sigma') -> FormMatrix
-    report: list = field(default_factory=list)
+    problems: list = field(default_factory=list)  # "sigma: message"
     _coords: dict = field(default_factory=dict, repr=False)
 
     def value(self, sigma: Simplex, sigma_p: Simplex) -> FormMatrix:
@@ -659,7 +662,6 @@ def solve_face_coords(A: CoefficientSystem, FM: FiberModel, sigma: Simplex,
     faces = [s2 for s2 in all_faces(sigma)
              if not smat_is_zero(FM.imap(s2))]
     omega = list(FM.omega_basis)
-    deg = _ind_map(M)
 
     def columns(al: str, r: int) -> list[tuple[Simplex, tuple]]:
         below = {be: prec(L, be, al, sigma) for be in L.leaves if be != al}
@@ -707,19 +709,10 @@ def solve_face_coords(A: CoefficientSystem, FM: FiberModel, sigma: Simplex,
                 f"no face decomposition over {sigma} (face {sigma_p}): "
                 f"row {row}, monomial {key}")
         for (s2, be_m), coef in x.items():
-            fm = out.setdefault(s2, FormMatrix(mm, deg, deg))
+            fm = out.setdefault(s2, FormMatrix(mm, M.deg))
             fm.set_entry(row, be_m, fm.entry(row, be_m)
                          + PolyForm(mm, {key: coef}))
     return {s: fm for s, fm in out.items() if not fm.is_zero()}
-
-
-def check_chain_identity(data: MixedConnectionData, cm: ChainMapData,
-                         sigma: Simplex) -> bool:
-    """I'(sigma, empty) intertwines D with the empty-face connection."""
-    val = cm.value(sigma, EMPTY)
-    lhs = val.mul_const_right(cm.FM.D)
-    rhs = val.d().add(data.get(sigma, EMPTY).compose(val))
-    return lhs.eq(rhs)
 
 
 def check_bcoord_structure(cm: ChainMapData, sigma: Simplex,
@@ -740,9 +733,9 @@ def build_Iprime(data: MixedConnectionData, FM: FiberModel,
     """Lift the comparison maps over every simplex of the base.
 
     Follows the same walk as the connection build; afterwards the
-    empty-face data over each simplex must satisfy the chain identity
-    against the empty-face connection, which the report records beside
-    the structure and coherence checks.
+    empty-face data over each simplex must intertwine D with the
+    empty-face connection.  Every failed structure, coherence or chain
+    check lands in ``problems`` as "sigma: message".
     """
     A = data.A
     cm = ChainMapData(A=A, FM=FM)
@@ -751,15 +744,14 @@ def build_Iprime(data: MixedConnectionData, FM: FiberModel,
         return b.mul_const_right(FM.D)
 
     for sigma in A.S:
-        _walk(A, data.aprime, cm.values, sigma, FM.imap, FM.omega_degree,
-              times_D, True, max_degree)
-        entry = {"sigma": sigma, "structure": [], "coherence": []}
-        for sigma_p in [EMPTY] + [f for f in all_faces(sigma) if f != sigma]:
-            entry["structure"] += check_bcoord_structure(cm, sigma, sigma_p)
-            entry["coherence"] += check_value_coherence(cm.values, "I'", sigma,
-                                                        sigma_p)
-        entry["chain"] = check_chain_identity(data, cm, sigma)
-        cm.report.append(entry)
+        _walk(A, data.aprime, cm.values, sigma, FM.imap, times_D, True,
+              max_degree)
+        found = _face_checks(sigma, partial(check_bcoord_structure, cm),
+                             cm.values, "I'")
+        if not intertwines(cm.value(sigma, EMPTY), data.get(sigma, EMPTY),
+                           FM.D):
+            found.append("chain identity fails")
+        cm.problems += [f"{skey(sigma)}: {m}" for m in found]
     return cm
 
 
@@ -805,17 +797,16 @@ def locality_check(data: MixedConnectionData, cm: ChainMapData) -> list[str]:
                         f"I'({sigma},empty) has no face decomposition to "
                         f"read the vertex diagonal from")
                     break
-                diag = FormMatrix(dim(sigma), _ind_map(A.M), FM.omega_degree)
+                diag = FormMatrix(dim(sigma), A.M.deg)
                 for v in sigma:
                     fm = coords.get((v,))
                     if fm is None:
                         continue
-                    keep = FormMatrix(fm.k, fm.row_deg, fm.col_deg)
+                    keep = FormMatrix(fm.k, fm.deg)
                     for (al, i), (be, m), p in fm.entries():
                         if al == alpha and be == alpha:
                             keep.set_entry((al, i), (be, m), p)
-                    diag = diag.add(keep.mul_const_right(
-                        FM.imap((v,)), new_col_deg=FM.omega_degree))
+                    diag = diag.add(keep.mul_const_right(FM.imap((v,))))
                 delta = val.sub(diag)
                 for (al, _i), c, p in delta.entries():
                     if al == alpha and c in high and not p.is_zero():

@@ -134,8 +134,9 @@ def check_refinement(L: LeafSystem, S: BaseComplex) -> list[str]:
 class GradedModule:
     """Free graded module with one block of ``rank[leaf]`` generators per leaf.
 
-    Basis elements are pairs (leaf, i); their degree is the leaf index.
-    Basis order follows the input leaf order.
+    Basis elements are pairs (leaf, i); their degree is the leaf index,
+    and ``deg`` maps each basis element to it.  Basis order follows the
+    input leaf order.
     """
 
     def __init__(self, L: LeafSystem):
@@ -146,6 +147,7 @@ class GradedModule:
             (leaf, i) for leaf in self.leaves for i in range(self.rank[leaf])
         ]
         self.position = {b: p for p, b in enumerate(self.basis)}
+        self.deg = {b: self.index[b[0]] for b in self.basis}
         self.n = len(self.basis)
 
     def degree(self, basis_elt: tuple[str, int]) -> int:

@@ -51,11 +51,16 @@ def check_simplex(sigma) -> Simplex:
     """Validate and return a simplex tuple (strictly increasing ints)."""
     sigma = tuple(sigma)
     for v in sigma:
-        if not isinstance(v, int):
+        if type(v) is not int:      # a bool is an int to isinstance
             raise NonIncreasingVertices(f"vertex ids must be ints, got {v!r}")
     if any(a >= b for a, b in zip(sigma, sigma[1:])):
         raise NonIncreasingVertices(f"vertices not strictly increasing: {sigma}")
     return sigma
+
+
+def skey(sigma: Simplex) -> str:
+    """A simplex as a JSON key and in certificates: "0,1,2"."""
+    return ",".join(map(str, sigma))
 
 
 def face(sigma: Simplex, positions) -> Simplex:
@@ -173,7 +178,9 @@ class BaseComplex:
 
     def require(self, sigma) -> Simplex:
         sigma = tuple(sigma)
-        if sigma not in self._members:
+        # (True, 2) == (1, 2), so membership alone would let a bool in
+        if sigma not in self._members or any(type(v) is not int
+                                             for v in sigma):
             raise SimplexNotInComplex(f"{sigma} is not in the complex")
         return sigma
 

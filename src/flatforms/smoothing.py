@@ -15,6 +15,8 @@ polynomial forms over one power of Q, the package's one localized
 P/Q^e type, built by a single homogenised substitution.  All checks
 cross-multiply instead of dividing, making them exact; Q restricts to
 the corresponding normalizer of every face because B(0) = 0.
+``verify_smoothing`` checks the smoothed data in one walk over the
+simplices, with the flatness and chain identities of :mod:`flatforms.mixed`.
 """
 
 from __future__ import annotations
@@ -29,12 +31,14 @@ from .flatsys import (
     holonomy_is_identity,
 )
 from .forms import PolyForm
-from .linalg import Q, qx
+from .linalg import Q, qint, qx
 from .mixed import (
     ChainMapData,
     FiberModel,
     FormMatrix,
     MixedConnectionData,
+    intertwines,
+    is_flat_connection,
 )
 from .simplicial import EMPTY, BaseComplex, Simplex, dim, face_positions, facet
 
@@ -87,7 +91,7 @@ class PartitionOfUnity:
 
         for item in data["num"]:
             sigma, p = form(item)
-            P.num[(sigma, int(item["v"]))] = p
+            P.num[(sigma, qint(item["v"]))] = p
         P.den.update(form(item) for item in data["den"])
         for s in S:
             if s not in P.den or any((s, v) not in P.num for v in s):
@@ -221,7 +225,7 @@ def phibar(P: PartitionOfUnity, sigma: Simplex, point) -> tuple:
 
 
 def _wedge_left(w: PolyForm, fm: FormMatrix) -> FormMatrix:
-    out = FormMatrix(fm.k, fm.row_deg, fm.col_deg)
+    out = FormMatrix(fm.k, fm.deg)
     for r, c, p in fm.entries():
         out.set_entry(r, c, w.wedge(p))
     return out
@@ -260,12 +264,11 @@ class RatioMatrix:
         return RatioMatrix(self.num.compose(other.num), self.den,
                            self.e + other.e)
 
-    def mul_const_right(self, m, new_col_deg=None) -> "RatioMatrix":
-        return RatioMatrix(self.num.mul_const_right(m, new_col_deg=new_col_deg),
-                           self.den, self.e)
+    def mul_const_right(self, m) -> "RatioMatrix":
+        return RatioMatrix(self.num.mul_const_right(m), self.den, self.e)
 
     def d(self) -> "RatioMatrix":
-        out = FormMatrix(self.num.k, self.num.row_deg, self.num.col_deg)
+        out = FormMatrix(self.num.k, self.num.deg)
         dden = self.den.d()
         for r, c, p in self.num.entries():
             out.set_entry(r, c,
@@ -314,7 +317,7 @@ def _pullback_with_images(fm: FormMatrix, target_k: int, nums: dict,
         return powers[i, e]
 
     images: dict = {}
-    out = FormMatrix(target_k, fm.row_deg, fm.col_deg)
+    out = FormMatrix(target_k, fm.deg)
     for r, c, p in fm.entries():
         acc = PolyForm.zero(target_k)
         for key, coef in p.terms.items():
@@ -356,32 +359,23 @@ def face_collapse_pullback(P: PartitionOfUnity, sigma: Simplex, tau: Simplex,
 
 
 # ---------------------------------------------------------------------------
-# the global family
+# the smoothed data
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GlobalSuperconnection:
-    A: CoefficientSystem
-    P: PartitionOfUnity
-    aglob: dict = field(default_factory=dict)   # sigma -> RatioMatrix
-    iglob: dict = field(default_factory=dict)   # sigma -> RatioMatrix
-    aprime: dict = field(default_factory=dict)  # sigma -> FormMatrix
-    FM: Optional[FiberModel] = None
+def verify_smoothing(data: MixedConnectionData, P: PartitionOfUnity,
+                     cm: Optional[ChainMapData] = None) -> dict:
+    """Flatness, cross-face agreement and first-order normal matching of
+    the pulled-back connection, as exact identities; with ``cm``, also
+    the chain identity and cross-face agreement of the pulled-back
+    chain maps.  Returns the problems of each check under ``flat``,
+    ``c0`` and ``first_order`` (and ``chain`` with ``cm``).
 
-
-def pullback_global(data: MixedConnectionData, P: PartitionOfUnity
-                    ) -> GlobalSuperconnection:
-    G = GlobalSuperconnection(A=data.A, P=P)
-    for sigma in data.A.S:
-        G.aprime[sigma] = data.get(sigma, EMPTY)
-        G.aglob[sigma] = pullback_matrix(G.aprime[sigma], P, sigma)
-    return G
-
-
-def verify_global(G: GlobalSuperconnection) -> dict:
-    """Flatness, cross-face agreement, and first-order normal matching
-    of the pulled-back connection, all as exact identities.
+    One walk in dimension order pulls a'(sigma, empty), and with ``cm``
+    I'(sigma, empty), back along the partition self-map, so each facet's
+    pullback is at hand when sigma is compared with it.  A denominator
+    that does not restrict to a facet is reported under ``c0`` and
+    ``chain``.
 
     First-order matching at a facet asks for more than agreement of the
     tangential restrictions: at points of the face, every component of
@@ -393,21 +387,33 @@ def verify_global(G: GlobalSuperconnection) -> dict:
     say) leaves genuinely normal terms behind and fails here.
     """
     report = {"flat": [], "c0": [], "first_order": []}
-    for sigma in G.A.S:
-        g = G.aglob[sigma]
-        if not g.d().add(g.compose(g)).is_zero():
+    if cm is not None:
+        report["chain"] = []
+    glob = {}   # sigma -> (pulled-back a', pulled-back I' or None)
+    for sigma in data.A.S:
+        g = pullback_matrix(data.get(sigma, EMPTY), P, sigma)
+        ig = (pullback_matrix(cm.value(sigma, EMPTY), P, sigma)
+              if cm is not None else None)
+        glob[sigma] = g, ig
+        if not is_flat_connection(g):
             report["flat"].append(f"pullback over {sigma} is not flat")
+        if cm is not None and not intertwines(ig, g, cm.FM.D):
+            report["chain"].append(f"global chain identity fails over {sigma}")
         for j, tau, pos in _facets(sigma):
-            try:
-                restr = g.restrict(pos, G.P.den[tau])
-            except ValueError:
-                report["c0"].append(
-                    f"denominator of {sigma} does not restrict to {tau}")
+            if P.den[sigma].restrict(pos) != P.den[tau]:
+                msg = f"denominator of {sigma} does not restrict to {tau}"
+                report["c0"].append(msg)
+                if cm is not None:
+                    report["chain"].append(msg)
                 continue
-            if not restr.eq(G.aglob[tau]):
+            g_tau, ig_tau = glob[tau]
+            if not g.restrict(pos, P.den[tau]).eq(g_tau):
                 report["c0"].append(
                     f"global form on {sigma} does not restrict to {tau}")
-            rhs = face_collapse_pullback(G.P, sigma, tau, G.aprime[tau])
+            if cm is not None and not ig.restrict(pos, P.den[tau]).eq(ig_tau):
+                report["chain"].append(
+                    f"global chain map on {sigma} does not restrict to {tau}")
+            rhs = face_collapse_pullback(P, sigma, tau, data.get(tau, EMPTY))
             e = max(g.e, rhs.e)
             diff = g.promoted(e).sub(rhs.promoted(e))
             for r, c, p in diff.entries():
@@ -417,47 +423,6 @@ def verify_global(G: GlobalSuperconnection) -> dict:
                         f"its face {tau} to first order")
                     break
     return report
-
-
-def assemble_I(G: GlobalSuperconnection, cm: ChainMapData
-               ) -> GlobalSuperconnection:
-    """I_glob over sigma: the value of I'(sigma, empty) pulled back along
-    the partition self-map.
-
-    Pullback is a ring map applied entry by entry and the fiber
-    comparisons are constant, so this equals pulling back the face
-    coordinates of the value and recombining them against the
-    comparisons.
-    """
-    G.FM = cm.FM
-    for sigma in G.A.S:
-        G.iglob[sigma] = pullback_matrix(cm.value(sigma, EMPTY), G.P, sigma)
-    return G
-
-
-def verify_chain(G: GlobalSuperconnection) -> list[str]:
-    """The assembled global chain map intertwines the fiber differential
-    with the pulled-back connection, and matches across faces."""
-    if G.FM is None:
-        raise ValueError("no chain map assembled")
-    problems = []
-    for sigma in G.A.S:
-        ig = G.iglob[sigma]
-        lhs = ig.mul_const_right(G.FM.D)
-        rhs = ig.d().add(G.aglob[sigma].compose(ig))
-        if not lhs.eq(rhs):
-            problems.append(f"global chain identity fails over {sigma}")
-        for _j, tau, pos in _facets(sigma):
-            try:
-                restr = ig.restrict(pos, G.P.den[tau])
-            except ValueError:
-                problems.append(
-                    f"denominator of {sigma} does not restrict to {tau}")
-                continue
-            if not restr.eq(G.iglob[tau]):
-                problems.append(
-                    f"global chain map on {sigma} does not restrict to {tau}")
-    return problems
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ starts per loop iteration.  Every row keeps its own step size, RMS error
 norm and accept/reject decision, with rtol = 1e-9, atol = 1e-12 and
 steps of at most 1.0.  A row stops when its speed |W(x)| falls through
 1e-10 (the crossing is located on that step's dense output) or at
-t = 200.  ``flow`` is the one-row wrapper.
+t = 200; a single trajectory is a batch of one.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Q
-
-
-class NoConvergence(Exception):
-    pass
 
 
 BaryPoint = tuple  # length k+1, entries summing to 1
@@ -412,34 +408,6 @@ def _locate_events(y_old, step, Qc, speed_floor):
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
     return _dense(y_old, step, Qc, hi), hi
-
-
-@dataclass
-class Trajectory:
-    k: int
-    times: np.ndarray
-    points: np.ndarray  # shape (len(times), k+1)
-    limit: tuple | None = None
-    backward: bool = False
-
-
-def flow(k: int, start, backward: bool = False, t_max: float = 200.0,
-         speed_floor: float = 1e-10, rtol: float = 1e-9, atol: float = 1e-12
-         ) -> Trajectory:
-    """Integrate the flow from ``start`` until the speed drops below floor.
-
-    The one-row case of ``flow_batch``.  Raises ``NoConvergence`` when
-    the trajectory has not settled by ``t_max``.  ``backward=True``
-    integrates the time-reversed field.
-    """
-    batch = flow_batch(k, [[float(c) for c in start]], backward=backward,
-                       t_max=t_max, speed_floor=speed_floor, rtol=rtol,
-                       atol=atol)
-    if not batch.converged[0]:
-        raise NoConvergence(batch.unsettled(0))
-    times, points = batch.path(0)
-    return Trajectory(k=k, times=times, points=points,
-                      limit=tuple(batch.limits[0]), backward=backward)
 
 
 def nearest_vertex(point, tol=1e-6):

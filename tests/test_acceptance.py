@@ -32,19 +32,15 @@ from flatforms.mixed import (
     build_Iprime,
     build_mixed_connection,
     locality_check,
-    report_certificates,
     validate_fiber_model,
 )
 from flatforms.smoothing import (
-    assemble_I,
     partition_default,
     partition_linear,
     phibar,
-    pullback_global,
     quasi_iso_ranks,
     validate_partition,
-    verify_chain,
-    verify_global,
+    verify_smoothing,
 )
 from flatforms.wkflow import (
     classify_limits,
@@ -215,22 +211,17 @@ def test_criterion_5_mixed_superconnection():
     for inst in mixed_battery():
         t0 = time.perf_counter()
         # a recursion value that clashes with data already built raises
-        # IncompatibleBoundaryData; every other check lands in the report
+        # IncompatibleBoundaryData; every other failed structure,
+        # coherence or flatness check lands in data.problems
         data = build_mixed_connection(inst.A)
-        for entry in data.report:
-            bad = entry["structure"] + entry["coherence"]
-            if bad or entry["flat"] is not True:
-                problems.append(f"seed {inst.seed} {entry['sigma']}: {bad}")
+        problems += [f"seed {inst.seed} {c}" for c in data.problems]
         FM = make_fiber_model(inst)
         fmbad = validate_fiber_model(inst.A, FM)
         if fmbad:
             problems.append(f"seed {inst.seed}: {fmbad[0]}")
             continue
         cm = build_Iprime(data, FM)
-        for entry in cm.report:
-            bad = entry["structure"] + entry["coherence"]
-            if bad or entry["chain"] is not True:
-                problems.append(f"seed {inst.seed} {entry['sigma']}: {bad}")
+        problems += [f"seed {inst.seed} {c}" for c in cm.problems]
         loc = locality_check(data, cm)
         if loc:
             problems.append(f"seed {inst.seed}: {loc[0]}")
@@ -241,10 +232,7 @@ def test_criterion_5_mixed_superconnection():
         inst = generate(seed, max_dim=2, enrich=True)
         t0 = time.perf_counter()
         data = build_mixed_connection(inst.A)
-        for entry in data.report:
-            bad = entry["structure"] + entry["coherence"]
-            if bad or entry["flat"] is not True:
-                problems.append(f"enriched seed {seed} {entry['sigma']}: {bad}")
+        problems += [f"enriched seed {seed} {c}" for c in data.problems]
         worst = max(worst, time.perf_counter() - t0)
     if worst >= 60:
         problems.append(f"worst instance took {worst:.1f}s (budget 60s)")
@@ -271,21 +259,15 @@ def test_criterion_6_smoothing():
                 problems.append(f"{name}: phibar leaves the face of {sigma}")
         data = build_mixed_connection(A)
         cm = build_Iprime(data, FM)
-        problems += [f"{name}: {c}"
-                     for c in report_certificates(data.report + cm.report)]
-        G = pullback_global(data, P)
-        rep = verify_global(G)
-        for kind in ("flat", "c0", "first_order"):
+        problems += [f"{name}: {c}" for c in data.problems + cm.problems]
+        rep = verify_smoothing(data, P, cm)
+        for kind in ("flat", "c0", "first_order", "chain"):
             if rep[kind]:
                 problems.append(f"{name}: {rep[kind][0]}")
-        assemble_I(G, cm)
-        chain = verify_chain(G)
-        if chain:
-            problems.append(f"{name}: {chain[0]}")
         if name in ("edge", "seed 5", "seed 8", "seed 11"):
             # these carry nonzero homotopies, so skipping the smoothing
             # must be caught: B(t) = t fails exactly first-order matching
-            lrep = verify_global(pullback_global(data, partition_linear(A.S)))
+            lrep = verify_smoothing(data, partition_linear(A.S))
             if lrep["flat"] or lrep["c0"]:
                 problems.append(f"{name}: linear partition broke flat/c0")
             if not lrep["first_order"]:

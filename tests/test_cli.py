@@ -369,6 +369,23 @@ W_A0 = '["w", "a", 0]'
      "fiber model eta does not tag omega exactly"),
     (lambda d: d["fiber_model"]["eta"].pop(W_A0),
      "fiber model eta does not tag omega exactly"),
+    # integer fields take neither a float, which int() would truncate,
+    # nor a bool, which int() and isinstance(v, int) read as 0 or 1
+    (lambda d: d["leaves"][0].__setitem__(1, 3.7), "not an integer: 3.7"),
+    (lambda d: d["leaves"][0].__setitem__(2, 3.0), "not an integer: 3.0"),
+    (lambda d: d["fiber_model"]["omega"][0].__setitem__(1, 3.0),
+     "not an integer: 3.0"),
+    (lambda d: d["partition"]["num"][0]["form"].update(k=False),
+     "not an integer: False"),
+    (lambda d: d["partition"]["num"][1]["form"]["terms"][1]["mono"].update(
+        {"1": 2.0}), "not an integer: 2.0"),
+    (lambda d: d["partition"]["num"][1]["form"]["terms"][0].update(
+        dx=[True]), "not an integer: True"),
+    (lambda d: d["partition"]["num"][1].update(v=0.0), "not an integer: 0.0"),
+    (lambda d: d["complex"].__setitem__(5, [True, 2]),
+     "vertex ids must be ints, got True"),
+    (lambda d: d["partition"]["den"][0].update(sigma=[0.0]),
+     "(0.0,) is not in the complex"),
 ], ids=["non-increasing-simplex", "duplicate-simplex", "non-int-simplex",
         "heights-of-undeclared-leaf", "missing-height",
         "coefficient-outside-complex", "block-of-undeclared-leaf",
@@ -376,7 +393,10 @@ W_A0 = '["w", "a", 0]'
         "partition-wrong-chart", "partition-outside-complex",
         "partition-term-off-chart", "model-D-key", "model-I-simplex",
         "model-I-row",
-        "model-I-column", "model-eta-key", "model-eta-omits-key"])
+        "model-I-column", "model-eta-key", "model-eta-omits-key",
+        "float-leaf-index", "float-leaf-rank", "float-omega-degree",
+        "bool-form-k", "float-exponent", "bool-dx", "float-partition-vertex",
+        "bool-simplex-vertex", "float-partition-simplex"])
 def test_structural_fault_is_input_error_everywhere(capsys, tmp_path, change,
                                                     witness):
     path = triangle_file(tmp_path, change)
@@ -403,6 +423,18 @@ def test_missing_coefficient_is_a_failed_check(capsys, tmp_path, cmd, check,
     assert code == 1
     assert rep["certificates"] == [f"no coefficient stored for {missing}"]
     assert rep["checks"][check] == rep["certificates"][0]
+
+
+def test_validate_checks_a_file_without_coefficients(capsys, tmp_path):
+    def strip(d):
+        for key in ("coefficients", "fiber_model", "partition"):
+            del d[key]
+    path = triangle_file(tmp_path, strip)
+    missing = [f"missing coefficient for {s}" for s in _TRI.S]
+    for cmd in ("validate", "build-aprime"):
+        code, rep = run(capsys, cmd, "--instance", str(path))
+        assert code == 1, cmd
+        assert rep["certificates"] == rep["checks"]["system"] == missing
 
 
 def test_holonomy_needs_only_vertex_and_edge_data(capsys, tmp_path):

@@ -25,14 +25,13 @@ from flatforms.mixed import (
     build_Iprime,
     build_mixed_connection,
     check_bcoord_structure,
-    check_chain_identity,
     check_value_coherence,
+    intertwines,
+    is_flat_connection,
     locality_check,
     neumann_inverse,
-    report_certificates,
     solve_face_coords,
     validate_fiber_model,
-    verify_flat,
 )
 from flatforms.morse import LeafSystem
 from flatforms.simplicial import EMPTY, build_complex, dim
@@ -81,7 +80,7 @@ def worked_edge_fiber():
 
 
 def random_matrix(rng, k, keys, deg, max_poly=2):
-    fm = FormMatrix(k, deg, deg)
+    fm = FormMatrix(k, deg)
     from itertools import combinations
     dx_choices = []
     for r in range(k + 1):
@@ -116,7 +115,7 @@ def test_identity_is_neutral(seed):
     keys = ["a", "b"]
     deg = {"a": 0, "b": 2}
     x = random_matrix(rng, 2, keys, deg)
-    e = FormMatrix.identity(2, keys, deg)
+    e = FormMatrix.identity(2, deg)
     assert x.compose(e).eq(x) and e.compose(x).eq(x)
 
 
@@ -133,22 +132,22 @@ def test_compose_restrict_commute():
 def test_neumann_inverse_of_unipotent():
     keys = ["a", "b", "c"]
     deg = {"a": 0, "b": 0, "c": 0}
-    n = FormMatrix(1, deg, deg)
+    n = FormMatrix(1, deg)
     n.set_entry("b", "a", PolyForm.coordinate(1, 1))
     n.set_entry("c", "b", PolyForm.dx(1, 1))
-    ginv = neumann_inverse(n, keys, max_len=6)
-    g = FormMatrix.identity(1, keys, deg).add(n)
-    assert g.compose(ginv).eq(FormMatrix.identity(1, keys, deg))
-    assert ginv.compose(g).eq(FormMatrix.identity(1, keys, deg))
+    ginv = neumann_inverse(n, max_len=6)
+    g = FormMatrix.identity(1, deg).add(n)
+    assert g.compose(ginv).eq(FormMatrix.identity(1, deg))
+    assert ginv.compose(g).eq(FormMatrix.identity(1, deg))
 
 
 def test_neumann_rejects_non_nilpotent():
     keys = ["a"]
     deg = {"a": 0}
-    n = FormMatrix(1, deg, deg)
+    n = FormMatrix(1, deg)
     n.set_entry("a", "a", PolyForm.one(1))
     with pytest.raises(NotNilpotent):
-        neumann_inverse(n, keys, max_len=8)
+        neumann_inverse(n, max_len=8)
 
 
 # --- the connection on the worked example -------------------------------
@@ -157,20 +156,20 @@ def test_neumann_rejects_non_nilpotent():
 def test_worked_edge_closed_form():
     A = worked_edge()
     data = build_mixed_connection(A)
-    assert report_certificates(data.report) == []
+    assert data.problems == []
     ap = data.get((0, 1), EMPTY)
     x = PolyForm.coordinate(1, 1)
     assert (ap.entry(("q", 0), ("r", 0)) - PolyForm.one(1)).is_zero()
     assert (ap.entry(("q", 0), ("p", 0)) - x).is_zero()
     assert (ap.entry(("r", 0), ("p", 0)) - PolyForm.dx(1, 1)).is_zero()
     assert len(list(ap.entries())) == 3
-    assert verify_flat(data, (0, 1))
+    assert is_flat_connection(ap)
 
 
 def test_vanishing_on_own_face():
     A = worked_edge()
     data = build_mixed_connection(A)
-    assert report_certificates(data.report) == []
+    assert data.problems == []
     for sigma in A.S:
         assert data.get(sigma, sigma).is_zero()
 
@@ -178,27 +177,49 @@ def test_vanishing_on_own_face():
 def test_vertex_empty_face_is_constant():
     A = worked_edge()
     data = build_mixed_connection(A)
-    assert report_certificates(data.report) == []
+    assert data.problems == []
     got = data.get((0,), EMPTY)
-    want = FormMatrix.from_const(0, A.a((0,)), {b: A.M.degree(b) for b in A.M.basis},
-                                 {b: A.M.degree(b) for b in A.M.basis})
+    want = FormMatrix.from_const(0, A.a((0,)), A.M.deg)
     assert got.eq(want)
 
 
 def test_connection_detects_corrupted_input():
+    # per simplex: structure over every face, then coherence, then the
+    # flatness or chain identity
     A = worked_edge()
     A.set((0, 1), {("r", 0): {("p", 0): Q(1)}, ("q", 0): {("p", 0): Q(5)}})
     data = build_mixed_connection(A)
-    bad = [e for e in data.report if e["structure"] or not e["flat"]]
-    assert bad
-    assert report_certificates(data.report)
+    structure = [
+        "0,1: a'((0, 1),()): block q<-p not homogeneous of form degree 0",
+        "0,1: a'((0, 1),(0,)): block q<-p not homogeneous of form degree -1"]
+    assert data.problems == structure
+    A.coeffs[(0,)][("q", 0)][("r", 0)] = Q(2)
+    data = build_mixed_connection(A)
+    assert data.problems == structure + [
+        "0,1: a'((0, 1),()) does not restrict to a'((1,),())"]
+    cm = build_Iprime(data, worked_edge_fiber())
+    assert cm.problems == [
+        "0: chain identity fails",
+        "0,1: I'((0, 1),()): no triangular face decomposition",
+        "0,1: I'((0, 1),()) does not restrict to I'((1,),())",
+        "0,1: chain identity fails"]
+    inst = designed_instance(27, [(0, 1, 2)])
+    bad, _desc = corrupt_random_entry(random.Random(1), inst.A)
+    assert build_mixed_connection(bad).problems == [
+        "0: connection is not flat",
+        "0,1: a'((0, 1),()) does not restrict to a'((1,),())",
+        "0,1: connection is not flat",
+        "0,2: a'((0, 2),()) does not restrict to a'((2,),())",
+        "0,2: connection is not flat",
+        "0,1,2: a'((0, 1, 2),()) does not restrict to a'((1, 2),())",
+        "0,1,2: connection is not flat"]
 
 
 def test_build_reports_corrupted_vertex():
     A = worked_edge()
     A.coeffs[(0,)][("q", 0)][("r", 0)] = Q(2)
     data = build_mixed_connection(A)
-    assert report_certificates(data.report) == [
+    assert data.problems == [
         "0,1: a'((0, 1),()) does not restrict to a'((1,),())"]
 
 
@@ -216,21 +237,21 @@ def test_generated_instances_connection_sweep():
     for seed in range(8):
         inst = generate(seed, max_dim=2)
         data = build_mixed_connection(inst.A)
-        assert report_certificates(data.report) == []
+        assert data.problems == []
 
 
 def test_connection_on_tetrahedron():
     inst = designed_instance(2, [(0, 1, 2, 3)])
     data = build_mixed_connection(inst.A)
-    assert report_certificates(data.report) == []
-    assert verify_flat(data, (0, 1, 2, 3))
+    assert data.problems == []
+    assert is_flat_connection(data.get((0, 1, 2, 3), EMPTY))
     assert not check_value_coherence(data.aprime, "a'", (0, 1, 2, 3), EMPTY)
 
 
 def test_total_degree_bookkeeping():
     inst = generate(1, max_dim=2, need_triangle=True)
     data = build_mixed_connection(inst.A)
-    assert report_certificates(data.report) == []
+    assert data.problems == []
     M = inst.A.M
     for (sigma, sigma_p), fm in data.aprime.items():
         kk = len(sigma_p)
@@ -248,14 +269,14 @@ def test_worked_edge_chain_map():
     assert not validate_fiber_model(A, FM)
     data = build_mixed_connection(A)
     cm = build_Iprime(data, FM)
-    assert report_certificates(data.report + cm.report) == []
+    assert data.problems + cm.problems == []
     val = cm.value((0, 1), EMPTY)
     x = PolyForm.coordinate(1, 1)
     assert (val.entry(("p", 0), "u") - PolyForm.one(1)).is_zero()
     assert (val.entry(("q", 0), "z") - PolyForm.one(1)).is_zero()
     assert (val.entry(("r", 0), "u") + x).is_zero()
     assert (val.entry(("r", 0), "w") - PolyForm.one(1)).is_zero()
-    assert check_chain_identity(data, cm, (0, 1))
+    assert intertwines(val, data.get((0, 1), EMPTY), FM.D)
     assert locality_check(data, cm) == []
 
 
@@ -280,7 +301,7 @@ def test_chain_map_sweep_dim2():
         data = build_mixed_connection(inst.A)
         FM = make_fiber_model(inst)
         cm = build_Iprime(data, FM)
-        assert report_certificates(data.report + cm.report) == []
+        assert data.problems + cm.problems == []
         assert locality_check(data, cm) == []
 
 
@@ -289,8 +310,9 @@ def test_chain_map_on_tetrahedron():
     data = build_mixed_connection(inst.A)
     FM = make_fiber_model(inst)
     cm = build_Iprime(data, FM)
-    assert report_certificates(data.report + cm.report) == []
-    assert check_chain_identity(data, cm, (0, 1, 2, 3))
+    assert data.problems + cm.problems == []
+    tet = (0, 1, 2, 3)
+    assert intertwines(cm.value(tet, EMPTY), data.get(tet, EMPTY), FM.D)
     assert locality_check(data, cm) == []
 
 
@@ -301,7 +323,7 @@ def test_enriched_instance_has_no_canned_model():
         make_fiber_model(inst)
     # the connection side does not care where the system came from
     data = build_mixed_connection(inst.A)
-    assert report_certificates(data.report) == []
+    assert data.problems == []
 
 
 def test_solve_face_coords_roundtrip():
@@ -309,22 +331,20 @@ def test_solve_face_coords_roundtrip():
     data = build_mixed_connection(inst.A)
     FM = make_fiber_model(inst)
     cm = build_Iprime(data, FM)
-    assert report_certificates(data.report + cm.report) == []
+    assert data.problems + cm.problems == []
     tri = [s for s in inst.A.S if dim(s) == 2][0]
     val = cm.value(tri, EMPTY)
     bd = solve_face_coords(inst.A, FM, tri, EMPTY, val)
-    total = FormMatrix(dim(tri), val.row_deg, FM.omega_degree)
+    total = FormMatrix(dim(tri), val.deg)
     for s2, fm in bd.items():
-        total = total.add(fm.mul_const_right(FM.imap(s2),
-                                             new_col_deg=FM.omega_degree))
+        total = total.add(fm.mul_const_right(FM.imap(s2)))
     assert total.eq(val)
 
 
 def test_solve_face_coords_infeasible_value():
     A = worked_edge()
     FM = worked_edge_fiber()
-    deg = {b: A.M.degree(b) for b in A.M.basis}
-    bad = FormMatrix(1, deg, FM.omega_degree)
+    bad = FormMatrix(1, A.M.deg)
     # a map raising from the top leaf downward cannot be triangular
     bad.set_entry(("p", 0), "z", PolyForm.one(1))
     with pytest.raises(ExtensionInfeasible):
@@ -334,8 +354,7 @@ def test_solve_face_coords_infeasible_value():
 def test_missing_face_decomposition_is_a_structure_problem():
     A = worked_edge()
     FM = worked_edge_fiber()
-    deg = {b: A.M.degree(b) for b in A.M.basis}
-    bad = FormMatrix(1, deg, FM.omega_degree)
+    bad = FormMatrix(1, A.M.deg)
     bad.set_entry(("p", 0), "z", PolyForm.one(1))
     cm = ChainMapData(A=A, FM=FM)
     cm.values[((0, 1), EMPTY)] = bad
@@ -349,7 +368,7 @@ def test_locality_flags_injected_mass():
     FM = worked_edge_fiber()
     data = build_mixed_connection(A)
     cm = build_Iprime(data, FM)
-    assert report_certificates(data.report + cm.report) == []
+    assert data.problems + cm.problems == []
     # the q row reaching z: z sits at the height of q, so it is tagged
     val = cm.value((0, 1), (0,))
     val.set_entry(("q", 0), "z", val.entry(("q", 0), "z") + PolyForm.one(1))
@@ -363,6 +382,6 @@ def test_locality_requires_tags():
     FM.eta = None
     data = build_mixed_connection(A)
     cm = build_Iprime(data, FM)
-    assert report_certificates(data.report + cm.report) == []
+    assert data.problems + cm.problems == []
     with pytest.raises(ValueError):
         locality_check(data, cm)

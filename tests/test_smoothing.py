@@ -14,7 +14,6 @@ from flatforms.mixed import (
     FormMatrix,
     build_Iprime,
     build_mixed_connection,
-    report_certificates,
 )
 from flatforms.morse import LeafSystem
 from flatforms.simplicial import build_complex
@@ -22,17 +21,14 @@ from flatforms.smoothing import (
     PartitionOfUnity,
     RatioMatrix,
     _flip_last,
-    assemble_I,
     omega_betti,
     partition_default,
     partition_linear,
     phibar,
-    pullback_global,
     pullback_matrix,
     quasi_iso_ranks,
     validate_partition,
-    verify_chain,
-    verify_global,
+    verify_smoothing,
 )
 
 from test_forms import random_form
@@ -41,14 +37,14 @@ from test_forms import random_form
 def connection(A):
     """The a' build, with every check of its report passing."""
     data = build_mixed_connection(A)
-    assert report_certificates(data.report) == []
+    assert data.problems == []
     return data
 
 
 def chain_maps(data, FM):
     """The I' build, with every check of its report passing."""
     cm = build_Iprime(data, FM)
-    assert report_certificates(cm.report) == []
+    assert cm.problems == []
     return cm
 
 
@@ -149,7 +145,7 @@ def test_phibar_maps_triangle_to_itself(a, b):
 
 def ratio_fixture():
     deg = {"x": 0, "y": 0}
-    num = FormMatrix(2, deg, deg)
+    num = FormMatrix(2, deg)
     num.set_entry("x", "y", PolyForm(2, {((1, 0), ()): Q(1)}))
     num.set_entry("y", "y", PolyForm(2, {((0, 1), (1,)): Q(2)}))
     den = PolyForm(2, {((0, 0), ()): Q(1), ((1, 1), ()): Q(1)})
@@ -188,7 +184,7 @@ def den_for(k):
 
 def ratio_1x1(p, den, e):
     deg = {"x": 0}
-    num = FormMatrix(p.k, deg, deg)
+    num = FormMatrix(p.k, deg)
     num.set_entry("x", "x", p)
     return RatioMatrix(num, den, e)
 
@@ -258,8 +254,7 @@ def test_pullback_of_constants_is_constant():
 def test_worked_edge_global_checks():
     A = edge_system()
     data = connection(A)
-    G = pullback_global(data, partition_default(A.S))
-    rep = verify_global(G)
+    rep = verify_smoothing(data, partition_default(A.S))
     assert rep == {"flat": [], "c0": [], "first_order": []}
 
 
@@ -269,8 +264,7 @@ def test_worked_edge_linear_fails_first_order_only():
     predicts, and the report says so."""
     A = edge_system()
     data = connection(A)
-    G = pullback_global(data, partition_linear(A.S))
-    rep = verify_global(G)
+    rep = verify_smoothing(data, partition_linear(A.S))
     assert rep["flat"] == []
     assert rep["c0"] == []
     assert rep["first_order"]
@@ -281,15 +275,14 @@ def test_worked_edge_linear_fails_first_order_only():
 def test_generated_surfaces_default_clean(seed):
     inst = generate(seed, max_dim=2, enrich=False)
     data = connection(inst.A)
-    G = pullback_global(data, partition_default(inst.A.S))
-    rep = verify_global(G)
+    rep = verify_smoothing(data, partition_default(inst.A.S))
     assert rep == {"flat": [], "c0": [], "first_order": []}
 
 
 def test_generated_surface_linear_detected():
     inst = generate(5, max_dim=2, enrich=False)
     data = connection(inst.A)
-    rep = verify_global(pullback_global(data, partition_linear(inst.A.S)))
+    rep = verify_smoothing(data, partition_linear(inst.A.S))
     assert rep["flat"] == [] and rep["c0"] == []
     assert len(rep["first_order"]) > 0
 
@@ -301,9 +294,8 @@ def test_worked_edge_chain_assembly():
     A = edge_system()
     data = connection(A)
     cm = chain_maps(data, edge_fiber())
-    G = pullback_global(data, partition_default(A.S))
-    assemble_I(G, cm)
-    assert verify_chain(G) == []
+    rep = verify_smoothing(data, partition_default(A.S), cm)
+    assert rep["chain"] == []
 
 
 @pytest.mark.parametrize("seed", [2, 5])
@@ -312,28 +304,16 @@ def test_generated_chain_assembly(seed):
     FM = make_fiber_model(inst)
     data = connection(inst.A)
     cm = chain_maps(data, FM)
-    G = pullback_global(data, partition_default(inst.A.S))
-    assemble_I(G, cm)
-    assert verify_chain(G) == []
+    rep = verify_smoothing(data, partition_default(inst.A.S), cm)
+    assert rep["chain"] == []
 
 
 def test_full_pipeline_on_tetrahedron():
     inst = designed_instance(0, [(0, 1, 2, 3)])
     data = connection(inst.A)
     cm = chain_maps(data, make_fiber_model(inst))
-    G = pullback_global(data, partition_default(inst.A.S))
-    rep = verify_global(G)
-    assert rep == {"flat": [], "c0": [], "first_order": []}
-    assemble_I(G, cm)
-    assert verify_chain(G) == []
-
-
-def test_chain_requires_assembly():
-    A = edge_system()
-    data = connection(A)
-    G = pullback_global(data, partition_default(A.S))
-    with pytest.raises(ValueError):
-        verify_chain(G)
+    rep = verify_smoothing(data, partition_default(inst.A.S), cm)
+    assert rep == {"flat": [], "c0": [], "first_order": [], "chain": []}
 
 
 # --- homology comparison ------------------------------------------------

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from flatforms.wkflow import (
-    NoConvergence,
     classify_limits,
     face_restriction_check,
-    flow,
     flow_batch,
     height,
     lyapunov_rate,
@@ -98,11 +96,13 @@ def test_batch_row_equals_one_row_flow():
             batch = flow_batch(k, starts, backward=backward)
             assert batch.converged.all() and batch.monotone.all()
             for i in (0, 3, 24):
-                one = flow(k, starts[i], backward=backward)
-                assert np.abs(batch.limits[i] - one.limit).max() <= 1e-12
+                one = flow_batch(k, [starts[i]], backward=backward)
+                assert one.converged[0]
+                assert np.abs(batch.limits[i] - one.limits[0]).max() <= 1e-12
                 times, points = batch.path(i)
-                assert len(times) == len(one.times)
-                assert np.abs(points - one.points).max() <= 1e-12
+                one_times, one_points = one.path(0)
+                assert len(times) == len(one_times)
+                assert np.abs(points - one_points).max() <= 1e-12
 
 
 def test_edge_flow_follows_the_logistic_curve():
@@ -185,31 +185,39 @@ def test_face_restriction_exact():
 
 
 def test_flow_forward_reaches_max_support_vertex():
-    traj = flow(2, (0.2, 0.5, 0.3))
-    assert nearest_vertex(traj.limit) == 2
+    batch = flow_batch(2, [(0.2, 0.5, 0.3)])
+    assert batch.converged[0]
+    assert nearest_vertex(batch.limits[0]) == 2
 
 
 def test_flow_backward_reaches_min_support_vertex():
-    traj = flow(2, (0.2, 0.5, 0.3), backward=True)
-    assert nearest_vertex(traj.limit) == 0
+    batch = flow_batch(2, [(0.2, 0.5, 0.3)], backward=True)
+    assert batch.converged[0]
+    assert nearest_vertex(batch.limits[0]) == 0
 
 
 def test_flow_on_invariant_face():
-    traj = flow(3, (0.0, 0.4, 0.6, 0.0))
-    assert nearest_vertex(traj.limit) == 2
-    back = flow(3, (0.0, 0.4, 0.6, 0.0), backward=True)
-    assert nearest_vertex(back.limit) == 1
+    batch = flow_batch(3, [(0.0, 0.4, 0.6, 0.0)])
+    assert batch.converged[0]
+    assert nearest_vertex(batch.limits[0]) == 2
+    back = flow_batch(3, [(0.0, 0.4, 0.6, 0.0)], backward=True)
+    assert back.converged[0]
+    assert nearest_vertex(back.limits[0]) == 1
 
 
 def test_flow_height_monotone():
-    traj = flow(3, (0.1, 0.2, 0.3, 0.4))
-    hs = [height(3, p) for p in traj.points]
+    batch = flow_batch(3, [(0.1, 0.2, 0.3, 0.4)])
+    assert batch.converged[0]
+    _times, points = batch.path(0)
+    hs = [height(3, p) for p in points]
     assert all(b >= a - 1e-9 for a, b in zip(hs, hs[1:]))
 
 
 def test_flow_no_convergence():
-    with pytest.raises(NoConvergence):
-        flow(2, (0.2, 0.5, 0.3), t_max=1e-3)
+    batch = flow_batch(2, [(0.2, 0.5, 0.3)], t_max=1e-3)
+    assert not batch.converged[0]
+    assert batch.unsettled(0).startswith("speed still ")
+    assert batch.unsettled(0).endswith(" at t=0.001")
 
 
 def test_batch_rows_settle_independently():
@@ -221,5 +229,6 @@ def test_batch_rows_settle_independently():
 
 
 def test_flow_from_vertex_is_trivial():
-    traj = flow(2, (0.0, 1.0, 0.0))
-    assert nearest_vertex(traj.limit) == 1
+    batch = flow_batch(2, [(0.0, 1.0, 0.0)])
+    assert batch.converged[0]
+    assert nearest_vertex(batch.limits[0]) == 1
