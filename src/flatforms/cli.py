@@ -221,6 +221,8 @@ def cmd_build_iprime(args):
     if inst.FM is None:
         raise ParseError(f"no fiber model: {inst.no_model}")
     checks = Checks()
+    if sysp := validate_system(inst.A):
+        return checks.record("system", sysp)
     try:
         if fmp := validate_fiber_model(inst.A, inst.FM):
             return checks.record("fiber_model", fmp)
@@ -242,6 +244,8 @@ def cmd_smooth(args):
     inst = load_instance(args)
     checks = Checks()
     A, FM = inst.A, inst.FM
+    if sysp := validate_system(A):
+        return checks.record("system", sysp)
     checks["partition"] = "from file" if inst.P is not None else "default"
     P = inst.P if inst.P is not None else partition_default(A.S)
     checks.record("partition_valid", validate_partition(P))
@@ -252,6 +256,8 @@ def cmd_smooth(args):
         cm = build_Iprime(data, FM) if FM is not None else None
     except BUILD_ERRORS as ex:
         return checks.stop("build", ex)
+    if found := data.problems + (cm.problems if cm is not None else []):
+        checks.record("problems", found)
     for kind, problems in verify_smoothing(data, P, cm).items():
         checks.record(kind, problems)
     return checks

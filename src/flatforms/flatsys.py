@@ -409,11 +409,11 @@ def _solve_one(A: CoefficientSystem, sigma: Simplex):
     K = flatness_residual(A, sigma)
     unknowns, rows = flatness_equation(A, sigma)
     rhs = {(r, c): -v for r, c, v in smat_entries(K)}
-    [(x, cert)] = solve(rows, unknowns, [rhs])
+    [x] = solve(rows, unknowns, [rhs])
     if x is None:
         raise Infeasible(
             f"no flat completion over the allowed blocks of {sigma}",
-            certificate={"sigma": sigma, "reduced_row": repr(cert)})
+            certificate={"sigma": sigma})
     X = {}
     for (r, c), v in x.items():
         smat_set(X, r, c, v)
@@ -546,7 +546,7 @@ def induced_on_homology(T: SMat, src: FiberHomology,
     solutions = solve(smat_transpose(span), list(span),
                       [images.get(j, {}) for j in range(len(src.reps))])
     out: SMat = {}
-    for j, (x, _cert) in enumerate(solutions):
+    for j, x in enumerate(solutions):
         if x is None:
             raise ChainMapViolation("image of a cycle is not a cycle mod boundaries")
         for (tag, i), v in x.items():

@@ -433,16 +433,10 @@ def _common_face_check(k: int, data: Sequence[PolyForm]):
                 )
 
 
-_RESTR_CACHE: dict = {}
-
-
+@cache
 def _restricted_basis_form(k: int, j: int, key: Key) -> PolyForm:
-    ck = (k, j, key)
-    hit = _RESTR_CACHE.get(ck)
-    if hit is None:
-        hit = PolyForm(k, {key: Q(1)}).restrict(_facet_positions(k, j))
-        _RESTR_CACHE[ck] = hit
-    return hit
+    """The basis term ``key`` on the k-chart restricted to facet j."""
+    return PolyForm(k, {key: Q(1)}).restrict(_facet_positions(k, j))
 
 
 def _monomials_upto(k: int, deg: int):
@@ -513,7 +507,7 @@ def _extend_homogeneous(k: int, data: Sequence[PolyForm], r: int,
                     rows.setdefault((j, tkey), {})[key] = c
             for tkey, c in data[j].terms.items():
                 rhs[(j, tkey)] = c
-        [(x, _cert)] = solve(rows, cols, [rhs])
+        [x] = solve(rows, cols, [rhs])
         if x is not None:
             return PolyForm(k, x)
         deg += 1

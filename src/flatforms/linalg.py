@@ -214,26 +214,17 @@ def kernel(a: SMat, cols: Sequence) -> list[SVec]:
 
 
 def solve(a: SMat, cols: Sequence, rhs: Sequence[SVec]
-          ) -> list[tuple[Optional[SVec], Optional[tuple[SVec, Fraction]]]]:
+          ) -> list[Optional[SVec]]:
     """Solve ``a x = b`` for each right-hand side b, eliminating once.
 
-    Each b is a vector over the row keys.  A consistent b gives
-    ``(x, None)``, x the solution with every free variable zero, keyed
-    by column in column order.  An inconsistent b gives
-    ``(None, (coeffs, c))``: a reduced row reading ``0 = c`` with
-    ``coeffs`` empty and ``c`` nonzero.
+    Each b is a vector over the row keys.  A consistent b gives x, the
+    solution with every free variable zero, keyed by column in column
+    order; an inconsistent b, one that leaves a reduced row reading
+    0 = c with c nonzero, gives None.
     """
     n = len(cols)
     pivots, rest = _eliminate(a, cols, rhs)
-    witness: dict[int, Fraction] = {}
-    for row in rest:
-        for j, v in row.items():
-            witness.setdefault(j, v)
-    out = []
-    for j in range(n, n + len(rhs)):
-        if j in witness:
-            out.append((None, ({}, witness[j])))
-        else:
-            out.append(({cols[col]: row[j] for col, row in pivots if j in row},
-                        None))
-    return out
+    inconsistent = {j for row in rest for j in row}
+    return [None if j in inconsistent else
+            {cols[col]: row[j] for col, row in pivots if j in row}
+            for j in range(n, n + len(rhs))]

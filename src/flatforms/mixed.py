@@ -9,23 +9,27 @@ entrywise exterior derivative satisfies the graded Leibniz rule with
 respect to total degree (grading plus form degree), which is what makes
 the flatness computations below close up.
 
-Over a simplex sigma, data is stored per face sigma' of sigma (plus the
-empty face) as a form matrix on the span of the vertices of sigma from
-the last vertex of sigma' onward.  The connection a' and the chain maps
-I' are built by one walk over the faces of the base in increasing
-dimension.  Inside a simplex it stores zero on sigma itself, copies data
-for non-initial faces from smaller simplices, then treats initial
-segments by descending length: a recursion value on the inner span is
-extended from boundary values over the next span up.  The extension's
-common-face check compares the recursion value with the data already
-built on the facets of sigma, and a clash raises
-``IncompatibleBoundaryData`` naming the simplex, segment, facet and
-entry.  The empty face is reached last by a gauge step whose unipotent
-is invertible by a finite geometric series.  The two builds differ only
-in the constant seed of the recursion (a or I), its right factor
-(a'(sigma[k:], empty) or D), and the identity checked afterwards,
-``is_flat_connection`` or ``intertwines``; smoothing checks the same two
-on the partition pullbacks.  Failed checks land in ``problems``.
+Over a simplex sigma, the value at a face sigma' of sigma (or at the
+empty face) is a form matrix on the span of the vertices of sigma from
+the last vertex of sigma' onward.  It depends only on sigma' and the
+vertices of sigma after its last vertex, which together span a face of
+sigma that owns the value: there sigma' is an initial segment.  So the
+stores hold one value per simplex and initial segment, the empty face
+and sigma itself included, and ``_owner`` resolves every other face.
+The connection a' and the chain maps I' are built by one walk over the
+faces of the base in increasing dimension.  Inside a simplex it stores
+zero on sigma itself, then treats initial segments by descending
+length: a recursion value on the inner span is extended from boundary
+values over the next span up.  The extension's common-face check
+compares the recursion value with the data already built on the facets
+of sigma, and a clash raises ``IncompatibleBoundaryData`` naming the
+simplex, segment, facet and entry.  The empty face is reached last by a
+gauge step whose unipotent is invertible by a finite geometric series.
+The two builds differ only in the constant seed of the recursion (a or
+I), its right factor (a'(sigma[k:], empty) or D), and the identity
+checked afterwards, ``is_flat_connection`` or ``intertwines``;
+smoothing checks the same two on the partition pullbacks.  Failed
+checks land in ``problems``.
 """
 
 from __future__ import annotations
@@ -63,8 +67,6 @@ from .simplicial import (
     boundary_chain,
     dim,
     face_positions,
-    facet,
-    relative_simplex,
     skey,
 )
 
@@ -101,7 +103,7 @@ class FormMatrix:
     def from_const(cls, k: int, m: SMat, deg: dict) -> "FormMatrix":
         out = cls(k, deg)
         for r, c, v in smat_entries(m):
-            out.rows.setdefault(r, {})[c] = PolyForm.const(k, v)
+            out.set_entry(r, c, PolyForm.const(k, v))
         return out
 
     @classmethod
@@ -152,11 +154,12 @@ class FormMatrix:
             out.set_entry(r, cc, p.scale(c))
         return out
 
+    # ``set_entry`` stores no zero form, so equal matrices have equal rows
     def is_zero(self) -> bool:
-        return all(p.is_zero() for _r, _c, p in self.entries())
+        return not self.rows
 
     def eq(self, other: "FormMatrix") -> bool:
-        return self.sub(other).is_zero()
+        return self.k == other.k and self.rows == other.rows
 
     # -- differential and composition -------------------------------------
 
@@ -235,31 +238,30 @@ def neumann_inverse(g_minus_id: FormMatrix, max_len: int) -> FormMatrix:
 # connection data over the base
 # ---------------------------------------------------------------------------
 
+def _owner(sigma: Simplex, sigma_p: Simplex) -> tuple[Simplex, Simplex]:
+    """The stored key holding the value over ``sigma`` at its face
+    ``sigma_p``: the face spanned by ``sigma_p`` and the vertices of
+    ``sigma`` after its last vertex, in which ``sigma_p`` is an initial
+    segment.  That face has the same span relative to ``sigma_p``, so
+    the value needs no reindexing."""
+    if not sigma_p:
+        return sigma, EMPTY
+    last = face_positions(sigma_p, sigma)[-1]
+    return sigma_p + sigma[last + 1:], sigma_p
+
+
 @dataclass
 class MixedConnectionData:
     A: CoefficientSystem
-    aprime: dict = field(default_factory=dict)   # (sigma, sigma') -> FormMatrix
+    aprime: dict = field(default_factory=dict)   # _owner key -> FormMatrix
     problems: list = field(default_factory=list)  # "sigma: message"
 
     def get(self, sigma: Simplex, sigma_p: Simplex) -> FormMatrix:
-        return self.aprime[(tuple(sigma), tuple(sigma_p))]
+        return self.aprime[_owner(tuple(sigma), tuple(sigma_p))]
 
 
 def _const_endo(A: CoefficientSystem, sigma_face: Simplex, k: int) -> FormMatrix:
     return FormMatrix.from_const(k, A.a(sigma_face), A.M.deg)
-
-
-def _donor(sigma: Simplex, sigma_p: Simplex) -> Simplex:
-    """The face of ``sigma`` spanned by ``sigma_p`` and all vertices
-    after the last vertex of ``sigma_p``.  Its span relative to
-    ``sigma_p`` is the same simplex, so data for a non-initial face
-    ``sigma_p`` is copied from it without reindexing."""
-    pos = face_positions(sigma_p, sigma)
-    donor = tuple(sorted(set(sigma_p) | set(sigma[pos[-1] + 1:])))
-    if donor == sigma:
-        raise ValueError(f"{sigma_p} is an initial face of {sigma}; "
-                         "nothing to copy from")
-    return donor
 
 
 def _leading(A: CoefficientSystem, sigma: Simplex, m: int, seed: SMat,
@@ -286,14 +288,14 @@ def recursion_value(A: CoefficientSystem, store: dict, sigma: Simplex,
     b = store[(sigma, sigma[: k + 1])]
     total = _leading(A, sigma, m, seed, b)
     # alternating sum over the k-vertex faces of sigma[:k+1] omitting an
-    # inner vertex (all non-initial, hence already present)
+    # inner vertex (all non-initial, hence owned by smaller simplices)
     for j in range(k):
         fj = sigma[:j] + sigma[j + 1: k + 1]
-        total = total.add(store[(sigma, fj)].scale(s * _sign(j)))
+        total = total.add(store[_owner(sigma, fj)].scale(s * _sign(j)))
     # splitting products against the initial-segment coefficients
     for j in range(1, k + 1):
         left = _const_endo(A, sigma[: j + 1], m)
-        right_j = store[(sigma, sigma[j: k + 1])]
+        right_j = store[_owner(sigma, sigma[j: k + 1])]
         total = total.add(left.compose(right_j).scale(s * _sign((k + 1) * (j - 1))))
     return total.add(right(b, sigma[k:]).scale(s))
 
@@ -347,10 +349,12 @@ def _walk(A: CoefficientSystem, aprime: dict, store: dict, sigma: Simplex,
           max_degree: Optional[int]):
     """Fill ``store`` over ``sigma``: the one construction behind a' and I'.
 
-    The face sigma itself carries zero on a point chart; non-initial
-    faces are copied from their donors; initial segments are extended
-    longest first from their recursion values; the empty face comes from
-    the gauge by id + a'(sigma, sigma_0), read from ``aprime``.  The
+    Only the keys (sigma, sigma[:k]) for k = 0..dim(sigma)+1 are
+    written.  The face sigma itself carries zero on a point chart;
+    initial segments are extended longest first from their recursion
+    values, which read each non-initial face at its owner, a smaller
+    simplex already filled; the empty face comes from the gauge by
+    id + a'(sigma, sigma_0), read from ``aprime``.  The
     gauge's inner term is seed(sigma_0) + d(b) + a(sigma_0) o b for
     b = store[(sigma, sigma_0)], plus right(b, sigma) when
     ``gauge_right`` is set (I').  For a' the matching product
@@ -358,9 +362,6 @@ def _walk(A: CoefficientSystem, aprime: dict, store: dict, sigma: Simplex,
     """
     l = dim(sigma)
     store[(sigma, sigma)] = FormMatrix(0, A.M.deg)
-    for sigma_p in all_faces(sigma):
-        if sigma_p != sigma and face_positions(sigma_p, sigma)[-1] >= len(sigma_p):
-            store[(sigma, sigma_p)] = store[(_donor(sigma, sigma_p), sigma_p)].copy()
     for k in range(l, 0, -1):
         candidate = recursion_value(A, store, sigma, k, seed(sigma[: k + 1]),
                                     right)
@@ -391,14 +392,6 @@ def intertwines(i, a, D: SMat) -> bool:
     return i.mul_const_right(D).eq(i.d().add(a.compose(i)))
 
 
-def _rel_positions(sigma: Simplex, sigma_p: Simplex, tau: Simplex):
-    """Positions of the span of (tau, sigma_p) inside the span of
-    (sigma, sigma_p); tau must be a face of sigma containing sigma_p."""
-    big = relative_simplex(sigma, sigma_p)
-    small = relative_simplex(tau, sigma_p)
-    return face_positions(small, big)
-
-
 def check_structure(data: MixedConnectionData, sigma: Simplex,
                     sigma_p: Simplex) -> list[str]:
     """Triangularity, per-block homogeneity, and the degree window."""
@@ -427,21 +420,21 @@ def check_structure(data: MixedConnectionData, sigma: Simplex,
 
 def check_value_coherence(store: dict, label: str, sigma: Simplex,
                           sigma_p: Simplex) -> list[str]:
-    """Restriction of store[(sigma, sigma_p)] to every facet through
-    sigma_p matches the stored data; ``label`` names the store (a' or
-    I') in the messages."""
-    problems = []
+    """Restriction of store[(sigma, sigma_p)], for sigma_p = sigma[:k]
+    or the empty face (k = 0), to every facet through sigma_p matches
+    the stored data there.  Those facets omit a position j >= k, and
+    sigma_p is an initial segment of each.  ``label`` names the store
+    (a' or I') in the messages."""
+    l, k = dim(sigma), len(sigma_p)
+    if l == 0:
+        return []  # a vertex has no facet
+    lo = max(k - 1, 0)  # the span of (sigma, sigma_p) is sigma[lo:]
     val = store[(sigma, sigma_p)]
-    for j in range(dim(sigma) + 1):
-        tau = facet(sigma, j)
-        if dim(tau) < 0:
-            continue
-        if sigma_p != EMPTY and not set(sigma_p) <= set(tau):
-            continue
-        pos = _rel_positions(sigma, sigma_p, tau)
-        if len(pos) == len(relative_simplex(sigma, sigma_p)):
-            continue  # span unchanged; nothing new to compare
-        if not val.restrict(pos).eq(store[(tau, sigma_p)]):
+    problems = []
+    for j in range(k, l + 1):
+        tau = sigma[:j] + sigma[j + 1:]
+        span = [p for p in range(l - lo + 1) if p != j - lo]
+        if not val.restrict(span).eq(store[(tau, sigma_p)]):
             problems.append(f"{label}({sigma},{sigma_p}) does not restrict "
                             f"to {label}({tau},{sigma_p})")
     return problems
@@ -449,10 +442,11 @@ def check_value_coherence(store: dict, label: str, sigma: Simplex,
 
 def _face_checks(sigma: Simplex, structure, store: dict, label: str
                  ) -> list[str]:
-    """``structure(sigma, sigma_p)`` over the empty face and every proper
-    face of ``sigma``, then the coherence of ``store`` over the same
-    faces."""
-    faces = [EMPTY] + [f for f in all_faces(sigma) if f != sigma]
+    """``structure(sigma, sigma_p)`` over the empty face and the proper
+    initial segments of ``sigma``, then the coherence of ``store`` over
+    the same faces.  Every other face is checked at its owner, where the
+    value is the same and each check is at least as strict."""
+    faces = [sigma[:k] for k in range(len(sigma))]
     found = [m for f in faces for m in structure(sigma, f)]
     return found + [m for f in faces
                     for m in check_value_coherence(store, label, sigma, f)]
@@ -529,7 +523,11 @@ class FiberModel:
         module element and omega element it names must exist."""
         omega = [(tuple(e) if isinstance(e, list) else e, qint(d))
                  for e, d in data["omega"]]
-        by_key = {_omega_key(e): e for e, _ in omega}
+        by_key = {}
+        for e, _ in omega:
+            if _omega_key(e) in by_key:
+                raise ValueError(f"omega element listed twice: {e}")
+            by_key[_omega_key(e)] = e
 
         def name(k):
             if k not in by_key:
@@ -620,12 +618,12 @@ def _comparison_defect(A: CoefficientSystem, FM: FiberModel,
 class ChainMapData:
     A: CoefficientSystem
     FM: FiberModel
-    values: dict = field(default_factory=dict)   # (sigma, sigma') -> FormMatrix
+    values: dict = field(default_factory=dict)   # _owner key -> FormMatrix
     problems: list = field(default_factory=list)  # "sigma: message"
     _coords: dict = field(default_factory=dict, repr=False)
 
     def value(self, sigma: Simplex, sigma_p: Simplex) -> FormMatrix:
-        return self.values[(tuple(sigma), tuple(sigma_p))]
+        return self.values[_owner(tuple(sigma), tuple(sigma_p))]
 
     def coords(self, sigma: Simplex, sigma_p: Simplex) -> Optional[dict]:
         """Face coordinates {sigma'': FormMatrix} of the stored value,
@@ -635,7 +633,7 @@ class ChainMapData:
         if key not in self._coords:
             try:
                 self._coords[key] = solve_face_coords(
-                    self.A, self.FM, key[0], key[1], self.values[key])
+                    self.A, self.FM, key[0], key[1], self.value(*key))
             except ExtensionInfeasible:
                 self._coords[key] = None
         return self._coords[key]
@@ -698,7 +696,7 @@ def solve_face_coords(A: CoefficientSystem, FM: FiberModel, sigma: Simplex,
         mat = smat_transpose({(s2, be_m): FM.imap(s2).get(be_m, {})
                               for s2, be_m in cols})
         xs = solve(mat, cols, [vec for _row, _key, vec in items])
-        for (row, key, _vec), (x, _cert) in zip(items, xs):
+        for (row, key, _vec), x in zip(items, xs):
             solutions[(row, key)] = x
 
     out: dict = {}
@@ -765,7 +763,8 @@ def locality_check(data: MixedConnectionData, cm: ChainMapData) -> list[str]:
     For a leaf alpha and an omega basis element whose tag sits above
     h_alpha - epsilon^2 at every vertex of ``sigma``: the alpha rows of
     I'(sigma, sigma') kill it for nonempty sigma', and for the empty
-    face they reduce to the diagonal vertex coordinates.
+    face they reduce to the diagonal vertex coordinates.  Only stored
+    values are walked: over a larger simplex the tagged set only shrinks.
     """
     FM = cm.FM
     if FM.eta is None:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from flatforms import cli
 from flatforms.cli import main, save_instance
 from flatforms.instances import (
     corrupt_random_entry,
@@ -13,7 +14,7 @@ from flatforms.instances import (
     strip_to_dim,
 )
 from flatforms.linalg import smat_set
-from flatforms.mixed import FiberModel
+from flatforms.mixed import FiberModel, build_mixed_connection
 from flatforms.smoothing import partition_default, partition_linear
 
 from test_mixed import worked_edge, worked_edge_fiber
@@ -210,6 +211,38 @@ def test_smooth_validates_the_fiber_model_first(capsys, tmp_path):
     assert rep["checks"]["fiber_model"] == rep["certificates"]
 
 
+@pytest.mark.parametrize("with_fiber", [False, True],
+                         ids=["no-fiber-model", "fiber-model"])
+def test_every_build_stops_on_an_invalid_system(capsys, tmp_path, with_fiber):
+    # a(0,1) gains an entry in a block its degree forbids; the builds
+    # stop under "system" as validate fails, before any fiber model check
+    path = edge_file(tmp_path, with_fiber=with_fiber)
+    data = json.loads(path.read_text())
+    data["coefficients"]["0,1"]["q<-p"] = [["5"]]
+    path.write_text(json.dumps(data))
+    witness = ["(0, 1): entry in forbidden block q<-p (degree 1, need 0)"]
+    commands = ["validate", "build-aprime", "smooth"]
+    if with_fiber:
+        commands.append("build-iprime")
+    for cmd in commands:
+        code, rep = run(capsys, cmd, "--instance", str(path))
+        assert code == 1, cmd
+        assert rep["certificates"] == rep["checks"]["system"] == witness, cmd
+        if cmd != "validate":
+            assert list(rep["checks"]) == ["system"], cmd
+
+
+def test_smooth_certifies_build_problems(capsys, tmp_path, monkeypatch):
+    def build(A):
+        data = build_mixed_connection(A)
+        data.problems.append("0,1: planted")
+        return data
+    monkeypatch.setattr(cli, "build_mixed_connection", build)
+    code, rep = run(capsys, "smooth", "--instance", str(edge_file(tmp_path)))
+    assert code == 1
+    assert rep["certificates"] == rep["checks"]["problems"] == ["0,1: planted"]
+
+
 def test_smooth_reports_linear_partition_failure(capsys, tmp_path):
     path = edge_file(tmp_path, partition=partition_linear)
     code, rep = run(capsys, "smooth", "--instance", str(path))
@@ -369,6 +402,8 @@ W_A0 = '["w", "a", 0]'
      "fiber model eta does not tag omega exactly"),
     (lambda d: d["fiber_model"]["eta"].pop(W_A0),
      "fiber model eta does not tag omega exactly"),
+    (lambda d: d["fiber_model"]["omega"].append([["w", "a", 0], 5]),
+     "omega element listed twice: ('w', 'a', 0)"),
     # integer fields take neither a float, which int() would truncate,
     # nor a bool, which int() and isinstance(v, int) read as 0 or 1
     (lambda d: d["leaves"][0].__setitem__(1, 3.7), "not an integer: 3.7"),
@@ -394,6 +429,7 @@ W_A0 = '["w", "a", 0]'
         "partition-term-off-chart", "model-D-key", "model-I-simplex",
         "model-I-row",
         "model-I-column", "model-eta-key", "model-eta-omits-key",
+        "model-omega-twice",
         "float-leaf-index", "float-leaf-rank", "float-omega-degree",
         "bool-form-k", "float-exponent", "bool-dx", "float-partition-vertex",
         "bool-simplex-vertex", "float-partition-simplex"])
@@ -409,8 +445,8 @@ def test_structural_fault_is_input_error_everywhere(capsys, tmp_path, change,
 
 
 @pytest.mark.parametrize("cmd, check, coefficients, missing", [
-    ("build-iprime", "build", TRIANGLE_1SKELETON, "(0, 1, 2)"),
-    ("smooth", "build", TRIANGLE_1SKELETON, "(0, 1, 2)"),
+    ("build-iprime", "system", TRIANGLE_1SKELETON, "(0, 1, 2)"),
+    ("smooth", "system", TRIANGLE_1SKELETON, "(0, 1, 2)"),
     ("igusa", "system", TRIANGLE_1SKELETON, "(0, 1, 2)"),
     ("homology", "cw_betti", TRIANGLE_1SKELETON, "(0, 1, 2)"),
     ("holonomy", "system", {}, "(0,)"),
@@ -421,8 +457,12 @@ def test_missing_coefficient_is_a_failed_check(capsys, tmp_path, cmd, check,
                          lambda d: d.update(coefficients=coefficients))
     code, rep = run(capsys, cmd, "--instance", str(path))
     assert code == 1
-    assert rep["certificates"] == [f"no coefficient stored for {missing}"]
-    assert rep["checks"][check] == rep["certificates"][0]
+    if cmd in ("build-iprime", "smooth"):  # validate_system runs first
+        assert rep["certificates"] == rep["checks"][check] == [
+            f"missing coefficient for {missing}"]
+    else:   # the command stops where it meets the gap
+        assert rep["certificates"] == [f"no coefficient stored for {missing}"]
+        assert rep["checks"][check] == rep["certificates"][0]
 
 
 def test_validate_checks_a_file_without_coefficients(capsys, tmp_path):

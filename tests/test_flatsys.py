@@ -243,7 +243,7 @@ def test_edge_transport_and_holonomy_identity():
             n = len(H[(v2,)].reps)
             rhs = smat_transpose(smat_mul(M[v0, v1], M[v1, v2]))
             sols = solve(M[v0, v2], range(n), [rhs.get(j, {}) for j in range(n)])
-            hol = smat_transpose({j: x for j, (x, _cert) in enumerate(sols)})
+            hol = smat_transpose(dict(enumerate(sols)))
             assert hol == smat_identity(range(n))
 
 

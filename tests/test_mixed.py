@@ -240,6 +240,22 @@ def test_generated_instances_connection_sweep():
         assert data.problems == []
 
 
+def test_stores_hold_one_value_per_initial_segment():
+    # (sigma, sigma[:k]) for k = 0..dim+1; every other face reads its owner
+    for seed in range(40):
+        inst = generate(seed)
+        data = build_mixed_connection(inst.A)
+        want = sum(dim(sigma) + 2 for sigma in inst.A.S)
+        assert len(data.aprime) == want, seed
+        if not inst.enriched:
+            cm = build_Iprime(data, make_fiber_model(inst))
+            assert len(cm.values) == want, seed
+    tri = (0, 1, 2)
+    data = build_mixed_connection(designed_instance(0, [tri]).A)
+    assert data.get(tri, (1,)) is data.get((1, 2), (1,))
+    assert data.get(tri, (0, 2)) is data.get((0, 2), (0, 2))
+
+
 def test_connection_on_tetrahedron():
     inst = designed_instance(2, [(0, 1, 2, 3)])
     data = build_mixed_connection(inst.A)

@@ -16,7 +16,7 @@ from flatforms.mixed import (
     build_mixed_connection,
 )
 from flatforms.morse import LeafSystem
-from flatforms.simplicial import build_complex
+from flatforms.simplicial import build_complex, dim
 from flatforms.smoothing import (
     PartitionOfUnity,
     RatioMatrix,
@@ -32,6 +32,7 @@ from flatforms.smoothing import (
 )
 
 from test_forms import random_form
+from test_mixed import random_matrix
 
 
 def connection(A):
@@ -246,6 +247,50 @@ def test_pullback_of_constants_is_constant():
     g = pullback_matrix(data.get((0,), ()), P, (0,))
     assert g.e == 0
     assert g.num.eq(data.get((0,), ()))
+
+
+# --- the partition pullback (pullback_matrix, i.e. _pullback_with_images
+# on the numerators and denominator of sigma) --------------------------
+
+
+def pullback_case(seed, n, partition):
+    """A simplex of dimension 1 or 2, ``partition`` over it, and n random
+    module endomorphisms with form entries on its chart."""
+    rng = random.Random(seed)
+    sigma = rng.choice([(0, 1), (0, 1, 2)])
+    deg = {"a": 0, "b": 1, "c": 2}
+    xs = [random_matrix(rng, dim(sigma), list(deg), deg, max_poly=1)
+          for _ in range(n)]
+    return sigma, partition(build_complex([sigma])), xs
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_partition_pullback_commutes_with_d(seed):
+    sigma, P, [x] = pullback_case(seed, 1, partition_default)
+    assert pullback_matrix(x.d(), P, sigma).eq(
+        pullback_matrix(x, P, sigma).d())
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_partition_pullback_commutes_with_compose(seed):
+    sigma, P, [x, y] = pullback_case(seed, 2, partition_default)
+    assert pullback_matrix(x.compose(y), P, sigma).eq(
+        pullback_matrix(x, P, sigma).compose(pullback_matrix(y, P, sigma)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_linear_partition_pullback_is_the_entrywise_pullback(seed):
+    sigma, P, [x] = pullback_case(seed, 1, partition_linear)
+    images = {i: P.num[(sigma, v)] for i, v in enumerate(sigma[1:], start=1)}
+    want = FormMatrix(x.k, x.deg)
+    for r, c, p in x.entries():
+        want.set_entry(r, c, p.pullback(x.k, images))
+    got = pullback_matrix(x, P, sigma)
+    assert got.den == PolyForm.one(x.k)
+    assert got.num.eq(want)
 
 
 # --- global forms -------------------------------------------------------
