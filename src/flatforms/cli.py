@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .flatsys import (
-    ChainMapViolation,
+    FiberModel,
     Infeasible,
     MissingFaceData,
     NotADifferential,
@@ -32,9 +32,11 @@ from .flatsys import (
     cw_homology,
     extend_system,
     fiber_homology,
-    holonomy_is_identity,
+    holonomy_verdicts,
     igusa_check,
     igusa_export,
+    quasi_iso_ranks,
+    validate_fiber_model,
     validate_system,
 )
 from .forms import ExtensionInfeasible, IncompatibleBoundaryData
@@ -46,19 +48,16 @@ from .instances import (
 )
 from .linalg import qx
 from .mixed import (
-    FiberModel,
     NotNilpotent,
     build_Iprime,
     build_mixed_connection,
     locality_check,
-    validate_fiber_model,
 )
 from .morse import check_partial_order, check_refinement, validate_leaf_system
 from .simplicial import skey
 from .smoothing import (
     PartitionOfUnity,
     partition_default,
-    quasi_iso_ranks,
     validate_partition,
     verify_smoothing,
 )
@@ -278,20 +277,11 @@ def cmd_igusa(args):
 
 def cmd_holonomy(args):
     A = load_instance(args).A
-    checks, tris = Checks(), {}
+    checks = Checks()
     try:
         corners = dict.fromkeys((v,) for tri in A.S.of_dim(2) for v in tri)
         H = {v: fiber_homology(A, v) for v in corners}
-        for tri in A.S.of_dim(2):
-            try:
-                ok = holonomy_is_identity(A, tri, H)
-                if not ok:
-                    checks.certificates.append(
-                        f"holonomy around {skey(tri)} is not the identity")
-            except ChainMapViolation as ex:
-                ok = False
-                checks.certificates.append(str(ex))
-            tris[skey(tri)] = ok
+        tris = holonomy_verdicts(A, H, checks.certificates)
     except MissingFaceData as ex:
         return checks.stop("system", ex)
     checks["triangles"] = tris if tris else "none"
@@ -320,8 +310,8 @@ def cmd_flow(args):
     k = args.k
     if k < 1:
         raise ParseError("--k must be at least 1")
-    if args.sweep is not None and args.sweep < 0:
-        raise ParseError("--sweep must be at least 0")
+    if args.sweep is not None and args.sweep < 1:
+        raise ParseError("--sweep must be at least 1")
     if args.sweep is not None and args.start is not None:
         raise ParseError("give --start or --sweep, not both")
     if args.sweep:

@@ -6,6 +6,11 @@ permitted by the per-simplex order and of the grading degree matching
 the simplex dimension.  The two-sided residual of a simplex measures
 the failure of flatness; all residuals vanish exactly when the induced
 boundary operator on the associated cellular complex squares to zero.
+A fiber model compares a fixed complex (Omega, D) with the fibers by
+constant maps I(sigma).  Flatness and the comparison relation are one
+sum with a different right factor, written once in ``relation``; this
+module holds every such identity over Q, and :mod:`flatforms.mixed`
+only lifts the data to forms.
 
 Matrices act on column vectors: the block (alpha, beta) carries the
 component from the beta summand into the alpha summand.  The cellular
@@ -15,6 +20,7 @@ picture of the same data.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -24,6 +30,7 @@ from .linalg import (
     SMat,
     kernel,
     pivot_columns,
+    qint,
     qx,
     rank,
     smat_add,
@@ -153,48 +160,40 @@ def _sign(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-def flatness_residual(A: CoefficientSystem, sigma: Simplex) -> SMat:
-    """Two-sided residual of ``sigma``; flat across it iff zero.
+def relation(A: CoefficientSystem, sigma: Simplex, x) -> SMat:
+    """The signed facet sum of ``x`` plus the splitting products over
+    ``sigma``, for ``x`` a map from simplices to matrices:
 
-    For a k-simplex this is the alternating facet sum plus the signed
-    sum over initial-final splittings (both indexed over 0..k); for a
-    vertex it reduces to a(v)^2.
+        sum_j (-1)^j x(facet_j)
+          + sum_j (-1)^(k(j-1)) a(sigma_{0..j}) x(sigma_{j..k})
+
+    (no facets for a vertex).  With x = a this is the flatness residual;
+    with x = I it is the comparison relation of a fiber model without
+    its D term.
     """
     sigma = A.S.require(sigma)
     k = dim(sigma)
     total = {}
     if k >= 1:
         for sgn, f in boundary_chain(sigma):
-            total = smat_add(total, smat_scale(sgn, A.a(f)))
+            total = smat_add(total, smat_scale(sgn, x(f)))
     for j in range(k + 1):
         left = A.a(sigma[: j + 1])
-        right = A.a(sigma[j:])
+        right = x(sigma[j:])
         total = smat_add(total, smat_scale(_sign(k * (j - 1)), smat_mul(left, right)))
     return total
 
 
-@dataclass
-class FlatnessResidual:
-    sigma: Simplex
-    matrix: SMat
-
-    @property
-    def is_zero(self) -> bool:
-        return smat_is_zero(self.matrix)
-
-
-def all_residuals(A: CoefficientSystem) -> list[FlatnessResidual]:
-    return [FlatnessResidual(s, flatness_residual(A, s)) for s in A.S]
-
-
-def is_flat(A: CoefficientSystem) -> bool:
-    return all(r.is_zero for r in all_residuals(A))
+def flatness_residual(A: CoefficientSystem, sigma: Simplex) -> SMat:
+    """Two-sided residual of ``sigma``; flat across it iff zero.  For a
+    vertex it reduces to a(v)^2."""
+    return relation(A, sigma, A.a)
 
 
 def validate_system(A: CoefficientSystem) -> list[str]:
     """Full structural validation; returns human-readable violations."""
     problems: list[str] = []
-    L, M = A.L, A.M
+    L = A.L
     for sigma in A.S:
         if not A.has(sigma):
             problems.append(f"missing coefficient for {sigma}")
@@ -209,13 +208,13 @@ def validate_system(A: CoefficientSystem) -> list[str]:
                 problems.append(
                     f"{sigma}: entry in forbidden block {al}<-{be} "
                     f"(degree {L.index[al] - L.index[be]}, need {1 - k})")
+    # a vertex's residual is a(v)^2, reported once as the square
     for v in A.S.vertices():
-        sq = smat_mul(A.coeffs[v], A.coeffs[v])
-        if not smat_is_zero(sq):
+        if not smat_is_zero(flatness_residual(A, v)):
             problems.append(f"vertex differential at {v} does not square to zero")
-    for r in all_residuals(A):
-        if not r.is_zero:
-            problems.append(f"flatness residual nonzero at {r.sigma}")
+    for sigma in A.S:
+        if dim(sigma) >= 1 and not smat_is_zero(flatness_residual(A, sigma)):
+            problems.append(f"flatness residual nonzero at {sigma}")
     return problems
 
 
@@ -587,6 +586,168 @@ def holonomy_is_identity(A: CoefficientSystem, triangle: Simplex,
             f"holonomy around {tri}: transport along {(v0, v2)} is not "
             f"invertible on homology")
     return smat_mul(M[v0, v1], M[v1, v2]) == M[v0, v2]
+
+
+def holonomy_verdicts(A: CoefficientSystem, H: dict, problems: list[str]
+                      ) -> dict[Simplex, bool]:
+    """Per triangle of the base, whether ``holonomy_is_identity`` holds.
+
+    ``H`` maps every corner of a triangle to its ``fiber_homology``.  A
+    failed triangle appends its certificate to ``problems`` before the
+    next triangle is tried, so a ``MissingFaceData`` raised later leaves
+    the earlier certificates in place.
+    """
+    verdicts = {}
+    for tri in A.S.of_dim(2):
+        try:
+            ok = holonomy_is_identity(A, tri, H)
+            if not ok:
+                problems.append(f"holonomy around {tri} is not the identity")
+        except ChainMapViolation as ex:
+            ok = False
+            problems.append(str(ex))
+        verdicts[tri] = ok
+    return verdicts
+
+
+# ---------------------------------------------------------------------------
+# fiber models
+# ---------------------------------------------------------------------------
+
+@dataclass
+class FiberModel:
+    """A fixed complex (omega basis, differential D) together with
+    per-simplex comparison maps into the graded module.
+
+    ``I`` maps each simplex to a constant matrix with rows in the module
+    basis and columns in the omega basis; the map over a simplex has
+    grading degree minus its dimension.  ``eta`` optionally tags each
+    omega basis element with a rational height for locality checks.
+    """
+
+    omega_basis: list
+    omega_degree: dict
+    D: SMat
+    I: dict
+    eta: Optional[dict] = None
+
+    def imap(self, sigma: Simplex) -> SMat:
+        return self.I.get(tuple(sigma), {})
+
+    def to_json(self) -> dict:
+        key = _omega_key
+        out = {
+            "omega": [[e, self.omega_degree[e]] for e in self.omega_basis],
+            "D": {key(r): {key(c): str(v) for c, v in sorted(row.items())}
+                  for r, row in sorted(self.D.items())},
+            "I": {skey(s): {
+                    f"{al}:{i}": {key(e): str(v) for e, v in sorted(row.items())}
+                    for (al, i), row in sorted(m.items())}
+                  for s, m in sorted(self.I.items())},
+        }
+        if self.eta is not None:
+            out["eta"] = {key(e): str(v) for e, v in sorted(self.eta.items())}
+        return out
+
+    @classmethod
+    def from_json(cls, data: dict, A: CoefficientSystem) -> "FiberModel":
+        """The model in ``data`` over the system ``A``: every simplex,
+        module element and omega element it names must exist."""
+        omega = [(tuple(e) if isinstance(e, list) else e, qint(d))
+                 for e, d in data["omega"]]
+        by_key = {}
+        for e, _ in omega:
+            if _omega_key(e) in by_key:
+                raise ValueError(f"omega element listed twice: {e}")
+            by_key[_omega_key(e)] = e
+
+        def name(k):
+            if k not in by_key:
+                raise ValueError(f"fiber model names {k}, not in omega")
+            return by_key[k]
+
+        if "eta" in data and set(data["eta"]) != set(by_key):
+            raise ValueError("fiber model eta does not tag omega exactly")
+        I = {}
+        for key, m in data["I"].items():
+            sigma = A.S.require(int(t) for t in key.split(","))
+            I[sigma] = {}
+            for rkey, row in m.items():
+                al, i = rkey.rsplit(":", 1)
+                if (al, int(i)) not in A.M.position:
+                    raise ValueError(
+                        f"fiber model names {rkey}, not a module element")
+                I[sigma][(al, int(i))] = {name(e): qx(v) for e, v in row.items()}
+        return cls(
+            omega_basis=[e for e, _ in omega],
+            omega_degree=dict(omega),
+            D={name(r): {name(c): qx(v) for c, v in row.items()}
+               for r, row in data["D"].items()},
+            I=I,
+            eta=({name(e): qx(v) for e, v in data["eta"].items()}
+                 if "eta" in data else None),
+        )
+
+
+def _omega_key(e) -> str:
+    """JSON object key of an omega name: a string stays as it is, a tuple
+    (the generated ``('w', leaf, i)``) becomes its JSON list."""
+    return e if isinstance(e, str) else json.dumps(list(e))
+
+
+def validate_fiber_model(A: CoefficientSystem, FM: FiberModel) -> list[str]:
+    """Degree bookkeeping plus the full tower of comparison relations."""
+    problems = []
+    if not smat_is_zero(smat_mul(FM.D, FM.D)):
+        problems.append("D does not square to zero")
+    for r, c, _v in smat_entries(FM.D):
+        if FM.omega_degree[r] != FM.omega_degree[c] + 1:
+            problems.append(f"D entry {r}<-{c} is not of degree +1")
+    M = A.M
+    for sigma in A.S:
+        m = dim(sigma)
+        for r, c, _v in smat_entries(FM.imap(sigma)):
+            if M.degree(r) - FM.omega_degree[c] != -m:
+                problems.append(
+                    f"I({sigma}) entry {r}<-{c} has degree "
+                    f"{M.degree(r) - FM.omega_degree[c]}, want {-m}")
+        if not smat_is_zero(_comparison_defect(A, FM, sigma)):
+            problems.append(f"comparison relation fails over {sigma}")
+    return problems
+
+
+def _comparison_defect(A: CoefficientSystem, FM: FiberModel,
+                       sigma: Simplex) -> SMat:
+    """Left side of the comparison relation over ``sigma``, zero when it
+    holds: ``relation`` with x = I plus (-1)^k I(sigma) D, or minus
+    I(sigma) D at a vertex."""
+    k = dim(sigma)
+    d_term = smat_mul(FM.imap(sigma), FM.D)
+    return smat_add(relation(A, sigma, FM.imap),
+                    smat_scale(_sign(k) if k else -1, d_term))
+
+
+def omega_betti(FM: FiberModel) -> dict[int, int]:
+    """Betti numbers of (Omega, D), exact over Q."""
+    return graded_betti(FM.D, {e: FM.omega_degree[e] for e in FM.omega_basis})
+
+
+def quasi_iso_ranks(A: CoefficientSystem, FM: FiberModel, H: dict) -> dict:
+    """Per vertex: Betti numbers of the fiber complex against those of
+    (Omega, D).  Per triangle: holonomy on homology is the identity.
+    ``H`` maps every vertex simplex to its ``fiber_homology``.
+    """
+    betti_o = omega_betti(FM)
+    report = {"omega": betti_o, "vertices": {}, "problems": []}
+    for v in A.S.vertices():
+        betti_v = {q: r for q, r in H[v].betti.items() if r}
+        report["vertices"][v] = betti_v
+        if betti_v != {q: r for q, r in betti_o.items() if r}:
+            report["problems"].append(
+                f"Betti numbers over {v} differ from the fiber complex: "
+                f"{betti_v} vs {betti_o}")
+    report["triangles"] = holonomy_verdicts(A, H, report["problems"])
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from itertools import combinations
 
 from .flatsys import (
     CoefficientSystem,
+    FiberModel,
     Infeasible,
     extend_system,
     flatness_equation,
@@ -35,8 +36,9 @@ from .linalg import (
     smat_mul,
     smat_set,
     smat_sub,
+    smat_transpose,
+    solve,
 )
-from .mixed import FiberModel, FormMatrix, neumann_inverse
 from .morse import GradedModule, LeafSystem, UnknownLeaf, allowed_blocks
 from .simplicial import BaseComplex, Simplex, build_complex
 
@@ -49,9 +51,8 @@ class Instance:
     S: BaseComplex
     L: LeafSystem
     A: CoefficientSystem      # complete, flat by construction
-    U: dict[int, SMat]        # per-vertex unipotent gauge
+    U_inv: dict[int, SMat]    # per-vertex inverse of the unipotent gauge
     D0: SMat                  # the common vertex differential before gauging
-    levels: dict[str, int]
     enriched: bool = False    # an edge was perturbed away from the pure gauge
 
 
@@ -114,15 +115,6 @@ def _random_leaves(rng: random.Random, max_leaves: int, max_rank: int,
     return LeafSystem(leaves, heights, 1), levels
 
 
-def _gauge_inverse(M: GradedModule, U: SMat) -> SMat:
-    """Inverse of a unipotent gauge id + N, by the bounded geometric
-    series on a 0-chart (N^n = 0 for the n generators of ``M``)."""
-    n = FormMatrix.from_const(0, smat_sub(U, smat_identity(M.basis)), M.deg)
-    inv = neumann_inverse(n, max_len=M.n)
-    return {r: {c: p.value_at(()) for c, p in row.items()}
-            for r, row in inv.rows.items()}
-
-
 def _design_system(rng: random.Random, S: BaseComplex, L: LeafSystem,
                    levels: dict[str, int]):
     M = GradedModule(L)
@@ -163,7 +155,11 @@ def _design_system(rng: random.Random, S: BaseComplex, L: LeafSystem,
         U[v[0]] = m
 
     A = CoefficientSystem(S, L)
-    inv = {v: _gauge_inverse(M, U[v]) for v in U}
+    inv = {}
+    for v, u in U.items():
+        # column j of U^-1 solves U x = e_j
+        columns = solve(u, M.basis, list(ident.values()))
+        inv[v] = smat_transpose(dict(zip(M.basis, columns)))
     for v in S.vertices():
         A.set(v, smat_mul(inv[v[0]], smat_mul(D0, U[v[0]])))
     for e in S.of_dim(1):
@@ -172,7 +168,7 @@ def _design_system(rng: random.Random, S: BaseComplex, L: LeafSystem,
     for k in range(2, S.dim + 1):
         for s in S.of_dim(k):
             A.set(s, {})
-    return A, U, D0
+    return A, inv, D0
 
 
 def _kernel_perturbation(rng: random.Random, A: CoefficientSystem,
@@ -199,7 +195,7 @@ def generate(seed: int, max_dim: int = 3, max_simplices: int = 20,
     rng = random.Random(seed)
     S = _random_complex(rng, max_dim, max_simplices, need_triangle)
     L, levels = _random_leaves(rng, max_leaves, max_rank, S)
-    A, U, D0 = _design_system(rng, S, L, levels)
+    A, U_inv, D0 = _design_system(rng, S, L, levels)
 
     enriched = False
     if enrich and S.of_dim(1):
@@ -217,7 +213,7 @@ def generate(seed: int, max_dim: int = 3, max_simplices: int = 20,
                 enriched = True
             except Infeasible:
                 pass
-    return Instance(seed=seed, S=S, L=L, A=A, U=U, D0=D0, levels=levels,
+    return Instance(seed=seed, S=S, L=L, A=A, U_inv=U_inv, D0=D0,
                     enriched=enriched)
 
 
@@ -227,8 +223,8 @@ def designed_instance(seed: int, simplices, max_leaves: int = 6,
     rng = random.Random(seed)
     S = build_complex(simplices)
     L, levels = _random_leaves(rng, max_leaves, max_rank, S)
-    A, U, D0 = _design_system(rng, S, L, levels)
-    return Instance(seed=seed, S=S, L=L, A=A, U=U, D0=D0, levels=levels)
+    A, U_inv, D0 = _design_system(rng, S, L, levels)
+    return Instance(seed=seed, S=S, L=L, A=A, U_inv=U_inv, D0=D0)
 
 
 def strip_to_dim(A: CoefficientSystem, keep_dim: int) -> CoefficientSystem:
@@ -290,9 +286,8 @@ def make_fiber_model(inst: Instance):
          for r, row in inst.D0.items()}
     I = {}
     for v in inst.A.S.vertices():
-        inv = _gauge_inverse(M, inst.U[v[0]])
         I[v] = {r: {rename[c]: val for c, val in row.items()}
-                for r, row in inv.items()}
+                for r, row in inst.U_inv[v[0]].items()}
     eta = {}
     for (leaf, i) in M.basis:
         eta[rename[(leaf, i)]] = min(

@@ -30,16 +30,19 @@ I), its right factor (a'(sigma[k:], empty) or D), and the identity
 checked afterwards, ``is_flat_connection`` or ``intertwines``;
 smoothing checks the same two on the partition pullbacks.  Failed
 checks land in ``problems``.
+
+This is the form layer only.  The constant data it starts from, the
+coefficient system and the fiber model, and every identity over Q
+(flatness, the comparison relation) live in :mod:`flatforms.flatsys`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
-from .flatsys import CoefficientSystem, _sign
+from .flatsys import CoefficientSystem, FiberModel, _sign
 from .forms import (
     ExtensionInfeasible,
     IncompatibleBoundaryData,
@@ -48,14 +51,8 @@ from .forms import (
 )
 from .linalg import (
     SMat,
-    qint,
-    qx,
-    smat_add,
     smat_entries,
     smat_is_zero,
-    smat_mul,
-    smat_scale,
-    smat_sub,
     smat_transpose,
     solve,
 )
@@ -64,7 +61,6 @@ from .simplicial import (
     EMPTY,
     Simplex,
     all_faces,
-    boundary_chain,
     dim,
     face_positions,
     skey,
@@ -476,130 +472,6 @@ def build_mixed_connection(A: CoefficientSystem,
             found.append("connection is not flat")
         data.problems += [f"{skey(sigma)}: {m}" for m in found]
     return data
-
-
-# ---------------------------------------------------------------------------
-# fiber models
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FiberModel:
-    """A fixed complex (omega basis, differential D) together with
-    per-simplex comparison maps into the graded module.
-
-    ``I`` maps each simplex to a constant matrix with rows in the module
-    basis and columns in the omega basis; the map over a simplex has
-    grading degree minus its dimension.  ``eta`` optionally tags each
-    omega basis element with a rational height for locality checks.
-    """
-
-    omega_basis: list
-    omega_degree: dict
-    D: SMat
-    I: dict
-    eta: Optional[dict] = None
-
-    def imap(self, sigma: Simplex) -> SMat:
-        return self.I.get(tuple(sigma), {})
-
-    def to_json(self) -> dict:
-        key = _omega_key
-        out = {
-            "omega": [[e, self.omega_degree[e]] for e in self.omega_basis],
-            "D": {key(r): {key(c): str(v) for c, v in sorted(row.items())}
-                  for r, row in sorted(self.D.items())},
-            "I": {skey(s): {
-                    f"{al}:{i}": {key(e): str(v) for e, v in sorted(row.items())}
-                    for (al, i), row in sorted(m.items())}
-                  for s, m in sorted(self.I.items())},
-        }
-        if self.eta is not None:
-            out["eta"] = {key(e): str(v) for e, v in sorted(self.eta.items())}
-        return out
-
-    @classmethod
-    def from_json(cls, data: dict, A: CoefficientSystem) -> "FiberModel":
-        """The model in ``data`` over the system ``A``: every simplex,
-        module element and omega element it names must exist."""
-        omega = [(tuple(e) if isinstance(e, list) else e, qint(d))
-                 for e, d in data["omega"]]
-        by_key = {}
-        for e, _ in omega:
-            if _omega_key(e) in by_key:
-                raise ValueError(f"omega element listed twice: {e}")
-            by_key[_omega_key(e)] = e
-
-        def name(k):
-            if k not in by_key:
-                raise ValueError(f"fiber model names {k}, not in omega")
-            return by_key[k]
-
-        if "eta" in data and set(data["eta"]) != set(by_key):
-            raise ValueError("fiber model eta does not tag omega exactly")
-        I = {}
-        for key, m in data["I"].items():
-            sigma = A.S.require(int(t) for t in key.split(","))
-            I[sigma] = {}
-            for rkey, row in m.items():
-                al, i = rkey.rsplit(":", 1)
-                if (al, int(i)) not in A.M.position:
-                    raise ValueError(
-                        f"fiber model names {rkey}, not a module element")
-                I[sigma][(al, int(i))] = {name(e): qx(v) for e, v in row.items()}
-        return cls(
-            omega_basis=[e for e, _ in omega],
-            omega_degree=dict(omega),
-            D={name(r): {name(c): qx(v) for c, v in row.items()}
-               for r, row in data["D"].items()},
-            I=I,
-            eta=({name(e): qx(v) for e, v in data["eta"].items()}
-                 if "eta" in data else None),
-        )
-
-
-def _omega_key(e) -> str:
-    """JSON object key of an omega name: a string stays as it is, a tuple
-    (the generated ``('w', leaf, i)``) becomes its JSON list."""
-    return e if isinstance(e, str) else json.dumps(list(e))
-
-
-def validate_fiber_model(A: CoefficientSystem, FM: FiberModel) -> list[str]:
-    """Degree bookkeeping plus the full tower of comparison relations."""
-    problems = []
-    if not smat_is_zero(smat_mul(FM.D, FM.D)):
-        problems.append("D does not square to zero")
-    for r, c, _v in smat_entries(FM.D):
-        if FM.omega_degree[r] != FM.omega_degree[c] + 1:
-            problems.append(f"D entry {r}<-{c} is not of degree +1")
-    M = A.M
-    for sigma in A.S:
-        m = dim(sigma)
-        for r, c, _v in smat_entries(FM.imap(sigma)):
-            if M.degree(r) - FM.omega_degree[c] != -m:
-                problems.append(
-                    f"I({sigma}) entry {r}<-{c} has degree "
-                    f"{M.degree(r) - FM.omega_degree[c]}, want {-m}")
-        defect = _comparison_defect(A, FM, sigma)
-        if not smat_is_zero(defect):
-            problems.append(f"comparison relation fails over {sigma}")
-    return problems
-
-
-def _comparison_defect(A: CoefficientSystem, FM: FiberModel,
-                       sigma: Simplex) -> SMat:
-    """Left side of the defining relation over ``sigma`` (zero when it holds)."""
-    k = dim(sigma)
-    if k == 0:
-        return smat_sub(smat_mul(A.a(sigma), FM.imap(sigma)),
-                        smat_mul(FM.imap(sigma), FM.D))
-    total = smat_scale(_sign(k), smat_mul(FM.imap(sigma), FM.D))
-    for sgn, f in boundary_chain(sigma):
-        total = smat_add(total, smat_scale(sgn, FM.imap(f)))
-    for j in range(k + 1):
-        total = smat_add(total, smat_scale(
-            _sign(k * (j - 1)),
-            smat_mul(A.a(sigma[: j + 1]), FM.imap(sigma[j:]))))
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -95,17 +95,26 @@ def prec(L: LeafSystem, alpha: str, beta: str, sigma: Simplex) -> bool:
     return any(L.height(beta, v) - L.height(alpha, v) > gap for v in sigma)
 
 
+def _orders(L: LeafSystem, S: BaseComplex) -> dict[Simplex, list]:
+    """The pairs (a, b) with ``a`` preceding ``b`` over each simplex, in
+    declared leaf order."""
+    return {sigma: [(a, b) for a in L.leaves for b in L.leaves
+                    if prec(L, a, b, sigma)]
+            for sigma in S}
+
+
 def check_partial_order(L: LeafSystem, S: BaseComplex) -> list[str]:
     """Verify that each per-simplex order is a strict partial order."""
     problems = []
-    for sigma in S:
-        rel = {(a, b) for a in L.leaves for b in L.leaves if prec(L, a, b, sigma)}
-        for a, b in rel:
+    place = {leaf: i for i, leaf in enumerate(L.leaves)}
+    for sigma, pairs in _orders(L, S).items():
+        rel = set(pairs)
+        for a, b in pairs:
             if a == b:
                 problems.append(f"{a} precedes itself on {sigma}")
-            if (b, a) in rel:
+            if (b, a) in rel and place[a] < place[b]:
                 problems.append(f"{a} and {b} precede each other on {sigma}")
-        for a, b in rel:
+        for a, b in pairs:
             for c in L.leaves:
                 if (b, c) in rel and (a, c) not in rel:
                     problems.append(
@@ -118,16 +127,17 @@ def check_partial_order(L: LeafSystem, S: BaseComplex) -> list[str]:
 def check_refinement(L: LeafSystem, S: BaseComplex) -> list[str]:
     """Verify the order over a simplex extends the order over each face."""
     problems = []
+    orders = _orders(L, S)
     for sigma in S:
+        over = set(orders[sigma])
         for tau in all_faces(sigma):
             if tau == sigma:
                 continue
-            for a in L.leaves:
-                for b in L.leaves:
-                    if prec(L, a, b, tau) and not prec(L, a, b, sigma):
-                        problems.append(
-                            f"{a} < {b} on face {tau} but not on {sigma}"
-                        )
+            for a, b in orders[tau]:
+                if (a, b) not in over:
+                    problems.append(
+                        f"{a} < {b} on face {tau} but not on {sigma}"
+                    )
     return problems
 
 

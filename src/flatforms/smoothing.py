@@ -17,6 +17,9 @@ cross-multiply instead of dividing, making them exact; Q restricts to
 the corresponding normalizer of every face because B(0) = 0.
 ``verify_smoothing`` checks the smoothed data in one walk over the
 simplices, with the flatness and chain identities of :mod:`flatforms.mixed`.
+This module sits on the form layer only: the quasi-isomorphism
+bookkeeping of the constant fiber data (Betti numbers of (Omega, D),
+holonomy on fiber homology) is in :mod:`flatforms.flatsys`.
 """
 
 from __future__ import annotations
@@ -24,17 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .flatsys import (
-    ChainMapViolation,
-    CoefficientSystem,
-    graded_betti,
-    holonomy_is_identity,
-)
 from .forms import PolyForm
 from .linalg import Q, qint, qx
 from .mixed import (
     ChainMapData,
-    FiberModel,
     FormMatrix,
     MixedConnectionData,
     intertwines,
@@ -422,41 +418,4 @@ def verify_smoothing(data: MixedConnectionData, P: PartitionOfUnity,
                         f"block {r}<-{c} on {sigma} is not determined by "
                         f"its face {tau} to first order")
                     break
-    return report
-
-
-# ---------------------------------------------------------------------------
-# quasi-isomorphism bookkeeping
-# ---------------------------------------------------------------------------
-
-
-def omega_betti(FM: FiberModel) -> dict[int, int]:
-    """Betti numbers of (Omega, D), exact over Q."""
-    return graded_betti(FM.D, {e: FM.omega_degree[e] for e in FM.omega_basis})
-
-
-def quasi_iso_ranks(A: CoefficientSystem, FM: FiberModel, H: dict) -> dict:
-    """Per vertex: Betti numbers of the fiber complex against those of
-    (Omega, D).  Per triangle: holonomy on homology is the identity.
-    ``H`` maps every vertex simplex to its ``fiber_homology``.
-    """
-    betti_o = omega_betti(FM)
-    report = {"omega": betti_o, "vertices": {}, "triangles": {},
-              "problems": []}
-    for v in A.S.vertices():
-        betti_v = {q: r for q, r in H[v].betti.items() if r}
-        report["vertices"][v] = betti_v
-        if betti_v != {q: r for q, r in betti_o.items() if r}:
-            report["problems"].append(
-                f"Betti numbers over {v} differ from the fiber complex: "
-                f"{betti_v} vs {betti_o}")
-    for tri in A.S.of_dim(2):
-        try:
-            ok = holonomy_is_identity(A, tri, H)
-            if not ok:
-                report["problems"].append(f"holonomy around {tri} is not trivial")
-        except ChainMapViolation as ex:
-            ok = False
-            report["problems"].append(str(ex))
-        report["triangles"][tri] = ok
     return report

@@ -1,10 +1,15 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from flatforms import cli
 from flatforms.cli import main, save_instance
+from flatforms.flatsys import FiberModel, fiber_homology, quasi_iso_ranks
 from flatforms.instances import (
     corrupt_random_entry,
     designed_instance,
@@ -14,7 +19,7 @@ from flatforms.instances import (
     strip_to_dim,
 )
 from flatforms.linalg import smat_set
-from flatforms.mixed import FiberModel, build_mixed_connection
+from flatforms.mixed import build_mixed_connection
 from flatforms.smoothing import partition_default, partition_linear
 
 from test_mixed import worked_edge, worked_edge_fiber
@@ -117,6 +122,13 @@ def test_flow_input_errors(capsys, argv):
     assert captured.err.startswith("input error")
 
 
+def test_flow_zero_sweep_names_its_fault(capsys):
+    assert main(["flow", "--k", "2", "--sweep", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: --sweep must be at least 1\n"
+
+
 def test_zero_denominator_in_instance_is_input_error(capsys, tmp_path):
     bad = json.loads(json.dumps(EDGE2))
     bad["epsilon"] = "1/0"
@@ -127,6 +139,39 @@ def test_zero_denominator_in_instance_is_input_error(capsys, tmp_path):
     assert captured.out == ""
     assert captured.err.startswith("input error")
     assert "zero denominator" in captured.err
+
+
+# one edge on which b and c swap heights, so a, b, c and d precede one
+# another in mutual pairs
+CROSSING = {
+    "version": 1,
+    "complex": [[0, 1]],
+    "leaves": [["a", 0, 1], ["b", 0, 1], ["c", 0, 1], ["d", 0, 1]],
+    "epsilon": "1",
+    "heights": {"a": {"0": "0", "1": "0"}, "b": {"0": "3", "1": "-3"},
+                "c": {"0": "-3", "1": "3"}, "d": {"0": "0", "1": "0"}},
+}
+
+
+def test_validate_report_does_not_depend_on_the_hash_seed(tmp_path):
+    path = tmp_path / "crossing.json"
+    path.write_text(json.dumps(CROSSING))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    reports = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-m", "flatforms.cli", "validate",
+             "--instance", str(path)],
+            env=env, capture_output=True, text=True)
+        assert out.returncode == 1, out.stderr
+        report = json.loads(out.stdout)
+        del report["timings"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    mutual = [c for c in reports[0]["certificates"] if "each other" in c]
+    assert mutual == [f"{x} and {y} precede each other on (0, 1)"
+                      for x, y in ("ab", "ac", "bc", "bd", "cd")]
 
 
 def test_validate_two_leaf_edge(capsys, tmp_path):
@@ -357,6 +402,24 @@ def test_non_flat_file_gives_a_certificate(capsys, tmp_path, seed, simplex,
     assert code == 1
     assert rep["status"] == "fail"
     assert rep["certificates"][0] == witness
+
+
+def test_holonomy_and_quasi_iso_share_one_verdict(capsys, tmp_path):
+    inst = generate(3, max_dim=2, need_triangle=True)
+    bad, desc = corrupt_random_entry(random.Random(23), inst.A)
+    assert desc["sigma"] == (1, 3)
+    data = instance_to_json(inst.S, inst.L, bad)
+    data["version"] = 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, rep = run(capsys, "holonomy", "--instance", str(path))
+    assert code == 1
+    assert rep["certificates"] == [
+        "holonomy around (0, 1, 3) is not the identity",
+        "holonomy around (1, 2, 3) is not the identity"]
+    H = {v: fiber_homology(bad, v) for v in bad.S.vertices()}
+    quasi = quasi_iso_ranks(bad, make_fiber_model(inst), H)
+    assert quasi["problems"] == rep["certificates"]
 
 
 def test_triangle_passes_every_subcommand(capsys, tmp_path):

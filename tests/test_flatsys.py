@@ -18,7 +18,6 @@ from flatforms.flatsys import (
     igusa_check,
     igusa_export,
     induced_on_homology,
-    is_flat,
     monomial_check,
     validate_system,
 )
@@ -67,6 +66,18 @@ def test_vertex_residual_is_square():
     assert smat_is_zero(r)  # E^2 = 0
 
 
+
+def test_vertex_that_does_not_square_to_zero_is_reported_once():
+    # a(0) = q<-p + r<-q squares to r<-p; the vertex residual is that
+    # square, so one certificate names it
+    S = build_complex([(0,)])
+    L = LeafSystem([("p", 0, 1), ("q", 1, 1), ("r", 2, 1)],
+                   {("p", 0): 0, ("q", 0): 3, ("r", 0): 6}, 1)
+    A = CoefficientSystem(S, L)
+    A.set((0,), {("q", 0): {("p", 0): Q(1)}, ("r", 0): {("q", 0): Q(1)}})
+    assert validate_system(A) == [
+        "vertex differential at (0,) does not square to zero"]
+
 def test_edge_residual_formula():
     # with a(e) = 0 and equal endpoint differentials the edge is flat
     _, _, A = tiny_system(a_e={})
@@ -82,13 +93,14 @@ def test_edge_residual_formula():
 def test_validate_system_on_designed_instance():
     inst = generate(3)
     assert validate_system(inst.A) == []
-    assert is_flat(inst.A)
+    assert all(smat_is_zero(flatness_residual(inst.A, s)) for s in inst.A.S)
 
 
 def test_designed_instances_are_flat_sweep():
     for seed in range(20):
         inst = generate(seed)
-        assert is_flat(inst.A), f"seed {seed} not flat"
+        assert all(smat_is_zero(flatness_residual(inst.A, s))
+                   for s in inst.A.S), f"seed {seed} not flat"
 
 
 def test_extend_recovers_flatness_from_vertices():
@@ -96,14 +108,14 @@ def test_extend_recovers_flatness_from_vertices():
     partial = strip_to_dim(inst.A, 0)
     full = extend_system(partial)
     assert validate_system(full) == []
-    assert is_flat(full)
+    assert all(smat_is_zero(flatness_residual(full, s)) for s in full.S)
 
 
 def test_extend_from_edges_preserves_given_data():
     inst = generate(12, enrich=False)
     partial = strip_to_dim(inst.A, 1)
     full = extend_system(partial)
-    assert is_flat(full)
+    assert all(smat_is_zero(flatness_residual(full, s)) for s in full.S)
     for e in inst.S.of_dim(1):
         assert smat_is_zero(smat_sub(full.a(e), inst.A.a(e)))
 
@@ -168,7 +180,7 @@ def test_cw_squares_to_zero_iff_flat():
             if got is None:
                 break
             cand, info = got
-            if not is_flat(cand):
+            if not all(smat_is_zero(flatness_residual(cand, s)) for s in cand.S):
                 corrupted = cand
                 break
         if corrupted is not None:
@@ -187,7 +199,7 @@ def test_cw_homology_gauge_invariant():
     for k in range(1, inst.S.dim + 1):
         for s in inst.S.of_dim(k):
             flat0.set(s, {})
-    assert is_flat(flat0)
+    assert all(smat_is_zero(flatness_residual(flat0, s)) for s in flat0.S)
     assert cw_homology(cw_boundary(inst.A)) == cw_homology(cw_boundary(flat0))
 
 

@@ -4,7 +4,9 @@ using ``assert`` (which ``python -O`` strips), importing the command
 line does not load scipy, which is not a dependency, every public
 function and method is used somewhere, and every public class is used
 in the package itself.  The command line maps only input faults to
-exit 2."""
+exit 2.  The layers import one way: the data and identities over Q
+(``flatsys``) know nothing of forms, and the instance generator and the
+smoothing each reach only the layer they need."""
 
 import ast
 import os
@@ -42,6 +44,21 @@ def test_module_imports_are_used(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in used)
     assert unused == []
+
+
+def _package_imports(path):
+    """The package modules that ``path`` imports at module level."""
+    return {node.module for node in _tree(path).body
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+@pytest.mark.parametrize("module, forbidden", [
+    ("flatsys", {"forms", "mixed"}),
+    ("instances", {"forms", "mixed"}),
+    ("smoothing", {"flatsys"}),
+], ids=["flatsys", "instances", "smoothing"])
+def test_layering(module, forbidden):
+    assert _package_imports(SRC / f"{module}.py") & forbidden == set()
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatforms.flatsys import CoefficientSystem
+from flatforms.flatsys import (
+    CoefficientSystem,
+    FiberModel,
+    validate_fiber_model,
+)
 from flatforms.forms import (
     ExtensionInfeasible,
     IncompatibleBoundaryData,
@@ -19,7 +23,6 @@ from flatforms.instances import (
 )
 from flatforms.mixed import (
     ChainMapData,
-    FiberModel,
     FormMatrix,
     NotNilpotent,
     build_Iprime,
@@ -31,7 +34,6 @@ from flatforms.mixed import (
     locality_check,
     neumann_inverse,
     solve_face_coords,
-    validate_fiber_model,
 )
 from flatforms.morse import LeafSystem
 from flatforms.simplicial import EMPTY, build_complex, dim

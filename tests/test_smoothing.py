@@ -6,11 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatforms.flatsys import CoefficientSystem, fiber_homology
+from flatforms.flatsys import (
+    CoefficientSystem,
+    FiberModel,
+    fiber_homology,
+    omega_betti,
+    quasi_iso_ranks,
+)
 from flatforms.forms import PolyForm
 from flatforms.instances import designed_instance, generate, make_fiber_model
 from flatforms.mixed import (
-    FiberModel,
     FormMatrix,
     build_Iprime,
     build_mixed_connection,
@@ -21,12 +26,10 @@ from flatforms.smoothing import (
     PartitionOfUnity,
     RatioMatrix,
     _flip_last,
-    omega_betti,
     partition_default,
     partition_linear,
     phibar,
     pullback_matrix,
-    quasi_iso_ranks,
     validate_partition,
     verify_smoothing,
 )
