@@ -32,6 +32,7 @@ from .flatsys import (
     cw_homology,
     extend_system,
     fiber_homology,
+    forbidden_blocks,
     holonomy_verdicts,
     igusa_check,
     igusa_export,
@@ -265,6 +266,8 @@ def cmd_smooth(args):
 def cmd_igusa(args):
     A = load_instance(args).A
     checks = Checks()
+    if sysp := forbidden_blocks(A):
+        return checks.record("system", sysp)
     try:
         problems = [f"{skey(sigma)}: relation fails at tuple {tup}"
                     for sigma in A.S
@@ -278,6 +281,8 @@ def cmd_igusa(args):
 def cmd_holonomy(args):
     A = load_instance(args).A
     checks = Checks()
+    if sysp := forbidden_blocks(A):
+        return checks.record("system", sysp)
     try:
         corners = dict.fromkeys((v,) for tri in A.S.of_dim(2) for v in tri)
         H = {v: fiber_homology(A, v) for v in corners}
@@ -291,6 +296,8 @@ def cmd_holonomy(args):
 def cmd_homology(args):
     inst = load_instance(args)
     checks = Checks()
+    if sysp := forbidden_blocks(inst.A):
+        return checks.record("system", sysp)
     try:
         bdry = cw_boundary(inst.A)
         checks["cw_betti"] = cw_homology(bdry)

@@ -44,7 +44,7 @@ from .linalg import (
     smat_transpose,
     solve,
 )
-from .morse import GradedModule, LeafSystem, UnknownLeaf, allowed_blocks
+from .morse import GradedModule, LeafSystem, UnknownLeaf, allowed_blocks, prec
 from .simplicial import (
     BaseComplex,
     Simplex,
@@ -190,24 +190,35 @@ def flatness_residual(A: CoefficientSystem, sigma: Simplex) -> SMat:
     return relation(A, sigma, A.a)
 
 
-def validate_system(A: CoefficientSystem) -> list[str]:
-    """Full structural validation; returns human-readable violations."""
+def forbidden_blocks(A: CoefficientSystem) -> list[str]:
+    """One problem per entry of a coefficient present in ``A`` that sits
+    in a block its degree forbids: a(sigma) has degree 1 - dim(sigma),
+    and its block alpha<-beta needs beta to precede alpha over sigma."""
     problems: list[str] = []
     L = A.L
     for sigma in A.S:
         if not A.has(sigma):
-            problems.append(f"missing coefficient for {sigma}")
-    if problems:
-        return problems
-    for sigma in A.S:
-        k = dim(sigma)
-        allowed = set(allowed_blocks(L, sigma, 1 - k))
-        m = A.coeffs[sigma]
-        for (al, i), (be, j), v in smat_entries(m):
+            continue
+        need = 1 - dim(sigma)
+        allowed: dict[tuple[str, str], bool] = {}
+        for (al, _i), (be, _j), _v in smat_entries(A.coeffs[sigma]):
             if (al, be) not in allowed:
+                allowed[al, be] = (L.index[al] - L.index[be] == need
+                                   and al != be and prec(L, be, al, sigma))
+            if not allowed[al, be]:
                 problems.append(
                     f"{sigma}: entry in forbidden block {al}<-{be} "
-                    f"(degree {L.index[al] - L.index[be]}, need {1 - k})")
+                    f"(degree {L.index[al] - L.index[be]}, need {need})")
+    return problems
+
+
+def validate_system(A: CoefficientSystem) -> list[str]:
+    """Full structural validation; returns human-readable violations."""
+    problems = [f"missing coefficient for {sigma}" for sigma in A.S
+                if not A.has(sigma)]
+    if problems:
+        return problems
+    problems = forbidden_blocks(A)
     # a vertex's residual is a(v)^2, reported once as the square
     for v in A.S.vertices():
         if not smat_is_zero(flatness_residual(A, v)):
@@ -235,9 +246,6 @@ class CWBoundary:
     generators: list
     matrix: dict
     degrees: dict
-
-    def apply(self, gen) -> dict:
-        return dict(self.matrix.get(gen, {}))
 
     def is_differential(self) -> bool:
         return not smat_mul(self.matrix, self.matrix)
@@ -748,37 +756,3 @@ def quasi_iso_ranks(A: CoefficientSystem, FM: FiberModel, H: dict) -> dict:
                 f"{betti_v} vs {betti_o}")
     report["triangles"] = holonomy_verdicts(A, H, report["problems"])
     return report
-
-
-# ---------------------------------------------------------------------------
-# monomial regime
-# ---------------------------------------------------------------------------
-
-def monomial_check(A: CoefficientSystem, allowed_values) -> list[str]:
-    """Check the system lies in the declared monomial regime.
-
-    Every block of every coefficient may contain at most one nonzero
-    entry per row and per column, and each entry must belong to
-    ``allowed_values``.
-    """
-    allowed = {qx(v) for v in allowed_values}
-    problems = []
-    for sigma in sorted(A.coeffs, key=lambda s: (len(s), s)):
-        by_block: dict[tuple, list] = {}
-        for (al, i), (be, j), v in smat_entries(A.coeffs[sigma]):
-            by_block.setdefault((al, be), []).append((i, j, v))
-        for (al, be), entries in sorted(by_block.items()):
-            rows_seen = {}
-            cols_seen = {}
-            for i, j, v in entries:
-                if v not in allowed:
-                    problems.append(
-                        f"{sigma} block {al}<-{be}: entry {v} not an allowed value")
-                if i in rows_seen:
-                    problems.append(
-                        f"{sigma} block {al}<-{be}: two entries in row {i}")
-                if j in cols_seen:
-                    problems.append(
-                        f"{sigma} block {al}<-{be}: two entries in column {j}")
-                rows_seen[i] = cols_seen[j] = True
-    return problems

@@ -14,7 +14,15 @@ contraction operator of the Poincaré lemma) are exact.
 Face restrictions and chart changes are affine maps that send each
 chart variable to a barycentric coordinate of the target or to zero;
 ``PolyForm.affine_pullback`` performs all of them from a per-map table.
-``PolyForm.pullback`` substitutes arbitrary polynomial images.
+``PolyForm.pullback`` substitutes arbitrary polynomial images, and
+``ratio_pullback`` substitutes rational images N_i/Q with one
+denominator, homogenised over one power Q^e for a whole family of forms:
+the P/Q^e substitution behind the smoothing.
+``PolyForm.vanishes_on_facet`` asks whether every coefficient, normal
+components included, vanishes along a facet.
+
+The term layout is private to this module: other modules build and
+take apart forms only through the methods and functions here.
 """
 
 from __future__ import annotations
@@ -172,6 +180,13 @@ class PolyForm:
     def __sub__(self, other: "PolyForm") -> "PolyForm":
         return self + (-other)
 
+    def graded_involution(self) -> "PolyForm":
+        """The form with its odd-degree parts negated: (-1)**r on r-forms."""
+        res = PolyForm(self.k)
+        res.terms = {key: (-c if len(key[1]) % 2 else c)
+                     for key, c in self.terms.items()}
+        return res
+
     def scale(self, c) -> "PolyForm":
         c = qx(c)
         res = PolyForm(self.k)
@@ -245,6 +260,17 @@ class PolyForm:
     def poly_degree(self) -> int:
         """Maximal total exponent degree appearing (0 for the zero form)."""
         return max((sum(e) for (e, _d) in self.terms), default=0)
+
+    def vanishes_on_facet(self, j: int) -> bool:
+        """Whether every coefficient vanishes at the points of the facet
+        omitting vertex position ``j``, normal components included.
+
+        In a chart where that facet is a coordinate hyperplane, each term
+        must carry a positive power of its coordinate: vertex j's own
+        for j >= 1, and the first one after ``_flip_last`` for j = 0.
+        """
+        p, i = (self, j - 1) if j >= 1 else (_flip_last(self), 0)
+        return all(exps[i] for exps, _dxs in p.terms)
 
     def evaluate(self, point: Sequence) -> dict[tuple[int, ...], Fraction]:
         """Evaluate coefficients at a chart point; keys are dx tuples."""
@@ -393,6 +419,81 @@ class PolyForm:
             dx = "".join(f"dx{i}" for i in dxs)
             bits.append(f"{c}*{mono or '1'}{('∧' + dx) if dx else ''}")
         return f"PolyForm({self.k}, {' + '.join(bits)})"
+
+
+def _flip_last(p: PolyForm) -> PolyForm:
+    """Rewrite a form in the chart eliminating the last vertex.
+
+    In the new chart the variables are the barycentric coordinates of
+    vertices 0..k-1, so the face {x_0 = 0} becomes the coordinate
+    hyperplane of the first variable.
+    """
+    return p.affine_pullback(p.k, tuple(range(2, p.k + 1)) + (0,))
+
+
+def monomial_coefficients(forms: dict) -> list[tuple[PolyForm, int, dict]]:
+    """Split forms on one chart, keyed by labels, monomial by monomial.
+
+    One entry per monomial x^e dx^D present in any of ``forms``: the
+    form x^e dx^D itself, its form degree |D|, and {label: coefficient
+    of x^e dx^D in forms[label]} over the forms that contain it.  The
+    order is fixed by the monomials alone.
+    """
+    split: dict[Key, tuple[PolyForm, dict]] = {}
+    for label, f in forms.items():
+        for key, c in f.terms.items():
+            if key not in split:
+                split[key] = PolyForm(f.k, {key: Q(1)}), {}
+            split[key][1][label] = c
+    return [(mono, len(key[1]), coefs)
+            for key, (mono, coefs) in sorted(split.items(),
+                                             key=lambda kv: repr(kv[0]))]
+
+
+def ratio_pullback(forms: Sequence[PolyForm], target_k: int, nums: dict,
+                   den: PolyForm) -> tuple[list[PolyForm], int]:
+    """Pull ``forms`` back along x_i -> nums[i] / den over one power of den.
+
+    A term c x^e dx^D pulls back to
+
+        c N^e ∧_{i in D} (den dN_i - N_i dden) / den^(|e| + 2|D|),
+
+    so over den^top, with top the largest |e| + 2|D| among the terms of
+    all of ``forms``, its numerator carries the remaining power of den.
+    Returns the numerators, in the order of ``forms``, and top.  The
+    image of each basis term and every power of a numerator or of den is
+    built once for all of ``forms``.
+    """
+    top = max((sum(e) + 2 * len(dxs) for p in forms for e, dxs in p.terms),
+              default=0)
+    dden = den.d()
+    dimg = {i: den.wedge(n.d()) - n.wedge(dden) for i, n in nums.items()}
+    powers: dict = {}
+
+    def power(i: int, e: int) -> PolyForm:
+        """nums[i]**e, with i = 0 standing for den."""
+        if (i, e) not in powers:
+            powers[i, e] = (PolyForm.one(target_k) if e == 0 else
+                            power(i, e - 1).wedge(nums[i] if i else den))
+        return powers[i, e]
+
+    images: dict = {}
+    out = []
+    for p in forms:
+        acc = PolyForm.zero(target_k)
+        for key, coef in p.terms.items():
+            if key not in images:
+                exps, dxs = key
+                f = power(0, top - sum(exps) - 2 * len(dxs))
+                for i, e in enumerate(exps, start=1):
+                    if e:
+                        f = f.wedge(power(i, e))
+                for i in dxs:
+                    f = f.wedge(dimg[i])
+                images[key] = f
+            acc = acc + images[key].scale(coef)
+        out.append(acc)
+    return out, top
 
 
 # ---------------------------------------------------------------------------

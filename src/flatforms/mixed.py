@@ -48,6 +48,7 @@ from .forms import (
     IncompatibleBoundaryData,
     PolyForm,
     extend_from_boundary,
+    monomial_coefficients,
 )
 from .linalg import (
     SMat,
@@ -206,12 +207,7 @@ class FormMatrix:
 
 
 def _koszul_wedge(p: PolyForm, q: PolyForm, e: int) -> PolyForm:
-    if e % 2 == 0:
-        return p.wedge(q)
-    signed = PolyForm(q.k)
-    signed.terms = {key: (-c if len(key[1]) % 2 else c)
-                    for key, c in q.terms.items()}
-    return p.wedge(signed)
+    return p.wedge(q.graded_involution() if e % 2 else q)
 
 
 def neumann_inverse(g_minus_id: FormMatrix, max_len: int) -> FormMatrix:
@@ -553,35 +549,29 @@ def solve_face_coords(A: CoefficientSystem, FM: FiberModel, sigma: Simplex,
     order = []
     blocks: dict[tuple, list] = {}
     for row in sorted(value.rows, key=repr):
-        rhs_by_mono: dict = {}
-        for e in omega:
-            for key, coef in value.entry(row, e).terms.items():
-                rhs_by_mono.setdefault(key, {})[e] = coef
-        for key in sorted(rhs_by_mono, key=repr):
-            order.append((row, key))
-            blocks.setdefault((row[0], len(key[1])), []).append(
-                (row, key, rhs_by_mono[key]))
+        split = monomial_coefficients({e: value.entry(row, e) for e in omega})
+        for mono, r, vec in split:
+            blocks.setdefault((row[0], r), []).append((len(order), vec))
+            order.append((row, mono))
 
-    solutions = {}
+    solutions = [None] * len(order)
     for (al, r), items in blocks.items():
         cols = columns(al, r)
         mat = smat_transpose({(s2, be_m): FM.imap(s2).get(be_m, {})
                               for s2, be_m in cols})
-        xs = solve(mat, cols, [vec for _row, _key, vec in items])
-        for (row, key, _vec), x in zip(items, xs):
-            solutions[(row, key)] = x
+        xs = solve(mat, cols, [vec for _i, vec in items])
+        for (i, _vec), x in zip(items, xs):
+            solutions[i] = x
 
     out: dict = {}
-    for row, key in order:
-        x = solutions[(row, key)]
+    for (row, mono), x in zip(order, solutions):
         if x is None:
             raise ExtensionInfeasible(
                 f"no face decomposition over {sigma} (face {sigma_p}): "
-                f"row {row}, monomial {key}")
+                f"row {row}, monomial {mono}")
         for (s2, be_m), coef in x.items():
             fm = out.setdefault(s2, FormMatrix(mm, M.deg))
-            fm.set_entry(row, be_m, fm.entry(row, be_m)
-                         + PolyForm(mm, {key: coef}))
+            fm.set_entry(row, be_m, fm.entry(row, be_m) + mono.scale(coef))
     return {s: fm for s, fm in out.items() if not fm.is_zero()}
 
 

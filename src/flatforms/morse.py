@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import SMat, qx, smat_set
+from .linalg import qx
 from .simplicial import BaseComplex, Simplex, all_faces
 
 
@@ -162,22 +162,6 @@ class GradedModule:
 
     def degree(self, basis_elt: tuple[str, int]) -> int:
         return self.index[basis_elt[0]]
-
-
-def number_operator(M: GradedModule) -> SMat:
-    """Diagonal matrix multiplying each generator by its degree."""
-    out: SMat = {}
-    for b in M.basis:
-        smat_set(out, b, b, M.degree(b))
-    return out
-
-
-def height_operator(L: LeafSystem, M: GradedModule, vertex: int) -> SMat:
-    """Diagonal matrix multiplying each generator by its leaf height at ``vertex``."""
-    out: SMat = {}
-    for b in M.basis:
-        smat_set(out, b, b, L.height(b[0], vertex))
-    return out
 
 
 def allowed_blocks(L: LeafSystem, sigma: Simplex, end_degree: int

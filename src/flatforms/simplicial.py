@@ -95,12 +95,6 @@ def boundary_chain(sigma: Simplex) -> list[tuple[int, Simplex]]:
     return [((-1) ** j, facet(sigma, j)) for j in range(len(sigma))]
 
 
-def is_face(tau: Simplex, sigma: Simplex) -> bool:
-    """True when ``tau`` is a (not necessarily proper) face of ``sigma``."""
-    it = iter(sigma)
-    return all(v in it for v in tau)
-
-
 def face_positions(tau: Simplex, sigma: Simplex) -> tuple[int, ...]:
     """Positions of the vertices of ``tau`` inside ``sigma``.
 
@@ -116,18 +110,6 @@ def face_positions(tau: Simplex, sigma: Simplex) -> tuple[int, ...]:
         pos.append(j)
         j += 1
     return tuple(pos)
-
-
-def relative_simplex(sigma: Simplex, tau: Simplex) -> Simplex:
-    """Vertex span of ``sigma`` relative to its face ``tau``.
-
-    The vertices of ``sigma`` from the position of the last vertex of
-    ``tau`` onward (all of ``sigma`` when ``tau`` is empty).
-    """
-    if tau == EMPTY:
-        return sigma
-    pos = face_positions(tau, sigma)
-    return sigma[pos[-1]:]
 
 
 def all_faces(sigma: Simplex, include_empty: bool = False):
@@ -189,11 +171,6 @@ class BaseComplex:
 
     def of_dim(self, k: int) -> list[Simplex]:
         return self.skeleta.get(k, [])
-
-    def open_star(self, sigma) -> list[Simplex]:
-        """All simplices of the complex having ``sigma`` as a face."""
-        sigma = self.require(sigma)
-        return [t for t in self.simplices if is_face(sigma, t)]
 
 
 def build_complex(simplices) -> BaseComplex:

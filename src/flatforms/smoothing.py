@@ -12,11 +12,15 @@ Everything stays rational.  The default bump B(t) = t^2(3-2t) gives
 component images B(x_v)/Q with the simplex-wide normalizer
 Q = sum_v B(x_v), so pullbacks are ``RatioMatrix`` values: matrices of
 polynomial forms over one power of Q, the package's one localized
-P/Q^e type, built by a single homogenised substitution.  All checks
+P/Q^e type, built by the homogenised substitution
+:func:`flatforms.forms.ratio_pullback`.  All checks
 cross-multiply instead of dividing, making them exact; Q restricts to
 the corresponding normalizer of every face because B(0) = 0.
 ``verify_smoothing`` checks the smoothed data in one walk over the
-simplices, with the flatness and chain identities of :mod:`flatforms.mixed`.
+simplices, with the flatness and chain identities of :mod:`flatforms.mixed`
+and the facet vanishing test ``PolyForm.vanishes_on_facet``.  Forms are
+handled through their methods only; their term layout stays in
+:mod:`flatforms.forms`.
 This module sits on the form layer only: the quasi-isomorphism
 bookkeeping of the constant fiber data (Betti numbers of (Omega, D),
 holonomy on fiber homology) is in :mod:`flatforms.flatsys`.
@@ -27,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .forms import PolyForm
+from .forms import PolyForm, ratio_pullback
 from .linalg import Q, qint, qx
 from .mixed import (
     ChainMapData,
@@ -129,30 +133,6 @@ def _facets(sigma: Simplex) -> list:
             for j in range(len(sigma)) if len(sigma) > 1]
 
 
-def _flip_last(p: PolyForm) -> PolyForm:
-    """Rewrite a form in the chart eliminating the last vertex.
-
-    In the new chart the variables are the barycentric coordinates of
-    vertices 0..l-1, so the face {x_0 = 0} becomes the coordinate
-    hyperplane of the first variable.
-    """
-    return p.affine_pullback(p.k, tuple(range(2, p.k + 1)) + (0,))
-
-
-def _subst_zero(p: PolyForm, var: int) -> PolyForm:
-    """Set the chart variable to zero, keeping the dx structure."""
-    return PolyForm(p.k, {key: c for key, c in p.terms.items()
-                          if key[0][var - 1] == 0})
-
-
-def _vanishes_on_face(p: PolyForm, j: int) -> bool:
-    """Whether every coefficient of ``p`` vanishes at points of the
-    facet omitting vertex position ``j`` (normal components included)."""
-    if j >= 1:
-        return _subst_zero(p, j).is_zero()
-    return _subst_zero(_flip_last(p), 1).is_zero()
-
-
 def validate_partition(P: PartitionOfUnity) -> list[str]:
     """Sum to one, star support, restriction coherence between faces,
     positivity samples for the denominator, and first-order flatness of
@@ -191,7 +171,7 @@ def validate_partition(P: PartitionOfUnity) -> list[str]:
                 continue
             n = P.num[(sigma, v)]
             w = den.wedge(n.d()) - den.d().wedge(n)
-            if not _vanishes_on_face(w, j):
+            if not w.vanishes_on_facet(j):
                 problems.append(
                     f"d(phi_{v}) does not vanish on the face x_{v}=0 of {sigma}")
     return problems
@@ -287,57 +267,11 @@ class RatioMatrix:
         return self.promoted(e).eq(other.promoted(e))
 
 
-def _pullback_with_images(fm: FormMatrix, target_k: int, nums: dict,
-                          den: PolyForm) -> RatioMatrix:
-    """Entrywise pullback of ``fm`` along x_i -> nums[i] / den.
-
-    A term c x^e dx^D pulls back to
-
-        c N^e ∧_{i in D} (den dN_i - N_i dden) / den^(|e| + 2|D|),
-
-    so over den^top, with top the largest |e| + 2|D| in the matrix, its
-    numerator carries the remaining power of den.  The image of each
-    basis term and every power of a numerator or of den is built once.
-    """
-    top = max((sum(e) + 2 * len(dxs) for _r, _c, p in fm.entries()
-               for e, dxs in p.terms), default=0)
-    dden = den.d()
-    dimg = {i: den.wedge(n.d()) - n.wedge(dden) for i, n in nums.items()}
-    powers: dict = {}
-
-    def power(i: int, e: int) -> PolyForm:
-        """nums[i]**e, with i = 0 standing for den."""
-        if (i, e) not in powers:
-            powers[i, e] = (PolyForm.one(target_k) if e == 0 else
-                            power(i, e - 1).wedge(nums[i] if i else den))
-        return powers[i, e]
-
-    images: dict = {}
-    out = FormMatrix(target_k, fm.deg)
-    for r, c, p in fm.entries():
-        acc = PolyForm.zero(target_k)
-        for key, coef in p.terms.items():
-            if key not in images:
-                exps, dxs = key
-                f = power(0, top - sum(exps) - 2 * len(dxs))
-                for i, e in enumerate(exps, start=1):
-                    if e:
-                        f = f.wedge(power(i, e))
-                for i in dxs:
-                    f = f.wedge(dimg[i])
-                images[key] = f
-            acc = acc + images[key].scale(coef)
-        out.set_entry(r, c, acc)
-    return RatioMatrix(out, den, top)
-
-
 def pullback_matrix(fm: FormMatrix, P: PartitionOfUnity, sigma: Simplex
                     ) -> RatioMatrix:
     """Pull a matrix of forms on |sigma| back along the partition
-    self-map, entry by entry."""
-    l = dim(sigma)
-    nums = {i: P.num[(sigma, v)] for i, v in enumerate(sigma[1:], start=1)}
-    return _pullback_with_images(fm, l, nums, P.den[sigma])
+    self-map, entry by entry: the collapse onto sigma itself."""
+    return face_collapse_pullback(P, sigma, sigma, fm)
 
 
 def face_collapse_pullback(P: PartitionOfUnity, sigma: Simplex, tau: Simplex,
@@ -348,10 +282,17 @@ def face_collapse_pullback(P: PartitionOfUnity, sigma: Simplex, tau: Simplex,
     The components are the phi of tau's vertices over sigma's
     denominator, so on the face itself the composite agrees with the
     self-map; off the face it is the first-order model the smoothing is
-    compared against.
+    compared against.  One power of the denominator serves the whole
+    matrix.
     """
     nums = {t: P.num[(sigma, v)] for t, v in enumerate(tau[1:], start=1)}
-    return _pullback_with_images(fm_tau, dim(sigma), nums, P.den[sigma])
+    entries = list(fm_tau.entries())
+    pulled, top = ratio_pullback([p for _r, _c, p in entries], dim(sigma),
+                                 nums, P.den[sigma])
+    out = FormMatrix(dim(sigma), fm_tau.deg)
+    for (r, c, _p), q in zip(entries, pulled):
+        out.set_entry(r, c, q)
+    return RatioMatrix(out, P.den[sigma], top)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +354,7 @@ def verify_smoothing(data: MixedConnectionData, P: PartitionOfUnity,
             e = max(g.e, rhs.e)
             diff = g.promoted(e).sub(rhs.promoted(e))
             for r, c, p in diff.entries():
-                if not _vanishes_on_face(p, j):
+                if not p.vanishes_on_facet(j):
                     report["first_order"].append(
                         f"block {r}<-{c} on {sigma} is not determined by "
                         f"its face {tau} to first order")

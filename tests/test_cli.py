@@ -260,13 +260,15 @@ def test_smooth_validates_the_fiber_model_first(capsys, tmp_path):
                          ids=["no-fiber-model", "fiber-model"])
 def test_every_build_stops_on_an_invalid_system(capsys, tmp_path, with_fiber):
     # a(0,1) gains an entry in a block its degree forbids; the builds
-    # stop under "system" as validate fails, before any fiber model check
+    # and checks stop under "system" as validate fails, before any fiber
+    # model check
     path = edge_file(tmp_path, with_fiber=with_fiber)
     data = json.loads(path.read_text())
     data["coefficients"]["0,1"]["q<-p"] = [["5"]]
     path.write_text(json.dumps(data))
     witness = ["(0, 1): entry in forbidden block q<-p (degree 1, need 0)"]
-    commands = ["validate", "build-aprime", "smooth"]
+    commands = ["validate", "build-aprime", "smooth", "igusa", "holonomy",
+                "homology"]
     if with_fiber:
         commands.append("build-iprime")
     for cmd in commands:

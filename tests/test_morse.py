@@ -9,8 +9,6 @@ from flatforms.morse import (
     allowed_blocks,
     check_partial_order,
     check_refinement,
-    height_operator,
-    number_operator,
     prec,
     validate_leaf_system,
 )
@@ -92,9 +90,6 @@ def test_graded_module_layout():
     assert M.basis == [("a", 0), ("a", 1), ("b", 0)]
     assert M.n == 3
     assert M.degree(("b", 0)) == 1
-    # diagonal; leaf a has degree 0 and height 0, so its entries are left out
-    assert number_operator(M) == {("b", 0): {("b", 0): 1}}
-    assert height_operator(L, M, 0) == {("b", 0): {("b", 0): 3}}
 
 
 def test_allowed_blocks_by_end_degree():

@@ -16,8 +16,6 @@ from flatforms.simplicial import (
     dim,
     face,
     face_positions,
-    is_face,
-    relative_simplex,
 )
 
 
@@ -56,25 +54,10 @@ def test_boundary_chain_edge_and_vertex():
         boundary_chain(EMPTY)
 
 
-def test_is_face_subsequence():
-    assert is_face((1, 3), (0, 1, 2, 3))
-    assert is_face(EMPTY, (0, 1))
-    assert not is_face((1, 4), (0, 1, 2, 3))
-
-
 def test_face_positions_and_not_a_face():
     assert face_positions((1, 3), (0, 1, 2, 3)) == (1, 3)
     with pytest.raises(NotAFace):
         face_positions((1, 5), (0, 1, 2, 3))
-
-
-def test_relative_simplex_examples():
-    assert relative_simplex((0, 1, 2, 3), (0, 1)) == (1, 2, 3)
-    assert relative_simplex((0, 1, 2), (0, 1, 2)) == (2,)
-    assert relative_simplex((0, 1, 2), EMPTY) == (0, 1, 2)
-    assert relative_simplex((2, 5, 9), (5,)) == (5, 9)
-    with pytest.raises(NotAFace):
-        relative_simplex((0, 1, 2), (3,))
 
 
 def test_all_faces_order():
@@ -99,9 +82,3 @@ def test_build_complex_closure_and_lookup():
 def test_build_complex_duplicate():
     with pytest.raises(DuplicateSimplex):
         build_complex([(0, 1), (0, 1)])
-
-
-def test_open_star():
-    S = build_complex([(0, 1, 2), (1, 2, 3)])
-    assert S.open_star((1, 2)) == [(1, 2), (0, 1, 2), (1, 2, 3)]
-    assert S.open_star((0,)) == [(0,), (0, 1), (0, 2), (0, 1, 2)]

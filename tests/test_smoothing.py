@@ -13,7 +13,7 @@ from flatforms.flatsys import (
     omega_betti,
     quasi_iso_ranks,
 )
-from flatforms.forms import PolyForm
+from flatforms.forms import PolyForm, _flip_last
 from flatforms.instances import designed_instance, generate, make_fiber_model
 from flatforms.mixed import (
     FormMatrix,
@@ -25,7 +25,6 @@ from flatforms.simplicial import build_complex, dim
 from flatforms.smoothing import (
     PartitionOfUnity,
     RatioMatrix,
-    _flip_last,
     partition_default,
     partition_linear,
     phibar,
@@ -252,7 +251,7 @@ def test_pullback_of_constants_is_constant():
     assert g.num.eq(data.get((0,), ()))
 
 
-# --- the partition pullback (pullback_matrix, i.e. _pullback_with_images
+# --- the partition pullback (pullback_matrix, i.e. forms.ratio_pullback
 # on the numerators and denominator of sigma) --------------------------
 
 
