@@ -16,8 +16,8 @@ chart variable to a barycentric coordinate of the target or to zero;
 ``PolyForm.affine_pullback`` performs all of them from a per-map table.
 ``PolyForm.pullback`` substitutes arbitrary polynomial images, and
 ``ratio_pullback`` substitutes rational images N_i/Q with one
-denominator, homogenised over one power Q^e for a whole family of forms:
-the P/Q^e substitution behind the smoothing.
+denominator, homogenised over each form's own power of Q, taken from
+one ``Powers`` cache: the P/Q^e substitution behind the smoothing.
 ``PolyForm.vanishes_on_facet`` asks whether every coefficient, normal
 components included, vanishes along a facet.
 
@@ -78,7 +78,7 @@ def _bary_power(k: int, e: int) -> tuple:
     if e == 0:
         return (((0,) * k, 1),)
     return tuple((exps, int(c)) for (exps, _d), c
-                 in PolyForm.coordinate(k, 0).power(e).terms.items())
+                 in Powers(PolyForm.coordinate(k, 0))[e].terms.items())
 
 
 @cache
@@ -215,13 +215,6 @@ class PolyForm:
         res.terms = out
         return res
 
-    def power(self, m: int) -> "PolyForm":
-        """The m-fold wedge of ``self`` with itself (one for m = 0)."""
-        p = PolyForm.one(self.k)
-        for _ in range(m):
-            p = p.wedge(self)
-        return p
-
     def d(self) -> "PolyForm":
         out: dict[Key, Fraction] = {}
         for (exps, dxs), c in self.terms.items():
@@ -303,30 +296,19 @@ class PolyForm:
         ``images[i]`` (for i = 1..k) is the pullback of the coordinate
         x_i; differentials map along d(images[i]).
         """
-        d_images = {i: f.d() for i, f in images.items()}
+        powers = {i: Powers(f) for i, f in images.items()}
         out = PolyForm.zero(target_k)
-        pow_cache: dict[tuple[int, int], PolyForm] = {}
-
-        def power(i: int, e: int) -> PolyForm:
-            key = (i, e)
-            if key not in pow_cache:
-                if e == 0:
-                    pow_cache[key] = PolyForm.one(target_k)
-                else:
-                    pow_cache[key] = power(i, e - 1).wedge(images[i])
-            return pow_cache[key]
-
         for (exps, dxs), c in self.terms.items():
             acc = PolyForm.const(target_k, c)
             for i, e in enumerate(exps, start=1):
                 if e:
-                    acc = acc.wedge(power(i, e))
+                    acc = acc.wedge(powers[i][e])
                     if acc.is_zero():
                         break
             if acc.is_zero():
                 continue
             for i in dxs:
-                acc = acc.wedge(d_images[i])
+                acc = acc.wedge(powers[i].d)
                 if acc.is_zero():
                     break
             out = out + acc
@@ -450,50 +432,65 @@ def monomial_coefficients(forms: dict) -> list[tuple[PolyForm, int, dict]]:
                                              key=lambda kv: repr(kv[0]))]
 
 
+class Powers:
+    """The powers p**0, p**1, ... of one 0-form ``p``, each built once by
+    repeated wedge, and the differential dp."""
+
+    __slots__ = ("base", "d", "_pw")
+
+    def __init__(self, p: PolyForm):
+        self.base = p
+        self.d = p.d()
+        self._pw = [PolyForm.one(p.k)]
+
+    def __getitem__(self, n: int) -> PolyForm:
+        pw = self._pw
+        while len(pw) <= n:
+            pw.append(pw[-1].wedge(self.base))
+        return pw[n]
+
+
 def ratio_pullback(forms: Sequence[PolyForm], target_k: int, nums: dict,
-                   den: PolyForm) -> tuple[list[PolyForm], int]:
-    """Pull ``forms`` back along x_i -> nums[i] / den over one power of den.
+                   den: Powers) -> list[tuple[PolyForm, int]]:
+    """Pull ``forms`` back along x_i -> nums[i] / Q, with Q = den.base.
 
     A term c x^e dx^D pulls back to
 
-        c N^e ∧_{i in D} (den dN_i - N_i dden) / den^(|e| + 2|D|),
+        c N^e ∧_{i in D} (Q dN_i - N_i dQ) / Q^(|e| + 2|D|),
 
-    so over den^top, with top the largest |e| + 2|D| among the terms of
-    all of ``forms``, its numerator carries the remaining power of den.
-    Returns the numerators, in the order of ``forms``, and top.  The
-    image of each basis term and every power of a numerator or of den is
-    built once for all of ``forms``.
+    so each form comes out over its own Q^top, with top the largest
+    |e| + 2|D| among its own terms, and the numerator of each term
+    carries the remaining power of Q.  Returns one (numerator, top) pair
+    per form, in the order of ``forms``.  The image of each basis term
+    and every power of a numerator is built once for all of ``forms``;
+    the powers of Q come from ``den``.
     """
-    top = max((sum(e) + 2 * len(dxs) for p in forms for e, dxs in p.terms),
-              default=0)
-    dden = den.d()
-    dimg = {i: den.wedge(n.d()) - n.wedge(dden) for i, n in nums.items()}
-    powers: dict = {}
-
-    def power(i: int, e: int) -> PolyForm:
-        """nums[i]**e, with i = 0 standing for den."""
-        if (i, e) not in powers:
-            powers[i, e] = (PolyForm.one(target_k) if e == 0 else
-                            power(i, e - 1).wedge(nums[i] if i else den))
-        return powers[i, e]
-
+    npow = {i: Powers(n) for i, n in nums.items()}
+    dimg = {i: den.base.wedge(pw.d) - pw.base.wedge(den.d)
+            for i, pw in npow.items()}
     images: dict = {}
     out = []
     for p in forms:
-        acc = PolyForm.zero(target_k)
+        by_weight: dict[int, PolyForm] = {}   # |e| + 2|D| -> sum of images
         for key, coef in p.terms.items():
             if key not in images:
                 exps, dxs = key
-                f = power(0, top - sum(exps) - 2 * len(dxs))
+                f = PolyForm.one(target_k)
                 for i, e in enumerate(exps, start=1):
                     if e:
-                        f = f.wedge(power(i, e))
+                        f = f.wedge(npow[i][e])
                 for i in dxs:
                     f = f.wedge(dimg[i])
                 images[key] = f
-            acc = acc + images[key].scale(coef)
-        out.append(acc)
-    return out, top
+            w = sum(key[0]) + 2 * len(key[1])
+            term = images[key].scale(coef)
+            by_weight[w] = by_weight[w] + term if w in by_weight else term
+        top = max(by_weight, default=0)
+        num = PolyForm.zero(target_k)
+        for w, f in by_weight.items():
+            num = num + (f if w == top else den[top - w].wedge(f))
+        out.append((num, top))
+    return out
 
 
 # ---------------------------------------------------------------------------

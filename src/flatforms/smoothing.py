@@ -10,12 +10,14 @@ pulling back kills every non-tangential contribution there.
 
 Everything stays rational.  The default bump B(t) = t^2(3-2t) gives
 component images B(x_v)/Q with the simplex-wide normalizer
-Q = sum_v B(x_v), so pullbacks are ``RatioMatrix`` values: matrices of
-polynomial forms over one power of Q, the package's one localized
-P/Q^e type, built by the homogenised substitution
-:func:`flatforms.forms.ratio_pullback`.  All checks
-cross-multiply instead of dividing, making them exact; Q restricts to
-the corresponding normalizer of every face because B(0) = 0.
+Q = sum_v B(x_v), so pullbacks are ``RatioMatrix`` values: matrices
+whose entries are polynomial forms p over their own power Q^e, the
+package's one localized P/Q^e type, built by the homogenised
+substitution :func:`flatforms.forms.ratio_pullback`.  A constant entry
+stays at e = 0, and the powers of Q come from one cache per simplex.
+All checks cross-multiply instead of dividing, entry by entry, making
+them exact; Q restricts to the corresponding normalizer of every face
+because B(0) = 0.
 ``verify_smoothing`` checks the smoothed data in one walk over the
 simplices, with the flatness and chain identities of :mod:`flatforms.mixed`
 and the facet vanishing test ``PolyForm.vanishes_on_facet``.  Forms are
@@ -31,12 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .forms import PolyForm, ratio_pullback
-from .linalg import Q, qint, qx
+from .forms import PolyForm, Powers, ratio_pullback
+from .linalg import Q, SMat, qint, qx
 from .mixed import (
     ChainMapData,
     FormMatrix,
     MixedConnectionData,
+    _koszul_wedge,
     intertwines,
     is_flat_connection,
 )
@@ -200,99 +203,193 @@ def phibar(P: PartitionOfUnity, sigma: Simplex, point) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _wedge_left(w: PolyForm, fm: FormMatrix) -> FormMatrix:
-    out = FormMatrix(fm.k, fm.deg)
-    for r, c, p in fm.entries():
-        out.set_entry(r, c, w.wedge(p))
-    return out
-
-
 class RatioMatrix:
-    """num / den**e with a FormMatrix numerator.
+    """A sparse matrix of forms p / Q^e over one denominator Q, each
+    entry with its own exponent e.
 
-    Binary operations require the same denominator 0-form; exponents
-    are tracked and reconciled by cross-multiplication, never division.
+    ``powers`` holds the powers of Q; binary operations need the same Q and
+    raise exponents entry by entry, by cross-multiplication, never
+    division.  A zero numerator is not stored, and p / Q^e is zero
+    exactly when p is, so a matrix is zero exactly when it stores no
+    entry.  Composition follows the Koszul sign rule of ``FormMatrix``.
     """
 
-    __slots__ = ("num", "den", "e")
+    __slots__ = ("k", "deg", "powers", "rows")
 
-    def __init__(self, num: FormMatrix, den: PolyForm, e: int = 0):
-        self.num = num
-        self.den = den
-        self.e = e
+    def __init__(self, k: int, deg: dict, powers: Powers):
+        self.k = k
+        self.deg = deg
+        self.powers = powers
+        self.rows: dict = {}   # r -> {c: (numerator, exponent)}
 
-    def promoted(self, e: int) -> FormMatrix:
-        if e < self.e:
-            raise ValueError("cannot lower the exponent")
-        if e == self.e:
-            return self.num
-        return _wedge_left(self.den.power(e - self.e), self.num)
+    @property
+    def den(self) -> PolyForm:
+        return self.powers.base
 
-    def add(self, other: "RatioMatrix") -> "RatioMatrix":
-        if self.den != other.den:
+    @property
+    def e(self) -> int:
+        """The largest exponent of any entry (0 when there is none)."""
+        return max((e for row in self.rows.values() for _p, e in row.values()),
+                   default=0)
+
+    def set_entry(self, r, c, p: PolyForm, e: int):
+        if p.is_zero():
+            row = self.rows.get(r)
+            if row:
+                row.pop(c, None)
+                if not row:
+                    self.rows.pop(r, None)
+            return
+        self.rows.setdefault(r, {})[c] = p, e
+
+    def entries(self):
+        for r, row in self.rows.items():
+            for c, (p, e) in row.items():
+                yield r, c, p, e
+
+    def _like(self) -> "RatioMatrix":
+        return RatioMatrix(self.k, self.deg, self.powers)
+
+    def _same_den(self, other: "RatioMatrix"):
+        if self.powers is not other.powers and self.den != other.den:
             raise ValueError("denominators differ")
-        e = max(self.e, other.e)
-        return RatioMatrix(self.promoted(e).add(other.promoted(e)), self.den, e)
+
+    def _lift(self, p: PolyForm, e: int, m: int) -> PolyForm:
+        """p / Q^e written over Q^m, m >= e: its numerator Q^(m-e) p."""
+        return p if m == e else self.powers[m - e].wedge(p)
+
+    def _sum(self, parts: list) -> tuple[PolyForm, int]:
+        """The sum of (numerator, exponent) pairs, over the largest."""
+        if len(parts) == 1:
+            return parts[0]
+        m = max(e for _p, e in parts)
+        total = PolyForm.zero(self.k)
+        for p, e in parts:
+            total = total + self._lift(p, e, m)
+        return total, m
+
+    def _collect(self, parts: dict) -> "RatioMatrix":
+        """The matrix of the sums of parts[(r, c)], summing numerators of
+        equal exponent before raising any."""
+        out = self._like()
+        for (r, c), by_e in parts.items():
+            out.set_entry(r, c, *self._sum([(p, e) for e, p in by_e.items()]))
+        return out
+
+    def add(self, other: "RatioMatrix", sign: int = 1) -> "RatioMatrix":
+        self._same_den(other)
+        out = self._like()
+        out.rows = {r: dict(row) for r, row in self.rows.items()}
+        for r, c, q, f in other.entries():
+            if sign != 1:
+                q = q.scale(sign)
+            mine = out.rows.get(r, {}).get(c)
+            out.set_entry(r, c, *(self._sum([mine, (q, f)]) if mine else (q, f)))
+        return out
+
+    def sub(self, other: "RatioMatrix") -> "RatioMatrix":
+        return self.add(other, -1)
 
     def compose(self, other: "RatioMatrix") -> "RatioMatrix":
-        if self.den != other.den:
-            raise ValueError("denominators differ")
-        return RatioMatrix(self.num.compose(other.num), self.den,
-                           self.e + other.e)
+        """Koszul composition with a module endomorphism on the left."""
+        self._same_den(other)
+        parts: dict = {}
+        for r, row in self.rows.items():
+            for t, (p, e) in row.items():
+                orow = other.rows.get(t)
+                if not orow:
+                    continue
+                s = self.deg[r] - self.deg[t]
+                for c, (q, f) in orow.items():
+                    _accumulate(parts, r, c, e + f, _koszul_wedge(p, q, s))
+        return self._collect(parts)
 
-    def mul_const_right(self, m) -> "RatioMatrix":
-        return RatioMatrix(self.num.mul_const_right(m), self.den, self.e)
+    def mul_const_right(self, m: SMat) -> "RatioMatrix":
+        """Compose with a constant matrix on the right (no signs arise)."""
+        parts: dict = {}
+        for r, row in self.rows.items():
+            for t, (p, e) in row.items():
+                for c, v in m.get(t, {}).items():
+                    _accumulate(parts, r, c, e, p.scale(v))
+        return self._collect(parts)
 
     def d(self) -> "RatioMatrix":
-        out = FormMatrix(self.num.k, self.num.deg)
-        dden = self.den.d()
-        for r, c, p in self.num.entries():
-            out.set_entry(r, c,
-                          self.den.wedge(p.d()) - dden.wedge(p).scale(self.e))
-        return RatioMatrix(out, self.den, self.e + 1)
+        """Entrywise d(p / Q^e) = (Q dp - e dQ p) / Q^(e+1), and dp for e = 0."""
+        out = self._like()
+        q, dq = self.powers.base, self.powers.d
+        for r, c, p, e in self.entries():
+            if e == 0:
+                out.set_entry(r, c, p.d(), 0)
+            else:
+                out.set_entry(r, c, q.wedge(p.d()) - dq.scale(e).wedge(p), e + 1)
+        return out
 
-    def restrict(self, positions, den_restricted: PolyForm) -> "RatioMatrix":
-        if self.den.restrict(tuple(positions)) != den_restricted:
+    def restrict(self, positions, powers: Powers) -> "RatioMatrix":
+        """The restriction to a face, over the face's denominator, whose
+        ``powers`` are given: it must be the restriction of Q."""
+        positions = tuple(positions)
+        if self.den.restrict(positions) != powers.base:
             raise ValueError("denominator does not restrict as claimed")
-        return RatioMatrix(self.num.restrict(tuple(positions)),
-                           den_restricted, self.e)
+        out = RatioMatrix(len(positions) - 1, self.deg, powers)
+        for r, c, p, e in self.entries():
+            out.set_entry(r, c, p.restrict(positions), e)
+        return out
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.rows
 
     def eq(self, other: "RatioMatrix") -> bool:
-        if self.den != other.den:
-            raise ValueError("denominators differ")
-        e = max(self.e, other.e)
-        return self.promoted(e).eq(other.promoted(e))
+        self._same_den(other)
+        if self.k != other.k or self.rows.keys() != other.rows.keys():
+            return False
+        for r, row in self.rows.items():
+            orow = other.rows[r]
+            if row.keys() != orow.keys():
+                return False
+            for c, (p, e) in row.items():
+                q, f = orow[c]
+                m = max(e, f)
+                if self._lift(p, e, m) != self._lift(q, f, m):
+                    return False
+        return True
 
 
-def pullback_matrix(fm: FormMatrix, P: PartitionOfUnity, sigma: Simplex
-                    ) -> RatioMatrix:
+def _accumulate(parts: dict, r, c, e: int, p: PolyForm):
+    """Add p to the exponent-e numerator collected for entry (r, c)."""
+    by_e = parts.setdefault((r, c), {})
+    by_e[e] = by_e[e] + p if e in by_e else p
+
+
+def pullback_matrix(fm: FormMatrix, P: PartitionOfUnity, sigma: Simplex,
+                    powers: Optional[Powers] = None) -> RatioMatrix:
     """Pull a matrix of forms on |sigma| back along the partition
     self-map, entry by entry: the collapse onto sigma itself."""
-    return face_collapse_pullback(P, sigma, sigma, fm)
+    return face_collapse_pullback(P, sigma, sigma, fm, powers)
 
 
 def face_collapse_pullback(P: PartitionOfUnity, sigma: Simplex, tau: Simplex,
-                           fm_tau: FormMatrix) -> RatioMatrix:
+                           fm_tau: FormMatrix, powers: Optional[Powers] = None
+                           ) -> RatioMatrix:
     """Pull a matrix on |tau| back to |sigma| along the composite of the
     partition self-map with the projection onto tau.
 
     The components are the phi of tau's vertices over sigma's
     denominator, so on the face itself the composite agrees with the
     self-map; off the face it is the first-order model the smoothing is
-    compared against.  One power of the denominator serves the whole
-    matrix.
+    compared against.  Each entry comes out over its own power of the
+    denominator, taken from ``powers``, the powers of ``P.den[sigma]``
+    (built here when not given).
     """
+    if powers is None:
+        powers = Powers(P.den[sigma])
     nums = {t: P.num[(sigma, v)] for t, v in enumerate(tau[1:], start=1)}
     entries = list(fm_tau.entries())
-    pulled, top = ratio_pullback([p for _r, _c, p in entries], dim(sigma),
-                                 nums, P.den[sigma])
-    out = FormMatrix(dim(sigma), fm_tau.deg)
-    for (r, c, _p), q in zip(entries, pulled):
-        out.set_entry(r, c, q)
-    return RatioMatrix(out, P.den[sigma], top)
+    pulled = ratio_pullback([p for _r, _c, p in entries], dim(sigma), nums,
+                            powers)
+    out = RatioMatrix(dim(sigma), fm_tau.deg, powers)
+    for (r, c, _p), (q, e) in zip(entries, pulled):
+        out.set_entry(r, c, q, e)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +418,18 @@ def verify_smoothing(data: MixedConnectionData, P: PartitionOfUnity,
     pulled back along the collapse onto that face.  Smoothing makes
     this work by flattening the map against each face; a partition
     whose bump has nonzero slope at the ends (the piecewise-linear one,
-    say) leaves genuinely normal terms behind and fails here.
+    say) leaves genuinely normal terms behind and fails here.  An entry
+    p / Q^e of the difference vanishes on the facet exactly when p
+    does, because Q is positive on the closed simplex.
     """
     report = {"flat": [], "c0": [], "first_order": []}
     if cm is not None:
         report["chain"] = []
     glob = {}   # sigma -> (pulled-back a', pulled-back I' or None)
     for sigma in data.A.S:
-        g = pullback_matrix(data.get(sigma, EMPTY), P, sigma)
-        ig = (pullback_matrix(cm.value(sigma, EMPTY), P, sigma)
+        powers = Powers(P.den[sigma])
+        g = pullback_matrix(data.get(sigma, EMPTY), P, sigma, powers)
+        ig = (pullback_matrix(cm.value(sigma, EMPTY), P, sigma, powers)
               if cm is not None else None)
         glob[sigma] = g, ig
         if not is_flat_connection(g):
@@ -344,16 +444,15 @@ def verify_smoothing(data: MixedConnectionData, P: PartitionOfUnity,
                     report["chain"].append(msg)
                 continue
             g_tau, ig_tau = glob[tau]
-            if not g.restrict(pos, P.den[tau]).eq(g_tau):
+            if not g.restrict(pos, g_tau.powers).eq(g_tau):
                 report["c0"].append(
                     f"global form on {sigma} does not restrict to {tau}")
-            if cm is not None and not ig.restrict(pos, P.den[tau]).eq(ig_tau):
+            if cm is not None and not ig.restrict(pos, g_tau.powers).eq(ig_tau):
                 report["chain"].append(
                     f"global chain map on {sigma} does not restrict to {tau}")
-            rhs = face_collapse_pullback(P, sigma, tau, data.get(tau, EMPTY))
-            e = max(g.e, rhs.e)
-            diff = g.promoted(e).sub(rhs.promoted(e))
-            for r, c, p in diff.entries():
+            rhs = face_collapse_pullback(P, sigma, tau, data.get(tau, EMPTY),
+                                         powers)
+            for r, c, p, _e in g.sub(rhs).entries():
                 if not p.vanishes_on_facet(j):
                     report["first_order"].append(
                         f"block {r}<-{c} on {sigma} is not determined by "
