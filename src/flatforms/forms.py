@@ -4,12 +4,17 @@ A form on the k-simplex lives in the chart (x_1, ..., x_k) obtained by
 eliminating the zeroth barycentric coordinate, x_0 = 1 - x_1 - ... - x_k.
 Terms are stored sparsely as
 
-    (exponents, dx-index tuple)  ->  Fraction coefficient
+    (exponents, dx-index tuple)  ->  int numerator
 
-with exponent tuples of length k and strictly increasing dx index
-tuples drawn from {1, ..., k}.  All operations (wedge, exterior
-derivative, restriction to faces, extension from boundary data, the
-contraction operator of the Poincaré lemma) are exact.
+over one positive int denominator per form, with exponent tuples of
+length k and strictly increasing dx index tuples drawn from {1, ..., k}.
+Numerators and denominator are kept in lowest terms, so equal forms are
+stored alike; a form over 1 needs no gcd.  Wedge, exterior derivative,
+restriction to faces and the substitutions below run on Python ints.
+``PolyForm.terms`` shows the coefficients as Fractions, for extension
+from boundary data (a linear solve over Q), the contraction operator of
+the Poincaré lemma, evaluation and serialization.  All operations are
+exact.
 
 Face restrictions and chart changes are affine maps that send each
 chart variable to a barycentric coordinate of the target or to zero;
@@ -30,7 +35,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from typing import Optional, Sequence
+from math import gcd, lcm
+from operator import add
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .linalg import Q, qint, qx, solve
 
@@ -53,6 +61,7 @@ class ExtensionInfeasible(Exception):
     """No polynomial extension found below the degree ceiling."""
 
 
+@cache
 def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
     """Merge two increasing dx tuples; None if they share an index.
 
@@ -77,8 +86,8 @@ def _bary_power(k: int, e: int) -> tuple:
     """y_0**e = (1 - y_1 - ... - y_k)**e as (exponents, int) pairs."""
     if e == 0:
         return (((0,) * k, 1),)
-    return tuple((exps, int(c)) for (exps, _d), c
-                 in Powers(PolyForm.coordinate(k, 0))[e].terms.items())
+    return tuple((exps, c) for (exps, _d), c
+                 in Powers(PolyForm.coordinate(k, 0))[e]._num.items())
 
 
 @cache
@@ -90,37 +99,63 @@ def _dx_image(targets: tuple, k: int) -> tuple:
     f = PolyForm.one(k)
     for j in targets:
         f = f.wedge(PolyForm.dx(k, j))
-    return tuple((dxs, int(c)) for (_e, dxs), c in f.terms.items())
+    return tuple((dxs, c) for (_e, dxs), c in f._num.items())
+
+
+def _form(k: int, num: dict, den: int = 1) -> "PolyForm":
+    """The form on the k-chart with int numerators ``num`` (no zeros)
+    over ``den`` > 0, brought to lowest terms."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {key: c // g for key, c in num.items()}
+    f = object.__new__(PolyForm)
+    f.k, f._num, f._den = k, num, den
+    return f
 
 
 class PolyForm:
-    __slots__ = ("k", "terms")
+    __slots__ = ("k", "_num", "_den")
 
     def __init__(self, k: int, terms: Optional[dict] = None):
-        self.k = k
-        self.terms: dict[Key, Fraction] = {}
+        coefs = {}
         if terms:
             for key, c in terms.items():
                 c = qx(c)
                 if c != 0:
-                    self.terms[key] = c
+                    coefs[key] = c
+        # over the lcm of the reduced denominators the numerators are
+        # already coprime to it: lowest terms
+        den = lcm(*(c.denominator for c in coefs.values()))
+        self.k = k
+        self._num = {key: c.numerator * (den // c.denominator)
+                     for key, c in coefs.items()}
+        self._den = den
+
+    @property
+    def terms(self) -> Mapping[Key, Fraction]:
+        """The coefficients as Fractions, read-only, in storage order."""
+        den = self._den
+        return MappingProxyType({key: Fraction(c, den)
+                                 for key, c in self._num.items()})
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, k: int) -> "PolyForm":
-        return cls(k)
+        return _form(k, {})
 
     @classmethod
     def const(cls, k: int, c) -> "PolyForm":
         c = qx(c)
         if c == 0:
-            return cls(k)
-        return cls(k, {((0,) * k, ()): c})
+            return _form(k, {})
+        return _form(k, {((0,) * k, ()): c.numerator}, c.denominator)
 
     @classmethod
     def one(cls, k: int) -> "PolyForm":
-        return cls.const(k, 1)
+        return _form(k, {((0,) * k, ()): 1})
 
     @classmethod
     def coordinate(cls, k: int, i: int) -> "PolyForm":
@@ -129,13 +164,13 @@ class PolyForm:
             raise ValueError(f"coordinate index {i} out of range 0..{k}")
         if i > 0:
             exps = tuple(1 if j == i - 1 else 0 for j in range(k))
-            return cls(k, {(exps, ()): Q(1)})
+            return _form(k, {(exps, ()): 1})
         # x_0 = 1 - x_1 - ... - x_k
-        terms = {((0,) * k, ()): Q(1)}
+        num = {((0,) * k, ()): 1}
         for j in range(1, k + 1):
             exps = tuple(1 if t == j - 1 else 0 for t in range(k))
-            terms[(exps, ())] = Q(-1)
-        return cls(k, terms)
+            num[(exps, ())] = -1
+        return _form(k, num)
 
     @classmethod
     def dx(cls, k: int, i: int) -> "PolyForm":
@@ -143,127 +178,132 @@ class PolyForm:
         if not 0 <= i <= k:
             raise ValueError(f"dx index {i} out of range 0..{k}")
         if i > 0:
-            return cls(k, {((0,) * k, (i,)): Q(1)})
-        return cls(k, {((0,) * k, (j,)): Q(-1) for j in range(1, k + 1)})
+            return _form(k, {((0,) * k, (i,)): 1})
+        return _form(k, {((0,) * k, (j,)): -1 for j in range(1, k + 1)})
 
     # -- ring / module structure --------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyForm) and self.k == other.k \
-            and self.terms == other.terms
+            and self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash((self.k, frozenset(self.terms.items())))
+        # the hash of the Fraction coefficients: an int hashes as the
+        # Fraction it equals
+        items = self._num.items() if self._den == 1 else self.terms.items()
+        return hash((self.k, frozenset(items)))
 
     def __add__(self, other: "PolyForm") -> "PolyForm":
         if self.k != other.k:
             raise ValueError("chart dimension mismatch")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = out.get(key, Q(0)) + c
+        a, b = self._den, other._den
+        den = a if a == b else lcm(a, b)
+        ma, mb = den // a, den // b
+        out = dict(self._num) if ma == 1 else \
+            {key: c * ma for key, c in self._num.items()}
+        for key, c in other._num.items():
+            v = out.get(key, 0) + c * mb
             if v == 0:
                 out.pop(key, None)
             else:
                 out[key] = v
-        res = PolyForm(self.k)
-        res.terms = out
-        return res
+        return _form(self.k, out, den)
 
     def __neg__(self) -> "PolyForm":
-        res = PolyForm(self.k)
-        res.terms = {key: -c for key, c in self.terms.items()}
-        return res
+        return _form(self.k, {key: -c for key, c in self._num.items()},
+                     self._den)
 
     def __sub__(self, other: "PolyForm") -> "PolyForm":
         return self + (-other)
 
     def graded_involution(self) -> "PolyForm":
         """The form with its odd-degree parts negated: (-1)**r on r-forms."""
-        res = PolyForm(self.k)
-        res.terms = {key: (-c if len(key[1]) % 2 else c)
-                     for key, c in self.terms.items()}
-        return res
+        return _form(self.k, {key: (-c if len(key[1]) % 2 else c)
+                              for key, c in self._num.items()}, self._den)
 
     def scale(self, c) -> "PolyForm":
-        c = qx(c)
-        res = PolyForm(self.k)
-        if c != 0:
-            res.terms = {key: c * v for key, v in self.terms.items()}
-        return res
+        if type(c) is int:
+            p, q = c, 1
+        else:
+            c = qx(c)
+            p, q = c.numerator, c.denominator
+        if p == 0:
+            return _form(self.k, {})
+        return _form(self.k, {key: p * v for key, v in self._num.items()},
+                     self._den * q)
 
     def wedge(self, other: "PolyForm") -> "PolyForm":
         if self.k != other.k:
             raise ValueError("chart dimension mismatch")
-        out: dict[Key, Fraction] = {}
-        for (e1, d1), c1 in self.terms.items():
-            for (e2, d2), c2 in other.terms.items():
+        out: dict[Key, int] = {}
+        right = list(other._num.items())
+        for (e1, d1), c1 in self._num.items():
+            for (e2, d2), c2 in right:
                 ms = _merge_sign(d1, d2)
                 if ms is None:
                     continue
                 sign, dd = ms
-                ee = tuple(a + b for a, b in zip(e1, e2))
-                key = (ee, dd)
-                v = out.get(key, Q(0)) + sign * c1 * c2
+                key = (tuple(map(add, e1, e2)), dd)
+                v = out.get(key, 0) + sign * c1 * c2
                 if v == 0:
                     out.pop(key, None)
                 else:
                     out[key] = v
-        res = PolyForm(self.k)
-        res.terms = out
-        return res
+        return _form(self.k, out, self._den * other._den)
 
     def d(self) -> "PolyForm":
-        out: dict[Key, Fraction] = {}
-        for (exps, dxs), c in self.terms.items():
-            for i in range(1, self.k + 1):
-                e = exps[i - 1]
+        out: dict[Key, int] = {}
+        for (exps, dxs), c in self._num.items():
+            for i, e in enumerate(exps, start=1):
                 if e == 0 or i in dxs:
                     continue
-                ms = _merge_sign((i,), dxs)
-                if ms is None:
-                    continue
-                sign, dd = ms
-                ee = tuple(x - 1 if j == i - 1 else x for j, x in enumerate(exps))
-                key = (ee, dd)
-                v = out.get(key, Q(0)) + sign * c * e
+                sign, dd = _merge_sign((i,), dxs)
+                key = (exps[:i - 1] + (e - 1,) + exps[i:], dd)
+                v = out.get(key, 0) + sign * c * e
                 if v == 0:
                     out.pop(key, None)
                 else:
                     out[key] = v
-        res = PolyForm(self.k)
-        res.terms = out
-        return res
+        return _form(self.k, out, self._den)
 
     # -- structure queries ---------------------------------------------
 
     def form_degrees(self) -> set[int]:
-        return {len(dxs) for dxs in (key[1] for key in self.terms)}
+        return {len(dxs) for _exps, dxs in self._num}
 
     def degree_part(self, r: int) -> "PolyForm":
-        res = PolyForm(self.k)
-        res.terms = {key: c for key, c in self.terms.items() if len(key[1]) == r}
-        return res
+        return _form(self.k, {key: c for key, c in self._num.items()
+                              if len(key[1]) == r}, self._den)
 
     def is_homogeneous(self, r: int) -> bool:
-        return all(len(key[1]) == r for key in self.terms)
+        return all(len(dxs) == r for _exps, dxs in self._num)
 
     def poly_degree(self) -> int:
         """Maximal total exponent degree appearing (0 for the zero form)."""
-        return max((sum(e) for (e, _d) in self.terms), default=0)
+        return max((sum(e) for (e, _d) in self._num), default=0)
 
     def vanishes_on_facet(self, j: int) -> bool:
         """Whether every coefficient vanishes at the points of the facet
         omitting vertex position ``j``, normal components included.
 
-        In a chart where that facet is a coordinate hyperplane, each term
-        must carry a positive power of its coordinate: vertex j's own
-        for j >= 1, and the first one after ``_flip_last`` for j = 0.
+        For j >= 1 the facet is the hyperplane x_j = 0, so each term must
+        carry a positive power of x_j.  For j = 0 it is x_1 + ... + x_k
+        = 1, parametrised by the table [0, 1, ..., k-1]; the coefficient
+        polynomial of each dx tuple must restrict to zero there.  (A
+        chart making this facet a coordinate hyperplane changes the dx
+        basis by an invertible constant map, so that is the same test.)
         """
-        p, i = (self, j - 1) if j >= 1 else (_flip_last(self), 0)
-        return all(exps[i] for exps, _dxs in p.terms)
+        if j >= 1:
+            return all(exps[j - 1] for exps, _dxs in self._num)
+        coefs: dict[tuple[int, ...], dict] = {}
+        for (exps, dxs), c in self._num.items():
+            coefs.setdefault(dxs, {})[(exps, ())] = c
+        facet = tuple(range(self.k))
+        return all(_form(self.k, num).affine_pullback(self.k - 1, facet)
+                   .is_zero() for num in coefs.values())
 
     def evaluate(self, point: Sequence) -> dict[tuple[int, ...], Fraction]:
         """Evaluate coefficients at a chart point; keys are dx tuples."""
@@ -297,9 +337,10 @@ class PolyForm:
         x_i; differentials map along d(images[i]).
         """
         powers = {i: Powers(f) for i, f in images.items()}
+        origin = (0,) * target_k
         out = PolyForm.zero(target_k)
-        for (exps, dxs), c in self.terms.items():
-            acc = PolyForm.const(target_k, c)
+        for (exps, dxs), c in self._num.items():
+            acc = _form(target_k, {(origin, ()): c})
             for i, e in enumerate(exps, start=1):
                 if e:
                     acc = acc.wedge(powers[i][e])
@@ -312,7 +353,7 @@ class PolyForm:
                 if acc.is_zero():
                     break
             out = out + acc
-        return out
+        return _form(target_k, out._num, out._den * self._den)
 
     def restrict(self, positions: Sequence[int]) -> "PolyForm":
         """Restrict along the face inclusion picking the given vertex positions.
@@ -342,10 +383,13 @@ class PolyForm:
         None when x_i pulls back to zero; dx_i maps the matching way.
         The result equals ``pullback`` with those coordinate images.
         """
-        out: dict[Key, Fraction] = {}
-        for (exps, dxs), c in self.terms.items():
+        out: dict[Key, int] = {}
+        dead = [i for i, j in enumerate(table) if j is None]
+        for (exps, dxs), c in self._num.items():
+            if any(exps[i] for i in dead):
+                continue
             dx_image = _dx_image(tuple(table[i - 1] for i in dxs), target_k)
-            if not dx_image or any(e and j is None for e, j in zip(exps, table)):
+            if not dx_image:
                 continue
             mono = [0] * target_k
             e0 = 0
@@ -355,7 +399,7 @@ class PolyForm:
                 elif j == 0:
                     e0 += e
             for shift, pc in _bary_power(target_k, e0):
-                ee = tuple(a + b for a, b in zip(mono, shift))
+                ee = tuple(map(add, mono, shift))
                 for dd, s in dx_image:
                     key = (ee, dd)
                     v = out.get(key, 0) + c * (pc * s)
@@ -363,9 +407,7 @@ class PolyForm:
                         out.pop(key, None)
                     else:
                         out[key] = v
-        res = PolyForm(target_k)
-        res.terms = out
-        return res
+        return _form(target_k, out, self._den)
 
     # -- serialization ---------------------------------------------------
 
@@ -392,7 +434,7 @@ class PolyForm:
         return cls(k, terms)
 
     def __repr__(self):
-        if not self.terms:
+        if not self._num:
             return f"PolyForm({self.k}, 0)"
         bits = []
         for (exps, dxs), c in sorted(self.terms.items()):
@@ -401,16 +443,6 @@ class PolyForm:
             dx = "".join(f"dx{i}" for i in dxs)
             bits.append(f"{c}*{mono or '1'}{('∧' + dx) if dx else ''}")
         return f"PolyForm({self.k}, {' + '.join(bits)})"
-
-
-def _flip_last(p: PolyForm) -> PolyForm:
-    """Rewrite a form in the chart eliminating the last vertex.
-
-    In the new chart the variables are the barycentric coordinates of
-    vertices 0..k-1, so the face {x_0 = 0} becomes the coordinate
-    hyperplane of the first variable.
-    """
-    return p.affine_pullback(p.k, tuple(range(2, p.k + 1)) + (0,))
 
 
 def monomial_coefficients(forms: dict) -> list[tuple[PolyForm, int, dict]]:
@@ -425,7 +457,7 @@ def monomial_coefficients(forms: dict) -> list[tuple[PolyForm, int, dict]]:
     for label, f in forms.items():
         for key, c in f.terms.items():
             if key not in split:
-                split[key] = PolyForm(f.k, {key: Q(1)}), {}
+                split[key] = _form(f.k, {key: 1}), {}
             split[key][1][label] = c
     return [(mono, len(key[1]), coefs)
             for key, (mono, coefs) in sorted(split.items(),
@@ -463,7 +495,8 @@ def ratio_pullback(forms: Sequence[PolyForm], target_k: int, nums: dict,
     carries the remaining power of Q.  Returns one (numerator, top) pair
     per form, in the order of ``forms``.  The image of each basis term
     and every power of a numerator is built once for all of ``forms``;
-    the powers of Q come from ``den``.
+    the powers of Q come from ``den``.  Each form's int numerators scale
+    the images, and its denominator divides the sum once.
     """
     npow = {i: Powers(n) for i, n in nums.items()}
     dimg = {i: den.base.wedge(pw.d) - pw.base.wedge(den.d)
@@ -472,7 +505,7 @@ def ratio_pullback(forms: Sequence[PolyForm], target_k: int, nums: dict,
     out = []
     for p in forms:
         by_weight: dict[int, PolyForm] = {}   # |e| + 2|D| -> sum of images
-        for key, coef in p.terms.items():
+        for key, coef in p._num.items():
             if key not in images:
                 exps, dxs = key
                 f = PolyForm.one(target_k)
@@ -489,7 +522,7 @@ def ratio_pullback(forms: Sequence[PolyForm], target_k: int, nums: dict,
         num = PolyForm.zero(target_k)
         for w, f in by_weight.items():
             num = num + (f if w == top else den[top - w].wedge(f))
-        out.append((num, top))
+        out.append((_form(target_k, num._num, num._den * p._den), top))
     return out
 
 
@@ -532,9 +565,11 @@ def _common_face_check(k: int, data: Sequence[PolyForm]):
 
 
 @cache
-def _restricted_basis_form(k: int, j: int, key: Key) -> PolyForm:
-    """The basis term ``key`` on the k-chart restricted to facet j."""
-    return PolyForm(k, {key: Q(1)}).restrict(_facet_positions(k, j))
+def _restricted_basis_terms(k: int, j: int, key: Key) -> tuple:
+    """The basis term ``key`` on the k-chart restricted to facet j, as
+    (key, Fraction) pairs: one column of the extension system."""
+    return tuple(_form(k, {key: 1}).restrict(_facet_positions(k, j))
+                 .terms.items())
 
 
 def _monomials_upto(k: int, deg: int):
@@ -600,8 +635,7 @@ def _extend_homogeneous(k: int, data: Sequence[PolyForm], r: int,
         rhs: dict[tuple, Fraction] = {}
         for j in range(k + 1):
             for key in cols:
-                restricted = _restricted_basis_form(k, j, key)
-                for tkey, c in restricted.terms.items():
+                for tkey, c in _restricted_basis_terms(k, j, key):
                     rows.setdefault((j, tkey), {})[key] = c
             for tkey, c in data[j].terms.items():
                 rhs[(j, tkey)] = c

@@ -16,7 +16,6 @@ from flatforms.forms import (
 
 
 def random_form(rng, k, max_poly_deg=3, degrees=None):
-    f = PolyForm.zero(k)
     terms = {}
     dx_choices = []
     for r in range(k + 1):
@@ -29,8 +28,7 @@ def random_form(rng, k, max_poly_deg=3, degrees=None):
             continue
         dxs = rng.choice(dx_choices) if dx_choices else ()
         terms[(exps, dxs)] = Q(rng.randrange(-4, 5), rng.randrange(1, 4))
-    f.terms = {key: c for key, c in terms.items() if c != 0}
-    return f
+    return PolyForm(k, terms)
 
 
 # --- basic algebra -----------------------------------------------------
@@ -251,3 +249,187 @@ def test_json_roundtrip():
         k = rng.randrange(0, 4)
         f = random_form(rng, k) if k else PolyForm.const(0, Q(3, 7))
         assert PolyForm.from_json(f.to_json()) == f
+
+
+# --- the integer kernel against a Fraction-dict reference ---------------
+#
+# A form below is also a plain dict {(exponents, dx tuple): Fraction};
+# these few functions do the same algebra on such dicts, term by term.
+
+
+def ref_clean(terms):
+    return {key: c for key, c in terms.items() if c != 0}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + c
+    return ref_clean(out)
+
+
+def ref_scale(a, c):
+    return ref_clean({key: c * v for key, v in a.items()})
+
+
+def ref_merge(d1, d2):
+    """(sign, merged dx tuple) of dx^d1 ∧ dx^d2, None if they share an
+    index; the sign counts the inversions of the concatenation."""
+    seq = d1 + d2
+    if len(set(seq)) < len(seq):
+        return None
+    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
+              if seq[i] > seq[j])
+    return (-1) ** inv, tuple(sorted(seq))
+
+
+def ref_wedge(a, b):
+    out = {}
+    for (e1, d1), c1 in a.items():
+        for (e2, d2), c2 in b.items():
+            m = ref_merge(d1, d2)
+            if m is not None:
+                key = (tuple(x + y for x, y in zip(e1, e2)), m[1])
+                out[key] = out.get(key, 0) + m[0] * c1 * c2
+    return ref_clean(out)
+
+
+def ref_d(a, k):
+    out = {}
+    for (exps, dxs), c in a.items():
+        for i in range(1, k + 1):
+            m = ref_merge((i,), dxs)
+            if exps[i - 1] and m is not None:
+                lower = tuple(e - (j == i - 1) for j, e in enumerate(exps))
+                key = (lower, m[1])
+                out[key] = out.get(key, 0) + m[0] * exps[i - 1] * c
+    return ref_clean(out)
+
+
+def ref_restrict(a, k, positions):
+    """Substitute x_i -> y_j for i = positions[j] (y_0 = 1 - y_1 - ...)
+    and x_i -> 0 off the face, dx_i -> the differential of the image."""
+    lk = len(positions) - 1
+    origin = (0,) * lk
+
+    def y(j):
+        if j > 0:
+            return {(tuple(int(t == j - 1) for t in range(lk)), ()): Q(1)}
+        out = {(origin, ()): Q(1)}
+        for t in range(1, lk + 1):
+            out.update(ref_scale(y(t), -1))
+        return out
+
+    image = {i: y(positions.index(i)) if i in positions else {}
+             for i in range(1, k + 1)}
+    out = {}
+    for (exps, dxs), c in a.items():
+        acc = {(origin, ()): c}
+        for i, e in enumerate(exps, start=1):
+            for _ in range(e):
+                acc = ref_wedge(acc, image[i])
+        for i in dxs:
+            acc = ref_wedge(acc, ref_d(image[i], lk))
+        out = ref_add(out, acc)
+    return out
+
+
+COEFFS = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.builds(Q, st.integers(-2 ** 130, 2 ** 130), st.integers(1, 2 ** 110)))
+
+
+@st.composite
+def chart_terms(draw, count=2):
+    """A chart dimension and ``count`` term dicts on it, with rational
+    coefficients of up to 130 bits."""
+    k = draw(st.integers(1, 3))
+    keys = st.tuples(
+        st.tuples(*[st.integers(0, 2)] * k),
+        st.sets(st.integers(1, k)).map(lambda s: tuple(sorted(s))))
+    return k, [draw(st.dictionaries(keys, COEFFS, max_size=5))
+               for _ in range(count)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(chart_terms(), COEFFS)
+def test_kernel_matches_fraction_reference(drawn, c):
+    k, (a, b) = drawn
+    f, g = PolyForm(k, a), PolyForm(k, b)
+    a, b = ref_clean(a), ref_clean(b)
+    assert dict(f.terms) == a and list(f.terms) == list(a)
+    assert all(type(v) is Q for v in f.terms.values())
+    assert dict(f.wedge(g).terms) == ref_wedge(a, b)
+    assert dict(f.d().terms) == ref_d(a, k)
+    assert dict((f + g).terms) == ref_add(a, b)
+    assert dict((f - g).terms) == ref_add(a, ref_scale(b, -1))
+    assert dict(f.scale(c).terms) == ref_scale(a, c)
+    for pos in faces(k):
+        assert dict(f.restrict(pos).terms) == ref_restrict(a, k, pos)
+
+
+@settings(max_examples=80, deadline=None)
+@given(chart_terms(count=1), COEFFS.filter(bool))
+def test_forms_are_stored_canonically(drawn, c):
+    k, (a,) = drawn
+    f = PolyForm(k, a)
+    for g in (f.scale(Q(1, 3)).scale(3), f.scale(c).scale(1 / c),
+              (f + f.scale(c)) - f.scale(c)):
+        assert g == f and hash(g) == hash(f)
+    for zero in (f + (-f), f.scale(c) - f.scale(c),
+                 f.scale(Q(1, 7)) + f.scale(Q(-1, 7))):
+        assert zero.is_zero() and zero == PolyForm.zero(k)
+        assert hash(zero) == hash(PolyForm.zero(k))
+
+
+def test_terms_is_a_read_only_fraction_view():
+    f = PolyForm(2, {((1, 0), (2,)): Q(1, 2), ((0, 0), ()): 3})
+    assert dict(f.terms) == {((1, 0), (2,)): Q(1, 2), ((0, 0), ()): Q(3)}
+    assert [type(v) for v in f.terms.values()] == [Q, Q]
+    with pytest.raises(TypeError):
+        f.terms[((0, 0), ())] = Q(5)
+    with pytest.raises(AttributeError):
+        f.terms = {}
+
+
+def facet(k, j):
+    """The vertex positions of the facet omitting vertex j."""
+    return tuple(p for p in range(k + 1) if p != j)
+
+
+def flip_reference_vanishes(f, j):
+    """``vanishes_on_facet`` the old way: in a chart where facet j is a
+    coordinate hyperplane, every term carries that coordinate.  For
+    j = 0 the chart flip x_i -> y_(i+1) (i < k), x_k -> y_0 makes it the
+    first one."""
+    k = f.k
+    if j == 0:
+        images = {i: PolyForm.coordinate(k, i + 1) for i in range(1, k)}
+        images[k] = PolyForm.coordinate(k, 0)
+        f, j = f.pullback(k, images), 1
+    return all(exps[j - 1] for exps, _dxs in f.terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chart_terms(count=2))
+def test_vanishes_on_facet_matches_the_chart_flip(drawn):
+    k, (a, b) = drawn
+    f, g = PolyForm(k, a), PolyForm(k, b)
+    for j in range(k + 1):
+        x_j, dx_j = PolyForm.coordinate(k, j), PolyForm.dx(k, j)
+        # normal_only restricts to zero on the facet, through its dx_j
+        # factor, yet vanishes there only when g does
+        normal_only = x_j.wedge(f) + g.wedge(dx_j)
+        for h in (f, g, normal_only):
+            assert h.vanishes_on_facet(j) == flip_reference_vanishes(h, j)
+        assert normal_only.restrict(facet(k, j)).is_zero()
+        assert x_j.wedge(f).vanishes_on_facet(j)
+
+
+def test_a_normal_component_does_not_vanish():
+    k = 2
+    for j in range(k + 1):
+        f = PolyForm.dx(k, j)
+        assert f.restrict(facet(k, j)).is_zero()
+        assert not f.vanishes_on_facet(j)
+        assert not flip_reference_vanishes(f, j)

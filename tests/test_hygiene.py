@@ -146,18 +146,34 @@ def test_public_functions_are_referenced():
     assert unused == []
 
 
+# the Fraction view of a form's terms and its private int storage:
+# numerators and the one denominator
+FORM_STORAGE = {"terms", "_num", "_den"}
+
+
 def _term_sites(tree):
-    """Lines that read or assign ``.terms``, or call ``PolyForm`` with a
-    term dict."""
+    """Lines that read or assign ``.terms`` or a form's private storage
+    (``._num``, ``._den``), call ``PolyForm`` with a term dict, or call
+    ``_form``, which builds a form from that storage."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "terms":
+        if isinstance(node, ast.Attribute) and node.attr in FORM_STORAGE:
             yield node.lineno
         elif isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(
                 func, "attr", None)
-            if name == "PolyForm" and len(node.args) + len(node.keywords) > 1:
+            if name == "_form" or (
+                    name == "PolyForm"
+                    and len(node.args) + len(node.keywords) > 1):
                 yield node.lineno
+
+
+def test_term_sites_sees_every_kind_of_access():
+    lines = ["f.terms", "f._num", "g._den = 1", "_form(k, {})",
+             "forms._form(k, {}, 2)", "PolyForm(k, t)", "PolyForm.zero(k)",
+             "f.numerators"]
+    found = set(_term_sites(ast.parse("\n".join(lines))))
+    assert found == {1, 2, 3, 4, 5, 6}
 
 
 def test_form_terms_stay_in_forms():

@@ -15,7 +15,7 @@ from flatforms.flatsys import (
     omega_betti,
     quasi_iso_ranks,
 )
-from flatforms.forms import PolyForm, Powers, _flip_last
+from flatforms.forms import PolyForm, Powers
 from flatforms.instances import designed_instance, generate, make_fiber_model
 from flatforms.mixed import (
     FormMatrix,
@@ -262,7 +262,8 @@ def test_chart_flip_equals_its_pullback(seed, k):
     # x_i -> y_(i+1) for i < k, and x_k -> y_0 = 1 - y_1 - ... - y_k
     images = {i: PolyForm.coordinate(k, i + 1) for i in range(1, k)}
     images[k] = PolyForm.coordinate(k, 0)
-    assert _flip_last(f) == f.pullback(k, images)
+    flip = tuple(range(2, k + 1)) + (0,)
+    assert f.affine_pullback(k, flip) == f.pullback(k, images)
 
 
 def test_pullback_of_constants_is_constant():
@@ -431,6 +432,20 @@ def test_full_pipeline_on_tetrahedron():
     cm = chain_maps(data, make_fiber_model(inst))
     rep = verify_smoothing(data, partition_default(inst.A.S), cm)
     assert rep == {"flat": [], "c0": [], "first_order": [], "chain": []}
+
+
+def test_full_pipeline_on_4_simplex():
+    """The designed 4-simplex: both builds pass, the smoothing passes
+    every check with chain maps, and the linear partition keeps flatness
+    and C^0 agreement but fails first-order matching, 75 times."""
+    inst = designed_instance(0, [(0, 1, 2, 3, 4)])
+    data = connection(inst.A)
+    cm = chain_maps(data, make_fiber_model(inst))
+    rep = verify_smoothing(data, partition_default(inst.A.S), cm)
+    assert rep == {"flat": [], "c0": [], "first_order": [], "chain": []}
+    rep = verify_smoothing(data, partition_linear(inst.A.S), cm)
+    assert rep["flat"] == [] and rep["c0"] == []
+    assert len(rep["first_order"]) == 75
 
 
 # --- homology comparison ------------------------------------------------
