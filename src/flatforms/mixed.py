@@ -2,7 +2,13 @@
 simplex, together with the accompanying chain maps into the fibers.
 
 The central objects are matrices of polynomial forms indexed by the
-graded module basis.  Composition follows the sign rule of a graded
+graded module basis, ``FormMatrix``, the package's one matrix-of-forms
+type.  Each entry is a form p over a power Q^e of one denominator Q:
+the a' and I' values built here have Q = 1 and every exponent 0, and
+their pullbacks along the partition self-map of
+:mod:`flatforms.smoothing` carry the partition's denominator.  Both
+obey one algebra (composition, entrywise d, face restriction and
+equality), written once.  Composition follows the sign rule of a graded
 tensor product: when a block of grading degree e passes a form of
 degree r, the product picks up (-1)**(e*r).  With that convention the
 entrywise exterior derivative satisfies the graded Leibniz rule with
@@ -39,7 +45,7 @@ coefficient system and the fiber model, and every identity over Q
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 from .flatsys import CoefficientSystem, FiberModel, _sign
@@ -47,6 +53,7 @@ from .forms import (
     ExtensionInfeasible,
     IncompatibleBoundaryData,
     PolyForm,
+    Powers,
     extend_from_boundary,
     monomial_coefficients,
 )
@@ -76,8 +83,16 @@ class NotNilpotent(Exception):
 # matrices of polynomial forms
 # ---------------------------------------------------------------------------
 
+@cache
+def _unit_powers(k: int) -> Powers:
+    """The powers of Q = 1 on the k-chart: one object per chart
+    dimension, shared by every polynomial matrix on it."""
+    return Powers(PolyForm.one(k))
+
+
 class FormMatrix:
-    """Sparse matrix of PolyForms on the chart of a fixed simplex.
+    """Sparse matrix of forms p / Q^e on the chart of a fixed simplex,
+    over one denominator Q, each entry with its own exponent e.
 
     ``deg`` gives the grading degree of each module basis element.  Rows
     are module elements; columns are module elements too, except for
@@ -85,14 +100,23 @@ class FormMatrix:
     of a composition is a module endomorphism, and composition applies
     the sign rule of the module docstring with its block degree and the
     right factor's per-term form degree.
+
+    ``powers`` holds the powers of Q.  The a' and I' values are
+    polynomial: Q = 1, shared per chart dimension, and every exponent 0.
+    A partition pullback is over the partition's denominator.  Binary
+    operations need the same Q and raise exponents entry by entry, by
+    cross-multiplication, never division.  A zero numerator is not
+    stored, and p / Q^e is zero exactly when p is, so a matrix is zero
+    exactly when it stores no entry.
     """
 
-    __slots__ = ("k", "rows", "deg")
+    __slots__ = ("k", "deg", "powers", "rows")
 
-    def __init__(self, k: int, deg: dict):
+    def __init__(self, k: int, deg: dict, powers: Optional[Powers] = None):
         self.k = k
-        self.rows: dict = {}
         self.deg = deg
+        self.powers = _unit_powers(k) if powers is None else powers
+        self.rows: dict = {}   # r -> {c: (numerator, exponent)}
 
     # -- building ------------------------------------------------------
 
@@ -107,10 +131,20 @@ class FormMatrix:
     def identity(cls, k: int, deg: dict) -> "FormMatrix":
         out = cls(k, deg)
         for key in deg:
-            out.rows[key] = {key: PolyForm.one(k)}
+            out.rows[key] = {key: (PolyForm.one(k), 0)}
         return out
 
-    def set_entry(self, r, c, p: PolyForm):
+    @property
+    def den(self) -> PolyForm:
+        return self.powers.base
+
+    @property
+    def e(self) -> int:
+        """The largest exponent of any entry (0 when there is none)."""
+        return max((e for row in self.rows.values() for _p, e in row.values()),
+                   default=0)
+
+    def set_entry(self, r, c, p: PolyForm, e: int = 0):
         if p.is_zero():
             row = self.rows.get(r)
             if row:
@@ -118,90 +152,149 @@ class FormMatrix:
                 if not row:
                     self.rows.pop(r, None)
             return
-        self.rows.setdefault(r, {})[c] = p
+        self.rows.setdefault(r, {})[c] = p, e
 
     def entry(self, r, c) -> PolyForm:
-        p = self.rows.get(r, {}).get(c)
-        return p if p is not None else PolyForm.zero(self.k)
+        """The numerator of entry (r, c), zero when none is stored; over
+        Q = 1 it is the entry itself."""
+        pe = self.rows.get(r, {}).get(c)
+        return pe[0] if pe is not None else PolyForm.zero(self.k)
 
     def entries(self):
         for r, row in self.rows.items():
-            for c, p in row.items():
-                yield r, c, p
+            for c, (p, e) in row.items():
+                yield r, c, p, e
 
-    def copy(self) -> "FormMatrix":
-        out = FormMatrix(self.k, self.deg)
-        out.rows = {r: dict(row) for r, row in self.rows.items()}
+    def _like(self) -> "FormMatrix":
+        return FormMatrix(self.k, self.deg, self.powers)
+
+    def _same_den(self, other: "FormMatrix"):
+        if self.powers is not other.powers and self.den != other.den:
+            raise ValueError("denominators differ")
+
+    def _lift(self, p: PolyForm, e: int, m: int) -> PolyForm:
+        """p / Q^e written over Q^m, m >= e: its numerator Q^(m-e) p."""
+        return p if m == e else self.powers[m - e].wedge(p)
+
+    def _collect(self, parts: dict) -> "FormMatrix":
+        """The matrix of the sums of parts[(r, c)], a dict from exponent
+        to numerator: the numerators of equal exponent were summed
+        before any is raised."""
+        out = self._like()
+        for (r, c), by_e in parts.items():
+            m = max(by_e)
+            total = by_e.pop(m)
+            for e, p in by_e.items():
+                total = total + self._lift(p, e, m)
+            out.set_entry(r, c, total, m)
         return out
 
     # -- linear structure -----------------------------------------------
 
-    def add(self, other: "FormMatrix") -> "FormMatrix":
-        out = self.copy()
-        for r, c, p in other.entries():
-            out.set_entry(r, c, out.entry(r, c) + p)
+    def add(self, other: "FormMatrix", sign: int = 1) -> "FormMatrix":
+        """self + sign * other, for sign = 1 or -1."""
+        self._same_den(other)
+        out = self._like()
+        out.rows = {r: dict(row) for r, row in self.rows.items()}
+        for r, c, q, f in other.entries():
+            if sign != 1:
+                q = q.scale(sign)
+            p, e = out.rows.get(r, {}).get(c, (None, f))
+            if p is not None:
+                m = max(e, f)
+                q, f = self._lift(p, e, m) + self._lift(q, f, m), m
+            out.set_entry(r, c, q, f)
         return out
 
     def sub(self, other: "FormMatrix") -> "FormMatrix":
-        return self.add(other.scale(-1))
+        return self.add(other, -1)
 
-    def scale(self, c) -> "FormMatrix":
-        out = FormMatrix(self.k, self.deg)
-        for r, cc, p in self.entries():
-            out.set_entry(r, cc, p.scale(c))
-        return out
-
-    # ``set_entry`` stores no zero form, so equal matrices have equal rows
     def is_zero(self) -> bool:
         return not self.rows
 
     def eq(self, other: "FormMatrix") -> bool:
-        return self.k == other.k and self.rows == other.rows
+        if self.k != other.k:
+            return False
+        self._same_den(other)
+        # equal rows are the common case; exponents are not canonical, so
+        # unequal rows may still be equal fractions
+        if self.rows == other.rows:
+            return True
+        if self.rows.keys() != other.rows.keys():
+            return False
+        for r, row in self.rows.items():
+            orow = other.rows[r]
+            if row.keys() != orow.keys():
+                return False
+            for c, (p, e) in row.items():
+                q, f = orow[c]
+                m = max(e, f)
+                if self._lift(p, e, m) != self._lift(q, f, m):
+                    return False
+        return True
 
     # -- differential and composition -------------------------------------
 
     def d(self) -> "FormMatrix":
-        out = FormMatrix(self.k, self.deg)
-        for r, c, p in self.entries():
-            out.set_entry(r, c, p.d())
+        """Entrywise d(p / Q^e) = (Q dp - e dQ p) / Q^(e+1), and dp for
+        e = 0."""
+        out = self._like()
+        q, dq = self.powers.base, self.powers.d
+        for r, c, p, e in self.entries():
+            if e == 0:
+                out.set_entry(r, c, p.d())
+            else:
+                out.set_entry(r, c, q.wedge(p.d()) - dq.scale(e).wedge(p), e + 1)
         return out
 
     def compose(self, other: "FormMatrix") -> "FormMatrix":
         """Koszul composition with a module endomorphism on the left."""
-        out = FormMatrix(self.k, self.deg)
+        self._same_den(other)
+        parts: dict = {}   # (r, c) -> {e: numerator}
         for r, row in self.rows.items():
-            for t, p in row.items():
+            for t, (p, e) in row.items():
                 orow = other.rows.get(t)
                 if not orow:
                     continue
-                e = self.deg[r] - self.deg[t]
-                for c, q in orow.items():
-                    prod = _koszul_wedge(p, q, e)
+                s = self.deg[r] - self.deg[t]
+                for c, (q, f) in orow.items():
+                    prod = _koszul_wedge(p, q, s)
                     if not prod.is_zero():
-                        out.set_entry(r, c, out.entry(r, c) + prod)
-        return out
+                        by_e, ef = parts.setdefault((r, c), {}), e + f
+                        by_e[ef] = by_e[ef] + prod if ef in by_e else prod
+        return self._collect(parts)
 
     def mul_const_right(self, m: SMat) -> "FormMatrix":
         """Compose with a constant matrix on the right (no signs arise)."""
-        out = FormMatrix(self.k, self.deg)
+        parts: dict = {}   # (r, c) -> {e: numerator}
         for r, row in self.rows.items():
-            for t, p in row.items():
-                mrow = m.get(t)
-                if not mrow:
-                    continue
-                for c, v in mrow.items():
-                    out.set_entry(r, c, out.entry(r, c) + p.scale(v))
-        return out
+            for t, (p, e) in row.items():
+                for c, v in m.get(t, {}).items():
+                    by_e = parts.setdefault((r, c), {})
+                    by_e[e] = by_e[e] + p.scale(v) if e in by_e else p.scale(v)
+        return self._collect(parts)
 
-    def restrict(self, positions) -> "FormMatrix":
-        out = FormMatrix(len(positions) - 1, self.deg)
-        for r, c, p in self.entries():
-            out.set_entry(r, c, p.restrict(positions))
+    def restrict(self, positions, powers: Optional[Powers] = None
+                 ) -> "FormMatrix":
+        """The restriction to a face, over the face's denominator, whose
+        ``powers`` are given (Q = 1 when not): it must be the restriction
+        of Q.  Between two Q = 1 matrices that holds without a check."""
+        positions = tuple(positions)
+        k = len(positions) - 1
+        if powers is None:
+            powers = _unit_powers(k)
+        if (self.powers is not _unit_powers(self.k)
+                or powers is not _unit_powers(k)) \
+                and self.den.restrict(positions) != powers.base:
+            raise ValueError("denominator does not restrict as claimed")
+        out = FormMatrix(k, self.deg, powers)
+        for r, c, p, e in self.entries():
+            out.set_entry(r, c, p.restrict(positions), e)
         return out
 
     def form_degrees(self) -> set:
         degs = set()
-        for _r, _c, p in self.entries():
+        for _r, _c, p, _e in self.entries():
             degs |= p.form_degrees()
         return degs
 
@@ -220,7 +313,7 @@ def neumann_inverse(g_minus_id: FormMatrix, max_len: int) -> FormMatrix:
         power = power.compose(g_minus_id)
         if power.is_zero():
             return out
-        out = out.add(power.scale(sign))
+        out = out.add(power, sign)
         sign = -sign
     raise NotNilpotent(
         f"geometric series did not terminate within {max_len + 1} steps")
@@ -283,13 +376,13 @@ def recursion_value(A: CoefficientSystem, store: dict, sigma: Simplex,
     # inner vertex (all non-initial, hence owned by smaller simplices)
     for j in range(k):
         fj = sigma[:j] + sigma[j + 1: k + 1]
-        total = total.add(store[_owner(sigma, fj)].scale(s * _sign(j)))
+        total = total.add(store[_owner(sigma, fj)], s * _sign(j))
     # splitting products against the initial-segment coefficients
     for j in range(1, k + 1):
         left = _const_endo(A, sigma[: j + 1], m)
         right_j = store[_owner(sigma, sigma[j: k + 1])]
-        total = total.add(left.compose(right_j).scale(s * _sign((k + 1) * (j - 1))))
-    return total.add(right(b, sigma[k:]).scale(s))
+        total = total.add(left.compose(right_j), s * _sign((k + 1) * (j - 1)))
+    return total.add(right(b, sigma[k:]), s)
 
 
 def extend_span(store: dict, sigma: Simplex, k: int, candidate: FormMatrix,
@@ -310,7 +403,7 @@ def extend_span(store: dict, sigma: Simplex, k: int, candidate: FormMatrix,
     taus = [sigma[:p] + sigma[p + 1:] for p in range(k, l + 1)]
     facets_data = [candidate] + [store[(tau, sigma_p)] for tau in taus]
     names = ["the recursion value"] + [f"the data on {tau}" for tau in taus]
-    keys = {(r, c) for fm in facets_data for r, c, _p in fm.entries()}
+    keys = {(r, c) for fm in facets_data for r, c, _p, _e in fm.entries()}
     out = FormMatrix(mm, candidate.deg)
     for (r, c) in sorted(keys, key=repr):
         bdata = [fm.entry(r, c) for fm in facets_data]
@@ -367,20 +460,15 @@ def _walk(A: CoefficientSystem, aprime: dict, store: dict, sigma: Simplex,
                                         inner)
 
 
-def is_flat_connection(a) -> bool:
-    """d a + a o a = 0.
-
-    ``a`` is a FormMatrix (a'(sigma, empty)) or its partition pullback,
-    a RatioMatrix; both carry ``d``, ``add``, ``compose`` and
-    ``is_zero``.
-    """
+def is_flat_connection(a: FormMatrix) -> bool:
+    """d a + a o a = 0, for a'(sigma, empty) or its partition pullback."""
     return a.d().add(a.compose(a)).is_zero()
 
 
-def intertwines(i, a, D: SMat) -> bool:
+def intertwines(i: FormMatrix, a: FormMatrix, D: SMat) -> bool:
     """i . D = d i + a o i: the chain map ``i`` carries the fiber
-    differential ``D`` to the connection ``a``.  Both are FormMatrix
-    values over a simplex or both their RatioMatrix pullbacks."""
+    differential ``D`` to the connection ``a``.  Both are values over a
+    simplex or both their partition pullbacks, over one denominator."""
     return i.mul_const_right(D).eq(i.d().add(a.compose(i)))
 
 
@@ -394,7 +482,7 @@ def check_structure(data: MixedConnectionData, sigma: Simplex,
     bound = l - (kk - 1) - 1
     problems = []
     fm = data.get(sigma, sigma_p)
-    for (al, _i), (be, _m), p in fm.entries():
+    for (al, _i), (be, _m), p, _e in fm.entries():
         if al == be or not prec(L, be, al, sigma):
             problems.append(
                 f"a'({sigma},{sigma_p}): block {al}<-{be} breaks triangularity")
@@ -635,10 +723,13 @@ def locality_check(data: MixedConnectionData, cm: ChainMapData) -> list[str]:
     L = A.L
     eps2 = L.epsilon * L.epsilon
     problems = []
-    tagged = {(sigma, alpha): {e for e in FM.omega_basis
-                               if all(FM.eta[e] > L.height(alpha, v) - eps2
-                                      for v in sigma)}
-              for sigma in {s for s, _sp in cm.values} for alpha in L.leaves}
+    tagged = {}
+    for sigma in {s for s, _sp in cm.values}:
+        for alpha in L.leaves:
+            # above h_alpha - eps^2 at every vertex of sigma
+            floor = max(L.height(alpha, v) for v in sigma) - eps2
+            tagged[(sigma, alpha)] = {e for e in FM.omega_basis
+                                      if FM.eta[e] > floor}
     for (sigma, sigma_p) in sorted(cm.values, key=repr):
         val = cm.value(sigma, sigma_p)
         for alpha in L.leaves:
@@ -646,7 +737,7 @@ def locality_check(data: MixedConnectionData, cm: ChainMapData) -> list[str]:
             if not high:
                 continue
             if sigma_p != EMPTY:
-                for (al, _i), c, p in val.entries():
+                for (al, _i), c, p, _e in val.entries():
                     if al == alpha and c in high and not p.is_zero():
                         problems.append(
                             f"I'({sigma},{sigma_p}) rows of {alpha} hit "
@@ -664,12 +755,12 @@ def locality_check(data: MixedConnectionData, cm: ChainMapData) -> list[str]:
                     if fm is None:
                         continue
                     keep = FormMatrix(fm.k, fm.deg)
-                    for (al, i), (be, m), p in fm.entries():
+                    for (al, i), (be, m), p, _e in fm.entries():
                         if al == alpha and be == alpha:
                             keep.set_entry((al, i), (be, m), p)
                     diag = diag.add(keep.mul_const_right(FM.imap((v,))))
                 delta = val.sub(diag)
-                for (al, _i), c, p in delta.entries():
+                for (al, _i), c, p, _e in delta.entries():
                     if al == alpha and c in high and not p.is_zero():
                         problems.append(
                             f"I'({sigma},empty) rows of {alpha} at tagged "

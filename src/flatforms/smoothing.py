@@ -10,14 +10,15 @@ pulling back kills every non-tangential contribution there.
 
 Everything stays rational.  The default bump B(t) = t^2(3-2t) gives
 component images B(x_v)/Q with the simplex-wide normalizer
-Q = sum_v B(x_v), so pullbacks are ``RatioMatrix`` values: matrices
-whose entries are polynomial forms p over their own power Q^e, the
-package's one localized P/Q^e type, built by the homogenised
-substitution :func:`flatforms.forms.ratio_pullback`.  A constant entry
-stays at e = 0, and the powers of Q come from one cache per simplex.
-All checks cross-multiply instead of dividing, entry by entry, making
-them exact; Q restricts to the corresponding normalizer of every face
-because B(0) = 0.
+Q = sum_v B(x_v), so pullbacks are :class:`flatforms.mixed.FormMatrix`
+values over Q: each entry is a polynomial form p over its own power
+Q^e, built by the homogenised substitution
+:func:`flatforms.forms.ratio_pullback`.  It is the same matrix type as
+the unsmoothed data, which is the case Q = 1.  A constant entry stays at
+e = 0, and the powers of Q come from one cache per simplex.  All checks
+cross-multiply instead of dividing, entry by entry, making them exact;
+Q restricts to the corresponding normalizer of every face because
+B(0) = 0.
 ``verify_smoothing`` checks the smoothed data in one walk over the
 simplices, with the flatness and chain identities of :mod:`flatforms.mixed`
 and the facet vanishing test ``PolyForm.vanishes_on_facet``.  Forms are
@@ -34,12 +35,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .forms import PolyForm, Powers, ratio_pullback
-from .linalg import Q, SMat, qint, qx
+from .linalg import Q, qint, qx
 from .mixed import (
     ChainMapData,
     FormMatrix,
     MixedConnectionData,
-    _koszul_wedge,
     intertwines,
     is_flat_connection,
 )
@@ -198,170 +198,12 @@ def phibar(P: PartitionOfUnity, sigma: Simplex, point) -> tuple:
     return tuple(v / total for v in vals)
 
 
-# ---------------------------------------------------------------------------
-# matrices of rational forms
-# ---------------------------------------------------------------------------
-
-
-class RatioMatrix:
-    """A sparse matrix of forms p / Q^e over one denominator Q, each
-    entry with its own exponent e.
-
-    ``powers`` holds the powers of Q; binary operations need the same Q and
-    raise exponents entry by entry, by cross-multiplication, never
-    division.  A zero numerator is not stored, and p / Q^e is zero
-    exactly when p is, so a matrix is zero exactly when it stores no
-    entry.  Composition follows the Koszul sign rule of ``FormMatrix``.
-    """
-
-    __slots__ = ("k", "deg", "powers", "rows")
-
-    def __init__(self, k: int, deg: dict, powers: Powers):
-        self.k = k
-        self.deg = deg
-        self.powers = powers
-        self.rows: dict = {}   # r -> {c: (numerator, exponent)}
-
-    @property
-    def den(self) -> PolyForm:
-        return self.powers.base
-
-    @property
-    def e(self) -> int:
-        """The largest exponent of any entry (0 when there is none)."""
-        return max((e for row in self.rows.values() for _p, e in row.values()),
-                   default=0)
-
-    def set_entry(self, r, c, p: PolyForm, e: int):
-        if p.is_zero():
-            row = self.rows.get(r)
-            if row:
-                row.pop(c, None)
-                if not row:
-                    self.rows.pop(r, None)
-            return
-        self.rows.setdefault(r, {})[c] = p, e
-
-    def entries(self):
-        for r, row in self.rows.items():
-            for c, (p, e) in row.items():
-                yield r, c, p, e
-
-    def _like(self) -> "RatioMatrix":
-        return RatioMatrix(self.k, self.deg, self.powers)
-
-    def _same_den(self, other: "RatioMatrix"):
-        if self.powers is not other.powers and self.den != other.den:
-            raise ValueError("denominators differ")
-
-    def _lift(self, p: PolyForm, e: int, m: int) -> PolyForm:
-        """p / Q^e written over Q^m, m >= e: its numerator Q^(m-e) p."""
-        return p if m == e else self.powers[m - e].wedge(p)
-
-    def _sum(self, parts: list) -> tuple[PolyForm, int]:
-        """The sum of (numerator, exponent) pairs, over the largest."""
-        if len(parts) == 1:
-            return parts[0]
-        m = max(e for _p, e in parts)
-        total = PolyForm.zero(self.k)
-        for p, e in parts:
-            total = total + self._lift(p, e, m)
-        return total, m
-
-    def _collect(self, parts: dict) -> "RatioMatrix":
-        """The matrix of the sums of parts[(r, c)], summing numerators of
-        equal exponent before raising any."""
-        out = self._like()
-        for (r, c), by_e in parts.items():
-            out.set_entry(r, c, *self._sum([(p, e) for e, p in by_e.items()]))
-        return out
-
-    def add(self, other: "RatioMatrix", sign: int = 1) -> "RatioMatrix":
-        self._same_den(other)
-        out = self._like()
-        out.rows = {r: dict(row) for r, row in self.rows.items()}
-        for r, c, q, f in other.entries():
-            if sign != 1:
-                q = q.scale(sign)
-            mine = out.rows.get(r, {}).get(c)
-            out.set_entry(r, c, *(self._sum([mine, (q, f)]) if mine else (q, f)))
-        return out
-
-    def sub(self, other: "RatioMatrix") -> "RatioMatrix":
-        return self.add(other, -1)
-
-    def compose(self, other: "RatioMatrix") -> "RatioMatrix":
-        """Koszul composition with a module endomorphism on the left."""
-        self._same_den(other)
-        parts: dict = {}
-        for r, row in self.rows.items():
-            for t, (p, e) in row.items():
-                orow = other.rows.get(t)
-                if not orow:
-                    continue
-                s = self.deg[r] - self.deg[t]
-                for c, (q, f) in orow.items():
-                    _accumulate(parts, r, c, e + f, _koszul_wedge(p, q, s))
-        return self._collect(parts)
-
-    def mul_const_right(self, m: SMat) -> "RatioMatrix":
-        """Compose with a constant matrix on the right (no signs arise)."""
-        parts: dict = {}
-        for r, row in self.rows.items():
-            for t, (p, e) in row.items():
-                for c, v in m.get(t, {}).items():
-                    _accumulate(parts, r, c, e, p.scale(v))
-        return self._collect(parts)
-
-    def d(self) -> "RatioMatrix":
-        """Entrywise d(p / Q^e) = (Q dp - e dQ p) / Q^(e+1), and dp for e = 0."""
-        out = self._like()
-        q, dq = self.powers.base, self.powers.d
-        for r, c, p, e in self.entries():
-            if e == 0:
-                out.set_entry(r, c, p.d(), 0)
-            else:
-                out.set_entry(r, c, q.wedge(p.d()) - dq.scale(e).wedge(p), e + 1)
-        return out
-
-    def restrict(self, positions, powers: Powers) -> "RatioMatrix":
-        """The restriction to a face, over the face's denominator, whose
-        ``powers`` are given: it must be the restriction of Q."""
-        positions = tuple(positions)
-        if self.den.restrict(positions) != powers.base:
-            raise ValueError("denominator does not restrict as claimed")
-        out = RatioMatrix(len(positions) - 1, self.deg, powers)
-        for r, c, p, e in self.entries():
-            out.set_entry(r, c, p.restrict(positions), e)
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.rows
-
-    def eq(self, other: "RatioMatrix") -> bool:
-        self._same_den(other)
-        if self.k != other.k or self.rows.keys() != other.rows.keys():
-            return False
-        for r, row in self.rows.items():
-            orow = other.rows[r]
-            if row.keys() != orow.keys():
-                return False
-            for c, (p, e) in row.items():
-                q, f = orow[c]
-                m = max(e, f)
-                if self._lift(p, e, m) != self._lift(q, f, m):
-                    return False
-        return True
-
-
-def _accumulate(parts: dict, r, c, e: int, p: PolyForm):
-    """Add p to the exponent-e numerator collected for entry (r, c)."""
-    by_e = parts.setdefault((r, c), {})
-    by_e[e] = by_e[e] + p if e in by_e else p
+# read by perfbench/tracer.py; goes when ROADMAP item 1 deletes the tracer
+RatioMatrix = FormMatrix
 
 
 def pullback_matrix(fm: FormMatrix, P: PartitionOfUnity, sigma: Simplex,
-                    powers: Optional[Powers] = None) -> RatioMatrix:
+                    powers: Optional[Powers] = None) -> FormMatrix:
     """Pull a matrix of forms on |sigma| back along the partition
     self-map, entry by entry: the collapse onto sigma itself."""
     return face_collapse_pullback(P, sigma, sigma, fm, powers)
@@ -369,7 +211,7 @@ def pullback_matrix(fm: FormMatrix, P: PartitionOfUnity, sigma: Simplex,
 
 def face_collapse_pullback(P: PartitionOfUnity, sigma: Simplex, tau: Simplex,
                            fm_tau: FormMatrix, powers: Optional[Powers] = None
-                           ) -> RatioMatrix:
+                           ) -> FormMatrix:
     """Pull a matrix on |tau| back to |sigma| along the composite of the
     partition self-map with the projection onto tau.
 
@@ -378,16 +220,19 @@ def face_collapse_pullback(P: PartitionOfUnity, sigma: Simplex, tau: Simplex,
     self-map; off the face it is the first-order model the smoothing is
     compared against.  Each entry comes out over its own power of the
     denominator, taken from ``powers``, the powers of ``P.den[sigma]``
-    (built here when not given).
+    (built here when not given).  ``fm_tau`` must be polynomial: every
+    exponent 0.
     """
+    if fm_tau.e:
+        raise ValueError("only a polynomial matrix pulls back")
     if powers is None:
         powers = Powers(P.den[sigma])
     nums = {t: P.num[(sigma, v)] for t, v in enumerate(tau[1:], start=1)}
     entries = list(fm_tau.entries())
-    pulled = ratio_pullback([p for _r, _c, p in entries], dim(sigma), nums,
-                            powers)
-    out = RatioMatrix(dim(sigma), fm_tau.deg, powers)
-    for (r, c, _p), (q, e) in zip(entries, pulled):
+    pulled = ratio_pullback([p for _r, _c, p, _e in entries], dim(sigma),
+                            nums, powers)
+    out = FormMatrix(dim(sigma), fm_tau.deg, powers)
+    for (r, c, _p, _e), (q, e) in zip(entries, pulled):
         out.set_entry(r, c, q, e)
     return out
 

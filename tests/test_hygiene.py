@@ -199,6 +199,18 @@ def test_public_classes_are_used_in_src():
     assert unused == []
 
 
+def test_one_class_defines_compose():
+    """Exactly one class in src composes matrices of forms, so the
+    polynomial values and their partition pullbacks share one algebra
+    and cannot drift apart."""
+    owners = sorted(f"{path.name}: {node.name}" for path in MODULES
+                    for node in ast.walk(_tree(path))
+                    if isinstance(node, ast.ClassDef)
+                    and any(isinstance(item, ast.FunctionDef)
+                            and item.name == "compose" for item in node.body))
+    assert owners == ["mixed.py: FormMatrix"]
+
+
 def test_cli_main_maps_only_input_faults_to_exit_2():
     """``cli.main`` turns ``ParseError`` and ``OSError`` into exit 2 and
     nothing broader: a file the parsers reject is a ``ParseError`` by

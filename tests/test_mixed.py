@@ -273,7 +273,7 @@ def test_total_degree_bookkeeping():
     M = inst.A.M
     for (sigma, sigma_p), fm in data.aprime.items():
         kk = len(sigma_p)
-        for r, c, p in fm.entries():
+        for r, c, p, _e in fm.entries():
             for f in p.form_degrees():
                 assert f + M.degree(r) - M.degree(c) == 1 - kk
 
@@ -344,6 +344,18 @@ def test_enriched_instance_has_no_canned_model():
     assert data.problems == []
 
 
+@pytest.mark.parametrize("seed", [0, 3, 5])
+def test_stored_values_are_polynomial(seed):
+    """Every stored a'/I' value is over Q = 1 with every exponent 0."""
+    inst = generate(seed)
+    data = build_mixed_connection(inst.A)
+    cm = build_Iprime(data, make_fiber_model(inst))
+    assert data.problems + cm.problems == []
+    for fm in [*data.aprime.values(), *cm.values.values()]:
+        assert fm.den == PolyForm.one(fm.k)
+        assert [e for *_rcp, e in fm.entries() if e] == []
+
+
 def test_solve_face_coords_roundtrip():
     inst = generate(2, max_dim=2, need_triangle=True, enrich=False)
     data = build_mixed_connection(inst.A)
@@ -392,6 +404,26 @@ def test_locality_flags_injected_mass():
     val.set_entry(("q", 0), "z", val.entry(("q", 0), "z") + PolyForm.one(1))
     probs = locality_check(data, cm)
     assert probs == ["I'((0, 1),(0,)) rows of q hit tagged element z"]
+
+
+def test_locality_tags_need_every_vertex():
+    """An element is tagged for a leaf over sigma only when its tag sits
+    above h - eps^2 at every vertex of sigma.  With q raised to height 7
+    at vertex 1, z (tag 6) is tagged for q over vertex 0 only, so the q
+    rows may reach z on the edge but not at vertex 0."""
+    A = worked_edge()
+    A.L.heights[("q", 1)] = Q(7)
+    FM = worked_edge_fiber()
+    data = build_mixed_connection(A)
+    cm = build_Iprime(data, FM)
+    assert data.problems + cm.problems == []
+    for key in [((0, 1), (0,)), ((0,), EMPTY)]:
+        val = cm.values[key]
+        val.set_entry(("q", 0), "z",
+                      val.entry(("q", 0), "z") + PolyForm.one(val.k))
+    assert locality_check(data, cm) == [
+        "I'((0,),empty) rows of q at tagged element z exceed the vertex "
+        "diagonal"]
 
 
 def test_locality_requires_tags():

@@ -26,7 +26,6 @@ from flatforms.morse import LeafSystem
 from flatforms.simplicial import build_complex, dim
 from flatforms.smoothing import (
     PartitionOfUnity,
-    RatioMatrix,
     partition_default,
     partition_linear,
     phibar,
@@ -149,9 +148,9 @@ def test_phibar_maps_triangle_to_itself(a, b):
 
 
 def ratio_matrix(den, entries):
-    """A RatioMatrix over den from {(r, c): (numerator, exponent)}."""
+    """A FormMatrix over den from {(r, c): (numerator, exponent)}."""
     k = den.base.k
-    R = RatioMatrix(k, {"x": 0, "y": 0}, den)
+    R = FormMatrix(k, {"x": 0, "y": 0}, den)
     for (r, c), (p, e) in entries.items():
         R.set_entry(r, c, p, e)
     return R
@@ -199,7 +198,7 @@ def den_for(k):
 
 
 def ratio_1x1(p, den, e):
-    R = RatioMatrix(p.k, {"x": 0}, den)
+    R = FormMatrix(p.k, {"x": 0}, den)
     R.set_entry("x", "x", p, e)
     return R
 
@@ -226,6 +225,32 @@ def test_ratio_matrix_restrict_rejects_mismatched_denominator():
         ("x", "x", PolyForm.coordinate(1, 1), 1)]
     with pytest.raises(ValueError):
         f.restrict((0, 1), Powers(PolyForm.one(1)))
+
+
+def test_restrict_of_a_pullback_needs_the_face_denominator():
+    """Without face ``powers`` ``restrict`` puts the face over Q = 1, so
+    it refuses a matrix whose Q does not restrict to 1: the Q = 1
+    shortcut never drops a real denominator."""
+    # on an edge B(x_0) + B(x_1) = 1, so take a triangle face
+    sigma, tau, deg = (0, 1, 2, 3), (0, 1, 2), {"x": 0}
+    P = partition_default(build_complex([sigma]))
+    g = pullback_matrix(FormMatrix.identity(3, deg), P, sigma)
+    assert P.den[tau] != PolyForm.one(2)
+    with pytest.raises(ValueError):
+        g.restrict((0, 1, 2))
+    face = Powers(P.den[tau])
+    assert g.restrict((0, 1, 2), face).eq(
+        pullback_matrix(FormMatrix.identity(2, deg), P, tau, face))
+
+
+def test_pullback_refuses_a_matrix_with_exponents():
+    """The partition pullback substitutes into polynomial entries; a
+    matrix with an entry over Q^e, e > 0, is refused rather than pulled
+    back with its exponent dropped."""
+    R, _den = ratio_fixture()
+    P = partition_default(build_complex([(0, 1, 2)]))
+    with pytest.raises(ValueError):
+        pullback_matrix(R, P, (0, 1, 2))
 
 
 def test_ratio_matrix_d_matches_quotient_rule():
@@ -273,7 +298,7 @@ def test_pullback_of_constants_is_constant():
     a = data.get((0,), ())
     g = pullback_matrix(a, P, (0,))
     assert g.e == 0
-    assert [(r, c, p) for r, c, p, _e in g.entries()] == list(a.entries())
+    assert list(g.entries()) == list(a.entries())
 
 
 def test_pullback_entries_carry_their_own_top():
@@ -288,7 +313,7 @@ def test_pullback_entries_carry_their_own_top():
         a = data.get(sigma, ())
         g = pullback_matrix(a, P, sigma)
         tops = {}
-        for r, c, p in a.entries():
+        for r, c, p, _e in a.entries():
             tops[r, c] = max(sum(t["mono"].values()) + 2 * len(t["dx"])
                              for t in p.to_json()["terms"])
         got = {(r, c): e for r, c, _p, e in g.entries()}
@@ -334,7 +359,7 @@ def test_linear_partition_pullback_is_the_entrywise_pullback(seed):
     sigma, P, [x] = pullback_case(seed, 1, partition_linear)
     images = {i: P.num[(sigma, v)] for i, v in enumerate(sigma[1:], start=1)}
     want = FormMatrix(x.k, x.deg)
-    for r, c, p in x.entries():
+    for r, c, p, _e in x.entries():
         want.set_entry(r, c, p.pullback(x.k, images))
     got = pullback_matrix(x, P, sigma)
     num = FormMatrix(x.k, x.deg)
