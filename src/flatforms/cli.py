@@ -303,7 +303,7 @@ def cmd_homology(args):
         checks["cw_betti"] = cw_homology(bdry)
     except (NotADifferential, MissingFaceData) as ex:
         return checks.stop("cw_betti", ex)
-    checks["generators"] = len(bdry.generators)
+    checks["generators"] = len(bdry.degrees)
     H = {v: fiber_homology(inst.A, v) for v in inst.A.S.vertices()}
     checks["fiber_betti"] = {skey(v): h.betti for v, h in H.items()}
     if inst.FM is not None:
@@ -344,7 +344,7 @@ def cmd_flow(args):
     certs = checks.certificates
     runs = []
     for i, start in enumerate(starts):
-        back, fwd = classify_limits(x0[i], tol=1e-12)
+        back, fwd = classify_limits(start)
         expected = back if args.backward else fwd
         out = {"start": [str(c) for c in start], "backward": args.backward,
                "expected_vertex": expected,

@@ -1,10 +1,12 @@
 """Flat combinatorial coefficient systems over a simplicial base.
 
 A coefficient system assigns to every simplex of the base an exact
-rational matrix on a fixed graded module, supported on leaf blocks
-permitted by the per-simplex order and of the grading degree matching
-the simplex dimension.  The two-sided residual of a simplex measures
-the failure of flatness; all residuals vanish exactly when the induced
+rational matrix on the graded module spanned by the leaves, of grading
+degree one minus the simplex dimension.  Both the module basis and the
+rule saying which leaf blocks such a matrix may occupy belong to
+:mod:`flatforms.morse`; ``forbidden_blocks`` and ``flatness_equation``
+only apply them.  The two-sided residual of a simplex measures the
+failure of flatness; all residuals vanish exactly when the induced
 boundary operator on the associated cellular complex squares to zero.
 A fiber model compares a fixed complex (Omega, D) with the fibers by
 constant maps I(sigma).  Flatness and the comparison relation are one
@@ -44,7 +46,13 @@ from .linalg import (
     smat_transpose,
     solve,
 )
-from .morse import GradedModule, LeafSystem, UnknownLeaf, allowed_blocks, prec
+from .morse import (
+    LeafSystem,
+    UnknownLeaf,
+    allowed_blocks,
+    block_allowed,
+    block_entries,
+)
 from .simplicial import (
     BaseComplex,
     Simplex,
@@ -78,17 +86,17 @@ class NotADifferential(Exception):
 # ---------------------------------------------------------------------------
 
 class CoefficientSystem:
-    """Per-simplex matrices over a graded module, possibly partial.
+    """Per-simplex matrices over the leaves' graded module, possibly
+    partial.
 
     ``coeffs`` maps a simplex to a sparse matrix keyed by basis pairs
-    ((alpha, i), (beta, m)).
+    ((alpha, i), (beta, m)) of ``L.basis``.
     """
 
     def __init__(self, S: BaseComplex, L: LeafSystem,
                  coeffs: Optional[dict] = None):
         self.S = S
         self.L = L
-        self.M = GradedModule(L)
         self.coeffs: dict[Simplex, SMat] = dict(coeffs) if coeffs else {}
 
     def has(self, sigma: Simplex) -> bool:
@@ -122,7 +130,7 @@ class CoefficientSystem:
                 for (be, j), v in row.items():
                     by_block.setdefault((al, be), {})[(i, j)] = v
             for (al, be), entries in sorted(by_block.items()):
-                ra, rb = self.M.rank[al], self.M.rank[be]
+                ra, rb = self.L.rank[al], self.L.rank[be]
                 mat = [[str(entries.get((i, j), Q(0))) for j in range(rb)]
                        for i in range(ra)]
                 blocks[f"{al}<-{be}"] = mat
@@ -192,8 +200,8 @@ def flatness_residual(A: CoefficientSystem, sigma: Simplex) -> SMat:
 
 def forbidden_blocks(A: CoefficientSystem) -> list[str]:
     """One problem per entry of a coefficient present in ``A`` that sits
-    in a block its degree forbids: a(sigma) has degree 1 - dim(sigma),
-    and its block alpha<-beta needs beta to precede alpha over sigma."""
+    in a block ``block_allowed`` forbids to a(sigma), of degree
+    1 - dim(sigma).  The verdict is taken once per block present."""
     problems: list[str] = []
     L = A.L
     for sigma in A.S:
@@ -203,8 +211,7 @@ def forbidden_blocks(A: CoefficientSystem) -> list[str]:
         allowed: dict[tuple[str, str], bool] = {}
         for (al, _i), (be, _j), _v in smat_entries(A.coeffs[sigma]):
             if (al, be) not in allowed:
-                allowed[al, be] = (L.index[al] - L.index[be] == need
-                                   and al != be and prec(L, be, al, sigma))
+                allowed[al, be] = block_allowed(L, al, be, sigma, need)
             if not allowed[al, be]:
                 problems.append(
                     f"{sigma}: entry in forbidden block {al}<-{be} "
@@ -239,11 +246,11 @@ class CWBoundary:
 
     The matrix is stored as {generator: {generator: coeff}} with the
     convention that row entries of the coefficient matrices multiply on
-    the right (transpose action).  Generator degree is leaf index plus
-    cell dimension; the operator lowers it by one.
+    the right (transpose action).  ``degrees`` lists the generators in
+    order with their degree, leaf index plus cell dimension; the
+    operator lowers it by one.
     """
 
-    generators: list
     matrix: dict
     degrees: dict
 
@@ -269,16 +276,12 @@ def cw_boundary(A: CoefficientSystem) -> CWBoundary:
     where e * a pairs the generator with the rows of the coefficient
     matrix.
     """
-    gens = []
-    degrees = {}
-    for sigma in A.S:
-        for b in A.M.basis:
-            gens.append((sigma, b))
-            degrees[(sigma, b)] = A.M.degree(b) + dim(sigma)
+    degrees = {(sigma, b): A.L.deg[b] + dim(sigma)
+               for sigma in A.S for b in A.L.basis}
     matrix: dict = {}
     for sigma in A.S:
         k = dim(sigma)
-        for b in A.M.basis:
+        for b in A.L.basis:
             acc: dict = {}
             if k >= 1:
                 for sgn, f in boundary_chain(sigma):
@@ -304,7 +307,7 @@ def cw_boundary(A: CoefficientSystem) -> CWBoundary:
                         acc[g] = s
             if acc:
                 matrix[(sigma, b)] = acc
-    return CWBoundary(generators=gens, matrix=matrix, degrees=degrees)
+    return CWBoundary(matrix=matrix, degrees=degrees)
 
 
 def cw_homology(bd: CWBoundary) -> dict[int, int]:
@@ -379,11 +382,7 @@ def flatness_equation(A: CoefficientSystem, sigma: Simplex):
     a0 = A.a(sigma[:1])
     ak = A.a(sigma[-1:])
     s0 = _sign(k)
-    unknowns: list[tuple] = []
-    for al, be in allowed_blocks(A.L, sigma, 1 - k):
-        for i in range(A.M.rank[al]):
-            for j in range(A.M.rank[be]):
-                unknowns.append(((al, i), (be, j)))
+    unknowns = list(block_entries(A.L, allowed_blocks(A.L, sigma, 1 - k)))
     rows: SMat = {}
 
     def add(rc, u, v):
@@ -494,13 +493,12 @@ def edge_transport(A: CoefficientSystem, edge: Simplex) -> SMat:
     edge = A.S.require(edge)
     if dim(edge) != 1:
         raise ValueError(f"{edge} is not an edge")
-    return smat_add(smat_identity(A.M.basis), A.a(edge))
+    return smat_add(smat_identity(A.L.basis), A.a(edge))
 
 
 @dataclass
 class FiberHomology:
     reps: list             # cycle representatives, one SVec per class
-    rep_degrees: list
     betti: dict
     boundary_basis: list   # independent columns of the differential
 
@@ -515,25 +513,24 @@ def fiber_homology(A: CoefficientSystem, vertex: Simplex) -> FiberHomology:
     v = A.S.require(vertex)
     if dim(v) != 0:
         raise ValueError(f"{v} is not a vertex")
-    M = A.M
+    basis = A.L.basis
     d = A.a(v)
-    cycles = kernel(d, M.basis)
+    cycles = kernel(d, basis)
     columns = smat_transpose(d)
-    bcols = [columns[c] for c in pivot_columns(d, M.basis)]
+    bcols = [columns[c] for c in pivot_columns(d, basis)]
     span = {("b", j): b for j, b in enumerate(bcols)}
     span.update({("z", i): z for i, z in enumerate(cycles)})
     reps = [cycles[i] for tag, i in pivot_columns(smat_transpose(span), list(span))
             if tag == "z"]
-    rep_degrees = [_vector_degree(M, z) for z in reps]
     betti: dict[int, int] = {}
-    for g in rep_degrees:
+    for z in reps:
+        g = _vector_degree(A.L, z)
         betti[g] = betti.get(g, 0) + 1
-    return FiberHomology(reps=reps, rep_degrees=rep_degrees, betti=betti,
-                         boundary_basis=bcols)
+    return FiberHomology(reps=reps, betti=betti, boundary_basis=bcols)
 
 
-def _vector_degree(M: GradedModule, z) -> int:
-    degs = {M.degree(b) for b in z}
+def _vector_degree(L: LeafSystem, z) -> int:
+    degs = {L.deg[b] for b in z}
     if len(degs) != 1:
         raise ValueError("representative mixes degrees")
     return degs.pop()
@@ -682,7 +679,7 @@ class FiberModel:
             I[sigma] = {}
             for rkey, row in m.items():
                 al, i = rkey.rsplit(":", 1)
-                if (al, int(i)) not in A.M.position:
+                if (al, int(i)) not in A.L.deg:
                     raise ValueError(
                         f"fiber model names {rkey}, not a module element")
                 I[sigma][(al, int(i))] = {name(e): qx(v) for e, v in row.items()}
@@ -711,14 +708,14 @@ def validate_fiber_model(A: CoefficientSystem, FM: FiberModel) -> list[str]:
     for r, c, _v in smat_entries(FM.D):
         if FM.omega_degree[r] != FM.omega_degree[c] + 1:
             problems.append(f"D entry {r}<-{c} is not of degree +1")
-    M = A.M
+    deg = A.L.deg
     for sigma in A.S:
         m = dim(sigma)
         for r, c, _v in smat_entries(FM.imap(sigma)):
-            if M.degree(r) - FM.omega_degree[c] != -m:
+            if deg[r] - FM.omega_degree[c] != -m:
                 problems.append(
                     f"I({sigma}) entry {r}<-{c} has degree "
-                    f"{M.degree(r) - FM.omega_degree[c]}, want {-m}")
+                    f"{deg[r] - FM.omega_degree[c]}, want {-m}")
         if not smat_is_zero(_comparison_defect(A, FM, sigma)):
             problems.append(f"comparison relation fails over {sigma}")
     return problems

@@ -39,8 +39,8 @@ from .linalg import (
     smat_transpose,
     solve,
 )
-from .morse import GradedModule, LeafSystem, UnknownLeaf, allowed_blocks
-from .simplicial import BaseComplex, Simplex, build_complex
+from .morse import LeafSystem, UnknownLeaf, allowed_blocks, block_entries
+from .simplicial import BaseComplex, Simplex, build_complex, dim
 
 LEAF_NAMES = ["a", "b", "c", "d", "e", "f"]
 
@@ -60,14 +60,13 @@ def _random_complex(rng: random.Random, max_dim: int, max_simplices: int,
                     need_triangle: bool) -> BaseComplex:
     nv = rng.randrange(3, 7)
     verts = list(range(nv))
-    chosen: set[Simplex] = {(v,) for v in verts}
 
     def closure_count(cands):
         faces: set[Simplex] = set()
         for s in cands:
             for size in range(1, len(s) + 1):
                 faces.update(combinations(s, size))
-        return len(faces), faces
+        return len(faces)
 
     picked: list[Simplex] = []
     if need_triangle and max_dim >= 2 and nv >= 3:
@@ -78,8 +77,7 @@ def _random_complex(rng: random.Random, max_dim: int, max_simplices: int,
     rng.shuffle(pool)
     for cand in pool:
         trial = picked + [cand]
-        count, _ = closure_count(trial + [(v,) for v in verts])
-        if count <= max_simplices:
+        if closure_count(trial + [(v,) for v in verts]) <= max_simplices:
             picked.append(cand)
         if len(picked) > 6:
             break
@@ -117,16 +115,15 @@ def _random_leaves(rng: random.Random, max_leaves: int, max_rank: int,
 
 def _design_system(rng: random.Random, S: BaseComplex, L: LeafSystem,
                    levels: dict[str, int]):
-    M = GradedModule(L)
-    # pairing differential: disjoint source/target basis pairs, level-raising,
-    # grading degree +1
-    cands = []
-    for al in L.leaves:
-        for be in L.leaves:
-            if levels[al] > levels[be] and L.index[al] == L.index[be] + 1:
-                for i in range(L.rank[al]):
-                    for j in range(L.rank[be]):
-                        cands.append(((al, i), (be, j)))
+    def level_raising(degree):
+        """The entries of the level-raising blocks of grading ``degree``."""
+        return list(block_entries(L, [
+            (al, be) for al in L.leaves for be in L.leaves
+            if levels[al] > levels[be] and L.index[al] == L.index[be] + degree]))
+
+    # pairing differential: disjoint source/target basis pairs, grading
+    # degree +1
+    cands = level_raising(1)
     rng.shuffle(cands)
     used = set()
     D0: SMat = {}
@@ -138,15 +135,9 @@ def _design_system(rng: random.Random, S: BaseComplex, L: LeafSystem,
             used.add(tgt)
             used.add(src)
     # per-vertex unipotent gauges: strictly level-raising, degree 0
-    gauge_cands = []
-    for al in L.leaves:
-        for be in L.leaves:
-            if levels[al] > levels[be] and L.index[al] == L.index[be]:
-                for i in range(L.rank[al]):
-                    for j in range(L.rank[be]):
-                        gauge_cands.append(((al, i), (be, j)))
+    gauge_cands = level_raising(0)
     U: dict[int, SMat] = {}
-    ident = smat_identity(M.basis)
+    ident = smat_identity(L.basis)
     for v in S.vertices():
         m = {r: dict(row) for r, row in ident.items()}
         for tgt, src in gauge_cands:
@@ -158,8 +149,8 @@ def _design_system(rng: random.Random, S: BaseComplex, L: LeafSystem,
     inv = {}
     for v, u in U.items():
         # column j of U^-1 solves U x = e_j
-        columns = solve(u, M.basis, list(ident.values()))
-        inv[v] = smat_transpose(dict(zip(M.basis, columns)))
+        columns = solve(u, L.basis, list(ident.values()))
+        inv[v] = smat_transpose(dict(zip(L.basis, columns)))
     for v in S.vertices():
         A.set(v, smat_mul(inv[v[0]], smat_mul(D0, U[v[0]])))
     for e in S.of_dim(1):
@@ -202,11 +193,8 @@ def generate(seed: int, max_dim: int = 3, max_simplices: int = 20,
         edge = rng.choice(S.of_dim(1))
         Z = _kernel_perturbation(rng, A, edge)
         if Z is not None:
-            trial = A.copy()
+            trial = strip_to_dim(A, 1)
             trial.set(edge, smat_add(trial.a(edge), Z))
-            for k in range(2, S.dim + 1):
-                for s in S.of_dim(k):
-                    trial.coeffs.pop(s, None)
             try:
                 trial = extend_system(trial)
                 A = trial
@@ -243,14 +231,9 @@ def corrupt_random_entry(rng: random.Random, A: CoefficientSystem
     Returns the corrupted copy and a description, or None when no
     simplex has any allowed block.
     """
-    options = []
-    for sigma in A.S:
-        k = len(sigma) - 1
-        blocks = allowed_blocks(A.L, sigma, 1 - k)
-        for al, be in blocks:
-            for i in range(A.M.rank[al]):
-                for j in range(A.M.rank[be]):
-                    options.append((sigma, (al, i), (be, j)))
+    options = [(sigma, r, c) for sigma in A.S
+               for r, c in block_entries(
+                   A.L, allowed_blocks(A.L, sigma, 1 - dim(sigma)))]
     if not options:
         return None
     sigma, r, c = rng.choice(options)
@@ -278,10 +261,10 @@ def make_fiber_model(inst: Instance):
         raise ValueError(
             "instance was enriched away from its gauge; no model available")
 
-    M = inst.A.M
-    rename = {b: ("w",) + b for b in M.basis}
-    omega_basis = [rename[b] for b in M.basis]
-    omega_degree = {rename[b]: M.degree(b) for b in M.basis}
+    L = inst.L
+    rename = {b: ("w",) + b for b in L.basis}
+    omega_basis = [rename[b] for b in L.basis]
+    omega_degree = {rename[b]: L.deg[b] for b in L.basis}
     D = {rename[r]: {rename[c]: v for c, v in row.items()}
          for r, row in inst.D0.items()}
     I = {}
@@ -289,9 +272,9 @@ def make_fiber_model(inst: Instance):
         I[v] = {r: {rename[c]: val for c, val in row.items()}
                 for r, row in inst.U_inv[v[0]].items()}
     eta = {}
-    for (leaf, i) in M.basis:
+    for (leaf, i) in L.basis:
         eta[rename[(leaf, i)]] = min(
-            inst.L.height(leaf, v[0]) for v in inst.A.S.vertices())
+            L.height(leaf, v[0]) for v in inst.A.S.vertices())
     return FiberModel(omega_basis=omega_basis, omega_degree=omega_degree,
                       D=D, I=I, eta=eta)
 

@@ -64,7 +64,7 @@ from .linalg import (
     smat_transpose,
     solve,
 )
-from .morse import prec
+from .morse import block_allowed, prec
 from .simplicial import (
     EMPTY,
     Simplex,
@@ -346,14 +346,14 @@ class MixedConnectionData:
 
 
 def _const_endo(A: CoefficientSystem, sigma_face: Simplex, k: int) -> FormMatrix:
-    return FormMatrix.from_const(k, A.a(sigma_face), A.M.deg)
+    return FormMatrix.from_const(k, A.a(sigma_face), A.L.deg)
 
 
 def _leading(A: CoefficientSystem, sigma: Simplex, m: int, seed: SMat,
              b: FormMatrix) -> FormMatrix:
     """seed + d(b) + a(sigma_0) o b on the m-chart: the terms the
     recursion and the gauge have in common."""
-    total = FormMatrix.from_const(m, seed, A.M.deg).add(b.d())
+    total = FormMatrix.from_const(m, seed, A.L.deg).add(b.d())
     return total.add(_const_endo(A, sigma[:1], m).compose(b))
 
 
@@ -446,7 +446,7 @@ def _walk(A: CoefficientSystem, aprime: dict, store: dict, sigma: Simplex,
     b o a'(sigma, empty) is the unknown that the gauge solves for.
     """
     l = dim(sigma)
-    store[(sigma, sigma)] = FormMatrix(0, A.M.deg)
+    store[(sigma, sigma)] = FormMatrix(0, A.L.deg)
     for k in range(l, 0, -1):
         candidate = recursion_value(A, store, sigma, k, seed(sigma[: k + 1]),
                                     right)
@@ -483,10 +483,14 @@ def check_structure(data: MixedConnectionData, sigma: Simplex,
     problems = []
     fm = data.get(sigma, sigma_p)
     for (al, _i), (be, _m), p, _e in fm.entries():
-        if al == be or not prec(L, be, al, sigma):
+        # forms of degree ``want`` make up the rest of the total degree
+        # 1 - kk, so the block is held to its own grading degree: only
+        # the order over sigma can forbid it
+        grading = L.index[al] - L.index[be]
+        if not block_allowed(L, al, be, sigma, grading):
             problems.append(
                 f"a'({sigma},{sigma_p}): block {al}<-{be} breaks triangularity")
-        want = 1 - kk - (L.index[al] - L.index[be])
+        want = 1 - kk - grading
         if not p.is_homogeneous(want):
             problems.append(
                 f"a'({sigma},{sigma_p}): block {al}<-{be} not homogeneous "
@@ -610,7 +614,7 @@ def solve_face_coords(A: CoefficientSystem, FM: FiberModel, sigma: Simplex,
     block is eliminated once for all its right-hand sides; free
     variables are zeroed.
     """
-    L, M = A.L, A.M
+    L = A.L
     kk = len(sigma_p)
     mm = value.k
     faces = [s2 for s2 in all_faces(sigma)
@@ -621,7 +625,7 @@ def solve_face_coords(A: CoefficientSystem, FM: FiberModel, sigma: Simplex,
         below = {be: prec(L, be, al, sigma) for be in L.leaves if be != al}
         cols = []
         for s2 in faces:
-            for be_m in M.basis:
+            for be_m in L.basis:
                 be = be_m[0]
                 if be == al:
                     if dim(s2) < kk:
@@ -658,7 +662,7 @@ def solve_face_coords(A: CoefficientSystem, FM: FiberModel, sigma: Simplex,
                 f"no face decomposition over {sigma} (face {sigma_p}): "
                 f"row {row}, monomial {mono}")
         for (s2, be_m), coef in x.items():
-            fm = out.setdefault(s2, FormMatrix(mm, M.deg))
+            fm = out.setdefault(s2, FormMatrix(mm, L.deg))
             fm.set_entry(row, be_m, fm.entry(row, be_m) + mono.scale(coef))
     return {s: fm for s, fm in out.items() if not fm.is_zero()}
 
@@ -749,7 +753,7 @@ def locality_check(data: MixedConnectionData, cm: ChainMapData) -> list[str]:
                         f"I'({sigma},empty) has no face decomposition to "
                         f"read the vertex diagonal from")
                     break
-                diag = FormMatrix(dim(sigma), A.M.deg)
+                diag = FormMatrix(dim(sigma), A.L.deg)
                 for v in sigma:
                     fm = coords.get((v,))
                     if fm is None:

@@ -4,7 +4,15 @@ A leaf system records finitely many labelled leaves, each with an
 integer index and a rank, together with an exact rational height per
 (leaf, vertex) and a fineness scale ``epsilon``.  Heights extend
 affinely over each simplex, so oscillation and order questions reduce
-to vertex evaluations.
+to vertex evaluations.  The leaves also span the graded module that
+every coefficient acts on: ``rank[leaf]`` basis elements (leaf, i) of
+degree ``index[leaf]``.
+
+This module owns the block rule: an operator over a simplex of grading
+degree e may carry an entry in the block alpha<-beta only when
+ind(alpha) = ind(beta) + e and beta precedes alpha over that simplex
+(``block_allowed``).  ``allowed_blocks`` lists the blocks it permits and
+``block_entries`` enumerates their entries.
 """
 
 from __future__ import annotations
@@ -27,6 +35,9 @@ class LeafSystem:
     leaves : iterable of (leaf_id, index, rank)
     heights : mapping (leaf_id, vertex) -> rational height
     epsilon : positive rational fineness scale
+
+    ``basis`` lists the module basis elements (leaf, i) in declared leaf
+    order, and ``deg`` maps each of them to its leaf's index.
     """
 
     def __init__(self, leaves, heights, epsilon):
@@ -39,6 +50,10 @@ class LeafSystem:
             self.leaves.append(leaf_id)
             self.index[leaf_id] = int(ind)
             self.rank[leaf_id] = int(rk)
+        self.basis: list[tuple[str, int]] = [
+            (leaf, i) for leaf in self.leaves for i in range(self.rank[leaf])
+        ]
+        self.deg = {b: self.index[b[0]] for b in self.basis}
         self.heights: dict[tuple[str, int], Fraction] = {
             (leaf, v): qx(h) for (leaf, v), h in heights.items()
         }
@@ -141,42 +156,28 @@ def check_refinement(L: LeafSystem, S: BaseComplex) -> list[str]:
     return problems
 
 
-class GradedModule:
-    """Free graded module with one block of ``rank[leaf]`` generators per leaf.
-
-    Basis elements are pairs (leaf, i); their degree is the leaf index,
-    and ``deg`` maps each basis element to it.  Basis order follows the
-    input leaf order.
+def block_allowed(L: LeafSystem, alpha: str, beta: str, sigma: Simplex,
+                  degree: int) -> bool:
+    """Whether an operator of grading degree ``degree`` over ``sigma`` may
+    carry entries in the block alpha<-beta: ind(alpha) = ind(beta) +
+    ``degree`` and beta precedes alpha over ``sigma``; never the diagonal.
     """
-
-    def __init__(self, L: LeafSystem):
-        self.leaves = list(L.leaves)
-        self.rank = dict(L.rank)
-        self.index = dict(L.index)
-        self.basis: list[tuple[str, int]] = [
-            (leaf, i) for leaf in self.leaves for i in range(self.rank[leaf])
-        ]
-        self.position = {b: p for p, b in enumerate(self.basis)}
-        self.deg = {b: self.index[b[0]] for b in self.basis}
-        self.n = len(self.basis)
-
-    def degree(self, basis_elt: tuple[str, int]) -> int:
-        return self.index[basis_elt[0]]
+    return (L.index[alpha] - L.index[beta] == degree
+            and alpha != beta and prec(L, beta, alpha, sigma))
 
 
 def allowed_blocks(L: LeafSystem, sigma: Simplex, end_degree: int
                    ) -> list[tuple[str, str]]:
-    """Leaf block pairs (alpha, beta) a degree-``end_degree`` operator may occupy.
+    """The blocks (alpha, beta) a degree-``end_degree`` operator over
+    ``sigma`` may occupy (``block_allowed``), in declared leaf order."""
+    return [(alpha, beta) for alpha in L.leaves for beta in L.leaves
+            if block_allowed(L, alpha, beta, sigma, end_degree)]
 
-    A block is allowed when the leaf indices satisfy
-    ind(alpha) = ind(beta) + end_degree and beta precedes alpha over
-    ``sigma``; the diagonal never is.
-    """
-    out = []
-    for alpha in L.leaves:
-        for beta in L.leaves:
-            if L.index[alpha] != L.index[beta] + end_degree:
-                continue
-            if alpha != beta and prec(L, beta, alpha, sigma):
-                out.append((alpha, beta))
-    return out
+
+def block_entries(L: LeafSystem, blocks):
+    """The entries ((alpha, i), (beta, j)) of the leaf ``blocks``, block
+    by block and row-major within each."""
+    for alpha, beta in blocks:
+        for i in range(L.rank[alpha]):
+            for j in range(L.rank[beta]):
+                yield (alpha, i), (beta, j)

@@ -95,6 +95,20 @@ def test_flow_backward_reaches_bottom_vertex(capsys):
     assert rep["checks"]["trajectory"]["limit_vertex"] == 0
 
 
+@pytest.mark.parametrize("start, backward, vertex", [
+    ("1/2,4999999999999/10000000000000,1/10000000000000", False, 2),
+    ("1/10000000000000,4999999999999/10000000000000,1/2", True, 0),
+], ids=["forward", "backward"])
+def test_flow_expects_the_vertex_of_the_exact_support(capsys, start,
+                                                      backward, vertex):
+    # a coordinate of 1e-13 is in the support: the flow leaves through it
+    code, rep = run(capsys, "flow", "--k", "2", "--start", start,
+                    *(["--backward"] if backward else []))
+    t = rep["checks"]["trajectory"]
+    assert (t["expected_vertex"], t["limit_vertex"]) == (vertex, vertex)
+    assert code == 0
+
+
 def test_flow_rejects_non_barycentric_start(capsys):
     assert main(["flow", "--k", "2", "--start", "1/2,1/2,1/2"]) == 2
 

@@ -155,7 +155,7 @@ def test_cw_boundary_signs_on_edge():
     A = inst.A
     bd = cw_boundary(A)
     e = inst.S.of_dim(1)[0]
-    b = A.M.basis[0]
+    b = A.L.basis[0]
     img = bd.matrix.get((e, b), {})
     v0, v1 = (e[0],), (e[1],)
     # facet part: +(v1, b) - (v0, b)

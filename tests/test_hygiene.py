@@ -123,7 +123,7 @@ def _names(tree, skip=None):
 TEST_API = {
     "phibar", "partition_linear", "vertex_linearization", "lyapunov_rate",
     "face_restriction_check", "poincare_contract", "designed_instance",
-    "strip_to_dim", "corrupt_random_entry", "CWBoundary.is_differential",
+    "corrupt_random_entry", "CWBoundary.is_differential",
 }
 
 

@@ -181,7 +181,7 @@ def test_vertex_empty_face_is_constant():
     data = build_mixed_connection(A)
     assert data.problems == []
     got = data.get((0,), EMPTY)
-    want = FormMatrix.from_const(0, A.a((0,)), A.M.deg)
+    want = FormMatrix.from_const(0, A.a((0,)), A.L.deg)
     assert got.eq(want)
 
 
@@ -270,12 +270,12 @@ def test_total_degree_bookkeeping():
     inst = generate(1, max_dim=2, need_triangle=True)
     data = build_mixed_connection(inst.A)
     assert data.problems == []
-    M = inst.A.M
+    deg = inst.A.L.deg
     for (sigma, sigma_p), fm in data.aprime.items():
         kk = len(sigma_p)
         for r, c, p, _e in fm.entries():
             for f in p.form_degrees():
-                assert f + M.degree(r) - M.degree(c) == 1 - kk
+                assert f + deg[r] - deg[c] == 1 - kk
 
 
 # --- fiber models and the chain map --------------------------------------
@@ -374,7 +374,7 @@ def test_solve_face_coords_roundtrip():
 def test_solve_face_coords_infeasible_value():
     A = worked_edge()
     FM = worked_edge_fiber()
-    bad = FormMatrix(1, A.M.deg)
+    bad = FormMatrix(1, A.L.deg)
     # a map raising from the top leaf downward cannot be triangular
     bad.set_entry(("p", 0), "z", PolyForm.one(1))
     with pytest.raises(ExtensionInfeasible):
@@ -384,7 +384,7 @@ def test_solve_face_coords_infeasible_value():
 def test_missing_face_decomposition_is_a_structure_problem():
     A = worked_edge()
     FM = worked_edge_fiber()
-    bad = FormMatrix(1, A.M.deg)
+    bad = FormMatrix(1, A.L.deg)
     bad.set_entry(("p", 0), "z", PolyForm.one(1))
     cm = ChainMapData(A=A, FM=FM)
     cm.values[((0, 1), EMPTY)] = bad

@@ -3,7 +3,6 @@ from fractions import Fraction as Q
 import pytest
 
 from flatforms.morse import (
-    GradedModule,
     LeafSystem,
     UnknownLeaf,
     allowed_blocks,
@@ -84,12 +83,12 @@ def test_partial_order_and_refinement_clean_system():
 
 
 def test_graded_module_layout():
-    L = two_leaf_system((0, 0), (3, 3))
-    L.rank["a"] = 2
-    M = GradedModule(L)
-    assert M.basis == [("a", 0), ("a", 1), ("b", 0)]
-    assert M.n == 3
-    assert M.degree(("b", 0)) == 1
+    heights = {(leaf, v): h for leaf, h in (("a", 0), ("b", 3))
+               for v in (0, 1)}
+    L = LeafSystem([("a", 0, 2), ("b", 1, 1)], heights, 1)
+    assert L.basis == [("a", 0), ("a", 1), ("b", 0)]
+    assert len(L.basis) == 3
+    assert L.deg == {("a", 0): 0, ("a", 1): 0, ("b", 0): 1}
 
 
 def test_allowed_blocks_by_end_degree():

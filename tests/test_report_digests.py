@@ -1,12 +1,15 @@
-"""Same results: the report bodies of the benchmark's ``smooth`` and
-``build`` batteries are pinned, op by op.
+"""Same results: the report bodies of the benchmark's ``smooth``,
+``build`` and ``complete`` batteries are pinned, op by op.
 
 For each op the file ``data/report_digests.json`` holds the exit code
 and the SHA-256 of the report with its ``timings`` block removed
 (``json.dumps(body, sort_keys=True)``), or null where no report is
-printed.  A change that is meant to leave every result alone must leave
-these alone too.  Where a report is meant to change, record the
-digests again with
+printed.  The ``complete`` battery runs ``extend`` and then the four
+read-only checks on each of ``generate(0..39)`` cut to its 1-skeleton
+and written to a temporary file; its digests are keyed by command and
+seed, not by that file's path.  A change that is meant to leave every
+result alone must leave these alone too.  Where a report is meant to
+change, record the digests again with
 
     PYTHONPATH=src python tests/test_report_digests.py
 """
@@ -15,18 +18,45 @@ import contextlib
 import hashlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from flatforms.cli import main
+from flatforms.cli import FILE_VERSION, main
+from flatforms.instances import generate, instance_to_json, strip_to_dim
 
 DATA = Path(__file__).resolve().parent / "data" / "report_digests.json"
 
+COMPLETE_COMMANDS = ("extend", "validate", "igusa", "holonomy", "homology")
+
+
+def complete_battery(workdir: Path) -> dict:
+    """Each ``complete`` op's argv, keyed by command and seed; writes the
+    seed's 1-skeleton file under ``workdir``."""
+    ops = {}
+    for n in range(40):
+        inst = generate(n)
+        data = instance_to_json(inst.S, inst.L, strip_to_dim(inst.A, 1))
+        data["version"] = FILE_VERSION
+        path = workdir / f"complete-{n}.json"
+        path.write_text(json.dumps(data, indent=1) + "\n")
+        for cmd in COMPLETE_COMMANDS:
+            ops[f"{cmd} {n}"] = (cmd, "--instance", str(path))
+    return ops
+
+
+def _by_argv(argvs) -> dict:
+    return {" ".join(argv): argv for argv in argvs}
+
+
 BATTERIES = {
-    "smooth": [("smooth", "--seed", str(n)) for n in (3, 5, 7, 8, 11)],
-    "build": [(cmd, "--seed", str(n)) for n in range(40)
-              for cmd in ("build-aprime", "build-iprime")],
+    "smooth": lambda _workdir: _by_argv(
+        ("smooth", "--seed", str(n)) for n in (3, 5, 7, 8, 11)),
+    "build": lambda _workdir: _by_argv(
+        (cmd, "--seed", str(n)) for n in range(40)
+        for cmd in ("build-aprime", "build-iprime")),
+    "complete": complete_battery,
 }
 
 
@@ -44,16 +74,20 @@ def digest(argv) -> list:
     return [code, hashlib.sha256(text.encode()).hexdigest()]
 
 
-def digests(battery: str) -> dict:
-    return {" ".join(argv): digest(argv) for argv in BATTERIES[battery]}
+def digests(battery: str, workdir: Path) -> dict:
+    """The digest of every op of ``battery``, run in battery order."""
+    return {key: digest(argv)
+            for key, argv in BATTERIES[battery](workdir).items()}
 
 
 @pytest.mark.parametrize("battery", sorted(BATTERIES))
-def test_report_bodies_are_unchanged(battery):
+def test_report_bodies_are_unchanged(battery, tmp_path):
     want = json.loads(DATA.read_text())[battery]
-    assert digests(battery) == want
+    assert digests(battery, tmp_path) == want
 
 
 if __name__ == "__main__":
-    DATA.write_text(json.dumps({b: digests(b) for b in sorted(BATTERIES)},
-                               indent=1, sort_keys=True) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        DATA.write_text(json.dumps(
+            {b: digests(b, Path(tmp)) for b in sorted(BATTERIES)},
+            indent=1, sort_keys=True) + "\n")
