@@ -19,6 +19,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,12 @@ from .mixed import (
     build_mixed_connection,
     locality_check,
 )
-from .morse import check_partial_order, check_refinement, validate_leaf_system
+from .morse import (
+    check_partial_order,
+    check_refinement,
+    leaf_orders,
+    validate_leaf_system,
+)
 from .simplicial import skey
 from .smoothing import (
     PartitionOfUnity,
@@ -170,8 +176,9 @@ def cmd_validate(args):
     inst = load_instance(args)
     checks = Checks()
     S, L = inst.A.S, inst.A.L
+    orders = leaf_orders(L, S)
     checks.record("leaves", validate_leaf_system(L, S)
-                  + check_partial_order(L, S) + check_refinement(L, S))
+                  + check_partial_order(L, orders) + check_refinement(orders))
     checks.record("system", validate_system(inst.A))
     if inst.FM is not None:
         if checks["system"] == "ok":
@@ -384,7 +391,11 @@ COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by
+    every later one in the process (``parse_args`` leaves it as it
+    was)."""
     ap = argparse.ArgumentParser(
         prog="flatforms",
         description="exact checks for flat form data over a simplicial base")

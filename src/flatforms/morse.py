@@ -8,6 +8,12 @@ to vertex evaluations.  The leaves also span the graded module that
 every coefficient acts on: ``rank[leaf]`` basis elements (leaf, i) of
 degree ``index[leaf]``.
 
+Leaf alpha precedes beta over a simplex when some vertex of it shows
+the gap h_beta - h_alpha > 2*epsilon^2 (``prec``).  So the order over a
+simplex is the union of the orders at its vertices: ``leaf_orders``
+finds each vertex's pairs once and joins them per simplex, and the
+order checks read that one table.
+
 This module owns the block rule: an operator over a simplex of grading
 degree e may carry an entry in the block alpha<-beta only when
 ind(alpha) = ind(beta) + e and beta precedes alpha over that simplex
@@ -110,19 +116,31 @@ def prec(L: LeafSystem, alpha: str, beta: str, sigma: Simplex) -> bool:
     return any(L.height(beta, v) - L.height(alpha, v) > gap for v in sigma)
 
 
-def _orders(L: LeafSystem, S: BaseComplex) -> dict[Simplex, list]:
-    """The pairs (a, b) with ``a`` preceding ``b`` over each simplex, in
-    declared leaf order."""
-    return {sigma: [(a, b) for a in L.leaves for b in L.leaves
-                    if prec(L, a, b, sigma)]
-            for sigma in S}
+def leaf_orders(L: LeafSystem, S: BaseComplex) -> dict[Simplex, list]:
+    """The pairs (a, b) with ``a`` preceding ``b`` over each simplex of
+    ``S``, in declared leaf order: the union of the pairs that ``prec``
+    finds at each vertex of the simplex."""
+    gap = 2 * L.epsilon * L.epsilon
+    at = {}
+    for (v,) in S.vertices():
+        h = {leaf: L.height(leaf, v) for leaf in L.leaves}
+        at[v] = {(a, b) for a in L.leaves for b in L.leaves
+                 if h[b] - h[a] > gap}
+    pairs = [(a, b) for a in L.leaves for b in L.leaves]
+    orders = {}
+    for sigma in S:
+        over = set().union(*(at[v] for v in sigma))
+        orders[sigma] = [p for p in pairs if p in over]
+    return orders
 
 
-def check_partial_order(L: LeafSystem, S: BaseComplex) -> list[str]:
-    """Verify that each per-simplex order is a strict partial order."""
+def check_partial_order(L: LeafSystem, orders: dict[Simplex, list]
+                        ) -> list[str]:
+    """Verify that each per-simplex order of the ``leaf_orders`` table
+    is a strict partial order."""
     problems = []
     place = {leaf: i for i, leaf in enumerate(L.leaves)}
-    for sigma, pairs in _orders(L, S).items():
+    for sigma, pairs in orders.items():
         rel = set(pairs)
         for a, b in pairs:
             if a == b:
@@ -139,12 +157,12 @@ def check_partial_order(L: LeafSystem, S: BaseComplex) -> list[str]:
     return problems
 
 
-def check_refinement(L: LeafSystem, S: BaseComplex) -> list[str]:
-    """Verify the order over a simplex extends the order over each face."""
+def check_refinement(orders: dict[Simplex, list]) -> list[str]:
+    """Verify the order over each simplex of the ``leaf_orders`` table
+    extends the order over each of its faces."""
     problems = []
-    orders = _orders(L, S)
-    for sigma in S:
-        over = set(orders[sigma])
+    for sigma, pairs in orders.items():
+        over = set(pairs)
         for tau in all_faces(sigma):
             if tau == sigma:
                 continue

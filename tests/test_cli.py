@@ -143,6 +143,38 @@ def test_flow_zero_sweep_names_its_fault(capsys):
     assert captured.err == "input error: --sweep must be at least 1\n"
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cli_import_builds_no_parser():
+    # checked in a fresh interpreter, since this one has built it
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import flatforms.cli as c; "
+         "print(c.build_parser.cache_info().currsize)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    code, rep = run(capsys, "flow", "--k", "2", "--sweep", "1", "--backward")
+    assert code == 0
+    assert rep["checks"]["runs"][0]["backward"] is True
+    # a usage error after --backward was already taken
+    with pytest.raises(SystemExit) as ex:
+        main(["flow", "--backward", "--k", "two", "--sweep", "1"])
+    assert ex.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    code, rep = run(capsys, "flow", "--k", "2", "--sweep", "1")
+    assert code == 0
+    assert rep["checks"]["runs"][0]["backward"] is False
+
+
 def test_zero_denominator_in_instance_is_input_error(capsys, tmp_path):
     bad = json.loads(json.dumps(EDGE2))
     bad["epsilon"] = "1/0"

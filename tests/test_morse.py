@@ -1,6 +1,8 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatforms.morse import (
     LeafSystem,
@@ -8,6 +10,7 @@ from flatforms.morse import (
     allowed_blocks,
     check_partial_order,
     check_refinement,
+    leaf_orders,
     prec,
     validate_leaf_system,
 )
@@ -52,6 +55,17 @@ def test_fineness_violation_reported():
     assert validate_leaf_system(L, S) == []
 
 
+def test_fineness_boundary_is_reported():
+    # oscillation exactly eps^2/2 is not below eps^2/2 (strict)
+    S = build_complex([(0, 1)])
+    L = two_leaf_system((0, Q(1, 2)), (3, 3))
+    assert validate_leaf_system(L, S) == [
+        "leaf 'a' oscillates by 1/2 on (0, 1), not below 1/2"]
+    L = two_leaf_system((0, Q(1, 8)), (3, 3), eps=Q(1, 2))
+    assert validate_leaf_system(L, S) == [
+        "leaf 'a' oscillates by 1/8 on (0, 1), not below 1/8"]
+
+
 def test_validate_flags_missing_heights_and_bad_rank():
     L = LeafSystem([("a", 0, 0)], {("a", 0): 0}, 1)
     S = build_complex([(0, 1)])
@@ -77,8 +91,8 @@ def test_partial_order_and_refinement_clean_system():
         heights[("c", v)] = Q(6)
     L = LeafSystem(leaves, heights, 1)
     S = build_complex([(0, 1, 2)])
-    assert check_partial_order(L, S) == []
-    assert check_refinement(L, S) == []
+    assert check_partial_order(L, leaf_orders(L, S)) == []
+    assert check_refinement(leaf_orders(L, S)) == []
     assert prec(L, "a", "c", (0, 1, 2))
 
 
@@ -102,3 +116,72 @@ def test_allowed_blocks_by_end_degree():
     assert allowed_blocks(L, sigma, 0) == []
     # degree -1: e.g. (a, b) needs b to precede a in height: false
     assert allowed_blocks(L, sigma, -1) == []
+
+
+def test_partial_order_reports_leaves_preceding_each_other():
+    # unfine: a < b witnessed at vertex 0 and b < a at vertex 1
+    L = two_leaf_system((0, 5), (3, 0))
+    S = build_complex([(0, 1)])
+    assert check_partial_order(L, leaf_orders(L, S)) == [
+        "a and b precede each other on (0, 1)",
+        "order on (0, 1) not transitive: a < b < a but not a < a",
+        "order on (0, 1) not transitive: b < a < b but not b < b",
+    ]
+
+
+def test_partial_order_reports_intransitive_union():
+    # a < b only at vertex 0, b < c only at vertex 1, a < c at neither
+    leaves = [("a", 0, 1), ("b", 1, 1), ("c", 1, 1)]
+    heights = {("a", 0): 0, ("b", 0): 3, ("c", 0): 1,
+               ("a", 1): 1, ("b", 1): 0, ("c", 1): 3}
+    L = LeafSystem(leaves, heights, 1)
+    S = build_complex([(0, 1)])
+    assert check_partial_order(L, leaf_orders(L, S)) == [
+        "order on (0, 1) not transitive: a < b < c but not a < c"]
+
+
+def test_partial_order_messages_keep_simplex_and_pair_order():
+    # three unfine leaves over a triangle: the edge (0, 1) and the
+    # triangle fail, so the messages run over the simplices in order
+    leaves = [("a", 0, 1), ("b", 1, 1), ("c", 2, 1)]
+    heights = {("a", 0): 0, ("b", 0): 3, ("c", 0): 1,
+               ("a", 1): 4, ("b", 1): 0, ("c", 1): 3,
+               ("a", 2): 0, ("b", 2): 1, ("c", 2): 6}
+    L = LeafSystem(leaves, heights, 1)
+    S = build_complex([(0, 1, 2)])
+    assert check_partial_order(L, leaf_orders(L, S)) == [
+        "a and b precede each other on (0, 1)",
+        "order on (0, 1) not transitive: a < b < a but not a < a",
+        "order on (0, 1) not transitive: a < b < c but not a < c",
+        "order on (0, 1) not transitive: b < a < b but not b < b",
+        "a and b precede each other on (0, 1, 2)",
+        "order on (0, 1, 2) not transitive: a < b < a but not a < a",
+        "order on (0, 1, 2) not transitive: b < a < b but not b < b",
+    ]
+
+
+# random rational heights on a triangle with a tail edge; heights on the
+# grid of multiples of eps^2/2 make exact ties h_b - h_a = 2 eps^2 common
+HEIGHTS = st.one_of(st.integers(-8, 8).map(lambda k: Q(k, 2)),
+                    st.fractions(min_value=-4, max_value=4,
+                                 max_denominator=6))
+
+
+@st.composite
+def leaf_systems(draw):
+    eps = draw(st.sampled_from([Q(1), Q(1, 2), Q(2, 3), Q(3)]))
+    names = ["a", "b", "c", "d"][:draw(st.integers(1, 4))]
+    heights = {(leaf, v): draw(HEIGHTS) * eps * eps
+               for leaf in names for v in range(4)}
+    return LeafSystem([(leaf, 0, 1) for leaf in names], heights, eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(leaf_systems())
+def test_orders_match_prec_on_every_simplex(L):
+    S = build_complex([(0, 1, 2), (2, 3)])
+    table = leaf_orders(L, S)
+    assert list(table) == list(S)
+    for sigma in S:
+        assert table[sigma] == [(a, b) for a in L.leaves for b in L.leaves
+                                if prec(L, a, b, sigma)]
