@@ -42,7 +42,6 @@ from .linalg import (
     smat_mul,
     smat_scale,
     smat_set,
-    smat_sub,
     smat_transpose,
     solve,
 )
@@ -184,11 +183,11 @@ def relation(A: CoefficientSystem, sigma: Simplex, x) -> SMat:
     total = {}
     if k >= 1:
         for sgn, f in boundary_chain(sigma):
-            total = smat_add(total, smat_scale(sgn, x(f)))
+            total = smat_add(total, x(f), sgn)
     for j in range(k + 1):
         left = A.a(sigma[: j + 1])
         right = x(sigma[j:])
-        total = smat_add(total, smat_scale(_sign(k * (j - 1)), smat_mul(left, right)))
+        total = smat_add(total, smat_mul(left, right), _sign(k * (j - 1)))
     return total
 
 
@@ -285,12 +284,7 @@ def cw_boundary(A: CoefficientSystem) -> CWBoundary:
             acc: dict = {}
             if k >= 1:
                 for sgn, f in boundary_chain(sigma):
-                    g = (f, b)
-                    s = acc.get(g, Q(0)) + sgn
-                    if s == 0:
-                        acc.pop(g, None)
-                    else:
-                        acc[g] = s
+                    acc[(f, b)] = Q(sgn)  # the facets are distinct
             for j in range(k + 1):
                 sgn = _sign(k * (j - 1))
                 left = A.a(sigma[: j + 1])
@@ -300,11 +294,13 @@ def cw_boundary(A: CoefficientSystem) -> CWBoundary:
                     continue
                 for col, v in row.items():
                     g = (tail, col)
-                    s = acc.get(g, Q(0)) + sgn * v
-                    if s == 0:
-                        acc.pop(g, None)
-                    else:
+                    s = acc.get(g)
+                    if s is None:
+                        acc[g] = sgn * v
+                    elif s := s + sgn * v:
                         acc[g] = s
+                    else:
+                        del acc[g]
             if acc:
                 matrix[(sigma, b)] = acc
     return CWBoundary(matrix=matrix, degrees=degrees)
@@ -474,10 +470,10 @@ def igusa_check(ig: IgusaSystem) -> list[tuple]:
             for j in range(k + 1):
                 left = ig.e[tup[: j + 1]]
                 right = ig.e[tup[j:]]
-                total = smat_add(total, smat_scale(_sign(j), smat_mul(left, right)))
+                total = smat_add(total, smat_mul(left, right), _sign(j))
                 omitted = tup[:j] + tup[j + 1:]
                 if len(omitted) >= 1:
-                    total = smat_sub(total, smat_scale(_sign(j), ig.e[omitted]))
+                    total = smat_add(total, ig.e[omitted], -_sign(j))
             if not smat_is_zero(total):
                 bad.append(tup)
     return bad
@@ -728,8 +724,8 @@ def _comparison_defect(A: CoefficientSystem, FM: FiberModel,
     I(sigma) D at a vertex."""
     k = dim(sigma)
     d_term = smat_mul(FM.imap(sigma), FM.D)
-    return smat_add(relation(A, sigma, FM.imap),
-                    smat_scale(_sign(k) if k else -1, d_term))
+    return smat_add(relation(A, sigma, FM.imap), d_term,
+                    _sign(k) if k else -1)
 
 
 def omega_betti(FM: FiberModel) -> dict[int, int]:

@@ -14,11 +14,21 @@ The reduced row echelon form of a matrix is unique once its column
 order is fixed (Hoffman & Kunze, *Linear Algebra*, §1.4), so none of
 these results depends on the order of the rows or on which row serves
 as a pivot.
+
+The elimination is fraction-free (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", *Math. Comp.* 22,
+1968): each row is scaled to ints by the lcm of its denominators,
+cleared by integer combinations and kept primitive by dividing out its
+content.  Every row stays a nonzero multiple of the row that rational
+Gauss-Jordan would hold, so pivots and supports are the same; only the
+entries that ``kernel`` and ``solve`` return are converted to
+Fractions, by dividing them by their row's pivot entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Q = Fraction
@@ -65,18 +75,21 @@ def smat_set(m: SMat, r, c, v):
     m.setdefault(r, {})[c] = v
 
 
-def smat_add(a: SMat, b: SMat) -> SMat:
+def smat_add(a: SMat, b: SMat, sign: int = 1) -> SMat:
+    """a + sign * b, for sign = 1 or -1."""
     out = {r: dict(row) for r, row in a.items()}
     for r, row in b.items():
         orow = out.setdefault(r, {})
         for c, v in row.items():
-            w = orow.get(c, Q(0)) + v
-            if w == 0:
-                orow.pop(c, None)
-            else:
+            w = orow.get(c)
+            if w is None:
+                orow[c] = v if sign == 1 else -v
+            elif w := w + v if sign == 1 else w - v:
                 orow[c] = w
+            else:
+                del orow[c]
         if not orow:
-            out.pop(r, None)
+            del out[r]
     return out
 
 
@@ -84,11 +97,15 @@ def smat_scale(c, a: SMat) -> SMat:
     c = qx(c)
     if c == 0:
         return {}
+    if c == 1:
+        return {r: dict(row) for r, row in a.items()}
+    if c == -1:
+        return {r: {cc: -v for cc, v in row.items()} for r, row in a.items()}
     return {r: {cc: c * v for cc, v in row.items()} for r, row in a.items()}
 
 
 def smat_sub(a: SMat, b: SMat) -> SMat:
-    return smat_add(a, smat_scale(-1, b))
+    return smat_add(a, b, -1)
 
 
 def smat_mul(a: SMat, b: SMat) -> SMat:
@@ -100,11 +117,13 @@ def smat_mul(a: SMat, b: SMat) -> SMat:
             if not brow:
                 continue
             for c, w in brow.items():
-                s = acc.get(c, Q(0)) + v * w
-                if s == 0:
-                    acc.pop(c, None)
-                else:
+                s = acc.get(c)
+                if s is None:
+                    acc[c] = v * w
+                elif s := s + v * w:
                     acc[c] = s
+                else:
+                    del acc[c]
         if acc:
             out[r] = acc
     return out
@@ -138,16 +157,26 @@ def smat_entries(a: SMat):
 # the elimination
 # ---------------------------------------------------------------------------
 
+def _int_row(row: dict) -> dict:
+    """A row of Fractions times the lcm of its denominators: an int row
+    with the same support, a positive multiple of the row."""
+    m = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (m // v.denominator) for c, v in row.items()}
+
+
 def _eliminate(a: SMat, cols: Sequence, rhs: Sequence[SVec] = ()):
     """Gauss-Jordan elimination of ``[a | rhs]``, pivoting on ``cols`` only.
 
     Columns are numbered by their place in ``cols``; right-hand side j
     is column ``len(cols) + j``.  Each column in turn takes the first
-    remaining row with a nonzero entry there as its pivot row, scales it
-    to 1 and clears the column from every other row.  Returns the pivot
-    rows ``[(column, row)]`` in column order, which are the reduced row
-    echelon form, and the rows left over, which have entries in
-    right-hand side columns only.
+    remaining row with a nonzero entry there as its pivot row and clears
+    the column from every other row.  The rows are ints throughout: a
+    row with entry f in the column is replaced by (pv/g)*row - (f/g)*prow,
+    where pv is the pivot entry and g = gcd(pv, f), and then divided by
+    its content.  Returns the pivot rows ``[(column, row)]`` in column
+    order, which divided by their pivot entries ``row[column]`` are the
+    reduced row echelon form, and the rows left over, which have entries
+    in right-hand side columns only.
     """
     n = len(cols)
     index = {c: i for i, c in enumerate(cols)}
@@ -157,7 +186,7 @@ def _eliminate(a: SMat, cols: Sequence, rhs: Sequence[SVec] = ()):
         for r, v in b.items():
             if v:
                 work.setdefault(r, {})[n + j] = v
-    rows = list(work.values())
+    rows = [_int_row(row) for row in work.values()]
     occupied: dict[int, list[int]] = {}
     for i, row in enumerate(rows):
         for c in row:
@@ -172,22 +201,33 @@ def _eliminate(a: SMat, cols: Sequence, rhs: Sequence[SVec] = ()):
         if p is None:
             continue
         used.add(p)
-        inv = 1 / rows[p][col]
-        prow = rows[p] = {c: v * inv for c, v in rows[p].items()}
+        prow = rows[p]
         pivots.append((col, prow))
+        pv = prow[col]
         for i in occupied[col]:
             row = rows[i]
             f = row.get(col) if i != p else None
             if not f:
                 continue
+            g = gcd(pv, f)
+            s, t = pv // g, f // g
+            if s < 0:
+                s, t = -s, -t
+            if s != 1:
+                for c in row:
+                    row[c] *= s
             for c, v in prow.items():
-                w = row.get(c, 0) - f * v
+                w = row.get(c, 0) - t * v
                 if w:
                     if c not in row and c < n:
                         occupied[c].append(i)
                     row[c] = w
                 else:
                     row.pop(c, None)
+            content = gcd(*row.values())
+            if content > 1:
+                for c in row:
+                    row[c] //= content
     return pivots, [row for i, row in enumerate(rows) if i not in used]
 
 
@@ -207,9 +247,10 @@ def kernel(a: SMat, cols: Sequence) -> list[SVec]:
     pivot_set = {col for col, _ in pivots}
     basis = {f: {cols[f]: Q(1)} for f in range(len(cols)) if f not in pivot_set}
     for col, row in pivots:
+        pv = row[col]
         for f, w in row.items():
             if f != col:
-                basis[f][cols[col]] = -w
+                basis[f][cols[col]] = Fraction(-w, pv)
     return list(basis.values())
 
 
@@ -226,5 +267,6 @@ def solve(a: SMat, cols: Sequence, rhs: Sequence[SVec]
     pivots, rest = _eliminate(a, cols, rhs)
     inconsistent = {j for row in rest for j in row}
     return [None if j in inconsistent else
-            {cols[col]: row[j] for col, row in pivots if j in row}
+            {cols[col]: Fraction(row[j], row[col]) for col, row in pivots
+             if j in row}
             for j in range(n, n + len(rhs))]

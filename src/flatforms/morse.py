@@ -11,8 +11,10 @@ degree ``index[leaf]``.
 Leaf alpha precedes beta over a simplex when some vertex of it shows
 the gap h_beta - h_alpha > 2*epsilon^2 (``prec``).  So the order over a
 simplex is the union of the orders at its vertices: ``leaf_orders``
-finds each vertex's pairs once and joins them per simplex, and the
-order checks read that one table.
+finds each vertex's pairs once and joins them per simplex, and
+``check_partial_order`` reads that one table.  The union also makes
+the order over a simplex contain the order over each of its faces, so
+that refinement holds by construction and is not checked.
 
 This module owns the block rule: an operator over a simplex of grading
 degree e may carry an entry in the block alpha<-beta only when
@@ -26,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import qx
-from .simplicial import BaseComplex, Simplex, all_faces
+from .simplicial import BaseComplex, Simplex
 
 
 class UnknownLeaf(ValueError):
@@ -153,23 +155,6 @@ def check_partial_order(L: LeafSystem, orders: dict[Simplex, list]
                     problems.append(
                         f"order on {sigma} not transitive: {a} < {b} < {c} "
                         f"but not {a} < {c}"
-                    )
-    return problems
-
-
-def check_refinement(orders: dict[Simplex, list]) -> list[str]:
-    """Verify the order over each simplex of the ``leaf_orders`` table
-    extends the order over each of its faces."""
-    problems = []
-    for sigma, pairs in orders.items():
-        over = set(pairs)
-        for tau in all_faces(sigma):
-            if tau == sigma:
-                continue
-            for a, b in orders[tau]:
-                if (a, b) not in over:
-                    problems.append(
-                        f"{a} < {b} on face {tau} but not on {sigma}"
                     )
     return problems
 

@@ -1,12 +1,13 @@
 from fractions import Fraction as Q
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatforms.linalg import (
     kernel,
     pivot_columns,
     rank,
+    smat_add,
     smat_mul,
     smat_set,
     smat_transpose,
@@ -104,3 +105,157 @@ def test_elimination_is_invariant_and_exact(system):
         if x is not None:
             assert smat_mul(a, _column(x)) == smat_transpose({0: b})
             assert set(x) <= set(pivot_columns(a, cols))  # free variables zero
+
+
+# ---------------------------------------------------------------------------
+# oracle: rational Gauss-Jordan, the elimination before it went fraction-free
+# ---------------------------------------------------------------------------
+
+def reference_eliminate(a, cols, rhs=()):
+    """Gauss-Jordan over Fractions with the library's pivot rule and
+    fill-in bookkeeping: each column in ``cols`` order takes the first
+    remaining row with a nonzero entry there, scaled to 1 before it
+    clears the others."""
+    n = len(cols)
+    index = {c: i for i, c in enumerate(cols)}
+    work = {r: {index[c]: v for c, v in row.items() if v}
+            for r, row in a.items()}
+    for j, b in enumerate(rhs):
+        for r, v in b.items():
+            if v:
+                work.setdefault(r, {})[n + j] = v
+    rows = list(work.values())
+    occupied: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            if c < n:
+                occupied.setdefault(c, []).append(i)
+
+    pivots: list[tuple[int, dict]] = []
+    used: set[int] = set()
+    for col in sorted(occupied):
+        p = next((i for i in occupied[col]
+                  if i not in used and col in rows[i]), None)
+        if p is None:
+            continue
+        used.add(p)
+        inv = 1 / rows[p][col]
+        prow = rows[p] = {c: v * inv for c, v in rows[p].items()}
+        pivots.append((col, prow))
+        for i in occupied[col]:
+            row = rows[i]
+            f = row.get(col) if i != p else None
+            if not f:
+                continue
+            for c, v in prow.items():
+                w = row.get(c, 0) - f * v
+                if w:
+                    if c not in row and c < n:
+                        occupied[c].append(i)
+                    row[c] = w
+                else:
+                    row.pop(c, None)
+    return pivots, [row for i, row in enumerate(rows) if i not in used]
+
+
+def reference_kernel(a, cols):
+    pivots, _ = reference_eliminate(a, cols)
+    pivot_set = {col for col, _ in pivots}
+    basis = {f: {cols[f]: Q(1)} for f in range(len(cols)) if f not in pivot_set}
+    for col, row in pivots:
+        for f, w in row.items():
+            if f != col:
+                basis[f][cols[col]] = -w
+    return list(basis.values())
+
+
+def reference_solve(a, cols, rhs):
+    n = len(cols)
+    pivots, rest = reference_eliminate(a, cols, rhs)
+    inconsistent = {j for row in rest for j in row}
+    return [None if j in inconsistent else
+            {cols[col]: row[j] for col, row in pivots if j in row}
+            for j in range(n, n + len(rhs))]
+
+
+# numerators and denominators up to about 2^70, many of them coprime,
+# some sharing large factors
+DENOMINATORS = [1, 1, 2, 3, 7, 12, 2 ** 35, 3 ** 44, 2 ** 70, 2 ** 61 - 1,
+                (2 ** 61 - 1) * 6]
+big_entries = st.one_of(
+    st.just(Q(0)), st.just(Q(0)), st.just(Q(0)),
+    st.integers(-3, 3).map(Q),
+    st.builds(Q, st.integers(-2 ** 70, 2 ** 70), st.sampled_from(DENOMINATORS)),
+)
+MULTIPLIERS = [1, -1, 2, 6, -12, 2 ** 40 * 3, Q(1, 2 ** 35), Q(-5, 3 ** 44)]
+
+
+@st.composite
+def hard_systems(draw):
+    """Rows with large mixed denominators; some rows are multiples or
+    combinations of earlier ones, so the ints carry a content to divide
+    out and right-hand sides are often inconsistent."""
+    ncols = draw(st.integers(1, 5))
+    cols = [f"c{j}" for j in range(ncols)]
+    dense = []
+    for _ in range(draw(st.integers(0, 6))):
+        if dense and draw(st.booleans()):
+            combo = [Q(0)] * ncols
+            for row in dense:
+                m = Q(draw(st.sampled_from(MULTIPLIERS + [0])))
+                combo = [x + m * y for x, y in zip(combo, row)]
+            dense.append(combo)
+        else:
+            dense.append([draw(big_entries) for _ in cols])
+    # each row stores its entries in its own column order, so a row's
+    # first entry is often not its pivot
+    a = {r: {c: row[c] for c in draw(st.permutations(cols)) if c in row}
+         for r, row in keyed(dense, cols).items()}
+    nrows = len(dense)
+    rhs = [{r: v for r in range(nrows) if (v := draw(big_entries))}
+           for _ in range(draw(st.integers(1, 3)))]
+    return a, cols, rhs
+
+
+def _all_fractions(vectors):
+    return all(type(v) is Q for x in vectors if x is not None
+               for v in x.values())
+
+
+# rows 1 and 2 are multiples of row 0 with a large common content, so
+# only a right-hand side in proportion 1 : 2^40 : -3 is consistent
+CONTENT_SYSTEM = (
+    keyed([[Q(1, 3), Q(2, 2 ** 70), 0],
+           [Q(2 ** 40, 3), Q(2 ** 41, 2 ** 70), 0],
+           [-1, Q(-6, 2 ** 70), 0]], COLS),
+    COLS,
+    [{0: Q(1), 1: Q(2 ** 40), 2: Q(-3)}, {0: Q(1), 1: Q(2 ** 40)}])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hard_systems())
+@example(CONTENT_SYSTEM)
+def test_integer_elimination_matches_rational_reference(system):
+    a, cols, rhs = system
+    pivots, _ = reference_eliminate(a, cols)
+    assert rank(a, cols) == len(pivots)
+    assert pivot_columns(a, cols) == [cols[c] for c, _ in pivots]
+    basis = kernel(a, cols)
+    assert [list(x.items()) for x in basis] == \
+        [list(x.items()) for x in reference_kernel(a, cols)]
+    results = solve(a, cols, rhs)
+    expected = reference_solve(a, cols, rhs)
+    assert [x if x is None else list(x.items()) for x in results] == \
+        [x if x is None else list(x.items()) for x in expected]
+    assert _all_fractions(basis) and _all_fractions(results)
+
+
+def test_signed_sum():
+    a = {0: {"x": Q(1), "y": Q(2)}, 1: {"x": Q(3)}}
+    b = {0: {"x": Q(1), "z": Q(1, 2)}, 2: {"y": Q(-1)}}
+    assert smat_add(a, b) == {0: {"x": Q(2), "y": Q(2), "z": Q(1, 2)},
+                              1: {"x": Q(3)}, 2: {"y": Q(-1)}}
+    assert smat_add(a, b, -1) == {0: {"y": Q(2), "z": Q(-1, 2)},
+                                  1: {"x": Q(3)}, 2: {"y": Q(1)}}
+    assert smat_add(a, a, -1) == {}
+    assert a == {0: {"x": Q(1), "y": Q(2)}, 1: {"x": Q(3)}}  # inputs kept

@@ -9,12 +9,11 @@ from flatforms.morse import (
     UnknownLeaf,
     allowed_blocks,
     check_partial_order,
-    check_refinement,
     leaf_orders,
     prec,
     validate_leaf_system,
 )
-from flatforms.simplicial import build_complex
+from flatforms.simplicial import all_faces, build_complex
 
 
 def two_leaf_system(h_a, h_b, eps=1):
@@ -92,7 +91,6 @@ def test_partial_order_and_refinement_clean_system():
     L = LeafSystem(leaves, heights, 1)
     S = build_complex([(0, 1, 2)])
     assert check_partial_order(L, leaf_orders(L, S)) == []
-    assert check_refinement(leaf_orders(L, S)) == []
     assert prec(L, "a", "c", (0, 1, 2))
 
 
@@ -185,3 +183,8 @@ def test_orders_match_prec_on_every_simplex(L):
     for sigma in S:
         assert table[sigma] == [(a, b) for a in L.leaves for b in L.leaves
                                 if prec(L, a, b, sigma)]
+        # a union over vertices: the order over a simplex contains the
+        # order over each of its faces
+        for tau in all_faces(sigma):
+            assert set(table[tau]) <= set(table[sigma])
+
