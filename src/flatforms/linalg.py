@@ -15,14 +15,18 @@ order is fixed (Hoffman & Kunze, *Linear Algebra*, §1.4), so none of
 these results depends on the order of the rows or on which row serves
 as a pivot.
 
-The elimination is fraction-free (Bareiss, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination", *Math. Comp.* 22,
-1968): each row is scaled to ints by the lcm of its denominators,
-cleared by integer combinations and kept primitive by dividing out its
+The elimination is fraction-free Gauss-Jordan on primitive int rows:
+each row is scaled to ints by the lcm of its denominators, cleared by
+the gcd-reduced combination (pv/g)*row - (f/g)*prow and divided by its
 content.  Every row stays a nonzero multiple of the row that rational
 Gauss-Jordan would hold, so pivots and supports are the same; only the
 entries that ``kernel`` and ``solve`` return are converted to
-Fractions, by dividing them by their row's pivot entry.
+Fractions, by dividing them by their row's pivot entry.  This is not
+Bareiss's algorithm ("Sylvester's identity and multistep
+integer-preserving Gaussian elimination", *Math. Comp.* 22, 1968),
+which divides each update exactly by the previous pivot and so bounds
+the growth of the entries; here the content division keeps rows
+primitive but gives no such bound.
 """
 
 from __future__ import annotations
@@ -97,10 +101,6 @@ def smat_scale(c, a: SMat) -> SMat:
     c = qx(c)
     if c == 0:
         return {}
-    if c == 1:
-        return {r: dict(row) for r, row in a.items()}
-    if c == -1:
-        return {r: {cc: -v for cc, v in row.items()} for r, row in a.items()}
     return {r: {cc: c * v for cc, v in row.items()} for r, row in a.items()}
 
 
