@@ -360,7 +360,7 @@ def cmd_flow(args):
             certs.append(why + batch.unsettled(i))
             continue
         out["limit"] = [float(c) for c in batch.limits[i]]
-        out["limit_vertex"] = m = nearest_vertex(batch.limits[i], tol=1e-6)
+        out["limit_vertex"] = m = nearest_vertex(batch.limits[i])
         if m != expected:
             certs.append(f"{why}limit vertex {m}, expected {expected}")
         out["height_monotone"] = bool(batch.monotone[i])

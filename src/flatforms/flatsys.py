@@ -40,7 +40,6 @@ from .linalg import (
     smat_identity,
     smat_is_zero,
     smat_mul,
-    smat_scale,
     smat_set,
     smat_transpose,
     solve,
@@ -58,6 +57,8 @@ from .simplicial import (
     boundary_chain,
     dim,
     face,
+    parity_sign,
+    parse_skey,
     skey,
 )
 
@@ -141,12 +142,11 @@ class CoefficientSystem:
                   ) -> "CoefficientSystem":
         """The system in ``data``; foreign simplices, leaves or shapes raise."""
         A = cls(S, L)
-        for skey, blocks in data.items():
-            sigma = tuple(int(t) for t in skey.split(","))
+        for key, blocks in data.items():
+            sigma = parse_skey(key)
             m: SMat = {}
             for bkey, mat in blocks.items():
-                arrow = "<-" if "<-" in bkey else "←"
-                al, be = bkey.split(arrow)
+                al, _, be = bkey.partition("<-")
                 if al not in L.rank or be not in L.rank:
                     raise UnknownLeaf(f"block {bkey} on {sigma} names an "
                                       f"undeclared leaf")
@@ -161,10 +161,6 @@ class CoefficientSystem:
                             smat_set(m, (al, i), (be, j), v)
             A.set(sigma, m)
         return A
-
-
-def _sign(e: int) -> int:
-    return -1 if e % 2 else 1
 
 
 def relation(A: CoefficientSystem, sigma: Simplex, x) -> SMat:
@@ -187,7 +183,8 @@ def relation(A: CoefficientSystem, sigma: Simplex, x) -> SMat:
     for j in range(k + 1):
         left = A.a(sigma[: j + 1])
         right = x(sigma[j:])
-        total = smat_add(total, smat_mul(left, right), _sign(k * (j - 1)))
+        total = smat_add(total, smat_mul(left, right),
+                         parity_sign(k * (j - 1)))
     return total
 
 
@@ -286,7 +283,7 @@ def cw_boundary(A: CoefficientSystem) -> CWBoundary:
                 for sgn, f in boundary_chain(sigma):
                     acc[(f, b)] = Q(sgn)  # the facets are distinct
             for j in range(k + 1):
-                sgn = _sign(k * (j - 1))
+                sgn = parity_sign(k * (j - 1))
                 left = A.a(sigma[: j + 1])
                 tail = sigma[j:]
                 row = left.get(b)
@@ -377,7 +374,7 @@ def flatness_equation(A: CoefficientSystem, sigma: Simplex):
     k = dim(sigma)
     a0 = A.a(sigma[:1])
     ak = A.a(sigma[-1:])
-    s0 = _sign(k)
+    s0 = parity_sign(k)
     unknowns = list(block_entries(A.L, allowed_blocks(A.L, sigma, 1 - k)))
     rows: SMat = {}
 
@@ -448,7 +445,7 @@ def igusa_export(A: CoefficientSystem, sigma: Simplex) -> IgusaSystem:
         for tup in combinations(range(n + 1), size):
             k = size - 1
             f = face(sigma, tup)
-            e[tup] = smat_scale(_sign(k * (k - 1) // 2), A.a(f))
+            e[tup] = smat_add({}, A.a(f), parity_sign(k * (k - 1) // 2))
     return IgusaSystem(sigma=sigma, e=e)
 
 
@@ -470,10 +467,10 @@ def igusa_check(ig: IgusaSystem) -> list[tuple]:
             for j in range(k + 1):
                 left = ig.e[tup[: j + 1]]
                 right = ig.e[tup[j:]]
-                total = smat_add(total, smat_mul(left, right), _sign(j))
+                total = smat_add(total, smat_mul(left, right), parity_sign(j))
                 omitted = tup[:j] + tup[j + 1:]
                 if len(omitted) >= 1:
-                    total = smat_add(total, ig.e[omitted], -_sign(j))
+                    total = smat_add(total, ig.e[omitted], -parity_sign(j))
             if not smat_is_zero(total):
                 bad.append(tup)
     return bad
@@ -671,7 +668,7 @@ class FiberModel:
             raise ValueError("fiber model eta does not tag omega exactly")
         I = {}
         for key, m in data["I"].items():
-            sigma = A.S.require(int(t) for t in key.split(","))
+            sigma = A.S.require(parse_skey(key))
             I[sigma] = {}
             for rkey, row in m.items():
                 al, i = rkey.rsplit(":", 1)
@@ -725,7 +722,7 @@ def _comparison_defect(A: CoefficientSystem, FM: FiberModel,
     k = dim(sigma)
     d_term = smat_mul(FM.imap(sigma), FM.D)
     return smat_add(relation(A, sigma, FM.imap), d_term,
-                    _sign(k) if k else -1)
+                    parity_sign(k) if k else -1)
 
 
 def omega_betti(FM: FiberModel) -> dict[int, int]:

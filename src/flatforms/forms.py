@@ -41,6 +41,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .linalg import Q, qint, qx, solve
+from .simplicial import facet_positions
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -305,28 +306,20 @@ class PolyForm:
         return all(_form(self.k, num).affine_pullback(self.k - 1, facet)
                    .is_zero() for num in coefs.values())
 
-    def evaluate(self, point: Sequence) -> dict[tuple[int, ...], Fraction]:
-        """Evaluate coefficients at a chart point; keys are dx tuples."""
+    def value_at(self, point: Sequence) -> Fraction:
+        """Value of a 0-form at a chart point."""
         pt = [qx(p) for p in point]
         if len(pt) != self.k:
             raise ValueError("point has wrong dimension")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for (exps, dxs), c in self.terms.items():
-            v = c
+        if not self.is_homogeneous(0):
+            raise ValueError("value_at needs a 0-form")
+        total = Q(0)
+        for (exps, _dxs), c in self.terms.items():
             for x, e in zip(pt, exps):
                 if e:
-                    v *= x ** e
-            if v != 0:
-                out[dxs] = out.get(dxs, Q(0)) + v
-        return {k: v for k, v in out.items() if v != 0}
-
-    def value_at(self, point: Sequence) -> Fraction:
-        """Value of a 0-form at a chart point."""
-        ev = self.evaluate(point)
-        for dxs, v in ev.items():
-            if dxs != ():
-                raise ValueError("value_at needs a 0-form")
-        return ev.get((), Q(0))
+                    c *= x ** e
+            total += c
+        return total
 
     # -- pullbacks -------------------------------------------------------
 
@@ -530,29 +523,20 @@ def ratio_pullback(forms: Sequence[PolyForm], target_k: int, nums: dict,
 # extension from boundary data
 # ---------------------------------------------------------------------------
 
-def _facet_positions(k: int, j: int) -> tuple[int, ...]:
-    return tuple(p for p in range(k + 1) if p != j)
-
-
 def _common_face_check(k: int, data: Sequence[PolyForm]):
     """Pairwise codim-2 compatibility of facet data on the k-simplex.
 
     Facet j carries a form on the (k-1)-simplex through vertices
-    0..ĵ..k.  For i < j the common face omits both i and j; its
-    positions differ inside the two facets, and the two restrictions
-    must agree exactly.
+    0..ĵ..k.  For i < j the common face omits both i and j: inside
+    facet i it omits position j - 1, inside facet j position i, and the
+    two restrictions must agree exactly.
     """
+    if k < 2:
+        return  # the facets of an edge are disjoint vertices
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
-            fi = _facet_positions(k, i)
-            fj = _facet_positions(k, j)
-            common = tuple(p for p in range(k + 1) if p != i and p != j)
-            if not common:  # k = 1: facets are disjoint vertices
-                continue
-            pos_in_i = tuple(fi.index(p) for p in common)
-            pos_in_j = tuple(fj.index(p) for p in common)
-            ri = data[i].restrict(pos_in_i)
-            rj = data[j].restrict(pos_in_j)
+            ri = data[i].restrict(facet_positions(k - 1, j - 1))
+            rj = data[j].restrict(facet_positions(k - 1, i))
             if ri != rj:
                 raise IncompatibleBoundaryData(
                     f"facets {i} and {j} disagree on their common face",
@@ -568,7 +552,7 @@ def _common_face_check(k: int, data: Sequence[PolyForm]):
 def _restricted_basis_terms(k: int, j: int, key: Key) -> tuple:
     """The basis term ``key`` on the k-chart restricted to facet j, as
     (key, Fraction) pairs: one column of the extension system."""
-    return tuple(_form(k, {key: 1}).restrict(_facet_positions(k, j))
+    return tuple(_form(k, {key: 1}).restrict(facet_positions(k, j))
                  .terms.items())
 
 

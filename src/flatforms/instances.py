@@ -35,14 +35,16 @@ from .linalg import (
     smat_identity,
     smat_mul,
     smat_set,
-    smat_sub,
     smat_transpose,
     solve,
 )
 from .morse import LeafSystem, UnknownLeaf, allowed_blocks, block_entries
-from .simplicial import BaseComplex, Simplex, build_complex, dim
+from .simplicial import BaseComplex, Simplex, dim, parse_skey
 
 LEAF_NAMES = ["a", "b", "c", "d", "e", "f"]
+# size caps of the generated instances: simplices of the base (faces
+# included), leaves, and the rank of each leaf
+MAX_SIMPLICES, MAX_LEAVES, MAX_RANK = 20, 6, 3
 
 
 @dataclass
@@ -56,7 +58,7 @@ class Instance:
     enriched: bool = False    # an edge was perturbed away from the pure gauge
 
 
-def _random_complex(rng: random.Random, max_dim: int, max_simplices: int,
+def _random_complex(rng: random.Random, max_dim: int,
                     need_triangle: bool) -> BaseComplex:
     nv = rng.randrange(3, 7)
     verts = list(range(nv))
@@ -77,17 +79,16 @@ def _random_complex(rng: random.Random, max_dim: int, max_simplices: int,
     rng.shuffle(pool)
     for cand in pool:
         trial = picked + [cand]
-        if closure_count(trial + [(v,) for v in verts]) <= max_simplices:
+        if closure_count(trial + [(v,) for v in verts]) <= MAX_SIMPLICES:
             picked.append(cand)
         if len(picked) > 6:
             break
     total = picked + [(v,) for v in verts]
-    return build_complex(sorted(set(total), key=lambda s: (len(s), s)))
+    return BaseComplex(sorted(set(total), key=lambda s: (len(s), s)))
 
 
-def _random_leaves(rng: random.Random, max_leaves: int, max_rank: int,
-                   S: BaseComplex):
-    n_leaves = rng.randrange(2, max_leaves + 1)
+def _random_leaves(rng: random.Random, S: BaseComplex):
+    n_leaves = rng.randrange(2, MAX_LEAVES + 1)
     names = LEAF_NAMES[:n_leaves]
     n_levels = rng.randrange(2, min(3, n_leaves) + 1)
     levels = {}
@@ -99,7 +100,7 @@ def _random_leaves(rng: random.Random, max_leaves: int, max_rank: int,
     lv1 = [n for n in names if levels[n] == 1]
     if lv0 and lv1:
         indices[lv1[0]] = indices[lv0[0]] + 1
-    ranks = {name: rng.randrange(1, max_rank + 1) for name in names}
+    ranks = {name: rng.randrange(1, MAX_RANK + 1) for name in names}
     while sum(ranks.values()) > 12:
         big = max(ranks, key=lambda n: ranks[n])
         ranks[big] -= 1
@@ -155,7 +156,7 @@ def _design_system(rng: random.Random, S: BaseComplex, L: LeafSystem,
         A.set(v, smat_mul(inv[v[0]], smat_mul(D0, U[v[0]])))
     for e in S.of_dim(1):
         T = smat_mul(inv[e[0]], U[e[1]])
-        A.set(e, smat_sub(T, ident))
+        A.set(e, smat_add(T, ident, -1))
     for k in range(2, S.dim + 1):
         for s in S.of_dim(k):
             A.set(s, {})
@@ -179,13 +180,12 @@ def _kernel_perturbation(rng: random.Random, A: CoefficientSystem,
     return Z or None
 
 
-def generate(seed: int, max_dim: int = 3, max_simplices: int = 20,
-             max_leaves: int = 6, max_rank: int = 3,
-             need_triangle: bool = False, enrich: bool = True) -> Instance:
+def generate(seed: int, max_dim: int = 3, need_triangle: bool = False,
+             enrich: bool = True) -> Instance:
     """Deterministic random instance for the given seed."""
     rng = random.Random(seed)
-    S = _random_complex(rng, max_dim, max_simplices, need_triangle)
-    L, levels = _random_leaves(rng, max_leaves, max_rank, S)
+    S = _random_complex(rng, max_dim, need_triangle)
+    L, levels = _random_leaves(rng, S)
     A, U_inv, D0 = _design_system(rng, S, L, levels)
 
     enriched = False
@@ -205,12 +205,11 @@ def generate(seed: int, max_dim: int = 3, max_simplices: int = 20,
                     enriched=enriched)
 
 
-def designed_instance(seed: int, simplices, max_leaves: int = 6,
-                      max_rank: int = 3) -> Instance:
+def designed_instance(seed: int, simplices) -> Instance:
     """Designed system over a complex given explicitly (no enrichment)."""
     rng = random.Random(seed)
-    S = build_complex(simplices)
-    L, levels = _random_leaves(rng, max_leaves, max_rank, S)
+    S = BaseComplex(simplices)
+    L, levels = _random_leaves(rng, S)
     A, U_inv, D0 = _design_system(rng, S, L, levels)
     return Instance(seed=seed, S=S, L=L, A=A, U_inv=U_inv, D0=D0)
 
@@ -300,9 +299,14 @@ def instance_to_json(S: BaseComplex, L: LeafSystem, A: CoefficientSystem | None
 
 
 def instance_from_json(data: dict):
-    S = build_complex([tuple(s) for s in data["complex"]])
-    heights = {(name, int(v)): h for name, hv in data["heights"].items()
-               for v, h in hv.items()}
+    S = BaseComplex([tuple(s) for s in data["complex"]])
+    heights = {}
+    for name, hv in data["heights"].items():
+        for key, h in hv.items():
+            vertex = parse_skey(key)
+            if len(vertex) != 1:
+                raise ValueError(f"height key {key!r} is not a vertex")
+            heights[(name, vertex[0])] = h
     L = LeafSystem([(n, qint(i), qint(r)) for n, i, r in data["leaves"]],
                    heights, data.get("epsilon", "1"))
     for leaf in L.leaves:

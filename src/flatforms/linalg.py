@@ -97,17 +97,6 @@ def smat_add(a: SMat, b: SMat, sign: int = 1) -> SMat:
     return out
 
 
-def smat_scale(c, a: SMat) -> SMat:
-    c = qx(c)
-    if c == 0:
-        return {}
-    return {r: {cc: c * v for cc, v in row.items()} for r, row in a.items()}
-
-
-def smat_sub(a: SMat, b: SMat) -> SMat:
-    return smat_add(a, b, -1)
-
-
 def smat_mul(a: SMat, b: SMat) -> SMat:
     out: SMat = {}
     for r, arow in a.items():

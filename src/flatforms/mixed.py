@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Optional
 
-from .flatsys import CoefficientSystem, FiberModel, _sign
+from .flatsys import CoefficientSystem, FiberModel
 from .forms import (
     ExtensionInfeasible,
     IncompatibleBoundaryData,
@@ -71,6 +71,9 @@ from .simplicial import (
     all_faces,
     dim,
     face_positions,
+    facet,
+    facet_positions,
+    parity_sign,
     skey,
 )
 
@@ -206,9 +209,6 @@ class FormMatrix:
             out.set_entry(r, c, q, f)
         return out
 
-    def sub(self, other: "FormMatrix") -> "FormMatrix":
-        return self.add(other, -1)
-
     def is_zero(self) -> bool:
         return not self.rows
 
@@ -292,12 +292,6 @@ class FormMatrix:
             out.set_entry(r, c, p.restrict(positions), e)
         return out
 
-    def form_degrees(self) -> set:
-        degs = set()
-        for _r, _c, p, _e in self.entries():
-            degs |= p.form_degrees()
-        return degs
-
 
 def _koszul_wedge(p: PolyForm, q: PolyForm, e: int) -> PolyForm:
     return p.wedge(q.graded_involution() if e % 2 else q)
@@ -369,19 +363,20 @@ def recursion_value(A: CoefficientSystem, store: dict, sigma: Simplex,
     b o a'(sigma[k:], empty) or to b . D.
     """
     m = dim(sigma) - k
-    s = _sign(k + 1)
+    s = parity_sign(k + 1)
     b = store[(sigma, sigma[: k + 1])]
     total = _leading(A, sigma, m, seed, b)
     # alternating sum over the k-vertex faces of sigma[:k+1] omitting an
     # inner vertex (all non-initial, hence owned by smaller simplices)
     for j in range(k):
-        fj = sigma[:j] + sigma[j + 1: k + 1]
-        total = total.add(store[_owner(sigma, fj)], s * _sign(j))
+        fj = facet(sigma[: k + 1], j)
+        total = total.add(store[_owner(sigma, fj)], s * parity_sign(j))
     # splitting products against the initial-segment coefficients
     for j in range(1, k + 1):
         left = _const_endo(A, sigma[: j + 1], m)
         right_j = store[_owner(sigma, sigma[j: k + 1])]
-        total = total.add(left.compose(right_j), s * _sign((k + 1) * (j - 1)))
+        total = total.add(left.compose(right_j),
+                          s * parity_sign((k + 1) * (j - 1)))
     return total.add(right(b, sigma[k:]), s)
 
 
@@ -400,7 +395,7 @@ def extend_span(store: dict, sigma: Simplex, k: int, candidate: FormMatrix,
     l = dim(sigma)
     sigma_p = sigma[:k]
     mm = l - k + 1  # dimension of the extension domain
-    taus = [sigma[:p] + sigma[p + 1:] for p in range(k, l + 1)]
+    taus = [facet(sigma, p) for p in range(k, l + 1)]
     facets_data = [candidate] + [store[(tau, sigma_p)] for tau in taus]
     names = ["the recursion value"] + [f"the data on {tau}" for tau in taus]
     keys = {(r, c) for fm in facets_data for r, c, _p, _e in fm.entries()}
@@ -516,8 +511,8 @@ def check_value_coherence(store: dict, label: str, sigma: Simplex,
     val = store[(sigma, sigma_p)]
     problems = []
     for j in range(k, l + 1):
-        tau = sigma[:j] + sigma[j + 1:]
-        span = [p for p in range(l - lo + 1) if p != j - lo]
+        tau = facet(sigma, j)
+        span = facet_positions(l - lo, j - lo)
         if not val.restrict(span).eq(store[(tau, sigma_p)]):
             problems.append(f"{label}({sigma},{sigma_p}) does not restrict "
                             f"to {label}({tau},{sigma_p})")
@@ -763,7 +758,7 @@ def locality_check(data: MixedConnectionData, cm: ChainMapData) -> list[str]:
                         if al == alpha and be == alpha:
                             keep.set_entry((al, i), (be, m), p)
                     diag = diag.add(keep.mul_const_right(FM.imap((v,))))
-                delta = val.sub(diag)
+                delta = val.add(diag, -1)
                 for (al, _i), c, p, _e in delta.entries():
                     if al == alpha and c in high and not p.is_zero():
                         problems.append(

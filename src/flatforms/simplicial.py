@@ -63,6 +63,24 @@ def skey(sigma: Simplex) -> str:
     return ",".join(map(str, sigma))
 
 
+def parse_skey(key: str) -> Simplex:
+    """The simplex that ``skey`` writes as ``key``.  Any other spelling
+    (spaces, leading zeros, a sign on zero, vertices out of order) is
+    rejected, so each simplex has one key."""
+    try:
+        sigma = tuple(map(int, key.split(",")))
+    except ValueError:
+        sigma = None
+    if sigma is None or skey(sigma) != key:
+        raise SimplexError(f"not a simplex key: {key!r}")
+    return check_simplex(sigma)
+
+
+def parity_sign(e: int) -> int:
+    """(-1)**e."""
+    return -1 if e % 2 else 1
+
+
 def face(sigma: Simplex, positions) -> Simplex:
     """Face of ``sigma`` spanned by the given vertex positions.
 
@@ -83,6 +101,12 @@ def facet(sigma: Simplex, j: int) -> Simplex:
     if not 0 <= j < len(sigma):
         raise IndexOutOfRange(f"position {j} out of range for {sigma}")
     return sigma[:j] + sigma[j + 1:]
+
+
+def facet_positions(k: int, j: int) -> tuple[int, ...]:
+    """Vertex positions of the facet of a k-simplex omitting position j."""
+    return tuple(p for p in range(k + 1) if p != j)
+
 
 def boundary_chain(sigma: Simplex) -> list[tuple[int, Simplex]]:
     """Signed facet list of ``sigma``: entry j is ((-1)**j, sigma minus vertex j).
@@ -112,12 +136,10 @@ def face_positions(tau: Simplex, sigma: Simplex) -> tuple[int, ...]:
     return tuple(pos)
 
 
-def all_faces(sigma: Simplex, include_empty: bool = False):
-    """All faces of ``sigma`` in (dimension, lexicographic) order."""
-    out = [EMPTY] if include_empty else []
-    for size in range(1, len(sigma) + 1):
-        out.extend(combinations(sigma, size))
-    return out
+def all_faces(sigma: Simplex):
+    """All nonempty faces of ``sigma`` in (dimension, lexicographic) order."""
+    return [f for size in range(1, len(sigma) + 1)
+            for f in combinations(sigma, size)]
 
 
 class BaseComplex:
@@ -171,7 +193,3 @@ class BaseComplex:
 
     def of_dim(self, k: int) -> list[Simplex]:
         return self.skeleta.get(k, [])
-
-
-def build_complex(simplices) -> BaseComplex:
-    return BaseComplex(simplices)

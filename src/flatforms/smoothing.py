@@ -43,7 +43,7 @@ from .mixed import (
     intertwines,
     is_flat_connection,
 )
-from .simplicial import EMPTY, BaseComplex, Simplex, dim, face_positions, facet
+from .simplicial import EMPTY, BaseComplex, Simplex, dim, facet, facet_positions
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +82,8 @@ class PartitionOfUnity:
     @classmethod
     def from_json(cls, S: BaseComplex, data: dict) -> "PartitionOfUnity":
         """The partition in ``data``: every simplex of ``S`` needs its
-        denominator and a numerator per vertex, each on its own chart."""
+        denominator and a numerator per vertex, each listed once and each
+        a function (a 0-form) on its own chart."""
         P = cls(S)
 
         def form(item):
@@ -90,12 +91,20 @@ class PartitionOfUnity:
             p = PolyForm.from_json(item["form"])
             if p.k != dim(sigma):
                 raise ValueError(f"form on {sigma} is on a {p.k}-chart")
+            if not p.is_homogeneous(0):
+                raise ValueError(f"form on {sigma} is not a function")
             return sigma, p
+
+        def put(store, key, p):
+            if key in store:
+                raise ValueError(f"partition item listed twice: {key}")
+            store[key] = p
 
         for item in data["num"]:
             sigma, p = form(item)
-            P.num[(sigma, qint(item["v"]))] = p
-        P.den.update(form(item) for item in data["den"])
+            put(P.num, (sigma, qint(item["v"])), p)
+        for item in data["den"]:
+            put(P.den, *form(item))
         for s in S:
             if s not in P.den or any((s, v) not in P.num for v in s):
                 raise ValueError(f"partition does not cover {s}")
@@ -132,7 +141,7 @@ def partition_linear(S: BaseComplex) -> PartitionOfUnity:
 def _facets(sigma: Simplex) -> list:
     """(j, the facet omitting vertex j, its vertex positions in sigma) for
     every facet of sigma that is itself a simplex."""
-    return [(j, facet(sigma, j), face_positions(facet(sigma, j), sigma))
+    return [(j, facet(sigma, j), facet_positions(dim(sigma), j))
             for j in range(len(sigma)) if len(sigma) > 1]
 
 
@@ -202,18 +211,12 @@ def phibar(P: PartitionOfUnity, sigma: Simplex, point) -> tuple:
 RatioMatrix = FormMatrix
 
 
-def pullback_matrix(fm: FormMatrix, P: PartitionOfUnity, sigma: Simplex,
-                    powers: Optional[Powers] = None) -> FormMatrix:
-    """Pull a matrix of forms on |sigma| back along the partition
-    self-map, entry by entry: the collapse onto sigma itself."""
-    return face_collapse_pullback(P, sigma, sigma, fm, powers)
-
-
 def face_collapse_pullback(P: PartitionOfUnity, sigma: Simplex, tau: Simplex,
                            fm_tau: FormMatrix, powers: Optional[Powers] = None
                            ) -> FormMatrix:
     """Pull a matrix on |tau| back to |sigma| along the composite of the
-    partition self-map with the projection onto tau.
+    partition self-map with the projection onto tau.  With tau = sigma
+    it is the pullback along the self-map itself.
 
     The components are the phi of tau's vertices over sigma's
     denominator, so on the face itself the composite agrees with the
@@ -273,8 +276,10 @@ def verify_smoothing(data: MixedConnectionData, P: PartitionOfUnity,
     glob = {}   # sigma -> (pulled-back a', pulled-back I' or None)
     for sigma in data.A.S:
         powers = Powers(P.den[sigma])
-        g = pullback_matrix(data.get(sigma, EMPTY), P, sigma, powers)
-        ig = (pullback_matrix(cm.value(sigma, EMPTY), P, sigma, powers)
+        g = face_collapse_pullback(P, sigma, sigma, data.get(sigma, EMPTY),
+                                   powers)
+        ig = (face_collapse_pullback(P, sigma, sigma, cm.value(sigma, EMPTY),
+                                     powers)
               if cm is not None else None)
         glob[sigma] = g, ig
         if not is_flat_connection(g):
@@ -297,7 +302,7 @@ def verify_smoothing(data: MixedConnectionData, P: PartitionOfUnity,
                     f"global chain map on {sigma} does not restrict to {tau}")
             rhs = face_collapse_pullback(P, sigma, tau, data.get(tau, EMPTY),
                                          powers)
-            for r, c, p, _e in g.sub(rhs).entries():
+            for r, c, p, _e in g.add(rhs, -1).entries():
                 if not p.vanishes_on_facet(j):
                     report["first_order"].append(
                         f"block {r}<-{c} on {sigma} is not determined by "

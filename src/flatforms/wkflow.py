@@ -18,10 +18,11 @@ Trajectories are simulated by one integrator, ``flow_batch``: the
 Dormand-Prince RK45 pair (Hairer, Norsett & Wanner, *Solving Ordinary
 Differential Equations I*, II.4-5) in numpy, advancing a whole batch of
 starts per loop iteration.  Every row keeps its own step size, RMS error
-norm and accept/reject decision, with rtol = 1e-9, atol = 1e-12 and
-steps of at most 1.0.  A row stops when its speed |W(x)| falls through
-1e-10 (the crossing is located on that step's dense output) or at
-t = 200; a single trajectory is a batch of one.
+norm and accept/reject decision, with the fixed RTOL = 1e-9,
+ATOL = 1e-12 and steps of at most MAX_STEP = 1.0.  A row stops when its
+speed |W(x)| falls through SPEED_FLOOR = 1e-10 (the crossing is located
+on that step's dense output) or at ``t_max``, 200 by default; a single
+trajectory is a batch of one.
 """
 
 from __future__ import annotations
@@ -194,6 +195,8 @@ _P_COLS = tuple(zip(*_P))
 
 # step-size control: error estimator order 4, so errors scale as h**5
 MAX_STEP = 1.0
+RTOL, ATOL = 1e-9, 1e-12
+SPEED_FLOOR = 1e-10
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 ERROR_EXPONENT = -1 / 5
 # heights may dip by this much between recorded points and still count
@@ -220,10 +223,10 @@ def _rms(v):
     return _norm(v) / v.shape[1] ** 0.5
 
 
-def _initial_step(fun, y0, f0, t_max, rtol, atol):
+def _initial_step(fun, y0, f0, t_max):
     """First step of every row, by the rule of Hairer, Norsett & Wanner
     II.4 as scipy's RK45 applies it."""
-    scale = atol + np.abs(y0) * rtol
+    scale = ATOL + np.abs(y0) * RTOL
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
@@ -265,12 +268,11 @@ class FlowBatch:
         return f"speed still {self.speeds[i]:.3e} at t={self.t_max}"
 
 
-def flow_batch(k: int, starts, backward: bool = False, t_max: float = 200.0,
-               speed_floor: float = 1e-10, rtol: float = 1e-9,
-               atol: float = 1e-12) -> FlowBatch:
+def flow_batch(k: int, starts, backward: bool = False,
+               t_max: float = 200.0) -> FlowBatch:
     """Integrate the flow from every row of ``starts`` at once.
 
-    Each row runs until its speed falls through ``speed_floor`` or until
+    Each row runs until its speed falls through ``SPEED_FLOOR`` or until
     ``t_max``, with its own step size and error control; a row whose step
     shrinks below ten ulps of its time stops where it is.  A row has
     converged if its speed crossed the floor or ends at or below it.
@@ -304,8 +306,8 @@ def flow_batch(k: int, starts, backward: bool = False, t_max: float = 200.0,
     rows = np.arange(n)
     t = np.zeros(n)
     f = fun(y)
-    h_abs = _initial_step(fun, y, f, t_max, rtol, atol)
-    g = _norm(f) - speed_floor
+    h_abs = _initial_step(fun, y, f, t_max)
+    g = _norm(f) - SPEED_FLOOR
     hgt = height(k, y.T)
     mono = np.ones(n, dtype=bool)
     retry = np.zeros(n, dtype=bool)  # the row's last attempt was rejected
@@ -324,7 +326,7 @@ def flow_batch(k: int, starts, backward: bool = False, t_max: float = 200.0,
         y_new = y + hc * _combine(K, _B)
         f_new = fun(y_new)
         K.append(f_new)
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
         err = _rms(_combine(K, _E) * hc / scale)
 
         accept = (err < 1) & ~stuck
@@ -336,7 +338,7 @@ def flow_batch(k: int, starts, backward: bool = False, t_max: float = 200.0,
         h_abs = h * factor
         retry = ~accept
 
-        g_new = _norm(f_new) - speed_floor
+        g_new = _norm(f_new) - SPEED_FLOOR
         fired = accept & (g >= 0) & (g_new <= 0)
         stepped = accept & ~fired
         hgt_new = height(k, y_new.T)
@@ -365,7 +367,7 @@ def flow_batch(k: int, starts, backward: bool = False, t_max: float = 200.0,
         ev_rows, t_old, step, y_old, h_prev, ev_mono, *K = (
             np.concatenate(parts) for parts in zip(*events))
         Qc = [_combine(K, col) for col in _P_COLS]
-        y_ev, x = _locate_events(y_old, step, Qc, speed_floor)
+        y_ev, x = _locate_events(y_old, step, Qc)
         final[ev_rows] = y_ev
         fired_out[ev_rows] = True
         mono_out[ev_rows] = ev_mono & monotone(h_prev, height(k, y_ev.T))
@@ -377,7 +379,7 @@ def flow_batch(k: int, starts, backward: bool = False, t_max: float = 200.0,
     point_rows, point_times, points = (np.concatenate(parts)
                                        for parts in zip(*recorded))
     return FlowBatch(t_max=t_max, limits=limits, speeds=speeds,
-                     converged=fired_out | (speeds <= speed_floor),
+                     converged=fired_out | (speeds <= SPEED_FLOOR),
                      monotone=mono_out, point_rows=point_rows,
                      point_times=point_times, points=points)
 
@@ -393,7 +395,7 @@ def _dense(y_old, step, Qc, x):
     return step[:, None] * acc + y_old
 
 
-def _locate_events(y_old, step, Qc, speed_floor):
+def _locate_events(y_old, step, Qc):
     """Where on each step's dense output the speed falls through the floor.
 
     The speed is above the floor at the step's start and at or below it
@@ -404,18 +406,22 @@ def _locate_events(y_old, step, Qc, speed_floor):
     hi = np.ones(len(step))
     for _ in range(EVENT_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        above = _norm(wk_field(_dense(y_old, step, Qc, mid))) - speed_floor > 0
+        above = _norm(wk_field(_dense(y_old, step, Qc, mid))) - SPEED_FLOOR > 0
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
     return _dense(y_old, step, Qc, hi), hi
 
 
-def nearest_vertex(point, tol=1e-6):
-    """Index of the vertex the point lies within ``tol`` of, else None."""
+VERTEX_TOL = 1e-6
+
+
+def nearest_vertex(point):
+    """Index of the vertex the point lies within ``VERTEX_TOL`` of, else
+    None."""
     p = np.asarray(point, dtype=float)
     m = int(p.argmax())
     e = np.zeros_like(p)
     e[m] = 1.0
-    if float(np.abs(p - e).max()) <= tol:
+    if float(np.abs(p - e).max()) <= VERTEX_TOL:
         return m
     return None

@@ -146,7 +146,7 @@ def test_criterion_3_simplex_flow_dynamics():
                 if not batch.converged[i]:
                     problems.append(f"k={k} start {x0}: {way} flow did not settle")
                     continue
-                if nearest_vertex(batch.limits[i], tol=1e-6) != expect:
+                if nearest_vertex(batch.limits[i]) != expect:
                     problems.append(f"k={k} start {x0}: wrong {way} limit")
                     continue
                 if not batch.monotone[i]:

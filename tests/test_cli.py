@@ -532,6 +532,26 @@ W_A0 = '["w", "a", 0]'
      "vertex ids must be ints, got True"),
     (lambda d: d["partition"]["den"][0].update(sigma=[0.0]),
      "(0.0,) is not in the complex"),
+    (lambda d: d["partition"]["den"][2]["form"]["terms"].append(
+        {"mono": {}, "dx": [1], "coeff": "1"}), "is not a function"),
+    (lambda d: d["partition"]["num"].append(d["partition"]["num"][3]),
+     "partition item listed twice: ((0, 1, 2), 0)"),
+    (lambda d: d["partition"]["den"].append(d["partition"]["den"][0]),
+     "partition item listed twice: (0,)"),
+    # each simplex has one key, the one skey writes, so two keys never
+    # name one simplex and leave the later to win
+    (lambda d: d["coefficients"].update({"0,01": {}}),
+     "not a simplex key: '0,01'"),
+    (lambda d: d["coefficients"].update({" 0, 1": {}}),
+     "not a simplex key: ' 0, 1'"),
+    (lambda d: d["fiber_model"]["I"].update({"00": {}}),
+     "not a simplex key: '00'"),
+    (lambda d: d["heights"]["a"].update({"01": "0"}),
+     "not a simplex key: '01'"),
+    (lambda d: d["heights"]["a"].update({"0,1": "0"}),
+     "height key '0,1' is not a vertex"),
+    (lambda d: d["coefficients"]["0"].update({"b←a": [["0", "0", "0"]]}),
+     "block b←a on (0,) names an undeclared leaf"),
 ], ids=["non-increasing-simplex", "duplicate-simplex", "non-int-simplex",
         "heights-of-undeclared-leaf", "missing-height",
         "coefficient-outside-complex", "block-of-undeclared-leaf",
@@ -543,7 +563,12 @@ W_A0 = '["w", "a", 0]'
         "model-omega-twice",
         "float-leaf-index", "float-leaf-rank", "float-omega-degree",
         "bool-form-k", "float-exponent", "bool-dx", "float-partition-vertex",
-        "bool-simplex-vertex", "float-partition-simplex"])
+        "bool-simplex-vertex", "float-partition-simplex",
+        "partition-form-not-a-function", "partition-num-twice",
+        "partition-den-twice", "coefficient-key-leading-zero",
+        "coefficient-key-spaces", "model-I-key-leading-zero",
+        "height-key-leading-zero", "height-key-not-a-vertex",
+        "block-arrow-not-ascii"])
 def test_structural_fault_is_input_error_everywhere(capsys, tmp_path, change,
                                                     witness):
     path = triangle_file(tmp_path, change)

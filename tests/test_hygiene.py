@@ -1,10 +1,11 @@
 """Source rules that no linter enforces here: every module-level import
 is used, imports sit at module level, checks raise exceptions instead of
 using ``assert`` (which ``python -O`` strips), importing the command
-line does not load scipy, which is not a dependency, every public
-function, method and class is used in the package itself (a short list
-of functions that only tests call aside), and the term layout of a
-polynomial form stays inside ``forms``.  The command line maps only
+line does not load scipy, which is not a dependency, no module imports
+another's private name, every public function, method and class is
+used in the package itself (a short list of functions that only tests
+call aside), and the term layout of a polynomial form stays inside
+``forms``.  The command line maps only
 input faults to exit 2.  The layers import one way: the data and
 identities over Q (``flatsys``) know nothing of forms, and the instance
 generator and the smoothing each reach only the layer they need."""
@@ -61,6 +62,17 @@ def _package_imports(path):
 ], ids=["flatsys", "instances", "smoothing"])
 def test_layering(module, forbidden):
     assert _package_imports(SRC / f"{module}.py") & forbidden == set()
+
+
+def test_no_module_imports_a_private_name():
+    """A name with a leading underscore stays in the module that
+    defines it; what another module needs is public."""
+    found = sorted(f"{path.name}: {alias.name} (line {node.lineno})"
+                   for path in MODULES for node in ast.walk(_tree(path))
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module != "__future__"
+                   for alias in node.names if alias.name.startswith("_"))
+    assert found == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

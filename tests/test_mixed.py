@@ -24,10 +24,12 @@ from flatforms.instances import (
 from flatforms.mixed import (
     ChainMapData,
     FormMatrix,
+    MixedConnectionData,
     NotNilpotent,
     build_Iprime,
     build_mixed_connection,
     check_bcoord_structure,
+    check_structure,
     check_value_coherence,
     intertwines,
     is_flat_connection,
@@ -36,7 +38,7 @@ from flatforms.mixed import (
     solve_face_coords,
 )
 from flatforms.morse import LeafSystem
-from flatforms.simplicial import EMPTY, build_complex, dim
+from flatforms.simplicial import EMPTY, BaseComplex, dim
 
 
 def worked_edge():
@@ -46,7 +48,7 @@ def worked_edge():
     homotopy p -> r on the edge.  Conjugating a(v0) by id + x*(p -> r)
     gives the closed-form answer checked below.
     """
-    S = build_complex([(0, 1)])
+    S = BaseComplex([(0, 1)])
     L = LeafSystem(
         [("p", 0, 1), ("r", 0, 1), ("q", 1, 1)],
         {("p", 0): 0, ("p", 1): 0, ("r", 0): 3, ("r", 1): 3,
@@ -215,6 +217,37 @@ def test_connection_detects_corrupted_input():
         "0,2: connection is not flat",
         "0,1,2: a'((0, 1, 2),()) does not restrict to a'((1, 2),())",
         "0,1,2: connection is not flat"]
+
+
+def flipped_edge():
+    """An edge whose index-1 leaf q sits below its index-0 leaf p, so
+    the order allows the block p<-q and forbids q<-p."""
+    S = BaseComplex([(0, 1)])
+    L = LeafSystem([("p", 0, 1), ("q", 1, 1)],
+                   {("p", 0): 6, ("p", 1): 6, ("q", 0): 0, ("q", 1): 0}, 1)
+    return CoefficientSystem(S, L, {})
+
+
+def test_structure_check_flags_a_block_against_the_order():
+    """A constant q<-p on a vertex has the right form degree, 0, and is
+    forbidden only by the order."""
+    A = flipped_edge()
+    fm = FormMatrix(0, A.L.deg)
+    fm.set_entry(("q", 0), ("p", 0), PolyForm.one(0))
+    data = MixedConnectionData(A=A, aprime={((0,), EMPTY): fm})
+    assert check_structure(data, (0,), EMPTY) == [
+        "a'((0,),()): block q<-p breaks triangularity"]
+
+
+def test_structure_check_flags_a_form_degree_outside_the_window():
+    """Over the edge at its face (0,) the window is 0..0; an allowed
+    block p<-q homogeneous of its form degree 1 still lies outside."""
+    A = flipped_edge()
+    fm = FormMatrix(1, A.L.deg)
+    fm.set_entry(("p", 0), ("q", 0), PolyForm.dx(1, 1))
+    data = MixedConnectionData(A=A, aprime={((0, 1), (0,)): fm})
+    assert check_structure(data, (0, 1), (0,)) == [
+        "a'((0, 1),(0,)): form degree 1 outside 0..0"]
 
 
 def test_build_reports_corrupted_vertex():

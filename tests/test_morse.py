@@ -13,7 +13,7 @@ from flatforms.morse import (
     prec,
     validate_leaf_system,
 )
-from flatforms.simplicial import all_faces, build_complex
+from flatforms.simplicial import BaseComplex, all_faces
 
 
 def two_leaf_system(h_a, h_b, eps=1):
@@ -46,7 +46,7 @@ def test_prec_single_witness_vertex_suffices():
 def test_fineness_violation_reported():
     # oscillation 1 on the edge is not < eps^2/2 = 1/2
     L = two_leaf_system((0, 1), (3, 3))
-    S = build_complex([(0, 1)])
+    S = BaseComplex([(0, 1)])
     problems = validate_leaf_system(L, S)
     assert any("oscillates" in p for p in problems)
 
@@ -56,7 +56,7 @@ def test_fineness_violation_reported():
 
 def test_fineness_boundary_is_reported():
     # oscillation exactly eps^2/2 is not below eps^2/2 (strict)
-    S = build_complex([(0, 1)])
+    S = BaseComplex([(0, 1)])
     L = two_leaf_system((0, Q(1, 2)), (3, 3))
     assert validate_leaf_system(L, S) == [
         "leaf 'a' oscillates by 1/2 on (0, 1), not below 1/2"]
@@ -67,7 +67,7 @@ def test_fineness_boundary_is_reported():
 
 def test_validate_flags_missing_heights_and_bad_rank():
     L = LeafSystem([("a", 0, 0)], {("a", 0): 0}, 1)
-    S = build_complex([(0, 1)])
+    S = BaseComplex([(0, 1)])
     problems = validate_leaf_system(L, S)
     assert any("rank" in p for p in problems)
     assert any("no height" in p for p in problems)
@@ -89,7 +89,7 @@ def test_partial_order_and_refinement_clean_system():
         heights[("b", v)] = Q(3)
         heights[("c", v)] = Q(6)
     L = LeafSystem(leaves, heights, 1)
-    S = build_complex([(0, 1, 2)])
+    S = BaseComplex([(0, 1, 2)])
     assert check_partial_order(L, leaf_orders(L, S)) == []
     assert prec(L, "a", "c", (0, 1, 2))
 
@@ -119,7 +119,7 @@ def test_allowed_blocks_by_end_degree():
 def test_partial_order_reports_leaves_preceding_each_other():
     # unfine: a < b witnessed at vertex 0 and b < a at vertex 1
     L = two_leaf_system((0, 5), (3, 0))
-    S = build_complex([(0, 1)])
+    S = BaseComplex([(0, 1)])
     assert check_partial_order(L, leaf_orders(L, S)) == [
         "a and b precede each other on (0, 1)",
         "order on (0, 1) not transitive: a < b < a but not a < a",
@@ -133,7 +133,7 @@ def test_partial_order_reports_intransitive_union():
     heights = {("a", 0): 0, ("b", 0): 3, ("c", 0): 1,
                ("a", 1): 1, ("b", 1): 0, ("c", 1): 3}
     L = LeafSystem(leaves, heights, 1)
-    S = build_complex([(0, 1)])
+    S = BaseComplex([(0, 1)])
     assert check_partial_order(L, leaf_orders(L, S)) == [
         "order on (0, 1) not transitive: a < b < c but not a < c"]
 
@@ -146,7 +146,7 @@ def test_partial_order_messages_keep_simplex_and_pair_order():
                ("a", 1): 4, ("b", 1): 0, ("c", 1): 3,
                ("a", 2): 0, ("b", 2): 1, ("c", 2): 6}
     L = LeafSystem(leaves, heights, 1)
-    S = build_complex([(0, 1, 2)])
+    S = BaseComplex([(0, 1, 2)])
     assert check_partial_order(L, leaf_orders(L, S)) == [
         "a and b precede each other on (0, 1)",
         "order on (0, 1) not transitive: a < b < a but not a < a",
@@ -177,7 +177,7 @@ def leaf_systems(draw):
 @settings(max_examples=200, deadline=None)
 @given(leaf_systems())
 def test_orders_match_prec_on_every_simplex(L):
-    S = build_complex([(0, 1, 2), (2, 3)])
+    S = BaseComplex([(0, 1, 2), (2, 3)])
     table = leaf_orders(L, S)
     assert list(table) == list(S)
     for sigma in S:

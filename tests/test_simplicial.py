@@ -7,15 +7,20 @@ from flatforms.simplicial import (
     IndexOutOfRange,
     NonIncreasingVertices,
     NotAFace,
+    SimplexError,
     SimplexNotInComplex,
     ZeroDimensional,
     all_faces,
     boundary_chain,
-    build_complex,
     check_simplex,
     dim,
     face,
     face_positions,
+    facet,
+    facet_positions,
+    parity_sign,
+    parse_skey,
+    skey,
 )
 
 
@@ -54,6 +59,25 @@ def test_boundary_chain_edge_and_vertex():
         boundary_chain(EMPTY)
 
 
+@pytest.mark.parametrize("sigma", [(0,), (0, 1), (2, 10, 11), (-1, 3)])
+def test_parse_skey_inverts_skey(sigma):
+    assert parse_skey(skey(sigma)) == sigma
+
+
+@pytest.mark.parametrize("key", [" 0", "0, 1", "0,01", "00", "01", "+1",
+                                 "-0", "1_0", "1,0", "0,0", "", "0,,1", "a"])
+def test_parse_skey_rejects_every_other_spelling(key):
+    with pytest.raises(SimplexError):
+        parse_skey(key)
+
+
+def test_facet_positions_locate_each_facet():
+    sigma = (3, 5, 8, 9)
+    for j in range(4):
+        assert facet_positions(3, j) == face_positions(facet(sigma, j), sigma)
+    assert [parity_sign(e) for e in range(-1, 3)] == [-1, 1, -1, 1]
+
+
 def test_face_positions_and_not_a_face():
     assert face_positions((1, 3), (0, 1, 2, 3)) == (1, 3)
     with pytest.raises(NotAFace):
@@ -65,11 +89,10 @@ def test_all_faces_order():
     assert fs[0] == (0,)
     assert fs[-1] == (0, 1, 2)
     assert len(fs) == 7
-    assert all_faces((0, 1), include_empty=True)[0] == EMPTY
 
 
 def test_build_complex_closure_and_lookup():
-    S = build_complex([(0, 1, 2), (1, 2, 3)])
+    S = BaseComplex([(0, 1, 2), (1, 2, 3)])
     assert len(S) == 11  # 4 vertices, 5 edges, 2 triangles
     assert S.dim == 2
     assert (1, 2) in S
@@ -81,4 +104,4 @@ def test_build_complex_closure_and_lookup():
 
 def test_build_complex_duplicate():
     with pytest.raises(DuplicateSimplex):
-        build_complex([(0, 1), (0, 1)])
+        BaseComplex([(0, 1), (0, 1)])

@@ -16,20 +16,25 @@ from flatforms.flatsys import (
     quasi_iso_ranks,
 )
 from flatforms.forms import PolyForm, Powers
-from flatforms.instances import designed_instance, generate, make_fiber_model
+from flatforms.instances import (
+    corrupt_random_entry,
+    designed_instance,
+    generate,
+    make_fiber_model,
+)
 from flatforms.mixed import (
     FormMatrix,
     build_Iprime,
     build_mixed_connection,
 )
 from flatforms.morse import LeafSystem
-from flatforms.simplicial import build_complex, dim
+from flatforms.simplicial import BaseComplex, dim
 from flatforms.smoothing import (
     PartitionOfUnity,
+    face_collapse_pullback,
     partition_default,
     partition_linear,
     phibar,
-    pullback_matrix,
     validate_partition,
     verify_smoothing,
 )
@@ -55,7 +60,7 @@ def chain_maps(data, FM):
 def edge_system():
     # same three-leaf edge as in test_mixed, kept local so this file
     # reads on its own
-    S = build_complex([(0, 1)])
+    S = BaseComplex([(0, 1)])
     L = LeafSystem(
         [("p", 0, 1), ("r", 0, 1), ("q", 1, 1)],
         {("p", 0): 0, ("p", 1): 0, ("r", 0): 3, ("r", 1): 3,
@@ -86,7 +91,7 @@ def edge_fiber():
     )
 
 
-SMALL = build_complex([(0, 1, 2), (1, 3)])
+SMALL = BaseComplex([(0, 1, 2), (1, 3)])
 
 
 # --- partitions ---------------------------------------------------------
@@ -100,6 +105,27 @@ def test_linear_partition_is_flagged():
     problems = validate_partition(partition_linear(SMALL))
     assert problems
     assert any("d(phi" in m for m in problems)
+
+
+def test_partition_support_outside_the_star_is_flagged():
+    P = partition_default(SMALL)
+    P.num[((0, 1, 2), 3)] = PolyForm.zero(2)
+    assert validate_partition(P) == [
+        "phi_3 carried on (0, 1, 2) outside its star"]
+
+
+def test_partition_numerator_that_does_not_restrict_is_flagged():
+    """Moving f = x_0^2 x_1^2 from one numerator of an edge to the other
+    keeps their sum, their values at the ends and the flatness of
+    d(phi) there: only the restriction from the triangle breaks."""
+    P = partition_default(SMALL)
+    x0, x1 = PolyForm.coordinate(1, 0), PolyForm.coordinate(1, 1)
+    f = x0.wedge(x0).wedge(x1).wedge(x1)
+    P.num[((0, 1), 0)] = P.num[((0, 1), 0)] + f
+    P.num[((0, 1), 1)] = P.num[((0, 1), 1)] - f
+    assert validate_partition(P) == [
+        "phi_0 on (0, 1, 2) does not restrict to (0, 1)",
+        "phi_1 on (0, 1, 2) does not restrict to (0, 1)"]
 
 
 def test_edge_denominator_is_one():
@@ -213,8 +239,20 @@ def test_ratio_matrix_arithmetic():
     # (x1*den + x2) / den^2
     expected = PolyForm.coordinate(k, 1).wedge(den.base) + PolyForm.coordinate(k, 2)
     assert list(s.entries()) == [("x", "x", expected, 2)]
-    assert s.sub(a).eq(b)
-    assert a.sub(a).is_zero()
+    assert s.add(a, -1).eq(b)
+    assert a.add(a, -1).is_zero()
+
+
+def test_products_over_different_powers_are_summed_over_the_larger():
+    """Two products landing on one entry, over Q and over Q^0, sum to
+    (p1 + Q p2) / Q."""
+    den = den_for(1)
+    p1, p2 = PolyForm.coordinate(1, 1), PolyForm.dx(1, 1)
+    R = FormMatrix(1, {"x": 0, "s": 0, "t": 0}, den)
+    R.set_entry("x", "s", p1, 1)
+    R.set_entry("x", "t", p2, 0)
+    got = R.mul_const_right({"s": {"c": Q(1)}, "t": {"c": Q(1)}})
+    assert list(got.entries()) == [("x", "c", p1 + den.base.wedge(p2), 1)]
 
 
 def test_ratio_matrix_restrict_rejects_mismatched_denominator():
@@ -233,14 +271,15 @@ def test_restrict_of_a_pullback_needs_the_face_denominator():
     shortcut never drops a real denominator."""
     # on an edge B(x_0) + B(x_1) = 1, so take a triangle face
     sigma, tau, deg = (0, 1, 2, 3), (0, 1, 2), {"x": 0}
-    P = partition_default(build_complex([sigma]))
-    g = pullback_matrix(FormMatrix.identity(3, deg), P, sigma)
+    P = partition_default(BaseComplex([sigma]))
+    g = face_collapse_pullback(P, sigma, sigma, FormMatrix.identity(3, deg))
     assert P.den[tau] != PolyForm.one(2)
     with pytest.raises(ValueError):
         g.restrict((0, 1, 2))
     face = Powers(P.den[tau])
     assert g.restrict((0, 1, 2), face).eq(
-        pullback_matrix(FormMatrix.identity(2, deg), P, tau, face))
+        face_collapse_pullback(P, tau, tau, FormMatrix.identity(2, deg),
+                               face))
 
 
 def test_pullback_refuses_a_matrix_with_exponents():
@@ -248,9 +287,9 @@ def test_pullback_refuses_a_matrix_with_exponents():
     matrix with an entry over Q^e, e > 0, is refused rather than pulled
     back with its exponent dropped."""
     R, _den = ratio_fixture()
-    P = partition_default(build_complex([(0, 1, 2)]))
+    P = partition_default(BaseComplex([(0, 1, 2)]))
     with pytest.raises(ValueError):
-        pullback_matrix(R, P, (0, 1, 2))
+        face_collapse_pullback(P, (0, 1, 2), (0, 1, 2), R)
 
 
 def test_ratio_matrix_d_matches_quotient_rule():
@@ -296,7 +335,7 @@ def test_pullback_of_constants_is_constant():
     data = connection(A)
     P = partition_default(A.S)
     a = data.get((0,), ())
-    g = pullback_matrix(a, P, (0,))
+    g = face_collapse_pullback(P, (0,), (0,), a)
     assert g.e == 0
     assert list(g.entries()) == list(a.entries())
 
@@ -311,7 +350,7 @@ def test_pullback_entries_carry_their_own_top():
     seen_mixed = False
     for sigma in inst.A.S:
         a = data.get(sigma, ())
-        g = pullback_matrix(a, P, sigma)
+        g = face_collapse_pullback(P, sigma, sigma, a)
         tops = {}
         for r, c, p, _e in a.entries():
             tops[r, c] = max(sum(t["mono"].values()) + 2 * len(t["dx"])
@@ -322,8 +361,8 @@ def test_pullback_entries_carry_their_own_top():
     assert seen_mixed
 
 
-# --- the partition pullback (pullback_matrix, i.e. forms.ratio_pullback
-# on the numerators and denominator of sigma) --------------------------
+# --- the partition pullback (face_collapse_pullback onto sigma itself,
+# i.e. forms.ratio_pullback on the numerators and denominator of sigma) --
 
 
 def pullback_case(seed, n, partition):
@@ -334,23 +373,24 @@ def pullback_case(seed, n, partition):
     deg = {"a": 0, "b": 1, "c": 2}
     xs = [random_matrix(rng, dim(sigma), list(deg), deg, max_poly=1)
           for _ in range(n)]
-    return sigma, partition(build_complex([sigma])), xs
+    return sigma, partition(BaseComplex([sigma])), xs
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_partition_pullback_commutes_with_d(seed):
     sigma, P, [x] = pullback_case(seed, 1, partition_default)
-    assert pullback_matrix(x.d(), P, sigma).eq(
-        pullback_matrix(x, P, sigma).d())
+    assert face_collapse_pullback(P, sigma, sigma, x.d()).eq(
+        face_collapse_pullback(P, sigma, sigma, x).d())
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_partition_pullback_commutes_with_compose(seed):
     sigma, P, [x, y] = pullback_case(seed, 2, partition_default)
-    assert pullback_matrix(x.compose(y), P, sigma).eq(
-        pullback_matrix(x, P, sigma).compose(pullback_matrix(y, P, sigma)))
+    assert face_collapse_pullback(P, sigma, sigma, x.compose(y)).eq(
+        face_collapse_pullback(P, sigma, sigma, x).compose(
+            face_collapse_pullback(P, sigma, sigma, y)))
 
 
 @settings(max_examples=20, deadline=None)
@@ -361,7 +401,7 @@ def test_linear_partition_pullback_is_the_entrywise_pullback(seed):
     want = FormMatrix(x.k, x.deg)
     for r, c, p, _e in x.entries():
         want.set_entry(r, c, p.pullback(x.k, images))
-    got = pullback_matrix(x, P, sigma)
+    got = face_collapse_pullback(P, sigma, sigma, x)
     num = FormMatrix(x.k, x.deg)
     for r, c, p, _e in got.entries():
         num.set_entry(r, c, p)
@@ -390,6 +430,38 @@ def test_worked_edge_linear_fails_first_order_only():
     assert rep["c0"] == []
     assert rep["first_order"]
     assert all("not determined by its face" in m for m in rep["first_order"])
+
+
+def test_smoothing_flags_a_connection_that_is_not_flat():
+    inst = designed_instance(27, [(0, 1, 2)])
+    bad, _desc = corrupt_random_entry(random.Random(1), inst.A)
+    rep = verify_smoothing(build_mixed_connection(bad),
+                           partition_default(bad.S))
+    assert rep["flat"] == [
+        "pullback over (0,) is not flat", "pullback over (0, 1) is not flat",
+        "pullback over (0, 2) is not flat",
+        "pullback over (0, 1, 2) is not flat"]
+
+
+def test_smoothing_flags_a_form_that_does_not_restrict():
+    A = edge_system()
+    A.coeffs[(0,)][("q", 0)][("r", 0)] = Q(2)
+    rep = verify_smoothing(build_mixed_connection(A), partition_default(A.S))
+    assert rep["c0"] == ["global form on (0, 1) does not restrict to (1,)"]
+
+
+def test_smoothing_flags_a_chain_map_that_does_not_restrict():
+    """Doubling I'((1,), empty) keeps it a chain map, since the chain
+    identity is linear in it, and breaks only its agreement with the
+    edge."""
+    A = edge_system()
+    data = connection(A)
+    cm = chain_maps(data, edge_fiber())
+    value = cm.value((1,), ())
+    cm.values[((1,), ())] = value.add(value)
+    rep = verify_smoothing(data, partition_default(A.S), cm)
+    assert rep == {"flat": [], "c0": [], "first_order": [], "chain": [
+        "global chain map on (0, 1) does not restrict to (1,)"]}
 
 
 @pytest.mark.parametrize("seed", [3, 5, 8])
