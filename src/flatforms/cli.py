@@ -100,6 +100,23 @@ class Loaded:
         self.no_model = no_model   # why FM is None, when it is
 
 
+def _one_value_per_key(pairs: list) -> dict:
+    """A JSON object of an instance file.  ``json.loads`` would keep the
+    later of two values under one key; here a key given twice is a
+    fault of the file."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"key {key!r} given twice in one object")
+        out[key] = value
+    return out
+
+
+# one decoder for every instance file, as ``json.loads`` keeps one for
+# its default settings: a decoder made per call leaves memory behind
+_INSTANCE_JSON = json.JSONDecoder(object_pairs_hook=_one_value_per_key)
+
+
 def load_instance(args) -> Loaded:
     """The instance of ``--instance FILE`` or ``--seed N``.  The one place
     where a file the parsers reject (they check keys, simplices, leaves
@@ -115,7 +132,7 @@ def load_instance(args) -> Loaded:
     if not args.instance:
         raise ParseError("provide --instance FILE or --seed N")
     try:
-        raw = json.loads(Path(args.instance).read_text())
+        raw = _INSTANCE_JSON.decode(Path(args.instance).read_text())
     except FileNotFoundError:
         raise ParseError(f"no such file: {args.instance}")
     except ValueError as ex:               # not JSON, or not text at all

@@ -671,11 +671,14 @@ class FiberModel:
             sigma = A.S.require(parse_skey(key))
             I[sigma] = {}
             for rkey, row in m.items():
+                # the index is the decimal ``to_json`` writes, so that two
+                # keys never name one row and leave the later to win
                 al, i = rkey.rsplit(":", 1)
-                if (al, int(i)) not in A.L.deg:
+                element = (al, int(i))
+                if str(element[1]) != i or element not in A.L.deg:
                     raise ValueError(
                         f"fiber model names {rkey}, not a module element")
-                I[sigma][(al, int(i))] = {name(e): qx(v) for e, v in row.items()}
+                I[sigma][element] = {name(e): qx(v) for e, v in row.items()}
         return cls(
             omega_basis=[e for e, _ in omega],
             omega_degree=dict(omega),

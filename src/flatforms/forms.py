@@ -16,6 +16,12 @@ from boundary data (a linear solve over Q), the contraction operator of
 the Poincaré lemma, evaluation and serialization.  All operations are
 exact.
 
+The extension system for r-forms of polynomial degree at most d on the
+k-simplex depends on (k, r, d) alone, and only its right-hand side on
+the boundary data.  So each such shape is eliminated once per process
+(``linalg.solver``, cached per shape) and every extension of that shape
+reads its solution off the stored elimination.
+
 Face restrictions and chart changes are affine maps that send each
 chart variable to a barycentric coordinate of the target or to zero;
 ``PolyForm.affine_pullback`` performs all of them from a per-map table.
@@ -40,7 +46,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .linalg import Q, qint, qx, solve
+from .linalg import Q, qint, qx, solver
 from .simplicial import facet_positions
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
@@ -415,15 +421,23 @@ class PolyForm:
     def from_json(cls, data: dict) -> "PolyForm":
         k = qint(data["k"])
         chart = range(1, k + 1)
+        # a variable key is the decimal ``to_json`` writes, so that two
+        # keys never name one variable
+        variable = {str(i): i for i in chart}
         terms = {}
         for t in data.get("terms", []):
-            mono = {int(var): qint(e) for var, e in t.get("mono", {}).items()}
+            mono = {variable.get(var): qint(e)
+                    for var, e in t.get("mono", {}).items()}
             dxs = tuple(qint(i) for i in t.get("dx", []))
-            if not (all(v in chart and e >= 0 for v, e in mono.items())
+            if not (all(v is not None and e >= 0 for v, e in mono.items())
                     and all(i in chart for i in dxs)
                     and list(dxs) == sorted(set(dxs))):
                 raise ValueError(f"term {t} is not a form on a {k}-chart")
-            terms[(tuple(mono.get(i, 0) for i in chart), dxs)] = qx(t["coeff"])
+            key = (tuple(mono.get(i, 0) for i in chart), dxs)
+            if key in terms:
+                raise ValueError(f"term {t} repeats an earlier term's "
+                                 f"monomial and dx")
+            terms[key] = qx(t["coeff"])
         return cls(k, terms)
 
     def __repr__(self):
@@ -548,14 +562,6 @@ def _common_face_check(k: int, data: Sequence[PolyForm]):
                 )
 
 
-@cache
-def _restricted_basis_terms(k: int, j: int, key: Key) -> tuple:
-    """The basis term ``key`` on the k-chart restricted to facet j, as
-    (key, Fraction) pairs: one column of the extension system."""
-    return tuple(_form(k, {key: 1}).restrict(facet_positions(k, j))
-                 .terms.items())
-
-
 def _monomials_upto(k: int, deg: int):
     if k == 0:
         yield ()
@@ -602,31 +608,33 @@ def extend_from_boundary(k: int, data: Sequence[PolyForm],
     return total
 
 
+@cache
+def _extension_solver(k: int, r: int, deg: int):
+    """The solver of the extension system for r-forms of polynomial
+    degree at most ``deg`` on the k-simplex: one column per basis term,
+    one row per (facet j, term of the restriction to facet j).  It
+    depends on the shape alone, so it is eliminated once per shape."""
+    cols = [(mono, dd) for mono in _monomials_upto(k, deg)
+            for dd in _dx_tuples(k, r)]
+    rows: dict[tuple, dict[Key, Fraction]] = {}
+    for j in range(k + 1):
+        positions = facet_positions(k, j)
+        for key in cols:
+            for tkey, c in _form(k, {key: 1}).restrict(positions).terms.items():
+                rows.setdefault((j, tkey), {})[key] = c
+    return solver(rows, cols)
+
+
 def _extend_homogeneous(k: int, data: Sequence[PolyForm], r: int,
                         d0: int, ceiling: int) -> PolyForm:
     if all(f.is_zero() for f in data):
         return PolyForm.zero(k)
-    dxs = _dx_tuples(k, r)
-    if not dxs:
-        return PolyForm.zero(k)
-    deg = d0
-    while deg <= ceiling:
-        cols: list[Key] = []
-        for mono in _monomials_upto(k, deg):
-            for dd in dxs:
-                cols.append((mono, dd))
-        rows: dict[tuple, dict[Key, Fraction]] = {}
-        rhs: dict[tuple, Fraction] = {}
-        for j in range(k + 1):
-            for key in cols:
-                for tkey, c in _restricted_basis_terms(k, j, key):
-                    rows.setdefault((j, tkey), {})[key] = c
-            for tkey, c in data[j].terms.items():
-                rhs[(j, tkey)] = c
-        [x] = solve(rows, cols, [rhs])
+    rhs = {(j, tkey): c for j in range(k + 1)
+           for tkey, c in data[j].terms.items()}
+    for deg in range(d0, ceiling + 1):
+        x = _extension_solver(k, r, deg)(rhs)
         if x is not None:
             return PolyForm(k, x)
-        deg += 1
     raise ExtensionInfeasible(
         f"no degree <= {ceiling} extension for form degree {r} on the {k}-simplex")
 

@@ -27,13 +27,17 @@ integer-preserving Gaussian elimination", *Math. Comp.* 22, 1968),
 which divides each update exactly by the previous pivot and so bounds
 the growth of the entries; here the content division keeps rows
 primitive but gives no such bound.
+
+``solver`` eliminates a matrix once, beside the identity, for
+right-hand sides that are not known yet, and gives each of them the
+solution that ``solve`` would give.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 Q = Fraction
 
@@ -259,3 +263,47 @@ def solve(a: SMat, cols: Sequence, rhs: Sequence[SVec]
             {cols[col]: Fraction(row[j], row[col]) for col, row in pivots
              if j in row}
             for j in range(n, n + len(rhs))]
+
+
+def solver(a: SMat, cols: Sequence) -> Callable[[SVec], Optional[SVec]]:
+    """The map b -> ``solve(a, cols, [b])[0]``, eliminating once for
+    every b to come.
+
+    ``[a | I]`` is eliminated, with one identity column per row key of
+    ``a``.  Row operations act alike on every right-hand side, so a
+    reduced row holds in its identity columns the combination of b's
+    entries that it carries as its right-hand side entry.  Each pivot
+    row gives one entry of x; each row left over, which is zero in the
+    columns of ``a``, must give zero, and b must vanish off the row
+    keys of ``a``, or b is inconsistent and the map returns None.  The
+    pivots are those of ``solve``, so x is the same: free variables
+    zero, keyed by column in column order.
+    """
+    keys = list(a)
+    n = len(cols)
+    pivots, rest = _eliminate(a, cols, [{r: Q(1)} for r in keys])
+    # for each row key, {reduced row: its multiple of b[key]}; pivot
+    # rows first, numbered as in ``pivots``, then the rows left over
+    spread: dict = {r: {} for r in keys}
+    for i, row in enumerate([row for _col, row in pivots] + rest):
+        for c, v in row.items():
+            if c >= n:
+                spread[keys[c - n]][i] = v
+    heads = [(cols[col], row[col]) for col, row in pivots]
+
+    def apply(b: SVec) -> Optional[SVec]:
+        b = {r: v for r, v in b.items() if v}
+        if not b.keys() <= spread.keys():
+            return None
+        m = lcm(*(v.denominator for v in b.values()))
+        acc: dict[int, int] = {}
+        for r, v in b.items():
+            nv = v.numerator * (m // v.denominator)
+            for i, w in spread[r].items():
+                acc[i] = acc.get(i, 0) + w * nv
+        if any(v for i, v in acc.items() if i >= len(heads)):
+            return None
+        return {c: Fraction(acc[i], pv * m) for i, (c, pv) in enumerate(heads)
+                if acc.get(i)}
+
+    return apply

@@ -614,36 +614,37 @@ def solve_face_coords(A: CoefficientSystem, FM: FiberModel, sigma: Simplex,
     mm = value.k
     faces = [s2 for s2 in all_faces(sigma)
              if not smat_is_zero(FM.imap(s2))]
-    omega = list(FM.omega_basis)
 
-    def columns(al: str, r: int) -> list[tuple[Simplex, tuple]]:
-        below = {be: prec(L, be, al, sigma) for be in L.leaves if be != al}
-        cols = []
+    def columns(al: str) -> dict[int, list[tuple[Simplex, tuple]]]:
+        """The unknowns of the blocks of row leaf ``al``, by form degree:
+        faces outer, module basis inner.  A column leaf is ``al`` or
+        precedes it over ``sigma``.  On the diagonal the degree is
+        dim(s2) - kk, so a face of dimension below ``kk`` lands on a
+        negative degree, which no block has."""
+        leaves = [be for be in L.leaves
+                  if be == al or prec(L, be, al, sigma)]
+        by_degree: dict[int, list] = {}
         for s2 in faces:
-            for be_m in L.basis:
-                be = be_m[0]
-                if be == al:
-                    if dim(s2) < kk:
-                        continue
-                elif not below[be]:
-                    continue
-                if L.index[be] - L.index[al] + dim(s2) - kk != r:
-                    continue
-                cols.append((s2, be_m))
-        return cols
+            for be in leaves:
+                r = L.index[be] - L.index[al] + dim(s2) - kk
+                by_degree.setdefault(r, []).extend(
+                    (s2, (be, i)) for i in range(L.rank[be]))
+        return by_degree
 
     # one right-hand side per (module row, monomial), grouped by block
     order = []
     blocks: dict[tuple, list] = {}
     for row in sorted(value.rows, key=repr):
-        split = monomial_coefficients({e: value.entry(row, e) for e in omega})
+        split = monomial_coefficients(
+            {e: p for e, (p, _e) in value.rows[row].items()})
         for mono, r, vec in split:
             blocks.setdefault((row[0], r), []).append((len(order), vec))
             order.append((row, mono))
 
     solutions = [None] * len(order)
+    table = {al: columns(al) for al in dict.fromkeys(al for al, _r in blocks)}
     for (al, r), items in blocks.items():
-        cols = columns(al, r)
+        cols = table[al].get(r, [])
         mat = smat_transpose({(s2, be_m): FM.imap(s2).get(be_m, {})
                               for s2, be_m in cols})
         xs = solve(mat, cols, [vec for _i, vec in items])

@@ -12,7 +12,11 @@ Leaf alpha precedes beta over a simplex when some vertex of it shows
 the gap h_beta - h_alpha > 2*epsilon^2 (``prec``).  So the order over a
 simplex is the union of the orders at its vertices: ``leaf_orders``
 finds each vertex's pairs once and joins them per simplex, and
-``check_partial_order`` reads that one table.  The union also makes
+``check_partial_order`` reads that one table.  Both compare ints: at
+construction the leaf system writes every height and the gap over one
+common positive denominator and keeps the numerators, so an order
+question costs no Fraction arithmetic.  ``heights`` is read-only, so
+that table cannot go stale.  The union also makes
 the order over a simplex contain the order over each of its faces, so
 that refinement holds by construction and is not checked.
 
@@ -26,6 +30,9 @@ ind(alpha) = ind(beta) + e and beta precedes alpha over that simplex
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from types import MappingProxyType
+from typing import Mapping
 
 from .linalg import qx
 from .simplicial import BaseComplex, Simplex
@@ -62,21 +69,32 @@ class LeafSystem:
             (leaf, i) for leaf in self.leaves for i in range(self.rank[leaf])
         ]
         self.deg = {b: self.index[b[0]] for b in self.basis}
-        self.heights: dict[tuple[str, int], Fraction] = {
-            (leaf, v): qx(h) for (leaf, v), h in heights.items()
-        }
-        for leaf, _v in self.heights:
+        exact = {(leaf, v): qx(h) for (leaf, v), h in heights.items()}
+        for leaf, _v in exact:
             if leaf not in self.index:
                 raise UnknownLeaf(leaf)
+        self.heights: Mapping[tuple[str, int], Fraction] = \
+            MappingProxyType(exact)
         self.epsilon = qx(epsilon)
+        # the heights and the gap 2*epsilon^2 as int numerators over one
+        # positive denominator, the table behind ``prec`` and
+        # ``leaf_orders``
+        gap = 2 * self.epsilon * self.epsilon
+        den = lcm(gap.denominator, *(h.denominator for h in exact.values()))
+        self._level = {key: h.numerator * (den // h.denominator)
+                       for key, h in exact.items()}
+        self._gap = gap.numerator * (den // gap.denominator)
+
+    def _missing(self, leaf: str, vertex: int) -> UnknownLeaf:
+        if leaf not in self.index:
+            return UnknownLeaf(leaf)
+        return UnknownLeaf(f"no height for leaf {leaf!r} at vertex {vertex}")
 
     def height(self, leaf: str, vertex: int) -> Fraction:
-        if leaf not in self.index:
-            raise UnknownLeaf(leaf)
         try:
             return self.heights[(leaf, vertex)]
         except KeyError:
-            raise UnknownLeaf(f"no height for leaf {leaf!r} at vertex {vertex}") from None
+            raise self._missing(leaf, vertex) from None
 
 
 def validate_leaf_system(L: LeafSystem, S: BaseComplex) -> list[str]:
@@ -112,20 +130,27 @@ def prec(L: LeafSystem, alpha: str, beta: str, sigma: Simplex) -> bool:
     """True when ``alpha`` precedes ``beta`` over ``sigma``.
 
     Holds iff the height gap h_beta - h_alpha exceeds 2*epsilon^2 at
-    some vertex of ``sigma`` (strict).
+    some vertex of ``sigma`` (strict).  The vertices are tried in order,
+    and a missing height raises ``UnknownLeaf`` as ``L.height`` does.
     """
-    gap = 2 * L.epsilon * L.epsilon
-    return any(L.height(beta, v) - L.height(alpha, v) > gap for v in sigma)
+    level, gap = L._level, L._gap
+    try:
+        return any(level[beta, v] - level[alpha, v] > gap for v in sigma)
+    except KeyError as ex:
+        raise L._missing(*ex.args[0]) from None
 
 
 def leaf_orders(L: LeafSystem, S: BaseComplex) -> dict[Simplex, list]:
     """The pairs (a, b) with ``a`` preceding ``b`` over each simplex of
     ``S``, in declared leaf order: the union of the pairs that ``prec``
     finds at each vertex of the simplex."""
-    gap = 2 * L.epsilon * L.epsilon
+    gap = L._gap
     at = {}
     for (v,) in S.vertices():
-        h = {leaf: L.height(leaf, v) for leaf in L.leaves}
+        try:
+            h = {leaf: L._level[leaf, v] for leaf in L.leaves}
+        except KeyError as ex:
+            raise L._missing(*ex.args[0]) from None
         at[v] = {(a, b) for a in L.leaves for b in L.leaves
                  if h[b] - h[a] > gap}
     pairs = [(a, b) for a in L.leaves for b in L.leaves]

@@ -552,6 +552,19 @@ W_A0 = '["w", "a", 0]'
      "height key '0,1' is not a vertex"),
     (lambda d: d["coefficients"]["0"].update({"b←a": [["0", "0", "0"]]}),
      "block b←a on (0,) names an undeclared leaf"),
+    # a form term, a monomial variable and a model row also have one
+    # spelling each, so that no term or row silently replaces another
+    (lambda d: d["partition"]["den"][2]["form"]["terms"].append(
+        d["partition"]["den"][2]["form"]["terms"][0]),
+     "repeats an earlier term's monomial and dx"),
+    (lambda d: d["partition"]["num"][1]["form"]["terms"][1]["mono"].update(
+        {"01": 1}), "is not a form on a 1-chart"),
+    (lambda d: d["partition"]["num"][1]["form"]["terms"][1]["mono"].update(
+        {" 1": 1}), "is not a form on a 1-chart"),
+    (lambda d: d["fiber_model"]["I"]["0"].update({"a:00": {}}),
+     "fiber model names a:00, not a module element"),
+    (lambda d: d["fiber_model"]["I"]["0"].update({"a: 0": {}}),
+     "fiber model names a: 0, not a module element"),
 ], ids=["non-increasing-simplex", "duplicate-simplex", "non-int-simplex",
         "heights-of-undeclared-leaf", "missing-height",
         "coefficient-outside-complex", "block-of-undeclared-leaf",
@@ -568,7 +581,9 @@ W_A0 = '["w", "a", 0]'
         "partition-den-twice", "coefficient-key-leading-zero",
         "coefficient-key-spaces", "model-I-key-leading-zero",
         "height-key-leading-zero", "height-key-not-a-vertex",
-        "block-arrow-not-ascii"])
+        "block-arrow-not-ascii", "form-term-twice",
+        "form-variable-leading-zero", "form-variable-space",
+        "model-row-leading-zero", "model-row-space"])
 def test_structural_fault_is_input_error_everywhere(capsys, tmp_path, change,
                                                     witness):
     path = triangle_file(tmp_path, change)
@@ -578,6 +593,34 @@ def test_structural_fault_is_input_error_everywhere(capsys, tmp_path, change,
         assert captured.out == ""
         assert captured.err.startswith("input error: malformed instance file")
         assert witness in captured.err
+
+
+@pytest.mark.parametrize("where, key, later", [
+    (("fiber_model", "I", "0"), "a:0", {}),
+    (("coefficients",), "0,1", {}),
+    (("heights", "a"), "1", "5"),
+], ids=["model-row", "coefficient-simplex", "height-vertex"])
+def test_key_given_twice_is_input_error_everywhere(capsys, tmp_path, where,
+                                                   key, later):
+    """``json.loads`` keeps the later of two values under one key; the
+    instance reader refuses the file instead, so that no row, simplex or
+    height silently replaces another."""
+    data = json.loads(json.dumps(TRIANGLE))
+    obj = data
+    for name in where:
+        obj = obj[name]
+    first = obj.pop(key)
+    obj["REPEATED"] = None
+    pair = f"{json.dumps(key)}: {json.dumps(first)}, " \
+        f"{json.dumps(key)}: {json.dumps(later)}"
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(data).replace('"REPEATED": null', pair))
+    for cmd in INSTANCE_COMMANDS:
+        assert main([cmd, "--instance", str(path)]) == 2, cmd
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"is not valid JSON: key {key!r} given twice in one object\n")
 
 
 @pytest.mark.parametrize("cmd, check, coefficients, missing", [

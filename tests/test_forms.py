@@ -10,9 +10,14 @@ from flatforms.forms import (
     ExtensionInfeasible,
     IncompatibleBoundaryData,
     PolyForm,
+    _dx_tuples,
+    _extend_homogeneous,
+    _monomials_upto,
     extend_from_boundary,
     poincare_contract,
 )
+from flatforms.linalg import solve
+from flatforms.simplicial import facet_positions
 
 
 def random_form(rng, k, max_poly_deg=3, degrees=None):
@@ -207,6 +212,72 @@ def test_extend_respects_ceiling():
     data = [PolyForm.one(0), PolyForm.zero(0)]
     with pytest.raises(ExtensionInfeasible):
         extend_from_boundary(1, data, max_degree=0)
+
+
+# --- oracle: the extension that eliminated its system on every call ------
+
+
+def restricted_basis_terms(k, j, key):
+    return tuple(PolyForm(k, {key: 1}).restrict(facet_positions(k, j))
+                 .terms.items())
+
+
+def solve_extend_homogeneous(k, data, r, d0, ceiling):
+    if all(f.is_zero() for f in data):
+        return PolyForm.zero(k)
+    dxs = _dx_tuples(k, r)
+    if not dxs:
+        return PolyForm.zero(k)
+    deg = d0
+    while deg <= ceiling:
+        cols = []
+        for mono in _monomials_upto(k, deg):
+            for dd in dxs:
+                cols.append((mono, dd))
+        rows = {}
+        rhs = {}
+        for j in range(k + 1):
+            for key in cols:
+                for tkey, c in restricted_basis_terms(k, j, key):
+                    rows.setdefault((j, tkey), {})[key] = c
+            for tkey, c in data[j].terms.items():
+                rhs[(j, tkey)] = c
+        [x] = solve(rows, cols, [rhs])
+        if x is not None:
+            return PolyForm(k, x)
+        deg += 1
+    raise ExtensionInfeasible(
+        f"no degree <= {ceiling} extension for form degree {r} on the {k}-simplex")
+
+
+def extension_outcome(extend, *args):
+    try:
+        return "form", list(extend(*args).terms.items())
+    except ExtensionInfeasible as ex:
+        return "infeasible", str(ex)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(0, 2),
+       st.booleans())
+def test_cached_extension_matches_solving_each_time(seed, k, extra, clash):
+    """The extension read from the system eliminated once per shape
+    gives the same terms, in the same order, as solving the system on
+    each call, or fails with the same text: on the facet restrictions
+    of a form, and on that data with one random term added to one facet,
+    which mostly leaves no extension."""
+    rng = random.Random(seed)
+    f = random_form(rng, k)
+    data = [f.restrict(facet_positions(k, j)) for j in range(k + 1)]
+    if clash:
+        j = rng.randrange(k + 1)
+        data[j] = data[j] + random_form(rng, k - 1)
+    d0 = max(g.poly_degree() for g in data)
+    for r in range(k):
+        part = [g.degree_part(r) for g in data]
+        args = (k, part, r, d0, d0 + extra)
+        assert extension_outcome(_extend_homogeneous, *args) == \
+            extension_outcome(solve_extend_homogeneous, *args)
 
 
 # --- contraction ---------------------------------------------------------

@@ -4,8 +4,9 @@ using ``assert`` (which ``python -O`` strips), importing the command
 line does not load scipy, which is not a dependency, no module imports
 another's private name, every public function, method and class is
 used in the package itself (a short list of functions that only tests
-call aside), and the term layout of a polynomial form stays inside
-``forms``.  The command line maps only
+call aside), the term layout of a polynomial form stays inside
+``forms``, and a module-level cache is keyed on ints and tuples only.
+The command line maps only
 input faults to exit 2.  The layers import one way: the data and
 identities over Q (``flatsys``) know nothing of forms, and the instance
 generator and the smoothing each reach only the layer they need."""
@@ -18,6 +19,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from flatforms.morse import LeafSystem
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "flatforms"
@@ -239,3 +242,41 @@ def test_cli_main_maps_only_input_faults_to_exit_2():
     assert all(h.type is not None for h in handlers)
     assert named & {"KeyError", "TypeError", "ValueError", "LookupError",
                     "Exception", "BaseException"} == set()
+
+
+def _is_cache(decorator):
+    """``@cache``, ``@functools.cache`` or ``@lru_cache(...)``."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = getattr(decorator, "id", getattr(decorator, "attr", None))
+    return name in {"cache", "lru_cache"}
+
+
+def _int_or_tuple(annotation):
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    return isinstance(annotation, ast.Name) and annotation.id in {"int", "tuple"}
+
+
+def test_caches_take_only_ints_and_tuples():
+    """A module-level cache lives as long as the process.  Keyed on ints
+    and tuples only, it never holds a form, a matrix or a leaf system
+    from one command-line call into the next, and it grows with the
+    shapes met, not with the instances.  The heights of a leaf system,
+    which its int table copies at construction, are read-only."""
+    cached, offending = [], []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if not (isinstance(node, ast.FunctionDef)
+                    and any(map(_is_cache, node.decorator_list))):
+                continue
+            cached.append(node.name)
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                      *filter(None, [a.vararg, a.kwarg])]
+            offending += [f"{path.name}: {node.name}({p.arg})"
+                          for p in params if not _int_or_tuple(p.annotation)]
+    assert cached and offending == []
+    L = LeafSystem([("a", 0, 1)], {("a", 0): 0}, 1)
+    with pytest.raises(TypeError):
+        L.heights[("a", 0)] = 7

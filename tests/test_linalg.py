@@ -12,6 +12,7 @@ from flatforms.linalg import (
     smat_set,
     smat_transpose,
     solve,
+    solver,
 )
 
 COLS = ["x", "y", "z"]
@@ -248,6 +249,25 @@ def test_integer_elimination_matches_rational_reference(system):
     assert [x if x is None else list(x.items()) for x in results] == \
         [x if x is None else list(x.items()) for x in expected]
     assert _all_fractions(basis) and _all_fractions(results)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hard_systems(), st.sampled_from([None, Q(0), Q(1), Q(-2, 3)]))
+@example(CONTENT_SYSTEM, None)
+def test_solver_matches_solve(system, outside):
+    """The map eliminated once gives what ``solve`` gives for each b:
+    the same x, key order and Fraction type included, or None.  A b
+    with a nonzero entry off the row keys of ``a`` is inconsistent."""
+    a, cols, rhs = system
+    if outside is not None:
+        rhs = rhs + [dict(rhs[0], outside=outside)]
+    apply = solver(a, cols)
+    for b in rhs:
+        [want] = solve(a, cols, [b])
+        got = apply(b)
+        assert (got if got is None else list(got.items())) == \
+            (want if want is None else list(want.items()))
+        assert _all_fractions([got])
 
 
 def test_signed_sum():

@@ -14,6 +14,7 @@ from flatforms.forms import (
     ExtensionInfeasible,
     IncompatibleBoundaryData,
     PolyForm,
+    monomial_coefficients,
 )
 from flatforms.instances import (
     corrupt_random_entry,
@@ -37,22 +38,24 @@ from flatforms.mixed import (
     neumann_inverse,
     solve_face_coords,
 )
-from flatforms.morse import LeafSystem
-from flatforms.simplicial import EMPTY, BaseComplex, dim
+from flatforms.linalg import smat_is_zero, smat_transpose, solve
+from flatforms.morse import LeafSystem, prec
+from flatforms.simplicial import EMPTY, BaseComplex, all_faces, dim
 
 
-def worked_edge():
+def worked_edge(q_at_1=6):
     """Three rank-1 leaves over one edge, small enough to do by hand.
 
     The gauge data is a(v0): r -> q, a(v1): r -> q and p -> q, with the
     homotopy p -> r on the edge.  Conjugating a(v0) by id + x*(p -> r)
-    gives the closed-form answer checked below.
+    gives the closed-form answer checked below.  ``q_at_1`` is the
+    height of q at vertex 1.
     """
     S = BaseComplex([(0, 1)])
     L = LeafSystem(
         [("p", 0, 1), ("r", 0, 1), ("q", 1, 1)],
         {("p", 0): 0, ("p", 1): 0, ("r", 0): 3, ("r", 1): 3,
-         ("q", 0): 6, ("q", 1): 6},
+         ("q", 0): 6, ("q", 1): q_at_1},
         1,
     )
     A = CoefficientSystem(S, L, {
@@ -444,8 +447,7 @@ def test_locality_tags_need_every_vertex():
     above h - eps^2 at every vertex of sigma.  With q raised to height 7
     at vertex 1, z (tag 6) is tagged for q over vertex 0 only, so the q
     rows may reach z on the edge but not at vertex 0."""
-    A = worked_edge()
-    A.L.heights[("q", 1)] = Q(7)
+    A = worked_edge(q_at_1=7)
     FM = worked_edge_fiber()
     data = build_mixed_connection(A)
     cm = build_Iprime(data, FM)
@@ -468,3 +470,108 @@ def test_locality_requires_tags():
     assert data.problems + cm.problems == []
     with pytest.raises(ValueError):
         locality_check(data, cm)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the face-coordinate solve that built its columns per block
+# ---------------------------------------------------------------------------
+
+def per_block_solve_face_coords(A, FM, sigma, sigma_p, value):
+    L = A.L
+    kk = len(sigma_p)
+    mm = value.k
+    faces = [s2 for s2 in all_faces(sigma)
+             if not smat_is_zero(FM.imap(s2))]
+    omega = list(FM.omega_basis)
+
+    def columns(al, r):
+        below = {be: prec(L, be, al, sigma) for be in L.leaves if be != al}
+        cols = []
+        for s2 in faces:
+            for be_m in L.basis:
+                be = be_m[0]
+                if be == al:
+                    if dim(s2) < kk:
+                        continue
+                elif not below[be]:
+                    continue
+                if L.index[be] - L.index[al] + dim(s2) - kk != r:
+                    continue
+                cols.append((s2, be_m))
+        return cols
+
+    # one right-hand side per (module row, monomial), grouped by block
+    order = []
+    blocks = {}
+    for row in sorted(value.rows, key=repr):
+        split = monomial_coefficients({e: value.entry(row, e) for e in omega})
+        for mono, r, vec in split:
+            blocks.setdefault((row[0], r), []).append((len(order), vec))
+            order.append((row, mono))
+
+    solutions = [None] * len(order)
+    for (al, r), items in blocks.items():
+        cols = columns(al, r)
+        mat = smat_transpose({(s2, be_m): FM.imap(s2).get(be_m, {})
+                              for s2, be_m in cols})
+        xs = solve(mat, cols, [vec for _i, vec in items])
+        for (i, _vec), x in zip(items, xs):
+            solutions[i] = x
+
+    out = {}
+    for (row, mono), x in zip(order, solutions):
+        if x is None:
+            raise ExtensionInfeasible(
+                f"no face decomposition over {sigma} (face {sigma_p}): "
+                f"row {row}, monomial {mono}")
+        for (s2, be_m), coef in x.items():
+            fm = out.setdefault(s2, FormMatrix(mm, L.deg))
+            fm.set_entry(row, be_m, fm.entry(row, be_m) + mono.scale(coef))
+    return {s: fm for s, fm in out.items() if not fm.is_zero()}
+
+
+def coords_outcome(solver, A, FM, key, value):
+    try:
+        return "coords", {s: fm.rows for s, fm in
+                          solver(A, FM, key[0], key[1], value).items()}
+    except ExtensionInfeasible as ex:
+        return "infeasible", str(ex)
+
+
+def test_face_coords_match_the_per_block_solve():
+    """One column table per call and leaf gives the coordinates, or the
+    ``ExtensionInfeasible`` text, that building the columns per block
+    gave: on every stored I' value of generate(0..39) and a designed
+    4-simplex, on the values built over a ``corrupt_random_entry`` copy
+    of each system, and on each clean value with a constant added at
+    one random entry, which mostly has no decomposition."""
+    instances = [generate(seed) for seed in range(40)]
+    instances.append(designed_instance(0, [(0, 1, 2, 3, 4)]))
+    infeasible = 0
+    for n, inst in enumerate(instances):
+        if inst.enriched:
+            continue
+        FM = make_fiber_model(inst)
+        cm = build_Iprime(build_mixed_connection(inst.A), FM)
+        rng = random.Random(n)
+        cases = []
+        for key, val in sorted(cm.values.items(), key=repr):
+            cases.append((key, val))
+            bumped = val.add(FormMatrix(val.k, val.deg))
+            row, col = rng.choice(inst.L.basis), rng.choice(FM.omega_basis)
+            bumped.set_entry(row, col, bumped.entry(row, col)
+                             + PolyForm.one(val.k))
+            cases.append((key, bumped))
+        bad = corrupt_random_entry(rng, inst.A)
+        if bad is not None:
+            try:
+                cm = build_Iprime(build_mixed_connection(bad[0]), FM)
+                cases += sorted(cm.values.items(), key=repr)
+            except IncompatibleBoundaryData:
+                pass
+        for key, val in cases:
+            got = coords_outcome(solve_face_coords, inst.A, FM, key, val)
+            assert got == coords_outcome(per_block_solve_face_coords,
+                                         inst.A, FM, key, val), (n, key)
+            infeasible += got[0] == "infeasible"
+    assert infeasible > 100

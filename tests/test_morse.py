@@ -188,3 +188,87 @@ def test_orders_match_prec_on_every_simplex(L):
         for tau in all_faces(sigma):
             assert set(table[tau]) <= set(table[sigma])
 
+
+
+# ---------------------------------------------------------------------------
+# oracle: the order on Fractions, before the heights became an int table
+# ---------------------------------------------------------------------------
+
+def fraction_prec(L, alpha, beta, sigma):
+    gap = 2 * L.epsilon * L.epsilon
+    return any(L.height(beta, v) - L.height(alpha, v) > gap for v in sigma)
+
+
+def fraction_leaf_orders(L, S):
+    gap = 2 * L.epsilon * L.epsilon
+    at = {}
+    for (v,) in S.vertices():
+        h = {leaf: L.height(leaf, v) for leaf in L.leaves}
+        at[v] = {(a, b) for a in L.leaves for b in L.leaves
+                 if h[b] - h[a] > gap}
+    pairs = [(a, b) for a in L.leaves for b in L.leaves]
+    orders = {}
+    for sigma in S:
+        over = set().union(*(at[v] for v in sigma))
+        orders[sigma] = [p for p in pairs if p in over]
+    return orders
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` returns, or the type and text of what it raises."""
+    try:
+        return "value", f(*args)
+    except UnknownLeaf as ex:
+        return type(ex), str(ex)
+
+
+# any positive rational epsilon and rational heights, with unrelated
+# denominators, and about one height in eight left out
+RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=40)
+
+
+@st.composite
+def gappy_leaf_systems(draw):
+    eps = draw(st.one_of(
+        st.fractions(min_value=Q(1, 40), max_value=3, max_denominator=40),
+        st.sampled_from([Q(1), Q(1, 2), Q(2, 3)])))
+    names = ["a", "b", "c"][:draw(st.integers(1, 3))]
+    heights = {}
+    for leaf in names:
+        for v in range(4):
+            if draw(st.integers(0, 7)):
+                # a height on the eps^2/2 grid makes an exact tie likely
+                heights[(leaf, v)] = draw(st.one_of(
+                    RATIONALS, st.integers(-8, 8).map(
+                        lambda k: Q(k, 2) * eps * eps)))
+    return LeafSystem([(leaf, 0, 1) for leaf in names], heights, eps)
+
+
+LEAF_NAMES = st.sampled_from(["a", "b", "c", "z"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(gappy_leaf_systems(), LEAF_NAMES, LEAF_NAMES,
+       st.lists(st.integers(0, 3), max_size=4, unique=True))
+def test_int_table_prec_matches_fractions(L, alpha, beta, vertices):
+    """``prec`` and ``leaf_orders`` read the int table and agree with
+    the Fraction definition, down to the ``UnknownLeaf`` raised for the
+    first missing height or undeclared leaf."""
+    sigma = tuple(sorted(vertices))
+    assert outcome(prec, L, alpha, beta, sigma) == \
+        outcome(fraction_prec, L, alpha, beta, sigma)
+    S = BaseComplex([(0, 1, 2), (2, 3)])
+    assert outcome(leaf_orders, L, S) == outcome(fraction_leaf_orders, L, S)
+
+
+def test_int_table_prec_keeps_the_strict_gap():
+    """An exact tie h_b - h_a = 2 eps^2 over mixed denominators is not
+    an order; a gap above it by 1/637, one unit of the table's common
+    denominator lcm(13, 49), is."""
+    eps = Q(2, 7)
+    gap = 2 * eps * eps
+    a = Q(5, 13)
+    for b, want in [(a + gap, False), (a + gap + Q(1, 637), True)]:
+        L = two_leaf_system((a, a), (b, b), eps)
+        assert prec(L, "a", "b", (0, 1)) is want
+        assert fraction_prec(L, "a", "b", (0, 1)) is want
