@@ -24,11 +24,17 @@ reads its solution off the stored elimination.
 
 Face restrictions and chart changes are affine maps that send each
 chart variable to a barycentric coordinate of the target or to zero;
-``PolyForm.affine_pullback`` performs all of them from a per-map table.
-``PolyForm.pullback`` substitutes arbitrary polynomial images, and
-``ratio_pullback`` substitutes rational images N_i/Q with one
-denominator, homogenised over each form's own power of Q, taken from
-one ``Powers`` cache: the P/Q^e substitution behind the smoothing.
+``PolyForm.affine_pullback`` performs all of them from a per-map table
+(``restrict`` takes the face inclusion's table from ``_restrict_table``,
+built once per face).  The image of each unit term under a table
+depends on the term, the target chart and the table alone, so
+``_term_image`` builds it once per process and a pullback only scales
+and sums those images.  ``PolyForm.pullback`` substitutes arbitrary
+polynomial images, and ``RatioPullback`` substitutes rational images
+N_i/Q with one denominator, homogenised over each form's own power of
+Q: the P/Q^e substitution behind the smoothing.  It builds the powers of
+each Q, and the images of each (Q, numerators), once per distinct form
+and lives for one walk.
 ``PolyForm.vanishes_on_facet`` asks whether every coefficient, normal
 components included, vanishes along a facet.
 
@@ -107,6 +113,42 @@ def _dx_image(targets: tuple, k: int) -> tuple:
     for j in targets:
         f = f.wedge(PolyForm.dx(k, j))
     return tuple((dxs, c) for (_e, dxs), c in f._num.items())
+
+
+@cache
+def _restrict_table(k: int, positions: tuple) -> tuple:
+    """The ``affine_pullback`` table of the inclusion of the face through
+    the vertex positions ``positions`` (strictly increasing, in 0..k) of
+    the k-simplex: x_i goes to the face coordinate of its position, or to
+    zero off the face."""
+    if any(a >= b for a, b in zip(positions, positions[1:])):
+        raise ValueError("positions must be strictly increasing")
+    if positions and not (0 <= positions[0] and positions[-1] <= k):
+        raise ValueError("positions out of range")
+    pos_of = {p: j for j, p in enumerate(positions)}
+    return tuple(pos_of.get(i) for i in range(1, k + 1))
+
+
+@cache
+def _term_image(key: tuple, target_k: int, table: tuple) -> tuple:
+    """The image of the unit term x^e dx^D, ``key`` = (e, D), under the
+    ``affine_pullback`` table on the target_k-chart, as (term, int)
+    pairs: bary shift outer, dx image inner.  Empty when a variable sent
+    to zero carries a positive exponent or a dx maps to zero."""
+    exps, dxs = key
+    mono = [0] * target_k
+    e0 = 0
+    for e, j in zip(exps, table):
+        if j:
+            mono[j - 1] += e
+        elif j == 0:
+            e0 += e
+        elif e:
+            return ()
+    dx_image = _dx_image(tuple(table[i - 1] for i in dxs), target_k)
+    return tuple(((tuple(map(add, mono, shift)), dd), pc * s)
+                 for shift, pc in _bary_power(target_k, e0)
+                 for dd, s in dx_image)
 
 
 def _form(k: int, num: dict, den: int = 1) -> "PolyForm":
@@ -363,14 +405,8 @@ class PolyForm:
         ``len(positions) - 1``.
         """
         positions = tuple(positions)
-        lk = len(positions) - 1
-        if any(a >= b for a, b in zip(positions, positions[1:])):
-            raise ValueError("positions must be strictly increasing")
-        if positions and not (0 <= positions[0] and positions[-1] <= self.k):
-            raise ValueError("positions out of range")
-        pos_of = {p: j for j, p in enumerate(positions)}
-        return self.affine_pullback(
-            lk, [pos_of.get(i) for i in range(1, self.k + 1)])
+        return self.affine_pullback(len(positions) - 1,
+                                    _restrict_table(self.k, positions))
 
     def affine_pullback(self, target_k: int,
                         table: Sequence[Optional[int]]) -> "PolyForm":
@@ -381,31 +417,18 @@ class PolyForm:
         target coordinate y_j, with y_0 = 1 - y_1 - ... - y_target_k, and
         None when x_i pulls back to zero; dx_i maps the matching way.
         The result equals ``pullback`` with those coordinate images.
+        Each term's image comes from ``_term_image``, built once per
+        (term, target chart, table) in the process.
         """
+        table = tuple(table)
         out: dict[Key, int] = {}
-        dead = [i for i, j in enumerate(table) if j is None]
-        for (exps, dxs), c in self._num.items():
-            if any(exps[i] for i in dead):
-                continue
-            dx_image = _dx_image(tuple(table[i - 1] for i in dxs), target_k)
-            if not dx_image:
-                continue
-            mono = [0] * target_k
-            e0 = 0
-            for e, j in zip(exps, table):
-                if j:
-                    mono[j - 1] += e
-                elif j == 0:
-                    e0 += e
-            for shift, pc in _bary_power(target_k, e0):
-                ee = tuple(map(add, mono, shift))
-                for dd, s in dx_image:
-                    key = (ee, dd)
-                    v = out.get(key, 0) + c * (pc * s)
-                    if v == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = v
+        for key, c in self._num.items():
+            for tkey, m in _term_image(key, target_k, table):
+                v = out.get(tkey, 0) + c * m
+                if v == 0:
+                    out.pop(tkey, None)
+                else:
+                    out[tkey] = v
         return _form(target_k, out, self._den)
 
     # -- serialization ---------------------------------------------------
@@ -489,48 +512,78 @@ class Powers:
         return pw[n]
 
 
-def ratio_pullback(forms: Sequence[PolyForm], target_k: int, nums: dict,
-                   den: Powers) -> list[tuple[PolyForm, int]]:
-    """Pull ``forms`` back along x_i -> nums[i] / Q, with Q = den.base.
+class RatioPullback:
+    """Pullbacks along x_i -> N_i / Q, each piece built once per distinct
+    input: one ``Powers`` per denominator Q, and per (Q, numerators) the
+    powers of each N_i, the numerators Q dN_i - N_i dQ of the images of
+    the dx_i, and the image of each basis term.
 
-    A term c x^e dx^D pulls back to
-
-        c N^e ∧_{i in D} (Q dN_i - N_i dQ) / Q^(|e| + 2|D|),
-
-    so each form comes out over its own Q^top, with top the largest
-    |e| + 2|D| among its own terms, and the numerator of each term
-    carries the remaining power of Q.  Returns one (numerator, top) pair
-    per form, in the order of ``forms``.  The image of each basis term
-    and every power of a numerator is built once for all of ``forms``;
-    the powers of Q come from ``den``.  Each form's int numerators scale
-    the images, and its denominator divides the sum once.
+    Equal forms share the pieces, so a partition whose simplices of one
+    dimension carry the same Q and N_i builds them once for all of them.
+    The memos are keyed on forms: an object serves one walk and goes
+    with it.
     """
-    npow = {i: Powers(n) for i, n in nums.items()}
-    dimg = {i: den.base.wedge(pw.d) - pw.base.wedge(den.d)
-            for i, pw in npow.items()}
-    images: dict = {}
-    out = []
-    for p in forms:
-        by_weight: dict[int, PolyForm] = {}   # |e| + 2|D| -> sum of images
-        for key, coef in p._num.items():
-            if key not in images:
-                exps, dxs = key
-                f = PolyForm.one(target_k)
-                for i, e in enumerate(exps, start=1):
-                    if e:
-                        f = f.wedge(npow[i][e])
-                for i in dxs:
-                    f = f.wedge(dimg[i])
-                images[key] = f
-            w = sum(key[0]) + 2 * len(key[1])
-            term = images[key].scale(coef)
-            by_weight[w] = by_weight[w] + term if w in by_weight else term
-        top = max(by_weight, default=0)
-        num = PolyForm.zero(target_k)
-        for w, f in by_weight.items():
-            num = num + (f if w == top else den[top - w].wedge(f))
-        out.append((_form(target_k, num._num, num._den * p._den), top))
-    return out
+
+    __slots__ = ("_powers", "_subs")
+
+    def __init__(self):
+        self._powers: dict[PolyForm, Powers] = {}
+        self._subs: dict[tuple, tuple] = {}   # (Q, nums) -> pieces
+
+    def powers(self, den: PolyForm) -> Powers:
+        """The powers of ``den``, built once per object."""
+        pw = self._powers.get(den)
+        if pw is None:
+            pw = self._powers[den] = Powers(den)
+        return pw
+
+    def pullback(self, forms: Sequence[PolyForm], nums: Sequence[PolyForm],
+                 den: PolyForm) -> list[tuple[PolyForm, int]]:
+        """Pull ``forms`` back along x_i -> nums[i - 1] / Q, Q = ``den``,
+        onto Q's chart.
+
+        A term c x^e dx^D pulls back to
+
+            c N^e ∧_{i in D} (Q dN_i - N_i dQ) / Q^(|e| + 2|D|),
+
+        so each form comes out over its own Q^top, with top the largest
+        |e| + 2|D| among its own terms, and the numerator of each term
+        carries the remaining power of Q.  Returns one (numerator, top)
+        pair per form, in the order of ``forms``.  Each form's int
+        numerators scale the basis-term images, and its denominator
+        divides the sum once.
+        """
+        q = self.powers(den)
+        nums = tuple(nums)
+        pieces = self._subs.get((den, nums))
+        if pieces is None:
+            npow = [Powers(n) for n in nums]
+            dimg = [q.base.wedge(pw.d) - pw.base.wedge(q.d) for pw in npow]
+            pieces = self._subs[(den, nums)] = npow, dimg, {}
+        npow, dimg, images = pieces
+        target_k = den.k
+        out = []
+        for p in forms:
+            by_weight: dict[int, PolyForm] = {}   # |e| + 2|D| -> sum of images
+            for key, coef in p._num.items():
+                if key not in images:
+                    exps, dxs = key
+                    f = PolyForm.one(target_k)
+                    for i, e in enumerate(exps):
+                        if e:
+                            f = f.wedge(npow[i][e])
+                    for i in dxs:
+                        f = f.wedge(dimg[i - 1])
+                    images[key] = f
+                w = sum(key[0]) + 2 * len(key[1])
+                term = images[key].scale(coef)
+                by_weight[w] = by_weight[w] + term if w in by_weight else term
+            top = max(by_weight, default=0)
+            num = PolyForm.zero(target_k)
+            for w, f in by_weight.items():
+                num = num + (f if w == top else q[top - w].wedge(f))
+            out.append((_form(target_k, num._num, num._den * p._den), top))
+        return out
 
 
 # ---------------------------------------------------------------------------

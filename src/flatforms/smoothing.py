@@ -13,9 +13,14 @@ component images B(x_v)/Q with the simplex-wide normalizer
 Q = sum_v B(x_v), so pullbacks are :class:`flatforms.mixed.FormMatrix`
 values over Q: each entry is a polynomial form p over its own power
 Q^e, built by the homogenised substitution
-:func:`flatforms.forms.ratio_pullback`.  It is the same matrix type as
+:class:`flatforms.forms.RatioPullback`.  It is the same matrix type as
 the unsmoothed data, which is the case Q = 1.  A constant entry stays at
-e = 0, and the powers of Q come from one cache per simplex.  All checks
+e = 0.  One walk keeps one ``RatioPullback``, so the powers of Q are
+built once per distinct denominator, and the numerator powers and
+basis-term images once per distinct (denominator, numerators): once per
+dimension under the default partition.  ``validate_partition`` likewise
+computes each sample and first-order verdict once per distinct form and
+reports it for every simplex carrying that form.  All checks
 cross-multiply instead of dividing, entry by entry, making them exact;
 Q restricts to the corresponding normalizer of every face because
 B(0) = 0.
@@ -34,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .forms import PolyForm, Powers, ratio_pullback
+from .forms import PolyForm, RatioPullback
 from .linalg import Q, qint, qx
 from .mixed import (
     ChainMapData,
@@ -145,11 +150,34 @@ def _facets(sigma: Simplex) -> list:
             for j in range(len(sigma)) if len(sigma) > 1]
 
 
+def _nonpositive_sample(den: PolyForm) -> Optional[tuple]:
+    """The first sample point of den's chart -- the barycentre, the unit
+    points, the origin -- at which den is not positive, or None."""
+    l = den.k
+    samples = [tuple(Q(1, l + 1) for _ in range(l))]
+    samples += [tuple(Q(1) if t == i else Q(0) for t in range(l))
+                for i in range(l)] + [tuple(Q(0) for _ in range(l))]
+    for pt in samples:
+        if den.value_at(pt) <= 0:
+            return pt
+    return None
+
+
 def validate_partition(P: PartitionOfUnity) -> list[str]:
     """Sum to one, star support, restriction coherence between faces,
     positivity samples for the denominator, and first-order flatness of
-    every phi_v along its zero face."""
+    every phi_v along its zero face.
+
+    The sample and first-order verdicts depend on the forms alone, so
+    each is computed once per distinct denominator, and per distinct
+    (denominator, numerator, vertex position), and reported for every
+    simplex that carries those forms."""
     problems = []
+    carried: dict = {}   # sigma -> the vertices with a numerator over sigma
+    for s, v in P.num:
+        carried.setdefault(s, []).append(v)
+    bad_sample: dict = {}   # den -> _nonpositive_sample(den)
+    flat: dict = {}         # (den, numerator, j) -> first-order verdict
     for sigma in P.S:
         l = dim(sigma)
         den = P.den[sigma]
@@ -158,16 +186,13 @@ def validate_partition(P: PartitionOfUnity) -> list[str]:
             total = total + P.num[(sigma, v)]
         if total != den:
             problems.append(f"partition does not sum to one on {sigma}")
-        for (s, v) in P.num:
-            if s == sigma and v not in sigma:
+        for v in carried.get(sigma, ()):
+            if v not in sigma:
                 problems.append(f"phi_{v} carried on {sigma} outside its star")
-        samples = [tuple(Q(1, l + 1) for _ in range(l))]
-        samples += [tuple(Q(1) if t == i else Q(0) for t in range(l))
-                    for i in range(l)] + [tuple(Q(0) for _ in range(l))]
-        for pt in samples:
-            if den.value_at(pt) <= 0:
-                problems.append(f"denominator not positive on {sigma} at {pt}")
-                break
+        if den not in bad_sample:
+            bad_sample[den] = _nonpositive_sample(den)
+        if (pt := bad_sample[den]) is not None:
+            problems.append(f"denominator not positive on {sigma} at {pt}")
         for _j, tau, pos in _facets(sigma):
             if P.den[sigma].restrict(pos) != P.den[tau]:
                 problems.append(
@@ -182,8 +207,11 @@ def validate_partition(P: PartitionOfUnity) -> list[str]:
             if l == 0:
                 continue
             n = P.num[(sigma, v)]
-            w = den.wedge(n.d()) - den.d().wedge(n)
-            if not w.vanishes_on_facet(j):
+            key = (den, n, j)
+            if key not in flat:
+                flat[key] = (den.wedge(n.d()) - den.d().wedge(n)
+                             ).vanishes_on_facet(j)
+            if not flat[key]:
                 problems.append(
                     f"d(phi_{v}) does not vanish on the face x_{v}=0 of {sigma}")
     return problems
@@ -212,7 +240,8 @@ RatioMatrix = FormMatrix
 
 
 def face_collapse_pullback(P: PartitionOfUnity, sigma: Simplex, tau: Simplex,
-                           fm_tau: FormMatrix, powers: Optional[Powers] = None
+                           fm_tau: FormMatrix,
+                           ratio: Optional[RatioPullback] = None
                            ) -> FormMatrix:
     """Pull a matrix on |tau| back to |sigma| along the composite of the
     partition self-map with the projection onto tau.  With tau = sigma
@@ -222,19 +251,20 @@ def face_collapse_pullback(P: PartitionOfUnity, sigma: Simplex, tau: Simplex,
     denominator, so on the face itself the composite agrees with the
     self-map; off the face it is the first-order model the smoothing is
     compared against.  Each entry comes out over its own power of the
-    denominator, taken from ``powers``, the powers of ``P.den[sigma]``
-    (built here when not given).  ``fm_tau`` must be polynomial: every
+    denominator.  The powers and images come from ``ratio``, built here
+    when not given, so that one walk shares them between simplices with
+    equal partition forms.  ``fm_tau`` must be polynomial: every
     exponent 0.
     """
     if fm_tau.e:
         raise ValueError("only a polynomial matrix pulls back")
-    if powers is None:
-        powers = Powers(P.den[sigma])
-    nums = {t: P.num[(sigma, v)] for t, v in enumerate(tau[1:], start=1)}
+    if ratio is None:
+        ratio = RatioPullback()
+    den = P.den[sigma]
     entries = list(fm_tau.entries())
-    pulled = ratio_pullback([p for _r, _c, p, _e in entries], dim(sigma),
-                            nums, powers)
-    out = FormMatrix(dim(sigma), fm_tau.deg, powers)
+    pulled = ratio.pullback([p for _r, _c, p, _e in entries],
+                            [P.num[(sigma, v)] for v in tau[1:]], den)
+    out = FormMatrix(dim(sigma), fm_tau.deg, ratio.powers(den))
     for (r, c, _p, _e), (q, e) in zip(entries, pulled):
         out.set_entry(r, c, q, e)
     return out
@@ -274,12 +304,12 @@ def verify_smoothing(data: MixedConnectionData, P: PartitionOfUnity,
     if cm is not None:
         report["chain"] = []
     glob = {}   # sigma -> (pulled-back a', pulled-back I' or None)
+    ratio = RatioPullback()
     for sigma in data.A.S:
-        powers = Powers(P.den[sigma])
         g = face_collapse_pullback(P, sigma, sigma, data.get(sigma, EMPTY),
-                                   powers)
+                                   ratio)
         ig = (face_collapse_pullback(P, sigma, sigma, cm.value(sigma, EMPTY),
-                                     powers)
+                                     ratio)
               if cm is not None else None)
         glob[sigma] = g, ig
         if not is_flat_connection(g):
@@ -301,7 +331,7 @@ def verify_smoothing(data: MixedConnectionData, P: PartitionOfUnity,
                 report["chain"].append(
                     f"global chain map on {sigma} does not restrict to {tau}")
             rhs = face_collapse_pullback(P, sigma, tau, data.get(tau, EMPTY),
-                                         powers)
+                                         ratio)
             for r, c, p, _e in g.add(rhs, -1).entries():
                 if not p.vanishes_on_facet(j):
                     report["first_order"].append(

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as Q
 from itertools import combinations
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,11 @@ from flatforms.forms import (
     ExtensionInfeasible,
     IncompatibleBoundaryData,
     PolyForm,
+    _bary_power,
+    _dx_image,
     _dx_tuples,
     _extend_homogeneous,
+    _form,
     _monomials_upto,
     extend_from_boundary,
     poincare_contract,
@@ -504,3 +508,86 @@ def test_a_normal_component_does_not_vanish():
         assert f.restrict(facet(k, j)).is_zero()
         assert not f.vanishes_on_facet(j)
         assert not flip_reference_vanishes(f, j)
+
+
+# --- the per-term affine images against the substitution they replace ---
+
+
+def reference_affine_pullback(f, target_k, table):
+    """``PolyForm.affine_pullback`` as it was before each term's image
+    was cached: every term substituted afresh, in the same order."""
+    out = {}
+    dead = [i for i, j in enumerate(table) if j is None]
+    for (exps, dxs), c in f._num.items():
+        if any(exps[i] for i in dead):
+            continue
+        dx_image = _dx_image(tuple(table[i - 1] for i in dxs), target_k)
+        if not dx_image:
+            continue
+        mono = [0] * target_k
+        e0 = 0
+        for e, j in zip(exps, table):
+            if j:
+                mono[j - 1] += e
+            elif j == 0:
+                e0 += e
+        for shift, pc in _bary_power(target_k, e0):
+            ee = tuple(map(add, mono, shift))
+            for dd, s in dx_image:
+                key = (ee, dd)
+                v = out.get(key, 0) + c * (pc * s)
+                if v == 0:
+                    out.pop(key, None)
+                else:
+                    out[key] = v
+    return _form(target_k, out, f._den)
+
+
+@st.composite
+def affine_maps(draw):
+    """A form on a k-chart, k <= 4, a target chart dimension up to 4, and
+    a table sending each chart variable to a target coordinate or to
+    zero (None)."""
+    k = draw(st.integers(1, 4))
+    target_k = draw(st.integers(0, 4))
+    keys = st.tuples(
+        st.tuples(*[st.integers(0, 2)] * k),
+        st.sets(st.integers(1, k)).map(lambda s: tuple(sorted(s))))
+    f = PolyForm(k, draw(st.dictionaries(keys, COEFFS, max_size=6)))
+    table = draw(st.lists(st.one_of(st.none(), st.integers(0, target_k)),
+                          min_size=k, max_size=k))
+    return f, target_k, table
+
+
+@settings(max_examples=150, deadline=None)
+@given(affine_maps())
+def test_affine_pullback_matches_the_reference_term_for_term(drawn):
+    """Same terms, same coefficients and the same storage order."""
+    f, target_k, table = drawn
+    want = list(reference_affine_pullback(f, target_k, table).terms.items())
+    for _ in range(2):   # the second call reads the cached term images
+        assert list(f.affine_pullback(target_k, table).terms.items()) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(chart_terms(count=1), st.data())
+def test_restrict_matches_the_reference_term_for_term(drawn, data):
+    k, (a,) = drawn
+    f = PolyForm(k, a)
+    positions = tuple(sorted(data.draw(st.sets(st.integers(0, k),
+                                               min_size=1))))
+    pos_of = {p: j for j, p in enumerate(positions)}
+    table = [pos_of.get(i) for i in range(1, k + 1)]
+    want = reference_affine_pullback(f, len(positions) - 1, table)
+    assert list(f.restrict(positions).terms.items()) == \
+        list(want.terms.items())
+
+
+@pytest.mark.parametrize("positions, message", [
+    ((1, 0), "strictly increasing"), ((0, 0), "strictly increasing"),
+    ((-1, 1), "out of range"), ((0, 3), "out of range")])
+def test_restrict_rejects_bad_positions(positions, message):
+    f = PolyForm.coordinate(2, 1)
+    for _ in range(2):   # a refusal is not remembered as an answer
+        with pytest.raises(ValueError, match=message):
+            f.restrict(positions)

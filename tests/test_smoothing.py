@@ -102,9 +102,39 @@ def test_default_partition_validates():
 
 
 def test_linear_partition_is_flagged():
-    problems = validate_partition(partition_linear(SMALL))
-    assert problems
-    assert any("d(phi" in m for m in problems)
+    """Every edge of SMALL carries the same forms; each still gets its
+    own messages."""
+    assert validate_partition(partition_linear(SMALL)) == [
+        "d(phi_0) does not vanish on the face x_0=0 of (0, 1)",
+        "d(phi_1) does not vanish on the face x_1=0 of (0, 1)",
+        "d(phi_0) does not vanish on the face x_0=0 of (0, 2)",
+        "d(phi_2) does not vanish on the face x_2=0 of (0, 2)",
+        "d(phi_1) does not vanish on the face x_1=0 of (1, 2)",
+        "d(phi_2) does not vanish on the face x_2=0 of (1, 2)",
+        "d(phi_1) does not vanish on the face x_1=0 of (1, 3)",
+        "d(phi_3) does not vanish on the face x_3=0 of (1, 3)",
+        "d(phi_0) does not vanish on the face x_0=0 of (0, 1, 2)",
+        "d(phi_1) does not vanish on the face x_1=0 of (0, 1, 2)",
+        "d(phi_2) does not vanish on the face x_2=0 of (0, 1, 2)"]
+
+
+def test_denominator_not_positive_at_a_sample_is_flagged():
+    """Two edges share Q = 1 - 6 x_0 x_1, which is -1/2 at the
+    barycentre; the sample check names each edge."""
+    P = partition_default(BaseComplex([(0, 1), (1, 2)]))
+    x0, x1 = PolyForm.coordinate(1, 0), PolyForm.coordinate(1, 1)
+    bump = x0.wedge(x1).scale(3)
+    for e in ((0, 1), (1, 2)):
+        P.num[(e, e[0])] = x0 - bump
+        P.num[(e, e[1])] = x1 - bump
+        P.den[e] = PolyForm.one(1) - bump.scale(2)
+    assert validate_partition(P) == [
+        "denominator not positive on (0, 1) at (Fraction(1, 2),)",
+        "d(phi_0) does not vanish on the face x_0=0 of (0, 1)",
+        "d(phi_1) does not vanish on the face x_1=0 of (0, 1)",
+        "denominator not positive on (1, 2) at (Fraction(1, 2),)",
+        "d(phi_1) does not vanish on the face x_1=0 of (1, 2)",
+        "d(phi_2) does not vanish on the face x_2=0 of (1, 2)"]
 
 
 def test_partition_support_outside_the_star_is_flagged():
@@ -276,10 +306,8 @@ def test_restrict_of_a_pullback_needs_the_face_denominator():
     assert P.den[tau] != PolyForm.one(2)
     with pytest.raises(ValueError):
         g.restrict((0, 1, 2))
-    face = Powers(P.den[tau])
-    assert g.restrict((0, 1, 2), face).eq(
-        face_collapse_pullback(P, tau, tau, FormMatrix.identity(2, deg),
-                               face))
+    face = face_collapse_pullback(P, tau, tau, FormMatrix.identity(2, deg))
+    assert g.restrict((0, 1, 2), face.powers).eq(face)
 
 
 def test_pullback_refuses_a_matrix_with_exponents():
@@ -362,7 +390,7 @@ def test_pullback_entries_carry_their_own_top():
 
 
 # --- the partition pullback (face_collapse_pullback onto sigma itself,
-# i.e. forms.ratio_pullback on the numerators and denominator of sigma) --
+# i.e. RatioPullback.pullback on the numerators and denominator of sigma)
 
 
 def pullback_case(seed, n, partition):
