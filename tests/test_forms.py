@@ -543,27 +543,16 @@ def reference_affine_pullback(f, target_k, table):
     return _form(target_k, out, f._den)
 
 
-@st.composite
-def affine_maps(draw):
-    """A form on a k-chart, k <= 4, a target chart dimension up to 4, and
-    a table sending each chart variable to a target coordinate or to
-    zero (None)."""
-    k = draw(st.integers(1, 4))
-    target_k = draw(st.integers(0, 4))
-    keys = st.tuples(
-        st.tuples(*[st.integers(0, 2)] * k),
-        st.sets(st.integers(1, k)).map(lambda s: tuple(sorted(s))))
-    f = PolyForm(k, draw(st.dictionaries(keys, COEFFS, max_size=6)))
-    table = draw(st.lists(st.one_of(st.none(), st.integers(0, target_k)),
-                          min_size=k, max_size=k))
-    return f, target_k, table
-
-
 @settings(max_examples=150, deadline=None)
-@given(affine_maps())
-def test_affine_pullback_matches_the_reference_term_for_term(drawn):
-    """Same terms, same coefficients and the same storage order."""
-    f, target_k, table = drawn
+@given(chart_terms(count=1), st.integers(0, 4), st.data())
+def test_affine_pullback_matches_the_reference_term_for_term(drawn, target_k,
+                                                             data):
+    """Same terms, same coefficients and the same storage order, for a
+    table sending each variable to a target coordinate or to zero."""
+    k, (a,) = drawn
+    f = PolyForm(k, a)
+    table = data.draw(st.lists(st.one_of(st.none(), st.integers(0, target_k)),
+                               min_size=k, max_size=k))
     want = list(reference_affine_pullback(f, target_k, table).terms.items())
     for _ in range(2):   # the second call reads the cached term images
         assert list(f.affine_pullback(target_k, table).terms.items()) == want
