@@ -253,7 +253,7 @@ def cmd_build_iprime(args):
     except BUILD_ERRORS as ex:
         return checks.stop("build", ex)
     checks["simplices"] = len(inst.A.S)
-    problems = cm.problems
+    problems = data.problems + cm.problems
     if inst.FM.eta is not None:
         # shown on its own, certified once among the problems
         loc = locality_check(data, cm)

@@ -28,9 +28,14 @@ which divides each update exactly by the previous pivot and so bounds
 the growth of the entries; here the content division keeps rows
 primitive but gives no such bound.
 
-``solver`` eliminates a matrix once, beside the identity, for
-right-hand sides that are not known yet, and gives each of them the
-solution that ``solve`` would give.
+``solution_operator`` eliminates a matrix once, beside the identity,
+for right-hand sides that are not known yet.  What the identity columns
+carry is the solution operator over Q: a pivot map S, whose product
+with a right-hand side b is the solution ``solve`` gives, and
+consistency rows C, whose product with b is zero exactly when b is
+consistent.  Both are matrices, so a caller can apply them to whole
+rows of forms at once, coefficient by coefficient; ``solver`` applies
+them to one vector.
 """
 
 from __future__ import annotations
@@ -265,31 +270,54 @@ def solve(a: SMat, cols: Sequence, rhs: Sequence[SVec]
             for j in range(n, n + len(rhs))]
 
 
-def solver(a: SMat, cols: Sequence) -> Callable[[SVec], Optional[SVec]]:
-    """The map b -> ``solve(a, cols, [b])[0]``, eliminating once for
-    every b to come.
-
-    ``[a | I]`` is eliminated, with one identity column per row key of
+def _beside_identity(a: SMat, cols: Sequence) -> tuple[list, dict]:
+    """``[a | I]`` eliminated, with one identity column per row key of
     ``a``.  Row operations act alike on every right-hand side, so a
     reduced row holds in its identity columns the combination of b's
-    entries that it carries as its right-hand side entry.  Each pivot
-    row gives one entry of x; each row left over, which is zero in the
-    columns of ``a``, must give zero, and b must vanish off the row
-    keys of ``a``, or b is inconsistent and the map returns None.  The
-    pivots are those of ``solve``, so x is the same: free variables
-    zero, keyed by column in column order.
-    """
+    entries that it carries as its right-hand side entry.  Returns the
+    pivot heads [(column of ``a``, pivot entry)] in column order and,
+    for each row key, {reduced row: its multiple of b[key]}, an int:
+    pivot rows first, numbered as in the heads, then the rows left
+    over, which are zero in the columns of ``a``."""
     keys = list(a)
     n = len(cols)
     pivots, rest = _eliminate(a, cols, [{r: Q(1)} for r in keys])
-    # for each row key, {reduced row: its multiple of b[key]}; pivot
-    # rows first, numbered as in ``pivots``, then the rows left over
     spread: dict = {r: {} for r in keys}
     for i, row in enumerate([row for _col, row in pivots] + rest):
         for c, v in row.items():
             if c >= n:
                 spread[keys[c - n]][i] = v
-    heads = [(cols[col], row[col]) for col, row in pivots]
+    return [(cols[col], row[col]) for col, row in pivots], spread
+
+
+def solution_operator(a: SMat, cols: Sequence) -> tuple[SMat, SMat]:
+    """The solution operator of ``a x = b`` over Q: the pivot map S and
+    the consistency rows C, both with the row keys of ``a`` as rows
+    (every row key is a row of each, possibly empty).
+
+    Both are read off ``[a | I]`` eliminated: pivot row i, divided by
+    its pivot entry, gives the column of S at its pivot column, and the
+    j-th row left over gives column j of C (int entries: only its zeros
+    matter).  A b over the row keys is consistent exactly when
+    b . C = 0, and then b . S is the solution that ``solve`` gives, free
+    variables zero.  A b with a nonzero entry off the row keys is
+    inconsistent.
+    """
+    heads, spread = _beside_identity(a, cols)
+    h = len(heads)
+    S = {r: {heads[i][0]: Fraction(v, heads[i][1])
+             for i, v in row.items() if i < h} for r, row in spread.items()}
+    C = {r: {i - h: v for i, v in row.items() if i >= h}
+         for r, row in spread.items()}
+    return S, C
+
+
+def solver(a: SMat, cols: Sequence) -> Callable[[SVec], Optional[SVec]]:
+    """The map b -> ``solve(a, cols, [b])[0]``, eliminating once for
+    every b to come: b . S for a consistent b (see
+    ``solution_operator``), keyed by column in column order, and None
+    otherwise.  It runs on ints, over the lcm of b's denominators."""
+    heads, spread = _beside_identity(a, cols)
 
     def apply(b: SVec) -> Optional[SVec]:
         b = {r: v for r, v in b.items() if v}

@@ -30,10 +30,13 @@ values over the next span up.  The extension's common-face check
 compares the recursion value with the data already built on the facets
 of sigma, and a clash raises ``IncompatibleBoundaryData`` naming the
 simplex, segment, facet and entry.  The empty face is reached last by a
-gauge step whose unipotent is invertible by a finite geometric series.
-The two builds differ only in the constant seed of the recursion (a or
-I), its right factor (a'(sigma[k:], empty) or D), and the identity
-checked afterwards, ``is_flat_connection`` or ``intertwines``;
+gauge step whose unipotent is invertible by a finite geometric series;
+the a' build computes that inverse once per simplex and the I' build
+reuses it.  The constant factors of the recursion (a(sigma[:j+1]) on
+the left) scale each entry with its Koszul sign.  The two builds
+differ only in the constant seed of the recursion (a or I), its right
+factor (a'(sigma[k:], empty) or D), and the identity checked
+afterwards, ``is_flat_connection`` or ``intertwines``;
 smoothing checks the same two on the partition pullbacks.  Failed
 checks land in ``problems``.
 
@@ -44,6 +47,7 @@ coefficient system and the fiber model, and every identity over Q
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Optional
@@ -62,7 +66,7 @@ from .linalg import (
     smat_entries,
     smat_is_zero,
     smat_transpose,
-    solve,
+    solution_operator,
 )
 from .morse import block_allowed, prec
 from .simplicial import (
@@ -264,6 +268,25 @@ class FormMatrix:
                         by_e[ef] = by_e[ef] + prod if ef in by_e else prod
         return self._collect(parts)
 
+    def mul_const_left(self, m: SMat) -> "FormMatrix":
+        """Compose with a constant module endomorphism on the left: what
+        ``compose`` gives with ``from_const(k, m, deg)`` on the left.
+        Each entry is scaled, its odd form-degree part negated when the
+        block degree of the constant is odd."""
+        parts: dict = {}   # (r, c) -> {e: numerator}
+        for r, row in m.items():
+            for t, v in row.items():
+                orow = self.rows.get(t)
+                if not orow:
+                    continue
+                odd = (self.deg[r] - self.deg[t]) % 2
+                for c, (q, f) in orow.items():
+                    prod = (q.graded_involution() if odd else q).scale(v)
+                    if not prod.is_zero():
+                        by_e = parts.setdefault((r, c), {})
+                        by_e[f] = by_e[f] + prod if f in by_e else prod
+        return self._collect(parts)
+
     def mul_const_right(self, m: SMat) -> "FormMatrix":
         """Compose with a constant matrix on the right (no signs arise)."""
         parts: dict = {}   # (r, c) -> {e: numerator}
@@ -334,13 +357,11 @@ class MixedConnectionData:
     A: CoefficientSystem
     aprime: dict = field(default_factory=dict)   # _owner key -> FormMatrix
     problems: list = field(default_factory=list)  # "sigma: message"
+    # sigma -> (id + a'(sigma, sigma_0))^-1, shared with the I' walk
+    gauge_inverses: dict = field(default_factory=dict)
 
     def get(self, sigma: Simplex, sigma_p: Simplex) -> FormMatrix:
         return self.aprime[_owner(tuple(sigma), tuple(sigma_p))]
-
-
-def _const_endo(A: CoefficientSystem, sigma_face: Simplex, k: int) -> FormMatrix:
-    return FormMatrix.from_const(k, A.a(sigma_face), A.L.deg)
 
 
 def _leading(A: CoefficientSystem, sigma: Simplex, m: int, seed: SMat,
@@ -348,7 +369,7 @@ def _leading(A: CoefficientSystem, sigma: Simplex, m: int, seed: SMat,
     """seed + d(b) + a(sigma_0) o b on the m-chart: the terms the
     recursion and the gauge have in common."""
     total = FormMatrix.from_const(m, seed, A.L.deg).add(b.d())
-    return total.add(_const_endo(A, sigma[:1], m).compose(b))
+    return total.add(b.mul_const_left(A.a(sigma[:1])))
 
 
 def recursion_value(A: CoefficientSystem, store: dict, sigma: Simplex,
@@ -373,9 +394,8 @@ def recursion_value(A: CoefficientSystem, store: dict, sigma: Simplex,
         total = total.add(store[_owner(sigma, fj)], s * parity_sign(j))
     # splitting products against the initial-segment coefficients
     for j in range(1, k + 1):
-        left = _const_endo(A, sigma[: j + 1], m)
         right_j = store[_owner(sigma, sigma[j: k + 1])]
-        total = total.add(left.compose(right_j),
+        total = total.add(right_j.mul_const_left(A.a(sigma[: j + 1])),
                           s * parity_sign((k + 1) * (j - 1)))
     return total.add(right(b, sigma[k:]), s)
 
@@ -415,30 +435,29 @@ def extend_span(store: dict, sigma: Simplex, k: int, candidate: FormMatrix,
     return out
 
 
-def gauge_empty(A: CoefficientSystem, sigma: Simplex, n: FormMatrix,
-                inner: FormMatrix) -> FormMatrix:
-    """Empty-face value (id + n)^-1 o inner for n = a'(sigma, sigma_0)."""
-    l = dim(sigma)
+def gauge_inverse(A: CoefficientSystem, sigma: Simplex,
+                  n: FormMatrix) -> FormMatrix:
+    """(id + n)^-1 for n = a'(sigma, sigma_0), the gauge of the empty
+    face over ``sigma``."""
     heights = {A.L.height(leaf, v) for leaf in A.L.leaves for v in sigma}
-    ginv = neumann_inverse(n, max_len=len(heights) + l + 2)
-    return ginv.compose(inner)
+    return neumann_inverse(n, max_len=len(heights) + dim(sigma) + 2)
 
 
-def _walk(A: CoefficientSystem, aprime: dict, store: dict, sigma: Simplex,
-          seed, right, gauge_right: bool,
-          max_degree: Optional[int]):
+def _walk(A: CoefficientSystem, inverses: dict, store: dict, sigma: Simplex,
+          seed, right, chain: bool, max_degree: Optional[int]):
     """Fill ``store`` over ``sigma``: the one construction behind a' and I'.
 
     Only the keys (sigma, sigma[:k]) for k = 0..dim(sigma)+1 are
     written.  The face sigma itself carries zero on a point chart;
     initial segments are extended longest first from their recursion
     values, which read each non-initial face at its owner, a smaller
-    simplex already filled; the empty face comes from the gauge by
-    id + a'(sigma, sigma_0), read from ``aprime``.  The
-    gauge's inner term is seed(sigma_0) + d(b) + a(sigma_0) o b for
-    b = store[(sigma, sigma_0)], plus right(b, sigma) when
-    ``gauge_right`` is set (I').  For a' the matching product
-    b o a'(sigma, empty) is the unknown that the gauge solves for.
+    simplex already filled; the empty face is the gauge inverse
+    (id + a'(sigma, sigma_0))^-1 composed with the inner term
+    seed(sigma_0) + d(b) + a(sigma_0) o b for b = store[(sigma, sigma_0)].
+    The a' walk (``chain`` unset) computes that inverse from b and keeps
+    it in ``inverses``; for a' the product b o a'(sigma, empty) is the
+    unknown that the gauge solves for.  The I' walk (``chain`` set)
+    reads the inverse there and adds right(b, sigma) to the inner term.
     """
     l = dim(sigma)
     store[(sigma, sigma)] = FormMatrix(0, A.L.deg)
@@ -449,10 +468,11 @@ def _walk(A: CoefficientSystem, aprime: dict, store: dict, sigma: Simplex,
                                                 max_degree)
     b = store[(sigma, sigma[:1])]
     inner = _leading(A, sigma, l, seed(sigma[:1]), b)
-    if gauge_right:
+    if chain:
         inner = inner.add(right(b, sigma))
-    store[(sigma, EMPTY)] = gauge_empty(A, sigma, aprime[(sigma, sigma[:1])],
-                                        inner)
+    else:
+        inverses[sigma] = gauge_inverse(A, sigma, b)
+    store[(sigma, EMPTY)] = inverses[sigma].compose(inner)
 
 
 def is_flat_connection(a: FormMatrix) -> bool:
@@ -548,7 +568,8 @@ def build_mixed_connection(A: CoefficientSystem,
         return b.compose(store[(tail, EMPTY)])
 
     for sigma in A.S:
-        _walk(A, store, store, sigma, A.a, right, False, max_degree)
+        _walk(A, data.gauge_inverses, store, sigma, A.a, right, False,
+              max_degree)
         found = _face_checks(sigma, partial(check_structure, data), store,
                              "a'")
         if not is_flat_connection(store[(sigma, EMPTY)]):
@@ -566,7 +587,11 @@ def build_mixed_connection(A: CoefficientSystem,
 # connection data for (sigma, sigma').  The recursion acts on values
 # directly, with the product against D taken as value . D.  A face
 # decomposition  sum_{sigma''} b(sigma'') o I(sigma'')  of a value is
-# solved for only where a check needs one (ChainMapData.coords).
+# solved for only where a check needs one (ChainMapData.coords).  Each
+# I(sigma'') is constant, so one (row leaf, form degree) block of the
+# value is solved for by two constant matrices, the solution operator of
+# the block's system over Q, applied to whole forms.  An operator depends
+# on its column list alone, so one build eliminates each list once.
 
 
 @dataclass
@@ -576,6 +601,8 @@ class ChainMapData:
     values: dict = field(default_factory=dict)   # _owner key -> FormMatrix
     problems: list = field(default_factory=list)  # "sigma: message"
     _coords: dict = field(default_factory=dict, repr=False)
+    # column tuple -> solution operator (S, C) of its system under FM
+    _operators: dict = field(default_factory=dict, repr=False)
 
     def value(self, sigma: Simplex, sigma_p: Simplex) -> FormMatrix:
         return self.values[_owner(tuple(sigma), tuple(sigma_p))]
@@ -588,39 +615,53 @@ class ChainMapData:
         if key not in self._coords:
             try:
                 self._coords[key] = solve_face_coords(
-                    self.A, self.FM, key[0], key[1], self.value(*key))
+                    self.A, self.FM, key[0], key[1], self.value(*key),
+                    self._operators)
             except ExtensionInfeasible:
                 self._coords[key] = None
         return self._coords[key]
 
 
 def solve_face_coords(A: CoefficientSystem, FM: FiberModel, sigma: Simplex,
-                      sigma_p: Simplex, value: FormMatrix) -> dict:
+                      sigma_p: Simplex, value: FormMatrix,
+                      operators: Optional[dict] = None) -> dict:
     """Face coordinates for a given chain-map value matrix.
 
     Produces b with  sum_{s''} b(s'') I(s'') == value,  supported on the
     triangular blocks (strictly below the diagonal in the precedence
     order of ``sigma``, or on the diagonal for faces of dimension at
     least the vertex count of ``sigma_p``) and homogeneous of the forced
-    form degree in each block.  Because every I(s'') is a constant
-    matrix the defining equation splits monomial by monomial into small
-    exact linear systems, one per module row and monomial.  Systems
-    sharing a (leaf, form degree) block share their matrix, so each
-    block is eliminated once for all its right-hand sides; free
-    variables are zeroed.
+    form degree in each block.  Every I(s'') is a constant matrix, so
+    the degree-r parts of the value rows of one leaf make up one block,
+    whose unknowns are the degree-r columns (s'', basis element): its b
+    is part . S for the solution operator (S, C) of the block's system
+    (``linalg.solution_operator``), provided part . C = 0 and part
+    vanishes off the system's rows.  Coefficient by coefficient this is
+    the solution of each monomial's system with free variables zero.
+
+    The columns list faces outer, so those of the block's first face are
+    a prefix, and their operator is tried first; the full list serves
+    only a part it does not reach.  Both give the same b: the pivots of a
+    column prefix are its own pivots in the full list, and a right side
+    in their span has exactly one representation in those pivot columns.
+    ``operators`` keeps the operators by column tuple, for one fiber
+    model.  A part that no operator reaches raises
+    ``ExtensionInfeasible`` naming the first row, in repr order, and its
+    first monomial that has no solution.
     """
     L = A.L
     kk = len(sigma_p)
-    mm = value.k
+    ops = {} if operators is None else operators
     faces = [s2 for s2 in all_faces(sigma)
              if not smat_is_zero(FM.imap(s2))]
 
-    def columns(al: str) -> dict[int, list[tuple[Simplex, tuple]]]:
-        """The unknowns of the blocks of row leaf ``al``, by form degree:
-        faces outer, module basis inner.  A column leaf is ``al`` or
-        precedes it over ``sigma``.  On the diagonal the degree is
-        dim(s2) - kk, so a face of dimension below ``kk`` lands on a
-        negative degree, which no block has."""
+    def columns(al: str) -> dict[int, tuple[tuple, tuple]]:
+        """The unknowns of the blocks of row leaf ``al``, by form degree,
+        as (the first face's columns, all columns): faces outer, module
+        basis inner.  A column leaf is ``al`` or precedes it over
+        ``sigma``.  On the diagonal the degree is dim(s2) - kk, so a face
+        of dimension below ``kk`` lands on a negative degree, which no
+        block has."""
         leaves = [be for be in L.leaves
                   if be == al or prec(L, be, al, sigma)]
         by_degree: dict[int, list] = {}
@@ -629,38 +670,70 @@ def solve_face_coords(A: CoefficientSystem, FM: FiberModel, sigma: Simplex,
                 r = L.index[be] - L.index[al] + dim(s2) - kk
                 by_degree.setdefault(r, []).extend(
                     (s2, (be, i)) for i in range(L.rank[be]))
-        return by_degree
+        return {r: (tuple(c for c in cols if c[0] == cols[0][0]), tuple(cols))
+                for r, cols in by_degree.items()}
 
-    # one right-hand side per (module row, monomial), grouped by block
-    order = []
-    blocks: dict[tuple, list] = {}
-    for row in sorted(value.rows, key=repr):
-        split = monomial_coefficients(
-            {e: p for e, (p, _e) in value.rows[row].items()})
-        for mono, r, vec in split:
-            blocks.setdefault((row[0], r), []).append((len(order), vec))
-            order.append((row, mono))
+    def operator(cols: tuple) -> tuple[SMat, SMat]:
+        if cols not in ops:
+            mat = smat_transpose({(s2, be_m): FM.imap(s2).get(be_m, {})
+                                  for s2, be_m in cols})
+            ops[cols] = solution_operator(mat, cols)
+        return ops[cols]
 
-    solutions = [None] * len(order)
-    table = {al: columns(al) for al in dict.fromkeys(al for al, _r in blocks)}
-    for (al, r), items in blocks.items():
-        cols = table[al].get(r, [])
-        mat = smat_transpose({(s2, be_m): FM.imap(s2).get(be_m, {})
-                              for s2, be_m in cols})
-        xs = solve(mat, cols, [vec for _i, vec in items])
-        for (i, _vec), x in zip(items, xs):
-            solutions[i] = x
+    def reach(cols: tuple, part: FormMatrix) -> Optional[FormMatrix]:
+        S, C = operator(cols)
+        if any(c not in S for row in part.rows.values() for c in row) \
+                or not part.mul_const_right(C).is_zero():
+            return None
+        return part.mul_const_right(S)
+
+    # the degree-r parts of the value rows of leaf al, by (al, r)
+    parts: dict[tuple, FormMatrix] = {}
+    for row, entries in value.rows.items():
+        for c, (p, _e) in entries.items():
+            degrees = p.form_degrees()
+            for r in degrees:
+                part = parts.setdefault((row[0], r),
+                                        FormMatrix(value.k, L.deg))
+                part.set_entry(row, c, p if len(degrees) == 1
+                               else p.degree_part(r))
 
     out: dict = {}
-    for (row, mono), x in zip(order, solutions):
+    unreached = []
+    table = {al: columns(al) for al in dict.fromkeys(al for al, _r in parts)}
+    for (al, r), part in parts.items():
+        head, cols = table[al].get(r, ((), ()))
+        x = reach(head, part)
+        if x is None and len(head) < len(cols):
+            x = reach(cols, part)
         if x is None:
-            raise ExtensionInfeasible(
-                f"no face decomposition over {sigma} (face {sigma_p}): "
-                f"row {row}, monomial {mono}")
-        for (s2, be_m), coef in x.items():
-            fm = out.setdefault(s2, FormMatrix(mm, L.deg))
-            fm.set_entry(row, be_m, fm.entry(row, be_m) + mono.scale(coef))
-    return {s: fm for s, fm in out.items() if not fm.is_zero()}
+            unreached.append((part, operator(cols)))
+            continue
+        for row, (s2, be_m), p, e in x.entries():
+            out.setdefault(s2, FormMatrix(value.k, L.deg)).set_entry(
+                row, be_m, p, e)
+    if unreached:
+        row, mono = _first_unreached(unreached)
+        raise ExtensionInfeasible(
+            f"no face decomposition over {sigma} (face {sigma_p}): "
+            f"row {row}, monomial {mono}")
+    return out
+
+
+def _first_unreached(unreached: list) -> tuple:
+    """The first row, in repr order, with a monomial that its block's
+    operator (S, C) does not reach, and the first such monomial in the
+    order of ``monomial_coefficients``: one with a nonzero coefficient
+    off the rows of S, or in the row's product with C."""
+    missed: dict = {}   # row -> the forms holding its missed monomials
+    for part, (S, C) in unreached:
+        for row, c, p, _e in part.entries():
+            if c not in S:
+                missed.setdefault(row, []).append(p)
+        for row, _j, p, _e in part.mul_const_right(C).entries():
+            missed.setdefault(row, []).append(p)
+    row = min(missed, key=repr)
+    return row, monomial_coefficients(dict(enumerate(missed[row])))[0][0]
 
 
 def check_bcoord_structure(cm: ChainMapData, sigma: Simplex,
@@ -692,7 +765,7 @@ def build_Iprime(data: MixedConnectionData, FM: FiberModel,
         return b.mul_const_right(FM.D)
 
     for sigma in A.S:
-        _walk(A, data.aprime, cm.values, sigma, FM.imap, times_D, True,
+        _walk(A, data.gauge_inverses, cm.values, sigma, FM.imap, times_D, True,
               max_degree)
         found = _face_checks(sigma, partial(check_bcoord_structure, cm),
                              cm.values, "I'")
@@ -715,54 +788,105 @@ def locality_check(data: MixedConnectionData, cm: ChainMapData) -> list[str]:
     I'(sigma, sigma') kill it for nonempty sigma', and for the empty
     face they reduce to the diagonal vertex coordinates.  Only stored
     values are walked: over a larger simplex the tagged set only shrinks.
+    Each tagged set is a prefix of the omega basis sorted by tag, found
+    by bisection.  Messages come per stored value in repr order of its
+    key, then leaf by leaf, then in the order of the entries they name.
     """
     FM = cm.FM
     if FM.eta is None:
         raise ValueError("fiber model carries no height tags")
-    A = data.A
-    L = A.L
+    L = data.A.L
     eps2 = L.epsilon * L.epsilon
-    problems = []
+    by_tag = sorted(FM.omega_basis, key=FM.eta.__getitem__, reverse=True)
+    below = [-FM.eta[e] for e in by_tag]   # ascending
+    prefixes: dict[int, frozenset] = {}
     tagged = {}
     for sigma in {s for s, _sp in cm.values}:
         for alpha in L.leaves:
             # above h_alpha - eps^2 at every vertex of sigma
             floor = max(L.height(alpha, v) for v in sigma) - eps2
-            tagged[(sigma, alpha)] = {e for e in FM.omega_basis
-                                      if FM.eta[e] > floor}
-    for (sigma, sigma_p) in sorted(cm.values, key=repr):
-        val = cm.value(sigma, sigma_p)
-        for alpha in L.leaves:
-            high = tagged[(sigma, alpha)]
-            if not high:
-                continue
-            if sigma_p != EMPTY:
-                for (al, _i), c, p, _e in val.entries():
-                    if al == alpha and c in high and not p.is_zero():
-                        problems.append(
-                            f"I'({sigma},{sigma_p}) rows of {alpha} hit "
+            n = bisect_left(below, -floor)
+            if n not in prefixes:
+                prefixes[n] = frozenset(by_tag[:n])
+            tagged[(sigma, alpha)] = prefixes[n]
+    problems = []
+    for key in sorted(cm.values, key=repr):
+        sigma, sigma_p = key
+        val = cm.values[key]
+        high = {alpha: tagged[(sigma, alpha)] for alpha in L.leaves}
+        if sigma_p != EMPTY:
+            hits: dict = {}
+            for row, entries in val.rows.items():
+                for c, (p, _e) in entries.items():
+                    if c in high[row[0]] and not p.is_zero():
+                        hits.setdefault(row[0], []).append(
+                            f"I'({sigma},{sigma_p}) rows of {row[0]} hit "
                             f"tagged element {c}")
-            else:
-                coords = cm.coords(sigma, EMPTY)
-                if coords is None:
-                    problems.append(
-                        f"I'({sigma},empty) has no face decomposition to "
-                        f"read the vertex diagonal from")
-                    break
-                diag = FormMatrix(dim(sigma), A.L.deg)
-                for v in sigma:
-                    fm = coords.get((v,))
-                    if fm is None:
-                        continue
-                    keep = FormMatrix(fm.k, fm.deg)
-                    for (al, i), (be, m), p, _e in fm.entries():
-                        if al == alpha and be == alpha:
-                            keep.set_entry((al, i), (be, m), p)
-                    diag = diag.add(keep.mul_const_right(FM.imap((v,))))
-                delta = val.add(diag, -1)
-                for (al, _i), c, p, _e in delta.entries():
-                    if al == alpha and c in high and not p.is_zero():
-                        problems.append(
-                            f"I'({sigma},empty) rows of {alpha} at tagged "
-                            f"element {c} exceed the vertex diagonal")
+            problems += [m for alpha in L.leaves for m in hits.get(alpha, ())]
+            continue
+        if not any(high.values()):
+            continue
+        coords = cm.coords(sigma, EMPTY)
+        if coords is None:
+            problems.append(f"I'({sigma},empty) has no face decomposition "
+                            f"to read the vertex diagonal from")
+            continue
+        over = _over_the_diagonal(FM, sigma, val, coords, high)
+        for alpha in L.leaves:
+            if alpha in over:
+                problems += _diagonal_excess(FM, sigma, val, coords, alpha,
+                                             high[alpha])
     return problems
+
+
+def _over_the_diagonal(FM: FiberModel, sigma: Simplex, val: FormMatrix,
+                       coords: dict, high: dict) -> set:
+    """The leaves alpha at some tagged entry of whose rows
+    val = I'(sigma, empty) differs from the vertex diagonal
+    sum_v b_v(alpha <- alpha) . I(v), read from the face coordinates
+    b_v at the vertices.  Only tagged entries are computed."""
+    diag: dict = {}   # row -> {tagged element: form}
+    for v in sigma:
+        fm = coords.get((v,))
+        if fm is None:
+            continue
+        iv = FM.imap((v,))
+        for row, entries in fm.rows.items():
+            alpha = row[0]
+            for t, (p, _e) in entries.items():
+                if t[0] != alpha:
+                    continue
+                for c, w in iv.get(t, {}).items():
+                    if c in high[alpha]:
+                        d = diag.setdefault(row, {})
+                        d[c] = d[c] + p.scale(w) if c in d else p.scale(w)
+    over = set()
+    for row, entries in val.rows.items():
+        d = diag.get(row, {})
+        for c, (p, _e) in entries.items():
+            if c in high[row[0]] and p != d.pop(c, None):
+                over.add(row[0])
+    # the tagged entries where only the diagonal is nonzero
+    return over | {row[0] for row, d in diag.items()
+                   if any(not q.is_zero() for q in d.values())}
+
+
+def _diagonal_excess(FM: FiberModel, sigma: Simplex, val: FormMatrix,
+                     coords: dict, alpha: str, high: frozenset) -> list[str]:
+    """The messages for the tagged entries of the alpha rows where
+    I'(sigma, empty) exceeds the vertex diagonal, in the order of the
+    entries of their difference, formed in full."""
+    diag = FormMatrix(dim(sigma), val.deg)
+    for v in sigma:
+        fm = coords.get((v,))
+        if fm is None:
+            continue
+        keep = FormMatrix(fm.k, fm.deg)
+        for (al, i), (be, m), p, _e in fm.entries():
+            if al == alpha and be == alpha:
+                keep.set_entry((al, i), (be, m), p)
+        diag = diag.add(keep.mul_const_right(FM.imap((v,))))
+    return [f"I'({sigma},empty) rows of {alpha} at tagged element {c} "
+            f"exceed the vertex diagonal"
+            for (al, _i), c, p, _e in val.add(diag, -1).entries()
+            if al == alpha and c in high and not p.is_zero()]

@@ -336,6 +336,22 @@ def test_smooth_certifies_build_problems(capsys, tmp_path, monkeypatch):
     assert rep["certificates"] == rep["checks"]["problems"] == ["0,1: planted"]
 
 
+def test_build_iprime_certifies_connection_problems(capsys, tmp_path,
+                                                   monkeypatch):
+    """A problem of the a' build under build-iprime fails the command
+    with its certificate, as it does under smooth."""
+    def build(A, max_degree=None):
+        data = build_mixed_connection(A, max_degree=max_degree)
+        data.problems.append("0,1: planted")
+        return data
+    monkeypatch.setattr(cli, "build_mixed_connection", build)
+    code, rep = run(capsys, "build-iprime", "--instance",
+                    str(edge_file(tmp_path)))
+    assert code == 1
+    assert rep["certificates"] == rep["checks"]["problems"] == ["0,1: planted"]
+    assert rep["checks"]["locality"] == "ok"
+
+
 def test_smooth_reports_linear_partition_failure(capsys, tmp_path):
     path = edge_file(tmp_path, partition=partition_linear)
     code, rep = run(capsys, "smooth", "--instance", str(path))

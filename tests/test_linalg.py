@@ -11,6 +11,7 @@ from flatforms.linalg import (
     smat_mul,
     smat_set,
     smat_transpose,
+    solution_operator,
     solve,
     solver,
 )
@@ -267,6 +268,29 @@ def test_solver_matches_solve(system, outside):
         got = apply(b)
         assert (got if got is None else list(got.items())) == \
             (want if want is None else list(want.items()))
+        assert _all_fractions([got])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hard_systems(), st.sampled_from([None, Q(0), Q(1), Q(-2, 3)]))
+@example(CONTENT_SYSTEM, None)
+def test_solution_operator_matches_solve(system, outside):
+    """The operator (S, C) gives what ``solve`` gives for each b: x = b . S
+    when b lies on the row keys of ``a`` and b . C = 0, and None
+    otherwise, with b's entries off the row keys included."""
+    a, cols, rhs = system
+    if outside is not None:
+        rhs = rhs + [dict(rhs[0], outside=outside)]
+    S, C = solution_operator(a, cols)
+    assert list(S) == list(C) == list(a)
+    for b in rhs:
+        [want] = solve(a, cols, [b])
+        b = {r: v for r, v in b.items() if v}
+        if not b.keys() <= S.keys() or smat_mul({0: b}, C):
+            got = None
+        else:
+            got = smat_mul({0: b}, S).get(0, {})
+        assert got == want
         assert _all_fractions([got])
 
 

@@ -126,6 +126,26 @@ def test_identity_is_neutral(seed):
     assert x.compose(e).eq(x) and e.compose(x).eq(x)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_mul_const_left_is_composition_with_a_constant(seed):
+    """Scaling entry by entry, with the Koszul sign of the block degree,
+    is composition with the constant on the left: the same entries in
+    the same order.  Degrees of both parities give odd blocks."""
+    rng = random.Random(seed)
+    k = rng.randrange(0, 3)
+    keys = ["a", "b", "c", "e"]
+    deg = {"a": 0, "b": 1, "c": 2, "e": 3}
+    x = random_matrix(rng, k, keys, deg)
+    m = {}
+    for _ in range(rng.randrange(1, 6)):
+        m.setdefault(rng.choice(keys), {})[rng.choice(keys)] = \
+            Q(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 5]))
+    want = FormMatrix.from_const(k, m, deg).compose(x)
+    got = x.mul_const_left(m)
+    assert list(got.entries()) == list(want.entries())
+
+
 def test_compose_restrict_commute():
     rng = random.Random(7)
     keys = ["a", "b", "c"]
@@ -417,6 +437,35 @@ def test_solve_face_coords_infeasible_value():
         solve_face_coords(A, FM, (0, 1), EMPTY, bad)
 
 
+def test_full_columns_reach_what_the_first_face_cannot():
+    """Over the edge, I((0,)) sends only p and I((1,)) only r, so a row of
+    r reaching w needs the columns of the second face: the first face's
+    operator fails its consistency test and the full one answers, as
+    the per-block solve does."""
+    A = worked_edge()
+    FM = FiberModel(
+        omega_basis=["u", "w", "z"],
+        omega_degree={"u": 0, "w": 0, "z": 1},
+        D={},
+        I={(0,): {("p", 0): {"u": Q(1)}}, (1,): {("r", 0): {"w": Q(1)}}},
+        eta=None)
+    value = FormMatrix(1, A.L.deg)
+    value.set_entry(("r", 0), "u", PolyForm.coordinate(1, 1))
+    value.set_entry(("r", 0), "w", PolyForm.one(1))
+    value.set_entry(("p", 0), "u", PolyForm.const(1, 3))
+    key = ((0, 1), EMPTY)
+    got = coords_outcome(solve_face_coords, A, FM, key, value)
+    assert got == coords_outcome(per_block_solve_face_coords, A, FM, key,
+                                 value)
+    assert got[0] == "coords"
+    assert got[1][(1,)] == {("r", 0): {("r", 0): (PolyForm.one(1), 0)}}
+    # and through the memo of a build, which keeps both operators
+    cm = ChainMapData(A=A, FM=FM)
+    cm.values[key] = value
+    assert {s: fm.rows for s, fm in cm.coords(*key).items()} == got[1]
+    assert len(cm._operators) == 3
+
+
 def test_missing_face_decomposition_is_a_structure_problem():
     A = worked_edge()
     FM = worked_edge_fiber()
@@ -459,6 +508,25 @@ def test_locality_tags_need_every_vertex():
     assert locality_check(data, cm) == [
         "I'((0,),empty) rows of q at tagged element z exceed the vertex "
         "diagonal"]
+
+
+def test_locality_flags_a_diagonal_entry_that_the_value_lacks():
+    """At vertex 0, I'((0,), empty) is I((0,)), which is its own vertex
+    diagonal.  Without its entry r<-w the difference is nonzero only
+    where the diagonal is; mass at r<-z comes first, as an entry of the
+    value."""
+    A = worked_edge()
+    FM = worked_edge_fiber()
+    data = build_mixed_connection(A)
+    cm = build_Iprime(data, FM)
+    val = cm.values[((0,), EMPTY)]
+    val.set_entry(("r", 0), "w", PolyForm.zero(0))
+    msg = "I'((0,),empty) rows of r at tagged element {} exceed the vertex " \
+          "diagonal"
+    assert locality_check(data, cm) == [msg.format("w")]
+    val.set_entry(("r", 0), "z", PolyForm.one(0))
+    assert locality_check(data, cm) == [msg.format("z"), msg.format("w")]
+    assert locality_check(data, cm) == reference_locality_check(data, cm)
 
 
 def test_locality_requires_tags():
@@ -575,3 +643,99 @@ def test_face_coords_match_the_per_block_solve():
                                          inst.A, FM, key, val), (n, key)
             infeasible += got[0] == "infeasible"
     assert infeasible > 100
+
+
+# ---------------------------------------------------------------------------
+# oracle: the locality check that formed I' - diagonal in full per leaf
+# ---------------------------------------------------------------------------
+
+def reference_locality_check(data, cm):
+    FM = cm.FM
+    A = data.A
+    L = A.L
+    eps2 = L.epsilon * L.epsilon
+    problems = []
+    tagged = {}
+    for sigma in {s for s, _sp in cm.values}:
+        for alpha in L.leaves:
+            floor = max(L.height(alpha, v) for v in sigma) - eps2
+            tagged[(sigma, alpha)] = {e for e in FM.omega_basis
+                                      if FM.eta[e] > floor}
+    for (sigma, sigma_p) in sorted(cm.values, key=repr):
+        val = cm.value(sigma, sigma_p)
+        for alpha in L.leaves:
+            high = tagged[(sigma, alpha)]
+            if not high:
+                continue
+            if sigma_p != EMPTY:
+                for (al, _i), c, p, _e in val.entries():
+                    if al == alpha and c in high and not p.is_zero():
+                        problems.append(
+                            f"I'({sigma},{sigma_p}) rows of {alpha} hit "
+                            f"tagged element {c}")
+            else:
+                coords = cm.coords(sigma, EMPTY)
+                if coords is None:
+                    problems.append(
+                        f"I'({sigma},empty) has no face decomposition to "
+                        f"read the vertex diagonal from")
+                    break
+                diag = FormMatrix(dim(sigma), A.L.deg)
+                for v in sigma:
+                    fm = coords.get((v,))
+                    if fm is None:
+                        continue
+                    keep = FormMatrix(fm.k, fm.deg)
+                    for (al, i), (be, m), p, _e in fm.entries():
+                        if al == alpha and be == alpha:
+                            keep.set_entry((al, i), (be, m), p)
+                    diag = diag.add(keep.mul_const_right(FM.imap((v,))))
+                delta = val.add(diag, -1)
+                for (al, _i), c, p, _e in delta.entries():
+                    if al == alpha and c in high and not p.is_zero():
+                        problems.append(
+                            f"I'({sigma},empty) rows of {alpha} at tagged "
+                            f"element {c} exceed the vertex diagonal")
+    return problems
+
+
+def test_locality_matches_the_reference():
+    """The same messages in the same order as forming I' - diagonal in
+    full: empty on every generated model and the designed 4-simplex, and
+    on their values with mass injected at tagged entries or a tagged
+    entry removed (which the vertex diagonal then has alone), several
+    per value so that the order shows."""
+    instances = [generate(seed) for seed in range(40)]
+    instances.append(designed_instance(0, [(0, 1, 2, 3, 4)]))
+    found = removed = 0
+    for n, inst in enumerate(instances):
+        if inst.enriched:
+            continue
+        FM = make_fiber_model(inst)
+        data = build_mixed_connection(inst.A)
+        cm = build_Iprime(data, FM)
+        assert locality_check(data, cm) == reference_locality_check(
+            data, cm) == []
+        L = inst.A.L
+        eps2 = L.epsilon * L.epsilon
+        rng = random.Random(n)
+        keys = sorted(cm.values, key=repr)
+        for key in rng.sample(keys, min(6, len(keys))):
+            val = cm.values[key]
+            for _ in range(3):
+                row = rng.choice(L.basis)
+                floor = max(L.height(row[0], v) for v in key[0]) - eps2
+                high = [e for e in FM.omega_basis if FM.eta[e] > floor]
+                present = [c for c in val.rows.get(row, {}) if c in high]
+                if present and rng.random() < 0.5:
+                    val.set_entry(row, rng.choice(present),
+                                  PolyForm.zero(val.k))
+                    removed += key[1] == EMPTY
+                elif high:
+                    c = rng.choice(high)
+                    val.set_entry(row, c, val.entry(row, c)
+                                  + PolyForm.coordinate(val.k, 0))
+        got = locality_check(data, cm)
+        assert got == reference_locality_check(data, cm), n
+        found += len(got)
+    assert found > 100 and removed > 10
