@@ -41,7 +41,11 @@ from .flatsys import (
     validate_fiber_model,
     validate_system,
 )
-from .forms import ExtensionInfeasible, IncompatibleBoundaryData
+from .forms import (
+    ExponentOverflow,
+    ExtensionInfeasible,
+    IncompatibleBoundaryData,
+)
 from .instances import (
     generate,
     instance_from_json,
@@ -201,7 +205,10 @@ def cmd_validate(args):
         else:
             checks["fiber_model"] = "skipped (needs a valid system)"
     if inst.P is not None:
-        checks.record("partition", validate_partition(inst.P))
+        try:
+            checks.record("partition", validate_partition(inst.P))
+        except ExponentOverflow as ex:
+            checks.stop("partition", ex)
     return checks
 
 
@@ -270,7 +277,10 @@ def cmd_smooth(args):
         return checks.record("system", sysp)
     checks["partition"] = "from file" if inst.P is not None else "default"
     P = inst.P if inst.P is not None else partition_default(A.S)
-    checks.record("partition_valid", validate_partition(P))
+    try:
+        checks.record("partition_valid", validate_partition(P))
+    except ExponentOverflow as ex:
+        return checks.stop("partition_valid", ex)
     try:
         if FM is not None and (fmp := validate_fiber_model(A, FM)):
             return checks.record("fiber_model", fmp)
@@ -280,7 +290,11 @@ def cmd_smooth(args):
         return checks.stop("build", ex)
     if found := data.problems + (cm.problems if cm is not None else []):
         checks.record("problems", found)
-    for kind, problems in verify_smoothing(data, P, cm).items():
+    try:
+        verdicts = verify_smoothing(data, P, cm)
+    except ExponentOverflow as ex:
+        return checks.stop("smoothing", ex)
+    for kind, problems in verdicts.items():
         checks.record(kind, problems)
     return checks
 

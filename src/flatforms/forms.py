@@ -4,23 +4,35 @@ A form on the k-simplex lives in the chart (x_1, ..., x_k) obtained by
 eliminating the zeroth barycentric coordinate, x_0 = 1 - x_1 - ... - x_k.
 Terms are stored sparsely as
 
-    (exponents, dx-index tuple)  ->  int numerator
+    packed key  ->  int numerator
 
-over one positive int denominator per form, with exponent tuples of
-length k and strictly increasing dx index tuples drawn from {1, ..., k}.
+over one positive int denominator per form.  The key of x^e dx^D is one
+int: the dx index set D is a bitmask in its low k bits (bit i - 1 for
+dx_i), and above it each exponent e_i has a digit of ``_DIGIT`` bits,
+x_1 lowest.  The top bit of a digit is a guard that a stored key leaves
+clear, so exponents stay below ``_BOUND`` and a k <= 3 key fits in one
+machine word.  The key of a product is the sum of the keys: the digits
+add without carrying into each other, disjoint masks add to their union,
+and a guard bit set in the sum is an exponent past the bound, which
+raises ``ExponentOverflow`` instead of spilling into the next variable.
+The sign of dx^D ∧ dx^D' is one lookup in a per-chart table indexed by
+the two masks (``_sign_row``).
+
 Numerators and denominator are kept in lowest terms, so equal forms are
 stored alike; a form over 1 needs no gcd.  Wedge, exterior derivative,
-restriction to faces and the substitutions below run on Python ints.
-``PolyForm.terms`` shows the coefficients as Fractions, for extension
-from boundary data (a linear solve over Q), the contraction operator of
-the Poincaré lemma, evaluation and serialization.  All operations are
-exact.
+restriction to faces and the substitutions below run on Python ints and
+read digits and masks off the keys.  ``PolyForm.terms`` shows the
+coefficients as Fractions keyed by (exponent tuple, dx tuple), in
+storage order, for the contraction operator of the Poincaré lemma,
+evaluation and serialization; only it, ``to_json``/``from_json``,
+``__repr__`` and ``monomial_coefficients`` unpack keys.  All operations
+are exact.
 
 The extension system for r-forms of polynomial degree at most d on the
 k-simplex depends on (k, r, d) alone, and only its right-hand side on
 the boundary data.  So each such shape is eliminated once per process
-(``linalg.solver``, cached per shape) and every extension of that shape
-reads its solution off the stored elimination.
+(``linalg.solver``, cached per shape, on packed keys) and every
+extension of that shape reads its solution off the stored elimination.
 
 Face restrictions and chart changes are affine maps that send each
 chart variable to a barycentric coordinate of the target or to zero;
@@ -48,7 +60,6 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import gcd, lcm
-from operator import add
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -56,6 +67,10 @@ from .linalg import Q, qint, qx, solver
 from .simplicial import facet_positions
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
+
+_DIGIT = 16                      # bits per exponent digit, guard bit included
+_BOUND = 1 << (_DIGIT - 1)       # the first exponent a digit cannot hold
+_DIGIT_MASK = (1 << _DIGIT) - 1
 
 
 class IncompatibleBoundaryData(Exception):
@@ -74,45 +89,119 @@ class ExtensionInfeasible(Exception):
     """No polynomial extension found below the degree ceiling."""
 
 
-@cache
-def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
-    """Merge two increasing dx tuples; None if they share an index.
+class ExponentOverflow(ValueError):
+    """An exponent at or past ``_BOUND``, which a packed key cannot hold:
+    given to ``PolyForm``, or reached by a product or a substitution."""
 
-    Returns (sign, merged) where sign is (-1)**(number of transpositions
-    needed to interleave ``right`` into ``left``).
-    """
-    for i in right:
-        if i in left:
-            return None
-    merged = sorted(left + right)
-    # count inversions between the two blocks
-    inv = 0
-    for a in left:
-        for b in right:
-            if a > b:
-                inv += 1
-    return (-1) ** inv, tuple(merged)
+
+# ---------------------------------------------------------------------------
+# the packed key
+# ---------------------------------------------------------------------------
+
+@cache
+def _shifts(k: int) -> tuple:
+    """The bit offset of each exponent digit of a k-chart key, x_1 first."""
+    return tuple(k + i * _DIGIT for i in range(k))
+
+
+@cache
+def _low(k: int) -> int:
+    """The dx mask bits of a k-chart key: none for k <= 0 (the chart of
+    a vertex, and of the empty face, k = -1)."""
+    return (1 << k) - 1 if k > 0 else 0
+
+
+@cache
+def _guard(k: int) -> int:
+    """The guard bits of the exponent digits of a k-chart key."""
+    return sum(1 << (s + _DIGIT - 1) for s in _shifts(k))
+
+
+def _exps(k: int, key: int) -> tuple:
+    """The exponent tuple of a k-chart key."""
+    return tuple(key >> s & _DIGIT_MASK for s in _shifts(k))
+
+
+@cache
+def _dx_tuple(k: int, mask: int) -> tuple:
+    """The increasing dx indices of a k-chart dx mask."""
+    return tuple(i for i in range(1, k + 1) if mask >> (i - 1) & 1)
+
+
+def _unpack(k: int, key: int) -> Key:
+    """The (exponent tuple, dx tuple) of a k-chart key."""
+    return _exps(k, key), _dx_tuple(k, key & _low(k))
+
+
+def _mask(dxs) -> int:
+    """The dx mask of the dx indices ``dxs``."""
+    return sum(1 << (i - 1) for i in dxs)
+
+
+def _overflow(k: int, exps) -> ExponentOverflow:
+    """The error naming the largest of the exponents ``exps``."""
+    i, e = max(enumerate(exps, start=1), key=lambda ie: ie[1])
+    return ExponentOverflow(f"x{i}^{e} on the {k}-chart: exponents stay "
+                            f"below {_BOUND}")
+
+
+def _pack_exps(k: int, exps: Sequence[int]) -> int:
+    """The key of the monomial x^exps with no dx."""
+    if any(e >= _BOUND for e in exps):
+        raise _overflow(k, exps)
+    return sum(e << s for e, s in zip(exps, _shifts(k)))
+
+
+def _key(k: int, term) -> int:
+    """The key of ``term`` = (exponent tuple, dx tuple) on the k-chart:
+    k nonnegative ints, and dx indices strictly increasing in 1..k."""
+    try:
+        exps, dxs = term
+    except (TypeError, ValueError):
+        raise ValueError(f"term {term!r} is not a pair (exponents, dx)")
+    if not (type(exps) is tuple and len(exps) == k
+            and all(isinstance(e, int) and e >= 0 for e in exps)):
+        raise ValueError(f"term {term!r}: exponents are not a tuple of "
+                         f"{k} nonnegative ints")
+    if not (type(dxs) is tuple and all(isinstance(i, int) for i in dxs)
+            and all(a < b for a, b in zip((0,) + dxs, dxs))
+            and (not dxs or dxs[-1] <= k)):
+        raise ValueError(f"term {term!r}: dx indices are not strictly "
+                         f"increasing in 1..{k}")
+    return _pack_exps(k, exps) + _mask(dxs)
+
+
+@cache
+def _sign_row(k: int, m1: int) -> tuple:
+    """For each dx mask m2 of the k-chart in turn, the sign of
+    dx^m1 ∧ dx^m2 against dx^(m1 | m2): (-1) to the number of pairs of
+    an index in m1 above an index in m2, and 0 when they share one."""
+    row = []
+    for m2 in range(_low(k) + 1):
+        inv = sum((m1 >> (b + 1)).bit_count()
+                  for b in range(k) if m2 >> b & 1)
+        row.append(0 if m1 & m2 else -1 if inv & 1 else 1)
+    return tuple(row)
 
 
 @cache
 def _bary_power(k: int, e: int) -> tuple:
-    """y_0**e = (1 - y_1 - ... - y_k)**e as (exponents, int) pairs."""
-    if e == 0:
-        return (((0,) * k, 1),)
-    return tuple((exps, c) for (exps, _d), c
-                 in Powers(PolyForm.coordinate(k, 0))[e]._num.items())
+    """y_0**e = (1 - y_1 - ... - y_k)**e as (key, int) pairs."""
+    if e == 0 or k == 0:
+        return ((0, 1),)
+    return tuple(Powers(PolyForm.coordinate(k, 0))[e]._num.items())
 
 
 @cache
 def _dx_image(targets: tuple, k: int) -> tuple:
     """dy_j wedged over j in ``targets``, in order, on the k-chart, as
-    (dx tuple, int) pairs; a None target makes it zero."""
+    (dx mask, int) pairs; a None target makes it zero."""
     if None in targets:
         return ()
     f = PolyForm.one(k)
     for j in targets:
         f = f.wedge(PolyForm.dx(k, j))
-    return tuple((dxs, c) for (_e, dxs), c in f._num.items())
+    return tuple(f._num.items())
 
 
 @cache
@@ -130,25 +219,33 @@ def _restrict_table(k: int, positions: tuple) -> tuple:
 
 
 @cache
-def _term_image(key: tuple, target_k: int, table: tuple) -> tuple:
-    """The image of the unit term x^e dx^D, ``key`` = (e, D), under the
-    ``affine_pullback`` table on the target_k-chart, as (term, int)
-    pairs: bary shift outer, dx image inner.  Empty when a variable sent
-    to zero carries a positive exponent or a dx maps to zero."""
-    exps, dxs = key
+def _term_image(key: int, target_k: int, table: tuple) -> tuple:
+    """The image of the unit term with key ``key`` on the len(table)-chart
+    under the ``affine_pullback`` table on the target_k-chart, as (key,
+    int) pairs: bary shift outer, dx image inner.  Empty when a variable
+    sent to zero carries a positive exponent or a dx maps to zero."""
+    k = len(table)
     mono = [0] * target_k
     e0 = 0
-    for e, j in zip(exps, table):
+    for s, j in zip(_shifts(k), table):
+        e = key >> s & _DIGIT_MASK
         if j:
             mono[j - 1] += e
         elif j == 0:
             e0 += e
         elif e:
             return ()
+    dxs = _dx_tuple(k, key & _low(k))
     dx_image = _dx_image(tuple(table[i - 1] for i in dxs), target_k)
-    return tuple(((tuple(map(add, mono, shift)), dd), pc * s)
-                 for shift, pc in _bary_power(target_k, e0)
-                 for dd, s in dx_image)
+    if not dx_image:
+        return ()
+    base, guard = _pack_exps(target_k, mono), _guard(target_k)
+    out = []
+    for shift, pc in _bary_power(target_k, e0):
+        if (base + shift) & guard:
+            raise _overflow(target_k, _exps(target_k, base + shift))
+        out += [(base + shift + dd, pc * s) for dd, s in dx_image]
+    return tuple(out)
 
 
 def _form(k: int, num: dict, den: int = 1) -> "PolyForm":
@@ -164,29 +261,37 @@ def _form(k: int, num: dict, den: int = 1) -> "PolyForm":
     return f
 
 
+def _rational_form(k: int, coefs: dict) -> "PolyForm":
+    """The form on the k-chart with rational coefficients ``coefs`` by
+    key, zeros dropped."""
+    coefs = {key: c for key, c in coefs.items() if c != 0}
+    # over the lcm of the reduced denominators the numerators are
+    # already coprime to it: lowest terms
+    den = lcm(*(c.denominator for c in coefs.values()))
+    return _form(k, {key: c.numerator * (den // c.denominator)
+                     for key, c in coefs.items()}, den)
+
+
 class PolyForm:
-    __slots__ = ("k", "_num", "_den")
+    """A polynomial differential form on the k-chart (see the module
+    docstring for the packed term keys).  Immutable: every operation
+    returns a new form, and the hash is computed once."""
+
+    __slots__ = ("k", "_num", "_den", "_hash")
 
     def __init__(self, k: int, terms: Optional[dict] = None):
-        coefs = {}
-        if terms:
-            for key, c in terms.items():
-                c = qx(c)
-                if c != 0:
-                    coefs[key] = c
-        # over the lcm of the reduced denominators the numerators are
-        # already coprime to it: lowest terms
-        den = lcm(*(c.denominator for c in coefs.values()))
-        self.k = k
-        self._num = {key: c.numerator * (den // c.denominator)
-                     for key, c in coefs.items()}
-        self._den = den
+        """The form sum c x^e dx^D over ``terms`` {(e, D): c}: e a tuple
+        of k nonnegative ints, D strictly increasing in 1..k, c rational.
+        A term of any other shape raises ValueError."""
+        f = _rational_form(k, {_key(k, key): qx(c)
+                               for key, c in (terms or {}).items()})
+        self.k, self._num, self._den = k, f._num, f._den
 
     @property
     def terms(self) -> Mapping[Key, Fraction]:
         """The coefficients as Fractions, read-only, in storage order."""
-        den = self._den
-        return MappingProxyType({key: Fraction(c, den)
+        k, den = self.k, self._den
+        return MappingProxyType({_unpack(k, key): Fraction(c, den)
                                  for key, c in self._num.items()})
 
     # -- constructors -------------------------------------------------
@@ -200,11 +305,11 @@ class PolyForm:
         c = qx(c)
         if c == 0:
             return _form(k, {})
-        return _form(k, {((0,) * k, ()): c.numerator}, c.denominator)
+        return _form(k, {0: c.numerator}, c.denominator)
 
     @classmethod
     def one(cls, k: int) -> "PolyForm":
-        return _form(k, {((0,) * k, ()): 1})
+        return _form(k, {0: 1})
 
     @classmethod
     def coordinate(cls, k: int, i: int) -> "PolyForm":
@@ -212,13 +317,11 @@ class PolyForm:
         if not 0 <= i <= k:
             raise ValueError(f"coordinate index {i} out of range 0..{k}")
         if i > 0:
-            exps = tuple(1 if j == i - 1 else 0 for j in range(k))
-            return _form(k, {(exps, ()): 1})
+            return _form(k, {1 << _shifts(k)[i - 1]: 1})
         # x_0 = 1 - x_1 - ... - x_k
-        num = {((0,) * k, ()): 1}
-        for j in range(1, k + 1):
-            exps = tuple(1 if t == j - 1 else 0 for t in range(k))
-            num[(exps, ())] = -1
+        num = {0: 1}
+        for s in _shifts(k):
+            num[1 << s] = -1
         return _form(k, num)
 
     @classmethod
@@ -227,8 +330,8 @@ class PolyForm:
         if not 0 <= i <= k:
             raise ValueError(f"dx index {i} out of range 0..{k}")
         if i > 0:
-            return _form(k, {((0,) * k, (i,)): 1})
-        return _form(k, {((0,) * k, (j,)): -1 for j in range(1, k + 1)})
+            return _form(k, {1 << (i - 1): 1})
+        return _form(k, {1 << j: -1 for j in range(k)})
 
     # -- ring / module structure --------------------------------------
 
@@ -240,10 +343,14 @@ class PolyForm:
             and self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        # the hash of the Fraction coefficients: an int hashes as the
-        # Fraction it equals
-        items = self._num.items() if self._den == 1 else self.terms.items()
-        return hash((self.k, frozenset(items)))
+        # equal forms are stored alike; the slot is unset until the
+        # first call
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.k, self._den,
+                               frozenset(self._num.items())))
+            return self._hash
 
     def __add__(self, other: "PolyForm") -> "PolyForm":
         if self.k != other.k:
@@ -270,7 +377,8 @@ class PolyForm:
 
     def graded_involution(self) -> "PolyForm":
         """The form with its odd-degree parts negated: (-1)**r on r-forms."""
-        return _form(self.k, {key: (-c if len(key[1]) % 2 else c)
+        low = _low(self.k)
+        return _form(self.k, {key: (-c if (key & low).bit_count() & 1 else c)
                               for key, c in self._num.items()}, self._den)
 
     def scale(self, c) -> "PolyForm":
@@ -285,54 +393,69 @@ class PolyForm:
                      self._den * q)
 
     def wedge(self, other: "PolyForm") -> "PolyForm":
-        if self.k != other.k:
+        k = self.k
+        if k != other.k:
             raise ValueError("chart dimension mismatch")
-        out: dict[Key, int] = {}
+        low, guard = _low(k), _guard(k)
+        out: dict[int, int] = {}
+        get, pop = out.get, out.pop
         right = list(other._num.items())
-        for (e1, d1), c1 in self._num.items():
-            for (e2, d2), c2 in right:
-                ms = _merge_sign(d1, d2)
-                if ms is None:
-                    continue
-                sign, dd = ms
-                key = (tuple(map(add, e1, e2)), dd)
-                v = out.get(key, 0) + sign * c1 * c2
-                if v == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = v
-        return _form(self.k, out, self._den * other._den)
+        for k1, c1 in self._num.items():
+            row = _sign_row(k, k1 & low)
+            for k2, c2 in right:
+                sign = row[k2 & low]
+                if sign:
+                    key = k1 + k2
+                    if key & guard:
+                        raise _overflow(k, _exps(k, key))
+                    v = get(key, 0) + sign * c1 * c2
+                    if v == 0:
+                        pop(key, None)
+                    else:
+                        out[key] = v
+        return _form(k, out, self._den * other._den)
 
     def d(self) -> "PolyForm":
-        out: dict[Key, int] = {}
-        for (exps, dxs), c in self._num.items():
-            for i, e in enumerate(exps, start=1):
-                if e == 0 or i in dxs:
+        k = self.k
+        low = _low(k)
+        # per variable: its digit, its dx bit, and the signs of that dx
+        # wedged on the left of each dx mask
+        units = [(s, 1 << i, _sign_row(k, 1 << i))
+                 for i, s in enumerate(_shifts(k))]
+        out: dict[int, int] = {}
+        for key, c in self._num.items():
+            mask = key & low
+            for s, dx, signs in units:
+                e = key >> s & _DIGIT_MASK
+                sign = signs[mask]
+                if e == 0 or sign == 0:
                     continue
-                sign, dd = _merge_sign((i,), dxs)
-                key = (exps[:i - 1] + (e - 1,) + exps[i:], dd)
-                v = out.get(key, 0) + sign * c * e
+                dkey = key - (1 << s) + dx
+                v = out.get(dkey, 0) + sign * c * e
                 if v == 0:
-                    out.pop(key, None)
+                    out.pop(dkey, None)
                 else:
-                    out[key] = v
-        return _form(self.k, out, self._den)
+                    out[dkey] = v
+        return _form(k, out, self._den)
 
     # -- structure queries ---------------------------------------------
 
     def form_degrees(self) -> set[int]:
-        return {len(dxs) for _exps, dxs in self._num}
+        low = _low(self.k)
+        return {(key & low).bit_count() for key in self._num}
 
     def degree_part(self, r: int) -> "PolyForm":
+        low = _low(self.k)
         return _form(self.k, {key: c for key, c in self._num.items()
-                              if len(key[1]) == r}, self._den)
+                              if (key & low).bit_count() == r}, self._den)
 
     def is_homogeneous(self, r: int) -> bool:
-        return all(len(dxs) == r for _exps, dxs in self._num)
+        low = _low(self.k)
+        return all((key & low).bit_count() == r for key in self._num)
 
     def poly_degree(self) -> int:
         """Maximal total exponent degree appearing (0 for the zero form)."""
-        return max((sum(e) for (e, _d) in self._num), default=0)
+        return max((sum(_exps(self.k, key)) for key in self._num), default=0)
 
     def vanishes_on_facet(self, j: int) -> bool:
         """Whether every coefficient vanishes at the points of the facet
@@ -345,14 +468,17 @@ class PolyForm:
         chart making this facet a coordinate hyperplane changes the dx
         basis by an invertible constant map, so that is the same test.)
         """
+        k = self.k
         if j >= 1:
-            return all(exps[j - 1] for exps, _dxs in self._num)
-        coefs: dict[tuple[int, ...], dict] = {}
-        for (exps, dxs), c in self._num.items():
-            coefs.setdefault(dxs, {})[(exps, ())] = c
-        facet = tuple(range(self.k))
-        return all(_form(self.k, num).affine_pullback(self.k - 1, facet)
-                   .is_zero() for num in coefs.values())
+            s = _shifts(k)[j - 1]
+            return all(key >> s & _DIGIT_MASK for key in self._num)
+        low = _low(k)
+        coefs: dict[int, dict] = {}
+        for key, c in self._num.items():
+            coefs.setdefault(key & low, {})[key & ~low] = c
+        facet = tuple(range(k))
+        return all(_form(k, num).affine_pullback(k - 1, facet).is_zero()
+                   for num in coefs.values())
 
     def value_at(self, point: Sequence) -> Fraction:
         """Value of a 0-form at a chart point."""
@@ -377,19 +503,19 @@ class PolyForm:
         ``images[i]`` (for i = 1..k) is the pullback of the coordinate
         x_i; differentials map along d(images[i]).
         """
+        k = self.k
         powers = {i: Powers(f) for i, f in images.items()}
-        origin = (0,) * target_k
         out = PolyForm.zero(target_k)
-        for (exps, dxs), c in self._num.items():
-            acc = _form(target_k, {(origin, ()): c})
-            for i, e in enumerate(exps, start=1):
+        for key, c in self._num.items():
+            acc = _form(target_k, {0: c})
+            for i, e in enumerate(_exps(k, key), start=1):
                 if e:
                     acc = acc.wedge(powers[i][e])
                     if acc.is_zero():
                         break
             if acc.is_zero():
                 continue
-            for i in dxs:
+            for i in _dx_tuple(k, key & _low(k)):
                 acc = acc.wedge(powers[i].d)
                 if acc.is_zero():
                     break
@@ -421,7 +547,7 @@ class PolyForm:
         (term, target chart, table) in the process.
         """
         table = tuple(table)
-        out: dict[Key, int] = {}
+        out: dict[int, int] = {}
         for key, c in self._num.items():
             for tkey, m in _term_image(key, target_k, table):
                 v = out.get(tkey, 0) + c * m
@@ -481,17 +607,19 @@ def monomial_coefficients(forms: dict) -> list[tuple[PolyForm, int, dict]]:
     One entry per monomial x^e dx^D present in any of ``forms``: the
     form x^e dx^D itself, its form degree |D|, and {label: coefficient
     of x^e dx^D in forms[label]} over the forms that contain it.  The
-    order is fixed by the monomials alone.
+    order is fixed by the monomials alone: that of the reprs of their
+    (e, D) tuples.
     """
-    split: dict[Key, tuple[PolyForm, dict]] = {}
+    split: dict[int, tuple[PolyForm, dict]] = {}
     for label, f in forms.items():
-        for key, c in f.terms.items():
+        for key, c in f._num.items():
             if key not in split:
                 split[key] = _form(f.k, {key: 1}), {}
-            split[key][1][label] = c
-    return [(mono, len(key[1]), coefs)
-            for key, (mono, coefs) in sorted(split.items(),
-                                             key=lambda kv: repr(kv[0]))]
+            split[key][1][label] = Fraction(c, f._den)
+    entries = sorted(((_unpack(mono.k, key), mono, coefs)
+                      for key, (mono, coefs) in split.items()),
+                     key=lambda e: repr(e[0]))
+    return [(mono, len(dxs), coefs) for (_e, dxs), mono, coefs in entries]
 
 
 class Powers:
@@ -561,22 +689,25 @@ class RatioPullback:
             dimg = [q.base.wedge(pw.d) - pw.base.wedge(q.d) for pw in npow]
             pieces = self._subs[(den, nums)] = npow, dimg, {}
         npow, dimg, images = pieces
-        target_k = den.k
+        k, target_k = len(nums), den.k
+        low = _low(k)
         out = []
         for p in forms:
             by_weight: dict[int, PolyForm] = {}   # |e| + 2|D| -> sum of images
             for key, coef in p._num.items():
-                if key not in images:
-                    exps, dxs = key
+                image = images.get(key)
+                if image is None:
+                    exps = _exps(k, key)
+                    dxs = _dx_tuple(k, key & low)
                     f = PolyForm.one(target_k)
                     for i, e in enumerate(exps):
                         if e:
                             f = f.wedge(npow[i][e])
                     for i in dxs:
                         f = f.wedge(dimg[i - 1])
-                    images[key] = f
-                w = sum(key[0]) + 2 * len(key[1])
-                term = images[key].scale(coef)
+                    image = images[key] = f, sum(exps) + 2 * len(dxs)
+                f, w = image
+                term = f.scale(coef)
                 by_weight[w] = by_weight[w] + term if w in by_weight else term
             top = max(by_weight, default=0)
             num = PolyForm.zero(target_k)
@@ -664,16 +795,18 @@ def extend_from_boundary(k: int, data: Sequence[PolyForm],
 @cache
 def _extension_solver(k: int, r: int, deg: int):
     """The solver of the extension system for r-forms of polynomial
-    degree at most ``deg`` on the k-simplex: one column per basis term,
-    one row per (facet j, term of the restriction to facet j).  It
-    depends on the shape alone, so it is eliminated once per shape."""
-    cols = [(mono, dd) for mono in _monomials_upto(k, deg)
-            for dd in _dx_tuples(k, r)]
-    rows: dict[tuple, dict[Key, Fraction]] = {}
+    degree at most ``deg`` on the k-simplex: one column per basis term
+    (monomial outer, dx tuple inner), one row per (facet j, term of the
+    restriction to facet j), all keyed by packed keys.  It depends on
+    the shape alone, so it is eliminated once per shape."""
+    masks = [_mask(dd) for dd in _dx_tuples(k, r)]
+    cols = [_pack_exps(k, mono) + m for mono in _monomials_upto(k, deg)
+            for m in masks]
+    rows: dict[tuple, dict[int, int]] = {}
     for j in range(k + 1):
         positions = facet_positions(k, j)
         for key in cols:
-            for tkey, c in _form(k, {key: 1}).restrict(positions).terms.items():
+            for tkey, c in _form(k, {key: 1}).restrict(positions)._num.items():
                 rows.setdefault((j, tkey), {})[key] = c
     return solver(rows, cols)
 
@@ -682,12 +815,12 @@ def _extend_homogeneous(k: int, data: Sequence[PolyForm], r: int,
                         d0: int, ceiling: int) -> PolyForm:
     if all(f.is_zero() for f in data):
         return PolyForm.zero(k)
-    rhs = {(j, tkey): c for j in range(k + 1)
-           for tkey, c in data[j].terms.items()}
+    rhs = {(j, tkey): Fraction(c, data[j]._den) for j in range(k + 1)
+           for tkey, c in data[j]._num.items()}
     for deg in range(d0, ceiling + 1):
         x = _extension_solver(k, r, deg)(rhs)
         if x is not None:
-            return PolyForm(k, x)
+            return _rational_form(k, x)
     raise ExtensionInfeasible(
         f"no degree <= {ceiling} extension for form degree {r} on the {k}-simplex")
 

@@ -10,6 +10,7 @@ import pytest
 from flatforms import cli
 from flatforms.cli import main, save_instance
 from flatforms.flatsys import FiberModel, fiber_homology, quasi_iso_ranks
+from flatforms.forms import _BOUND, ExponentOverflow
 from flatforms.instances import (
     corrupt_random_entry,
     designed_instance,
@@ -359,6 +360,58 @@ def test_smooth_reports_linear_partition_failure(capsys, tmp_path):
     assert rep["status"] == "fail"
     assert rep["checks"]["partition"] == "from file"
     assert rep["checks"]["first_order"] != "ok"
+
+
+def power_partition_file(tmp_path, e):
+    """The worked edge with phi_1 = (x1 + x1^e) / (1 + x1^e) over the
+    edge, which is 2/2 at vertex 1."""
+    path = edge_file(tmp_path, partition=partition_linear)
+    data = json.loads(path.read_text())
+    P = data["partition"]
+    for item in (P["den"][1], P["num"][2]):
+        item["form"]["terms"].append({"mono": {"1": e}, "dx": [],
+                                      "coeff": "1"})
+    for item in (P["den"][2], P["num"][3]):
+        item["form"]["terms"][0]["coeff"] = "2"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_a_form_exponent_past_the_layout_is_an_input_error(capsys,
+                                                           tmp_path):
+    path = power_partition_file(tmp_path, _BOUND)
+    for cmd in INSTANCE_COMMANDS:
+        assert main([cmd, "--instance", str(path)]) == 2, cmd
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: malformed instance file")
+        assert f"x1^{_BOUND} on the 1-chart: exponents stay below {_BOUND}" \
+            in captured.err
+
+
+def test_a_product_past_the_layout_fails_with_its_message(capsys, tmp_path,
+                                                          monkeypatch):
+    """(1 + x1^e) d(x1 + x1^e) needs x1^(2e - 1), past the bound for
+    e = _BOUND - 1: the partition check stops with that message, and a
+    smoothing walk that overflows stops the same way."""
+    message = f"x1^{2 * _BOUND - 3} on the 1-chart: exponents stay below " \
+        f"{_BOUND}"
+    path = power_partition_file(tmp_path, _BOUND - 1)
+    code, rep = run(capsys, "validate", "--instance", str(path))
+    assert code == 1
+    assert rep["certificates"] == [message]
+    assert rep["checks"]["partition"] == message
+    code, rep = run(capsys, "smooth", "--instance", str(path))
+    assert code == 1
+    assert rep["certificates"] == [message]
+    assert rep["checks"]["partition_valid"] == message
+
+    def verify(data, P, cm):
+        raise ExponentOverflow("planted")
+    monkeypatch.setattr(cli, "verify_smoothing", verify)
+    code, rep = run(capsys, "smooth", "--instance", str(edge_file(tmp_path)))
+    assert code == 1
+    assert rep["certificates"] == [rep["checks"]["smoothing"]] == ["planted"]
 
 
 def test_homology_with_fiber_model(capsys, tmp_path):

@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatforms.forms import (
+    _BOUND,
+    ExponentOverflow,
     ExtensionInfeasible,
     IncompatibleBoundaryData,
     PolyForm,
-    _bary_power,
-    _dx_image,
+    RatioPullback,
     _dx_tuples,
     _extend_homogeneous,
-    _form,
     _monomials_upto,
     extend_from_boundary,
     poincare_contract,
@@ -409,6 +409,72 @@ def ref_restrict(a, k, positions):
     return out
 
 
+# --- the tuple-keyed kernel that the packed one replaced ------------------
+#
+# The bodies of ``wedge``, ``d`` and ``+`` from when a term's key was the
+# pair (exponent tuple, dx tuple), reading only ``.terms`` (with
+# ``ref_merge`` for the old ``_merge_sign``, which it equals).  Their
+# Fraction partial sums vanish exactly where the int numerators over one
+# denominator did, so they insert, drop and re-insert terms in the same
+# order, and the packed kernel must store its terms in that order.
+
+
+def tuple_wedge(f, g):
+    out = {}
+    right = list(g.terms.items())
+    for (e1, d1), c1 in f.terms.items():
+        for (e2, d2), c2 in right:
+            ms = ref_merge(d1, d2)
+            if ms is None:
+                continue
+            sign, dd = ms
+            key = (tuple(map(add, e1, e2)), dd)
+            v = out.get(key, 0) + sign * c1 * c2
+            if v == 0:
+                out.pop(key, None)
+            else:
+                out[key] = v
+    return out
+
+
+def tuple_d(f):
+    out = {}
+    for (exps, dxs), c in f.terms.items():
+        for i, e in enumerate(exps, start=1):
+            if e == 0 or i in dxs:
+                continue
+            sign, dd = ref_merge((i,), dxs)
+            key = (exps[:i - 1] + (e - 1,) + exps[i:], dd)
+            v = out.get(key, 0) + sign * c * e
+            if v == 0:
+                out.pop(key, None)
+            else:
+                out[key] = v
+    return out
+
+
+def tuple_add(a, b):
+    """``+`` on two term dicts, such as ``f.terms``."""
+    out = dict(a)
+    for key, c in b.items():
+        v = out.get(key, 0) + c
+        if v == 0:
+            out.pop(key, None)
+        else:
+            out[key] = v
+    return out
+
+
+def items(f):
+    """The terms of ``f`` in storage order."""
+    return list(f.terms.items())
+
+
+def face_table(k, positions):
+    pos_of = {p: j for j, p in enumerate(positions)}
+    return [pos_of.get(i) for i in range(1, k + 1)]
+
+
 COEFFS = st.one_of(
     st.fractions(min_value=-9, max_value=9, max_denominator=12),
     st.builds(Q, st.integers(-2 ** 130, 2 ** 130), st.integers(1, 2 ** 110)))
@@ -441,6 +507,17 @@ def test_kernel_matches_fraction_reference(drawn, c):
     assert dict(f.scale(c).terms) == ref_scale(a, c)
     for pos in faces(k):
         assert dict(f.restrict(pos).terms) == ref_restrict(a, k, pos)
+    # the same terms in the order the tuple-keyed kernel stored them
+    assert items(f.wedge(g)) == list(tuple_wedge(f, g).items())
+    assert items(f.d()) == list(tuple_d(f).items())
+    assert items(f + g) == list(tuple_add(f.terms, g.terms).items())
+    assert items(f - g) == list(tuple_add(
+        f.terms, {key: -v for key, v in g.terms.items()}).items())
+    assert items(f.scale(c)) == [(key, v * c) for key, v in f.terms.items()
+                                 if c]
+    for pos in faces(k):
+        assert items(f.restrict(pos)) == items(reference_affine_pullback(
+            f, len(pos) - 1, face_table(k, pos)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -515,14 +592,20 @@ def test_a_normal_component_does_not_vanish():
 
 def reference_affine_pullback(f, target_k, table):
     """``PolyForm.affine_pullback`` as it was before each term's image
-    was cached: every term substituted afresh, in the same order."""
+    was cached: every term substituted afresh, in the same order, on
+    the (exponents, dx) terms."""
     out = {}
     dead = [i for i, j in enumerate(table) if j is None]
-    for (exps, dxs), c in f._num.items():
+    for (exps, dxs), c in f.terms.items():
         if any(exps[i] for i in dead):
             continue
-        dx_image = _dx_image(tuple(table[i - 1] for i in dxs), target_k)
-        if not dx_image:
+        targets = [table[i - 1] for i in dxs]
+        if None in targets:
+            continue
+        dx_image = PolyForm.one(target_k)
+        for j in targets:
+            dx_image = dx_image.wedge(PolyForm.dx(target_k, j))
+        if dx_image.is_zero():
             continue
         mono = [0] * target_k
         e0 = 0
@@ -531,16 +614,19 @@ def reference_affine_pullback(f, target_k, table):
                 mono[j - 1] += e
             elif j == 0:
                 e0 += e
-        for shift, pc in _bary_power(target_k, e0):
+        bary_power = PolyForm.one(target_k)
+        for _ in range(e0):
+            bary_power = bary_power.wedge(PolyForm.coordinate(target_k, 0))
+        for (shift, _d), pc in bary_power.terms.items():
             ee = tuple(map(add, mono, shift))
-            for dd, s in dx_image:
+            for (_e, dd), s in dx_image.terms.items():
                 key = (ee, dd)
                 v = out.get(key, 0) + c * (pc * s)
                 if v == 0:
                     out.pop(key, None)
                 else:
                     out[key] = v
-    return _form(target_k, out, f._den)
+    return PolyForm(target_k, out)
 
 
 @settings(max_examples=150, deadline=None)
@@ -565,9 +651,8 @@ def test_restrict_matches_the_reference_term_for_term(drawn, data):
     f = PolyForm(k, a)
     positions = tuple(sorted(data.draw(st.sets(st.integers(0, k),
                                                min_size=1))))
-    pos_of = {p: j for j, p in enumerate(positions)}
-    table = [pos_of.get(i) for i in range(1, k + 1)]
-    want = reference_affine_pullback(f, len(positions) - 1, table)
+    want = reference_affine_pullback(f, len(positions) - 1,
+                                     face_table(k, positions))
     assert list(f.restrict(positions).terms.items()) == \
         list(want.terms.items())
 
@@ -580,3 +665,108 @@ def test_restrict_rejects_bad_positions(positions, message):
     for _ in range(2):   # a refusal is not remembered as an answer
         with pytest.raises(ValueError, match=message):
             f.restrict(positions)
+
+
+# --- term keys: their shape, and the exponent bound of the packed layout ---
+
+
+@pytest.mark.parametrize("key", [
+    ((1,), ()),           # one exponent short: once read as x1 on the 2-chart
+    ((0, 1, 0), ()),      # one exponent too many
+    ((0, -1), ()),
+    ((0, 1.0), ()),
+    ((0, 1), (2, 1)),     # dx indices out of order: once stored unsorted
+    ((0, 1), (1, 1)),
+    ((0, 1), (0,)),
+    ((0, 1), (3,)),
+    ((0, 1),),
+], ids=["short", "long", "negative", "float", "dx-unsorted", "dx-repeated",
+        "dx-zero", "dx-past-k", "not-a-pair"])
+def test_polyform_refuses_a_malformed_key(key):
+    with pytest.raises(ValueError, match="term"):
+        PolyForm(2, {key: 1})
+
+
+def test_malformed_keys_no_longer_read_as_other_terms():
+    """A short exponent tuple once wedged to ``1*x1`` (the product's
+    exponents were truncated), and an unsorted dx tuple once printed as
+    ``x2∧dx1dx2`` with no sign flip."""
+    with pytest.raises(ValueError, match="exponents"):
+        PolyForm(2, {((1,), ()): 1}).wedge(PolyForm.coordinate(2, 2))
+    with pytest.raises(ValueError, match="dx indices"):
+        PolyForm(2, {((0, 1), (2, 1)): 1}).wedge(PolyForm.one(2))
+    assert repr(PolyForm(2, {((0, 1), (1, 2)): -1})) == \
+        "PolyForm(2, -1*x2∧dx1dx2)"
+
+
+TOP = _BOUND - 1   # the largest exponent a packed key holds
+
+
+def monomial(k, exps, dxs=(), c=1):
+    return PolyForm(k, {(tuple(exps), tuple(dxs)): c})
+
+
+def test_exponents_at_the_bound_are_refused():
+    assert monomial(2, (TOP, TOP)).terms == {((TOP, TOP), ()): 1}
+    with pytest.raises(ExponentOverflow, match=f"x2\\^{_BOUND}"):
+        monomial(2, (0, _BOUND))
+    # a ValueError, which the instance reader maps to an input error
+    with pytest.raises(ExponentOverflow, match=f"x1\\^{_BOUND}"):
+        PolyForm.from_json({"k": 1, "terms": [
+            {"mono": {"1": _BOUND}, "dx": [], "coeff": "1"}]})
+    assert issubclass(ExponentOverflow, ValueError)
+
+
+def test_the_kernel_at_the_bound_matches_the_tuple_kernel():
+    """Exponents one below the guard digit on every variable: products,
+    derivatives and restrictions that stay below the bound give the
+    terms, in order, of the tuple-keyed kernel."""
+    f = (monomial(3, (TOP, 0, TOP), (2,), 3) + monomial(3, (TOP, 0, 5))
+         + monomial(3, (0, 0, 0), (1, 3), Q(1, 2)))
+    g = monomial(3, (0, TOP, 0), (1,), -2) + PolyForm.const(3, 7)
+    fg = f.wedge(g)
+    assert items(fg) == list(tuple_wedge(f, g).items())
+    assert ((TOP, TOP, TOP), (1, 2)) in fg.terms
+    for h in (f, g, fg):
+        assert items(h.d()) == list(tuple_d(h).items())
+    # faces through vertex 0 send no variable to y_0
+    for pos in [(0, 1, 2), (0, 2, 3), (0, 1, 3), (0, 3)]:
+        want = reference_affine_pullback(f, len(pos) - 1, face_table(3, pos))
+        assert items(f.restrict(pos)) == items(want)
+
+
+def test_a_product_past_the_bound_raises_instead_of_carrying():
+    """x1^TOP ∧ x1 needs an exponent the digit cannot hold.  The product
+    raises rather than widen; without the guard a third factor would
+    carry x1's digit into x2's."""
+    f = monomial(2, (TOP, 0))
+    with pytest.raises(ExponentOverflow, match="x1"):
+        f.wedge(monomial(2, (1, 0)))
+    with pytest.raises(ExponentOverflow):
+        f.wedge(f).wedge(f)
+    with pytest.raises(ExponentOverflow):
+        monomial(2, (0, TOP), (1,)).wedge(monomial(2, (3, 1)))
+    assert items(f.wedge(monomial(2, (0, TOP)))) == [(((TOP, TOP), ()), 1)]
+
+
+def test_a_restriction_past_the_bound_raises():
+    """On the face through vertices 1 and 2, x1 goes to y_0 = 1 - y_1 and
+    x2 to y_1, so x1 x2^TOP restricts to y_1^TOP - y_1^(TOP + 1)."""
+    with pytest.raises(ExponentOverflow):
+        monomial(2, (1, TOP)).restrict((1, 2))
+    assert items(monomial(2, (0, TOP)).restrict((1, 2))) == \
+        [(((TOP,), ()), 1)]
+
+
+def test_a_ratio_pullback_past_the_bound_raises():
+    """Through the powers of N_1 and through those of Q alike."""
+    x1 = PolyForm.coordinate(1, 1)
+    one = PolyForm.one(1)
+    [(num, top)] = RatioPullback().pullback([monomial(1, (TOP,))], [x1], one)
+    assert (items(num), top) == ([(((TOP,), ()), 1)], TOP)
+    with pytest.raises(ExponentOverflow):
+        RatioPullback().pullback([monomial(1, (2,))], [monomial(1, (TOP,))],
+                                 one)
+    with pytest.raises(ExponentOverflow):
+        RatioPullback().pullback([one + monomial(1, (2,))], [x1],
+                                 monomial(1, (TOP,)))

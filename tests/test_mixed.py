@@ -645,6 +645,34 @@ def test_face_coords_match_the_per_block_solve():
     assert infeasible > 100
 
 
+def test_the_first_missed_monomial_is_first_in_repr_order():
+    """Over the designed triangle, neither x1 nor x2 at row a:0 and
+    column (w, b, 0) has a face decomposition.  Their packed keys put x1
+    first and the reprs of their (exponents, dx) tuples put x2 first;
+    the message names x2, as the per-block solve does."""
+    inst = designed_instance(0, [(0, 1, 2)])
+    FM = make_fiber_model(inst)
+    x1, x2 = PolyForm.coordinate(2, 1), PolyForm.coordinate(2, 2)
+
+    def value(p):
+        v = FormMatrix(2, inst.L.deg)
+        v.set_entry(("a", 0), ("w", "b", 0), p)
+        return v
+
+    def message(p):
+        return coords_outcome(solve_face_coords, inst.A, FM,
+                              ((0, 1, 2), EMPTY), value(p))
+
+    head = "no face decomposition over (0, 1, 2) (face ()): row ('a', 0), "
+    for p in (x1, x2):
+        assert message(p) == ("infeasible", f"{head}monomial {p!r}")
+    assert repr(x2) == "PolyForm(2, 1*x2)"
+    assert message(x1 + x2) == ("infeasible", f"{head}monomial {x2!r}")
+    assert message(x1 + x2) == coords_outcome(
+        per_block_solve_face_coords, inst.A, FM, ((0, 1, 2), EMPTY),
+        value(x1 + x2))
+
+
 # ---------------------------------------------------------------------------
 # oracle: the locality check that formed I' - diagonal in full per leaf
 # ---------------------------------------------------------------------------
