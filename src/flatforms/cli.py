@@ -22,8 +22,6 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-import numpy as np
-
 from .flatsys import (
     FiberModel,
     Infeasible,
@@ -71,7 +69,13 @@ from .smoothing import (
     validate_partition,
     verify_smoothing,
 )
-from .wkflow import classify_limits, flow_batch, nearest_vertex
+from .wkflow import (
+    classify_limits,
+    flow_batch,
+    is_barycentric,
+    nearest_vertex,
+    sweep_starts,
+)
 
 FILE_VERSION = 1
 
@@ -358,10 +362,10 @@ def cmd_flow(args):
     if args.sweep is not None and args.start is not None:
         raise ParseError("give --start or --sweep, not both")
     if args.sweep:
-        rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-        starts = [[Fraction(c).limit_denominator(10**9)
-                   for c in rng.dirichlet(np.ones(k + 1))]
-                  for _ in range(args.sweep)]
+        if args.seed is not None and args.seed < 0:
+            raise ParseError("--seed must be nonnegative")
+        starts = sweep_starts(k, args.sweep,
+                              args.seed if args.seed is not None else 0)
     else:
         if not args.start:
             raise ParseError("flow needs --start or --sweep")
@@ -371,7 +375,7 @@ def cmd_flow(args):
             raise ParseError(f"--start: {ex}")
         if len(start) != k + 1:
             raise ParseError(f"--start needs {k + 1} coordinates for k={k}")
-        if sum(start) != 1 or any(c < 0 for c in start):
+        if not is_barycentric(start):
             raise ParseError("--start is not a barycentric point")
         starts = [start]
     x0 = [[float(c) for c in start] for start in starts]
@@ -461,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", type=int, metavar="N",
                    help="run N random starts instead of --start")
     p.add_argument("--seed", type=int, metavar="N",
-                   help="RNG seed for --sweep")
+                   help="nonnegative RNG seed for --sweep (default 0)")
     p.add_argument("--report", metavar="FILE")
     return ap
 

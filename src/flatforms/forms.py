@@ -528,9 +528,12 @@ class PolyForm:
         ``positions`` is a strictly increasing tuple in 0..k naming which
         vertices of the source simplex the target simplex runs through;
         the result is a form on the standard simplex of dimension
-        ``len(positions) - 1``.
+        ``len(positions) - 1``.  The empty face has no points, so every
+        form restricts to zero on it.
         """
         positions = tuple(positions)
+        if not positions:
+            return PolyForm.zero(-1)
         return self.affine_pullback(len(positions) - 1,
                                     _restrict_table(self.k, positions))
 

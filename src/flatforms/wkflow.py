@@ -22,7 +22,17 @@ norm and accept/reject decision, with the fixed RTOL = 1e-9,
 ATOL = 1e-12 and steps of at most MAX_STEP = 1.0.  A row stops when its
 speed |W(x)| falls through SPEED_FLOOR = 1e-10 (the crossing is located
 on that step's dense output) or at ``t_max``, 200 by default; a single
-trajectory is a batch of one.
+trajectory is a batch of one.  Each loop iteration makes the same float
+operations in the same order as a plain transcription of the method
+(``wk_field`` is one cumulative sum and a few in-place updates of one
+buffer, stage sums are built in place), and skips the per-row
+selections where every row was accepted or none retried or finished.
+
+A sweep starts from exact points: ``sweep_starts`` rounds each standard
+exponential that ``rng.dirichlet(np.ones(k + 1))`` would draw up to a
+positive multiple of 2^-30 and divides the row by its sum over Q, so
+every start is a barycentric point (``is_barycentric``, the check that
+``flow --start`` applies too) and re-runs as printed under ``--start``.
 """
 
 from __future__ import annotations
@@ -67,12 +77,19 @@ def wk_field(x: np.ndarray) -> np.ndarray:
     """The field at every row of an (n, k+1) float array.
 
     Same operations in the same order as ``wk_eval``, so each row equals
-    ``wk_eval`` on it.
+    ``wk_eval`` on it: the running prefix sums, the total as the last
+    prefix plus the last coordinate, then total - prefix - x_m,
+    prefix - that, and the product with x_m, built in one buffer.
     """
-    cs = np.cumsum(x, axis=1)
-    prefix = np.concatenate([np.zeros_like(x[:, :1]), cs[:, :-1]], axis=1)
-    suffix = cs[:, -1:] - prefix - x
-    return x * (prefix - suffix)
+    out = np.empty_like(x)
+    out[:, 0] = 0.0
+    np.add.accumulate(x[:, :-1], axis=1, out=out[:, 1:])
+    suffix = out[:, -1:] + x[:, -1:]
+    suffix = suffix - out
+    suffix -= x
+    out -= suffix
+    out *= x
+    return out
 
 
 def lyapunov_rate(k: int, x):
@@ -87,6 +104,36 @@ def lyapunov_rate(k: int, x):
 
 def height(k: int, x):
     return sum(m * x[m] for m in range(k + 1))
+
+
+def is_barycentric(x) -> bool:
+    """Whether the exact coordinates ``x`` are nonnegative and sum to
+    exactly 1."""
+    return sum(x) == 1 and all(c >= 0 for c in x)
+
+
+# sweep starts: each standard exponential is rounded up to a multiple of
+# 2^-SWEEP_BITS, so the weights are positive ints
+SWEEP_BITS = 30
+
+
+def sweep_starts(k: int, count: int, seed: int) -> list[list[Q]]:
+    """``count`` exact starts drawn from the uniform distribution on the
+    k-simplex, from the generator seeded with ``seed``.
+
+    Dirichlet(1, ..., 1) is a row of k+1 standard exponentials divided
+    by their sum (the draws ``rng.dirichlet(np.ones(k + 1))`` makes);
+    each exponential E becomes the positive int ceil(E * 2^SWEEP_BITS)
+    and the row is divided by its sum exactly, so every start is a
+    barycentric point with positive coordinates.
+    """
+    rng = np.random.default_rng(seed)
+    draws = rng.standard_exponential((count, k + 1))
+    weights = np.maximum(np.ceil(draws * 2.0 ** SWEEP_BITS), 1)
+    weights = weights.astype(np.int64)
+    return [[Q(w, total) for w in row]
+            for row, total in zip(weights.tolist(),
+                                  weights.sum(axis=1).tolist())]
 
 
 def support(x, tol=0):
@@ -207,11 +254,15 @@ EVENT_BISECTIONS = 53
 
 
 def _combine(K, weights):
-    """sum_s weights[s] * K[s], in stage order, skipping zero weights."""
+    """sum_s weights[s] * K[s], in stage order, skipping zero weights;
+    a new array."""
     out = None
     for stage, w in zip(K, weights):
         if w:
-            out = stage * w if out is None else out + stage * w
+            if out is None:
+                out = stage * w
+            else:
+                out += stage * w
     return out
 
 
@@ -285,10 +336,12 @@ def flow_batch(k: int, starts, backward: bool = False,
     if not (np.all(y >= -1e-12)
             and np.all(np.abs(y.sum(axis=1) - 1.0) <= 1e-9)):
         raise ValueError("start is not a barycentric point")
-    sign = -1.0 if backward else 1.0
-
-    def fun(x):
-        return sign * wk_field(x)
+    if backward:
+        def fun(x):
+            v = wk_field(x)
+            return np.negative(v, out=v)
+    else:
+        fun = wk_field
 
     def monotone(before, after):
         if backward:
@@ -312,56 +365,93 @@ def flow_batch(k: int, starts, backward: bool = False,
     mono = np.ones(n, dtype=bool)
     retry = np.zeros(n, dtype=bool)  # the row's last attempt was rejected
 
-    while rows.size:
-        min_step = 10 * (np.nextafter(t, np.inf) - t)
-        h_abs = np.where(retry, h_abs, np.clip(h_abs, min_step, MAX_STEP))
-        # a rejected step that shrank below min_step ends the row unstepped
-        stuck = h_abs < min_step
-        t_new = np.minimum(t + h_abs, t_max)
-        h = t_new - t
-        hc = h[:, None]
-        K = [f]
-        for a in _A[1:]:
-            K.append(fun(y + _combine(K, a) * hc))
-        y_new = y + hc * _combine(K, _B)
-        f_new = fun(y_new)
-        K.append(f_new)
-        scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
-        err = _rms(_combine(K, _E) * hc / scale)
+    # Where every row agrees (all accepted, none retrying, none finished;
+    # about three iterations in four of a sweep) the np.where selections
+    # and the compaction are skipped: they would return the arrays they
+    # were given.  An error of 0 makes the step
+    # factor inf, so that division is silenced for the whole loop.
+    with np.errstate(divide="ignore"):
+        while rows.size:
+            retrying = retry.any()
+            min_step = 10 * (np.nextafter(t, np.inf) - t)
+            clipped = np.minimum(np.maximum(h_abs, min_step), MAX_STEP)
+            h_abs = np.where(retry, h_abs, clipped) if retrying else clipped
+            # a rejected step that shrank below min_step ends the row
+            # unstepped
+            stuck = h_abs < min_step
+            t_new = np.minimum(t + h_abs, t_max)
+            h = t_new - t
+            # each row's step spread over its coordinates, so that every
+            # product with it runs on two arrays of one shape
+            hc = np.empty_like(y)
+            hc[...] = h[:, None]
+            K = [f]
+            for a in _A[1:]:
+                stage = _combine(K, a)
+                stage *= hc
+                stage += y
+                K.append(fun(stage))
+            y_new = _combine(K, _B)
+            y_new *= hc
+            y_new += y
+            f_new = fun(y_new)
+            K.append(f_new)
+            scale = np.maximum(np.abs(y), np.abs(y_new))
+            scale *= RTOL
+            scale += ATOL
+            err = _combine(K, _E)
+            err *= hc
+            err /= scale
+            err = _rms(err)
 
-        accept = (err < 1) & ~stuck
-        with np.errstate(divide="ignore"):
+            accept = (err < 1) & ~stuck
+            all_accepted = accept.all()
             factor = SAFETY * err ** ERROR_EXPONENT
-        factor = np.where(accept, np.minimum(MAX_FACTOR, factor),
-                          np.maximum(MIN_FACTOR, factor))
-        factor = np.where(accept & retry, np.minimum(1.0, factor), factor)
-        h_abs = h * factor
-        retry = ~accept
+            if all_accepted:
+                factor = np.minimum(MAX_FACTOR, factor)
+            else:
+                factor = np.where(accept, np.minimum(MAX_FACTOR, factor),
+                                  np.maximum(MIN_FACTOR, factor))
+            if retrying:
+                factor = np.where(accept & retry, np.minimum(1.0, factor),
+                                  factor)
+            h_abs = h * factor
+            retry = ~accept
 
-        g_new = _norm(f_new) - SPEED_FLOOR
-        fired = accept & (g >= 0) & (g_new <= 0)
-        stepped = accept & ~fired
-        hgt_new = height(k, y_new.T)
-        mono = np.where(stepped, mono & monotone(hgt, hgt_new), mono)
-        if fired.any():
-            events.append([rows[fired], t[fired], h[fired], y[fired],
-                           hgt[fired], mono[fired]] + [s[fired] for s in K])
-        recorded.append((rows[stepped], t_new[stepped], y_new[stepped]))
+            g_new = _norm(f_new) - SPEED_FLOOR
+            fired = accept & (g >= 0) & (g_new <= 0)
+            hgt_new = height(k, y_new.T)
+            step_ok = monotone(hgt, hgt_new)
+            if all_accepted and not fired.any():
+                stepped = accept
+                mono &= step_ok
+                recorded.append((rows, t_new, y_new))
+                t, y, f, g, hgt = t_new, y_new, f_new, g_new, hgt_new
+            else:
+                stepped = accept & ~fired
+                mono = np.where(stepped, mono & step_ok, mono)
+                if fired.any():
+                    events.append([rows[fired], t[fired], h[fired], y[fired],
+                                   hgt[fired], mono[fired]]
+                                  + [s[fired] for s in K])
+                recorded.append((rows[stepped], t_new[stepped],
+                                 y_new[stepped]))
+                acc = accept[:, None]
+                t = np.where(accept, t_new, t)
+                y = np.where(acc, y_new, y)
+                f = np.where(acc, f_new, f)
+                g = np.where(accept, g_new, g)
+                hgt = np.where(stepped, hgt_new, hgt)
 
-        acc = accept[:, None]
-        t = np.where(accept, t_new, t)
-        y = np.where(acc, y_new, y)
-        f = np.where(acc, f_new, f)
-        g = np.where(accept, g_new, g)
-        hgt = np.where(stepped, hgt_new, hgt)
-
-        done = stuck | (stepped & (t_new >= t_max))
-        final[rows[done]] = y[done]
-        mono_out[rows[done]] = mono[done]
-        keep = ~(fired | done)
-        if not keep.all():
-            rows, t, y, f, h_abs, g, hgt, mono, retry = (
-                a[keep] for a in (rows, t, y, f, h_abs, g, hgt, mono, retry))
+            done = stuck | (stepped & (t_new >= t_max))
+            finished = done | fired
+            if finished.any():
+                final[rows[done]] = y[done]
+                mono_out[rows[done]] = mono[done]
+                keep = ~finished
+                rows, t, y, f, h_abs, g, hgt, mono, retry = (
+                    a[keep] for a in (rows, t, y, f, h_abs, g, hgt, mono,
+                                      retry))
 
     if events:
         ev_rows, t_old, step, y_old, h_prev, ev_mono, *K = (

@@ -144,6 +144,39 @@ def test_flow_zero_sweep_names_its_fault(capsys):
     assert captured.err == "input error: --sweep must be at least 1\n"
 
 
+def test_flow_negative_seed_names_its_fault(capsys):
+    assert main(["flow", "--k", "2", "--sweep", "2", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: --seed must be nonnegative\n"
+
+
+def test_flow_start_ignores_the_seed(capsys):
+    """Only a sweep draws from the seed, so ``--start`` runs whatever
+    ``--seed`` says."""
+    code, rep = run(capsys, "flow", "--k", "2", "--start", "1/2,1/2,0",
+                    "--seed", "-1")
+    assert code == 0
+    assert rep["checks"]["trajectory"]["limit_vertex"] == 1
+
+
+def test_every_sweep_start_reruns_under_start(capsys):
+    """A sweep start is an exact barycentric point, so ``--start`` takes
+    it as printed and its flow ends at the same vertex."""
+    code, rep = run(capsys, "flow", "--k", "3", "--sweep", "20", "--seed", "1")
+    assert code == 0
+    runs = rep["checks"]["runs"]
+    assert len(runs) == 20
+    for r in runs:
+        code, again = run(capsys, "flow", "--k", "3",
+                          "--start", ",".join(r["start"]))
+        assert code == 0
+        t = again["checks"]["trajectory"]
+        assert t["start"] == r["start"]
+        assert (t["expected_vertex"], t["limit_vertex"]) == \
+            (r["expected_vertex"], r["limit_vertex"]) == (3, 3)
+
+
 def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 

@@ -178,6 +178,14 @@ def test_restrict_to_vertex():
     assert f.restrict((2,)).is_zero()
 
 
+def test_restrict_to_the_empty_face_is_zero():
+    # the empty face has no points: even x_0 + x_1 + x_2 = 1 vanishes there
+    for f in (PolyForm.one(2), PolyForm.coordinate(2, 0),
+              PolyForm.coordinate(2, 1), PolyForm.dx(2, 1)):
+        r = f.restrict(())
+        assert r == PolyForm.zero(-1) and r.is_zero()
+
+
 # --- extension ----------------------------------------------------------
 
 

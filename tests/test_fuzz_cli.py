@@ -64,14 +64,17 @@ def check_contract(argv):
                     st.lists(st.sampled_from(["0", "1", "1/2", "1/3", "1/6"]),
                              min_size=1, max_size=6).map(",".join)),
     sweep=st.one_of(st.none(), st.integers(-3, 3).map(str), NOT_AN_INT),
+    seed=st.one_of(st.none(), st.integers(-3, 3).map(str), NOT_AN_INT),
     backward=st.booleans(),
 )
-def test_flow_arguments(k, start, sweep, backward):
+def test_flow_arguments(k, start, sweep, seed, backward):
     argv = ["flow", "--k", k]
     if start is not None:
         argv.append(f"--start={start}")
     if sweep is not None:
         argv.append(f"--sweep={sweep}")
+    if seed is not None:
+        argv.append(f"--seed={seed}")
     if backward:
         argv.append("--backward")
     check_contract(argv)

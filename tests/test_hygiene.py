@@ -5,7 +5,8 @@ line does not load scipy, which is not a dependency, no module imports
 another's private name, every public function, method and class is
 used in the package itself (a short list of functions that only tests
 call aside), the term layout of a polynomial form stays inside
-``forms``, and a module-level cache is keyed on ints and tuples only.
+``forms``, a module-level cache is keyed on ints and tuples only, and
+no float is rounded to a rational with ``limit_denominator``.
 The command line maps only
 input faults to exit 2.  The layers import one way: the data and
 identities over Q (``flatsys``) know nothing of forms, and the instance
@@ -92,6 +93,17 @@ def test_imports_are_module_level(path):
 def test_no_assert_statements(path):
     lines = sorted(node.lineno for node in ast.walk(_tree(path))
                    if isinstance(node, ast.Assert))
+    assert lines == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_rational_approximation(path):
+    """No float is rounded to a nearby rational with
+    ``Fraction.limit_denominator``: an exact value is computed as one
+    (sweep starts are ints over their sum), never approximated."""
+    lines = sorted(node.lineno for node in ast.walk(_tree(path))
+                   if getattr(node, "attr", getattr(node, "id", None))
+                   == "limit_denominator")
     assert lines == []
 
 
