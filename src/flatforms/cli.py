@@ -50,7 +50,7 @@ from .instances import (
     instance_to_json,
     make_fiber_model,
 )
-from .linalg import qx
+from .linalg import qint, qkeys, qx
 from .mixed import (
     NotNilpotent,
     build_Iprime,
@@ -78,6 +78,8 @@ from .wkflow import (
 )
 
 FILE_VERSION = 1
+FILE_KEYS = ("version", "complex", "leaves", "heights", "epsilon",
+             "coefficients", "fiber_model", "partition")
 
 
 class ParseError(Exception):
@@ -148,6 +150,9 @@ def load_instance(args) -> Loaded:
     if not isinstance(raw, dict) or "version" not in raw:
         raise ParseError("instance file has no version field")
     try:
+        if qint(raw["version"]) != FILE_VERSION:
+            raise ValueError(f"version {raw['version']} is not {FILE_VERSION}")
+        qkeys(raw, FILE_KEYS, "the instance file")
         S, _L, A = instance_from_json(raw)
         FM = (FiberModel.from_json(raw["fiber_model"], A)
               if "fiber_model" in raw else None)
@@ -222,7 +227,7 @@ def cmd_extend(args):
     inst = load_instance(args)
     checks = Checks()
     try:
-        full = extend_system(inst.A, to_dim=args.to_dim)
+        full = extend_system(inst.A)
     except (Infeasible, MissingFaceData) as ex:
         return checks.stop("extend", ex)
     checks["filled"] = [skey(s) for s in sorted(set(full.coeffs)
@@ -242,7 +247,7 @@ def cmd_build_aprime(args):
     if sysp := validate_system(inst.A):
         return checks.record("system", sysp)
     try:
-        data = build_mixed_connection(inst.A, max_degree=args.max_degree)
+        data = build_mixed_connection(inst.A)
     except BUILD_ERRORS as ex:
         return checks.stop("build", ex)
     checks["simplices"] = len(inst.A.S)
@@ -259,8 +264,8 @@ def cmd_build_iprime(args):
     try:
         if fmp := validate_fiber_model(inst.A, inst.FM):
             return checks.record("fiber_model", fmp)
-        data = build_mixed_connection(inst.A, max_degree=args.max_degree)
-        cm = build_Iprime(data, inst.FM, max_degree=args.max_degree)
+        data = build_mixed_connection(inst.A)
+        cm = build_Iprime(data, inst.FM)
     except BUILD_ERRORS as ex:
         return checks.stop("build", ex)
     checks["simplices"] = len(inst.A.S)
@@ -444,13 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     instance_command("validate", "structural and flatness checks")
-    instance_command(
-        "extend", "fill in missing coefficients and write the completed "
-                  "file back").add_argument("--to-dim", type=int, metavar="K")
-    for name, what in (("build-aprime", "per-simplex form data"),
-                       ("build-iprime", "per-simplex chain maps")):
-        instance_command(name, f"build the {what}").add_argument(
-            "--max-degree", type=int, metavar="D")
+    instance_command("extend", "fill in missing coefficients and write the "
+                               "completed file back")
+    instance_command("build-aprime", "build the per-simplex form data")
+    instance_command("build-iprime", "build the per-simplex chain maps")
     instance_command("smooth", "pull everything back along the partition "
                                "of unity and recheck")
     instance_command("igusa", "reindexed relation check")

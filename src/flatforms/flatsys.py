@@ -33,6 +33,7 @@ from .linalg import (
     kernel,
     pivot_columns,
     qint,
+    qkeys,
     qx,
     rank,
     smat_add,
@@ -336,8 +337,7 @@ def graded_betti(d: SMat, degree: dict) -> dict[int, int]:
 # completion by exact linear solving
 # ---------------------------------------------------------------------------
 
-def extend_system(A: CoefficientSystem, to_dim: Optional[int] = None
-                  ) -> CoefficientSystem:
+def extend_system(A: CoefficientSystem) -> CoefficientSystem:
     """Fill in missing coefficients, lowest dimension first.
 
     For each missing k-simplex the flatness equation
@@ -351,15 +351,13 @@ def extend_system(A: CoefficientSystem, to_dim: Optional[int] = None
     a required face is absent.
     """
     out = A.copy()
-    limit = to_dim if to_dim is not None else out.S.dim
-    for k in range(0, limit + 1):
-        for sigma in out.S.of_dim(k):
-            if out.has(sigma):
-                continue
-            if k == 0:
-                raise MissingFaceData(
-                    f"vertex differential at {sigma} must be given")
-            _solve_one(out, sigma)
+    for sigma in out.S:
+        if out.has(sigma):
+            continue
+        if dim(sigma) == 0:
+            raise MissingFaceData(
+                f"vertex differential at {sigma} must be given")
+        _solve_one(out, sigma)
     return out
 
 
@@ -651,6 +649,7 @@ class FiberModel:
     def from_json(cls, data: dict, A: CoefficientSystem) -> "FiberModel":
         """The model in ``data`` over the system ``A``: every simplex,
         module element and omega element it names must exist."""
+        qkeys(data, ("omega", "D", "I", "eta"), "the fiber model")
         omega = [(tuple(e) if isinstance(e, list) else e, qint(d))
                  for e, d in data["omega"]]
         by_key = {}

@@ -71,6 +71,7 @@ Key = tuple[tuple[int, ...], tuple[int, ...]]
 _DIGIT = 16                      # bits per exponent digit, guard bit included
 _BOUND = 1 << (_DIGIT - 1)       # the first exponent a digit cannot hold
 _DIGIT_MASK = (1 << _DIGIT) - 1
+EXTENSION_HEADROOM = 3           # ansatz degrees end at d0 + k + this
 
 
 class IncompatibleBoundaryData(Exception):
@@ -762,8 +763,7 @@ def _dx_tuples(k: int, r: int):
     return list(combinations(range(1, k + 1), r))
 
 
-def extend_from_boundary(k: int, data: Sequence[PolyForm],
-                         max_degree: Optional[int] = None) -> PolyForm:
+def extend_from_boundary(k: int, data: Sequence[PolyForm]) -> PolyForm:
     """Extend compatible facet data to a form on the k-simplex.
 
     ``data[j]`` is the prescribed restriction to facet j (omitting
@@ -785,7 +785,7 @@ def extend_from_boundary(k: int, data: Sequence[PolyForm],
 
     degrees = sorted(set().union(*[f.form_degrees() for f in data]) or {0})
     d0 = max(f.poly_degree() for f in data)
-    ceiling = max_degree if max_degree is not None else d0 + k + 3
+    ceiling = d0 + k + EXTENSION_HEADROOM
 
     total = PolyForm.zero(k)
     for r in degrees:

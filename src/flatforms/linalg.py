@@ -72,6 +72,12 @@ def qint(value) -> int:
     return value
 
 
+def qkeys(data: dict, known: tuple, where: str) -> None:
+    """Refuse a key outside ``known``: a misspelled one would go unread."""
+    if unknown := sorted(set(data) - set(known)):
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
+
+
 # ---------------------------------------------------------------------------
 # keyed sparse matrices
 # ---------------------------------------------------------------------------

@@ -400,8 +400,8 @@ def recursion_value(A: CoefficientSystem, store: dict, sigma: Simplex,
     return total.add(right(b, sigma[k:]), s)
 
 
-def extend_span(store: dict, sigma: Simplex, k: int, candidate: FormMatrix,
-                max_degree: Optional[int]) -> FormMatrix:
+def extend_span(store: dict, sigma: Simplex, k: int, candidate: FormMatrix
+                ) -> FormMatrix:
     """Extend the recursion value over the span of sigma[k-1:].
 
     Facet 0 of the extension domain carries the recursion value; facet
@@ -425,7 +425,7 @@ def extend_span(store: dict, sigma: Simplex, k: int, candidate: FormMatrix,
         if all(p.is_zero() for p in bdata):
             continue
         try:
-            ext = extend_from_boundary(mm, bdata, max_degree=max_degree)
+            ext = extend_from_boundary(mm, bdata)
         except IncompatibleBoundaryData as ex:
             i, j = ex.certificate["facets"]
             raise IncompatibleBoundaryData(
@@ -444,7 +444,7 @@ def gauge_inverse(A: CoefficientSystem, sigma: Simplex,
 
 
 def _walk(A: CoefficientSystem, inverses: dict, store: dict, sigma: Simplex,
-          seed, right, chain: bool, max_degree: Optional[int]):
+          seed, right, chain: bool):
     """Fill ``store`` over ``sigma``: the one construction behind a' and I'.
 
     Only the keys (sigma, sigma[:k]) for k = 0..dim(sigma)+1 are
@@ -464,8 +464,7 @@ def _walk(A: CoefficientSystem, inverses: dict, store: dict, sigma: Simplex,
     for k in range(l, 0, -1):
         candidate = recursion_value(A, store, sigma, k, seed(sigma[: k + 1]),
                                     right)
-        store[(sigma, sigma[:k])] = extend_span(store, sigma, k, candidate,
-                                                max_degree)
+        store[(sigma, sigma[:k])] = extend_span(store, sigma, k, candidate)
     b = store[(sigma, sigma[:1])]
     inner = _leading(A, sigma, l, seed(sigma[:1]), b)
     if chain:
@@ -551,9 +550,7 @@ def _face_checks(sigma: Simplex, structure, store: dict, label: str
                     for m in check_value_coherence(store, label, sigma, f)]
 
 
-def build_mixed_connection(A: CoefficientSystem,
-                           max_degree: Optional[int] = None
-                           ) -> MixedConnectionData:
+def build_mixed_connection(A: CoefficientSystem) -> MixedConnectionData:
     """Run the construction over every simplex of the base.
 
     Every failed structure, coherence or flatness check lands in
@@ -568,8 +565,7 @@ def build_mixed_connection(A: CoefficientSystem,
         return b.compose(store[(tail, EMPTY)])
 
     for sigma in A.S:
-        _walk(A, data.gauge_inverses, store, sigma, A.a, right, False,
-              max_degree)
+        _walk(A, data.gauge_inverses, store, sigma, A.a, right, False)
         found = _face_checks(sigma, partial(check_structure, data), store,
                              "a'")
         if not is_flat_connection(store[(sigma, EMPTY)]):
@@ -749,8 +745,7 @@ def check_bcoord_structure(cm: ChainMapData, sigma: Simplex,
     return []
 
 
-def build_Iprime(data: MixedConnectionData, FM: FiberModel,
-                 max_degree: Optional[int] = None) -> ChainMapData:
+def build_Iprime(data: MixedConnectionData, FM: FiberModel) -> ChainMapData:
     """Lift the comparison maps over every simplex of the base.
 
     Follows the same walk as the connection build; afterwards the
@@ -765,8 +760,7 @@ def build_Iprime(data: MixedConnectionData, FM: FiberModel,
         return b.mul_const_right(FM.D)
 
     for sigma in A.S:
-        _walk(A, data.gauge_inverses, cm.values, sigma, FM.imap, times_D, True,
-              max_degree)
+        _walk(A, data.gauge_inverses, cm.values, sigma, FM.imap, times_D, True)
         found = _face_checks(sigma, partial(check_bcoord_structure, cm),
                              cm.values, "I'")
         if not intertwines(cm.value(sigma, EMPTY), data.get(sigma, EMPTY),

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .forms import PolyForm, RatioPullback
-from .linalg import Q, qint, qx
+from .linalg import Q, qint, qkeys, qx
 from .mixed import (
     ChainMapData,
     FormMatrix,
@@ -89,6 +89,7 @@ class PartitionOfUnity:
         """The partition in ``data``: every simplex of ``S`` needs its
         denominator and a numerator per vertex, each listed once and each
         a function (a 0-form) on its own chart."""
+        qkeys(data, ("num", "den"), "the partition")
         P = cls(S)
 
         def form(item):

@@ -44,9 +44,6 @@ import numpy as np
 from .linalg import Q
 
 
-BaryPoint = tuple  # length k+1, entries summing to 1
-
-
 def wk_eval(k: int, x):
     """Evaluate the field at a barycentric point.
 

@@ -1,13 +1,15 @@
+import argparse
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from flatforms import cli
+from flatforms import cli, forms
 from flatforms.cli import main, save_instance
 from flatforms.flatsys import FiberModel, fiber_homology, quasi_iso_ranks
 from flatforms.forms import _BOUND, ExponentOverflow
@@ -309,6 +311,47 @@ def test_extend_requires_a_file(capsys):
     assert main(["extend", "--seed", "3"]) == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["extend", "--to-dim", "1"], "--to-dim"),
+    (["build-aprime", "--seed", "7", "--max-degree", "0"], "--max-degree"),
+])
+def test_retired_flags_are_usage_errors(capsys, tmp_path, argv, flag):
+    """``extend`` completes every dimension and the builds raise the
+    ansatz degree to the module ceiling: neither takes a setting."""
+    path = triangle_file(tmp_path, lambda d: d.update(
+        coefficients=TRIANGLE_1SKELETON))
+    before = path.read_text()
+    if argv[0] == "extend":
+        argv = argv[:1] + ["--instance", str(path)] + argv[1:]
+    with pytest.raises(SystemExit) as ex:
+        main(argv)
+    assert ex.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert "Traceback" not in captured.err
+    assert path.read_text() == before
+
+
+def _long_flags(parser):
+    return {opt for action in parser._actions for opt in action.option_strings
+            if opt.startswith("--") and opt != "--help"}
+
+
+def test_readme_names_the_parser_flags():
+    """The README's "Command line" section names each long flag that
+    some command accepts, and no other."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    accepted = _long_flags(parser).union(
+        *(_long_flags(p) for p in commands.values()))
+    assert documented == accepted
+
+
 def test_pipeline_on_generated_instance(capsys):
     for cmd in ("validate", "build-aprime", "build-iprime",
                 "igusa", "holonomy", "homology"):
@@ -374,8 +417,8 @@ def test_build_iprime_certifies_connection_problems(capsys, tmp_path,
                                                    monkeypatch):
     """A problem of the a' build under build-iprime fails the command
     with its certificate, as it does under smooth."""
-    def build(A, max_degree=None):
-        data = build_mixed_connection(A, max_degree=max_degree)
+    def build(A):
+        data = build_mixed_connection(A)
         data.problems.append("0,1: planted")
         return data
     monkeypatch.setattr(cli, "build_mixed_connection", build)
@@ -502,9 +545,11 @@ def test_enriched_seed_says_why_it_has_no_fiber_model(capsys, seed):
         "gauge; no model available")
 
 
-def test_build_failure_is_a_certificate_not_a_traceback(capsys):
-    # a degree-0 ansatz cannot extend the seed-7 data
-    code, rep = run(capsys, "build-aprime", "--seed", "7", "--max-degree", "0")
+def test_build_failure_is_a_certificate_not_a_traceback(capsys, monkeypatch):
+    # a ceiling of d0 + k - 1 stops the first edge of the seed-7 data at
+    # degree 0, where no extension exists
+    monkeypatch.setattr(forms, "EXTENSION_HEADROOM", -1)
+    code, rep = run(capsys, "build-aprime", "--seed", "7")
     assert code == 1
     assert rep["status"] == "fail"
     assert rep["certificates"] == [rep["checks"]["build"]]
@@ -667,6 +712,22 @@ W_A0 = '["w", "a", 0]'
      "fiber model names a:00, not a module element"),
     (lambda d: d["fiber_model"]["I"]["0"].update({"a: 0": {}}),
      "fiber model names a: 0, not a module element"),
+    # a misspelled section would be left unread and its default used
+    (lambda d: d.update(partiton=d.pop("partition")),
+     "unknown key 'partiton' in the instance file"),
+    (lambda d: d["fiber_model"].update(etta=d["fiber_model"].pop("eta")),
+     "unknown key 'etta' in the fiber model"),
+    (lambda d: d["partition"].update(dens=d["partition"]["den"]),
+     "unknown key 'dens' in the partition"),
+    # the version is the int FILE_VERSION; a bool is refused though
+    # True == 1
+    (lambda d: d.update(version=2), "version 2 is not 1"),
+    (lambda d: d.update(version="one"), "not an integer: 'one'"),
+    (lambda d: d.update(version=None), "not an integer: None"),
+    (lambda d: d.update(version=[1]), "not an integer: [1]"),
+    (lambda d: d.update(version=True), "not an integer: True"),
+    (lambda d: d.update(version=1.0), "not an integer: 1.0"),
+    (lambda d: d.update(version="1"), "not an integer: '1'"),
 ], ids=["non-increasing-simplex", "duplicate-simplex", "non-int-simplex",
         "heights-of-undeclared-leaf", "missing-height",
         "coefficient-outside-complex", "block-of-undeclared-leaf",
@@ -685,7 +746,10 @@ W_A0 = '["w", "a", 0]'
         "height-key-leading-zero", "height-key-not-a-vertex",
         "block-arrow-not-ascii", "form-term-twice",
         "form-variable-leading-zero", "form-variable-space",
-        "model-row-leading-zero", "model-row-space"])
+        "model-row-leading-zero", "model-row-space",
+        "top-level-key-misspelled", "model-key-misspelled",
+        "partition-key-unknown", "version-2", "version-text", "version-null",
+        "version-list", "version-true", "version-float", "version-string"])
 def test_structural_fault_is_input_error_everywhere(capsys, tmp_path, change,
                                                     witness):
     path = triangle_file(tmp_path, change)

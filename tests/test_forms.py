@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatforms import forms
 from flatforms.forms import (
     _BOUND,
     ExponentOverflow,
@@ -219,11 +220,13 @@ def test_extend_incompatible_raises_with_certificate():
     assert cert is not None and "facets" in cert
 
 
-def test_extend_respects_ceiling():
-    # 0 at one vertex, 1 at the other: no constant extension exists
+def test_extend_respects_ceiling(monkeypatch):
+    # 0 at one vertex, 1 at the other: no constant extension exists, and
+    # a ceiling of d0 + k - 1 = 0 tries only the constant ones
+    monkeypatch.setattr(forms, "EXTENSION_HEADROOM", -1)
     data = [PolyForm.one(0), PolyForm.zero(0)]
-    with pytest.raises(ExtensionInfeasible):
-        extend_from_boundary(1, data, max_degree=0)
+    with pytest.raises(ExtensionInfeasible, match="no degree <= 0 extension"):
+        extend_from_boundary(1, data)
 
 
 # --- oracle: the extension that eliminated its system on every call ------
