@@ -69,9 +69,7 @@ class MissingFaceData(Exception):
 
 
 class Infeasible(Exception):
-    def __init__(self, message, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate
+    pass
 
 
 class ChainMapViolation(Exception):
@@ -347,7 +345,7 @@ def extend_system(A: CoefficientSystem) -> CoefficientSystem:
     is solved for X over the allowed blocks, where K collects the facet
     sum and the interior splitting products.  The solve is deterministic
     (fixed variable order, free variables zero).  Raises ``Infeasible``
-    with a certificate when no solution exists, ``MissingFaceData`` when
+    naming the simplex when no solution exists, ``MissingFaceData`` when
     a required face is absent.
     """
     out = A.copy()
@@ -409,8 +407,7 @@ def _solve_one(A: CoefficientSystem, sigma: Simplex):
     [x] = solve(rows, unknowns, [rhs])
     if x is None:
         raise Infeasible(
-            f"no flat completion over the allowed blocks of {sigma}",
-            certificate={"sigma": sigma})
+            f"no flat completion over the allowed blocks of {sigma}")
     X = {}
     for (r, c), v in x.items():
         smat_set(X, r, c, v)
@@ -648,7 +645,8 @@ class FiberModel:
     @classmethod
     def from_json(cls, data: dict, A: CoefficientSystem) -> "FiberModel":
         """The model in ``data`` over the system ``A``: every simplex,
-        module element and omega element it names must exist."""
+        module element and omega element it names must exist.  Zero
+        entries of ``D`` and ``I`` are left out, as in every SMat."""
         qkeys(data, ("omega", "D", "I", "eta"), "the fiber model")
         omega = [(tuple(e) if isinstance(e, list) else e, qint(d))
                  for e, d in data["omega"]]
@@ -677,12 +675,17 @@ class FiberModel:
                 if str(element[1]) != i or element not in A.L.deg:
                     raise ValueError(
                         f"fiber model names {rkey}, not a module element")
-                I[sigma][element] = {name(e): qx(v) for e, v in row.items()}
+                for e, v in row.items():
+                    smat_set(I[sigma], element, name(e), v)
+        D = {}
+        for r, row in data["D"].items():
+            r = name(r)
+            for c, v in row.items():
+                smat_set(D, r, name(c), v)
         return cls(
             omega_basis=[e for e, _ in omega],
             omega_degree=dict(omega),
-            D={name(r): {name(c): qx(v) for c, v in row.items()}
-               for r, row in data["D"].items()},
+            D=D,
             I=I,
             eta=({name(e): qx(v) for e, v in data["eta"].items()}
                  if "eta" in data else None),

@@ -24,9 +24,8 @@ restriction to faces and the substitutions below run on Python ints and
 read digits and masks off the keys.  ``PolyForm.terms`` shows the
 coefficients as Fractions keyed by (exponent tuple, dx tuple), in
 storage order, for the contraction operator of the Poincaré lemma,
-evaluation and serialization; only it, ``to_json``/``from_json``,
-``__repr__`` and ``monomial_coefficients`` unpack keys.  All operations
-are exact.
+evaluation and serialization; only it, ``to_json``/``from_json`` and
+``__repr__`` unpack keys.  All operations are exact.
 
 The extension system for r-forms of polynomial degree at most d on the
 k-simplex depends on (k, r, d) alone, and only its right-hand side on
@@ -63,7 +62,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .linalg import Q, qint, qx, solver
+from .linalg import Q, qint, qkeys, qx, solver
 from .simplicial import facet_positions
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
@@ -75,15 +74,12 @@ EXTENSION_HEADROOM = 3           # ansatz degrees end at d0 + k + this
 
 
 class IncompatibleBoundaryData(Exception):
-    """Boundary data whose facet restrictions disagree on a common face.
+    """Boundary data whose facet restrictions disagree on a common face;
+    ``facets`` is the pair (i, j) of facet indices that witnesses it."""
 
-    ``certificate`` records one witnessing pair: the two facet indices,
-    and the two (unequal) restrictions to their common face.
-    """
-
-    def __init__(self, message, certificate=None):
+    def __init__(self, message, facets: tuple[int, int]):
         super().__init__(message)
-        self.certificate = certificate
+        self.facets = facets
 
 
 class ExtensionInfeasible(Exception):
@@ -572,16 +568,18 @@ class PolyForm:
 
     @classmethod
     def from_json(cls, data: dict) -> "PolyForm":
+        qkeys(data, ("k", "terms"), "a form")
         k = qint(data["k"])
         chart = range(1, k + 1)
         # a variable key is the decimal ``to_json`` writes, so that two
         # keys never name one variable
         variable = {str(i): i for i in chart}
         terms = {}
-        for t in data.get("terms", []):
+        for t in data["terms"]:
+            qkeys(t, ("mono", "dx", "coeff"), "a form term")
             mono = {variable.get(var): qint(e)
-                    for var, e in t.get("mono", {}).items()}
-            dxs = tuple(qint(i) for i in t.get("dx", []))
+                    for var, e in t["mono"].items()}
+            dxs = tuple(qint(i) for i in t["dx"])
             if not (all(v is not None and e >= 0 for v, e in mono.items())
                     and all(i in chart for i in dxs)
                     and list(dxs) == sorted(set(dxs))):
@@ -603,27 +601,6 @@ class PolyForm:
             dx = "".join(f"dx{i}" for i in dxs)
             bits.append(f"{c}*{mono or '1'}{('∧' + dx) if dx else ''}")
         return f"PolyForm({self.k}, {' + '.join(bits)})"
-
-
-def monomial_coefficients(forms: dict) -> list[tuple[PolyForm, int, dict]]:
-    """Split forms on one chart, keyed by labels, monomial by monomial.
-
-    One entry per monomial x^e dx^D present in any of ``forms``: the
-    form x^e dx^D itself, its form degree |D|, and {label: coefficient
-    of x^e dx^D in forms[label]} over the forms that contain it.  The
-    order is fixed by the monomials alone: that of the reprs of their
-    (e, D) tuples.
-    """
-    split: dict[int, tuple[PolyForm, dict]] = {}
-    for label, f in forms.items():
-        for key, c in f._num.items():
-            if key not in split:
-                split[key] = _form(f.k, {key: 1}), {}
-            split[key][1][label] = Fraction(c, f._den)
-    entries = sorted(((_unpack(mono.k, key), mono, coefs)
-                      for key, (mono, coefs) in split.items()),
-                     key=lambda e: repr(e[0]))
-    return [(mono, len(dxs), coefs) for (_e, dxs), mono, coefs in entries]
 
 
 class Powers:
@@ -742,12 +719,7 @@ def _common_face_check(k: int, data: Sequence[PolyForm]):
             if ri != rj:
                 raise IncompatibleBoundaryData(
                     f"facets {i} and {j} disagree on their common face",
-                    certificate={
-                        "facets": (i, j),
-                        "restriction_i": ri.to_json(),
-                        "restriction_j": rj.to_json(),
-                    },
-                )
+                    (i, j))
 
 
 def _monomials_upto(k: int, deg: int):

@@ -54,12 +54,10 @@ from typing import Optional
 
 from .flatsys import CoefficientSystem, FiberModel
 from .forms import (
-    ExtensionInfeasible,
     IncompatibleBoundaryData,
     PolyForm,
     Powers,
     extend_from_boundary,
-    monomial_coefficients,
 )
 from .linalg import (
     SMat,
@@ -427,10 +425,10 @@ def extend_span(store: dict, sigma: Simplex, k: int, candidate: FormMatrix
         try:
             ext = extend_from_boundary(mm, bdata)
         except IncompatibleBoundaryData as ex:
-            i, j = ex.certificate["facets"]
+            i, j = ex.facets
             raise IncompatibleBoundaryData(
                 f"{sigma}, segment {sigma_p}: {names[i]} clashes with "
-                f"{names[j]} at entry {r}<-{c}", ex.certificate) from ex
+                f"{names[j]} at entry {r}<-{c}", ex.facets) from ex
         out.set_entry(r, c, ext)
     return out
 
@@ -609,18 +607,15 @@ class ChainMapData:
         exists."""
         key = (tuple(sigma), tuple(sigma_p))
         if key not in self._coords:
-            try:
-                self._coords[key] = solve_face_coords(
-                    self.A, self.FM, key[0], key[1], self.value(*key),
-                    self._operators)
-            except ExtensionInfeasible:
-                self._coords[key] = None
+            self._coords[key] = solve_face_coords(
+                self.A, self.FM, key[0], key[1], self.value(*key),
+                self._operators)
         return self._coords[key]
 
 
 def solve_face_coords(A: CoefficientSystem, FM: FiberModel, sigma: Simplex,
                       sigma_p: Simplex, value: FormMatrix,
-                      operators: Optional[dict] = None) -> dict:
+                      operators: dict) -> Optional[dict]:
     """Face coordinates for a given chain-map value matrix.
 
     Produces b with  sum_{s''} b(s'') I(s'') == value,  supported on the
@@ -641,13 +636,11 @@ def solve_face_coords(A: CoefficientSystem, FM: FiberModel, sigma: Simplex,
     column prefix are its own pivots in the full list, and a right side
     in their span has exactly one representation in those pivot columns.
     ``operators`` keeps the operators by column tuple, for one fiber
-    model.  A part that no operator reaches raises
-    ``ExtensionInfeasible`` naming the first row, in repr order, and its
-    first monomial that has no solution.
+    model.  When no operator reaches a part, the value has no such
+    decomposition and the result is None.
     """
     L = A.L
     kk = len(sigma_p)
-    ops = {} if operators is None else operators
     faces = [s2 for s2 in all_faces(sigma)
              if not smat_is_zero(FM.imap(s2))]
 
@@ -670,11 +663,11 @@ def solve_face_coords(A: CoefficientSystem, FM: FiberModel, sigma: Simplex,
                 for r, cols in by_degree.items()}
 
     def operator(cols: tuple) -> tuple[SMat, SMat]:
-        if cols not in ops:
+        if cols not in operators:
             mat = smat_transpose({(s2, be_m): FM.imap(s2).get(be_m, {})
                                   for s2, be_m in cols})
-            ops[cols] = solution_operator(mat, cols)
-        return ops[cols]
+            operators[cols] = solution_operator(mat, cols)
+        return operators[cols]
 
     def reach(cols: tuple, part: FormMatrix) -> Optional[FormMatrix]:
         S, C = operator(cols)
@@ -695,7 +688,6 @@ def solve_face_coords(A: CoefficientSystem, FM: FiberModel, sigma: Simplex,
                                else p.degree_part(r))
 
     out: dict = {}
-    unreached = []
     table = {al: columns(al) for al in dict.fromkeys(al for al, _r in parts)}
     for (al, r), part in parts.items():
         head, cols = table[al].get(r, ((), ()))
@@ -703,33 +695,11 @@ def solve_face_coords(A: CoefficientSystem, FM: FiberModel, sigma: Simplex,
         if x is None and len(head) < len(cols):
             x = reach(cols, part)
         if x is None:
-            unreached.append((part, operator(cols)))
-            continue
+            return None
         for row, (s2, be_m), p, e in x.entries():
             out.setdefault(s2, FormMatrix(value.k, L.deg)).set_entry(
                 row, be_m, p, e)
-    if unreached:
-        row, mono = _first_unreached(unreached)
-        raise ExtensionInfeasible(
-            f"no face decomposition over {sigma} (face {sigma_p}): "
-            f"row {row}, monomial {mono}")
     return out
-
-
-def _first_unreached(unreached: list) -> tuple:
-    """The first row, in repr order, with a monomial that its block's
-    operator (S, C) does not reach, and the first such monomial in the
-    order of ``monomial_coefficients``: one with a nonzero coefficient
-    off the rows of S, or in the row's product with C."""
-    missed: dict = {}   # row -> the forms holding its missed monomials
-    for part, (S, C) in unreached:
-        for row, c, p, _e in part.entries():
-            if c not in S:
-                missed.setdefault(row, []).append(p)
-        for row, _j, p, _e in part.mul_const_right(C).entries():
-            missed.setdefault(row, []).append(p)
-    row = min(missed, key=repr)
-    return row, monomial_coefficients(dict(enumerate(missed[row])))[0][0]
 
 
 def check_bcoord_structure(cm: ChainMapData, sigma: Simplex,

@@ -92,7 +92,8 @@ class PartitionOfUnity:
         qkeys(data, ("num", "den"), "the partition")
         P = cls(S)
 
-        def form(item):
+        def form(item, known):
+            qkeys(item, known, "a partition item")
             sigma = S.require(item["sigma"])
             p = PolyForm.from_json(item["form"])
             if p.k != dim(sigma):
@@ -107,10 +108,10 @@ class PartitionOfUnity:
             store[key] = p
 
         for item in data["num"]:
-            sigma, p = form(item)
+            sigma, p = form(item, ("sigma", "v", "form"))
             put(P.num, (sigma, qint(item["v"])), p)
         for item in data["den"]:
-            put(P.den, *form(item))
+            put(P.den, *form(item, ("sigma", "form")))
         for s in S:
             if s not in P.den or any((s, v) not in P.num for v in s):
                 raise ValueError(f"partition does not cover {s}")

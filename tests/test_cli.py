@@ -50,6 +50,7 @@ TRIANGLE["fiber_model"] = make_fiber_model(_TRI).to_json()
 TRIANGLE["partition"] = partition_default(_TRI.S).to_json()
 TRIANGLE_1SKELETON = instance_to_json(_TRI.S, _TRI.L,
                                       strip_to_dim(_TRI.A, 1))["coefficients"]
+W_A0 = '["w", "a", 0]'
 INSTANCE_COMMANDS = ("validate", "build-aprime", "build-iprime", "smooth",
                      "igusa", "holonomy", "homology", "extend")
 
@@ -515,6 +516,24 @@ def test_fiber_model_json_round_trip():
     assert FM2.eta == FM.eta
 
 
+@pytest.mark.parametrize("change", [
+    lambda d: d["fiber_model"]["I"]["0"]["a:0"].update({'["w", "a", 1]': "0"}),
+    lambda d: d["fiber_model"]["D"].update({W_A0: {'["w", "e", 1]': "0"}}),
+], ids=["I-entry", "D-entry"])
+def test_zero_model_entries_are_left_out(capsys, tmp_path, change):
+    """A fiber-model entry written as "0" is no entry, as in every SMat:
+    the reports equal those of the file without it."""
+    for cmd in ("validate", "homology", "build-iprime", "smooth"):
+        reports = []
+        for ch in (None, change):
+            code, rep = run(capsys, cmd, "--instance",
+                            str(triangle_file(tmp_path, ch)))
+            assert code == 0, (cmd, rep["certificates"])
+            del rep["timings"]
+            reports.append(rep)
+        assert reports[0] == reports[1], cmd
+
+
 def test_generated_fiber_model_file_matches_seed(capsys, tmp_path):
     # generated fiber models name omega elements by tuples; written out
     # and read back they must give the build report of --seed
@@ -623,8 +642,6 @@ def test_triangle_passes_every_subcommand(capsys, tmp_path):
         assert code == 0, (cmd, rep["certificates"])
 
 
-W_A0 = '["w", "a", 0]'
-
 
 @pytest.mark.parametrize("change, witness", [
     (lambda d: d["complex"].append([2, 1]), "NonIncreasingVertices"),
@@ -728,6 +745,17 @@ W_A0 = '["w", "a", 0]'
     (lambda d: d.update(version=True), "not an integer: True"),
     (lambda d: d.update(version=1.0), "not an integer: 1.0"),
     (lambda d: d.update(version="1"), "not an integer: '1'"),
+    # below the partition too: a form read without its terms would be
+    # the zero form, and an unread key would be silently accepted
+    (lambda d: d["partition"]["num"][0]["form"].update(
+        term=d["partition"]["num"][0]["form"].pop("terms")),
+     "unknown key 'term' in a form"),
+    (lambda d: d["partition"]["num"][0].update(comment="phi_0"),
+     "unknown key 'comment' in a partition item"),
+    (lambda d: d["partition"]["num"][0]["form"]["terms"][0].pop("mono"),
+     "KeyError('mono')"),
+    (lambda d: d["partition"]["den"][0]["form"].update(note="B(x_0)"),
+     "unknown key 'note' in a form"),
 ], ids=["non-increasing-simplex", "duplicate-simplex", "non-int-simplex",
         "heights-of-undeclared-leaf", "missing-height",
         "coefficient-outside-complex", "block-of-undeclared-leaf",
@@ -749,7 +777,9 @@ W_A0 = '["w", "a", 0]'
         "model-row-leading-zero", "model-row-space",
         "top-level-key-misspelled", "model-key-misspelled",
         "partition-key-unknown", "version-2", "version-text", "version-null",
-        "version-list", "version-true", "version-float", "version-string"])
+        "version-list", "version-true", "version-float", "version-string",
+        "form-terms-misspelled", "partition-item-key-unknown",
+        "form-term-without-mono", "form-key-unknown"])
 def test_structural_fault_is_input_error_everywhere(capsys, tmp_path, change,
                                                     witness):
     path = triangle_file(tmp_path, change)

@@ -140,9 +140,8 @@ def test_extend_infeasible_certificate():
     # endpoint fibers with different homology cannot be joined flatly
     S, L, A = tiny_system()
     A.set((1,), {})  # zero differential at vertex 1
-    with pytest.raises(Infeasible) as ei:
+    with pytest.raises(Infeasible, match=r"of \(0, 1\)$"):
         extend_system(A)
-    assert ei.value.certificate["sigma"] == (0, 1)
 
 
 def test_cw_boundary_signs_on_edge():
