@@ -10,6 +10,10 @@ whose content is deterministic apart from the timing block.
 Exit codes: 0 when all checks pass, 1 when a check fails, 2 on
 malformed input.  Failures always carry a certificate naming the
 simplex, block or tuple that witnessed them.
+
+Every command but ``flow`` is exact algebra over Q and runs without
+numpy: ``cmd_flow`` imports ``wkflow``, the one numerical module, when
+it runs, so only a ``flow`` process pays for loading numpy.
 """
 
 from __future__ import annotations
@@ -68,13 +72,6 @@ from .smoothing import (
     partition_default,
     validate_partition,
     verify_smoothing,
-)
-from .wkflow import (
-    classify_limits,
-    flow_batch,
-    is_barycentric,
-    nearest_vertex,
-    sweep_starts,
 )
 
 FILE_VERSION = 1
@@ -359,6 +356,14 @@ def cmd_homology(args):
 
 
 def cmd_flow(args):
+    from .wkflow import (
+        classify_limits,
+        flow_batch,
+        is_barycentric,
+        nearest_vertex,
+        sweep_starts,
+    )
+
     k = args.k
     if k < 1:
         raise ParseError("--k must be at least 1")

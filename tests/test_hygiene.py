@@ -1,18 +1,20 @@
 """Source rules that no linter enforces here: every module-level import
-is used, imports sit at module level, checks raise exceptions instead of
-using ``assert`` (which ``python -O`` strips), importing the command
-line does not load scipy, which is not a dependency, no module imports
-another's private name, every public function, method and class is
-used in the package itself (a short list of functions that only tests
-call aside), the term layout of a polynomial form stays inside
-``forms``, a module-level cache is keyed on ints and tuples only, and
-no float is rounded to a rational with ``limit_denominator``.
-The command line maps only
-input faults to exit 2.  The layers import one way: the data and
+is used, imports sit at module level (apart from the one named import
+of ``wkflow`` inside ``cli.cmd_flow``), checks raise exceptions instead
+of using ``assert`` (which ``python -O`` strips), no exact command
+loads numpy, scipy (which is not a dependency) or ``wkflow``, and
+``flow`` does, no module imports another's private name, every public
+function, method and class is used in the package itself (a short list
+of functions that only tests call aside), the term layout of a
+polynomial form stays inside ``forms``, a module-level cache is keyed on
+ints and tuples only, and no float is rounded to a rational with
+``limit_denominator``.  The command line maps only input faults to
+exit 2.  The layers import one way: the data and
 identities over Q (``flatsys``) know nothing of forms, and the instance
 generator and the smoothing each reach only the layer they need."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +23,8 @@ from pathlib import Path
 
 import pytest
 
+from flatforms.cli import save_instance
+from flatforms.instances import generate, strip_to_dim
 from flatforms.morse import LeafSystem
 
 TESTS = Path(__file__).resolve().parent
@@ -79,14 +83,34 @@ def test_no_module_imports_a_private_name():
     assert found == []
 
 
+# the imports kept out of module level, as (function, module): only
+# ``flow`` simulates numerically, so only it loads wkflow and numpy, and
+# every exact command starts without them
+NESTED_IMPORTS = {"cli.py": [("cmd_flow", "wkflow")]}
+
+
+def _nested_imports(tree):
+    """(enclosing function, module) of every import below module level,
+    in source order."""
+    top = {id(node) for node in tree.body}
+    parent = {id(child): node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and id(node) not in top):
+            outer = parent.get(id(node))
+            while outer is not None and not isinstance(outer, ast.FunctionDef):
+                outer = parent.get(id(outer))
+            module = (node.module if isinstance(node, ast.ImportFrom)
+                      else ",".join(alias.name for alias in node.names))
+            yield (node.lineno, getattr(outer, "name", None), module)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_are_module_level(path):
-    tree = _tree(path)
-    top = {id(node) for node in tree.body}
-    nested = sorted(node.lineno for node in ast.walk(tree)
-                    if isinstance(node, (ast.Import, ast.ImportFrom))
-                    and id(node) not in top)
-    assert nested == []
+    nested = [(func, module) for _line, func, module
+              in sorted(_nested_imports(_tree(path)))]
+    assert nested == NESTED_IMPORTS.get(path.name, [])
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -107,15 +131,41 @@ def test_no_rational_approximation(path):
     assert lines == []
 
 
-def test_cli_import_does_not_load_scipy():
+# run in a fresh interpreter: every exact command, then a flow sweep
+EXACT_THEN_FLOW = """
+import contextlib, io, json, sys
+from flatforms import cli
+SEEDED = ("validate", "build-aprime", "build-iprime", "smooth", "igusa",
+          "holonomy", "homology")
+NUMERIC = ("numpy", "scipy", "flatforms.wkflow")
+runs = [[command, "--seed", "3"] for command in SEEDED]
+runs.append(["extend", "--instance", sys.argv[1]])
+codes = {}
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in runs:
+        codes[argv[0]] = cli.main(argv)
+    exact = [name for name in NUMERIC if name in sys.modules]
+    flow = cli.main(["flow", "--k", "2", "--sweep", "3"])
+print(json.dumps({"codes": codes, "exact": exact, "flow": flow,
+                  "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_only_flow_loads_numpy(tmp_path):
+    """The exact commands run without numpy, scipy or ``wkflow`` in
+    the process; ``flow`` loads numpy when it runs."""
+    inst = generate(3)
+    path = tmp_path / "skeleton.json"
+    save_instance(path, inst.S, inst.L, strip_to_dim(inst.A, 1))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import flatforms.cli, sys; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", EXACT_THEN_FLOW, str(path)],
+                         env=env, capture_output=True, text=True, check=True)
+    result = json.loads(out.stdout)
+    assert len(result["codes"]) == 8 and set(result["codes"].values()) == {0}
+    assert result["exact"] == []
+    assert result["flow"] == 0 and result["numpy"]
 
 
 def _public_definitions(tree):
@@ -149,8 +199,8 @@ def _names(tree, skip=None):
 # criteria and the tests call them
 TEST_API = {
     "phibar", "partition_linear", "vertex_linearization", "lyapunov_rate",
-    "face_restriction_check", "poincare_contract", "designed_instance",
-    "corrupt_random_entry", "CWBoundary.is_differential",
+    "height", "face_restriction_check", "poincare_contract",
+    "designed_instance", "corrupt_random_entry", "CWBoundary.is_differential",
 }
 
 
