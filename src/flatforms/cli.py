@@ -9,7 +9,10 @@ whose content is deterministic apart from the timing block.
 
 Exit codes: 0 when all checks pass, 1 when a check fails, 2 on
 malformed input.  Failures always carry a certificate naming the
-simplex, block or tuple that witnessed them.
+simplex, block or tuple that witnessed them.  A check either returns
+its problems or stops with a ``CheckFailed``, whose message each
+command files under the check's name; a file the parsers reject is a
+``ParseError``.
 
 Every command but ``flow`` is exact algebra over Q and runs without
 numpy: ``cmd_flow`` imports ``wkflow``, the one numerical module, when
@@ -22,15 +25,11 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
 from .flatsys import (
     FiberModel,
-    Infeasible,
-    MissingFaceData,
-    NotADifferential,
     cw_boundary,
     cw_homology,
     extend_system,
@@ -43,20 +42,14 @@ from .flatsys import (
     validate_fiber_model,
     validate_system,
 )
-from .forms import (
-    ExponentOverflow,
-    ExtensionInfeasible,
-    IncompatibleBoundaryData,
-)
 from .instances import (
     generate,
     instance_from_json,
     instance_to_json,
     make_fiber_model,
 )
-from .linalg import qint, qkeys, qx
+from .linalg import CheckFailed, qint, qkeys, qx
 from .mixed import (
-    NotNilpotent,
     build_Iprime,
     build_mixed_connection,
     locality_check,
@@ -86,18 +79,6 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # instance plumbing
 # ---------------------------------------------------------------------------
-
-
-def _plain(x):
-    """Rationals to strings, tuples to lists."""
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, dict):
-        return {(skey(k) if isinstance(k, tuple) else k): _plain(v)
-                for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    return x
 
 
 class Loaded:
@@ -171,7 +152,7 @@ def save_instance(path, S, L, A, extra: dict | None = None):
 class Checks(dict):
     """One command's checks in report order, with the certificates of
     the failed ones: ``record`` files a check as ``ok`` or its problem
-    list, ``stop`` one that an exception ended as its message."""
+    list, ``stop`` one that a ``CheckFailed`` ended as its message."""
 
     def __init__(self):
         super().__init__()
@@ -182,15 +163,10 @@ class Checks(dict):
         self.certificates += problems
         return self
 
-    def stop(self, name: str, ex: Exception) -> "Checks":
+    def stop(self, name: str, ex: CheckFailed) -> "Checks":
         self[name] = str(ex)
         self.certificates.append(str(ex))
         return self
-
-
-# a build that cannot finish, or lacks a coefficient, fails with its cause
-BUILD_ERRORS = (ExtensionInfeasible, IncompatibleBoundaryData, NotNilpotent,
-                MissingFaceData)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +189,7 @@ def cmd_validate(args):
     if inst.P is not None:
         try:
             checks.record("partition", validate_partition(inst.P))
-        except ExponentOverflow as ex:
+        except CheckFailed as ex:
             checks.stop("partition", ex)
     return checks
 
@@ -225,7 +201,7 @@ def cmd_extend(args):
     checks = Checks()
     try:
         full = extend_system(inst.A)
-    except (Infeasible, MissingFaceData) as ex:
+    except CheckFailed as ex:
         return checks.stop("extend", ex)
     checks["filled"] = [skey(s) for s in sorted(set(full.coeffs)
                                                  - set(inst.A.coeffs))]
@@ -245,7 +221,7 @@ def cmd_build_aprime(args):
         return checks.record("system", sysp)
     try:
         data = build_mixed_connection(inst.A)
-    except BUILD_ERRORS as ex:
+    except CheckFailed as ex:
         return checks.stop("build", ex)
     checks["simplices"] = len(inst.A.S)
     return checks.record("problems", data.problems, ok="none")
@@ -263,7 +239,7 @@ def cmd_build_iprime(args):
             return checks.record("fiber_model", fmp)
         data = build_mixed_connection(inst.A)
         cm = build_Iprime(data, inst.FM)
-    except BUILD_ERRORS as ex:
+    except CheckFailed as ex:
         return checks.stop("build", ex)
     checks["simplices"] = len(inst.A.S)
     problems = data.problems + cm.problems
@@ -285,20 +261,20 @@ def cmd_smooth(args):
     P = inst.P if inst.P is not None else partition_default(A.S)
     try:
         checks.record("partition_valid", validate_partition(P))
-    except ExponentOverflow as ex:
+    except CheckFailed as ex:
         return checks.stop("partition_valid", ex)
     try:
         if FM is not None and (fmp := validate_fiber_model(A, FM)):
             return checks.record("fiber_model", fmp)
         data = build_mixed_connection(A)
         cm = build_Iprime(data, FM) if FM is not None else None
-    except BUILD_ERRORS as ex:
+    except CheckFailed as ex:
         return checks.stop("build", ex)
     if found := data.problems + (cm.problems if cm is not None else []):
         checks.record("problems", found)
     try:
         verdicts = verify_smoothing(data, P, cm)
-    except ExponentOverflow as ex:
+    except CheckFailed as ex:
         return checks.stop("smoothing", ex)
     for kind, problems in verdicts.items():
         checks.record(kind, problems)
@@ -314,7 +290,7 @@ def cmd_igusa(args):
         problems = [f"{skey(sigma)}: relation fails at tuple {tup}"
                     for sigma in A.S
                     for tup in igusa_check(igusa_export(A, sigma))]
-    except MissingFaceData as ex:
+    except CheckFailed as ex:
         return checks.stop("system", ex)
     checks["simplices"] = len(A.S)
     return checks.record("problems", problems, ok="none")
@@ -329,9 +305,10 @@ def cmd_holonomy(args):
         corners = dict.fromkeys((v,) for tri in A.S.of_dim(2) for v in tri)
         H = {v: fiber_homology(A, v) for v in corners}
         tris = holonomy_verdicts(A, H, checks.certificates)
-    except MissingFaceData as ex:
+    except CheckFailed as ex:
         return checks.stop("system", ex)
-    checks["triangles"] = tris if tris else "none"
+    checks["triangles"] = ({skey(t): ok for t, ok in tris.items()}
+                           if tris else "none")
     return checks
 
 
@@ -343,7 +320,7 @@ def cmd_homology(args):
     try:
         bdry = cw_boundary(inst.A)
         checks["cw_betti"] = cw_homology(bdry)
-    except (NotADifferential, MissingFaceData) as ex:
+    except CheckFailed as ex:
         return checks.stop("cw_betti", ex)
     checks["generators"] = len(bdry.degrees)
     H = {v: fiber_homology(inst.A, v) for v in inst.A.S.vertices()}
@@ -488,7 +465,7 @@ def main(argv=None) -> int:
                   "certificates": certs,
                   "checks": checks,
                   "timings": {"total": time.perf_counter() - t0}}
-        text = json.dumps(_plain(report), indent=2)
+        text = json.dumps(report, indent=2)
         if args.report:
             Path(args.report).write_text(text + "\n")
     except ParseError as ex:

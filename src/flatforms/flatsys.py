@@ -28,6 +28,7 @@ from itertools import combinations
 from typing import Optional
 
 from .linalg import (
+    CheckFailed,
     Q,
     SMat,
     kernel,
@@ -47,7 +48,6 @@ from .linalg import (
 )
 from .morse import (
     LeafSystem,
-    UnknownLeaf,
     allowed_blocks,
     block_allowed,
     block_entries,
@@ -62,22 +62,6 @@ from .simplicial import (
     parse_skey,
     skey,
 )
-
-
-class MissingFaceData(Exception):
-    pass
-
-
-class Infeasible(Exception):
-    pass
-
-
-class ChainMapViolation(Exception):
-    pass
-
-
-class NotADifferential(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +90,7 @@ class CoefficientSystem:
         try:
             return self.coeffs[sigma]
         except KeyError:
-            raise MissingFaceData(f"no coefficient stored for {sigma}") from None
+            raise CheckFailed(f"no coefficient stored for {sigma}") from None
 
     def set(self, sigma: Simplex, m: SMat):
         self.coeffs[self.S.require(sigma)] = m
@@ -147,8 +131,8 @@ class CoefficientSystem:
             for bkey, mat in blocks.items():
                 al, _, be = bkey.partition("<-")
                 if al not in L.rank or be not in L.rank:
-                    raise UnknownLeaf(f"block {bkey} on {sigma} names an "
-                                      f"undeclared leaf")
+                    raise ValueError(f"block {bkey} on {sigma} names an "
+                                     f"undeclared leaf")
                 if (len(mat) != L.rank[al]
                         or any(len(row) != L.rank[be] for row in mat)):
                     raise ValueError(f"block {bkey} on {sigma} is not "
@@ -256,7 +240,7 @@ class CWBoundary:
         sq = smat_mul(self.matrix, self.matrix)
         if sq:
             g = next(iter(sq))
-            raise NotADifferential(
+            raise CheckFailed(
                 f"boundary does not square to zero, e.g. on generator {g}")
 
 
@@ -344,16 +328,16 @@ def extend_system(A: CoefficientSystem) -> CoefficientSystem:
 
     is solved for X over the allowed blocks, where K collects the facet
     sum and the interior splitting products.  The solve is deterministic
-    (fixed variable order, free variables zero).  Raises ``Infeasible``
-    naming the simplex when no solution exists, ``MissingFaceData`` when
-    a required face is absent.
+    (fixed variable order, free variables zero).  Raises ``CheckFailed``
+    naming the simplex when no solution exists or a required face is
+    absent.
     """
     out = A.copy()
     for sigma in out.S:
         if out.has(sigma):
             continue
         if dim(sigma) == 0:
-            raise MissingFaceData(
+            raise CheckFailed(
                 f"vertex differential at {sigma} must be given")
         _solve_one(out, sigma)
     return out
@@ -406,7 +390,7 @@ def _solve_one(A: CoefficientSystem, sigma: Simplex):
     rhs = {(r, c): -v for r, c, v in smat_entries(K)}
     [x] = solve(rows, unknowns, [rhs])
     if x is None:
-        raise Infeasible(
+        raise CheckFailed(
             f"no flat completion over the allowed blocks of {sigma}")
     X = {}
     for (r, c), v in x.items():
@@ -525,9 +509,10 @@ def _vector_degree(L: LeafSystem, z) -> int:
 
 
 def induced_on_homology(T: SMat, src: FiberHomology,
-                        tgt: FiberHomology) -> SMat:
+                        tgt: FiberHomology) -> Optional[SMat]:
     """Matrix of the map induced by the chain map ``T`` on homology,
-    keyed by representative index (rows in ``tgt``, columns in ``src``).
+    keyed by representative index (rows in ``tgt``, columns in ``src``),
+    or None when ``T`` takes a cycle to no cycle mod boundaries.
     """
     # solve [tgt reps | tgt boundaries] x = T z; homology coordinates
     # are the reps part of x
@@ -540,26 +525,27 @@ def induced_on_homology(T: SMat, src: FiberHomology,
     out: SMat = {}
     for j, x in enumerate(solutions):
         if x is None:
-            raise ChainMapViolation("image of a cycle is not a cycle mod boundaries")
+            return None
         for (tag, i), v in x.items():
             if tag == "z":
                 out.setdefault(i, {})[j] = v
     return out
 
 
-def holonomy_is_identity(A: CoefficientSystem, triangle: Simplex,
-                         H: dict) -> bool:
-    """Whether the composite of the three induced edge transports around
-    a triangle is the identity on the homology of its last fiber.
+def holonomy_problem(A: CoefficientSystem, triangle: Simplex,
+                     H: dict) -> Optional[str]:
+    """The certificate of a triangle whose holonomy on homology, the
+    composite of the three induced edge transports around it, is not
+    the identity on the homology of its last fiber; None when it is.
 
     ``H`` maps each vertex simplex (v,) of the triangle to its
     ``fiber_homology``.
 
     With the transport along the long edge an isomorphism on homology,
     the holonomy M02^-1 M01 M12 is the identity exactly when
-    M01 M12 = M02.  A flat system passes.  Raises ``ChainMapViolation``
-    naming the triangle and edge when a transport does not induce a map
-    on homology, or the long edge's map is not invertible.
+    M01 M12 = M02.  A flat system passes.  A transport that induces no
+    map on homology, or a long edge whose map is not invertible, gives
+    a certificate naming the triangle and the edge.
     """
     tri = A.S.require(triangle)
     if dim(tri) != 2:
@@ -567,39 +553,35 @@ def holonomy_is_identity(A: CoefficientSystem, triangle: Simplex,
     v0, v1, v2 = tri
     M = {}
     for e in ((v1, v2), (v0, v1), (v0, v2)):
-        try:
-            M[e] = induced_on_homology(edge_transport(A, e),
-                                       H[(e[1],)], H[(e[0],)])
-        except ChainMapViolation as ex:
-            raise ChainMapViolation(
-                f"holonomy around {tri}: transport along {e}: {ex}") from None
+        M[e] = induced_on_homology(edge_transport(A, e),
+                                   H[(e[1],)], H[(e[0],)])
+        if M[e] is None:
+            return (f"holonomy around {tri}: transport along {e}: image of "
+                    f"a cycle is not a cycle mod boundaries")
     n = len(H[(v2,)].reps)
     if len(H[(v0,)].reps) != n or rank(M[v0, v2], range(n)) != n:
-        raise ChainMapViolation(
-            f"holonomy around {tri}: transport along {(v0, v2)} is not "
-            f"invertible on homology")
-    return smat_mul(M[v0, v1], M[v1, v2]) == M[v0, v2]
+        return (f"holonomy around {tri}: transport along {(v0, v2)} is not "
+                f"invertible on homology")
+    if smat_mul(M[v0, v1], M[v1, v2]) != M[v0, v2]:
+        return f"holonomy around {tri} is not the identity"
+    return None
 
 
 def holonomy_verdicts(A: CoefficientSystem, H: dict, problems: list[str]
                       ) -> dict[Simplex, bool]:
-    """Per triangle of the base, whether ``holonomy_is_identity`` holds.
+    """Per triangle of the base, whether ``holonomy_problem`` finds none.
 
     ``H`` maps every corner of a triangle to its ``fiber_homology``.  A
     failed triangle appends its certificate to ``problems`` before the
-    next triangle is tried, so a ``MissingFaceData`` raised later leaves
-    the earlier certificates in place.
+    next triangle is tried, so a ``CheckFailed`` raised later (an edge
+    without its coefficient) leaves the earlier certificates in place.
     """
     verdicts = {}
     for tri in A.S.of_dim(2):
-        try:
-            ok = holonomy_is_identity(A, tri, H)
-            if not ok:
-                problems.append(f"holonomy around {tri} is not the identity")
-        except ChainMapViolation as ex:
-            ok = False
-            problems.append(str(ex))
-        verdicts[tri] = ok
+        problem = holonomy_problem(A, tri, H)
+        if problem is not None:
+            problems.append(problem)
+        verdicts[tri] = problem is None
     return verdicts
 
 
@@ -738,13 +720,15 @@ def omega_betti(FM: FiberModel) -> dict[int, int]:
 def quasi_iso_ranks(A: CoefficientSystem, FM: FiberModel, H: dict) -> dict:
     """Per vertex: Betti numbers of the fiber complex against those of
     (Omega, D).  Per triangle: holonomy on homology is the identity.
-    ``H`` maps every vertex simplex to its ``fiber_homology``.
+    ``H`` maps every vertex simplex to its ``fiber_homology``.  The
+    report holds the Betti numbers of (Omega, D) as ``omega``, the
+    failed comparisons as ``problems`` and the ``holonomy_verdicts`` as
+    ``triangles``.
     """
     betti_o = omega_betti(FM)
-    report = {"omega": betti_o, "vertices": {}, "problems": []}
+    report = {"omega": betti_o, "problems": []}
     for v in A.S.vertices():
         betti_v = {q: r for q, r in H[v].betti.items() if r}
-        report["vertices"][v] = betti_v
         if betti_v != {q: r for q, r in betti_o.items() if r}:
             report["problems"].append(
                 f"Betti numbers over {v} differ from the fiber complex: "

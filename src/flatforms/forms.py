@@ -62,7 +62,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .linalg import Q, qint, qkeys, qx, solver
+from .linalg import CheckFailed, Q, qint, qkeys, qx, solver
 from .simplicial import facet_positions
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
@@ -73,7 +73,7 @@ _DIGIT_MASK = (1 << _DIGIT) - 1
 EXTENSION_HEADROOM = 3           # ansatz degrees end at d0 + k + this
 
 
-class IncompatibleBoundaryData(Exception):
+class IncompatibleBoundaryData(CheckFailed):
     """Boundary data whose facet restrictions disagree on a common face;
     ``facets`` is the pair (i, j) of facet indices that witnesses it."""
 
@@ -82,13 +82,11 @@ class IncompatibleBoundaryData(Exception):
         self.facets = facets
 
 
-class ExtensionInfeasible(Exception):
-    """No polynomial extension found below the degree ceiling."""
-
-
-class ExponentOverflow(ValueError):
+class ExponentOverflow(CheckFailed, ValueError):
     """An exponent at or past ``_BOUND``, which a packed key cannot hold:
-    given to ``PolyForm``, or reached by a product or a substitution."""
+    given to ``PolyForm``, or reached by a product or a substitution.
+    Read from an instance file it is a fault of the file (a
+    ``ValueError``), met by a check it fails that check."""
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +744,8 @@ def extend_from_boundary(k: int, data: Sequence[PolyForm]) -> PolyForm:
     coefficients are zeroed, making the output deterministic.
 
     Raises ``IncompatibleBoundaryData`` when facet restrictions clash
-    on a codimension-2 face, ``ExtensionInfeasible`` past the ceiling.
+    on a codimension-2 face, ``CheckFailed`` when no extension exists
+    up to the degree ceiling.
     """
     if len(data) != k + 1:
         raise ValueError(f"need {k + 1} facet forms, got {len(data)}")
@@ -796,7 +795,7 @@ def _extend_homogeneous(k: int, data: Sequence[PolyForm], r: int,
         x = _extension_solver(k, r, deg)(rhs)
         if x is not None:
             return _rational_form(k, x)
-    raise ExtensionInfeasible(
+    raise CheckFailed(
         f"no degree <= {ceiling} extension for form degree {r} on the {k}-simplex")
 
 

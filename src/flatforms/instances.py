@@ -22,11 +22,11 @@ from itertools import combinations
 from .flatsys import (
     CoefficientSystem,
     FiberModel,
-    Infeasible,
     extend_system,
     flatness_equation,
 )
 from .linalg import (
+    CheckFailed,
     Q,
     SMat,
     kernel,
@@ -38,7 +38,7 @@ from .linalg import (
     smat_transpose,
     solve,
 )
-from .morse import LeafSystem, UnknownLeaf, allowed_blocks, block_entries
+from .morse import LeafSystem, allowed_blocks, block_entries
 from .simplicial import BaseComplex, Simplex, dim, parse_skey
 
 LEAF_NAMES = ["a", "b", "c", "d", "e", "f"]
@@ -199,7 +199,7 @@ def generate(seed: int, max_dim: int = 3, need_triangle: bool = False,
                 trial = extend_system(trial)
                 A = trial
                 enriched = True
-            except Infeasible:
+            except CheckFailed:
                 pass
     return Instance(seed=seed, S=S, L=L, A=A, U_inv=U_inv, D0=D0,
                     enriched=enriched)
@@ -312,6 +312,6 @@ def instance_from_json(data: dict):
     for leaf in L.leaves:
         for (v,) in S.vertices():
             if (leaf, v) not in L.heights:
-                raise UnknownLeaf(f"no height for leaf {leaf!r} at vertex {v}")
+                raise ValueError(f"no height for leaf {leaf!r} at vertex {v}")
     coeffs = data.get("coefficients", {})
     return S, L, CoefficientSystem.from_json(S, L, coeffs)

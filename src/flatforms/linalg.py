@@ -36,6 +36,11 @@ consistency rows C, whose product with b is zero exactly when b is
 consistent.  Both are matrices, so a caller can apply them to whole
 rows of forms at once, coefficient by coefficient; ``solver`` applies
 them to one vector.
+
+``CheckFailed`` is the package's one failure class: a face without its
+datum, a boundary that does not square to zero, or a flat extension or
+gauge step that does not exist.  Its message is the certificate, and
+the command line turns it into exit 1.
 """
 
 from __future__ import annotations
@@ -48,6 +53,11 @@ Q = Fraction
 
 SMat = dict
 SVec = dict
+
+
+class CheckFailed(Exception):
+    """A construction or check that cannot go on; the message names
+    the simplex, block or step that witnessed it."""
 
 
 def qx(value) -> Fraction:

@@ -60,6 +60,7 @@ from .forms import (
     extend_from_boundary,
 )
 from .linalg import (
+    CheckFailed,
     SMat,
     smat_entries,
     smat_is_zero,
@@ -78,10 +79,6 @@ from .simplicial import (
     parity_sign,
     skey,
 )
-
-
-class NotNilpotent(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +327,7 @@ def neumann_inverse(g_minus_id: FormMatrix, max_len: int) -> FormMatrix:
             return out
         out = out.add(power, sign)
         sign = -sign
-    raise NotNilpotent(
+    raise CheckFailed(
         f"geometric series did not terminate within {max_len + 1} steps")
 
 

@@ -38,10 +38,6 @@ from .linalg import qx
 from .simplicial import BaseComplex, Simplex
 
 
-class UnknownLeaf(ValueError):
-    pass
-
-
 class LeafSystem:
     """Leaves with heights over the vertices of a base complex.
 
@@ -72,7 +68,7 @@ class LeafSystem:
         exact = {(leaf, v): qx(h) for (leaf, v), h in heights.items()}
         for leaf, _v in exact:
             if leaf not in self.index:
-                raise UnknownLeaf(leaf)
+                raise ValueError(leaf)
         self.heights: Mapping[tuple[str, int], Fraction] = \
             MappingProxyType(exact)
         self.epsilon = qx(epsilon)
@@ -85,10 +81,10 @@ class LeafSystem:
                        for key, h in exact.items()}
         self._gap = gap.numerator * (den // gap.denominator)
 
-    def _missing(self, leaf: str, vertex: int) -> UnknownLeaf:
+    def _missing(self, leaf: str, vertex: int) -> ValueError:
         if leaf not in self.index:
-            return UnknownLeaf(leaf)
-        return UnknownLeaf(f"no height for leaf {leaf!r} at vertex {vertex}")
+            return ValueError(leaf)
+        return ValueError(f"no height for leaf {leaf!r} at vertex {vertex}")
 
     def height(self, leaf: str, vertex: int) -> Fraction:
         try:
@@ -131,7 +127,7 @@ def prec(L: LeafSystem, alpha: str, beta: str, sigma: Simplex) -> bool:
 
     Holds iff the height gap h_beta - h_alpha exceeds 2*epsilon^2 at
     some vertex of ``sigma`` (strict).  The vertices are tried in order,
-    and a missing height raises ``UnknownLeaf`` as ``L.height`` does.
+    and a missing height raises the ``ValueError`` of ``L.height``.
     """
     level, gap = L._level, L._gap
     try:

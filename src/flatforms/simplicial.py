@@ -15,34 +15,6 @@ Simplex = tuple[int, ...]
 EMPTY: Simplex = ()
 
 
-class SimplexError(ValueError):
-    pass
-
-
-class DuplicateSimplex(SimplexError):
-    pass
-
-
-class NonIncreasingVertices(SimplexError):
-    pass
-
-
-class IndexOutOfRange(SimplexError):
-    pass
-
-
-class ZeroDimensional(SimplexError):
-    pass
-
-
-class SimplexNotInComplex(SimplexError):
-    pass
-
-
-class NotAFace(SimplexError):
-    pass
-
-
 def dim(sigma: Simplex) -> int:
     return len(sigma) - 1
 
@@ -52,9 +24,9 @@ def check_simplex(sigma) -> Simplex:
     sigma = tuple(sigma)
     for v in sigma:
         if type(v) is not int:      # a bool is an int to isinstance
-            raise NonIncreasingVertices(f"vertex ids must be ints, got {v!r}")
+            raise ValueError(f"vertex ids must be ints, got {v!r}")
     if any(a >= b for a, b in zip(sigma, sigma[1:])):
-        raise NonIncreasingVertices(f"vertices not strictly increasing: {sigma}")
+        raise ValueError(f"vertices not strictly increasing: {sigma}")
     return sigma
 
 
@@ -72,7 +44,7 @@ def parse_skey(key: str) -> Simplex:
     except ValueError:
         sigma = None
     if sigma is None or skey(sigma) != key:
-        raise SimplexError(f"not a simplex key: {key!r}")
+        raise ValueError(f"not a simplex key: {key!r}")
     return check_simplex(sigma)
 
 
@@ -89,17 +61,17 @@ def face(sigma: Simplex, positions) -> Simplex:
     """
     positions = tuple(positions)
     if any(a >= b for a, b in zip(positions, positions[1:])):
-        raise NonIncreasingVertices(f"positions not strictly increasing: {positions}")
+        raise ValueError(f"positions not strictly increasing: {positions}")
     for p in positions:
         if not 0 <= p < len(sigma):
-            raise IndexOutOfRange(f"position {p} out of range for {sigma}")
+            raise ValueError(f"position {p} out of range for {sigma}")
     return tuple(sigma[p] for p in positions)
 
 
 def facet(sigma: Simplex, j: int) -> Simplex:
     """The facet of ``sigma`` obtained by omitting the vertex at position ``j``."""
     if not 0 <= j < len(sigma):
-        raise IndexOutOfRange(f"position {j} out of range for {sigma}")
+        raise ValueError(f"position {j} out of range for {sigma}")
     return sigma[:j] + sigma[j + 1:]
 
 
@@ -111,18 +83,18 @@ def facet_positions(k: int, j: int) -> tuple[int, ...]:
 def boundary_chain(sigma: Simplex) -> list[tuple[int, Simplex]]:
     """Signed facet list of ``sigma``: entry j is ((-1)**j, sigma minus vertex j).
 
-    Raises ``ZeroDimensional`` for vertices and the empty simplex, whose
+    Raises ``ValueError`` for vertices and the empty simplex, whose
     boundary is not a chain of simplices.
     """
     if dim(sigma) < 1:
-        raise ZeroDimensional(f"boundary of {sigma} is not a simplex chain")
+        raise ValueError(f"boundary of {sigma} is not a simplex chain")
     return [((-1) ** j, facet(sigma, j)) for j in range(len(sigma))]
 
 
 def face_positions(tau: Simplex, sigma: Simplex) -> tuple[int, ...]:
     """Positions of the vertices of ``tau`` inside ``sigma``.
 
-    Raises ``NotAFace`` when ``tau`` is not a face of ``sigma``.
+    Raises ``ValueError`` when ``tau`` is not a face of ``sigma``.
     """
     pos = []
     j = 0
@@ -130,7 +102,7 @@ def face_positions(tau: Simplex, sigma: Simplex) -> tuple[int, ...]:
         while j < len(sigma) and sigma[j] != v:
             j += 1
         if j == len(sigma):
-            raise NotAFace(f"{tau} is not a face of {sigma}")
+            raise ValueError(f"{tau} is not a face of {sigma}")
         pos.append(j)
         j += 1
     return tuple(pos)
@@ -157,7 +129,7 @@ class BaseComplex:
             if s == EMPTY:
                 continue
             if s in seen:
-                raise DuplicateSimplex(f"simplex listed twice: {s}")
+                raise ValueError(f"simplex listed twice: {s}")
             seen.add(s)
             given.append(s)
         closure: set[Simplex] = set()
@@ -185,7 +157,7 @@ class BaseComplex:
         # (True, 2) == (1, 2), so membership alone would let a bool in
         if sigma not in self._members or any(type(v) is not int
                                              for v in sigma):
-            raise SimplexNotInComplex(f"{sigma} is not in the complex")
+            raise ValueError(f"{sigma} is not in the complex")
         return sigma
 
     def vertices(self) -> list[Simplex]:

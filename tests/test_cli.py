@@ -636,6 +636,18 @@ def test_holonomy_and_quasi_iso_share_one_verdict(capsys, tmp_path):
     assert quasi["problems"] == rep["certificates"]
 
 
+def test_holonomy_without_an_edge_coefficient_fails_the_system(capsys,
+                                                                tmp_path):
+    """The file has every vertex but lacks the coefficient of edge
+    (0, 1): holonomy stops on the missing datum, as the system check,
+    and reports no triangle, not a holonomy problem of (0, 1, 2)."""
+    path = triangle_file(tmp_path, lambda d: d["coefficients"].pop("0,1"))
+    code, rep = run(capsys, "holonomy", "--instance", str(path))
+    assert code == 1
+    assert rep["checks"] == {"system": "no coefficient stored for (0, 1)"}
+    assert rep["certificates"] == ["no coefficient stored for (0, 1)"]
+
+
 def test_triangle_passes_every_subcommand(capsys, tmp_path):
     for cmd in INSTANCE_COMMANDS:
         code, rep = run(capsys, cmd, "--instance", str(triangle_file(tmp_path)))
@@ -644,10 +656,12 @@ def test_triangle_passes_every_subcommand(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("change, witness", [
-    (lambda d: d["complex"].append([2, 1]), "NonIncreasingVertices"),
-    (lambda d: d["complex"].append([0, 1]), "DuplicateSimplex"),
-    (lambda d: d["complex"].append(["0", 1]), "NonIncreasingVertices"),
-    (lambda d: d["heights"].update(zz={"0": "0"}), "UnknownLeaf('zz')"),
+    (lambda d: d["complex"].append([2, 1]),
+     "vertices not strictly increasing: (2, 1)"),
+    (lambda d: d["complex"].append([0, 1]), "simplex listed twice: (0, 1)"),
+    (lambda d: d["complex"].append(["0", 1]),
+     "vertex ids must be ints, got '0'"),
+    (lambda d: d["heights"].update(zz={"0": "0"}), "ValueError('zz')"),
     (lambda d: d["heights"]["a"].pop("1"),
      "no height for leaf 'a' at vertex 1"),
     (lambda d: d["coefficients"].update({"0,3": {}}),

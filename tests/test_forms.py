@@ -11,7 +11,6 @@ from flatforms import forms
 from flatforms.forms import (
     _BOUND,
     ExponentOverflow,
-    ExtensionInfeasible,
     IncompatibleBoundaryData,
     PolyForm,
     RatioPullback,
@@ -21,7 +20,7 @@ from flatforms.forms import (
     extend_from_boundary,
     poincare_contract,
 )
-from flatforms.linalg import solve
+from flatforms.linalg import CheckFailed, solve
 from flatforms.simplicial import facet_positions
 
 
@@ -224,7 +223,8 @@ def test_extend_respects_ceiling(monkeypatch):
     # a ceiling of d0 + k - 1 = 0 tries only the constant ones
     monkeypatch.setattr(forms, "EXTENSION_HEADROOM", -1)
     data = [PolyForm.one(0), PolyForm.zero(0)]
-    with pytest.raises(ExtensionInfeasible, match="no degree <= 0 extension"):
+    with pytest.raises(CheckFailed, match="^no degree <= 0 extension for "
+                       "form degree 0 on the 1-simplex$"):
         extend_from_boundary(1, data)
 
 
@@ -260,14 +260,14 @@ def solve_extend_homogeneous(k, data, r, d0, ceiling):
         if x is not None:
             return PolyForm(k, x)
         deg += 1
-    raise ExtensionInfeasible(
+    raise CheckFailed(
         f"no degree <= {ceiling} extension for form degree {r} on the {k}-simplex")
 
 
 def extension_outcome(extend, *args):
     try:
         return "form", list(extend(*args).terms.items())
-    except ExtensionInfeasible as ex:
+    except CheckFailed as ex:
         return "infeasible", str(ex)
 
 

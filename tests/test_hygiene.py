@@ -7,13 +7,15 @@ loads numpy, scipy (which is not a dependency) or ``wkflow``, and
 function, method and class is used in the package itself (a short list
 of functions that only tests call aside), the term layout of a
 polynomial form stays inside ``forms``, a module-level cache is keyed on
-ints and tuples only, and no float is rounded to a rational with
-``limit_denominator``.  The command line maps only input faults to
+ints and tuples only, no float is rounded to a rational with
+``limit_denominator``, and an exception class exists only where an
+``except`` tells it apart.  The command line maps only input faults to
 exit 2.  The layers import one way: the data and
 identities over Q (``flatsys``) know nothing of forms, and the instance
 generator and the smoothing each reach only the layer they need."""
 
 import ast
+import builtins
 import json
 import os
 import subprocess
@@ -304,6 +306,47 @@ def test_cli_main_maps_only_input_faults_to_exit_2():
     assert all(h.type is not None for h in handlers)
     assert named & {"KeyError", "TypeError", "ValueError", "LookupError",
                     "Exception", "BaseException"} == set()
+
+
+# exception classes that no ``except`` in src names, each with the
+# reason it is a class of its own
+UNCAUGHT_EXCEPTIONS = {
+    "ExponentOverflow": "its ValueError base makes an exponent past the key "
+                        "layout in an instance file an input fault (exit 2), "
+                        "where as a CheckFailed it fails a check (exit 1)",
+}
+
+
+def _exception_classes(trees):
+    """The classes defined in ``trees`` that derive, by name, from a
+    builtin exception or from another class found here."""
+    builtin = {name for name, obj in vars(builtins).items()
+               if isinstance(obj, type) and issubclass(obj, BaseException)}
+    classes = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    found: set[str] = set()
+    while new := {node.name for node in classes if node.name not in found
+                  and any(getattr(base, "id", None) in builtin | found
+                          for base in node.bases)}:
+        found |= new
+    return found
+
+
+def test_every_exception_class_is_told_apart():
+    """An exception class is kept only where a caller tells it apart:
+    some ``except`` in src names it, or ``UNCAUGHT_EXCEPTIONS`` gives
+    its reason.  Every other failure is a ``CheckFailed`` or a builtin
+    exception, carrying its message."""
+    trees = [_tree(path) for path in MODULES]
+    caught = {n.id for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.ExceptHandler) and node.type is not None
+              for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+    defined = _exception_classes(trees)
+    assert sorted(defined - caught - set(UNCAUGHT_EXCEPTIONS)) == []
+    # a listed class that is gone, or that an except now names, is stale
+    assert set(UNCAUGHT_EXCEPTIONS) <= defined - caught
+    assert sorted(defined) == ["CheckFailed", "ExponentOverflow",
+                               "IncompatibleBoundaryData", "ParseError"]
 
 
 def _is_cache(decorator):

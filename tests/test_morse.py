@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from flatforms.morse import (
     LeafSystem,
-    UnknownLeaf,
     allowed_blocks,
     check_partial_order,
     leaf_orders,
@@ -75,9 +74,11 @@ def test_validate_flags_missing_heights_and_bad_rank():
 
 def test_unknown_leaf():
     L = two_leaf_system((0, 0), (3, 3))
-    with pytest.raises(UnknownLeaf):
+    with pytest.raises(ValueError, match="^c$"):
         L.height("c", 0)
-    with pytest.raises(UnknownLeaf):
+    with pytest.raises(ValueError, match="^no height for leaf 'a' at vertex 2$"):
+        L.height("a", 2)
+    with pytest.raises(ValueError, match="^z$"):
         LeafSystem([("a", 0, 1)], {("z", 0): 1}, 1)
 
 
@@ -218,7 +219,7 @@ def outcome(f, *args):
     """What ``f(*args)`` returns, or the type and text of what it raises."""
     try:
         return "value", f(*args)
-    except UnknownLeaf as ex:
+    except ValueError as ex:
         return type(ex), str(ex)
 
 
@@ -252,7 +253,7 @@ LEAF_NAMES = st.sampled_from(["a", "b", "c", "z"])
        st.lists(st.integers(0, 3), max_size=4, unique=True))
 def test_int_table_prec_matches_fractions(L, alpha, beta, vertices):
     """``prec`` and ``leaf_orders`` read the int table and agree with
-    the Fraction definition, down to the ``UnknownLeaf`` raised for the
+    the Fraction definition, down to the ``ValueError`` raised for the
     first missing height or undeclared leaf."""
     sigma = tuple(sorted(vertices))
     assert outcome(prec, L, alpha, beta, sigma) == \

@@ -1,15 +1,10 @@
+import re
+
 import pytest
 
 from flatforms.simplicial import (
     EMPTY,
     BaseComplex,
-    DuplicateSimplex,
-    IndexOutOfRange,
-    NonIncreasingVertices,
-    NotAFace,
-    SimplexError,
-    SimplexNotInComplex,
-    ZeroDimensional,
     all_faces,
     boundary_chain,
     check_simplex,
@@ -31,9 +26,11 @@ def test_dim_and_empty():
 
 
 def test_check_simplex_rejects_bad_tuples():
-    with pytest.raises(NonIncreasingVertices):
+    with pytest.raises(ValueError,
+                       match=r"^vertices not strictly increasing: \(0, 0\)$"):
         check_simplex((0, 0))
-    with pytest.raises(NonIncreasingVertices):
+    with pytest.raises(ValueError,
+                       match=r"^vertices not strictly increasing: \(2, 1\)$"):
         check_simplex((2, 1))
     assert check_simplex([0, 4, 9]) == (0, 4, 9)
 
@@ -41,9 +38,11 @@ def test_check_simplex_rejects_bad_tuples():
 def test_face_by_positions():
     assert face((3, 5, 8), (0, 2)) == (3, 8)
     assert face((3, 5, 8), (1,)) == (5,)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValueError,
+                       match=r"^position 2 out of range for \(3, 5\)$"):
         face((3, 5), (2,))
-    with pytest.raises(NonIncreasingVertices):
+    with pytest.raises(ValueError,
+                       match=r"^positions not strictly increasing: \(2, 0\)$"):
         face((3, 5, 8), (2, 0))
 
 
@@ -53,9 +52,11 @@ def test_boundary_chain_triangle():
 
 def test_boundary_chain_edge_and_vertex():
     assert boundary_chain((2, 7)) == [(1, (7,)), (-1, (2,))]
-    with pytest.raises(ZeroDimensional):
+    with pytest.raises(ValueError,
+                       match=r"^boundary of \(4,\) is not a simplex chain$"):
         boundary_chain((4,))
-    with pytest.raises(ZeroDimensional):
+    with pytest.raises(ValueError,
+                       match=r"^boundary of \(\) is not a simplex chain$"):
         boundary_chain(EMPTY)
 
 
@@ -67,7 +68,10 @@ def test_parse_skey_inverts_skey(sigma):
 @pytest.mark.parametrize("key", [" 0", "0, 1", "0,01", "00", "01", "+1",
                                  "-0", "1_0", "1,0", "0,0", "", "0,,1", "a"])
 def test_parse_skey_rejects_every_other_spelling(key):
-    with pytest.raises(SimplexError):
+    # "1,0" and "0,0" are how skey would write a tuple that is no simplex
+    message = (f"vertices not strictly increasing: {(int(key[0]), 0)}"
+               if key in ("1,0", "0,0") else f"not a simplex key: {key!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_skey(key)
 
 
@@ -80,7 +84,8 @@ def test_facet_positions_locate_each_facet():
 
 def test_face_positions_and_not_a_face():
     assert face_positions((1, 3), (0, 1, 2, 3)) == (1, 3)
-    with pytest.raises(NotAFace):
+    with pytest.raises(ValueError,
+                       match=r"^\(1, 5\) is not a face of \(0, 1, 2, 3\)$"):
         face_positions((1, 5), (0, 1, 2, 3))
 
 
@@ -98,10 +103,10 @@ def test_build_complex_closure_and_lookup():
     assert (1, 2) in S
     assert (0, 3) not in S
     assert S.of_dim(1) == [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
-    with pytest.raises(SimplexNotInComplex):
+    with pytest.raises(ValueError, match=r"^\(0, 3\) is not in the complex$"):
         S.require((0, 3))
 
 
 def test_build_complex_duplicate():
-    with pytest.raises(DuplicateSimplex):
+    with pytest.raises(ValueError, match=r"^simplex listed twice: \(0, 1\)$"):
         BaseComplex([(0, 1), (0, 1)])
