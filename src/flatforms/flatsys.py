@@ -29,7 +29,6 @@ from typing import Optional
 
 from .linalg import (
     CheckFailed,
-    Q,
     SMat,
     kernel,
     pivot_columns,
@@ -114,7 +113,7 @@ class CoefficientSystem:
                     by_block.setdefault((al, be), {})[(i, j)] = v
             for (al, be), entries in sorted(by_block.items()):
                 ra, rb = self.L.rank[al], self.L.rank[be]
-                mat = [[str(entries.get((i, j), Q(0))) for j in range(rb)]
+                mat = [[str(entries.get((i, j), 0)) for j in range(rb)]
                        for i in range(ra)]
                 blocks[f"{al}<-{be}"] = mat
             coeffs[skey(sigma)] = blocks
@@ -139,9 +138,7 @@ class CoefficientSystem:
                                      f"{L.rank[al]}x{L.rank[be]}")
                 for i, row in enumerate(mat):
                     for j, v in enumerate(row):
-                        v = qx(v)
-                        if v != 0:
-                            smat_set(m, (al, i), (be, j), v)
+                        smat_set(m, (al, i), (be, j), v)
             A.set(sigma, m)
         return A
 
@@ -264,7 +261,7 @@ def cw_boundary(A: CoefficientSystem) -> CWBoundary:
             acc: dict = {}
             if k >= 1:
                 for sgn, f in boundary_chain(sigma):
-                    acc[(f, b)] = Q(sgn)  # the facets are distinct
+                    acc[(f, b)] = sgn  # the facets are distinct
             for j in range(k + 1):
                 sgn = parity_sign(k * (j - 1))
                 left = A.a(sigma[: j + 1])
@@ -362,7 +359,7 @@ def flatness_equation(A: CoefficientSystem, sigma: Simplex):
         if v == 0:
             return
         row = rows.setdefault(rc, {})
-        w = row.get(u, Q(0)) + v
+        w = row.get(u, 0) + v
         if w == 0:
             row.pop(u, None)
         else:

@@ -62,7 +62,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .linalg import CheckFailed, Q, qint, qkeys, qx, solver
+from .linalg import CheckFailed, Q, qdiv, qint, qkeys, qx, solver
 from .simplicial import facet_positions
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
@@ -297,7 +297,8 @@ class PolyForm:
 
     @classmethod
     def const(cls, k: int, c) -> "PolyForm":
-        c = qx(c)
+        if type(c) is not int:
+            c = qx(c)
         if c == 0:
             return _form(k, {})
         return _form(k, {0: c.numerator}, c.denominator)
@@ -789,7 +790,7 @@ def _extend_homogeneous(k: int, data: Sequence[PolyForm], r: int,
                         d0: int, ceiling: int) -> PolyForm:
     if all(f.is_zero() for f in data):
         return PolyForm.zero(k)
-    rhs = {(j, tkey): Fraction(c, data[j]._den) for j in range(k + 1)
+    rhs = {(j, tkey): qdiv(c, data[j]._den) for j in range(k + 1)
            for tkey, c in data[j]._num.items()}
     for deg in range(d0, ceiling + 1):
         x = _extension_solver(k, r, deg)(rhs)

@@ -236,10 +236,10 @@ def corrupt_random_entry(rng: random.Random, A: CoefficientSystem
     if not options:
         return None
     sigma, r, c = rng.choice(options)
-    delta = Q(rng.choice([1, -1, 2, 3]))
+    delta = rng.choice([1, -1, 2, 3])
     out = A.copy()
     m = out.a(sigma)
-    smat_set(m, r, c, m.get(r, {}).get(c, Q(0)) + delta)
+    smat_set(m, r, c, m.get(r, {}).get(c, 0) + delta)
     return out, {"sigma": sigma, "row": r, "col": c, "delta": delta}
 
 

@@ -1,11 +1,22 @@
 """Exact linear algebra over the rationals, on one matrix shape.
 
-A matrix is an ``SMat``: nested dicts ``{row_key: {col_key: Fraction}}``
+A matrix is an ``SMat``: nested dicts ``{row_key: {col_key: entry}}``
 with zeros left out, so two matrices are equal exactly when their dicts
 are.  Keys are whatever names the caller's basis uses (module basis
 elements, cellular generators, unknowns); a vector is an ``SVec``
-``{key: Fraction}``, again without zeros.  Matrices act on column
+``{key: entry}``, again without zeros.  Matrices act on column
 vectors.
+
+An entry is an exact rational: an ``int`` when it is integral and a
+``Fraction`` in lowest terms only when its denominator is greater than
+1.  The entries this module makes (``smat_set``, ``smat_identity``,
+``kernel``, ``solve``, the solution operator) keep this rule, every
+quotient by way of ``qdiv``, so the integral coefficient systems of the
+generator multiply and add as ints.  An int and the equal Fraction compare equal, hash
+equal and print the same ``str``; sums and products keep Python's
+rules, so one with a Fraction operand is a Fraction.  No ``/`` is
+applied to entries, since int / int is a float: exact quotients go
+through ``qdiv``.
 
 Rank, pivot columns, kernels and solves all run one Gaussian
 elimination.  The caller fixes the column order; pivots are taken
@@ -20,13 +31,13 @@ each row is scaled to ints by the lcm of its denominators, cleared by
 the gcd-reduced combination (pv/g)*row - (f/g)*prow and divided by its
 content.  Every row stays a nonzero multiple of the row that rational
 Gauss-Jordan would hold, so pivots and supports are the same; only the
-entries that ``kernel`` and ``solve`` return are converted to
-Fractions, by dividing them by their row's pivot entry.  This is not
-Bareiss's algorithm ("Sylvester's identity and multistep
-integer-preserving Gaussian elimination", *Math. Comp.* 22, 1968),
-which divides each update exactly by the previous pivot and so bounds
-the growth of the entries; here the content division keeps rows
-primitive but gives no such bound.
+entries that ``kernel`` and ``solve`` return are divided, by ``qdiv``,
+by their row's pivot entry.  This is not Bareiss's algorithm
+("Sylvester's identity and multistep integer-preserving Gaussian
+elimination", *Math. Comp.* 22, 1968), which divides each update
+exactly by the previous pivot and so bounds the growth of the entries;
+here the content division keeps rows primitive but gives no such
+bound.
 
 ``solution_operator`` eliminates a matrix once, beside the identity,
 for right-hand sides that are not known yet.  What the identity columns
@@ -74,6 +85,13 @@ def qx(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def qdiv(n: int, d: int):
+    """The exact quotient n/d: an int when d divides n, otherwise a
+    Fraction in lowest terms."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
 def qint(value) -> int:
     """An integer field of an instance file: an int, never a bool or a
     float, which ``int()`` would read as 1 or truncate."""
@@ -93,7 +111,9 @@ def qkeys(data: dict, known: tuple, where: str) -> None:
 # ---------------------------------------------------------------------------
 
 def smat_set(m: SMat, r, c, v):
-    v = qx(v)
+    if type(v) is not int:
+        v = qx(v)
+        v = qdiv(v.numerator, v.denominator)
     if v == 0:
         row = m.get(r)
         if row:
@@ -158,7 +178,7 @@ def smat_is_zero(a: SMat) -> bool:
 
 
 def smat_identity(keys) -> SMat:
-    return {k: {k: Q(1)} for k in keys}
+    return {k: {k: 1} for k in keys}
 
 
 def smat_entries(a: SMat):
@@ -172,8 +192,11 @@ def smat_entries(a: SMat):
 # ---------------------------------------------------------------------------
 
 def _int_row(row: dict) -> dict:
-    """A row of Fractions times the lcm of its denominators: an int row
-    with the same support, a positive multiple of the row."""
+    """A row of entries times the lcm of their denominators: an int row
+    with the same support, a positive multiple of the row (the row
+    itself when its entries are ints)."""
+    if all(type(v) is int for v in row.values()):
+        return row
     m = lcm(*(v.denominator for v in row.values()))
     return {c: v.numerator * (m // v.denominator) for c, v in row.items()}
 
@@ -259,12 +282,12 @@ def kernel(a: SMat, cols: Sequence) -> list[SVec]:
     in column order, with 1 there and 0 at the other free columns."""
     pivots, _ = _eliminate(a, cols)
     pivot_set = {col for col, _ in pivots}
-    basis = {f: {cols[f]: Q(1)} for f in range(len(cols)) if f not in pivot_set}
+    basis = {f: {cols[f]: 1} for f in range(len(cols)) if f not in pivot_set}
     for col, row in pivots:
         pv = row[col]
         for f, w in row.items():
             if f != col:
-                basis[f][cols[col]] = Fraction(-w, pv)
+                basis[f][cols[col]] = qdiv(-w, pv)
     return list(basis.values())
 
 
@@ -281,7 +304,7 @@ def solve(a: SMat, cols: Sequence, rhs: Sequence[SVec]
     pivots, rest = _eliminate(a, cols, rhs)
     inconsistent = {j for row in rest for j in row}
     return [None if j in inconsistent else
-            {cols[col]: Fraction(row[j], row[col]) for col, row in pivots
+            {cols[col]: qdiv(row[j], row[col]) for col, row in pivots
              if j in row}
             for j in range(n, n + len(rhs))]
 
@@ -297,7 +320,7 @@ def _beside_identity(a: SMat, cols: Sequence) -> tuple[list, dict]:
     over, which are zero in the columns of ``a``."""
     keys = list(a)
     n = len(cols)
-    pivots, rest = _eliminate(a, cols, [{r: Q(1)} for r in keys])
+    pivots, rest = _eliminate(a, cols, [{r: 1} for r in keys])
     spread: dict = {r: {} for r in keys}
     for i, row in enumerate([row for _col, row in pivots] + rest):
         for c, v in row.items():
@@ -321,7 +344,7 @@ def solution_operator(a: SMat, cols: Sequence) -> tuple[SMat, SMat]:
     """
     heads, spread = _beside_identity(a, cols)
     h = len(heads)
-    S = {r: {heads[i][0]: Fraction(v, heads[i][1])
+    S = {r: {heads[i][0]: qdiv(v, heads[i][1])
              for i, v in row.items() if i < h} for r, row in spread.items()}
     C = {r: {i - h: v for i, v in row.items() if i >= h}
          for r, row in spread.items()}
@@ -347,7 +370,7 @@ def solver(a: SMat, cols: Sequence) -> Callable[[SVec], Optional[SVec]]:
                 acc[i] = acc.get(i, 0) + w * nv
         if any(v for i, v in acc.items() if i >= len(heads)):
             return None
-        return {c: Fraction(acc[i], pv * m) for i, (c, pv) in enumerate(heads)
+        return {c: qdiv(acc[i], pv * m) for i, (c, pv) in enumerate(heads)
                 if acc.get(i)}
 
     return apply

@@ -68,7 +68,7 @@ class LeafSystem:
         exact = {(leaf, v): qx(h) for (leaf, v), h in heights.items()}
         for leaf, _v in exact:
             if leaf not in self.index:
-                raise ValueError(leaf)
+                raise ValueError(f"heights name undeclared leaf {leaf!r}")
         self.heights: Mapping[tuple[str, int], Fraction] = \
             MappingProxyType(exact)
         self.epsilon = qx(epsilon)
@@ -83,7 +83,7 @@ class LeafSystem:
 
     def _missing(self, leaf: str, vertex: int) -> ValueError:
         if leaf not in self.index:
-            return ValueError(leaf)
+            return ValueError(f"no height for undeclared leaf {leaf!r}")
         return ValueError(f"no height for leaf {leaf!r} at vertex {vertex}")
 
     def height(self, leaf: str, vertex: int) -> Fraction:

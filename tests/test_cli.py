@@ -661,7 +661,8 @@ def test_triangle_passes_every_subcommand(capsys, tmp_path):
     (lambda d: d["complex"].append([0, 1]), "simplex listed twice: (0, 1)"),
     (lambda d: d["complex"].append(["0", 1]),
      "vertex ids must be ints, got '0'"),
-    (lambda d: d["heights"].update(zz={"0": "0"}), "ValueError('zz')"),
+    (lambda d: d["heights"].update(zz={"0": "0"}),
+     "heights name undeclared leaf 'zz'"),
     (lambda d: d["heights"]["a"].pop("1"),
      "no height for leaf 'a' at vertex 1"),
     (lambda d: d["coefficients"].update({"0,3": {}}),

@@ -8,11 +8,12 @@ function, method and class is used in the package itself (a short list
 of functions that only tests call aside), the term layout of a
 polynomial form stays inside ``forms``, a module-level cache is keyed on
 ints and tuples only, no float is rounded to a rational with
-``limit_denominator``, and an exception class exists only where an
-``except`` tells it apart.  The command line maps only input faults to
-exit 2.  The layers import one way: the data and
-identities over Q (``flatsys``) know nothing of forms, and the instance
-generator and the smoothing each reach only the layer they need."""
+``limit_denominator``, no ``/`` is applied where matrix entries are
+computed, and an exception class exists only where an ``except`` tells
+it apart.  The command line maps only input faults to exit 2.  The
+layers import one way: the data and identities over Q (``flatsys``)
+know nothing of forms, and the instance generator and the smoothing
+each reach only the layer they need."""
 
 import ast
 import builtins
@@ -130,6 +131,22 @@ def test_no_rational_approximation(path):
     lines = sorted(node.lineno for node in ast.walk(_tree(path))
                    if getattr(node, "attr", getattr(node, "id", None))
                    == "limit_denominator")
+    assert lines == []
+
+
+# the modules that compute with SMat entries, which are ints when
+# integral (see ``linalg.qdiv``)
+ENTRY_MODULES = ["linalg", "flatsys", "instances", "mixed"]
+
+
+@pytest.mark.parametrize("module", ENTRY_MODULES)
+def test_no_true_division_of_entries(module):
+    """No ``/`` or ``/=`` in the modules that compute with matrix
+    entries: an int over an int is a float, so an exact quotient goes
+    through ``qdiv`` or ``Fraction(n, d)``."""
+    lines = sorted(node.lineno for node in ast.walk(_tree(SRC / f"{module}.py"))
+                   if isinstance(node, (ast.BinOp, ast.AugAssign))
+                   and isinstance(node.op, ast.Div))
     assert lines == []
 
 

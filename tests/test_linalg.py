@@ -1,13 +1,24 @@
+import json
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flatforms.flatsys import CoefficientSystem, FiberModel
+from flatforms.instances import (
+    generate,
+    instance_from_json,
+    instance_to_json,
+    make_fiber_model,
+)
 from flatforms.linalg import (
     kernel,
     pivot_columns,
+    qdiv,
     rank,
     smat_add,
+    smat_entries,
     smat_mul,
     smat_set,
     smat_transpose,
@@ -141,7 +152,7 @@ def reference_eliminate(a, cols, rhs=()):
         if p is None:
             continue
         used.add(p)
-        inv = 1 / rows[p][col]
+        inv = Q(1) / rows[p][col]  # an int entry over an int is a float
         prow = rows[p] = {c: v * inv for c, v in rows[p].items()}
         pivots.append((col, prow))
         for i in occupied[col]:
@@ -219,9 +230,11 @@ def hard_systems(draw):
     return a, cols, rhs
 
 
-def _all_fractions(vectors):
-    return all(type(v) is Q for x in vectors if x is not None
-               for v in x.values())
+def _entries_follow_the_rule(vectors):
+    """Every entry is an int when integral and a Fraction with
+    denominator > 1 otherwise (see ``qdiv``)."""
+    return all(type(v) is int if v.denominator == 1 else type(v) is Q
+               for x in vectors if x is not None for v in x.values())
 
 
 # rows 1 and 2 are multiples of row 0 with a large common content, so
@@ -249,7 +262,8 @@ def test_integer_elimination_matches_rational_reference(system):
     expected = reference_solve(a, cols, rhs)
     assert [x if x is None else list(x.items()) for x in results] == \
         [x if x is None else list(x.items()) for x in expected]
-    assert _all_fractions(basis) and _all_fractions(results)
+    assert _entries_follow_the_rule(basis)
+    assert _entries_follow_the_rule(results)
 
 
 @settings(max_examples=300, deadline=None)
@@ -257,7 +271,7 @@ def test_integer_elimination_matches_rational_reference(system):
 @example(CONTENT_SYSTEM, None)
 def test_solver_matches_solve(system, outside):
     """The map eliminated once gives what ``solve`` gives for each b:
-    the same x, key order and Fraction type included, or None.  A b
+    the same x, key order and entry types included, or None.  A b
     with a nonzero entry off the row keys of ``a`` is inconsistent."""
     a, cols, rhs = system
     if outside is not None:
@@ -268,7 +282,7 @@ def test_solver_matches_solve(system, outside):
         got = apply(b)
         assert (got if got is None else list(got.items())) == \
             (want if want is None else list(want.items()))
-        assert _all_fractions([got])
+        assert _entries_follow_the_rule([got])
 
 
 @settings(max_examples=300, deadline=None)
@@ -283,6 +297,7 @@ def test_solution_operator_matches_solve(system, outside):
         rhs = rhs + [dict(rhs[0], outside=outside)]
     S, C = solution_operator(a, cols)
     assert list(S) == list(C) == list(a)
+    assert _entries_follow_the_rule(list(S.values()) + list(C.values()))
     for b in rhs:
         [want] = solve(a, cols, [b])
         b = {r: v for r, v in b.items() if v}
@@ -291,7 +306,6 @@ def test_solution_operator_matches_solve(system, outside):
         else:
             got = smat_mul({0: b}, S).get(0, {})
         assert got == want
-        assert _all_fractions([got])
 
 
 def test_signed_sum():
@@ -303,3 +317,56 @@ def test_signed_sum():
                                   1: {"x": Q(3)}, 2: {"y": Q(1)}}
     assert smat_add(a, a, -1) == {}
     assert a == {0: {"x": Q(1), "y": Q(2)}, 1: {"x": Q(3)}}  # inputs kept
+
+
+@given(st.integers(-2 ** 80, 2 ** 80),
+       st.integers(-2 ** 70, 2 ** 70).filter(bool),
+       st.sampled_from([0, 0, 1, -1, 6]))
+@example(0, 5, 0)
+@example(-7, -7, 0)
+@example(3, -2, 1)
+def test_qdiv_is_the_exact_quotient(m, d, r):
+    """qdiv(n, d) equals Fraction(n, d), and it is an int exactly when
+    d divides n."""
+    n = m * d + r
+    q = qdiv(n, d)
+    assert q == Q(n, d)
+    assert (type(q) is int) == (n % d == 0)
+    assert type(q) is int or type(q) is Q
+
+
+def _file_text(S, L, A, FM):
+    data = instance_to_json(S, L, A)
+    if FM is not None:
+        data["fiber_model"] = FM.to_json()
+    return json.dumps(data, indent=1)
+
+
+def _as_fractions(m):
+    """The matrix with every entry the equal Fraction."""
+    return {r: {c: Q(v) for c, v in row.items()} for r, row in m.items()}
+
+
+@pytest.mark.parametrize("seed", [3, 7, 18, 26])
+def test_files_are_read_as_ints_and_written_as_before(seed):
+    """A generated instance and its fiber model read back from their
+    file with every integral entry an int, and write the same text,
+    which is also the text of the same data held as Fractions."""
+    inst = generate(seed)
+    FM = None if inst.enriched else make_fiber_model(inst)
+    text = _file_text(inst.S, inst.L, inst.A, FM)
+    data = json.loads(text)
+    S, L, A = instance_from_json(data)
+    matrices = list(A.coeffs.values())
+    if FM is not None:
+        FM = FiberModel.from_json(data["fiber_model"], A)
+        matrices += [FM.D, *FM.I.values()]
+    values = [v for m in matrices for _r, _c, v in smat_entries(m)]
+    assert values and all(type(v) is int for v in values)
+    assert _file_text(S, L, A, FM) == text
+    as_fractions = CoefficientSystem(
+        S, L, {s: _as_fractions(m) for s, m in A.coeffs.items()})
+    if FM is not None:
+        FM.D = _as_fractions(FM.D)
+        FM.I = {s: _as_fractions(m) for s, m in FM.I.items()}
+    assert _file_text(S, L, as_fractions, FM) == text

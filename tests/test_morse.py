@@ -74,11 +74,13 @@ def test_validate_flags_missing_heights_and_bad_rank():
 
 def test_unknown_leaf():
     L = two_leaf_system((0, 0), (3, 3))
-    with pytest.raises(ValueError, match="^c$"):
+    with pytest.raises(ValueError,
+                       match="^no height for undeclared leaf 'c'$"):
         L.height("c", 0)
     with pytest.raises(ValueError, match="^no height for leaf 'a' at vertex 2$"):
         L.height("a", 2)
-    with pytest.raises(ValueError, match="^z$"):
+    with pytest.raises(ValueError,
+                       match="^heights name undeclared leaf 'z'$"):
         LeafSystem([("a", 0, 1)], {("z", 0): 1}, 1)
 
 

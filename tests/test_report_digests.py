@@ -7,9 +7,11 @@ and the SHA-256 of the report with its ``timings`` block removed
 printed.  The ``complete`` battery runs ``extend`` and then the four
 read-only checks on each of ``generate(0..39)`` cut to its 1-skeleton
 and written to a temporary file; its digests are keyed by command and
-seed, not by that file's path.  A change that is meant to leave every
-result alone must leave these alone too.  Where a report is meant to
-change, record the digests again with
+seed, not by that file's path.  The file holds as well, under
+``extend_files``, the SHA-256 of each file that ``extend`` writes back
+there.  A change that is meant to leave every result alone must leave
+these alone too.  Where a report is meant to change, record the
+digests again with
 
     PYTHONPATH=src python tests/test_report_digests.py
 """
@@ -80,14 +82,31 @@ def digests(battery: str, workdir: Path) -> dict:
             for key, argv in BATTERIES[battery](workdir).items()}
 
 
+def extend_files(workdir: Path) -> dict:
+    """The SHA-256 of each file that the ``extend`` ops of the
+    ``complete`` battery write back, keyed by file name."""
+    ops = complete_battery(workdir)
+    for n in range(40):
+        digest(ops[f"extend {n}"])
+    return {f"complete-{n}.json": hashlib.sha256(
+                (workdir / f"complete-{n}.json").read_bytes()).hexdigest()
+            for n in range(40)}
+
+
 @pytest.mark.parametrize("battery", sorted(BATTERIES))
 def test_report_bodies_are_unchanged(battery, tmp_path):
     want = json.loads(DATA.read_text())[battery]
     assert digests(battery, tmp_path) == want
 
 
+def test_extend_writes_the_same_files(tmp_path):
+    want = json.loads(DATA.read_text())["extend_files"]
+    assert extend_files(tmp_path) == want
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        DATA.write_text(json.dumps(
-            {b: digests(b, Path(tmp)) for b in sorted(BATTERIES)},
-            indent=1, sort_keys=True) + "\n")
+        recorded = {b: digests(b, Path(tmp)) for b in sorted(BATTERIES)}
+    with tempfile.TemporaryDirectory() as tmp:
+        recorded["extend_files"] = extend_files(Path(tmp))
+    DATA.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
