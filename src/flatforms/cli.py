@@ -14,9 +14,17 @@ its problems or stops with a ``CheckFailed``, whose message each
 command files under the check's name; a file the parsers reject is a
 ``ParseError``.
 
-Every command but ``flow`` is exact algebra over Q and runs without
-numpy: ``cmd_flow`` imports ``wkflow``, the one numerical module, when
-it runs, so only a ``flow`` process pays for loading numpy.
+A command loads only the layers it runs.  ``validate``, ``extend``,
+``igusa``, ``holonomy`` and ``homology`` work on the system of higher
+homotopies alone (``flatsys``, ``morse``, ``linalg``); the form layer
+(``forms``, ``mixed``, ``smoothing``) is imported where it is used:
+``build-aprime`` and ``build-iprime`` import ``mixed``, ``smooth``
+imports ``mixed`` and ``smoothing``, and a file with a ``partition``
+section loads ``smoothing`` to parse it (and ``validate`` to check it),
+whatever the command.  Every command but ``flow`` is exact algebra over
+Q and runs without numpy: ``cmd_flow`` imports ``wkflow``, the one
+numerical module, when it runs, so only a ``flow`` process pays for
+loading numpy.
 """
 
 from __future__ import annotations
@@ -49,23 +57,12 @@ from .instances import (
     make_fiber_model,
 )
 from .linalg import CheckFailed, qint, qkeys, qx
-from .mixed import (
-    build_Iprime,
-    build_mixed_connection,
-    locality_check,
-)
 from .morse import (
     check_partial_order,
     leaf_orders,
     validate_leaf_system,
 )
 from .simplicial import skey
-from .smoothing import (
-    PartitionOfUnity,
-    partition_default,
-    validate_partition,
-    verify_smoothing,
-)
 
 FILE_VERSION = 1
 FILE_KEYS = ("version", "complex", "leaves", "heights", "epsilon",
@@ -134,8 +131,10 @@ def load_instance(args) -> Loaded:
         S, _L, A = instance_from_json(raw)
         FM = (FiberModel.from_json(raw["fiber_model"], A)
               if "fiber_model" in raw else None)
-        P = (PartitionOfUnity.from_json(S, raw["partition"])
-             if "partition" in raw else None)
+        P = None
+        if "partition" in raw:
+            from .smoothing import PartitionOfUnity
+            P = PartitionOfUnity.from_json(S, raw["partition"])
     # what a parser raises on a file it rejects: a key, type or value fault
     except (AttributeError, LookupError, TypeError, ValueError) as ex:
         raise ParseError(f"malformed instance file: {ex!r}")
@@ -187,6 +186,7 @@ def cmd_validate(args):
         else:
             checks["fiber_model"] = "skipped (needs a valid system)"
     if inst.P is not None:
+        from .smoothing import validate_partition
         try:
             checks.record("partition", validate_partition(inst.P))
         except CheckFailed as ex:
@@ -215,6 +215,8 @@ def cmd_extend(args):
 
 
 def cmd_build_aprime(args):
+    from .mixed import build_mixed_connection
+
     inst = load_instance(args)
     checks = Checks()
     if sysp := validate_system(inst.A):
@@ -228,6 +230,8 @@ def cmd_build_aprime(args):
 
 
 def cmd_build_iprime(args):
+    from .mixed import build_Iprime, build_mixed_connection, locality_check
+
     inst = load_instance(args)
     if inst.FM is None:
         raise ParseError(f"no fiber model: {inst.no_model}")
@@ -252,6 +256,13 @@ def cmd_build_iprime(args):
 
 
 def cmd_smooth(args):
+    from .mixed import build_Iprime, build_mixed_connection
+    from .smoothing import (
+        partition_default,
+        validate_partition,
+        verify_smoothing,
+    )
+
     inst = load_instance(args)
     checks = Checks()
     A, FM = inst.A, inst.FM

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Callable, Optional
 
 from .linalg import (
     CheckFailed,
@@ -120,9 +120,10 @@ class CoefficientSystem:
         return coeffs
 
     @classmethod
-    def from_json(cls, S: BaseComplex, L: LeafSystem, data: dict
-                  ) -> "CoefficientSystem":
-        """The system in ``data``; foreign simplices, leaves or shapes raise."""
+    def from_json(cls, S: BaseComplex, L: LeafSystem, data: dict,
+                  read: Callable) -> "CoefficientSystem":
+        """The system in ``data``, its entries read with ``read`` (a
+        ``qreader``); foreign simplices, leaves or shapes raise."""
         A = cls(S, L)
         for key, blocks in data.items():
             sigma = parse_skey(key)
@@ -138,7 +139,7 @@ class CoefficientSystem:
                                      f"{L.rank[al]}x{L.rank[be]}")
                 for i, row in enumerate(mat):
                     for j, v in enumerate(row):
-                        smat_set(m, (al, i), (be, j), v)
+                        smat_set(m, (al, i), (be, j), read(v))
             A.set(sigma, m)
         return A
 

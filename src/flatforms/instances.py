@@ -31,6 +31,7 @@ from .linalg import (
     SMat,
     kernel,
     qint,
+    qreader,
     smat_add,
     smat_identity,
     smat_mul,
@@ -300,13 +301,14 @@ def instance_to_json(S: BaseComplex, L: LeafSystem, A: CoefficientSystem | None
 
 def instance_from_json(data: dict):
     S = BaseComplex([tuple(s) for s in data["complex"]])
+    read = qreader()
     heights = {}
     for name, hv in data["heights"].items():
         for key, h in hv.items():
             vertex = parse_skey(key)
             if len(vertex) != 1:
                 raise ValueError(f"height key {key!r} is not a vertex")
-            heights[(name, vertex[0])] = h
+            heights[(name, vertex[0])] = read(h)
     L = LeafSystem([(n, qint(i), qint(r)) for n, i, r in data["leaves"]],
                    heights, data.get("epsilon", "1"))
     for leaf in L.leaves:
@@ -314,4 +316,4 @@ def instance_from_json(data: dict):
             if (leaf, v) not in L.heights:
                 raise ValueError(f"no height for leaf {leaf!r} at vertex {v}")
     coeffs = data.get("coefficients", {})
-    return S, L, CoefficientSystem.from_json(S, L, coeffs)
+    return S, L, CoefficientSystem.from_json(S, L, coeffs, read)

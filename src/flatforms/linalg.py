@@ -12,7 +12,9 @@ An entry is an exact rational: an ``int`` when it is integral and a
 1.  The entries this module makes (``smat_set``, ``smat_identity``,
 ``kernel``, ``solve``, the solution operator) keep this rule, every
 quotient by way of ``qdiv``, so the integral coefficient systems of the
-generator multiply and add as ints.  An int and the equal Fraction compare equal, hash
+generator multiply and add as ints.  A file's values are read by
+``qentry``, one ``qreader`` per file parsing each distinct string
+once.  An int and the equal Fraction compare equal, hash
 equal and print the same ``str``; sums and products keep Python's
 rules, so one with a Fraction operand is a Fraction.  No ``/`` is
 applied to entries, since int / int is a float: exact quotients go
@@ -72,10 +74,11 @@ class CheckFailed(Exception):
 
 
 def qx(value) -> Fraction:
-    """Coerce an int / string / Fraction to an exact rational."""
+    """Coerce an int / string / Fraction to an exact rational.  A bool
+    is refused, as ``qint`` refuses it: a file's ``true`` is not 1."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -83,6 +86,33 @@ def qx(value) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def qentry(value):
+    """``value`` read by the entry rule: an int when it is integral,
+    otherwise a Fraction in lowest terms.  A string of decimal digits,
+    signed or not, is read as an int without building a Fraction."""
+    if type(value) is int:
+        return value
+    if type(value) is str and value.removeprefix("-").isdecimal():
+        return int(value)
+    q = qx(value)
+    return q.numerator if q.denominator == 1 else q
+
+
+def qreader() -> Callable:
+    """``qentry`` for the values of one file, each distinct string parsed
+    once: the files repeat a few strings ("0", "1", "-1") many times."""
+    parsed: dict[str, object] = {}
+
+    def read(value):
+        if type(value) is not str:
+            return qentry(value)
+        q = parsed.get(value)
+        if q is None:
+            q = parsed[value] = qentry(value)
+        return q
+    return read
 
 
 def qdiv(n: int, d: int):
@@ -112,8 +142,7 @@ def qkeys(data: dict, known: tuple, where: str) -> None:
 
 def smat_set(m: SMat, r, c, v):
     if type(v) is not int:
-        v = qx(v)
-        v = qdiv(v.numerator, v.denominator)
+        v = qentry(v)
     if v == 0:
         row = m.get(r)
         if row:

@@ -34,7 +34,7 @@ from math import lcm
 from types import MappingProxyType
 from typing import Mapping
 
-from .linalg import qx
+from .linalg import qentry, qx
 from .simplicial import BaseComplex, Simplex
 
 
@@ -44,7 +44,8 @@ class LeafSystem:
     Parameters
     ----------
     leaves : iterable of (leaf_id, index, rank)
-    heights : mapping (leaf_id, vertex) -> rational height
+    heights : mapping (leaf_id, vertex) -> rational height, kept by the
+        entry rule of ``linalg.qentry`` (an int when integral)
     epsilon : positive rational fineness scale
 
     ``basis`` lists the module basis elements (leaf, i) in declared leaf
@@ -65,11 +66,11 @@ class LeafSystem:
             (leaf, i) for leaf in self.leaves for i in range(self.rank[leaf])
         ]
         self.deg = {b: self.index[b[0]] for b in self.basis}
-        exact = {(leaf, v): qx(h) for (leaf, v), h in heights.items()}
+        exact = {(leaf, v): qentry(h) for (leaf, v), h in heights.items()}
         for leaf, _v in exact:
             if leaf not in self.index:
                 raise ValueError(f"heights name undeclared leaf {leaf!r}")
-        self.heights: Mapping[tuple[str, int], Fraction] = \
+        self.heights: Mapping[tuple[str, int], int | Fraction] = \
             MappingProxyType(exact)
         self.epsilon = qx(epsilon)
         # the heights and the gap 2*epsilon^2 as int numerators over one
@@ -86,7 +87,7 @@ class LeafSystem:
             return ValueError(f"no height for undeclared leaf {leaf!r}")
         return ValueError(f"no height for leaf {leaf!r} at vertex {vertex}")
 
-    def height(self, leaf: str, vertex: int) -> Fraction:
+    def height(self, leaf: str, vertex: int) -> int | Fraction:
         try:
             return self.heights[(leaf, vertex)]
         except KeyError:

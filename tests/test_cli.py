@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from flatforms import cli, forms
+from flatforms import cli, forms, mixed, smoothing
 from flatforms.cli import main, save_instance
 from flatforms.flatsys import FiberModel, fiber_homology, quasi_iso_ranks
 from flatforms.forms import _BOUND, ExponentOverflow
@@ -408,7 +408,7 @@ def test_smooth_certifies_build_problems(capsys, tmp_path, monkeypatch):
         data = build_mixed_connection(A)
         data.problems.append("0,1: planted")
         return data
-    monkeypatch.setattr(cli, "build_mixed_connection", build)
+    monkeypatch.setattr(mixed, "build_mixed_connection", build)
     code, rep = run(capsys, "smooth", "--instance", str(edge_file(tmp_path)))
     assert code == 1
     assert rep["certificates"] == rep["checks"]["problems"] == ["0,1: planted"]
@@ -422,7 +422,7 @@ def test_build_iprime_certifies_connection_problems(capsys, tmp_path,
         data = build_mixed_connection(A)
         data.problems.append("0,1: planted")
         return data
-    monkeypatch.setattr(cli, "build_mixed_connection", build)
+    monkeypatch.setattr(mixed, "build_mixed_connection", build)
     code, rep = run(capsys, "build-iprime", "--instance",
                     str(edge_file(tmp_path)))
     assert code == 1
@@ -485,7 +485,7 @@ def test_a_product_past_the_layout_fails_with_its_message(capsys, tmp_path,
 
     def verify(data, P, cm):
         raise ExponentOverflow("planted")
-    monkeypatch.setattr(cli, "verify_smoothing", verify)
+    monkeypatch.setattr(smoothing, "verify_smoothing", verify)
     code, rep = run(capsys, "smooth", "--instance", str(edge_file(tmp_path)))
     assert code == 1
     assert rep["certificates"] == [rep["checks"]["smoothing"]] == ["planted"]
@@ -760,6 +760,12 @@ def test_triangle_passes_every_subcommand(capsys, tmp_path):
     (lambda d: d.update(version=True), "not an integer: True"),
     (lambda d: d.update(version=1.0), "not an integer: 1.0"),
     (lambda d: d.update(version="1"), "not an integer: '1'"),
+    # nor is a bool a rational, where a height, epsilon or entry goes
+    (lambda d: d.update(epsilon=True), "not an exact rational: True"),
+    (lambda d: d["heights"]["a"].update({"1": False}),
+     "not an exact rational: False"),
+    (lambda d: d["coefficients"]["0"]["b<-a"][0].__setitem__(1, True),
+     "not an exact rational: True"),
     # below the partition too: a form read without its terms would be
     # the zero form, and an unread key would be silently accepted
     (lambda d: d["partition"]["num"][0]["form"].update(
@@ -793,6 +799,7 @@ def test_triangle_passes_every_subcommand(capsys, tmp_path):
         "top-level-key-misspelled", "model-key-misspelled",
         "partition-key-unknown", "version-2", "version-text", "version-null",
         "version-list", "version-true", "version-float", "version-string",
+        "epsilon-true", "height-false", "coefficient-true",
         "form-terms-misspelled", "partition-item-key-unknown",
         "form-term-without-mono", "form-key-unknown"])
 def test_structural_fault_is_input_error_everywhere(capsys, tmp_path, change,

@@ -1,11 +1,17 @@
 """Source rules that no linter enforces here: every module-level import
-is used, imports sit at module level (apart from the one named import
-of ``wkflow`` inside ``cli.cmd_flow``), checks raise exceptions instead
-of using ``assert`` (which ``python -O`` strips), no exact command
-loads numpy, scipy (which is not a dependency) or ``wkflow``, and
-``flow`` does, no module imports another's private name, every public
-function, method and class is used in the package itself (a short list
-of functions that only tests call aside), the term layout of a
+is used, imports sit at module level (apart from the imports named in
+``NESTED_IMPORTS``, which ``cli`` makes inside the commands that use
+them), checks raise exceptions instead of using ``assert`` (which
+``python -O`` strips), a command loads only the layers it runs
+(``validate``, ``extend``, ``igusa``, ``holonomy`` and ``homology``
+load no module of the form layer, ``forms``, ``mixed`` or
+``smoothing``, unless the file has a partition to parse;
+``build-aprime`` and ``build-iprime`` load ``mixed`` and ``forms``,
+``smooth`` all three; no exact command loads numpy, scipy, which is not
+a dependency, or ``wkflow``, and ``flow`` does), no module imports
+another's private name, every public function, method and class is
+used in the package itself (a short list of functions that only tests
+call aside), the term layout of a
 polynomial form stays inside ``forms``, a module-level cache is keyed on
 ints and tuples only, no float is rounded to a rational with
 ``limit_denominator``, no ``/`` is applied where matrix entries are
@@ -29,6 +35,7 @@ import pytest
 from flatforms.cli import save_instance
 from flatforms.instances import generate, strip_to_dim
 from flatforms.morse import LeafSystem
+from flatforms.smoothing import partition_default
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "flatforms"
@@ -87,9 +94,18 @@ def test_no_module_imports_a_private_name():
 
 
 # the imports kept out of module level, as (function, module): only
-# ``flow`` simulates numerically, so only it loads wkflow and numpy, and
-# every exact command starts without them
-NESTED_IMPORTS = {"cli.py": [("cmd_flow", "wkflow")]}
+# the commands that build forms load the form layer (a file's partition
+# is parsed and validated with ``smoothing``), and only ``flow``
+# simulates numerically, so only it loads wkflow and numpy
+NESTED_IMPORTS = {"cli.py": [
+    ("load_instance", "smoothing"),
+    ("cmd_validate", "smoothing"),
+    ("cmd_build_aprime", "mixed"),
+    ("cmd_build_iprime", "mixed"),
+    ("cmd_smooth", "mixed"),
+    ("cmd_smooth", "smoothing"),
+    ("cmd_flow", "wkflow"),
+]}
 
 
 def _nested_imports(tree):
@@ -170,21 +186,77 @@ print(json.dumps({"codes": codes, "exact": exact, "flow": flow,
 """
 
 
+def _fresh_process(script, *args):
+    """The JSON that ``script`` prints, run with ``args`` in a new
+    interpreter that imports the package from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
 def test_only_flow_loads_numpy(tmp_path):
     """The exact commands run without numpy, scipy or ``wkflow`` in
     the process; ``flow`` loads numpy when it runs."""
     inst = generate(3)
     path = tmp_path / "skeleton.json"
     save_instance(path, inst.S, inst.L, strip_to_dim(inst.A, 1))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", EXACT_THEN_FLOW, str(path)],
-                         env=env, capture_output=True, text=True, check=True)
-    result = json.loads(out.stdout)
+    result = _fresh_process(EXACT_THEN_FLOW, str(path))
     assert len(result["codes"]) == 8 and set(result["codes"].values()) == {0}
     assert result["exact"] == []
     assert result["flow"] == 0 and result["numpy"]
+
+
+# run in a fresh interpreter: the commands whose argument lists are
+# given as JSON, then their exit codes and checks and the modules of the
+# form layer that the process holds
+COMMANDS_THEN_MODULES = """
+import contextlib, io, json, sys
+from flatforms import cli
+codes, checks = [], []
+for argv in map(json.loads, sys.argv[1:]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes.append(cli.main(argv))
+    checks.append(json.loads(out.getvalue())["checks"])
+print(json.dumps({"codes": codes, "checks": checks,
+                  "loaded": [name for name in ("forms", "mixed", "smoothing")
+                             if f"flatforms.{name}" in sys.modules]}))
+"""
+
+
+def _run_commands(*argvs):
+    return _fresh_process(COMMANDS_THEN_MODULES, *map(json.dumps, argvs))
+
+
+def test_only_form_commands_load_the_form_layer(tmp_path):
+    """``validate``, ``extend``, ``igusa``, ``holonomy`` and ``homology``
+    run without ``forms``, ``mixed`` or ``smoothing`` in the process;
+    ``build-aprime`` loads ``mixed`` and ``forms``, ``smooth`` all
+    three, and a file with a partition loads ``smoothing`` to parse it,
+    so ``validate`` reports its partition check."""
+    inst = generate(3)
+    skeleton = tmp_path / "skeleton.json"
+    save_instance(skeleton, inst.S, inst.L, strip_to_dim(inst.A, 1))
+    first = _run_commands(
+        *([command, "--seed", "3"]
+          for command in ("validate", "igusa", "holonomy", "homology")),
+        ["extend", "--instance", str(skeleton)])
+    assert first["codes"] == [0] * 5 and first["loaded"] == []
+    assert "partition" not in first["checks"][0]
+    everything = ["forms", "mixed", "smoothing"]
+    for command, loaded in (("build-aprime", everything[:2]),
+                            ("smooth", everything)):
+        run = _run_commands([command, "--seed", "3"])
+        assert run["codes"] == [0] and run["loaded"] == loaded, command
+    with_partition = tmp_path / "partition.json"
+    save_instance(with_partition, inst.S, inst.L, inst.A,
+                  {"partition": partition_default(inst.S).to_json()})
+    run = _run_commands(["validate", "--instance", str(with_partition)])
+    assert run["codes"] == [0] and run["loaded"] == everything
+    assert run["checks"][0]["partition"] == "ok"
 
 
 def _public_definitions(tree):

@@ -12,10 +12,14 @@ from flatforms.instances import (
     instance_to_json,
     make_fiber_model,
 )
+from flatforms import linalg
 from flatforms.linalg import (
     kernel,
     pivot_columns,
     qdiv,
+    qentry,
+    qreader,
+    qx,
     rank,
     smat_add,
     smat_entries,
@@ -335,6 +339,43 @@ def test_qdiv_is_the_exact_quotient(m, d, r):
     assert type(q) is int or type(q) is Q
 
 
+@given(st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 20),
+       st.sampled_from(["{s}{m}", "{s}{m}/{d}", " {s}{m}/{d} ", "+{m}",
+                        "{s}00{m}", "-0"]))
+@example(-5, 1, "{s}{m}")
+def test_qentry_reads_the_rational_a_string_names(n, d, spelling):
+    """qentry reads a string as Fraction does, to an int exactly when
+    the value is integral."""
+    text = spelling.format(s="-" if n < 0 else "", m=abs(n), d=d)
+    q = qentry(text)
+    assert q == Q(text)
+    assert type(q) is (int if Q(text).denominator == 1 else Q)
+
+
+@pytest.mark.parametrize("read", [qx, qentry, qreader()],
+                         ids=["qx", "qentry", "qreader"])
+@pytest.mark.parametrize("value", [True, False, 1.0, None, "1.5e", "1/0",
+                                   "--1", "-", ""])
+def test_no_bool_or_float_is_a_rational(read, value):
+    """A bool is refused although Python counts it an int (True == 1),
+    as a float, None and a malformed string are."""
+    with pytest.raises((TypeError, ValueError)):
+        read(value)
+
+
+def test_qreader_parses_each_string_once(monkeypatch):
+    seen = []
+
+    def counting(value):
+        seen.append(value)
+        return Q(value)
+    monkeypatch.setattr(linalg, "qentry", counting)
+    read = qreader()
+    values = [read(v) for v in ["1/2", "0", "1/2", "0", 3, "1/2", 3]]
+    assert values == [Q(1, 2), 0, Q(1, 2), 0, 3, Q(1, 2), 3]
+    assert seen == ["1/2", "0", 3, 3]
+
+
 def _file_text(S, L, A, FM):
     data = instance_to_json(S, L, A)
     if FM is not None:
@@ -363,6 +404,8 @@ def test_files_are_read_as_ints_and_written_as_before(seed):
         matrices += [FM.D, *FM.I.values()]
     values = [v for m in matrices for _r, _c, v in smat_entries(m)]
     assert values and all(type(v) is int for v in values)
+    assert all(type(h) is (int if h.denominator == 1 else Q)
+               for h in L.heights.values())
     assert _file_text(S, L, A, FM) == text
     as_fractions = CoefficientSystem(
         S, L, {s: _as_fractions(m) for s, m in A.coeffs.items()})
