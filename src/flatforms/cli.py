@@ -21,16 +21,15 @@ homotopies alone (``flatsys``, ``morse``, ``linalg``); the form layer
 ``build-aprime`` and ``build-iprime`` import ``mixed``, ``smooth``
 imports ``mixed`` and ``smoothing``, and a file with a ``partition``
 section loads ``smoothing`` to parse it (and ``validate`` to check it),
-whatever the command.  Every command but ``flow`` is exact algebra over
-Q and runs without numpy: ``cmd_flow`` imports ``wkflow``, the one
-numerical module, when it runs, so only a ``flow`` process pays for
-loading numpy.
+whatever the command.  Every command is exact algebra over Q, ``flow``
+included: ``wkflow`` solves the simplex flow in closed form.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from functools import cache
@@ -56,13 +55,23 @@ from .instances import (
     instance_to_json,
     make_fiber_model,
 )
-from .linalg import CheckFailed, qint, qkeys, qx
+from .linalg import Q, CheckFailed, qint, qkeys, qreader, qx
 from .morse import (
     check_partial_order,
     leaf_orders,
     validate_leaf_system,
 )
 from .simplicial import skey
+from .wkflow import (
+    SCHEDULE,
+    classify_limits,
+    flow,
+    height_monotone,
+    is_barycentric,
+    logistic_law,
+    sweep_starts,
+    vertex_index,
+)
 
 FILE_VERSION = 1
 FILE_KEYS = ("version", "complex", "leaves", "heights", "epsilon",
@@ -128,8 +137,9 @@ def load_instance(args) -> Loaded:
         if qint(raw["version"]) != FILE_VERSION:
             raise ValueError(f"version {raw['version']} is not {FILE_VERSION}")
         qkeys(raw, FILE_KEYS, "the instance file")
-        S, _L, A = instance_from_json(raw)
-        FM = (FiberModel.from_json(raw["fiber_model"], A)
+        read = qreader()
+        S, _L, A = instance_from_json(raw, read)
+        FM = (FiberModel.from_json(raw["fiber_model"], A, read)
               if "fiber_model" in raw else None)
         P = None
         if "partition" in raw:
@@ -344,14 +354,6 @@ def cmd_homology(args):
 
 
 def cmd_flow(args):
-    from .wkflow import (
-        classify_limits,
-        flow_batch,
-        is_barycentric,
-        nearest_vertex,
-        sweep_starts,
-    )
-
     k = args.k
     if k < 1:
         raise ParseError("--k must be at least 1")
@@ -376,35 +378,46 @@ def cmd_flow(args):
         if not is_barycentric(start):
             raise ParseError("--start is not a barycentric point")
         starts = [start]
-    x0 = [[float(c) for c in start] for start in starts]
-    batch = flow_batch(k, x0, backward=args.backward)
+    backward = args.backward
     checks = Checks()
     certs = checks.certificates
     runs = []
-    for i, start in enumerate(starts):
+    for start in starts:
         back, fwd = classify_limits(start)
-        expected = back if args.backward else fwd
-        out = {"start": [str(c) for c in start], "backward": args.backward,
-               "expected_vertex": expected,
-               "converged": bool(batch.converged[i])}
+        limit = flow(start, 0, backward)
+        # a sweep checks its start and its limit, --start every point of
+        # the schedule and the limit
+        points = ([start] if args.sweep else
+                  [flow(start, Q(1, 2 ** j), backward)
+                   for j in range(SCHEDULE + 1)])
+        path = points + [limit]
+        m = vertex_index(limit)
+        expected = back if backward else fwd
+        out = {"start": [str(c) for c in start], "backward": backward,
+               "expected_vertex": expected, "converged": m is not None,
+               "limit": [str(c) for c in limit], "limit_vertex": m,
+               "height_monotone": height_monotone(k, path, backward)}
         runs.append(out)
         why = f"start {out['start']}: "
-        if not out["converged"]:
-            certs.append(why + batch.unsettled(i))
-            continue
-        out["limit"] = [float(c) for c in batch.limits[i]]
-        out["limit_vertex"] = m = nearest_vertex(batch.limits[i])
-        if m != expected:
+        if m is None:
+            certs.append(f"{why}limit {out['limit']} is not a vertex")
+        elif m != expected:
             certs.append(f"{why}limit vertex {m}, expected {expected}")
-        out["height_monotone"] = bool(batch.monotone[i])
         if not out["height_monotone"]:
             certs.append(why + "height not monotone")
+        for j, x in enumerate(path):
+            if not is_barycentric(x):
+                certs.append(f"{why}point {j} is not barycentric")
+        # the law holds at every vertex, so the limit needs no check
+        for j, x in enumerate(points):
+            if not logistic_law(k, x):
+                certs.append(f"{why}point {j}: the field's prefix sums "
+                             f"are not P^2 - P")
     if args.sweep:
         checks["runs"] = runs
     else:
-        times, points = batch.path(0)
-        runs[0]["times"] = [float(t) for t in times]
-        runs[0]["points"] = [[float(c) for c in p] for p in points]
+        runs[0]["times"] = [j * math.log(2) for j in range(SCHEDULE + 1)]
+        runs[0]["points"] = [[str(c) for c in x] for x in points]
         checks["trajectory"] = runs[0]
     return checks
 
@@ -452,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     instance_command("holonomy", "homology holonomy around triangles")
     instance_command("homology", "Betti numbers of base and fibers")
 
-    p = sub.add_parser("flow", help="integrate the canonical simplex field")
+    p = sub.add_parser("flow", help="follow the canonical simplex flow exactly")
     p.add_argument("--k", type=int, required=True, help="simplex dimension")
     p.add_argument("--start", metavar="C0,C1,...",
                    help="barycentric start point, rational entries")

@@ -623,8 +623,10 @@ class FiberModel:
         return out
 
     @classmethod
-    def from_json(cls, data: dict, A: CoefficientSystem) -> "FiberModel":
-        """The model in ``data`` over the system ``A``: every simplex,
+    def from_json(cls, data: dict, A: CoefficientSystem,
+                  read: Callable) -> "FiberModel":
+        """The model in ``data`` over the system ``A``, its ``D`` and ``I``
+        entries read with ``read`` (a ``qreader``): every simplex,
         module element and omega element it names must exist.  Zero
         entries of ``D`` and ``I`` are left out, as in every SMat."""
         qkeys(data, ("omega", "D", "I", "eta"), "the fiber model")
@@ -656,12 +658,12 @@ class FiberModel:
                     raise ValueError(
                         f"fiber model names {rkey}, not a module element")
                 for e, v in row.items():
-                    smat_set(I[sigma], element, name(e), v)
+                    smat_set(I[sigma], element, name(e), read(v))
         D = {}
         for r, row in data["D"].items():
             r = name(r)
             for c, v in row.items():
-                smat_set(D, r, name(c), v)
+                smat_set(D, r, name(c), read(v))
         return cls(
             omega_basis=[e for e, _ in omega],
             omega_degree=dict(omega),

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 from .flatsys import (
     CoefficientSystem,
@@ -31,7 +32,6 @@ from .linalg import (
     SMat,
     kernel,
     qint,
-    qreader,
     smat_add,
     smat_identity,
     smat_mul,
@@ -299,9 +299,11 @@ def instance_to_json(S: BaseComplex, L: LeafSystem, A: CoefficientSystem | None
     return data
 
 
-def instance_from_json(data: dict):
+def instance_from_json(data: dict, read: Callable):
+    """The base, leaf system and coefficient system in ``data``, every
+    height and entry read with ``read`` (a ``qreader``, which the load
+    shares with the file's fiber model)."""
     S = BaseComplex([tuple(s) for s in data["complex"]])
-    read = qreader()
     heights = {}
     for name, hv in data["heights"].items():
         for key, h in hv.items():

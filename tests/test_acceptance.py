@@ -3,15 +3,13 @@
 One test per top-level guarantee of the package; each prints a single
 verdict line (run with ``pytest tests/test_acceptance.py -v -s`` to see
 them all).  Everything algebraic is checked in exact rational
-arithmetic; only the flow simulator carries numerical tolerances, and
-those are stated inline.
+arithmetic, the simplex flow included, so no check carries a
+tolerance.
 """
 
 import random
 import time
 from fractions import Fraction
-
-import numpy as np
 
 from flatforms.flatsys import (
     cw_boundary,
@@ -44,9 +42,13 @@ from flatforms.smoothing import (
     verify_smoothing,
 )
 from flatforms.wkflow import (
+    SCHEDULE,
     classify_limits,
-    flow_batch,
-    nearest_vertex,
+    flow,
+    height_monotone,
+    is_barycentric,
+    logistic_law,
+    vertex_index,
     vertex_linearization,
 )
 
@@ -121,7 +123,8 @@ def test_criterion_2_igusa_relations():
 def test_criterion_3_simplex_flow_dynamics():
     problems = []
     t0 = time.perf_counter()
-    rng = np.random.default_rng(42)
+    rng = random.Random(42)
+    steps = [Fraction(1, 2 ** j) for j in range(SCHEDULE + 1)] + [0]
     runs = 0
     for k in range(1, 5):
         jac, ns, nu = zip(*(vertex_linearization(k, m) for m in range(k + 1)))
@@ -131,25 +134,23 @@ def test_criterion_3_simplex_flow_dynamics():
                     f"k={k}, vertex {m}: {ns[m]} stable / {nu[m]} unstable")
         starts = []
         for _ in range(100):
-            size = int(rng.integers(2, k + 2))
-            supp = np.sort(rng.choice(k + 1, size=size, replace=False))
-            x0 = np.zeros(k + 1)
-            x0[supp] = rng.dirichlet(np.ones(size))
-            starts.append(x0)
+            supp = rng.sample(range(k + 1), rng.randint(1, k + 1))
+            weights = [rng.randint(1, 2 ** 30) if m in supp else 0
+                       for m in range(k + 1)]
+            starts.append([Fraction(w, sum(weights)) for w in weights])
         for backward in (False, True):
             way = "backward" if backward else "forward"
-            batch = flow_batch(k, starts, backward=backward)
-            for i, x0 in enumerate(starts):
+            for x0 in starts:
                 runs += 1
-                back, fwd = classify_limits(x0, tol=1e-12)
-                expect = back if backward else fwd
-                if not batch.converged[i]:
-                    problems.append(f"k={k} start {x0}: {way} flow did not settle")
-                    continue
-                if nearest_vertex(batch.limits[i]) != expect:
+                back, fwd = classify_limits(x0)
+                path = [flow(x0, s, backward) for s in steps]
+                if vertex_index(path[-1]) != (back if backward else fwd):
                     problems.append(f"k={k} start {x0}: wrong {way} limit")
-                    continue
-                if not batch.monotone[i]:
+                if not all(is_barycentric(x) and logistic_law(k, x)
+                           for x in path):
+                    problems.append(f"k={k} start {x0}: {way} point off "
+                                    f"the simplex or off the field")
+                if not height_monotone(k, path, backward):
                     problems.append(f"k={k} start {x0}: height not monotone")
     elapsed = time.perf_counter() - t0
     if elapsed >= 30:

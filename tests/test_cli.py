@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
@@ -21,9 +22,10 @@ from flatforms.instances import (
     make_fiber_model,
     strip_to_dim,
 )
-from flatforms.linalg import smat_set
+from flatforms.linalg import qreader, smat_set
 from flatforms.mixed import build_mixed_connection
 from flatforms.smoothing import partition_default, partition_linear
+from flatforms.wkflow import SCHEDULE, classify_limits
 
 from test_mixed import worked_edge, worked_edge_fiber
 
@@ -178,6 +180,51 @@ def test_every_sweep_start_reruns_under_start(capsys):
         assert t["start"] == r["start"]
         assert (t["expected_vertex"], t["limit_vertex"]) == \
             (r["expected_vertex"], r["limit_vertex"]) == (3, 3)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_every_sweep_limit_is_the_vertex_of_its_start(capsys, k):
+    """Over seeds 0..9 and both directions, the limit vertex of every
+    sweep run is the one the support of its start names."""
+    for seed in range(10):
+        for backward in (False, True):
+            code, rep = run(capsys, "flow", "--k", str(k), "--sweep", "100",
+                            "--seed", str(seed),
+                            *(["--backward"] if backward else []))
+            assert code == 0 and len(rep["checks"]["runs"]) == 100
+            for r in rep["checks"]["runs"]:
+                back, fwd = classify_limits([Q(c) for c in r["start"]])
+                assert r["converged"] is True
+                assert r["limit_vertex"] == (back if backward else fwd)
+                assert r["height_monotone"] is True
+
+
+@pytest.mark.parametrize("backward", [False, True],
+                         ids=["forward", "backward"])
+def test_flow_on_a_face_stays_on_it(capsys, backward):
+    code, rep = run(capsys, "flow", "--k", "3", "--start", "0,1/4,3/4,0",
+                    *(["--backward"] if backward else []))
+    assert code == 0
+    t = rep["checks"]["trajectory"]
+    assert t["limit"] == (["0", "1", "0", "0"] if backward
+                          else ["0", "0", "1", "0"])
+    assert t["limit_vertex"] == t["expected_vertex"] == (1 if backward else 2)
+    assert len(t["points"]) == len(t["times"]) == SCHEDULE + 1
+    assert all(p[0] == p[3] == "0" and Q(p[1]) > 0 and Q(p[2]) > 0
+               for p in t["points"])
+    assert t["height_monotone"] is True
+
+
+@pytest.mark.parametrize("backward", [False, True],
+                         ids=["forward", "backward"])
+def test_flow_from_a_vertex_is_constant(capsys, backward):
+    code, rep = run(capsys, "flow", "--k", "2", "--start", "0,1,0",
+                    *(["--backward"] if backward else []))
+    assert code == 0
+    t = rep["checks"]["trajectory"]
+    assert t["points"] == [["0", "1", "0"]] * (SCHEDULE + 1)
+    assert t["limit"] == ["0", "1", "0"] and t["limit_vertex"] == 1
+    assert t["height_monotone"] is True
 
 
 def test_parser_is_built_once():
@@ -508,7 +555,7 @@ def test_report_file_matches_stdout(capsys, tmp_path):
 
 def test_fiber_model_json_round_trip():
     FM = worked_edge_fiber()
-    FM2 = FiberModel.from_json(FM.to_json(), worked_edge())
+    FM2 = FiberModel.from_json(FM.to_json(), worked_edge(), qreader())
     assert FM2.omega_basis == FM.omega_basis
     assert FM2.omega_degree == FM.omega_degree
     assert FM2.D == FM.D

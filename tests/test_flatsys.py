@@ -26,6 +26,7 @@ from flatforms.instances import (
 )
 from flatforms.linalg import (
     CheckFailed,
+    qreader,
     smat_add,
     smat_identity,
     smat_is_zero,
@@ -276,7 +277,7 @@ def test_fiber_homology_betti_match_across_vertices():
 def test_json_roundtrip_instance():
     inst = generate(31)
     data = instance_to_json(inst.S, inst.L, inst.A)
-    S2, L2, A2 = instance_from_json(data)
+    S2, L2, A2 = instance_from_json(data, qreader())
     assert [s for s in S2] == [s for s in inst.S]
     assert L2.index == inst.L.index and L2.rank == inst.L.rank
     for s in inst.S:

@@ -7,9 +7,9 @@ them), checks raise exceptions instead of using ``assert`` (which
 load no module of the form layer, ``forms``, ``mixed`` or
 ``smoothing``, unless the file has a partition to parse;
 ``build-aprime`` and ``build-iprime`` load ``mixed`` and ``forms``,
-``smooth`` all three; no exact command loads numpy, scipy, which is not
-a dependency, or ``wkflow``, and ``flow`` does), no module imports
-another's private name, every public function, method and class is
+``smooth`` all three), no module imports anything outside the
+standard library and the package, no module imports another's private
+name, every public function, method and class is
 used in the package itself (a short list of functions that only tests
 call aside), the term layout of a
 polynomial form stays inside ``forms``, a module-level cache is keyed on
@@ -95,8 +95,7 @@ def test_no_module_imports_a_private_name():
 
 # the imports kept out of module level, as (function, module): only
 # the commands that build forms load the form layer (a file's partition
-# is parsed and validated with ``smoothing``), and only ``flow``
-# simulates numerically, so only it loads wkflow and numpy
+# is parsed and validated with ``smoothing``)
 NESTED_IMPORTS = {"cli.py": [
     ("load_instance", "smoothing"),
     ("cmd_validate", "smoothing"),
@@ -104,7 +103,6 @@ NESTED_IMPORTS = {"cli.py": [
     ("cmd_build_iprime", "mixed"),
     ("cmd_smooth", "mixed"),
     ("cmd_smooth", "smoothing"),
-    ("cmd_flow", "wkflow"),
 ]}
 
 
@@ -166,24 +164,24 @@ def test_no_true_division_of_entries(module):
     assert lines == []
 
 
-# run in a fresh interpreter: every exact command, then a flow sweep
-EXACT_THEN_FLOW = """
-import contextlib, io, json, sys
-from flatforms import cli
-SEEDED = ("validate", "build-aprime", "build-iprime", "smooth", "igusa",
-          "holonomy", "homology")
-NUMERIC = ("numpy", "scipy", "flatforms.wkflow")
-runs = [[command, "--seed", "3"] for command in SEEDED]
-runs.append(["extend", "--instance", sys.argv[1]])
-codes = {}
-with contextlib.redirect_stdout(io.StringIO()):
-    for argv in runs:
-        codes[argv[0]] = cli.main(argv)
-    exact = [name for name in NUMERIC if name in sys.modules]
-    flow = cli.main(["flow", "--k", "2", "--sweep", "3"])
-print(json.dumps({"codes": codes, "exact": exact, "flow": flow,
-                  "numpy": "numpy" in sys.modules}))
-"""
+def _imported_modules(node):
+    """The absolute module names that an import node names."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
+def test_no_module_imports_outside_the_standard_library():
+    """The package is exact throughout and has no dependencies: every
+    absolute import in ``src``, at module level or inside a function,
+    names a module of the standard library."""
+    found = sorted(f"{path.name}: {module} (line {node.lineno})"
+                   for path in MODULES for node in ast.walk(_tree(path))
+                   for module in _imported_modules(node)
+                   if module.split(".")[0] not in sys.stdlib_module_names)
+    assert found == []
 
 
 def _fresh_process(script, *args):
@@ -195,18 +193,6 @@ def _fresh_process(script, *args):
     out = subprocess.run([sys.executable, "-c", script, *args], env=env,
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
-
-
-def test_only_flow_loads_numpy(tmp_path):
-    """The exact commands run without numpy, scipy or ``wkflow`` in
-    the process; ``flow`` loads numpy when it runs."""
-    inst = generate(3)
-    path = tmp_path / "skeleton.json"
-    save_instance(path, inst.S, inst.L, strip_to_dim(inst.A, 1))
-    result = _fresh_process(EXACT_THEN_FLOW, str(path))
-    assert len(result["codes"]) == 8 and set(result["codes"].values()) == {0}
-    assert result["exact"] == []
-    assert result["flow"] == 0 and result["numpy"]
 
 
 # run in a fresh interpreter: the commands whose argument lists are
@@ -290,7 +276,7 @@ def _names(tree, skip=None):
 # criteria and the tests call them
 TEST_API = {
     "phibar", "partition_linear", "vertex_linearization", "lyapunov_rate",
-    "height", "face_restriction_check", "poincare_contract",
+    "face_restriction_check", "poincare_contract",
     "designed_instance", "corrupt_random_entry", "CWBoundary.is_differential",
 }
 

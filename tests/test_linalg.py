@@ -1,10 +1,13 @@
+import argparse
 import json
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flatforms.cli import load_instance, save_instance
 from flatforms.flatsys import CoefficientSystem, FiberModel
 from flatforms.instances import (
     generate,
@@ -376,6 +379,26 @@ def test_qreader_parses_each_string_once(monkeypatch):
     assert seen == ["1/2", "0", 3, 3]
 
 
+def test_a_model_file_parses_each_string_once(monkeypatch, tmp_path):
+    """A file's coefficients, heights and fiber model share one reader,
+    so each distinct string of the file is parsed once."""
+    inst = generate(3)
+    path = tmp_path / "model.json"
+    save_instance(path, inst.S, inst.L, inst.A,
+                  {"fiber_model": make_fiber_model(inst).to_json()})
+    seen = []
+    qentry = linalg.qentry
+
+    def counting(value):
+        seen.append(value)
+        return qentry(value)
+    monkeypatch.setattr(linalg, "qentry", counting)
+    loaded = load_instance(argparse.Namespace(instance=str(path), seed=None))
+    assert loaded.FM is not None and loaded.FM.I
+    strings = Counter(v for v in seen if type(v) is str)
+    assert strings and max(strings.values()) == 1
+
+
 def _file_text(S, L, A, FM):
     data = instance_to_json(S, L, A)
     if FM is not None:
@@ -397,10 +420,11 @@ def test_files_are_read_as_ints_and_written_as_before(seed):
     FM = None if inst.enriched else make_fiber_model(inst)
     text = _file_text(inst.S, inst.L, inst.A, FM)
     data = json.loads(text)
-    S, L, A = instance_from_json(data)
+    read = qreader()
+    S, L, A = instance_from_json(data, read)
     matrices = list(A.coeffs.values())
     if FM is not None:
-        FM = FiberModel.from_json(data["fiber_model"], A)
+        FM = FiberModel.from_json(data["fiber_model"], A, read)
         matrices += [FM.D, *FM.I.values()]
     values = [v for m in matrices for _r, _c, v in smat_entries(m)]
     assert values and all(type(v) is int for v in values)
