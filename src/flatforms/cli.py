@@ -22,7 +22,9 @@ homotopies alone (``flatsys``, ``morse``, ``linalg``); the form layer
 imports ``mixed`` and ``smoothing``, and a file with a ``partition``
 section loads ``smoothing`` to parse it (and ``validate`` to check it),
 whatever the command.  Every command is exact algebra over Q, ``flow``
-included: ``wkflow`` solves the simplex flow in closed form.
+included: ``wkflow`` solves the simplex flow in closed form on int
+weights over one denominator, and ``cmd_flow`` turns a point into
+Fractions only to read ``--start`` and to print coordinates.
 """
 
 from __future__ import annotations
@@ -353,6 +355,12 @@ def cmd_homology(args):
     return checks
 
 
+def point_text(point) -> list[str]:
+    """The coordinates of the point (w, n) as "p/q" strings."""
+    w, n = point
+    return [str(Q(c, n)) for c in w]
+
+
 def cmd_flow(args):
     k = args.k
     if k < 1:
@@ -370,11 +378,14 @@ def cmd_flow(args):
         if not args.start:
             raise ParseError("flow needs --start or --sweep")
         try:
-            start = [qx(c) for c in args.start.split(",")]
+            coords = [qx(c) for c in args.start.split(",")]
         except ValueError as ex:
             raise ParseError(f"--start: {ex}")
-        if len(start) != k + 1:
+        if len(coords) != k + 1:
             raise ParseError(f"--start needs {k + 1} coordinates for k={k}")
+        # the point (w, n) over the lcm n of the denominators
+        n = math.lcm(*(c.denominator for c in coords))
+        start = ([c.numerator * (n // c.denominator) for c in coords], n)
         if not is_barycentric(start):
             raise ParseError("--start is not a barycentric point")
         starts = [start]
@@ -393,9 +404,9 @@ def cmd_flow(args):
         path = points + [limit]
         m = vertex_index(limit)
         expected = back if backward else fwd
-        out = {"start": [str(c) for c in start], "backward": backward,
+        out = {"start": point_text(start), "backward": backward,
                "expected_vertex": expected, "converged": m is not None,
-               "limit": [str(c) for c in limit], "limit_vertex": m,
+               "limit": point_text(limit), "limit_vertex": m,
                "height_monotone": height_monotone(k, path, backward)}
         runs.append(out)
         why = f"start {out['start']}: "
@@ -417,7 +428,7 @@ def cmd_flow(args):
         checks["runs"] = runs
     else:
         runs[0]["times"] = [j * math.log(2) for j in range(SCHEDULE + 1)]
-        runs[0]["points"] = [[str(c) for c in x] for x in points]
+        runs[0]["points"] = [point_text(x) for x in points]
         checks["trajectory"] = runs[0]
     return checks
 

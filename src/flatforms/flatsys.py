@@ -23,7 +23,6 @@ picture of the same data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional
 
@@ -217,7 +216,6 @@ def validate_system(A: CoefficientSystem) -> list[str]:
 # cellular boundary operator
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CWBoundary:
     """Boundary operator on generators (sigma, basis element).
 
@@ -228,8 +226,9 @@ class CWBoundary:
     operator lowers it by one.
     """
 
-    matrix: dict
-    degrees: dict
+    def __init__(self, matrix: dict, degrees: dict):
+        self.matrix = matrix
+        self.degrees = degrees
 
     def is_differential(self) -> bool:
         return not smat_mul(self.matrix, self.matrix)
@@ -400,7 +399,6 @@ def _solve_one(A: CoefficientSystem, sigma: Simplex):
 # higher homotopy export
 # ---------------------------------------------------------------------------
 
-@dataclass
 class IgusaSystem:
     """Tuple-indexed operators on a fixed top simplex.
 
@@ -408,8 +406,9 @@ class IgusaSystem:
     position tuples; non-increasing tuples are zero by convention.
     """
 
-    sigma: Simplex
-    e: dict[tuple, SMat]
+    def __init__(self, sigma: Simplex, e: dict[tuple, SMat]):
+        self.sigma = sigma
+        self.e = e
 
 
 def igusa_export(A: CoefficientSystem, sigma: Simplex) -> IgusaSystem:
@@ -466,11 +465,13 @@ def edge_transport(A: CoefficientSystem, edge: Simplex) -> SMat:
     return smat_add(smat_identity(A.L.basis), A.a(edge))
 
 
-@dataclass
 class FiberHomology:
-    reps: list             # cycle representatives, one SVec per class
-    betti: dict
-    boundary_basis: list   # independent columns of the differential
+    def __init__(self, reps: list, betti: dict, boundary_basis: list):
+        # cycle representatives, one SVec per class
+        self.reps = reps
+        self.betti = betti
+        # independent columns of the differential
+        self.boundary_basis = boundary_basis
 
 
 def fiber_homology(A: CoefficientSystem, vertex: Simplex) -> FiberHomology:
@@ -587,7 +588,6 @@ def holonomy_verdicts(A: CoefficientSystem, H: dict, problems: list[str]
 # fiber models
 # ---------------------------------------------------------------------------
 
-@dataclass
 class FiberModel:
     """A fixed complex (omega basis, differential D) together with
     per-simplex comparison maps into the graded module.
@@ -598,11 +598,13 @@ class FiberModel:
     omega basis element with a rational height for locality checks.
     """
 
-    omega_basis: list
-    omega_degree: dict
-    D: SMat
-    I: dict
-    eta: Optional[dict] = None
+    def __init__(self, omega_basis: list, omega_degree: dict, D: SMat,
+                 I: dict, eta: Optional[dict] = None):
+        self.omega_basis = omega_basis
+        self.omega_degree = omega_degree
+        self.D = D
+        self.I = I
+        self.eta = eta
 
     def imap(self, sigma: Simplex) -> SMat:
         return self.I.get(tuple(sigma), {})

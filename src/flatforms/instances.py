@@ -16,7 +16,6 @@ falling back to the unperturbed system when that turns infeasible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
@@ -48,15 +47,18 @@ LEAF_NAMES = ["a", "b", "c", "d", "e", "f"]
 MAX_SIMPLICES, MAX_LEAVES, MAX_RANK = 20, 6, 3
 
 
-@dataclass
 class Instance:
-    seed: int
-    S: BaseComplex
-    L: LeafSystem
-    A: CoefficientSystem      # complete, flat by construction
-    U_inv: dict[int, SMat]    # per-vertex inverse of the unipotent gauge
-    D0: SMat                  # the common vertex differential before gauging
-    enriched: bool = False    # an edge was perturbed away from the pure gauge
+    def __init__(self, seed: int, S: BaseComplex, L: LeafSystem,
+                 A: CoefficientSystem, U_inv: dict[int, SMat], D0: SMat,
+                 enriched: bool = False):
+        self.seed = seed
+        self.S = S
+        self.L = L
+        self.A = A          # complete, flat by construction
+        self.U_inv = U_inv  # per-vertex inverse of the unipotent gauge
+        self.D0 = D0        # the common vertex differential before gauging
+        # an edge was perturbed away from the pure gauge
+        self.enriched = enriched
 
 
 def _random_complex(rng: random.Random, max_dim: int,

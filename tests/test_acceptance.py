@@ -54,6 +54,7 @@ from flatforms.wkflow import (
 
 from test_forms import random_form
 from test_mixed import worked_edge, worked_edge_fiber
+from test_wkflow import point
 
 
 def verdict(n: int, name: str, problems: list, detail: str = ""):
@@ -137,7 +138,8 @@ def test_criterion_3_simplex_flow_dynamics():
             supp = rng.sample(range(k + 1), rng.randint(1, k + 1))
             weights = [rng.randint(1, 2 ** 30) if m in supp else 0
                        for m in range(k + 1)]
-            starts.append([Fraction(w, sum(weights)) for w in weights])
+            starts.append(point([Fraction(w, sum(weights))
+                                 for w in weights]))
         for backward in (False, True):
             way = "backward" if backward else "forward"
             for x0 in starts:

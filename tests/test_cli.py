@@ -28,6 +28,7 @@ from flatforms.smoothing import partition_default, partition_linear
 from flatforms.wkflow import SCHEDULE, classify_limits
 
 from test_mixed import worked_edge, worked_edge_fiber
+from test_wkflow import point
 
 
 # a two-leaf edge written out by hand, the smallest interesting file
@@ -193,7 +194,7 @@ def test_every_sweep_limit_is_the_vertex_of_its_start(capsys, k):
                             *(["--backward"] if backward else []))
             assert code == 0 and len(rep["checks"]["runs"]) == 100
             for r in rep["checks"]["runs"]:
-                back, fwd = classify_limits([Q(c) for c in r["start"]])
+                back, fwd = classify_limits(point(r["start"]))
                 assert r["converged"] is True
                 assert r["limit_vertex"] == (back if backward else fwd)
                 assert r["height_monotone"] is True

@@ -7,7 +7,8 @@ them), checks raise exceptions instead of using ``assert`` (which
 load no module of the form layer, ``forms``, ``mixed`` or
 ``smoothing``, unless the file has a partition to parse;
 ``build-aprime`` and ``build-iprime`` load ``mixed`` and ``forms``,
-``smooth`` all three), no module imports anything outside the
+``smooth`` all three, and importing ``cli`` loads neither
+``dataclasses`` nor ``inspect``), no module imports anything outside the
 standard library and the package, no module imports another's private
 name, every public function, method and class is
 used in the package itself (a short list of functions that only tests
@@ -15,8 +16,9 @@ call aside), the term layout of a
 polynomial form stays inside ``forms``, a module-level cache is keyed on
 ints and tuples only, no float is rounded to a rational with
 ``limit_denominator``, no ``/`` is applied where matrix entries are
-computed, and an exception class exists only where an ``except`` tells
-it apart.  The command line maps only input faults to exit 2.  The
+computed, ``wkflow`` imports no Fraction type, and an exception class
+exists only where an ``except`` tells it apart.  The command line maps
+only input faults to exit 2.  The
 layers import one way: the data and identities over Q (``flatsys``)
 know nothing of forms, and the instance generator and the smoothing
 each reach only the layer they need."""
@@ -148,6 +150,40 @@ def test_no_rational_approximation(path):
     assert lines == []
 
 
+def _fraction_imports(tree):
+    """Lines that import ``fractions``, or ``Q`` or ``qx`` from
+    ``linalg``, anywhere in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "fractions"
+                   for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            if module[0] == "fractions" and node.level == 0:
+                yield node.lineno
+            elif module[-1] == "linalg" and any(
+                    alias.name in {"Q", "qx"} for alias in node.names):
+                yield node.lineno
+
+
+def test_fraction_imports_sees_every_kind():
+    lines = ["import fractions", "from fractions import Fraction",
+             "from .linalg import Q", "from flatforms.linalg import qx",
+             "import fractions as f", "from .linalg import qint",
+             "from math import gcd"]
+    assert set(_fraction_imports(ast.parse("\n".join(lines)))) == \
+        {1, 2, 3, 4, 5}
+
+
+def test_wkflow_imports_no_fraction():
+    """A point of the simplex flow is int weights over one denominator:
+    ``wkflow`` imports neither ``fractions`` nor ``linalg``'s ``Q`` or
+    ``qx``, and Fractions appear only where ``cli`` reads or writes a
+    point as text."""
+    assert sorted(_fraction_imports(_tree(SRC / "wkflow.py"))) == []
+
+
 # the modules that compute with SMat entries, which are ints when
 # integral (see ``linalg.qdiv``)
 ENTRY_MODULES = ["linalg", "flatsys", "instances", "mixed"]
@@ -243,6 +279,17 @@ def test_only_form_commands_load_the_form_layer(tmp_path):
     run = _run_commands(["validate", "--instance", str(with_partition)])
     assert run["codes"] == [0] and run["loaded"] == everything
     assert run["checks"][0]["partition"] == "ok"
+
+
+def test_cli_import_loads_no_dataclasses():
+    """``import flatforms.cli``, which every command pays, loads neither
+    ``dataclasses`` nor the ``inspect`` module it pulls in: the classes
+    of the layers it imports are plain classes."""
+    loaded = _fresh_process(
+        "import json, sys; import flatforms.cli; "
+        "print(json.dumps([m for m in ('dataclasses', 'inspect') "
+        "if m in sys.modules]))")
+    assert loaded == []
 
 
 def _public_definitions(tree):

@@ -1,5 +1,6 @@
 """Same results: the report bodies of the benchmark's ``smooth``,
-``build`` and ``complete`` batteries are pinned, op by op.
+``build`` and ``complete`` batteries, and of a ``flow`` battery, are
+pinned, op by op.
 
 For each op the file ``data/report_digests.json`` holds the exit code
 and the SHA-256 of the report with its ``timings`` block removed
@@ -9,8 +10,11 @@ read-only checks on each of ``generate(0..39)`` cut to its 1-skeleton
 and written to a temporary file; its digests are keyed by command and
 seed, not by that file's path.  The file holds as well, under
 ``extend_files``, the SHA-256 of each file that ``extend`` writes back
-there.  A change that is meant to leave every result alone must leave
-these alone too.  Where a report is meant to change, record the
+there.  The ``flow`` battery runs sweeps over several seeds and
+``--start`` on interior, face and vertex points, both ways, so its
+digests pin every start, limit and point, not only the limit vertices
+that the benchmark's own flow check compares.  A change that is meant
+to leave every result alone must leave these alone too.  Where a report is meant to change, record the
 digests again with
 
     PYTHONPATH=src python tests/test_report_digests.py
@@ -52,6 +56,29 @@ def _by_argv(argvs) -> dict:
     return {" ".join(argv): argv for argv in argvs}
 
 
+# ``flow --start`` points: interior, on a face (one with a coordinate
+# of 1e-13) and at a vertex, over one or several denominators
+FLOW_STARTS = (
+    ("1", "1/3,2/3"),
+    ("2", "1/5,1/2,3/10"),
+    ("3", "1/7,2/9,1/3,19/63"),
+    ("3", "0,1/4,3/4,0"),
+    ("4", "1/10000000000000,0,4999999999999/10000000000000,0,1/2"),
+    ("2", "0,1,0"),
+    ("4", "0,0,0,0,1"),
+)
+
+
+def flow_battery(_workdir: Path) -> dict:
+    """``flow --sweep 100`` for k = 1..4 and seeds 0..2, then ``flow
+    --start`` on ``FLOW_STARTS``, each forward and backward."""
+    argvs = [("flow", "--k", str(k), "--sweep", "100", "--seed", str(seed))
+             for k in range(1, 5) for seed in range(3)]
+    argvs += [("flow", "--k", k, "--start", start) for k, start in FLOW_STARTS]
+    return _by_argv(argv + way for argv in argvs
+                    for way in ((), ("--backward",)))
+
+
 BATTERIES = {
     "smooth": lambda _workdir: _by_argv(
         ("smooth", "--seed", str(n)) for n in (3, 5, 7, 8, 11)),
@@ -59,6 +86,7 @@ BATTERIES = {
         (cmd, "--seed", str(n)) for n in range(40)
         for cmd in ("build-aprime", "build-iprime")),
     "complete": complete_battery,
+    "flow": flow_battery,
 }
 
 

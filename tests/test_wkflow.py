@@ -1,7 +1,13 @@
+"""The simplex flow on points (w, n), int weights over one positive
+denominator: ``point`` builds them from exact coordinates and ``coords``
+reads them back, so each check compares with Fractions written out in
+the test."""
+
 import json
 import math
 import random
 from fractions import Fraction as Q
+from itertools import accumulate
 
 import pytest
 
@@ -44,8 +50,23 @@ def test_wk_eval_vertices_are_equilibria():
             assert all(c == 0 for c in wk_eval(k, x))
 
 
+def point(xs):
+    """The point (w, n) with the exact coordinates ``xs`` (ints,
+    Fractions or "p/q" strings): the weights over the lcm n of the
+    denominators."""
+    xs = [Q(c) for c in xs]
+    n = math.lcm(*(c.denominator for c in xs))
+    return [c.numerator * (n // c.denominator) for c in xs], n
+
+
+def coords(p):
+    """The coordinates of the point ``p`` = (w, n) as Fractions."""
+    w, n = p
+    return [Q(c, n) for c in w]
+
+
 def random_point(rng, k):
-    """A random exact barycentric point with some zero coordinates."""
+    """Random exact barycentric coordinates with some zeros."""
     raw = [Q(rng.randrange(9), rng.randrange(1, 30)) for _ in range(k + 1)]
     s = sum(raw)
     if s == 0:
@@ -62,9 +83,9 @@ def test_mass_is_conserved():
     rng = random.Random(0)
     for k in range(1, 5):
         for _ in range(10):
-            x = random_point(rng, k)
+            x = point(random_point(rng, k))
             for backward in (False, True):
-                assert all(sum(flow(x, s, backward)) == 1
+                assert all(sum(coords(flow(x, s, backward))) == 1
                            for s in schedule())
 
 
@@ -99,13 +120,13 @@ def test_prefix_sums_of_the_field_follow_the_logistic_law(weights):
     """At every rational point the prefix sums of ``wk_eval`` equal
     P_m^2 - P_m, the law that ``flow`` solves."""
     total = sum(weights)
-    x = [Q(w, total) for w in weights]
-    assert logistic_law(len(x) - 1, x)
+    x = point([Q(w, total) for w in weights])
+    assert logistic_law(len(weights) - 1, x)
 
 
 def test_the_logistic_law_fails_off_the_simplex():
     # the telescoping needs sum x = 1
-    assert not logistic_law(1, [Q(1, 2), Q(1, 4)])
+    assert not logistic_law(1, point([Q(1, 2), Q(1, 4)]))
 
 
 def test_edge_flow_follows_the_logistic_curve():
@@ -114,7 +135,7 @@ def test_edge_flow_follows_the_logistic_curve():
         for backward in (False, True):
             for s in schedule()[:-1]:
                 e_minus_t = 1 / s if backward else s
-                assert flow([x0, x1], s, backward) == \
+                assert coords(flow(point([x0, x1]), s, backward)) == \
                     [1 - 1 / (1 + e_minus_t * x0 / x1),
                      1 / (1 + e_minus_t * x0 / x1)]
 
@@ -132,14 +153,15 @@ def test_lyapunov_rate_nonnegative_exact():
 
 
 def test_classify_limits():
-    assert classify_limits((0, Q(1, 2), Q(1, 2), 0)) == (1, 2)
-    assert classify_limits((Q(1), 0, 0)) == (0, 0)
-    assert classify_limits((Q(1, 4), Q(1, 4), Q(1, 4), Q(1, 4))) == (0, 3)
+    assert classify_limits(point((0, Q(1, 2), Q(1, 2), 0))) == (1, 2)
+    assert classify_limits(point((Q(1), 0, 0))) == (0, 0)
+    assert classify_limits(point((Q(1, 4), Q(1, 4), Q(1, 4), Q(1, 4)))) \
+        == (0, 3)
 
 
 def test_vertex_index():
-    assert vertex_index([Q(0), Q(1), Q(0)]) == 1
-    assert vertex_index([Q(1, 2), Q(1, 2), Q(0)]) is None
+    assert vertex_index(point([Q(0), Q(1), Q(0)])) == 1
+    assert vertex_index(point([Q(1, 2), Q(1, 2), Q(0)])) is None
 
 
 def chart_partial(k, m, i, j):
@@ -174,53 +196,57 @@ def test_face_restriction_exact():
     assert face_restriction_check(2, (1,))
 
 
-START = [Q(1, 5), Q(1, 2), Q(3, 10)]
+START = point([Q(1, 5), Q(1, 2), Q(3, 10)])
 
 
 def test_flow_forward_reaches_max_support_vertex():
-    assert flow(START, 0) == [0, 0, 1]
+    assert coords(flow(START, 0)) == [0, 0, 1]
+    # the limit keeps the start's denominator
+    assert flow(START, 0) == ([0, 0, 10], 10)
 
 
 def test_flow_backward_reaches_min_support_vertex():
-    assert flow(START, 0, backward=True) == [1, 0, 0]
+    assert coords(flow(START, 0, backward=True)) == [1, 0, 0]
+    assert flow(START, 0, backward=True) == ([10, 0, 0], 10)
 
 
 def test_flow_on_invariant_face():
-    x = [Q(0), Q(2, 5), Q(3, 5), Q(0)]
+    x = point([Q(0), Q(2, 5), Q(3, 5), Q(0)])
     for backward in (False, True):
         for s in schedule():
-            point = flow(x, s, backward)
-            assert point[0] == point[3] == 0
-    assert flow(x, 0) == [0, 0, 1, 0]
-    assert flow(x, 0, backward=True) == [0, 1, 0, 0]
+            y = coords(flow(x, s, backward))
+            assert y[0] == y[3] == 0
+    assert coords(flow(x, 0)) == [0, 0, 1, 0]
+    assert coords(flow(x, 0, backward=True)) == [0, 1, 0, 0]
 
 
 def test_flow_height_monotone():
-    x = [Q(1, 10), Q(1, 5), Q(3, 10), Q(2, 5)]
+    x = point([Q(1, 10), Q(1, 5), Q(3, 10), Q(2, 5)])
     for backward in (False, True):
         path = [flow(x, s, backward) for s in schedule()]
         assert height_monotone(3, path, backward)
         assert not height_monotone(3, path, not backward)
-        # h = k - sum_{m<k} P_m
-        for point in path:
-            assert height(3, point) == 3 - sum(
-                sum(point[:m + 1]) for m in range(3))
+        # h = k - sum_{m<k} P_m, where height gives h times n
+        for w, n in path:
+            y = coords((w, n))
+            assert Q(height(3, w), n) == 3 - sum(
+                sum(y[:m + 1]) for m in range(3))
 
 
 def test_flow_from_vertex_is_trivial():
-    x = [Q(0), Q(1), Q(0)]
+    x = point([Q(0), Q(1), Q(0)])
     for backward in (False, True):
         path = [flow(x, s, backward) for s in schedule()]
-        assert all(point == x for point in path)
+        assert all(y == x for y in path)
         assert height_monotone(2, path, backward)
-    assert not height_monotone(2, [x, [Q(0), Q(0), Q(1)]])
+    assert not height_monotone(2, [x, point([Q(0), Q(0), Q(1)])])
 
 
 def test_flow_no_convergence(capsys, monkeypatch):
     """A limit that is not a vertex is reported unconverged, with a
     certificate naming the start; the exact flow never gives one, so
     here the flow is replaced by one that stays put."""
-    monkeypatch.setattr(cli, "flow", lambda x, s, backward=False: list(x))
+    monkeypatch.setattr(cli, "flow", lambda x, s, backward=False: x)
     assert cli.main(["flow", "--k", "2", "--start", "1/5,1/2,3/10"]) == 1
     report = json.loads(capsys.readouterr().out)
     t = report["checks"]["trajectory"]
@@ -236,12 +262,12 @@ def test_flow_no_convergence(capsys, monkeypatch):
 
 def reference_flow(x, s, backward=False):
     """``flow`` transcribed from P(t) = 1 / (1 + (1/P - 1) e^(+-t)), with
-    e^t = 1/s, coordinate by coordinate; the limit s = 0 from the
-    support."""
+    e^t = 1/s, coordinate by coordinate, on the Fraction coordinates
+    ``x``; the limit s = 0 from the support."""
     k = len(x) - 1
     if s == 0:
-        back, fwd = classify_limits(x)
-        m = back if backward else fwd
+        supp = [m for m, c in enumerate(x) if c > 0]
+        m = supp[0] if backward else supp[-1]
         return [Q(int(i == m)) for i in range(k + 1)]
     e_t = s if backward else 1 / s
     sums = []
@@ -268,14 +294,60 @@ def test_flow_batch_matches_the_reference_bit_for_bit(k, backward):
     """Every point of a batch of interior, face and vertex starts, on the
     schedule and at the limit, equals the reference exactly, and so does
     the flow from the point at s = 1/2 (the flow is a semigroup in s)."""
-    for x in oracle_starts(random.Random(20 + k), k):
+    for xs in oracle_starts(random.Random(20 + k), k):
+        x = point(xs)
         assert is_barycentric(x)
         half = flow(x, Q(1, 2), backward)
         for s in schedule():
-            point = flow(x, s, backward)
-            assert point == reference_flow(x, s, backward), (x, s)
-            assert flow(half, s, backward) == flow(x, s * Q(1, 2), backward)
-            assert is_barycentric(point) and logistic_law(k, point)
+            y = flow(x, s, backward)
+            assert coords(y) == reference_flow(xs, s, backward), (xs, s)
+            assert coords(flow(half, s, backward)) == \
+                coords(flow(x, s * Q(1, 2), backward))
+            assert is_barycentric(y) and logistic_law(k, y)
+
+
+def fraction_law(k, x):
+    """The logistic law on the Fraction coordinates ``x``: the prefix
+    sums of the field equal P_m^2 - P_m."""
+    return all(f == p * p - p for f, p in zip(accumulate(wk_eval(k, x)),
+                                              accumulate(x)))
+
+
+def raw_points(sum_is_n):
+    """Points (w, n) for k = 1..6 with zero weights among them, not in
+    lowest terms: nonnegative weights over their sum times a factor, or
+    (``sum_is_n`` false) weights of any sign over any n >= 1."""
+    weight = st.integers(0, 2 ** 40) if sum_is_n else st.integers(-9, 2 ** 40)
+    weights = st.integers(1, 6).flatmap(
+        lambda k: st.lists(weight | st.just(0), min_size=k + 1,
+                           max_size=k + 1))
+    if sum_is_n:
+        return st.tuples(weights.filter(any), st.integers(1, 5)).map(
+            lambda wc: ([c * wc[1] for c in wc[0]], sum(wc[0]) * wc[1]))
+    return st.tuples(weights, st.integers(1, 2 ** 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=raw_points(sum_is_n=True),
+       backward=st.booleans())
+def test_flow_equals_the_fraction_oracle(x, backward):
+    """At every s of the schedule and at s = 0 the int flow is the
+    Fraction logistic curve, its limit keeps the start's denominator
+    and s = 1 gives the start back, weight for weight."""
+    for s in schedule():
+        assert coords(flow(x, s, backward)) == \
+            reference_flow(coords(x), s, backward), (x, s)
+    assert flow(x, 0, backward)[1] == x[1]
+    assert flow(x, 1, backward) == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=raw_points(sum_is_n=True) | raw_points(sum_is_n=False))
+def test_the_int_law_is_the_fraction_law(x):
+    """``logistic_law`` on (w, n) agrees with the law on w / n, on the
+    simplex and off it."""
+    k = len(x[0]) - 1
+    assert logistic_law(k, x) == fraction_law(k, coords(x))
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +355,15 @@ def test_flow_batch_matches_the_reference_bit_for_bit(k, backward):
 # ---------------------------------------------------------------------------
 
 def test_is_barycentric():
-    assert is_barycentric([Q(1, 3), Q(2, 3)])
-    assert is_barycentric([Q(0), Q(1), Q(0)])
-    assert not is_barycentric([Q(1, 2), Q(1, 2), Q(1, 2)])
-    assert not is_barycentric([Q(3, 2), Q(-1, 2)])
-    assert not is_barycentric([Q(1, 3), Q(1, 3), Q(1, 3) + Q(1, 10**30)])
+    assert is_barycentric(point([Q(1, 3), Q(2, 3)]))
+    assert is_barycentric(point([Q(0), Q(1), Q(0)]))
+    assert not is_barycentric(point([Q(1, 2), Q(1, 2), Q(1, 2)]))
+    assert not is_barycentric(point([Q(3, 2), Q(-1, 2)]))
+    assert not is_barycentric(
+        point([Q(1, 3), Q(1, 3), Q(1, 3) + Q(1, 10**30)]))
+    # the weights need not be in lowest terms
+    assert is_barycentric(([2, 4], 6))
+    assert not is_barycentric(([2, 4], 3))
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,26 +373,28 @@ def test_sweep_starts_are_positive_exact_barycentric_points(k, count, seed):
     starts = sweep_starts(k, count, seed)
     assert len(starts) == count
     for start in starts:
-        assert len(start) == k + 1
-        assert all(type(c) is Q and c > 0 for c in start)
-        assert sum(start) == 1 and is_barycentric(start)
+        w, n = start
+        assert len(w) == k + 1
+        assert all(type(c) is int and c > 0 for c in w)
+        assert sum(coords(start)) == 1 and is_barycentric(start)
     assert sweep_starts(k, count, seed) == starts
 
 
 def test_sweep_starts_are_seeded_ints_over_their_sum():
     """Each start is the next k + 1 ints in 1..2^30 of the seeded
-    generator, each over their sum."""
+    generator over their sum."""
     for seed in range(3):
         for k in (1, 3, 8):
             rng = random.Random(seed)
             for start in sweep_starts(k, 20, seed):
                 ints = [rng.randint(1, 2 ** SWEEP_BITS) for _ in range(k + 1)]
-                assert start == [Q(w, sum(ints)) for w in ints]
+                assert start == (ints, sum(ints))
 
 
 def test_schedule_times_are_multiples_of_ln_2(capsys):
     assert cli.main(["flow", "--k", "1", "--start", "1/2,1/2"]) == 0
     t = json.loads(capsys.readouterr().out)["checks"]["trajectory"]
     assert t["times"] == [j * math.log(2) for j in range(SCHEDULE + 1)]
-    assert t["points"] == [[str(c) for c in flow([Q(1, 2), Q(1, 2)], s)]
-                           for s in schedule()[:-1]]
+    assert t["points"] == [
+        [str(c) for c in coords(flow(point([Q(1, 2), Q(1, 2)]), s))]
+        for s in schedule()[:-1]]
