@@ -57,7 +57,7 @@ from .instances import (
     instance_to_json,
     make_fiber_model,
 )
-from .linalg import Q, CheckFailed, qint, qkeys, qreader, qx
+from .linalg import Q, CheckFailed, qentry, qint, qkeys, qreader
 from .morse import (
     check_partial_order,
     leaf_orders,
@@ -378,7 +378,7 @@ def cmd_flow(args):
         if not args.start:
             raise ParseError("flow needs --start or --sweep")
         try:
-            coords = [qx(c) for c in args.start.split(",")]
+            coords = [qentry(c) for c in args.start.split(",")]
         except ValueError as ex:
             raise ParseError(f"--start: {ex}")
         if len(coords) != k + 1:

@@ -33,7 +33,6 @@ from .linalg import (
     pivot_columns,
     qint,
     qkeys,
-    qx,
     rank,
     smat_add,
     smat_entries,
@@ -628,9 +627,10 @@ class FiberModel:
     def from_json(cls, data: dict, A: CoefficientSystem,
                   read: Callable) -> "FiberModel":
         """The model in ``data`` over the system ``A``, its ``D`` and ``I``
-        entries read with ``read`` (a ``qreader``): every simplex,
-        module element and omega element it names must exist.  Zero
-        entries of ``D`` and ``I`` are left out, as in every SMat."""
+        entries and its ``eta`` tags read with ``read`` (a ``qreader``):
+        every simplex, module element and omega element it names must
+        exist.  Zero entries of ``D`` and ``I`` are left out, as in every
+        SMat."""
         qkeys(data, ("omega", "D", "I", "eta"), "the fiber model")
         omega = [(tuple(e) if isinstance(e, list) else e, qint(d))
                  for e, d in data["omega"]]
@@ -671,7 +671,7 @@ class FiberModel:
             omega_degree=dict(omega),
             D=D,
             I=I,
-            eta=({name(e): qx(v) for e, v in data["eta"].items()}
+            eta=({name(e): read(v) for e, v in data["eta"].items()}
                  if "eta" in data else None),
         )
 

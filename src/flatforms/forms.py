@@ -62,7 +62,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .linalg import CheckFailed, Q, qdiv, qint, qkeys, qx, solver
+from .linalg import CheckFailed, Q, qdiv, qentry, qint, qkeys, solver
 from .simplicial import facet_positions
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
@@ -278,7 +278,7 @@ class PolyForm:
         """The form sum c x^e dx^D over ``terms`` {(e, D): c}: e a tuple
         of k nonnegative ints, D strictly increasing in 1..k, c rational.
         A term of any other shape raises ValueError."""
-        f = _rational_form(k, {_key(k, key): qx(c)
+        f = _rational_form(k, {_key(k, key): qentry(c)
                                for key, c in (terms or {}).items()})
         self.k, self._num, self._den = k, f._num, f._den
 
@@ -297,8 +297,7 @@ class PolyForm:
 
     @classmethod
     def const(cls, k: int, c) -> "PolyForm":
-        if type(c) is not int:
-            c = qx(c)
+        c = qentry(c)
         if c == 0:
             return _form(k, {})
         return _form(k, {0: c.numerator}, c.denominator)
@@ -378,11 +377,8 @@ class PolyForm:
                               for key, c in self._num.items()}, self._den)
 
     def scale(self, c) -> "PolyForm":
-        if type(c) is int:
-            p, q = c, 1
-        else:
-            c = qx(c)
-            p, q = c.numerator, c.denominator
+        c = qentry(c)
+        p, q = c.numerator, c.denominator
         if p == 0:
             return _form(self.k, {})
         return _form(self.k, {key: p * v for key, v in self._num.items()},
@@ -478,7 +474,7 @@ class PolyForm:
 
     def value_at(self, point: Sequence) -> Fraction:
         """Value of a 0-form at a chart point."""
-        pt = [qx(p) for p in point]
+        pt = [qentry(p) for p in point]
         if len(pt) != self.k:
             raise ValueError("point has wrong dimension")
         if not self.is_homogeneous(0):
@@ -587,7 +583,7 @@ class PolyForm:
             if key in terms:
                 raise ValueError(f"term {t} repeats an earlier term's "
                                  f"monomial and dx")
-            terms[key] = qx(t["coeff"])
+            terms[key] = qentry(t["coeff"])
         return cls(k, terms)
 
     def __repr__(self):
@@ -814,8 +810,8 @@ def poincare_contract(omega: PolyForm, apex: Optional[Sequence] = None) -> PolyF
     """
     k = omega.k
     if apex is None:
-        apex = [Q(0)] * k
-    A = [qx(a) for a in apex]
+        apex = [0] * k
+    A = [qentry(a) for a in apex]
     if len(A) != k:
         raise ValueError("apex has wrong dimension")
 
@@ -839,7 +835,8 @@ def poincare_contract(omega: PolyForm, apex: Optional[Sequence] = None) -> PolyF
         rest = dxs[:pos] + dxs[pos + 1:]
         sign = (-1) ** pos  # move dt to the front
         t_exp = exps[kk - 1]
-        coeff = sign * c / (t_exp + 1)  # exact integral of t^m over [0,1]
+        # exact integral of t^m over [0,1]
+        coeff = qdiv(sign * c.numerator, c.denominator * (t_exp + 1))
         key = (exps[:k], rest)
         out = out + PolyForm(k, {key: coeff})
     return out

@@ -12,13 +12,15 @@ An entry is an exact rational: an ``int`` when it is integral and a
 1.  The entries this module makes (``smat_set``, ``smat_identity``,
 ``kernel``, ``solve``, the solution operator) keep this rule, every
 quotient by way of ``qdiv``, so the integral coefficient systems of the
-generator multiply and add as ints.  A file's values are read by
-``qentry``, one ``qreader`` per file parsing each distinct string
-once.  An int and the equal Fraction compare equal, hash
+generator multiply and add as ints.  ``qentry`` is the package's one
+reader of exact values and keeps the same rule: a file's entries,
+heights, epsilon and eta tags (one ``qreader`` per file parsing each
+distinct string once), form coefficients and points, and ``flow
+--start``.  An int and the equal Fraction compare equal, hash
 equal and print the same ``str``; sums and products keep Python's
-rules, so one with a Fraction operand is a Fraction.  No ``/`` is
-applied to entries, since int / int is a float: exact quotients go
-through ``qdiv``.
+rules, so one with a Fraction operand is a Fraction.  No ``/``
+appears anywhere in the package, since int / int is a float: exact
+quotients go through ``qdiv``.
 
 Rank, pivot columns, kernels and solves all run one Gaussian
 elimination.  The caller fixes the column order; pivots are taken
@@ -73,31 +75,24 @@ class CheckFailed(Exception):
     the simplex, block or step that witnessed it."""
 
 
-def qx(value) -> Fraction:
-    """Coerce an int / string / Fraction to an exact rational.  A bool
-    is refused, as ``qint`` refuses it: a file's ``true`` is not 1."""
-    if isinstance(value, Fraction):
-        return value
-    if type(value) is int:
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator: {value!r}") from None
-    raise TypeError(f"not an exact rational: {value!r}")
-
-
 def qentry(value):
     """``value`` read by the entry rule: an int when it is integral,
     otherwise a Fraction in lowest terms.  A string of decimal digits,
-    signed or not, is read as an int without building a Fraction."""
+    signed or not, is read as an int without building a Fraction.  A
+    bool, a float or None is refused, as ``qint`` refuses a bool: a
+    file's ``true`` is not 1."""
     if type(value) is int:
         return value
-    if type(value) is str and value.removeprefix("-").isdecimal():
-        return int(value)
-    q = qx(value)
-    return q.numerator if q.denominator == 1 else q
+    if isinstance(value, str):
+        if value.removeprefix("-").isdecimal():
+            return int(value)
+        try:
+            value = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {value!r}") from None
+    elif not isinstance(value, Fraction):
+        raise TypeError(f"not an exact rational: {value!r}")
+    return value.numerator if value.denominator == 1 else value
 
 
 def qreader() -> Callable:

@@ -48,7 +48,6 @@ coefficient system and the fiber model, and every identity over Q
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Optional
 
@@ -347,13 +346,15 @@ def _owner(sigma: Simplex, sigma_p: Simplex) -> tuple[Simplex, Simplex]:
     return sigma_p + sigma[last + 1:], sigma_p
 
 
-@dataclass
 class MixedConnectionData:
-    A: CoefficientSystem
-    aprime: dict = field(default_factory=dict)   # _owner key -> FormMatrix
-    problems: list = field(default_factory=list)  # "sigma: message"
-    # sigma -> (id + a'(sigma, sigma_0))^-1, shared with the I' walk
-    gauge_inverses: dict = field(default_factory=dict)
+    def __init__(self, A: CoefficientSystem, aprime: Optional[dict] = None,
+                 problems: Optional[list] = None,
+                 gauge_inverses: Optional[dict] = None):
+        self.A = A
+        self.aprime = {} if aprime is None else aprime  # _owner key -> value
+        self.problems = [] if problems is None else problems  # "sigma: ..."
+        # sigma -> (id + a'(sigma, sigma_0))^-1, shared with the I' walk
+        self.gauge_inverses = {} if gauge_inverses is None else gauge_inverses
 
     def get(self, sigma: Simplex, sigma_p: Simplex) -> FormMatrix:
         return self.aprime[_owner(tuple(sigma), tuple(sigma_p))]
@@ -585,15 +586,16 @@ def build_mixed_connection(A: CoefficientSystem) -> MixedConnectionData:
 # on its column list alone, so one build eliminates each list once.
 
 
-@dataclass
 class ChainMapData:
-    A: CoefficientSystem
-    FM: FiberModel
-    values: dict = field(default_factory=dict)   # _owner key -> FormMatrix
-    problems: list = field(default_factory=list)  # "sigma: message"
-    _coords: dict = field(default_factory=dict, repr=False)
-    # column tuple -> solution operator (S, C) of its system under FM
-    _operators: dict = field(default_factory=dict, repr=False)
+    def __init__(self, A: CoefficientSystem, FM: FiberModel,
+                 values: Optional[dict] = None,
+                 problems: Optional[list] = None):
+        self.A, self.FM = A, FM
+        self.values = {} if values is None else values  # _owner key -> value
+        self.problems = [] if problems is None else problems  # "sigma: ..."
+        self._coords: dict = {}
+        # column tuple -> solution operator (S, C) of its system under FM
+        self._operators: dict = {}
 
     def value(self, sigma: Simplex, sigma_p: Simplex) -> FormMatrix:
         return self.values[_owner(tuple(sigma), tuple(sigma_p))]

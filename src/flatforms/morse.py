@@ -34,7 +34,7 @@ from math import lcm
 from types import MappingProxyType
 from typing import Mapping
 
-from .linalg import qentry, qx
+from .linalg import qdiv, qentry
 from .simplicial import BaseComplex, Simplex
 
 
@@ -46,7 +46,7 @@ class LeafSystem:
     leaves : iterable of (leaf_id, index, rank)
     heights : mapping (leaf_id, vertex) -> rational height, kept by the
         entry rule of ``linalg.qentry`` (an int when integral)
-    epsilon : positive rational fineness scale
+    epsilon : positive rational fineness scale, kept by the same rule
 
     ``basis`` lists the module basis elements (leaf, i) in declared leaf
     order, and ``deg`` maps each of them to its leaf's index.
@@ -72,7 +72,7 @@ class LeafSystem:
                 raise ValueError(f"heights name undeclared leaf {leaf!r}")
         self.heights: Mapping[tuple[str, int], int | Fraction] = \
             MappingProxyType(exact)
-        self.epsilon = qx(epsilon)
+        self.epsilon = qentry(epsilon)
         # the heights and the gap 2*epsilon^2 as int numerators over one
         # positive denominator, the table behind ``prec`` and
         # ``leaf_orders``
@@ -98,6 +98,7 @@ def validate_leaf_system(L: LeafSystem, S: BaseComplex) -> list[str]:
     """Structural and fineness checks; returns a list of violation reports."""
     problems = []
     eps2 = L.epsilon * L.epsilon
+    bound = qdiv(eps2.numerator, 2 * eps2.denominator)   # eps^2 / 2
     for leaf in L.leaves:
         if L.rank[leaf] < 1:
             problems.append(f"leaf {leaf!r} has rank {L.rank[leaf]} < 1")
@@ -115,10 +116,10 @@ def validate_leaf_system(L: LeafSystem, S: BaseComplex) -> list[str]:
             if any(h is None for h in vals):
                 continue
             osc = max(vals) - min(vals)
-            if not osc < eps2 / 2:
+            if not osc < bound:
                 problems.append(
                     f"leaf {leaf!r} oscillates by {osc} on {sigma}, "
-                    f"not below {eps2 / 2}"
+                    f"not below {bound}"
                 )
     return problems
 

@@ -36,11 +36,10 @@ holonomy on fiber homology) is in :mod:`flatforms.flatsys`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .forms import PolyForm, RatioPullback
-from .linalg import Q, qint, qkeys, qx
+from .linalg import Q, qdiv, qentry, qint, qkeys
 from .mixed import (
     ChainMapData,
     FormMatrix,
@@ -62,7 +61,6 @@ def _bump_cubic(x: PolyForm) -> PolyForm:
     return x2.scale(3) - x2.wedge(x).scale(2)
 
 
-@dataclass
 class PartitionOfUnity:
     """Per simplex, the numerators of phi_v for its vertices v, over a
     common denominator.
@@ -72,9 +70,11 @@ class PartitionOfUnity:
     stars.  Genuinely polynomial partitions use denominator 1.
     """
 
-    S: BaseComplex
-    num: dict = field(default_factory=dict)   # (sigma, v) -> PolyForm, 0-form
-    den: dict = field(default_factory=dict)   # sigma -> PolyForm, 0-form
+    def __init__(self, S: BaseComplex, num: Optional[dict] = None,
+                 den: Optional[dict] = None):
+        self.S = S
+        self.num = {} if num is None else num   # (sigma, v) -> 0-form
+        self.den = {} if den is None else den   # sigma -> 0-form
 
     def to_json(self) -> dict:
         return {
@@ -226,7 +226,7 @@ def phibar(P: PartitionOfUnity, sigma: Simplex, point) -> tuple:
     of sigma.
     """
     l = dim(sigma)
-    pt = [qx(c) for c in point]
+    pt = [qentry(c) for c in point]
     if len(pt) != l + 1:
         raise ValueError("point has wrong length")
     chart = pt[1:]
@@ -234,7 +234,8 @@ def phibar(P: PartitionOfUnity, sigma: Simplex, point) -> tuple:
     total = P.den[sigma].value_at(chart)
     if total == 0:
         raise ZeroDivisionError(f"partition denominator vanishes at {point}")
-    return tuple(v / total for v in vals)
+    return tuple(qdiv(v.numerator * total.denominator,
+                      v.denominator * total.numerator) for v in vals)
 
 
 # read by perfbench/tracer.py; goes when ROADMAP item 1 deletes the tracer

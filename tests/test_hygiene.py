@@ -8,15 +8,16 @@ load no module of the form layer, ``forms``, ``mixed`` or
 ``smoothing``, unless the file has a partition to parse;
 ``build-aprime`` and ``build-iprime`` load ``mixed`` and ``forms``,
 ``smooth`` all three, and importing ``cli`` loads neither
-``dataclasses`` nor ``inspect``), no module imports anything outside the
+``dataclasses`` nor ``inspect``; no module imports ``dataclasses``), no
+module imports anything outside the
 standard library and the package, no module imports another's private
 name, every public function, method and class is
 used in the package itself (a short list of functions that only tests
 call aside), the term layout of a
 polynomial form stays inside ``forms``, a module-level cache is keyed on
 ints and tuples only, no float is rounded to a rational with
-``limit_denominator``, no ``/`` is applied where matrix entries are
-computed, ``wkflow`` imports no Fraction type, and an exception class
+``limit_denominator``, no module applies ``/`` (an exact quotient goes
+through ``qdiv``), ``wkflow`` imports no Fraction type, and an exception class
 exists only where an ``except`` tells it apart.  The command line maps
 only input faults to exit 2.  The
 layers import one way: the data and identities over Q (``flatsys``)
@@ -151,8 +152,8 @@ def test_no_rational_approximation(path):
 
 
 def _fraction_imports(tree):
-    """Lines that import ``fractions``, or ``Q`` or ``qx`` from
-    ``linalg``, anywhere in ``tree``."""
+    """Lines that import ``fractions``, or ``Q`` from ``linalg``,
+    anywhere in ``tree``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             if any(alias.name.split(".")[0] == "fractions"
@@ -163,13 +164,13 @@ def _fraction_imports(tree):
             if module[0] == "fractions" and node.level == 0:
                 yield node.lineno
             elif module[-1] == "linalg" and any(
-                    alias.name in {"Q", "qx"} for alias in node.names):
+                    alias.name == "Q" for alias in node.names):
                 yield node.lineno
 
 
 def test_fraction_imports_sees_every_kind():
     lines = ["import fractions", "from fractions import Fraction",
-             "from .linalg import Q", "from flatforms.linalg import qx",
+             "from .linalg import Q", "from flatforms.linalg import Q as R",
              "import fractions as f", "from .linalg import qint",
              "from math import gcd"]
     assert set(_fraction_imports(ast.parse("\n".join(lines)))) == \
@@ -178,22 +179,17 @@ def test_fraction_imports_sees_every_kind():
 
 def test_wkflow_imports_no_fraction():
     """A point of the simplex flow is int weights over one denominator:
-    ``wkflow`` imports neither ``fractions`` nor ``linalg``'s ``Q`` or
-    ``qx``, and Fractions appear only where ``cli`` reads or writes a
-    point as text."""
+    ``wkflow`` imports neither ``fractions`` nor ``linalg``'s ``Q``, and
+    Fractions appear only where ``cli`` reads or writes a point as
+    text."""
     assert sorted(_fraction_imports(_tree(SRC / "wkflow.py"))) == []
 
 
-# the modules that compute with SMat entries, which are ints when
-# integral (see ``linalg.qdiv``)
-ENTRY_MODULES = ["linalg", "flatsys", "instances", "mixed"]
-
-
-@pytest.mark.parametrize("module", ENTRY_MODULES)
+@pytest.mark.parametrize("module", [path.stem for path in MODULES])
 def test_no_true_division_of_entries(module):
-    """No ``/`` or ``/=`` in the modules that compute with matrix
-    entries: an int over an int is a float, so an exact quotient goes
-    through ``qdiv`` or ``Fraction(n, d)``."""
+    """No ``/`` or ``/=`` in any module: an exact value is an int when
+    it is integral, and an int over an int is a float, so an exact
+    quotient goes through ``qdiv``."""
     lines = sorted(node.lineno for node in ast.walk(_tree(SRC / f"{module}.py"))
                    if isinstance(node, (ast.BinOp, ast.AugAssign))
                    and isinstance(node.op, ast.Div))
@@ -217,6 +213,15 @@ def test_no_module_imports_outside_the_standard_library():
                    for path in MODULES for node in ast.walk(_tree(path))
                    for module in _imported_modules(node)
                    if module.split(".")[0] not in sys.stdlib_module_names)
+    assert found == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    """Classes are plain classes: ``dataclasses`` pulls in ``inspect``,
+    which costs a command milliseconds of start-up."""
+    found = [node.lineno for node in ast.walk(_tree(path))
+             if "dataclasses" in _imported_modules(node)]
     assert found == []
 
 

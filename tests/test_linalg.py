@@ -22,7 +22,6 @@ from flatforms.linalg import (
     qdiv,
     qentry,
     qreader,
-    qx,
     rank,
     smat_add,
     smat_entries,
@@ -355,8 +354,8 @@ def test_qentry_reads_the_rational_a_string_names(n, d, spelling):
     assert type(q) is (int if Q(text).denominator == 1 else Q)
 
 
-@pytest.mark.parametrize("read", [qx, qentry, qreader()],
-                         ids=["qx", "qentry", "qreader"])
+@pytest.mark.parametrize("read", [qentry, qreader()],
+                         ids=["qentry", "qreader"])
 @pytest.mark.parametrize("value", [True, False, 1.0, None, "1.5e", "1/0",
                                    "--1", "-", ""])
 def test_no_bool_or_float_is_a_rational(read, value):
@@ -414,7 +413,8 @@ def _as_fractions(m):
 @pytest.mark.parametrize("seed", [3, 7, 18, 26])
 def test_files_are_read_as_ints_and_written_as_before(seed):
     """A generated instance and its fiber model read back from their
-    file with every integral entry an int, and write the same text,
+    file with every integral entry, height, eta tag and epsilon an int
+    and every other one a Fraction, and write the same text,
     which is also the text of the same data held as Fractions."""
     inst = generate(seed)
     FM = None if inst.enriched else make_fiber_model(inst)
@@ -428,12 +428,14 @@ def test_files_are_read_as_ints_and_written_as_before(seed):
         matrices += [FM.D, *FM.I.values()]
     values = [v for m in matrices for _r, _c, v in smat_entries(m)]
     assert values and all(type(v) is int for v in values)
-    assert all(type(h) is (int if h.denominator == 1 else Q)
-               for h in L.heights.values())
+    tags = list(FM.eta.values()) if FM is not None else []
+    assert all(type(q) is (int if q.denominator == 1 else Q)
+               for q in [*L.heights.values(), L.epsilon, *tags])
     assert _file_text(S, L, A, FM) == text
     as_fractions = CoefficientSystem(
         S, L, {s: _as_fractions(m) for s, m in A.coeffs.items()})
     if FM is not None:
         FM.D = _as_fractions(FM.D)
         FM.I = {s: _as_fractions(m) for s, m in FM.I.items()}
+        FM.eta = {e: Q(t) for e, t in FM.eta.items()}
     assert _file_text(S, L, as_fractions, FM) == text

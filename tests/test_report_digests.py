@@ -13,7 +13,12 @@ seed, not by that file's path.  The file holds as well, under
 there.  The ``flow`` battery runs sweeps over several seeds and
 ``--start`` on interior, face and vertex points, both ways, so its
 digests pin every start, limit and point, not only the limit vertices
-that the benchmark's own flow check compares.  A change that is meant
+that the benchmark's own flow check compares.  The ``input`` battery
+runs ``validate``, ``build-iprime`` and ``smooth`` on instance files
+that carry a fiber model with eta tags and a partition, as generated
+and with epsilon 1/3, so its digests pin how a file's values are
+read; ``input_errors`` holds the exit code and stderr of inputs that
+the readers refuse.  A change that is meant
 to leave every result alone must leave these alone too.  Where a report is meant to change, record the
 digests again with
 
@@ -30,7 +35,13 @@ from pathlib import Path
 import pytest
 
 from flatforms.cli import FILE_VERSION, main
-from flatforms.instances import generate, instance_to_json, strip_to_dim
+from flatforms.instances import (
+    generate,
+    instance_to_json,
+    make_fiber_model,
+    strip_to_dim,
+)
+from flatforms.smoothing import partition_default
 
 DATA = Path(__file__).resolve().parent / "data" / "report_digests.json"
 
@@ -79,6 +90,75 @@ def flow_battery(_workdir: Path) -> dict:
                     for way in ((), ("--backward",)))
 
 
+def input_data(n: int) -> dict:
+    """The file of ``generate(n)`` with the default partition and, where
+    one exists, its fiber model with eta tags."""
+    inst = generate(n)
+    data = instance_to_json(inst.S, inst.L, inst.A)
+    data["version"] = FILE_VERSION
+    data["partition"] = partition_default(inst.S).to_json()
+    try:
+        data["fiber_model"] = make_fiber_model(inst).to_json()
+    except ValueError:                 # an enriched instance has no model
+        pass
+    return data
+
+
+def write_file(workdir: Path, name: str, data: dict) -> str:
+    path = workdir / f"{name}.json"
+    path.write_text(json.dumps(data, indent=1) + "\n")
+    return str(path)
+
+
+INPUT_COMMANDS = ("validate", "build-iprime", "smooth")
+
+
+def input_battery(workdir: Path) -> dict:
+    """``validate``, ``build-iprime`` and ``smooth`` on the files of
+    ``input_data(0..9)``, as written and with epsilon "1/3"."""
+    ops = {}
+    for n in range(10):
+        data = input_data(n)
+        paths = {"": write_file(workdir, f"input-{n}", data)}
+        data["epsilon"] = "1/3"
+        paths["eps 1/3 "] = write_file(workdir, f"input-eps-{n}", data)
+        for tag, path in paths.items():
+            for cmd in INPUT_COMMANDS:
+                ops[f"{cmd} {tag}{n}"] = (cmd, "--instance", path)
+    return ops
+
+
+def _spoil_coefficient(data):
+    data["partition"]["den"][0]["form"]["terms"][0]["coeff"] = "x"
+
+
+# files that the parsers refuse: each spoils the file of input_data(0)
+INPUT_FAULTS = {
+    "epsilon true": lambda data: data.update(epsilon=True),
+    "epsilon 1/0": lambda data: data.update(epsilon="1/0"),
+    "form coefficient x": _spoil_coefficient,
+}
+
+
+def input_errors(workdir: Path) -> dict:
+    """[exit code, stderr] of ``validate`` on each file of
+    ``INPUT_FAULTS`` and of ``flow`` with a zero denominator."""
+    argvs = {"flow --start 1/0,1": ("flow", "--k", "1", "--start", "1/0,1")}
+    for i, (name, spoil) in enumerate(INPUT_FAULTS.items()):
+        data = input_data(0)
+        spoil(data)
+        argvs[name] = ("validate", "--instance",
+                       write_file(workdir, f"fault-{i}", data))
+    out = {}
+    for name, argv in argvs.items():
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        out[name] = [code, err.getvalue()]
+    return out
+
+
 BATTERIES = {
     "smooth": lambda _workdir: _by_argv(
         ("smooth", "--seed", str(n)) for n in (3, 5, 7, 8, 11)),
@@ -87,6 +167,7 @@ BATTERIES = {
         for cmd in ("build-aprime", "build-iprime")),
     "complete": complete_battery,
     "flow": flow_battery,
+    "input": input_battery,
 }
 
 
@@ -132,9 +213,16 @@ def test_extend_writes_the_same_files(tmp_path):
     assert extend_files(tmp_path) == want
 
 
+def test_refused_inputs_give_the_same_errors(tmp_path):
+    want = json.loads(DATA.read_text())["input_errors"]
+    assert input_errors(tmp_path) == want
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         recorded = {b: digests(b, Path(tmp)) for b in sorted(BATTERIES)}
     with tempfile.TemporaryDirectory() as tmp:
         recorded["extend_files"] = extend_files(Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        recorded["input_errors"] = input_errors(Path(tmp))
     DATA.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
