@@ -347,9 +347,13 @@ def cmd_homology(args):
         return checks.stop("cw_betti", ex)
     checks["generators"] = len(bdry.degrees)
     H = {v: fiber_homology(inst.A, v) for v in inst.A.S.vertices()}
-    checks["fiber_betti"] = {skey(v): h.betti for v, h in H.items()}
+    checks["fiber_betti"] = {skey(v): {q: b for q, b in h.betti.items() if b}
+                             for v, h in H.items()}
     if inst.FM is not None:
-        rep = quasi_iso_ranks(inst.A, inst.FM, H)
+        try:
+            rep = quasi_iso_ranks(inst.A, inst.FM, H)
+        except CheckFailed as ex:
+            return checks.stop("quasi_iso", ex)
         checks["omega_betti"] = rep["omega"]
         checks.record("quasi_iso", rep["problems"])
     return checks

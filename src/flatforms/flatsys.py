@@ -12,7 +12,8 @@ A fiber model compares a fixed complex (Omega, D) with the fibers by
 constant maps I(sigma).  Flatness and the comparison relation are one
 sum with a different right factor, written once in ``relation``; this
 module holds every such identity over Q, and :mod:`flatforms.mixed`
-only lifts the data to forms.
+only lifts the data to forms.  The cellular complex, each fiber
+(V, a(v)) and (Omega, D) take their homology from ``linalg.Homology``.
 
 Matrices act on column vectors: the block (alpha, beta) carries the
 component from the beta summand into the alpha summand.  The cellular
@@ -28,9 +29,8 @@ from typing import Callable, Optional
 
 from .linalg import (
     CheckFailed,
+    Homology,
     SMat,
-    kernel,
-    pivot_columns,
     qint,
     qkeys,
     rank,
@@ -232,13 +232,6 @@ class CWBoundary:
     def is_differential(self) -> bool:
         return not smat_mul(self.matrix, self.matrix)
 
-    def require_differential(self):
-        sq = smat_mul(self.matrix, self.matrix)
-        if sq:
-            g = next(iter(sq))
-            raise CheckFailed(
-                f"boundary does not square to zero, e.g. on generator {g}")
-
 
 def cw_boundary(A: CoefficientSystem) -> CWBoundary:
     """Cellular boundary of the system.
@@ -283,32 +276,11 @@ def cw_boundary(A: CoefficientSystem) -> CWBoundary:
 
 
 def cw_homology(bd: CWBoundary) -> dict[int, int]:
-    """Betti numbers of the cellular complex with boundary ``bd``
-    (see ``cw_boundary``), graded by generator degree."""
-    bd.require_differential()
-    return {q: b for q, b in graded_betti(bd.matrix, bd.degrees).items() if b}
-
-
-def graded_betti(d: SMat, degree: dict) -> dict[int, int]:
-    """Betti numbers of a graded complex, for every degree present.
-
-    ``degree`` maps each basis key, in basis order, to its degree.  The
-    entries (r, c) of ``d`` with degree[r] = degree[c] + 1 make up the
-    complex, so ``d`` may be a differential raising the degree (acting
-    on columns) or a boundary lowering it (acting on rows): the rank of
-    each block is the same either way.
-    """
-    by_deg: dict[int, list] = {}
-    for g, q in degree.items():
-        by_deg.setdefault(q, []).append(g)
-    blocks: dict[int, SMat] = {}
-    for r, c, v in smat_entries(d):
-        q = degree.get(c)
-        if q is not None and degree.get(r) == q + 1:
-            blocks.setdefault(q, {}).setdefault(r, {})[c] = v
-    ranks = {q: rank(m, by_deg[q]) for q, m in blocks.items()}
-    return {q: len(gens) - ranks.get(q, 0) - ranks.get(q - 1, 0)
-            for q, gens in sorted(by_deg.items())}
+    """The nonzero Betti numbers of the cellular complex with boundary
+    ``bd`` (see ``cw_boundary``), graded by generator degree."""
+    h = Homology(bd.matrix, bd.degrees,
+                 "boundary does not square to zero, e.g. on generator {}")
+    return {q: b for q, b in h.betti.items() if b}
 
 
 # ---------------------------------------------------------------------------
@@ -464,70 +436,23 @@ def edge_transport(A: CoefficientSystem, edge: Simplex) -> SMat:
     return smat_add(smat_identity(A.L.basis), A.a(edge))
 
 
-class FiberHomology:
-    def __init__(self, reps: list, betti: dict, boundary_basis: list):
-        # cycle representatives, one SVec per class
-        self.reps = reps
-        self.betti = betti
-        # independent columns of the differential
-        self.boundary_basis = boundary_basis
+def fiber_homology(A: CoefficientSystem, vertex: Simplex) -> Homology:
+    """The homology of the fiber complex (V, a(v)) over the vertex
+    simplex (v,), exact over Q."""
+    return Homology(A.a(vertex), A.L.deg,
+                    f"vertex differential at {vertex} does not square to zero")
 
 
-def fiber_homology(A: CoefficientSystem, vertex: Simplex) -> FiberHomology:
-    """Graded homology of the fiber complex (V, a(v)), exact over Q.
-
-    The representatives are the kernel basis vectors that are not in
-    the span of the boundaries and the earlier kernel vectors: the
-    pivot columns of [boundaries | cycles].
-    """
-    v = A.S.require(vertex)
-    if dim(v) != 0:
-        raise ValueError(f"{v} is not a vertex")
-    basis = A.L.basis
-    d = A.a(v)
-    cycles = kernel(d, basis)
-    columns = smat_transpose(d)
-    bcols = [columns[c] for c in pivot_columns(d, basis)]
-    span = {("b", j): b for j, b in enumerate(bcols)}
-    span.update({("z", i): z for i, z in enumerate(cycles)})
-    reps = [cycles[i] for tag, i in pivot_columns(smat_transpose(span), list(span))
-            if tag == "z"]
-    betti: dict[int, int] = {}
-    for z in reps:
-        g = _vector_degree(A.L, z)
-        betti[g] = betti.get(g, 0) + 1
-    return FiberHomology(reps=reps, betti=betti, boundary_basis=bcols)
-
-
-def _vector_degree(L: LeafSystem, z) -> int:
-    degs = {L.deg[b] for b in z}
-    if len(degs) != 1:
-        raise ValueError("representative mixes degrees")
-    return degs.pop()
-
-
-def induced_on_homology(T: SMat, src: FiberHomology,
-                        tgt: FiberHomology) -> Optional[SMat]:
+def induced_on_homology(T: SMat, src: Homology, tgt: Homology
+                        ) -> Optional[SMat]:
     """Matrix of the map induced by the chain map ``T`` on homology,
     keyed by representative index (rows in ``tgt``, columns in ``src``),
     or None when ``T`` takes a cycle to no cycle mod boundaries.
     """
-    # solve [tgt reps | tgt boundaries] x = T z; homology coordinates
-    # are the reps part of x
-    span = {("z", i): z for i, z in enumerate(tgt.reps)}
-    span.update({("b", j): b for j, b in enumerate(tgt.boundary_basis)})
     # row j of images is T applied to the j-th source representative
     images = smat_transpose(smat_mul(T, smat_transpose(dict(enumerate(src.reps)))))
-    solutions = solve(smat_transpose(span), list(span),
-                      [images.get(j, {}) for j in range(len(src.reps))])
-    out: SMat = {}
-    for j, x in enumerate(solutions):
-        if x is None:
-            return None
-        for (tag, i), v in x.items():
-            if tag == "z":
-                out.setdefault(i, {})[j] = v
-    return out
+    classes = tgt.classes(images)
+    return None if classes is None else smat_transpose(classes)
 
 
 def holonomy_problem(A: CoefficientSystem, triangle: Simplex,
@@ -715,8 +640,9 @@ def _comparison_defect(A: CoefficientSystem, FM: FiberModel,
 
 
 def omega_betti(FM: FiberModel) -> dict[int, int]:
-    """Betti numbers of (Omega, D), exact over Q."""
-    return graded_betti(FM.D, {e: FM.omega_degree[e] for e in FM.omega_basis})
+    """Betti numbers of (Omega, D), exact over Q, in every degree of
+    Omega."""
+    return Homology(FM.D, FM.omega_degree, "D does not square to zero").betti
 
 
 def quasi_iso_ranks(A: CoefficientSystem, FM: FiberModel, H: dict) -> dict:

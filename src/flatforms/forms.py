@@ -472,20 +472,21 @@ class PolyForm:
         return all(_form(k, num).affine_pullback(k - 1, facet).is_zero()
                    for num in coefs.values())
 
-    def value_at(self, point: Sequence) -> Fraction:
-        """Value of a 0-form at a chart point."""
+    def value_at(self, point: Sequence):
+        """Value of a 0-form at a chart point: its numerators summed
+        there, divided once by its denominator (``qdiv``)."""
         pt = [qentry(p) for p in point]
         if len(pt) != self.k:
             raise ValueError("point has wrong dimension")
         if not self.is_homogeneous(0):
             raise ValueError("value_at needs a 0-form")
-        total = Q(0)
-        for (exps, _dxs), c in self.terms.items():
-            for x, e in zip(pt, exps):
+        total = 0
+        for key, c in self._num.items():
+            for x, e in zip(pt, _exps(self.k, key)):
                 if e:
                     c *= x ** e
             total += c
-        return total
+        return qdiv(total.numerator, total.denominator * self._den)
 
     # -- pullbacks -------------------------------------------------------
 

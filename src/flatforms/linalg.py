@@ -22,9 +22,9 @@ rules, so one with a Fraction operand is a Fraction.  No ``/``
 appears anywhere in the package, since int / int is a float: exact
 quotients go through ``qdiv``.
 
-Rank, pivot columns, kernels and solves all run one Gaussian
-elimination.  The caller fixes the column order; pivots are taken
-column by column in that order, and free variables are set to zero.
+Rank, kernels, solves and homology all run one Gaussian elimination.
+The caller fixes the column order; pivots are taken column by column
+in that order, and free variables are set to zero.
 The reduced row echelon form of a matrix is unique once its column
 order is fixed (Hoffman & Kunze, *Linear Algebra*, §1.4), so none of
 these results depends on the order of the rows or on which row serves
@@ -52,6 +52,12 @@ consistent.  Both are matrices, so a caller can apply them to whole
 rows of forms at once, coefficient by coefficient; ``solver`` applies
 them to one vector.
 
+``Homology`` reads the homology of a graded complex off one
+elimination of its differential: the Betti numbers, cycles and
+boundaries, and on first use representatives and the class of a cycle
+over them.  It serves the cellular complex, each fiber (V, a(v)) and
+(Omega, D), and refuses a differential that does not square to zero.
+
 ``CheckFailed`` is the package's one failure class: a face without its
 datum, a boundary that does not square to zero, or a flat extension or
 gauge step that does not exist.  Its message is the certificate, and
@@ -61,6 +67,7 @@ the command line turns it into exit 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
@@ -296,15 +303,14 @@ def rank(a: SMat, cols: Sequence) -> int:
     return len(_eliminate(a, cols)[0])
 
 
-def pivot_columns(a: SMat, cols: Sequence) -> list:
-    """The columns of ``a`` not in the span of the columns before them."""
-    return [cols[c] for c, _ in _eliminate(a, cols)[0]]
-
-
 def kernel(a: SMat, cols: Sequence) -> list[SVec]:
     """Basis of the right kernel of ``a``: one vector per free column,
     in column order, with 1 there and 0 at the other free columns."""
-    pivots, _ = _eliminate(a, cols)
+    return _kernel_vectors(_eliminate(a, cols)[0], cols)
+
+
+def _kernel_vectors(pivots: list, cols: Sequence) -> list[SVec]:
+    """``kernel`` read off the pivot rows of ``_eliminate``."""
     pivot_set = {col for col, _ in pivots}
     basis = {f: {cols[f]: 1} for f in range(len(cols)) if f not in pivot_set}
     for col, row in pivots:
@@ -398,3 +404,63 @@ def solver(a: SMat, cols: Sequence) -> Callable[[SVec], Optional[SVec]]:
                 if acc.get(i)}
 
     return apply
+
+
+class Homology:
+    """The homology over Q of the part of ``d`` that raises ``degree``
+    (basis key to degree, in basis order) by one, acting on columns.  A
+    boundary acting on rows is its transpose, with the same Betti
+    numbers.  A part that does not square to zero raises
+    ``CheckFailed``: ``refusal`` formatted with a row key of the square.
+
+    One elimination gives ``betti``, for every degree present in
+    ascending order, and the cycles and boundaries.  The ``reps``, the
+    cycles outside the span of the boundaries and the earlier cycles,
+    and ``classes`` read one more elimination, made on first use.
+    """
+
+    def __init__(self, d: SMat, degree: dict, refusal: str):
+        one = {r: {c: v for c, v in row.items() if degree.get(c) == degree[r] - 1}
+               for r, row in d.items() if r in degree}
+        one = {r: row for r, row in one.items() if row}
+        if square := smat_mul(one, one):
+            raise CheckFailed(refusal.format(next(iter(square))))
+        basis = list(degree)
+        pivots, _ = _eliminate(one, basis)
+        qs = list(degree.values())
+        ranks = [degree[basis[c]] for c, _ in pivots]
+        self.betti = {q: qs.count(q) - ranks.count(q) - ranks.count(q - 1)
+                      for q in sorted(set(qs))}
+        self._complex = one, basis, pivots
+
+    @cached_property
+    def _classes(self) -> tuple[list, SMat, SMat]:
+        """The ``solution_operator`` (S, C) of [boundaries | cycles]; the
+        reps are the cycles at its pivot columns, each a column of S, and
+        P is S at those columns, by index in ``reps``."""
+        one, basis, pivots = self._complex
+        # the boundaries are the pivot columns, the cycles as in kernel
+        columns = smat_transpose(one)
+        span = {("b", j): columns[basis[c]] for j, (c, _) in enumerate(pivots)}
+        cycles = _kernel_vectors(pivots, basis)
+        span.update({("z", i): z for i, z in enumerate(cycles)})
+        S, C = solution_operator(smat_transpose(span), list(span))
+        zs = sorted({i for row in S.values() for t, i in row if t == "z"})
+        index = {("z", i): k for k, i in enumerate(zs)}
+        P = {r: {index[c]: v for c, v in row.items() if c in index}
+             for r, row in S.items()}
+        return [cycles[i] for i in zs], P, C
+
+    @property
+    def reps(self) -> list[SVec]:
+        return self._classes[0]
+
+    def classes(self, ys: SMat) -> Optional[SMat]:
+        """The class of each row of ``ys`` over ``reps``, by index, or
+        None when a row is not a cycle: as ``solution_operator`` solves
+        it over [boundaries | reps], with the boundary part dropped."""
+        _, P, C = self._classes
+        if any(not y.keys() <= P.keys() for y in ys.values()) or \
+                smat_mul(ys, C):
+            return None
+        return smat_mul(ys, P)

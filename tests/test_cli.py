@@ -639,19 +639,22 @@ def test_corrupted_build_names_the_simplex(capsys, tmp_path):
     # the cellular boundary no longer squares to zero
     (1, (0,), ("b", 0), ("a", 0), 2, "homology",
      "boundary does not square to zero, e.g. on generator ((0, 1), ('b', 0))"),
-    # an edge transport is no longer a chain map
+    # a vertex differential no longer squares to zero, so its fiber has
+    # no homology to transport
     (3, (1,), ("b", 2), ("e", 1), 1, "holonomy",
-     "holonomy around (0, 1, 2): transport along (1, 2): "
+     "vertex differential at (1,) does not square to zero"),
+    (11, (0,), ("c", 0), ("b", 0), 2, "holonomy",
+     "vertex differential at (0,) does not square to zero"),
+    # an edge transport is no longer a chain map
+    (0, (2,), ("b", 1), ("a", 0), 0, "holonomy",
+     "holonomy around (1, 2, 5): transport along (1, 2): "
      "image of a cycle is not a cycle mod boundaries"),
     # the fibers' homology ranks differ
     (5, (3,), ("b", 0), ("a", 0), -1, "holonomy",
      "holonomy around (0, 2, 3): transport along (0, 3) is not invertible "
      "on homology"),
-    # a transport is not invertible on homology
-    (11, (0,), ("c", 0), ("b", 0), 2, "holonomy",
-     "holonomy around (0, 1, 2): transport along (0, 2) is not invertible "
-     "on homology"),
-], ids=["homology-1", "holonomy-3", "holonomy-5", "holonomy-11"])
+], ids=["homology-1", "holonomy-3", "holonomy-11", "holonomy-0",
+        "holonomy-5"])
 def test_non_flat_file_gives_a_certificate(capsys, tmp_path, seed, simplex,
                                            row, col, value, command, witness):
     inst = generate(seed)
@@ -664,6 +667,68 @@ def test_non_flat_file_gives_a_certificate(capsys, tmp_path, seed, simplex,
     assert code == 1
     assert rep["status"] == "fail"
     assert rep["certificates"][0] == witness
+
+
+def test_holonomy_refuses_a_vertex_differential_that_does_not_square(
+        capsys, tmp_path):
+    """Two entries on a((1,)) make a(v)^2 nonzero while each transport
+    still looks like the identity on what would be homology: holonomy
+    refuses the fiber, as validate does, instead of passing it."""
+    inst = generate(113, max_dim=2, need_triangle=True, enrich=False)
+    a = inst.A.coeffs[(1,)]
+    for row, col in ((("c", 0), ("b", 2)), (("b", 2), ("a", 0))):
+        smat_set(a, row, col, a.get(row, {}).get(col, 0) + 1)
+    path = tmp_path / "bad.json"
+    save_instance(path, inst.S, inst.L, inst.A)
+    witness = "vertex differential at (1,) does not square to zero"
+    code, rep = run(capsys, "validate", "--instance", str(path))
+    assert code == 1 and witness in rep["checks"]["system"]
+    code, rep = run(capsys, "holonomy", "--instance", str(path))
+    assert code == 1
+    assert rep["checks"] == {"system": witness}
+    assert rep["certificates"] == [witness]
+
+
+def test_homology_refuses_a_fiber_model_whose_D_does_not_square(
+        capsys, tmp_path):
+    """Two entries on D make D^2 nonzero with the Betti numbers of
+    (Omega, D) still equal to the fibers': homology stops the comparison
+    with a certificate instead of reporting it ok."""
+    inst = generate(3)
+    FM = make_fiber_model(inst)
+    for row, col in (((("w", "c", 0), ("w", "b", 0))),
+                     ((("w", "b", 0), ("w", "a", 0)))):
+        smat_set(FM.D, row, col, FM.D.get(row, {}).get(col, 0) + 1)
+    path = tmp_path / "bad.json"
+    save_instance(path, inst.S, inst.L, inst.A,
+                  {"fiber_model": FM.to_json()})
+    code, rep = run(capsys, "homology", "--instance", str(path))
+    assert code == 1
+    assert rep["checks"]["quasi_iso"] == "D does not square to zero"
+    assert rep["certificates"] == ["D does not square to zero"]
+    assert "omega_betti" not in rep["checks"]
+
+
+def test_betti_numbers_are_listed_by_ascending_degree(capsys):
+    """Every Betti table of ``homology`` lists its degrees in ascending
+    order, the fibers' included; so does the certificate of a fiber
+    whose Betti numbers differ from (Omega, D)."""
+    code, rep = run(capsys, "homology", "--seed", "0")
+    assert code == 0
+    tables = [rep["checks"]["cw_betti"], rep["checks"]["omega_betti"],
+              *rep["checks"]["fiber_betti"].values()]
+    assert list(rep["checks"]["fiber_betti"]["0"]) == ["0", "2", "3"]
+    for table in tables:
+        assert list(table) == sorted(table, key=int)
+    inst = generate(0)
+    FM = make_fiber_model(inst)
+    FM.omega_basis.append("x")
+    FM.omega_degree["x"] = 1
+    H = {v: fiber_homology(inst.A, v) for v in inst.S.vertices()}
+    problems = quasi_iso_ranks(inst.A, FM, H)["problems"]
+    assert problems[0] == (
+        "Betti numbers over (0,) differ from the fiber complex: "
+        "{0: 2, 2: 1, 3: 3} vs {0: 2, 1: 1, 2: 1, 3: 3}")
 
 
 def test_holonomy_and_quasi_iso_share_one_verdict(capsys, tmp_path):

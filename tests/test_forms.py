@@ -544,6 +544,31 @@ def test_forms_are_stored_canonically(drawn, c):
         assert hash(zero) == hash(PolyForm.zero(k))
 
 
+@settings(max_examples=80, deadline=None)
+@given(chart_terms(count=1), st.lists(COEFFS, min_size=3, max_size=3))
+def test_value_at_keeps_the_entry_rule(drawn, point):
+    """A 0-form's value is the Fraction sum of its terms at the point,
+    an int when it is integral."""
+    k, (a,) = drawn
+    f = PolyForm(k, {(e, ()): c for (e, _dxs), c in a.items()})
+    point = point[:k]
+    want = Q(0)
+    for (exps, _dxs), c in f.terms.items():
+        for x, e in zip(point, exps):
+            c *= x ** e
+        want += c
+    got = f.value_at(point)
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Q)
+
+
+def test_value_at_is_an_int_where_integral():
+    assert type(PolyForm.one(2).value_at((0, 0))) is int
+    f = PolyForm(2, {((1, 0), ()): Q(1, 2), ((0, 1), ()): Q(3, 2)})
+    assert f.value_at((1, 1)) == 2 and type(f.value_at((1, 1))) is int
+    assert f.value_at((Q(1, 3), 0)) == Q(1, 6)
+
+
 def test_terms_is_a_read_only_fraction_view():
     f = PolyForm(2, {((1, 0), (2,)): Q(1, 2), ((0, 0), ()): 3})
     assert dict(f.terms) == {((1, 0), (2,)): Q(1, 2), ((0, 0), ()): Q(3)}

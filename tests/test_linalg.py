@@ -17,14 +17,16 @@ from flatforms.instances import (
 )
 from flatforms import linalg
 from flatforms.linalg import (
+    CheckFailed,
+    Homology,
     kernel,
-    pivot_columns,
     qdiv,
     qentry,
     qreader,
     rank,
     smat_add,
     smat_entries,
+    smat_identity,
     smat_mul,
     smat_set,
     smat_transpose,
@@ -34,6 +36,12 @@ from flatforms.linalg import (
 )
 
 COLS = ["x", "y", "z"]
+
+
+def pivot_columns(a, cols):
+    """The columns of ``a`` not in the span of the columns before them:
+    the pivot columns of one elimination."""
+    return [cols[c] for c, _ in linalg._eliminate(a, cols)[0]]
 
 
 def keyed(rows, cols):
@@ -439,3 +447,118 @@ def test_files_are_read_as_ints_and_written_as_before(seed):
         FM.I = {s: _as_fractions(m) for s, m in FM.I.items()}
         FM.eta = {e: Q(t) for e, t in FM.eta.items()}
     assert _file_text(S, L, as_fractions, FM) == text
+
+
+# ---------------------------------------------------------------------------
+# homology of a graded complex
+# ---------------------------------------------------------------------------
+
+def graded_betti(d, degree):
+    """Reference: the Betti numbers from the rank of each degree block,
+    as ``flatsys`` computed them before ``Homology``."""
+    by_deg = {}
+    for g, q in degree.items():
+        by_deg.setdefault(q, []).append(g)
+    blocks = {}
+    for r, c, v in smat_entries(d):
+        q = degree.get(c)
+        if q is not None and degree.get(r) == q + 1:
+            blocks.setdefault(q, {}).setdefault(r, {})[c] = v
+    ranks = {q: rank(m, by_deg[q]) for q, m in blocks.items()}
+    return {q: len(gens) - ranks.get(q, 0) - ranks.get(q - 1, 0)
+            for q, gens in sorted(by_deg.items())}
+
+
+nonzero = entries.filter(bool)
+
+
+@st.composite
+def graded_complexes(draw, broken=False):
+    """A differential of degree +1 on up to 8 generators of degrees -1
+    to 2: a random pairing x -> c y, conjugated by elementary unipotent
+    gauges I + c e_ij within one degree.  Returns it with the degrees
+    and the Betti numbers of the pairing, the unpaired generators per
+    degree.  ``broken`` adds a chain x -> y -> z, so that d^2 x != 0."""
+    n = draw(st.integers(1, 8))
+    degree = {f"g{i}": draw(st.integers(-1, 2)) for i in range(n)}
+    d = {}
+    unpaired = list(degree)
+    for x in draw(st.permutations(list(degree))):
+        ys = [y for y in unpaired if degree[y] == degree[x] + 1]
+        if x in unpaired and ys and draw(st.booleans()):
+            y = draw(st.sampled_from(ys))
+            unpaired = [g for g in unpaired if g not in (x, y)]
+            smat_set(d, y, x, draw(nonzero))
+    betti = {q: sum(degree[g] == q for g in unpaired)
+             for q in sorted(set(degree.values()))}
+    if broken:
+        degree.update(x=0, y=1, z=2)
+        smat_set(d, "y", "x", 1)
+        smat_set(d, "z", "y", 1)
+    keys = list(degree)
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.sampled_from(keys)), draw(st.sampled_from(keys))
+        if i == j or degree[i] != degree[j]:
+            continue
+        c = draw(nonzero)
+        gauge = {g: {g: 1} for g in keys}
+        inverse = {g: {g: 1} for g in keys}
+        smat_set(gauge, i, j, c)
+        smat_set(inverse, i, j, -c)
+        d = smat_mul(smat_mul(gauge, d), inverse)
+    return d, degree, betti
+
+
+def _degree_of(vector, degree):
+    [q] = {degree[g] for g in vector}
+    return q
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_complexes())
+def test_homology_betti_matches_the_block_ranks(complex_):
+    d, degree, betti = complex_
+    h = Homology(d, degree, "d does not square to zero")
+    assert h.betti == betti == graded_betti(d, degree)
+    assert list(h.betti) == sorted(set(degree.values()))
+    # the transpose, a boundary acting on rows, with the degrees negated
+    dual = Homology(smat_transpose(d), {g: -q for g, q in degree.items()},
+                    "d does not square to zero")
+    assert dual.betti == {-q: b for q, b in reversed(h.betti.items())}
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_complexes(), st.lists(nonzero, min_size=8, max_size=8))
+def test_homology_reps_and_classes(complex_, coords):
+    d, degree, betti = complex_
+    h = Homology(d, degree, "d does not square to zero")
+    count = dict.fromkeys(betti, 0)
+    for z in h.reps:
+        assert z and smat_mul(d, _column(z)) == {}
+        count[_degree_of(z, degree)] += 1
+    assert count == betti
+    n = len(h.reps)
+    assert h.classes(dict(enumerate(h.reps))) == smat_identity(range(n))
+    # the columns of d are the boundaries
+    boundaries = smat_transpose(d)
+    assert h.classes(boundaries) == {}
+    # a sum of reps and boundaries is its class, with the boundaries gone
+    y = {}
+    for c, z in zip(coords, h.reps):
+        y = smat_add(y, {0: {g: c * v for g, v in z.items()}})
+    for b in boundaries.values():
+        y = smat_add(y, {0: b})
+    assert h.classes(y) == ({0: dict(enumerate(coords[:n]))} if n else {})
+    # a generator that d does not kill is no cycle
+    for g in degree:
+        if smat_mul(d, {g: {0: 1}}):
+            assert h.classes({0: {g: 1}}) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_complexes(broken=True))
+def test_homology_refuses_a_non_differential(complex_):
+    d, degree, _ = complex_
+    with pytest.raises(CheckFailed,
+                       match=r"^d does not square to zero at \S"):
+        Homology(d, degree, "d does not square to zero at {}")
