@@ -341,11 +341,11 @@ def cmd_homology(args):
     if sysp := forbidden_blocks(inst.A):
         return checks.record("system", sysp)
     try:
-        bdry = cw_boundary(inst.A)
-        checks["cw_betti"] = cw_homology(bdry)
+        boundary, degrees = cw_boundary(inst.A)
+        checks["cw_betti"] = cw_homology(boundary, degrees)
     except CheckFailed as ex:
         return checks.stop("cw_betti", ex)
-    checks["generators"] = len(bdry.degrees)
+    checks["generators"] = len(degrees)
     H = {v: fiber_homology(inst.A, v) for v in inst.A.S.vertices()}
     checks["fiber_betti"] = {skey(v): {q: b for q, b in h.betti.items() if b}
                              for v, h in H.items()}

@@ -13,7 +13,10 @@ constant maps I(sigma).  Flatness and the comparison relation are one
 sum with a different right factor, written once in ``relation``; this
 module holds every such identity over Q, and :mod:`flatforms.mixed`
 only lifts the data to forms.  The cellular complex, each fiber
-(V, a(v)) and (Omega, D) take their homology from ``linalg.Homology``.
+(V, a(v)) and (Omega, D) take their homology from ``linalg.Homology``,
+which takes each differential as given and refuses one with an entry
+not of degree +1.  The holonomy walk builds the map that each edge
+transport induces on homology once, for every triangle on the edge.
 
 Matrices act on column vectors: the block (alpha, beta) carries the
 component from the beta summand into the alpha summand.  The cellular
@@ -215,26 +218,10 @@ def validate_system(A: CoefficientSystem) -> list[str]:
 # cellular boundary operator
 # ---------------------------------------------------------------------------
 
-class CWBoundary:
-    """Boundary operator on generators (sigma, basis element).
-
-    The matrix is stored as {generator: {generator: coeff}} with the
-    convention that row entries of the coefficient matrices multiply on
-    the right (transpose action).  ``degrees`` lists the generators in
-    order with their degree, leaf index plus cell dimension; the
-    operator lowers it by one.
-    """
-
-    def __init__(self, matrix: dict, degrees: dict):
-        self.matrix = matrix
-        self.degrees = degrees
-
-    def is_differential(self) -> bool:
-        return not smat_mul(self.matrix, self.matrix)
-
-
-def cw_boundary(A: CoefficientSystem) -> CWBoundary:
-    """Cellular boundary of the system.
+def cw_boundary(A: CoefficientSystem) -> tuple[SMat, dict]:
+    """Cellular boundary of the system on generators (sigma, basis
+    element), and the generators in order with their degree, leaf index
+    plus cell dimension; the boundary lowers it by one.
 
     On a generator (sigma, e) with sigma of dimension k:
 
@@ -242,7 +229,8 @@ def cw_boundary(A: CoefficientSystem) -> CWBoundary:
                     + sum_j (-1)^(k(j-1)) (sigma_{j..k}, e * a(sigma_{0..j}))
 
     where e * a pairs the generator with the rows of the coefficient
-    matrix.
+    matrix: row (sigma, e) of the SMat holds d(sigma, e), the transpose
+    action.
     """
     degrees = {(sigma, b): A.L.deg[b] + dim(sigma)
                for sigma in A.S for b in A.L.basis}
@@ -272,14 +260,13 @@ def cw_boundary(A: CoefficientSystem) -> CWBoundary:
                         del acc[g]
             if acc:
                 matrix[(sigma, b)] = acc
-    return CWBoundary(matrix=matrix, degrees=degrees)
+    return matrix, degrees
 
 
-def cw_homology(bd: CWBoundary) -> dict[int, int]:
+def cw_homology(matrix: SMat, degrees: dict) -> dict[int, int]:
     """The nonzero Betti numbers of the cellular complex with boundary
-    ``bd`` (see ``cw_boundary``), graded by generator degree."""
-    h = Homology(bd.matrix, bd.degrees,
-                 "boundary does not square to zero, e.g. on generator {}")
+    ``matrix`` on generators of ``degrees`` (see ``cw_boundary``)."""
+    h = Homology(matrix, degrees, "boundary {}, e.g. on generator {}")
     return {q: b for q, b in h.betti.items() if b}
 
 
@@ -370,21 +357,11 @@ def _solve_one(A: CoefficientSystem, sigma: Simplex):
 # higher homotopy export
 # ---------------------------------------------------------------------------
 
-class IgusaSystem:
-    """Tuple-indexed operators on a fixed top simplex.
-
-    ``e[(v_0, ..., v_k)]`` is defined for strictly increasing vertex
-    position tuples; non-increasing tuples are zero by convention.
-    """
-
-    def __init__(self, sigma: Simplex, e: dict[tuple, SMat]):
-        self.sigma = sigma
-        self.e = e
-
-
-def igusa_export(A: CoefficientSystem, sigma: Simplex) -> IgusaSystem:
+def igusa_export(A: CoefficientSystem, sigma: Simplex) -> dict[tuple, SMat]:
     """Reindex the coefficients on the faces of ``sigma`` with the
-    staircase sign (-1)^(k(k-1)/2)."""
+    staircase sign (-1)^(k(k-1)/2), by strictly increasing tuple of
+    vertex positions (v_0, ..., v_k), shortest first; any other tuple
+    is zero by convention."""
     sigma = A.S.require(sigma)
     n = dim(sigma)
     e: dict[tuple, SMat] = {}
@@ -393,11 +370,12 @@ def igusa_export(A: CoefficientSystem, sigma: Simplex) -> IgusaSystem:
             k = size - 1
             f = face(sigma, tup)
             e[tup] = smat_add({}, A.a(f), parity_sign(k * (k - 1) // 2))
-    return IgusaSystem(sigma=sigma, e=e)
+    return e
 
 
-def igusa_check(ig: IgusaSystem) -> list[tuple]:
-    """All defining relations of the reindexed system; returns violators.
+def igusa_check(e: dict[tuple, SMat]) -> list[tuple]:
+    """All defining relations of the reindexed system ``e`` (see
+    ``igusa_export``); returns the violators in the order of ``e``.
 
     For every increasing tuple (v_0..v_k) the signed sum
 
@@ -405,21 +383,16 @@ def igusa_check(ig: IgusaSystem) -> list[tuple]:
 
     must vanish (tuples of length < 1 contribute zero).
     """
-    n = dim(ig.sigma)
     bad = []
-    for size in range(1, n + 2):
-        for tup in combinations(range(n + 1), size):
-            k = size - 1
-            total = {}
-            for j in range(k + 1):
-                left = ig.e[tup[: j + 1]]
-                right = ig.e[tup[j:]]
-                total = smat_add(total, smat_mul(left, right), parity_sign(j))
-                omitted = tup[:j] + tup[j + 1:]
-                if len(omitted) >= 1:
-                    total = smat_add(total, ig.e[omitted], -parity_sign(j))
-            if not smat_is_zero(total):
-                bad.append(tup)
+    for tup in e:
+        total = {}
+        for j in range(len(tup)):
+            total = smat_add(total, smat_mul(e[tup[: j + 1]], e[tup[j:]]),
+                             parity_sign(j))
+            if omitted := tup[:j] + tup[j + 1:]:
+                total = smat_add(total, e[omitted], -parity_sign(j))
+        if not smat_is_zero(total):
+            bad.append(tup)
     return bad
 
 
@@ -440,7 +413,7 @@ def fiber_homology(A: CoefficientSystem, vertex: Simplex) -> Homology:
     """The homology of the fiber complex (V, a(v)) over the vertex
     simplex (v,), exact over Q."""
     return Homology(A.a(vertex), A.L.deg,
-                    f"vertex differential at {vertex} does not square to zero")
+                    f"vertex differential at {vertex} {{}}")
 
 
 def induced_on_homology(T: SMat, src: Homology, tgt: Homology
@@ -455,53 +428,43 @@ def induced_on_homology(T: SMat, src: Homology, tgt: Homology
     return None if classes is None else smat_transpose(classes)
 
 
-def holonomy_problem(A: CoefficientSystem, triangle: Simplex,
-                     H: dict) -> Optional[str]:
-    """The certificate of a triangle whose holonomy on homology, the
-    composite of the three induced edge transports around it, is not
-    the identity on the homology of its last fiber; None when it is.
-
-    ``H`` maps each vertex simplex (v,) of the triangle to its
-    ``fiber_homology``.
-
-    With the transport along the long edge an isomorphism on homology,
-    the holonomy M02^-1 M01 M12 is the identity exactly when
-    M01 M12 = M02.  A flat system passes.  A transport that induces no
-    map on homology, or a long edge whose map is not invertible, gives
-    a certificate naming the triangle and the edge.
-    """
-    tri = A.S.require(triangle)
-    if dim(tri) != 2:
-        raise ValueError(f"{tri} is not a triangle")
-    v0, v1, v2 = tri
-    M = {}
-    for e in ((v1, v2), (v0, v1), (v0, v2)):
-        M[e] = induced_on_homology(edge_transport(A, e),
-                                   H[(e[1],)], H[(e[0],)])
-        if M[e] is None:
-            return (f"holonomy around {tri}: transport along {e}: image of "
-                    f"a cycle is not a cycle mod boundaries")
-    n = len(H[(v2,)].reps)
-    if len(H[(v0,)].reps) != n or rank(M[v0, v2], range(n)) != n:
-        return (f"holonomy around {tri}: transport along {(v0, v2)} is not "
-                f"invertible on homology")
-    if smat_mul(M[v0, v1], M[v1, v2]) != M[v0, v2]:
-        return f"holonomy around {tri} is not the identity"
-    return None
-
-
 def holonomy_verdicts(A: CoefficientSystem, H: dict, problems: list[str]
                       ) -> dict[Simplex, bool]:
-    """Per triangle of the base, whether ``holonomy_problem`` finds none.
+    """Per triangle of the base, whether its holonomy on homology, the
+    composite of the three induced edge transports around it, is the
+    identity on the homology of its last fiber.
 
-    ``H`` maps every corner of a triangle to its ``fiber_homology``.  A
-    failed triangle appends its certificate to ``problems`` before the
-    next triangle is tried, so a ``CheckFailed`` raised later (an edge
-    without its coefficient) leaves the earlier certificates in place.
+    ``H`` maps every corner of a triangle to its ``fiber_homology``.
+    Each edge's induced map is built once, when a triangle first needs
+    it.  With the transport along the long edge an isomorphism on
+    homology, the holonomy M02^-1 M01 M12 is the identity exactly when
+    M01 M12 = M02.  A flat system passes.  A transport that induces no
+    map on homology, or a long edge whose map is not invertible, gives
+    a certificate naming the triangle and the edge.  A failed triangle
+    appends its certificate to ``problems`` before the next triangle is
+    tried, so a ``CheckFailed`` raised later (an edge without its
+    coefficient) leaves the earlier certificates in place.
     """
+    M: dict[Simplex, Optional[SMat]] = {}
     verdicts = {}
     for tri in A.S.of_dim(2):
-        problem = holonomy_problem(A, tri, H)
+        v0, v1, v2 = tri
+        problem = None
+        for e in ((v1, v2), (v0, v1), (v0, v2)):
+            if e not in M:
+                M[e] = induced_on_homology(edge_transport(A, e),
+                                           H[e[1:]], H[e[:1]])
+            if M[e] is None:
+                problem = (f"holonomy around {tri}: transport along {e}: "
+                           f"image of a cycle is not a cycle mod boundaries")
+                break
+        else:
+            n = len(H[(v2,)].reps)
+            if len(H[(v0,)].reps) != n or rank(M[v0, v2], range(n)) != n:
+                problem = (f"holonomy around {tri}: transport along "
+                           f"{(v0, v2)} is not invertible on homology")
+            elif smat_mul(M[v0, v1], M[v1, v2]) != M[v0, v2]:
+                problem = f"holonomy around {tri} is not the identity"
         if problem is not None:
             problems.append(problem)
         verdicts[tri] = problem is None
@@ -642,7 +605,7 @@ def _comparison_defect(A: CoefficientSystem, FM: FiberModel,
 def omega_betti(FM: FiberModel) -> dict[int, int]:
     """Betti numbers of (Omega, D), exact over Q, in every degree of
     Omega."""
-    return Homology(FM.D, FM.omega_degree, "D does not square to zero").betti
+    return Homology(FM.D, FM.omega_degree, "D {}").betti
 
 
 def quasi_iso_ranks(A: CoefficientSystem, FM: FiberModel, H: dict) -> dict:

@@ -56,7 +56,9 @@ them to one vector.
 elimination of its differential: the Betti numbers, cycles and
 boundaries, and on first use representatives and the class of a cycle
 over them.  It serves the cellular complex, each fiber (V, a(v)) and
-(Omega, D), and refuses a differential that does not square to zero.
+(Omega, D), and takes the differential as given, refusing an entry
+that is not of degree +1 and a differential that does not square to
+zero.
 
 ``CheckFailed`` is the package's one failure class: a face without its
 datum, a boundary that does not square to zero, or a flat extension or
@@ -407,11 +409,13 @@ def solver(a: SMat, cols: Sequence) -> Callable[[SVec], Optional[SVec]]:
 
 
 class Homology:
-    """The homology over Q of the part of ``d`` that raises ``degree``
-    (basis key to degree, in basis order) by one, acting on columns.  A
-    boundary acting on rows is its transpose, with the same Betti
-    numbers.  A part that does not square to zero raises
-    ``CheckFailed``: ``refusal`` formatted with a row key of the square.
+    """The homology over Q of the differential ``d``, acting on columns,
+    which raises ``degree`` (basis key to degree, in basis order) by
+    one.  A boundary acting on rows is its transpose, with the same
+    Betti numbers.  ``d`` is taken as given: an entry that is not of
+    degree +1, or a ``d`` that does not square to zero, raises
+    ``CheckFailed`` with ``refusal`` formatted with what fails and a row
+    key where it fails.
 
     One elimination gives ``betti``, for every degree present in
     ascending order, and the cycles and boundaries.  The ``reps``, the
@@ -420,27 +424,29 @@ class Homology:
     """
 
     def __init__(self, d: SMat, degree: dict, refusal: str):
-        one = {r: {c: v for c, v in row.items() if degree.get(c) == degree[r] - 1}
-               for r, row in d.items() if r in degree}
-        one = {r: row for r, row in one.items() if row}
-        if square := smat_mul(one, one):
-            raise CheckFailed(refusal.format(next(iter(square))))
+        for r, c, _v in smat_entries(d):
+            if r not in degree or degree.get(c) != degree[r] - 1:
+                raise CheckFailed(refusal.format(
+                    f"entry {r}<-{c} is not of degree +1", r))
+        if square := smat_mul(d, d):
+            raise CheckFailed(refusal.format("does not square to zero",
+                                             next(iter(square))))
         basis = list(degree)
-        pivots, _ = _eliminate(one, basis)
+        pivots, _ = _eliminate(d, basis)
         qs = list(degree.values())
         ranks = [degree[basis[c]] for c, _ in pivots]
         self.betti = {q: qs.count(q) - ranks.count(q) - ranks.count(q - 1)
                       for q in sorted(set(qs))}
-        self._complex = one, basis, pivots
+        self._complex = d, basis, pivots
 
     @cached_property
     def _classes(self) -> tuple[list, SMat, SMat]:
         """The ``solution_operator`` (S, C) of [boundaries | cycles]; the
         reps are the cycles at its pivot columns, each a column of S, and
         P is S at those columns, by index in ``reps``."""
-        one, basis, pivots = self._complex
+        d, basis, pivots = self._complex
         # the boundaries are the pivot columns, the cycles as in kernel
-        columns = smat_transpose(one)
+        columns = smat_transpose(d)
         span = {("b", j): columns[basis[c]] for j, (c, _) in enumerate(pivots)}
         cycles = _kernel_vectors(pivots, basis)
         span.update({("z", i): z for i, z in enumerate(cycles)})

@@ -709,6 +709,27 @@ def test_homology_refuses_a_fiber_model_whose_D_does_not_square(
     assert "omega_betti" not in rep["checks"]
 
 
+def test_homology_refuses_a_D_entry_off_degree(capsys, tmp_path):
+    """An entry of D between two elements of degree 1 is not of degree
+    +1: homology refuses it by name, as validate does, instead of
+    computing the Betti numbers of D with the entry left out."""
+    inst = generate(3)
+    FM = make_fiber_model(inst)
+    smat_set(FM.D, ("w", "a", 0), ("w", "e", 0), 5)
+    path = tmp_path / "bad.json"
+    save_instance(path, inst.S, inst.L, inst.A,
+                  {"fiber_model": FM.to_json()})
+    witness = "D entry ('w', 'a', 0)<-('w', 'e', 0) is not of degree +1"
+    code, rep = run(capsys, "homology", "--instance", str(path))
+    assert code == 1
+    assert rep["checks"]["quasi_iso"] == witness
+    assert rep["certificates"] == [witness]
+    assert "omega_betti" not in rep["checks"]
+    code, rep = run(capsys, "validate", "--instance", str(path))
+    assert code == 1
+    assert witness in rep["certificates"]
+
+
 def test_betti_numbers_are_listed_by_ascending_degree(capsys):
     """Every Betti table of ``homology`` lists its degrees in ascending
     order, the fibers' included; so does the certificate of a fiber

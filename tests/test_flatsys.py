@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 
+from flatforms import flatsys
 from flatforms.flatsys import (
     CoefficientSystem,
     cw_boundary,
@@ -11,7 +13,7 @@ from flatforms.flatsys import (
     extend_system,
     fiber_homology,
     flatness_residual,
-    holonomy_problem,
+    holonomy_verdicts,
     igusa_check,
     igusa_export,
     induced_on_homology,
@@ -152,10 +154,10 @@ def test_cw_boundary_signs_on_edge():
     # the designed generator instead
     inst = generate(17, enrich=False)
     A = inst.A
-    bd = cw_boundary(A)
+    boundary, _ = cw_boundary(A)
     e = inst.S.of_dim(1)[0]
     b = A.L.basis[0]
-    img = bd.matrix.get((e, b), {})
+    img = boundary.get((e, b), {})
     v0, v1 = (e[0],), (e[1],)
     # facet part: +(v1, b) - (v0, b)
     facet_part = img.get((v1, b), Q(0)) - img.get((v0, b), Q(0))
@@ -170,8 +172,8 @@ def test_cw_squares_to_zero_iff_flat():
     rng = random.Random(99)
     for seed in range(8):
         inst = generate(seed)
-        bd = cw_boundary(inst.A)
-        assert bd.is_differential()
+        d, _ = cw_boundary(inst.A)
+        assert smat_mul(d, d) == {}
         corrupted = None
         for _ in range(40):
             got = corrupt_random_entry(rng, inst.A)
@@ -182,10 +184,11 @@ def test_cw_squares_to_zero_iff_flat():
                 corrupted = cand
                 break
         if corrupted is not None:
-            assert not cw_boundary(corrupted).is_differential()
+            d, degrees = cw_boundary(corrupted)
+            assert smat_mul(d, d) != {}
             with pytest.raises(CheckFailed, match="^boundary does not "
                                "square to zero, e.g. on generator "):
-                cw_homology(cw_boundary(corrupted))
+                cw_homology(d, degrees)
 
 
 def test_cw_homology_gauge_invariant():
@@ -199,7 +202,8 @@ def test_cw_homology_gauge_invariant():
         for s in inst.S.of_dim(k):
             flat0.set(s, {})
     assert all(smat_is_zero(flatness_residual(flat0, s)) for s in flat0.S)
-    assert cw_homology(cw_boundary(inst.A)) == cw_homology(cw_boundary(flat0))
+    assert (cw_homology(*cw_boundary(inst.A))
+            == cw_homology(*cw_boundary(flat0)))
 
 
 def test_igusa_export_passes_on_flat_and_detects_corruption():
@@ -231,10 +235,10 @@ def test_igusa_staircase_sign():
     ig = igusa_export(inst.A, top)
     n = len(top) - 1
     # singletons carry + sign, pairs carry +, triples carry -(k=2: k(k-1)/2 = 1)
-    assert smat_is_zero(smat_add(ig.e[(0,)], inst.A.a(top[:1]), -1))
+    assert smat_is_zero(smat_add(ig[(0,)], inst.A.a(top[:1]), -1))
     if n >= 2:
         tri = tuple(range(3))
-        assert smat_is_zero(smat_add(ig.e[tri], inst.A.a(top[:3])))
+        assert smat_is_zero(smat_add(ig[tri], inst.A.a(top[:3])))
 
 
 def test_edge_transport_and_holonomy_identity():
@@ -243,9 +247,12 @@ def test_edge_transport_and_holonomy_identity():
         tris = inst.S.of_dim(2)
         if not tris:
             continue
+        H = {v: fiber_homology(inst.A, v) for v in inst.S.vertices()}
+        problems = []
+        assert holonomy_verdicts(inst.A, H, problems) == dict.fromkeys(
+            tris, True)
+        assert problems == []
         for tri in tris[:2]:
-            H = {(v,): fiber_homology(inst.A, (v,)) for v in tri}
-            assert holonomy_problem(inst.A, tri, H) is None
             # the holonomy X = M02^-1 M01 M12, solved from M02 X = M01 M12
             v0, v1, v2 = tri
             M = {e: induced_on_homology(edge_transport(inst.A, e),
@@ -256,6 +263,30 @@ def test_edge_transport_and_holonomy_identity():
             sols = solve(M[v0, v2], range(n), [rhs.get(j, {}) for j in range(n)])
             hol = smat_transpose(dict(enumerate(sols)))
             assert hol == smat_identity(range(n))
+
+
+def test_holonomy_builds_each_edge_map_once(monkeypatch):
+    """Over generate(0..39) the triangles ask 396 times for the induced
+    maps of their 243 distinct edges; each is built once."""
+    calls = []
+
+    def counted(T, src, tgt):
+        calls.append(1)
+        return induced_on_homology(T, src, tgt)
+
+    monkeypatch.setattr(flatsys, "induced_on_homology", counted)
+    edges = uses = 0
+    for n in range(40):
+        A = generate(n).A
+        tris = A.S.of_dim(2)
+        H = {v: fiber_homology(A, v) for v in A.S.vertices()}
+        before = len(calls)
+        assert all(holonomy_verdicts(A, H, []).values())
+        assert len(calls) - before == len(
+            {e for tri in tris for e in combinations(tri, 2)})
+        edges += len(calls) - before
+        uses += 3 * len(tris)
+    assert (edges, uses) == (243, 396)
 
 
 def test_transport_is_chain_map():

@@ -329,7 +329,7 @@ def _names(tree, skip=None):
 TEST_API = {
     "phibar", "partition_linear", "vertex_linearization", "lyapunov_rate",
     "face_restriction_check", "poincare_contract",
-    "designed_instance", "corrupt_random_entry", "CWBoundary.is_differential",
+    "designed_instance", "corrupt_random_entry",
 }
 
 

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flatforms.cli import load_instance, save_instance
@@ -518,12 +518,12 @@ def _degree_of(vector, degree):
 @given(graded_complexes())
 def test_homology_betti_matches_the_block_ranks(complex_):
     d, degree, betti = complex_
-    h = Homology(d, degree, "d does not square to zero")
+    h = Homology(d, degree, "d {}")
     assert h.betti == betti == graded_betti(d, degree)
     assert list(h.betti) == sorted(set(degree.values()))
     # the transpose, a boundary acting on rows, with the degrees negated
     dual = Homology(smat_transpose(d), {g: -q for g, q in degree.items()},
-                    "d does not square to zero")
+                    "d {}")
     assert dual.betti == {-q: b for q, b in reversed(h.betti.items())}
 
 
@@ -531,7 +531,7 @@ def test_homology_betti_matches_the_block_ranks(complex_):
 @given(graded_complexes(), st.lists(nonzero, min_size=8, max_size=8))
 def test_homology_reps_and_classes(complex_, coords):
     d, degree, betti = complex_
-    h = Homology(d, degree, "d does not square to zero")
+    h = Homology(d, degree, "d {}")
     count = dict.fromkeys(betti, 0)
     for z in h.reps:
         assert z and smat_mul(d, _column(z)) == {}
@@ -561,4 +561,22 @@ def test_homology_refuses_a_non_differential(complex_):
     d, degree, _ = complex_
     with pytest.raises(CheckFailed,
                        match=r"^d does not square to zero at \S"):
-        Homology(d, degree, "d does not square to zero at {}")
+        Homology(d, degree, "d {} at {}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_complexes(), st.data())
+def test_homology_refuses_an_entry_off_degree(complex_, data):
+    """d is taken as given: an entry that does not raise the degree by
+    exactly one is refused by name, even where d still squares to zero."""
+    d, degree, _ = complex_
+    keys = list(degree) + ["elsewhere"]
+    r = data.draw(st.sampled_from(list(degree)))
+    c = data.draw(st.sampled_from(keys))
+    assume(degree.get(c) != degree[r] - 1)
+    bad = {row: dict(entries) for row, entries in d.items()}
+    smat_set(bad, r, c, 1)
+    with pytest.raises(CheckFailed) as refusal:
+        Homology(bad, degree, "d {} at {}")
+    assert str(refusal.value) == (
+        f"d entry {r}<-{c} is not of degree +1 at {r}")
