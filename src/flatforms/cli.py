@@ -23,8 +23,13 @@ imports ``mixed`` and ``smoothing``, and a file with a ``partition``
 section loads ``smoothing`` to parse it (and ``validate`` to check it),
 whatever the command.  Every command is exact algebra over Q, ``flow``
 included: ``wkflow`` solves the simplex flow in closed form on int
-weights over one denominator, and ``cmd_flow`` turns a point into
-Fractions only to read ``--start`` and to print coordinates.
+weights over one denominator, ``cmd_flow`` builds Fractions only to
+read ``--start``, and ``point_text`` prints each coordinate by a gcd.
+
+Every report and every instance file is written by ``json_text``,
+which gives exactly the text of ``json.dumps(value, indent=indent)``
+without json's pure-Python indented encoder: one join per container,
+each scalar written inline.
 """
 
 from __future__ import annotations
@@ -82,6 +87,80 @@ FILE_KEYS = ("version", "complex", "leaves", "heights", "epsilon",
 
 class ParseError(Exception):
     pass
+
+
+# ---------------------------------------------------------------------------
+# JSON text
+# ---------------------------------------------------------------------------
+
+
+def _float_text(x: float) -> str:
+    """A float as json writes it, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# the text of each scalar type, as json writes it
+_SCALAR_TEXT = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    float: _float_text,
+    type(None): lambda _: "null",
+}
+
+
+def json_text(value, indent: int) -> str:
+    """The text of ``json.dumps(value, indent=indent)``.  Any indent
+    sends json down its pure-Python encoder, a generator per container;
+    here each container is one join and each scalar child is written in
+    place."""
+    return _json_text(value, " " * indent, "\n")
+
+
+def _json_text(value, pad: str, newline: str) -> str:
+    """``value`` with its closing bracket on ``newline`` and its
+    children one ``pad`` further in."""
+    scalar = _SCALAR_TEXT.get
+    if (write := scalar(type(value))) is not None:
+        return write(value)
+    inner = newline + pad
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        encode = _SCALAR_TEXT[str]
+        items = [encode(key if type(key) is str else _json_key(key)) + ": "
+                 + (write(item) if (write := scalar(type(item)))
+                    else _json_text(item, pad, inner))
+                 for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [write(item) if (write := scalar(type(item)))
+                 else _json_text(item, pad, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    # subclasses of the scalar types, which json writes as their base
+    for base in (str, int, float):
+        if isinstance(value, base):
+            return _SCALAR_TEXT[base](value)
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    f"is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A dict key that is not a str, as json converts it."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _json_text(key, "", "")
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +236,7 @@ def save_instance(path, S, L, A, extra: dict | None = None):
     data = instance_to_json(S, L, A)
     data["version"] = FILE_VERSION
     data.update(extra or {})
-    Path(path).write_text(json.dumps(data, indent=1) + "\n")
+    Path(path).write_text(json_text(data, 1) + "\n")
 
 
 class Checks(dict):
@@ -360,9 +439,14 @@ def cmd_homology(args):
 
 
 def point_text(point) -> list[str]:
-    """The coordinates of the point (w, n) as "p/q" strings."""
+    """The coordinates of the point (w, n) as "p" or "p/q" strings in
+    lowest terms, the text of ``str(Fraction(c, n))``."""
     w, n = point
-    return [str(Q(c, n)) for c in w]
+    out = []
+    for c in w:
+        g = math.gcd(c, n)
+        out.append(f"{c // g}" if g == n else f"{c // g}/{n // g}")
+    return out
 
 
 def cmd_flow(args):
@@ -413,21 +497,21 @@ def cmd_flow(args):
                "limit": point_text(limit), "limit_vertex": m,
                "height_monotone": height_monotone(k, path, backward)}
         runs.append(out)
-        why = f"start {out['start']}: "
+        found = []
         if m is None:
-            certs.append(f"{why}limit {out['limit']} is not a vertex")
+            found.append(f"limit {out['limit']} is not a vertex")
         elif m != expected:
-            certs.append(f"{why}limit vertex {m}, expected {expected}")
+            found.append(f"limit vertex {m}, expected {expected}")
         if not out["height_monotone"]:
-            certs.append(why + "height not monotone")
-        for j, x in enumerate(path):
-            if not is_barycentric(x):
-                certs.append(f"{why}point {j} is not barycentric")
+            found.append("height not monotone")
+        found += [f"point {j} is not barycentric"
+                  for j, x in enumerate(path) if not is_barycentric(x)]
         # the law holds at every vertex, so the limit needs no check
-        for j, x in enumerate(points):
-            if not logistic_law(k, x):
-                certs.append(f"{why}point {j}: the field's prefix sums "
-                             f"are not P^2 - P")
+        found += [f"point {j}: the field's prefix sums are not P^2 - P"
+                  for j, x in enumerate(points) if not logistic_law(k, x)]
+        if found:
+            why = f"start {out['start']}: "
+            certs += [why + problem for problem in found]
     if args.sweep:
         checks["runs"] = runs
     else:
@@ -504,7 +588,7 @@ def main(argv=None) -> int:
                   "certificates": certs,
                   "checks": checks,
                   "timings": {"total": time.perf_counter() - t0}}
-        text = json.dumps(report, indent=2)
+        text = json_text(report, 2)
         if args.report:
             Path(args.report).write_text(text + "\n")
     except ParseError as ex:

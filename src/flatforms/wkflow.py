@@ -30,8 +30,8 @@ A point is a pair ``(w, n)``: k + 1 int weights ``w`` over one positive
 int denominator ``n``, so that x_m = w_m / n.  Every function here works
 on that pair in int arithmetic, and nothing in this module builds a
 Fraction or rounds: Fractions appear only where the command line reads
-a point from text or writes one.  With the prefix sums S_m of ``w`` and
-s = a / b, ``flow`` moves S_m / n forward to S a / (S a + (n - S) b) and
+a point from text.  With the prefix sums S_m of ``w`` and s = a / b,
+``flow`` moves S_m / n forward to S a / (S a + (n - S) b) and
 backward to S b / (S b + (n - S) a), and puts the point over the lcm of
 those denominators, which is n itself at s = 0.  The checks are int
 identities: the field is homogeneous of degree 2, so ``logistic_law``

@@ -17,7 +17,9 @@ call aside), the term layout of a
 polynomial form stays inside ``forms``, a module-level cache is keyed on
 ints and tuples only, no float is rounded to a rational with
 ``limit_denominator``, no module applies ``/`` (an exact quotient goes
-through ``qdiv``), ``wkflow`` imports no Fraction type, and an exception class
+through ``qdiv``), ``wkflow`` imports no Fraction type, no module asks
+``json`` for indented text (its indented path is its pure-Python
+encoder; ``cli.json_text`` writes that text), and an exception class
 exists only where an ``except`` tells it apart.  The command line maps
 only input faults to exit 2.  The
 layers import one way: the data and identities over Q (``flatsys``)
@@ -180,8 +182,7 @@ def test_fraction_imports_sees_every_kind():
 def test_wkflow_imports_no_fraction():
     """A point of the simplex flow is int weights over one denominator:
     ``wkflow`` imports neither ``fractions`` nor ``linalg``'s ``Q``, and
-    Fractions appear only where ``cli`` reads or writes a point as
-    text."""
+    Fractions appear only where ``cli`` reads a point from text."""
     assert sorted(_fraction_imports(_tree(SRC / "wkflow.py"))) == []
 
 
@@ -194,6 +195,38 @@ def test_no_true_division_of_entries(module):
                    if isinstance(node, (ast.BinOp, ast.AugAssign))
                    and isinstance(node.op, ast.Div))
     assert lines == []
+
+
+def _indented_json_calls(tree):
+    """Lines that call ``json.dump`` or ``json.dumps`` with an
+    ``indent`` keyword (their only way to take one) or with ``**``
+    keywords, which may hold it."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"
+                and node.func.attr in ("dump", "dumps")
+                and any(kw.arg in ("indent", None) for kw in node.keywords)):
+            yield node.lineno
+
+
+def test_indented_json_calls_sees_every_kind():
+    lines = ["json.dumps(r, indent=2)", "json.dump(r, f, indent=1)",
+             "json.dumps(r, **options)", "json.dumps(r)", "json.dump(r, f)",
+             "json.dumps(r, sort_keys=True)", "text(r, indent=2)",
+             "json.loads(s, **options)"]
+    assert set(_indented_json_calls(ast.parse("\n".join(lines)))) == \
+        {1, 2, 3}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_indented_json_calls(path):
+    """No module asks ``json`` for indented text: any ``indent`` sends
+    json down its pure-Python encoder, several times slower than its C
+    one.  Every report and instance file goes through ``cli.json_text``,
+    which writes the same bytes."""
+    assert sorted(_indented_json_calls(_tree(path))) == []
 
 
 def _imported_modules(node):
