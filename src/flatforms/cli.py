@@ -264,12 +264,19 @@ class Checks(dict):
 # ---------------------------------------------------------------------------
 
 
+def leaf_problems(A) -> list[str]:
+    """The ``leaves`` check of ``validate``: the leaf system's structure
+    and fineness, and a strict partial order over every simplex.  The
+    commands that build on the system stop under it when it fails."""
+    S, L = A.S, A.L
+    return validate_leaf_system(L, S) + check_partial_order(
+        L, leaf_orders(L, S))
+
+
 def cmd_validate(args):
     inst = load_instance(args)
     checks = Checks()
-    S, L = inst.A.S, inst.A.L
-    checks.record("leaves", validate_leaf_system(L, S)
-                  + check_partial_order(L, leaf_orders(L, S)))
+    checks.record("leaves", leaf_problems(inst.A))
     checks.record("system", validate_system(inst.A))
     if inst.FM is not None:
         if checks["system"] == "ok":
@@ -290,6 +297,8 @@ def cmd_extend(args):
         raise ParseError("extend needs --instance FILE to write back to")
     inst = load_instance(args)
     checks = Checks()
+    if leafp := leaf_problems(inst.A):
+        return checks.record("leaves", leafp)
     try:
         full = extend_system(inst.A)
     except CheckFailed as ex:
@@ -310,6 +319,8 @@ def cmd_build_aprime(args):
 
     inst = load_instance(args)
     checks = Checks()
+    if leafp := leaf_problems(inst.A):
+        return checks.record("leaves", leafp)
     if sysp := validate_system(inst.A):
         return checks.record("system", sysp)
     try:
@@ -327,6 +338,8 @@ def cmd_build_iprime(args):
     if inst.FM is None:
         raise ParseError(f"no fiber model: {inst.no_model}")
     checks = Checks()
+    if leafp := leaf_problems(inst.A):
+        return checks.record("leaves", leafp)
     if sysp := validate_system(inst.A):
         return checks.record("system", sysp)
     try:
@@ -357,6 +370,8 @@ def cmd_smooth(args):
     inst = load_instance(args)
     checks = Checks()
     A, FM = inst.A, inst.FM
+    if leafp := leaf_problems(A):
+        return checks.record("leaves", leafp)
     if sysp := validate_system(A):
         return checks.record("system", sysp)
     checks["partition"] = "from file" if inst.P is not None else "default"

@@ -34,6 +34,8 @@ from .linalg import (
     CheckFailed,
     Homology,
     SMat,
+    apply_operator,
+    differential_faults,
     qint,
     qkeys,
     rank,
@@ -44,7 +46,7 @@ from .linalg import (
     smat_mul,
     smat_set,
     smat_transpose,
-    solve,
+    solution_operator,
 )
 from .morse import (
     LeafSystem,
@@ -343,7 +345,7 @@ def _solve_one(A: CoefficientSystem, sigma: Simplex):
     K = flatness_residual(A, sigma)
     unknowns, rows = flatness_equation(A, sigma)
     rhs = {(r, c): -v for r, c, v in smat_entries(K)}
-    [x] = solve(rows, unknowns, [rhs])
+    x = apply_operator(solution_operator(rows, unknowns), rhs)
     if x is None:
         raise CheckFailed(
             f"no flat completion over the allowed blocks of {sigma}")
@@ -572,12 +574,8 @@ def _omega_key(e) -> str:
 
 def validate_fiber_model(A: CoefficientSystem, FM: FiberModel) -> list[str]:
     """Degree bookkeeping plus the full tower of comparison relations."""
-    problems = []
-    if not smat_is_zero(smat_mul(FM.D, FM.D)):
-        problems.append("D does not square to zero")
-    for r, c, _v in smat_entries(FM.D):
-        if FM.omega_degree[r] != FM.omega_degree[c] + 1:
-            problems.append(f"D entry {r}<-{c} is not of degree +1")
+    problems = [f"D {text}" for text, _r in
+                differential_faults(FM.D, FM.omega_degree)]
     deg = A.L.deg
     for sigma in A.S:
         m = dim(sigma)

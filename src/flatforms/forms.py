@@ -30,8 +30,9 @@ evaluation and serialization; only it, ``to_json``/``from_json`` and
 The extension system for r-forms of polynomial degree at most d on the
 k-simplex depends on (k, r, d) alone, and only its right-hand side on
 the boundary data.  So each such shape is eliminated once per process
-(``linalg.solver``, cached per shape, on packed keys) and every
-extension of that shape reads its solution off the stored elimination.
+(``linalg.solution_operator``, cached per shape, on packed keys) and
+every extension of that shape applies the stored operator to its
+right-hand side (``linalg.apply_operator``).
 
 Face restrictions and chart changes are affine maps that send each
 chart variable to a barycentric coordinate of the target or to zero;
@@ -62,7 +63,16 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .linalg import CheckFailed, Q, qdiv, qentry, qint, qkeys, solver
+from .linalg import (
+    CheckFailed,
+    Q,
+    apply_operator,
+    qdiv,
+    qentry,
+    qint,
+    qkeys,
+    solution_operator,
+)
 from .simplicial import facet_positions
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
@@ -765,12 +775,12 @@ def extend_from_boundary(k: int, data: Sequence[PolyForm]) -> PolyForm:
 
 
 @cache
-def _extension_solver(k: int, r: int, deg: int):
-    """The solver of the extension system for r-forms of polynomial
-    degree at most ``deg`` on the k-simplex: one column per basis term
-    (monomial outer, dx tuple inner), one row per (facet j, term of the
-    restriction to facet j), all keyed by packed keys.  It depends on
-    the shape alone, so it is eliminated once per shape."""
+def _extension_operator(k: int, r: int, deg: int):
+    """The ``solution_operator`` of the extension system for r-forms of
+    polynomial degree at most ``deg`` on the k-simplex: one column per
+    basis term (monomial outer, dx tuple inner), one row per (facet j,
+    term of the restriction to facet j), all keyed by packed keys.  It
+    depends on the shape alone, so it is eliminated once per shape."""
     masks = [_mask(dd) for dd in _dx_tuples(k, r)]
     cols = [_pack_exps(k, mono) + m for mono in _monomials_upto(k, deg)
             for m in masks]
@@ -780,7 +790,7 @@ def _extension_solver(k: int, r: int, deg: int):
         for key in cols:
             for tkey, c in _form(k, {key: 1}).restrict(positions)._num.items():
                 rows.setdefault((j, tkey), {})[key] = c
-    return solver(rows, cols)
+    return solution_operator(rows, cols)
 
 
 def _extend_homogeneous(k: int, data: Sequence[PolyForm], r: int,
@@ -790,7 +800,7 @@ def _extend_homogeneous(k: int, data: Sequence[PolyForm], r: int,
     rhs = {(j, tkey): qdiv(c, data[j]._den) for j in range(k + 1)
            for tkey, c in data[j]._num.items()}
     for deg in range(d0, ceiling + 1):
-        x = _extension_solver(k, r, deg)(rhs)
+        x = apply_operator(_extension_operator(k, r, deg), rhs)
         if x is not None:
             return _rational_form(k, x)
     raise CheckFailed(

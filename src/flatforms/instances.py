@@ -36,7 +36,7 @@ from .linalg import (
     smat_mul,
     smat_set,
     smat_transpose,
-    solve,
+    solution_operator,
 )
 from .morse import LeafSystem, allowed_blocks, block_entries
 from .simplicial import BaseComplex, Simplex, dim, parse_skey
@@ -152,9 +152,8 @@ def _design_system(rng: random.Random, S: BaseComplex, L: LeafSystem,
     A = CoefficientSystem(S, L)
     inv = {}
     for v, u in U.items():
-        # column j of U^-1 solves U x = e_j
-        columns = solve(u, L.basis, list(ident.values()))
-        inv[v] = smat_transpose(dict(zip(L.basis, columns)))
+        # e_j . S solves U x = e_j, so S is the transpose of U^-1
+        inv[v] = smat_transpose(solution_operator(u, L.basis)[0])
     for v in S.vertices():
         A.set(v, smat_mul(inv[v[0]], smat_mul(D0, U[v[0]])))
     for e in S.of_dim(1):

@@ -10,7 +10,7 @@ vectors.
 An entry is an exact rational: an ``int`` when it is integral and a
 ``Fraction`` in lowest terms only when its denominator is greater than
 1.  The entries this module makes (``smat_set``, ``smat_identity``,
-``kernel``, ``solve``, the solution operator) keep this rule, every
+``kernel``, the solution operator) keep this rule, every
 quotient by way of ``qdiv``, so the integral coefficient systems of the
 generator multiply and add as ints.  ``qentry`` is the package's one
 reader of exact values and keeps the same rule: a file's entries,
@@ -22,7 +22,7 @@ rules, so one with a Fraction operand is a Fraction.  No ``/``
 appears anywhere in the package, since int / int is a float: exact
 quotients go through ``qdiv``.
 
-Rank, kernels, solves and homology all run one Gaussian elimination.
+Rank, kernels, the solve and homology all run one Gaussian elimination.
 The caller fixes the column order; pivots are taken column by column
 in that order, and free variables are set to zero.
 The reduced row echelon form of a matrix is unique once its column
@@ -35,22 +35,23 @@ each row is scaled to ints by the lcm of its denominators, cleared by
 the gcd-reduced combination (pv/g)*row - (f/g)*prow and divided by its
 content.  Every row stays a nonzero multiple of the row that rational
 Gauss-Jordan would hold, so pivots and supports are the same; only the
-entries that ``kernel`` and ``solve`` return are divided, by ``qdiv``,
-by their row's pivot entry.  This is not Bareiss's algorithm
+entries that ``kernel`` and ``solution_operator`` return are divided,
+by ``qdiv``, by their row's pivot entry.  This is not Bareiss's algorithm
 ("Sylvester's identity and multistep integer-preserving Gaussian
 elimination", *Math. Comp.* 22, 1968), which divides each update
 exactly by the previous pivot and so bounds the growth of the entries;
 here the content division keeps rows primitive but gives no such
 bound.
 
+Every linear solve in the package is one solution operator.
 ``solution_operator`` eliminates a matrix once, beside the identity,
 for right-hand sides that are not known yet.  What the identity columns
 carry is the solution operator over Q: a pivot map S, whose product
-with a right-hand side b is the solution ``solve`` gives, and
-consistency rows C, whose product with b is zero exactly when b is
-consistent.  Both are matrices, so a caller can apply them to whole
-rows of forms at once, coefficient by coefficient; ``solver`` applies
-them to one vector.
+with a consistent right-hand side b is the solution with every free
+variable zero, and consistency rows C, whose product with b is zero
+exactly when b is consistent.  ``apply_operator`` applies the pair to
+one vector.  Both are matrices, so a caller can as well apply them to
+whole rows of forms at once, coefficient by coefficient.
 
 ``Homology`` reads the homology of a graded complex off one
 elimination of its differential: the Betti numbers, cycles and
@@ -58,7 +59,7 @@ boundaries, and on first use representatives and the class of a cycle
 over them.  It serves the cellular complex, each fiber (V, a(v)) and
 (Omega, D), and takes the differential as given, refusing an entry
 that is not of degree +1 and a differential that does not square to
-zero.
+zero (``differential_faults`` lists both kinds).
 
 ``CheckFailed`` is the package's one failure class: a face without its
 datum, a boundary that does not square to zero, or a flat extension or
@@ -323,89 +324,53 @@ def _kernel_vectors(pivots: list, cols: Sequence) -> list[SVec]:
     return list(basis.values())
 
 
-def solve(a: SMat, cols: Sequence, rhs: Sequence[SVec]
-          ) -> list[Optional[SVec]]:
-    """Solve ``a x = b`` for each right-hand side b, eliminating once.
-
-    Each b is a vector over the row keys.  A consistent b gives x, the
-    solution with every free variable zero, keyed by column in column
-    order; an inconsistent b, one that leaves a reduced row reading
-    0 = c with c nonzero, gives None.
-    """
-    n = len(cols)
-    pivots, rest = _eliminate(a, cols, rhs)
-    inconsistent = {j for row in rest for j in row}
-    return [None if j in inconsistent else
-            {cols[col]: qdiv(row[j], row[col]) for col, row in pivots
-             if j in row}
-            for j in range(n, n + len(rhs))]
-
-
-def _beside_identity(a: SMat, cols: Sequence) -> tuple[list, dict]:
-    """``[a | I]`` eliminated, with one identity column per row key of
-    ``a``.  Row operations act alike on every right-hand side, so a
-    reduced row holds in its identity columns the combination of b's
-    entries that it carries as its right-hand side entry.  Returns the
-    pivot heads [(column of ``a``, pivot entry)] in column order and,
-    for each row key, {reduced row: its multiple of b[key]}, an int:
-    pivot rows first, numbered as in the heads, then the rows left
-    over, which are zero in the columns of ``a``."""
+def solution_operator(a: SMat, cols: Sequence) -> tuple[SMat, SMat]:
+    """The solution operator of ``a x = b`` over Q, read off ``[a | I]``
+    eliminated, one identity column per row key: the pivot map S and the
+    consistency rows C, each with every row key of ``a`` as a row.  Row
+    operations act alike on every right-hand side, so pivot row i,
+    divided by its pivot entry, carries in its identity columns the
+    column of S at its pivot column, and the j-th row left over, zero in
+    the columns of ``a``, carries column j of C (int entries: only its
+    zeros matter).  ``apply_operator`` solves with them."""
     keys = list(a)
     n = len(cols)
     pivots, rest = _eliminate(a, cols, [{r: 1} for r in keys])
-    spread: dict = {r: {} for r in keys}
-    for i, row in enumerate([row for _col, row in pivots] + rest):
+    S: SMat = {r: {} for r in keys}
+    C: SMat = {r: {} for r in keys}
+    for col, row in pivots:
         for c, v in row.items():
             if c >= n:
-                spread[keys[c - n]][i] = v
-    return [(cols[col], row[col]) for col, row in pivots], spread
-
-
-def solution_operator(a: SMat, cols: Sequence) -> tuple[SMat, SMat]:
-    """The solution operator of ``a x = b`` over Q: the pivot map S and
-    the consistency rows C, both with the row keys of ``a`` as rows
-    (every row key is a row of each, possibly empty).
-
-    Both are read off ``[a | I]`` eliminated: pivot row i, divided by
-    its pivot entry, gives the column of S at its pivot column, and the
-    j-th row left over gives column j of C (int entries: only its zeros
-    matter).  A b over the row keys is consistent exactly when
-    b . C = 0, and then b . S is the solution that ``solve`` gives, free
-    variables zero.  A b with a nonzero entry off the row keys is
-    inconsistent.
-    """
-    heads, spread = _beside_identity(a, cols)
-    h = len(heads)
-    S = {r: {heads[i][0]: qdiv(v, heads[i][1])
-             for i, v in row.items() if i < h} for r, row in spread.items()}
-    C = {r: {i - h: v for i, v in row.items() if i >= h}
-         for r, row in spread.items()}
+                S[keys[c - n]][cols[col]] = qdiv(v, row[col])
+    for j, row in enumerate(rest):
+        for c, v in row.items():
+            C[keys[c - n]][j] = v
     return S, C
 
 
-def solver(a: SMat, cols: Sequence) -> Callable[[SVec], Optional[SVec]]:
-    """The map b -> ``solve(a, cols, [b])[0]``, eliminating once for
-    every b to come: b . S for a consistent b (see
-    ``solution_operator``), keyed by column in column order, and None
-    otherwise.  It runs on ints, over the lcm of b's denominators."""
-    heads, spread = _beside_identity(a, cols)
+def apply_operator(operator: tuple[SMat, SMat], b: SVec) -> Optional[SVec]:
+    """The solution of ``a x = b`` by its ``solution_operator`` (S, C):
+    b . S, with every free variable zero, when b is consistent, that is
+    when b's keys are row keys of ``a`` and b . C = 0; None otherwise,
+    so a b with a nonzero entry off the row keys is inconsistent.  The
+    entries of x keep the entry rule."""
+    S, C = operator
+    if not b.keys() <= S.keys() or smat_mul({0: b}, C):
+        return None
+    return {c: v.numerator if v.denominator == 1 else v
+            for c, v in smat_mul({0: b}, S).get(0, {}).items()}
 
-    def apply(b: SVec) -> Optional[SVec]:
-        b = {r: v for r, v in b.items() if v}
-        if not b.keys() <= spread.keys():
-            return None
-        m = lcm(*(v.denominator for v in b.values()))
-        acc: dict[int, int] = {}
-        for r, v in b.items():
-            nv = v.numerator * (m // v.denominator)
-            for i, w in spread[r].items():
-                acc[i] = acc.get(i, 0) + w * nv
-        if any(v for i, v in acc.items() if i >= len(heads)):
-            return None
-        return {c: qdiv(acc[i], pv * m) for i, (c, pv) in enumerate(heads)
-                if acc.get(i)}
 
-    return apply
+def differential_faults(d: SMat, degree: dict):
+    """What keeps ``d`` from being a differential of degree +1 on the
+    basis graded by ``degree``, as (text, row key where it fails): each
+    entry that is not of degree +1, then, once those are done, a
+    nonzero square."""
+    for r, c, _v in smat_entries(d):
+        if r not in degree or degree.get(c) != degree[r] - 1:
+            yield f"entry {r}<-{c} is not of degree +1", r
+    if square := smat_mul(d, d):
+        yield "does not square to zero", next(iter(square))
 
 
 class Homology:
@@ -424,13 +389,8 @@ class Homology:
     """
 
     def __init__(self, d: SMat, degree: dict, refusal: str):
-        for r, c, _v in smat_entries(d):
-            if r not in degree or degree.get(c) != degree[r] - 1:
-                raise CheckFailed(refusal.format(
-                    f"entry {r}<-{c} is not of degree +1", r))
-        if square := smat_mul(d, d):
-            raise CheckFailed(refusal.format("does not square to zero",
-                                             next(iter(square))))
+        if fault := next(differential_faults(d, degree), None):
+            raise CheckFailed(refusal.format(*fault))
         basis = list(degree)
         pivots, _ = _eliminate(d, basis)
         qs = list(degree.values())
@@ -466,7 +426,11 @@ class Homology:
         None when a row is not a cycle: as ``solution_operator`` solves
         it over [boundaries | reps], with the boundary part dropped."""
         _, P, C = self._classes
-        if any(not y.keys() <= P.keys() for y in ys.values()) or \
-                smat_mul(ys, C):
-            return None
-        return smat_mul(ys, P)
+        out = {}
+        for r, y in ys.items():
+            x = apply_operator((P, C), y)
+            if x is None:
+                return None
+            if x:
+                out[r] = x
+        return out

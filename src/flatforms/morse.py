@@ -95,10 +95,12 @@ class LeafSystem:
 
 
 def validate_leaf_system(L: LeafSystem, S: BaseComplex) -> list[str]:
-    """Structural and fineness checks; returns a list of violation reports."""
+    """Structural and fineness checks; returns a list of violation reports.
+
+    Fineness compares the int table of ``prec``: an oscillation is below
+    epsilon^2 / 2 exactly when four times its numerator is below the
+    gap's, and the rationals are built only for a report."""
     problems = []
-    eps2 = L.epsilon * L.epsilon
-    bound = qdiv(eps2.numerator, 2 * eps2.denominator)   # eps^2 / 2
     for leaf in L.leaves:
         if L.rank[leaf] < 1:
             problems.append(f"leaf {leaf!r} has rank {L.rank[leaf]} < 1")
@@ -108,19 +110,20 @@ def validate_leaf_system(L: LeafSystem, S: BaseComplex) -> list[str]:
     if L.epsilon <= 0:
         problems.append("epsilon must be positive")
         return problems
+    level, gap = L._level, L._gap
     for sigma in S:
         if len(sigma) < 2:
             continue
         for leaf in L.leaves:
-            vals = [L.heights.get((leaf, v)) for v in sigma]
-            if any(h is None for h in vals):
+            vals = [level.get((leaf, v)) for v in sigma]
+            if None in vals or 4 * (max(vals) - min(vals)) < gap:
                 continue
-            osc = max(vals) - min(vals)
-            if not osc < bound:
-                problems.append(
-                    f"leaf {leaf!r} oscillates by {osc} on {sigma}, "
-                    f"not below {bound}"
-                )
+            hs = [L.heights[leaf, v] for v in sigma]
+            eps2 = L.epsilon * L.epsilon
+            bound = qdiv(eps2.numerator, 2 * eps2.denominator)
+            problems.append(f"leaf {leaf!r} oscillates by "
+                            f"{max(hs) - min(hs)} on {sigma}, "
+                            f"not below {bound}")
     return problems
 
 

@@ -451,6 +451,40 @@ def test_every_build_stops_on_an_invalid_system(capsys, tmp_path, with_fiber):
             assert list(rep["checks"]) == ["system"], cmd
 
 
+@pytest.mark.parametrize("epsilon", ["0", "1/1000"])
+def test_every_build_stops_on_a_leaf_system_validate_refuses(
+        capsys, tmp_path, epsilon):
+    """The file of generate(0) with an epsilon that is not positive, or
+    so small that the heights oscillate past epsilon^2 / 2: ``extend``,
+    ``build-aprime``, ``build-iprime`` and ``smooth`` stop under
+    ``leaves`` with the list ``validate`` gives, and ``extend`` writes
+    nothing back."""
+    inst = generate(0)
+    data = instance_to_json(inst.S, inst.L, inst.A)
+    data.update(version=1, epsilon=epsilon,
+                fiber_model=make_fiber_model(inst).to_json())
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(data))
+    code, rep = run(capsys, "validate", "--instance", str(path))
+    assert code == 1
+    witness = rep["checks"]["leaves"]
+    assert witness and isinstance(witness, list)
+    for cmd in ("build-aprime", "build-iprime", "smooth"):
+        code, rep = run(capsys, cmd, "--instance", str(path))
+        assert code == 1, cmd
+        assert rep["checks"] == {"leaves": witness}, cmd
+        assert rep["certificates"] == witness, cmd
+    data["coefficients"] = instance_to_json(
+        inst.S, inst.L, strip_to_dim(inst.A, 1))["coefficients"]
+    del data["fiber_model"]
+    path.write_text(json.dumps(data))
+    before = path.read_bytes()
+    code, rep = run(capsys, "extend", "--instance", str(path))
+    assert code == 1
+    assert rep["checks"] == {"leaves": witness}
+    assert path.read_bytes() == before
+
+
 def test_smooth_certifies_build_problems(capsys, tmp_path, monkeypatch):
     def build(A):
         data = build_mixed_connection(A)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as Q
 from itertools import combinations
 
@@ -17,6 +18,8 @@ from flatforms.flatsys import (
     igusa_check,
     igusa_export,
     induced_on_homology,
+    omega_betti,
+    validate_fiber_model,
     validate_system,
 )
 from flatforms.instances import (
@@ -24,10 +27,12 @@ from flatforms.instances import (
     generate,
     instance_from_json,
     instance_to_json,
+    make_fiber_model,
     strip_to_dim,
 )
 from flatforms.linalg import (
     CheckFailed,
+    apply_operator,
     qreader,
     smat_add,
     smat_identity,
@@ -35,7 +40,7 @@ from flatforms.linalg import (
     smat_mul,
     smat_set,
     smat_transpose,
-    solve,
+    solution_operator,
 )
 from flatforms.morse import LeafSystem
 from flatforms.simplicial import BaseComplex
@@ -260,7 +265,8 @@ def test_edge_transport_and_holonomy_identity():
                  for e in ((v0, v1), (v1, v2), (v0, v2))}
             n = len(H[(v2,)].reps)
             rhs = smat_transpose(smat_mul(M[v0, v1], M[v1, v2]))
-            sols = solve(M[v0, v2], range(n), [rhs.get(j, {}) for j in range(n)])
+            op = solution_operator(M[v0, v2], range(n))
+            sols = [apply_operator(op, rhs.get(j, {})) for j in range(n)]
             hol = smat_transpose(dict(enumerate(sols)))
             assert hol == smat_identity(range(n))
 
@@ -319,3 +325,20 @@ def test_generation_deterministic():
     a = instance_to_json(*(lambda i: (i.S, i.L, i.A))(generate(42)))
     b = instance_to_json(*(lambda i: (i.S, i.L, i.A))(generate(42)))
     assert a == b
+
+
+def test_fiber_model_faults_of_D_are_homology_refusals():
+    """A D with an entry off degree +1 that also fails to square: the
+    fiber model check lists the degree fault and then the square, each
+    as ``Homology`` words it, and ``Homology`` stops at the first."""
+    inst = generate(3)
+    FM = make_fiber_model(inst)
+    smat_set(FM.D, ("w", "a", 0), ("w", "e", 0), 5)
+    for row, col in ((("w", "c", 0), ("w", "b", 0)),
+                     (("w", "b", 0), ("w", "a", 0))):
+        smat_set(FM.D, row, col, FM.D.get(row, {}).get(col, 0) + 1)
+    entry = "D entry ('w', 'a', 0)<-('w', 'e', 0) is not of degree +1"
+    problems = validate_fiber_model(inst.A, FM)
+    assert problems[:2] == [entry, "D does not square to zero"]
+    with pytest.raises(CheckFailed, match=re.escape(entry)):
+        omega_betti(FM)

@@ -20,7 +20,7 @@ from flatforms.forms import (
     extend_from_boundary,
     poincare_contract,
 )
-from flatforms.linalg import CheckFailed, solve
+from flatforms.linalg import CheckFailed, apply_operator, solution_operator
 from flatforms.simplicial import facet_positions
 
 
@@ -256,7 +256,7 @@ def solve_extend_homogeneous(k, data, r, d0, ceiling):
                     rows.setdefault((j, tkey), {})[key] = c
             for tkey, c in data[j].terms.items():
                 rhs[(j, tkey)] = c
-        [x] = solve(rows, cols, [rhs])
+        x = apply_operator(solution_operator(rows, cols), rhs)
         if x is not None:
             return PolyForm(k, x)
         deg += 1

@@ -19,6 +19,8 @@ from flatforms import linalg
 from flatforms.linalg import (
     CheckFailed,
     Homology,
+    apply_operator,
+    differential_faults,
     kernel,
     qdiv,
     qentry,
@@ -31,8 +33,6 @@ from flatforms.linalg import (
     smat_set,
     smat_transpose,
     solution_operator,
-    solve,
-    solver,
 )
 
 COLS = ["x", "y", "z"]
@@ -64,7 +64,13 @@ def augmented_solve(a, cols, b):
     return None  # b is a pivot column: a zero row of a with b nonzero
 
 
-def test_solve_batch_matches_single_solves():
+def solve_each(a, cols, rhs):
+    """Each right-hand side of ``rhs`` solved by one operator of ``a``."""
+    operator = solution_operator(a, cols)
+    return [apply_operator(operator, b) for b in rhs]
+
+
+def test_one_operator_solves_a_batch():
     # rank 2, so right-hand sides outside the column span are inconsistent
     a = keyed([[1, 2, 0],
                [0, 0, 1],
@@ -73,9 +79,9 @@ def test_solve_batch_matches_single_solves():
            {0: Q(1)},                       # inconsistent
            {1: Q(3), 2: Q(3)},              # consistent
            {2: Q(1)}]                       # inconsistent
-    batch = solve(a, COLS, rhs)
-    assert batch == [solve(a, COLS, [b])[0] for b in rhs]
+    batch = solve_each(a, COLS, rhs)
     assert batch == [augmented_solve(a, COLS, b) for b in rhs]
+    assert batch == reference_solve(a, COLS, rhs)
     assert batch[1] is None and batch[3] is None
     for b, x in zip(rhs, batch):
         if x is not None:
@@ -85,9 +91,11 @@ def test_solve_batch_matches_single_solves():
 
 
 def test_solve_without_rows():
-    assert solve({}, [], [{}, {}]) == [{}, {}]
+    assert solve_each({}, [], [{}, {}]) == [{}, {}]
     # with no rows every column is free, so the solution is zero
-    assert solve({}, COLS, [{}]) == [{}]
+    assert solve_each({}, COLS, [{}]) == [{}]
+    # and every entry of b is off the row keys
+    assert solve_each({}, COLS, [{0: 1}]) == [None]
     assert kernel({}, COLS) == [{"x": 1}, {"y": 1}, {"z": 1}]
 
 
@@ -121,8 +129,8 @@ def test_elimination_is_invariant_and_exact(system):
     assert len(basis) == len(cols) - rank(a, cols)
     for vec in basis:
         assert smat_mul(a, _column(vec)) == {}
-    results = solve(a, cols, rhs)
-    assert solve(permuted, cols, rhs) == results
+    results = solve_each(a, cols, rhs)
+    assert solve_each(permuted, cols, rhs) == results
     for b, x in zip(rhs, results):
         with_b = {r: dict(row) for r, row in a.items()}
         for r, v in b.items():
@@ -272,10 +280,8 @@ def test_integer_elimination_matches_rational_reference(system):
     basis = kernel(a, cols)
     assert [list(x.items()) for x in basis] == \
         [list(x.items()) for x in reference_kernel(a, cols)]
-    results = solve(a, cols, rhs)
-    expected = reference_solve(a, cols, rhs)
-    assert [x if x is None else list(x.items()) for x in results] == \
-        [x if x is None else list(x.items()) for x in expected]
+    results = solve_each(a, cols, rhs)
+    assert results == reference_solve(a, cols, rhs)
     assert _entries_follow_the_rule(basis)
     assert _entries_follow_the_rule(results)
 
@@ -283,43 +289,49 @@ def test_integer_elimination_matches_rational_reference(system):
 @settings(max_examples=300, deadline=None)
 @given(hard_systems(), st.sampled_from([None, Q(0), Q(1), Q(-2, 3)]))
 @example(CONTENT_SYSTEM, None)
-def test_solver_matches_solve(system, outside):
-    """The map eliminated once gives what ``solve`` gives for each b:
-    the same x, key order and entry types included, or None.  A b
-    with a nonzero entry off the row keys of ``a`` is inconsistent."""
-    a, cols, rhs = system
-    if outside is not None:
-        rhs = rhs + [dict(rhs[0], outside=outside)]
-    apply = solver(a, cols)
-    for b in rhs:
-        [want] = solve(a, cols, [b])
-        got = apply(b)
-        assert (got if got is None else list(got.items())) == \
-            (want if want is None else list(want.items()))
-        assert _entries_follow_the_rule([got])
-
-
-@settings(max_examples=300, deadline=None)
-@given(hard_systems(), st.sampled_from([None, Q(0), Q(1), Q(-2, 3)]))
-@example(CONTENT_SYSTEM, None)
-def test_solution_operator_matches_solve(system, outside):
-    """The operator (S, C) gives what ``solve`` gives for each b: x = b . S
-    when b lies on the row keys of ``a`` and b . C = 0, and None
-    otherwise, with b's entries off the row keys included."""
+def test_solution_operator_matches_the_reference(system, outside):
+    """The operator (S, C) gives what rational Gauss-Jordan of [a | b]
+    gives for each b: x = b . S when b lies on the row keys of ``a`` and
+    b . C = 0, and None otherwise, b's entries off the row keys included
+    (an entry 0 there is left out, as a vector leaves out its zeros)."""
     a, cols, rhs = system
     if outside is not None:
         rhs = rhs + [dict(rhs[0], outside=outside)]
     S, C = solution_operator(a, cols)
     assert list(S) == list(C) == list(a)
     assert _entries_follow_the_rule(list(S.values()) + list(C.values()))
-    for b in rhs:
-        [want] = solve(a, cols, [b])
-        b = {r: v for r, v in b.items() if v}
-        if not b.keys() <= S.keys() or smat_mul({0: b}, C):
-            got = None
-        else:
-            got = smat_mul({0: b}, S).get(0, {})
-        assert got == want
+    got = [apply_operator((S, C), {r: v for r, v in b.items() if v})
+           for b in rhs]
+    assert got == reference_solve(a, cols, rhs)
+    assert _entries_follow_the_rule(got)
+    if outside:
+        assert got[-1] is None
+
+
+@st.composite
+def unipotent_matrices(draw):
+    """I + N over a few keys, N strictly upper triangular in a drawn
+    order of the keys: the shape of a generator's gauge."""
+    keys = draw(st.permutations([("a", 0), ("a", 1), ("b", 0), ("c", 0),
+                                 ("c", 1)]))[:draw(st.integers(1, 5))]
+    u = smat_identity(keys)
+    for i, r in enumerate(keys):
+        for c in keys[i + 1:]:
+            smat_set(u, r, c, draw(big_entries))
+    return u, keys
+
+
+@settings(max_examples=200, deadline=None)
+@given(unipotent_matrices())
+def test_solution_operator_transposed_inverts_a_unipotent_matrix(system):
+    """e_j . S solves u x = e_j, so the transpose of S is u^-1, and every
+    b is consistent."""
+    u, keys = system
+    S, C = solution_operator(u, sorted(keys))
+    inv = smat_transpose(S)
+    assert smat_mul(u, inv) == smat_identity(keys)
+    assert smat_mul(inv, u) == smat_identity(keys)
+    assert all(not row for row in C.values())
 
 
 def test_signed_sum():
@@ -580,3 +592,21 @@ def test_homology_refuses_an_entry_off_degree(complex_, data):
         Homology(bad, degree, "d {} at {}")
     assert str(refusal.value) == (
         f"d entry {r}<-{c} is not of degree +1 at {r}")
+
+
+def test_differential_faults_come_degree_first():
+    """Each entry off degree +1 is a fault, in entry order, and then a
+    nonzero square; ``Homology`` refuses with the first of them."""
+    degree = {"x": 0, "y": 1, "z": 2}
+    d = {"y": {"x": 1}, "z": {"y": 1}, "x": {"z": 2, "x": 1}}
+    assert list(differential_faults(d, degree)) == [
+        ("entry x<-z is not of degree +1", "x"),
+        ("entry x<-x is not of degree +1", "x"),
+        ("does not square to zero", "y")]
+    with pytest.raises(CheckFailed, match=r"^d entry x<-z is not of degree "
+                                          r"\+1 at x$"):
+        Homology(d, degree, "d {} at {}")
+    del d["x"]
+    assert list(differential_faults(d, degree)) == [
+        ("does not square to zero", "z")]
+    assert list(differential_faults({"y": {"x": 1}}, degree)) == []

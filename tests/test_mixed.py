@@ -32,7 +32,13 @@ from flatforms.mixed import (
     neumann_inverse,
     solve_face_coords,
 )
-from flatforms.linalg import CheckFailed, smat_is_zero, smat_transpose, solve
+from flatforms.linalg import (
+    CheckFailed,
+    apply_operator,
+    smat_is_zero,
+    smat_transpose,
+    solution_operator,
+)
 from flatforms.morse import LeafSystem, prec
 from flatforms.simplicial import EMPTY, BaseComplex, all_faces, dim
 
@@ -583,7 +589,8 @@ def per_block_solve_face_coords(A, FM, sigma, sigma_p, value, _operators):
         cols = columns(al, r)
         mat = smat_transpose({(s2, be_m): FM.imap(s2).get(be_m, {})
                               for s2, be_m in cols})
-        xs = solve(mat, cols, [vec for _i, vec in items])
+        op = solution_operator(mat, cols)
+        xs = [apply_operator(op, vec) for _i, vec in items]
         for (i, _vec), x in zip(items, xs):
             solutions[i] = x
 

@@ -16,8 +16,10 @@ digests pin every start, limit and point, not only the limit vertices
 that the benchmark's own flow check compares.  The ``input`` battery
 runs ``validate``, ``build-iprime`` and ``smooth`` on instance files
 that carry a fiber model with eta tags and a partition, as generated
-and with epsilon 1/3, so its digests pin how a file's values are
-read; ``input_errors`` holds the exit code and stderr of inputs that
+and with epsilon 1/3, which fails fineness, and 7/8, which passes it,
+so its digests pin how a file's values are read and that a command
+that builds on the leaf system stops under ``leaves`` where
+``validate`` fails it; ``input_errors`` holds the exit code and stderr of inputs that
 the readers refuse.  A change that is meant
 to leave every result alone must leave these alone too.  Where a report is meant to change, record the
 digests again with
@@ -115,13 +117,18 @@ INPUT_COMMANDS = ("validate", "build-iprime", "smooth")
 
 def input_battery(workdir: Path) -> dict:
     """``validate``, ``build-iprime`` and ``smooth`` on the files of
-    ``input_data(0..9)``, as written and with epsilon "1/3"."""
+    ``input_data(0..9)``, as written and with epsilon "1/3" and "7/8".
+    The generator's heights oscillate by up to 3/8 on a simplex, so
+    1/3 fails fineness (every command stops under ``leaves``) and 7/8,
+    with epsilon^2 / 2 = 49/128, passes it and reaches the builds with
+    a Fraction epsilon."""
     ops = {}
     for n in range(10):
         data = input_data(n)
         paths = {"": write_file(workdir, f"input-{n}", data)}
-        data["epsilon"] = "1/3"
-        paths["eps 1/3 "] = write_file(workdir, f"input-eps-{n}", data)
+        for eps, name in (("1/3", "input-eps"), ("7/8", "input-eps78")):
+            data["epsilon"] = eps
+            paths[f"eps {eps} "] = write_file(workdir, f"{name}-{n}", data)
         for tag, path in paths.items():
             for cmd in INPUT_COMMANDS:
                 ops[f"{cmd} {tag}{n}"] = (cmd, "--instance", path)
