@@ -751,26 +751,33 @@ def extend_from_boundary(k: int, data: Sequence[PolyForm]) -> PolyForm:
     step at a time, so the result has minimal ansatz degree, and free
     coefficients are zeroed, making the output deterministic.
 
-    Raises ``IncompatibleBoundaryData`` when facet restrictions clash
-    on a codimension-2 face, ``CheckFailed`` when no extension exists
-    up to the degree ceiling.
+    The solve decides whether the data extend: an extension restricts
+    to each facet's data, so facet data that clash on a common face
+    have none.  Only when a degree part fails does the common-face check
+    run, on the full data, to name the clashing facet pair: it raises
+    ``IncompatibleBoundaryData`` when facet restrictions clash on a
+    codimension-2 face.  Otherwise the part's own ``CheckFailed`` (no
+    extension up to the degree ceiling, or ``ExponentOverflow``) stands.
     """
     if len(data) != k + 1:
         raise ValueError(f"need {k + 1} facet forms, got {len(data)}")
     for j, f in enumerate(data):
         if f.k != k - 1:
             raise ValueError(f"facet {j} data has chart dim {f.k}, want {k - 1}")
-    _common_face_check(k, data)
 
     degrees = sorted(set().union(*[f.form_degrees() for f in data]) or {0})
     d0 = max(f.poly_degree() for f in data)
     ceiling = d0 + k + EXTENSION_HEADROOM
 
     total = PolyForm.zero(k)
-    for r in degrees:
-        part = _extend_homogeneous(k, [f.degree_part(r) for f in data], r,
-                                   d0, ceiling)
-        total = total + part
+    try:
+        for r in degrees:
+            part = _extend_homogeneous(k, [f.degree_part(r) for f in data], r,
+                                       d0, ceiling)
+            total = total + part
+    except CheckFailed:
+        _common_face_check(k, data)
+        raise
     return total
 
 

@@ -26,19 +26,21 @@ The connection a' and the chain maps I' are built by one walk over the
 faces of the base in increasing dimension.  Inside a simplex it stores
 zero on sigma itself, then treats initial segments by descending
 length: a recursion value on the inner span is extended from boundary
-values over the next span up.  The extension's common-face check
-compares the recursion value with the data already built on the facets
-of sigma, and a clash raises ``IncompatibleBoundaryData`` naming the
-simplex, segment, facet and entry.  The empty face is reached last by a
-gauge step whose unipotent is invertible by a finite geometric series;
-the a' build computes that inverse once per simplex and the I' build
-reuses it.  The constant factors of the recursion (a(sigma[:j+1]) on
-the left) scale each entry with its Koszul sign.  The two builds
-differ only in the constant seed of the recursion (a or I), its right
-factor (a'(sigma[k:], empty) or D), and the identity checked
-afterwards, ``is_flat_connection`` or ``intertwines``;
-smoothing checks the same two on the partition pullbacks.  Failed
-checks land in ``problems``.
+values over the next span up, the recursion value on one facet and the
+data already built on the facets of sigma on the others.  The
+extension's solve decides whether these data extend; when they do not,
+the common-face check names the clashing facet pair, and
+``IncompatibleBoundaryData`` names the simplex, segment, facet and
+entry.  Each build extends each distinct facet datum once.  The empty
+face is reached last by a gauge step whose unipotent is invertible by a
+finite geometric series; the a' build computes that inverse once per
+simplex and the I' build reuses it.  The constant factors of the
+recursion (a(sigma[:j+1]) on the left) scale each entry with its
+Koszul sign.  The two builds differ only in the constant seed of the
+recursion (a or I), its right factor (a'(sigma[k:], empty) or D), and
+the identity checked afterwards, ``is_flat_connection`` or
+``intertwines``; smoothing checks the same two on the partition
+pullbacks.  Failed checks land in ``problems``.
 
 This is the form layer only.  The constant data it starts from, the
 coefficient system and the fiber model, and every identity over Q
@@ -178,33 +180,55 @@ class FormMatrix:
         return p if m == e else self.powers[m - e].wedge(p)
 
     def _collect(self, parts: dict) -> "FormMatrix":
-        """The matrix of the sums of parts[(r, c)], a dict from exponent
+        """The matrix of the sums of parts[r][c], a dict from exponent
         to numerator: the numerators of equal exponent were summed
         before any is raised."""
         out = self._like()
-        for (r, c), by_e in parts.items():
-            m = max(by_e)
-            total = by_e.pop(m)
-            for e, p in by_e.items():
-                total = total + self._lift(p, e, m)
-            out.set_entry(r, c, total, m)
+        for r, by_c in parts.items():
+            row = {}
+            for c, by_e in by_c.items():
+                m = max(by_e)
+                total = by_e.pop(m)
+                for e, p in by_e.items():
+                    total = total + self._lift(p, e, m)
+                if not total.is_zero():
+                    row[c] = total, m
+            if row:
+                out.rows[r] = row
         return out
 
     # -- linear structure -----------------------------------------------
 
     def add(self, other: "FormMatrix", sign: int = 1) -> "FormMatrix":
-        """self + sign * other, for sign = 1 or -1."""
+        """self + sign * other, for sign = 1 or -1.  The entries of
+        ``other`` go in in order; a row that cancels to zero leaves the
+        matrix, and a later entry of it starts the row anew at the end."""
         self._same_den(other)
         out = self._like()
-        out.rows = {r: dict(row) for r, row in self.rows.items()}
-        for r, c, q, f in other.entries():
-            if sign != 1:
-                q = q.scale(sign)
-            p, e = out.rows.get(r, {}).get(c, (None, f))
-            if p is not None:
-                m = max(e, f)
-                q, f = self._lift(p, e, m) + self._lift(q, f, m), m
-            out.set_entry(r, c, q, f)
+        rows = out.rows = {r: dict(row) for r, row in self.rows.items()}
+        for r, orow in other.rows.items():
+            row = rows.get(r)
+            if row is None:
+                rows[r] = dict(orow) if sign == 1 else \
+                    {c: (-q, f) for c, (q, f) in orow.items()}
+                continue
+            for c, (q, f) in orow.items():
+                if sign != 1:
+                    q = -q
+                pe = row.get(c) if row is not None else None
+                if pe is not None:
+                    p, e = pe
+                    m = max(e, f)
+                    q, f = self._lift(p, e, m) + self._lift(q, f, m), m
+                    if q.is_zero():
+                        del row[c]
+                        if not row:
+                            del rows[r]
+                            row = None
+                        continue
+                if row is None:
+                    row = rows[r] = {}
+                row[c] = q, f
         return out
 
     def is_zero(self) -> bool:
@@ -238,27 +262,50 @@ class FormMatrix:
         e = 0."""
         out = self._like()
         q, dq = self.powers.base, self.powers.d
-        for r, c, p, e in self.entries():
-            if e == 0:
-                out.set_entry(r, c, p.d())
-            else:
-                out.set_entry(r, c, q.wedge(p.d()) - dq.scale(e).wedge(p), e + 1)
+        for r, row in self.rows.items():
+            drow = {}
+            for c, (p, e) in row.items():
+                if e == 0:
+                    dp = p.d()
+                else:
+                    dp, e = q.wedge(p.d()) - dq.scale(e).wedge(p), e + 1
+                if not dp.is_zero():
+                    drow[c] = dp, e
+            if drow:
+                out.rows[r] = drow
         return out
 
+    def _involuted(self, cache: dict, t) -> dict:
+        """Row ``t`` with the graded involution applied to each entry,
+        built once per ``cache`` (one composition)."""
+        row = cache.get(t)
+        if row is None:
+            row = cache[t] = {c: (q.graded_involution(), f)
+                              for c, (q, f) in self.rows[t].items()}
+        return row
+
     def compose(self, other: "FormMatrix") -> "FormMatrix":
-        """Koszul composition with a module endomorphism on the left."""
+        """Koszul composition with a module endomorphism on the left: a
+        right entry passing a block of odd degree enters with its graded
+        involution."""
         self._same_den(other)
-        parts: dict = {}   # (r, c) -> {e: numerator}
+        if not self.rows or not other.rows:
+            return self._like()
+        deg, orows = self.deg, other.rows
+        odd_rows: dict = {}
+        parts: dict = {}   # r -> c -> {e: numerator}
         for r, row in self.rows.items():
+            by_c = parts.setdefault(r, {})
             for t, (p, e) in row.items():
-                orow = other.rows.get(t)
+                orow = orows.get(t)
                 if not orow:
                     continue
-                s = self.deg[r] - self.deg[t]
+                if (deg[r] - deg[t]) % 2:
+                    orow = other._involuted(odd_rows, t)
                 for c, (q, f) in orow.items():
-                    prod = _koszul_wedge(p, q, s)
+                    prod = p.wedge(q)
                     if not prod.is_zero():
-                        by_e, ef = parts.setdefault((r, c), {}), e + f
+                        by_e, ef = by_c.setdefault(c, {}), e + f
                         by_e[ef] = by_e[ef] + prod if ef in by_e else prod
         return self._collect(parts)
 
@@ -267,27 +314,39 @@ class FormMatrix:
         ``compose`` gives with ``from_const(k, m, deg)`` on the left.
         Each entry is scaled, its odd form-degree part negated when the
         block degree of the constant is odd."""
-        parts: dict = {}   # (r, c) -> {e: numerator}
-        for r, row in m.items():
-            for t, v in row.items():
-                orow = self.rows.get(t)
+        if not self.rows or not m:
+            return self._like()
+        deg, rows = self.deg, self.rows
+        odd_rows: dict = {}
+        parts: dict = {}   # r -> c -> {e: numerator}
+        for r, mrow in m.items():
+            by_c = parts.setdefault(r, {})
+            for t, v in mrow.items():
+                orow = rows.get(t)
                 if not orow:
                     continue
-                odd = (self.deg[r] - self.deg[t]) % 2
+                if (deg[r] - deg[t]) % 2:
+                    orow = self._involuted(odd_rows, t)
                 for c, (q, f) in orow.items():
-                    prod = (q.graded_involution() if odd else q).scale(v)
+                    prod = q.scale(v)
                     if not prod.is_zero():
-                        by_e = parts.setdefault((r, c), {})
+                        by_e = by_c.setdefault(c, {})
                         by_e[f] = by_e[f] + prod if f in by_e else prod
         return self._collect(parts)
 
     def mul_const_right(self, m: SMat) -> "FormMatrix":
         """Compose with a constant matrix on the right (no signs arise)."""
-        parts: dict = {}   # (r, c) -> {e: numerator}
+        if not self.rows or not m:
+            return self._like()
+        parts: dict = {}   # r -> c -> {e: numerator}
         for r, row in self.rows.items():
+            by_c = parts.setdefault(r, {})
             for t, (p, e) in row.items():
-                for c, v in m.get(t, {}).items():
-                    by_e = parts.setdefault((r, c), {})
+                mrow = m.get(t)
+                if not mrow:
+                    continue
+                for c, v in mrow.items():
+                    by_e = by_c.setdefault(c, {})
                     by_e[e] = by_e[e] + p.scale(v) if e in by_e else p.scale(v)
         return self._collect(parts)
 
@@ -305,13 +364,15 @@ class FormMatrix:
                 and self.den.restrict(positions) != powers.base:
             raise ValueError("denominator does not restrict as claimed")
         out = FormMatrix(k, self.deg, powers)
-        for r, c, p, e in self.entries():
-            out.set_entry(r, c, p.restrict(positions), e)
+        for r, row in self.rows.items():
+            rrow = {}
+            for c, (p, e) in row.items():
+                rp = p.restrict(positions)
+                if not rp.is_zero():
+                    rrow[c] = rp, e
+            if rrow:
+                out.rows[r] = rrow
         return out
-
-
-def _koszul_wedge(p: PolyForm, q: PolyForm, e: int) -> PolyForm:
-    return p.wedge(q.graded_involution() if e % 2 else q)
 
 
 def neumann_inverse(g_minus_id: FormMatrix, max_len: int) -> FormMatrix:
@@ -396,17 +457,20 @@ def recursion_value(A: CoefficientSystem, store: dict, sigma: Simplex,
     return total.add(right(b, sigma[k:]), s)
 
 
-def extend_span(store: dict, sigma: Simplex, k: int, candidate: FormMatrix
-                ) -> FormMatrix:
+def extend_span(store: dict, sigma: Simplex, k: int, candidate: FormMatrix,
+                extensions: dict) -> FormMatrix:
     """Extend the recursion value over the span of sigma[k-1:].
 
     Facet 0 of the extension domain carries the recursion value; facet
     q >= 1 carries ``store[(tau, sigma[:k])]`` for the facet ``tau`` of
     ``sigma`` omitting global position k-1+q, which lives on exactly
     that span.  Extension is entrywise polynomial extension with
-    escalating ansatz degree.  Facet data that disagree on a common face
-    raise ``IncompatibleBoundaryData`` naming sigma, the segment, the
-    facet and the entry.
+    escalating ansatz degree, and its solve decides whether an entry's
+    facet data extend.  When they do not, the common-face check names
+    the clashing pair, and ``IncompatibleBoundaryData`` names sigma, the
+    segment, that facet pair and the entry.  ``extensions`` keeps each
+    extension by (domain dimension, facet data), for one build: equal
+    data extend alike, so each distinct datum is extended once.
     """
     l = dim(sigma)
     sigma_p = sigma[:k]
@@ -420,13 +484,16 @@ def extend_span(store: dict, sigma: Simplex, k: int, candidate: FormMatrix
         bdata = [fm.entry(r, c) for fm in facets_data]
         if all(p.is_zero() for p in bdata):
             continue
-        try:
-            ext = extend_from_boundary(mm, bdata)
-        except IncompatibleBoundaryData as ex:
-            i, j = ex.facets
-            raise IncompatibleBoundaryData(
-                f"{sigma}, segment {sigma_p}: {names[i]} clashes with "
-                f"{names[j]} at entry {r}<-{c}", ex.facets) from ex
+        key = (mm, tuple(bdata))
+        ext = extensions.get(key)
+        if ext is None:
+            try:
+                ext = extensions[key] = extend_from_boundary(mm, bdata)
+            except IncompatibleBoundaryData as ex:
+                i, j = ex.facets
+                raise IncompatibleBoundaryData(
+                    f"{sigma}, segment {sigma_p}: {names[i]} clashes with "
+                    f"{names[j]} at entry {r}<-{c}", ex.facets) from ex
         out.set_entry(r, c, ext)
     return out
 
@@ -439,8 +506,8 @@ def gauge_inverse(A: CoefficientSystem, sigma: Simplex,
     return neumann_inverse(n, max_len=len(heights) + dim(sigma) + 2)
 
 
-def _walk(A: CoefficientSystem, inverses: dict, store: dict, sigma: Simplex,
-          seed, right, chain: bool):
+def _walk(A: CoefficientSystem, inverses: dict, store: dict,
+          extensions: dict, sigma: Simplex, seed, right, chain: bool):
     """Fill ``store`` over ``sigma``: the one construction behind a' and I'.
 
     Only the keys (sigma, sigma[:k]) for k = 0..dim(sigma)+1 are
@@ -454,13 +521,16 @@ def _walk(A: CoefficientSystem, inverses: dict, store: dict, sigma: Simplex,
     it in ``inverses``; for a' the product b o a'(sigma, empty) is the
     unknown that the gauge solves for.  The I' walk (``chain`` set)
     reads the inverse there and adds right(b, sigma) to the inner term.
+    ``extensions`` is the build's memo of boundary extensions
+    (``extend_span``).
     """
     l = dim(sigma)
     store[(sigma, sigma)] = FormMatrix(0, A.L.deg)
     for k in range(l, 0, -1):
         candidate = recursion_value(A, store, sigma, k, seed(sigma[: k + 1]),
                                     right)
-        store[(sigma, sigma[:k])] = extend_span(store, sigma, k, candidate)
+        store[(sigma, sigma[:k])] = extend_span(store, sigma, k, candidate,
+                                                extensions)
     b = store[(sigma, sigma[:1])]
     inner = _leading(A, sigma, l, seed(sigma[:1]), b)
     if chain:
@@ -556,12 +626,14 @@ def build_mixed_connection(A: CoefficientSystem) -> MixedConnectionData:
     """
     data = MixedConnectionData(A=A)
     store = data.aprime
+    extensions: dict = {}
 
     def right(b, tail):
         return b.compose(store[(tail, EMPTY)])
 
     for sigma in A.S:
-        _walk(A, data.gauge_inverses, store, sigma, A.a, right, False)
+        _walk(A, data.gauge_inverses, store, extensions, sigma, A.a, right,
+              False)
         found = _face_checks(sigma, partial(check_structure, data), store,
                              "a'")
         if not is_flat_connection(store[(sigma, EMPTY)]):
@@ -724,12 +796,14 @@ def build_Iprime(data: MixedConnectionData, FM: FiberModel) -> ChainMapData:
     """
     A = data.A
     cm = ChainMapData(A=A, FM=FM)
+    extensions: dict = {}
 
     def times_D(b, _tail):
         return b.mul_const_right(FM.D)
 
     for sigma in A.S:
-        _walk(A, data.gauge_inverses, cm.values, sigma, FM.imap, times_D, True)
+        _walk(A, data.gauge_inverses, cm.values, extensions, sigma, FM.imap,
+              times_D, True)
         found = _face_checks(sigma, partial(check_bcoord_structure, cm),
                              cm.values, "I'")
         if not intertwines(cm.value(sigma, EMPTY), data.get(sigma, EMPTY),

@@ -228,6 +228,89 @@ def test_extend_respects_ceiling(monkeypatch):
         extend_from_boundary(1, data)
 
 
+# --- oracle: the extension that checked common faces before solving ------
+
+
+def check_first_extend(k, data):
+    """``extend_from_boundary`` as it was with the common-face check run
+    before any solve."""
+    forms._common_face_check(k, data)
+    d0 = max(f.poly_degree() for f in data)
+    ceiling = d0 + k + forms.EXTENSION_HEADROOM
+    total = PolyForm.zero(k)
+    for r in sorted(set().union(*[f.form_degrees() for f in data]) or {0}):
+        total = total + _extend_homogeneous(
+            k, [f.degree_part(r) for f in data], r, d0, ceiling)
+    return total
+
+
+def boundary_outcome(extend, k, data):
+    try:
+        return "form", list(extend(k, data).terms.items())
+    except CheckFailed as ex:
+        return type(ex), str(ex), getattr(ex, "facets", None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 3), st.booleans(),
+       st.sampled_from([None, -1, 0]))
+def test_deferred_common_face_check_keeps_every_outcome(seed, k, perturb,
+                                                        headroom):
+    """Solving first and checking common faces only after a failed solve
+    returns the same form, or raises the same exception class, message
+    and facet pair, as checking first: on the facet restrictions of a
+    random form, on that data with one term added to one facet, and with
+    the extension headroom lowered so that compatible data can fail."""
+    rng = random.Random(seed)
+    f = random_form(rng, k)
+    data = [f.restrict(facet_positions(k, j)) for j in range(k + 1)]
+    if perturb:
+        j = rng.randrange(k + 1)
+        exps = tuple(rng.randrange(0, 3) for _ in range(k - 1))
+        dxs = rng.choice(_dx_tuples(k - 1, rng.randrange(0, k)))
+        data[j] = data[j] + PolyForm(k - 1, {(exps, dxs): rng.choice([-1, 2])})
+    with pytest.MonkeyPatch.context() as mp:
+        if headroom is not None:
+            mp.setattr(forms, "EXTENSION_HEADROOM", headroom)
+        assert boundary_outcome(extend_from_boundary, k, data) == \
+            boundary_outcome(check_first_extend, k, data)
+
+
+def test_every_deferred_outcome_occurs(monkeypatch):
+    """The three outcomes the deferred check must keep all occur on the
+    data of the test above: an extension, a clash named by the check,
+    and a failed solve on compatible data (headroom lowered)."""
+    seen = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        f = random_form(rng, 2)
+        data = [f.restrict(facet_positions(2, j)) for j in range(3)]
+        clash = data[:1] + [data[1] + PolyForm.one(1)] + data[2:]
+        seen |= {boundary_outcome(extend_from_boundary, 2, d)[0]
+                 for d in (data, clash)}
+    monkeypatch.setattr(forms, "EXTENSION_HEADROOM", -1)
+    seen.add(boundary_outcome(extend_from_boundary, 1,
+                              [PolyForm.one(0), PolyForm.zero(0)])[0])
+    assert seen == {"form", IncompatibleBoundaryData, CheckFailed}
+
+
+def test_compatible_data_skip_the_common_face_check(monkeypatch):
+    """An extension that solves never restricts its facet data to their
+    common faces."""
+    calls = []
+    check = forms._common_face_check
+    monkeypatch.setattr(forms, "_common_face_check",
+                        lambda k, data: calls.append(k) or check(k, data))
+    rng = random.Random(3)
+    f = random_form(rng, 3)
+    data = [f.restrict(facet_positions(3, j)) for j in range(4)]
+    extend_from_boundary(3, data)
+    assert calls == []
+    with pytest.raises(IncompatibleBoundaryData):
+        extend_from_boundary(2, [PolyForm.one(1)] + [PolyForm.zero(1)] * 2)
+    assert calls == [2]
+
+
 # --- oracle: the extension that eliminated its system on every call ------
 
 
